@@ -1,11 +1,14 @@
 (* Command-line front end: run any of the five protocols on a configurable
    simulated network — or on a real localhost TCP cluster — and print the
-   paper's metrics.
+   paper's metrics, trace a run's per-view latency, or cross-validate the
+   two substrates.
 
      dune exec bin/moonshot_cli.exe -- run --protocol CM -n 50 --payload 18000
      dune exec bin/moonshot_cli.exe -- run -p J --schedule WJ --faults 13 -n 40
      dune exec bin/moonshot_cli.exe -- run-net -p CM -n 4 --blocks 50
+     dune exec bin/moonshot_cli.exe -- trace -p PM --timeline
      dune exec bin/moonshot_cli.exe -- crossval -p PM --blocks 10
+     dune exec bin/moonshot_cli.exe -- crossval -p SM --scenario chaos
      dune exec bin/moonshot_cli.exe -- table1
 *)
 
@@ -35,10 +38,10 @@ let schedule_conv =
   let print ppf s = Format.pp_print_string ppf (Bft_workload.Schedules.name s) in
   Arg.conv (parse, print)
 
-let protocol =
+let protocol ~default =
   Arg.(
     value
-    & opt protocol_conv Protocol_kind.Commit_moonshot
+    & opt protocol_conv default
     & info [ "p"; "protocol" ] ~docv:"PROTOCOL"
         ~doc:
           "Protocol to run: SM (simple-moonshot), PM (pipelined-moonshot), \
@@ -49,15 +52,18 @@ let nodes ~default =
     value & opt int default
     & info [ "n"; "nodes" ] ~docv:"N" ~doc:"Network size.")
 
-let payload =
+let payload ~default =
   Arg.(
-    value & opt int 0
+    value & opt int default
     & info [ "payload" ] ~docv:"BYTES" ~doc:"Block payload size in bytes.")
 
-let duration =
+let duration ~default =
   Arg.(
-    value & opt float 30.
+    value & opt float default
     & info [ "duration" ] ~docv:"SECONDS" ~doc:"Simulated run length.")
+
+let delta ?(doc = "Message-delay bound Delta, ms.") ~default () =
+  Arg.(value & opt float default & info [ "delta" ] ~docv:"MS" ~doc)
 
 let faults =
   Arg.(
@@ -72,8 +78,8 @@ let schedule =
     & info [ "schedule" ] ~docv:"SCHED"
         ~doc:"Leader schedule: round-robin, B, WM or WJ.")
 
-let seed =
-  Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"RNG seed.")
+let seed ~default =
+  Arg.(value & opt int default & info [ "seed" ] ~docv:"SEED" ~doc:"RNG seed.")
 
 let gst =
   Arg.(
@@ -245,16 +251,13 @@ let run_cmd =
         Format.printf "client traffic  :@.%a@." Bft_mempool.Ingest.pp_summary s);
     Format.printf "safety          : OK@."
   in
-  let delta =
-    Arg.(
-      value & opt float 500.
-      & info [ "delta" ] ~docv:"MS" ~doc:"Message-delay bound Delta, ms.")
-  in
   let term =
     Term.(
-      const run $ verbose $ protocol $ nodes ~default:10 $ payload $ duration
-      $ delta $ faults $ schedule $ seed $ gst $ uniform_latency
-      $ clients_spec)
+      const run $ verbose
+      $ protocol ~default:Protocol_kind.Commit_moonshot
+      $ nodes ~default:10 $ payload ~default:0 $ duration ~default:30.
+      $ delta ~default:500. () $ faults $ schedule $ seed ~default:1 $ gst
+      $ uniform_latency $ clients_spec)
   in
   let man =
     [
@@ -312,13 +315,12 @@ let run_net_cmd =
           ~doc:"Stop once every node has committed K blocks.")
   in
   let delta =
-    Arg.(
-      value & opt float 1000.
-      & info [ "delta" ] ~docv:"MS"
-          ~doc:
-            "Message-delay bound Delta handed to the nodes, ms.  Keep it \
-             far above localhost round-trip time so no view change ever \
-             fires on the happy path.")
+    delta ~default:1000.
+      ~doc:
+        "Message-delay bound Delta handed to the nodes, ms.  Keep it far \
+         above localhost round-trip time so no view change ever fires on \
+         the happy path."
+      ()
   in
   let mode =
     Arg.(
@@ -359,8 +361,9 @@ let run_net_cmd =
       & info [ "check" ]
           ~doc:
             "After the run, assert cluster sanity: target reached, dense \
-             per-node commit heights, all nodes agree on their common \
-             prefix.  Exit non-zero on violation.")
+             per-node commit heights (after a crash: every node's top \
+             height reached the target), no two nodes commit different \
+             hashes at one height.  Exit non-zero on violation.")
   in
   let faults =
     Arg.(
@@ -381,7 +384,7 @@ let run_net_cmd =
           ~doc:
             "How schedule times are read: $(b,wall) as milliseconds since \
              cluster start, $(b,views) as view numbers (the logical clock \
-             used by $(b,crossval-chaos)).")
+             used by $(b,crossval --scenario chaos)).")
   in
   let fault_seed =
     Arg.(
@@ -537,15 +540,7 @@ let run_net_cmd =
         Format.printf "trace           : %d events -> %s@." (List.length lines)
           path);
     if check then begin
-      let verdict =
-        if FS.crash_count faults > 0 then
-          (* A crashed node loses uncommitted progress, so heights are
-             not dense per node; chaos sanity checks prefix agreement
-             and recovery instead. *)
-          Net_harness.check_chaos r ~target:blocks
-        else Net_harness.check r ~target:blocks
-      in
-      match verdict with
+      match Net_harness.check r ~target:blocks with
       | Ok () -> Format.printf "check           : OK@."
       | Error reason ->
           Format.printf "check           : FAILED (%s)@." reason;
@@ -554,8 +549,9 @@ let run_net_cmd =
   in
   let term =
     Term.(
-      const run $ verbose $ protocol $ nodes ~default:4 $ blocks $ payload
-      $ delta $ mode $ port $ trace_file $ timeout $ check $ faults
+      const run $ verbose
+      $ protocol ~default:Protocol_kind.Commit_moonshot
+      $ nodes ~default:4 $ blocks $ payload ~default:0 $ delta $ mode $ port $ trace_file $ timeout $ check $ faults
       $ fault_clock $ fault_seed $ link_delay $ wal_dir $ clients_spec)
   in
   let man =
@@ -591,210 +587,282 @@ let run_net_cmd =
     term
 
 let crossval_cmd =
+  let scenario =
+    Arg.(
+      value
+      & opt
+          (enum
+             [ ("fault-free", `Fault_free); ("chaos", `Chaos); ("clients", `Clients) ])
+          `Fault_free
+      & info [ "scenario" ] ~docv:"SCENARIO"
+          ~doc:
+            "What every substrate replays: $(b,fault-free) (the happy path, \
+             with $(b,--payload)); $(b,chaos) (a random view-anchored fault \
+             schedule drawn from $(b,--seed): one crash/recover cycle plus \
+             one partition window); $(b,clients) (a seeded stream of 100k \
+             clients, 32 commands per view, through the mempool).")
+  in
   let blocks =
     Arg.(
       value & opt int 10
-      & info [ "blocks" ] ~docv:"K" ~doc:"Number of commits to compare.")
+      & info [ "blocks" ] ~docv:"K"
+          ~doc:
+            "Number of commits to compare (under $(b,chaos), at least the \
+             schedule's last anchor plus 8).")
   in
-  let run verbose protocol n blocks payload =
+  let run verbose protocol n blocks payload seed scenario =
     setup_logs verbose;
-    let cv =
-      Net_harness.cross_validate ~n ~payload_bytes:payload ~protocol ~blocks ()
+    let scenario =
+      match scenario with
+      | `Fault_free -> Net_harness.Fault_free { payload_bytes = payload }
+      | `Chaos | `Clients when payload <> 0 ->
+          prerr_endline "crossval: --payload applies to --scenario fault-free only";
+          exit 2
+      | `Chaos -> Net_harness.Chaos { seed }
+      | `Clients -> Net_harness.Clients Net_harness.views_clients
     in
+    let cv = Net_harness.crossval ~n ~protocol ~blocks scenario in
+    let name (leg : Net_harness.leg) = Net_harness.substrate_name leg.substrate in
     Format.printf "protocol : %a (n=%d, %d blocks)@." Protocol_kind.pp protocol
-      n blocks;
-    List.iter2
-      (fun (s : Net_harness.commit_id) (t : Net_harness.commit_id) ->
-        Format.printf
-          "height %2d: sim view %d hash %016Lx | net view %d hash %016Lx %s@."
-          s.Net_harness.height s.view s.hash t.view t.hash
-          (if s = t then "" else "<- MISMATCH"))
-      cv.Net_harness.sim_commits cv.Net_harness.net_commits;
-    if cv.Net_harness.agree then
-      Format.printf "crossval : OK — substrates agree on all %d commits@."
-        blocks
+      n cv.blocks;
+    (match scenario with
+    | Net_harness.Chaos _ ->
+        Format.printf "schedule : %s (times are view numbers)@."
+          (Bft_faults.Fault_schedule.to_string cv.schedule)
+    | Net_harness.Clients spec ->
+        Format.printf "spec     : %a@." Bft_mempool.Spec.pp spec
+    | Net_harness.Fault_free _ -> ());
+    List.iter
+      (fun (leg : Net_harness.leg) ->
+        Option.iter
+          (fun (report : Bft_obs.Liveness.report) ->
+            List.iter
+              (fun (rec_ : Bft_obs.Liveness.recovery) ->
+                Format.printf "%-8s : node %d down %.0f ms, %s@." (name leg)
+                  rec_.node
+                  (rec_.recovered_at_ms -. rec_.crashed_at_ms)
+                  (match rec_.caught_up_at_ms with
+                  | Some t ->
+                      Printf.sprintf "caught up to height %d in %.0f ms"
+                        rec_.target_height
+                        (t -. rec_.recovered_at_ms)
+                  | None -> "NEVER CAUGHT UP"))
+              report.recoveries;
+            Format.printf "%-8s : max quorum-commit gap %.0f ms (bound %.0f ms)%s@."
+              (name leg) report.max_quorum_gap_ms report.bound_ms
+              (match report.min_slack_ms with
+              | Some s -> Printf.sprintf ", min check slack %.0f ms" s
+              | None -> ""))
+          leg.liveness;
+        Option.iter
+          (Format.printf "%-8s :@.%a@." (name leg) Bft_mempool.Ingest.pp_summary)
+          leg.client_summary)
+      cv.legs;
+    (* One row per height: the shared commit, or every leg's on mismatch. *)
+    let rec rows = function
+      | [] | [] :: _ -> []
+      | chains -> List.map List.hd chains :: rows (List.map List.tl chains)
+    in
+    List.iter
+      (fun (row : Net_harness.commit_id list) ->
+        let c = List.hd row in
+        if List.for_all (( = ) c) row then
+          Format.printf "height %2d: view %d hash %016Lx@." c.height c.view
+            c.hash
+        else
+          Format.printf "height %2d: %s <- MISMATCH@." c.height
+            (String.concat " | "
+               (List.map2
+                  (fun leg (c : Net_harness.commit_id) ->
+                    Printf.sprintf "%s view %d hash %016Lx" (name leg) c.view
+                      c.hash)
+                  cv.legs row)))
+      (rows (List.map (fun (leg : Net_harness.leg) -> leg.chain) cv.legs));
+    let names = String.concat ", " (List.map name cv.legs) in
+    if cv.agree then
+      Format.printf "crossval : OK — %s agree on all %d commits@." names
+        cv.blocks
     else begin
-      Format.printf "crossval : FAILED — commit sequences differ@.";
+      Format.printf "crossval : FAILED — %s commit different chains@." names;
       exit 1
     end
   in
   let term =
     Term.(
-      const run $ verbose $ protocol $ nodes ~default:4 $ blocks $ payload)
+      const run $ verbose
+      $ protocol ~default:Protocol_kind.Commit_moonshot
+      $ nodes ~default:4 $ blocks $ payload ~default:0 $ seed ~default:7
+      $ scenario)
   in
   let man =
     [
       `S Manpage.s_description;
       `P
-        "Replays the same fault-free round-robin schedule on both \
-         execution substrates — the discrete-event simulator and a \
-         localhost TCP cluster — and asserts that node 0 commits the \
-         identical sequence of (height, view, hash) triples on both.  On \
-         the happy path with a generous Delta no timeout ever fires, so \
-         the committed chain is a pure function of the protocol: any \
+        "Replays one scenario on every execution substrate — the \
+         discrete-event simulator, a threads-mode localhost TCP cluster \
+         and, when the scenario crashes a node, a fork-per-validator TCP \
+         cluster — and asserts that node 0 commits the identical sequence \
+         of (height, view, hash) triples on all of them.";
+      `P
+        "$(b,fault-free): with a generous Delta no timeout ever fires, so \
+         the committed chain is a pure function of the protocol; any \
          divergence is a bug in a codec or a transport, not timing.";
+      `P
+        "$(b,chaos): every fault trigger is a function of protocol views \
+         rather than wall time, so all three runs must commit the same \
+         chain; any divergence is a bug in fault injection, WAL recovery, \
+         Sync catch-up or a codec.  The crash is a real kill: in process \
+         mode the victim dies by SIGKILL and is re-spawned, rebuilding its \
+         state from its write-ahead log and catching up over the wire.";
+      `P
+        "$(b,clients): blocks carry only batch references (cursor, \
+         watermark, count) and contents are derived by commit-order \
+         replay under the $(b,views) ingest clock, so chain agreement \
+         means every command landed in the same block on every substrate.";
       `S Manpage.s_examples;
       `Pre
-        "  # Default: commit-moonshot, 4 nodes, first 10 commits\n\
+        "  # Default: commit-moonshot, 4 nodes, fault-free, first 10 commits\n\
         \  moonshot crossval\n\n\
-        \  # All five protocols\n\
-        \  for p in SM PM CM J HS; do moonshot crossval -p $p; done";
+        \  # All five protocols under a view-anchored fault schedule\n\
+        \  for p in SM PM CM J HS; do moonshot crossval -p \\$p --scenario \
+         chaos --seed 11; done\n\n\
+        \  # The same client stream on both substrates\n\
+        \  moonshot crossval -p J --scenario clients";
     ]
   in
   Cmd.v
     (Cmd.info "crossval"
-       ~doc:"Cross-validate simulator against TCP substrate" ~man)
+       ~doc:"Cross-validate the simulator against the TCP substrates" ~man)
     term
 
-let crossval_chaos_cmd =
-  let seed =
+(* {2 trace} — a simulated run with structured tracing on, rendered as a
+   per-view latency breakdown (where each view's milliseconds went:
+   proposal -> vote -> certificate -> quorum commit), a phase percentile
+   summary, a raw delivery timeline or a JSONL trace file.  The default
+   network delivers every message in exactly --hop ms, so the Figure 2
+   story is directly visible: optimistic proposals for view v+1 overlap
+   votes for view v, block period = 1 hop, commit latency = 3 hops. *)
+
+let trace_cmd =
+  let hop =
     Arg.(
-      value & opt int 7
-      & info [ "seed" ] ~docv:"SEED"
-          ~doc:"Seed for drawing the random logical fault schedule.")
+      value & opt float 10.
+      & info [ "hop" ] ~docv:"MS"
+          ~doc:
+            "Exact one-way latency of every message (uniform, zero jitter). \
+             Ignored with $(b,--wan).")
   in
-  let run verbose protocol n seed =
-    setup_logs verbose;
-    let module FS = Bft_faults.Fault_schedule in
-    let cv = Net_harness.cross_validate_chaos ~n ~seed ~protocol () in
-    Format.printf "protocol : %a (n=%d, %d blocks)@." Protocol_kind.pp protocol
-      n cv.Net_harness.blocks;
-    Format.printf "schedule : %s (times are view numbers)@."
-      (FS.to_string cv.Net_harness.schedule);
-    let print_liveness label (report : Bft_obs.Liveness.report) =
-      List.iter
-        (fun (rec_ : Bft_obs.Liveness.recovery) ->
-          Format.printf "%s : node %d down %.0f ms, %s@." label rec_.node
-            (rec_.recovered_at_ms -. rec_.crashed_at_ms)
-            (match rec_.caught_up_at_ms with
-            | Some t ->
-                Printf.sprintf "caught up to height %d in %.0f ms"
-                  rec_.target_height
-                  (t -. rec_.recovered_at_ms)
-            | None -> "NEVER CAUGHT UP"))
-        report.recoveries;
-      Format.printf "%s : max quorum-commit gap %.0f ms (bound %.0f ms)%s@."
-        label report.max_quorum_gap_ms report.bound_ms
-        (match report.min_slack_ms with
-        | Some s -> Printf.sprintf ", min check slack %.0f ms" s
-        | None -> "")
+  let wan =
+    Arg.(
+      value & flag
+      & info [ "wan" ]
+          ~doc:
+            "Use the paper's AWS WAN latency matrix and bandwidth model \
+             instead of a uniform $(b,--hop) network.")
+  in
+  let timeline =
+    Arg.(
+      value & flag
+      & info [ "timeline" ]
+          ~doc:
+            "Print every trace event as a timeline line instead of the \
+             per-view tables.")
+  in
+  let jsonl =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "jsonl" ] ~docv:"FILE"
+          ~doc:
+            "Write the full trace as JSON Lines to $(docv) ($(b,-) for \
+             stdout).  Deterministic: same config and seed, same bytes.")
+  in
+  let run protocol n seed duration delta payload hop wan timeline jsonl =
+    let latency, bandwidth, model_cpu =
+      if wan then (Config.Wan, Some Bft_workload.Regions.bandwidth_bps, true)
+      else (Config.Uniform { base = hop; jitter = 0. }, None, false)
     in
-    print_liveness "threads " cv.Net_harness.thread_liveness;
-    print_liveness "procs   " cv.Net_harness.process_liveness;
-    if cv.Net_harness.agree then
+    let cfg =
+      {
+        (Config.default protocol ~n) with
+        Config.payload_bytes = payload;
+        duration_ms = duration *. 1000.;
+        delta_ms = delta;
+        seed;
+        latency;
+        bandwidth_bps = bandwidth;
+        model_cpu;
+      }
+    in
+    let trace = Bft_obs.Trace.create () in
+    let r = Harness.run ~trace cfg in
+    let m = r.Harness.metrics in
+    (match jsonl with
+    | None -> ()
+    | Some "-" -> Bft_obs.Trace.output stdout trace
+    | Some file ->
+        let oc = open_out file in
+        Fun.protect
+          ~finally:(fun () -> close_out oc)
+          (fun () -> Bft_obs.Trace.output oc trace);
+        Format.printf "wrote %d events to %s@." (Bft_obs.Trace.length trace)
+          file);
+    if jsonl <> Some "-" then begin
+      Format.printf "config : %a@." Config.pp cfg;
+      (if not wan then
+         Format.printf
+           "network: every message exactly %.0f ms (block period = 1 hop, \
+            commit = propose + 3 hops)@."
+           hop);
       Format.printf
-        "crossval : OK — sim, thread and process runs agree on all %d \
-         commits@."
-        cv.Net_harness.blocks
-    else begin
-      let show chain =
-        String.concat " "
-          (List.map
-             (fun (c : Net_harness.commit_id) ->
-               Printf.sprintf "%d@%d" c.height c.view)
-             chain)
-      in
-      Format.printf "sim     : %s@." (show cv.Net_harness.sim_chain);
-      Format.printf "threads : %s@." (show cv.Net_harness.thread_chain);
-      Format.printf "procs   : %s@." (show cv.Net_harness.process_chain);
-      Format.printf "crossval : FAILED — committed chains differ@.";
-      exit 1
+        "result : %d blocks committed, %.1f ms avg latency, %d trace \
+         events@.@."
+        m.Metrics.committed_blocks m.Metrics.avg_latency_ms
+        (Bft_obs.Trace.length trace);
+      if timeline then
+        List.iter
+          (fun ev -> Format.printf "%a@." Bft_obs.Trace.pp_event ev)
+          (Bft_obs.Trace.events trace)
+      else begin
+        let rows = Bft_obs.Breakdown.rows (Bft_obs.Trace.events trace) in
+        Format.printf "Per-view breakdown (times in simulated ms):@.";
+        Bft_stats.Table.print Format.std_formatter
+          (Bft_obs.Breakdown.table rows);
+        Format.printf "@.Phase summary:@.";
+        Bft_stats.Table.print Format.std_formatter
+          (Bft_obs.Breakdown.phase_table (Bft_obs.Breakdown.phases rows))
+      end
     end
-  in
-  let term =
-    Term.(const run $ verbose $ protocol $ nodes ~default:4 $ seed)
   in
   let man =
     [
       `S Manpage.s_description;
       `P
-        "Draws a random fault schedule anchored to $(i,view numbers) — one \
-         crash/recover cycle plus one partition window — and replays it on \
-         all three execution substrates: the discrete-event simulator, a \
-         threads-mode TCP cluster and a fork-per-validator TCP cluster.  \
-         Because every trigger is a function of protocol state rather than \
-         wall time, all three runs must commit the identical (height, \
-         view, hash) chain; any divergence is a bug in fault injection, \
-         WAL recovery, Sync catch-up or a codec.";
-      `P
-        "The crash is a real kill: in process mode the victim dies by \
-         SIGKILL and is re-spawned, rebuilding its state from its \
-         write-ahead log and catching up over the wire.";
+        "Runs the chosen protocol with structured tracing enabled and \
+         renders where each view's time went: first proposal, first vote, \
+         first certificate assembly, quorum commit, plus per-view message \
+         and byte counts.  The default network delivers every message in \
+         exactly one hop, which makes the paper's Figure 2 story directly \
+         observable: Moonshot's optimistic proposals give a block period \
+         of one hop and a commit latency of three.";
       `S Manpage.s_examples;
       `Pre
-        "  # Default: commit-moonshot, 4 nodes\n\
-        \  moonshot crossval-chaos\n\n\
-        \  # All five protocols, a different schedule\n\
-        \  for p in SM PM CM J HS; do moonshot crossval-chaos -p $p --seed \
-         11; done";
+        "  # Pipelined Moonshot, 4 nodes, 1 s, 10 ms hops\n\
+        \  moonshot trace\n\n\
+        \  moonshot trace -p jolteon -n 10 --duration 5\n\
+        \  moonshot trace -p PM --timeline\n\
+        \  moonshot trace -p CM --jsonl trace.jsonl";
     ]
   in
   Cmd.v
-    (Cmd.info "crossval-chaos"
-       ~doc:"Cross-validate chaotic runs across all substrates" ~man)
-    term
-
-let crossval_clients_cmd =
-  let blocks =
-    Arg.(
-      value & opt int 10
-      & info [ "blocks" ] ~docv:"K" ~doc:"Number of commits to compare.")
-  in
-  let run verbose protocol n blocks =
-    setup_logs verbose;
-    let cv = Net_harness.cross_validate_clients ~n ~protocol ~blocks () in
-    Format.printf "protocol : %a (n=%d, %d blocks)@." Protocol_kind.pp protocol
-      n blocks;
-    Format.printf "spec     : %a@." Bft_mempool.Spec.pp
-      cv.Net_harness.cc_spec;
-    Format.printf "sim      :@.%a@." Bft_mempool.Ingest.pp_summary
-      cv.Net_harness.cc_sim_summary;
-    Format.printf "net      :@.%a@." Bft_mempool.Ingest.pp_summary
-      cv.Net_harness.cc_net_summary;
-    if cv.Net_harness.cc_agree then
-      Format.printf
-        "crossval : OK — both substrates committed the same %d batches@."
-        blocks
-    else begin
-      List.iter2
-        (fun (s : Net_harness.commit_id) (t : Net_harness.commit_id) ->
-          Format.printf
-            "height %2d: sim view %d hash %016Lx | net view %d hash %016Lx \
-             %s@."
-            s.Net_harness.height s.view s.hash t.view t.hash
-            (if s = t then "" else "<- MISMATCH"))
-        cv.Net_harness.cc_sim_chain cv.Net_harness.cc_net_chain;
-      Format.printf "crossval : FAILED — committed chains differ@.";
-      exit 1
-    end
-  in
-  let term =
-    Term.(const run $ verbose $ protocol $ nodes ~default:4 $ blocks)
-  in
-  let man =
-    [
-      `S Manpage.s_description;
-      `P
-        "Feeds the same seeded client stream through the mempool on both \
-         execution substrates — the discrete-event simulator and a \
-         localhost TCP cluster — under the $(b,views) ingest clock, and \
-         asserts both commit the identical (height, view, hash) chain.  \
-         Because blocks carry only batch references (cursor, watermark, \
-         count) and contents are derived by commit-order replay, chain \
-         agreement means every command landed in the same block on both \
-         substrates.";
-      `S Manpage.s_examples;
-      `Pre
-        "  # Default: commit-moonshot, 4 nodes, first 10 batches\n\
-        \  moonshot crossval-clients\n\n\
-        \  # All five protocols\n\
-        \  for p in SM PM CM J HS; do moonshot crossval-clients -p $p; done";
-    ]
-  in
-  Cmd.v
-    (Cmd.info "crossval-clients"
-       ~doc:"Cross-validate client-traffic runs across substrates" ~man)
-    term
+    (Cmd.info "trace"
+       ~doc:"Trace a simulated run and break down per-view latency" ~man)
+    Term.(
+      const run
+      $ protocol ~default:Protocol_kind.Pipelined_moonshot
+      $ nodes ~default:4 $ seed ~default:1 $ duration ~default:1.
+      $ delta ~default:50. () $ payload ~default:0 $ hop $ wan $ timeline
+      $ jsonl)
 
 let table1_cmd =
   let man =
@@ -1011,8 +1079,10 @@ let explore_cmd =
        ~doc:"Swarm walks and coverage-guided schedule search (model checker)"
        ~man)
     Term.(
-      const run $ mode $ protocol $ nodes ~default:4 $ view_bound $ depth
-      $ timer_budget $ reorder_window $ seed $ budget $ jobs $ sym
+      const run $ mode
+      $ protocol ~default:Protocol_kind.Commit_moonshot
+      $ nodes ~default:4 $ view_bound $ depth $ timer_budget $ reorder_window
+      $ seed ~default:1 $ budget $ jobs $ sym
       $ faults_arg $ out)
 
 let () =
@@ -1025,7 +1095,8 @@ let () =
          SMR (DSN 2024) and its baselines.  The same protocol node \
          implementations run on two execution substrates: a deterministic \
          discrete-event simulator ($(b,run)) and a live localhost TCP \
-         cluster ($(b,run-net)); $(b,crossval) proves both substrates \
+         cluster ($(b,run-net)); $(b,trace) explains where a simulated \
+         run's milliseconds went, and $(b,crossval) proves both substrates \
          commit identical chains.";
     ]
   in
@@ -1043,8 +1114,7 @@ let () =
             run_cmd;
             run_net_cmd;
             crossval_cmd;
-            crossval_chaos_cmd;
-            crossval_clients_cmd;
+            trace_cmd;
             explore_cmd;
             table1_cmd;
             table2_cmd;

@@ -24,7 +24,7 @@
     Every trigger is a deterministic function of protocol state, not of
     elapsed time, so a schedule drawn by {!random} yields the same
     committed (height, view, hash) chain on the simulator and on real
-    sockets — the property `crossval-chaos` checks.  Loss and delay
+    sockets — the property [moonshot crossval --scenario chaos] checks.  Loss and delay
     windows are inherently probabilistic/temporal and are rejected.
 
     Chain equality additionally needs the schedule to keep view

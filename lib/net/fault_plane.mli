@@ -17,7 +17,8 @@
     - {!Views}: times are view numbers ({!Bft_faults.Logical}) — every
       trigger is a function of protocol state, shared exactly with the
       simulator's logical interpreter, which is what makes
-      [crossval-chaos] chains comparable byte for byte.
+      [moonshot crossval --scenario chaos] chains comparable byte for
+      byte.
 
     One plane instance is shared by all of a node's send paths; loss
     draws use a per-sender RNG stream so threads-mode executors do not

@@ -332,7 +332,9 @@ let node_main (type m) (module P : Protocol_intf.S with type msg = m)
      nondeterminism a batch carries — and under the [Views] spec clock even
      that is a pure function of the view, making socket chains bit-identical
      to simulator chains.  Latency accounting happens post-hoc in the
-     coordinator (Net_harness.client_stats), against quorum-commit times. *)
+     coordinator ([Net_harness.client_stats], used by [moonshot run-net
+     --clients] and [moonshot crossval --scenario clients]), against the
+     quorum-commit times of [quorum_commits]. *)
   let ingest =
     Option.map
       (fun spec ->
@@ -1221,9 +1223,9 @@ let run (type m) (module P : Protocol_intf.S with type msg = m) cfg =
 
 (* --- post-hoc aggregation -------------------------------------------------- *)
 
-(* Commits of each block across nodes, with the quorum-th commit when the
-   block reached [quorum] nodes. *)
 let quorum_commits result ~quorum =
+  (* Per block hash, each node's earliest commit of it: a recovered node
+     may re-commit a block it committed before crashing. *)
   let tbl : (int64, (int * commit) list) Hashtbl.t = Hashtbl.create 64 in
   Array.iter
     (fun nr ->
@@ -1232,10 +1234,11 @@ let quorum_commits result ~quorum =
           let prev =
             Option.value (Hashtbl.find_opt tbl c.c_hash) ~default:[]
           in
-          (* A recovered node may re-commit a block it already committed
-             before crashing; count each node at most once per block. *)
-          if not (List.exists (fun (id, _) -> id = nr.id) prev) then
-            Hashtbl.replace tbl c.c_hash ((nr.id, c) :: prev))
+          match List.assoc_opt nr.id prev with
+          | Some c0 when c0.c_time_ms <= c.c_time_ms -> ()
+          | _ ->
+              Hashtbl.replace tbl c.c_hash
+                ((nr.id, c) :: List.remove_assoc nr.id prev))
         nr.commits)
     result.nodes;
   Hashtbl.fold

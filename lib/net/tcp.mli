@@ -176,6 +176,14 @@ val run : (module Protocol_intf.S with type msg = 'm) -> config -> result
     traces feed the same latency and liveness tooling. *)
 val merged_trace : result -> quorum:int -> string list
 
+(** The quorum commit of every block that [quorum] distinct nodes
+    committed, as [(node, commit)]: the commit, by [node], whose time is
+    the [quorum]-th smallest of the committing nodes' earliest commits of
+    that block.  A node that re-committed a block after a recovery counts
+    once, at its earliest commit.  Blocks are identified by hash; the
+    list is in no particular order. *)
+val quorum_commits : result -> quorum:int -> (int * commit) list
+
 (** Per-block quorum-commit latency samples [(height, latency_ms)]:
     time from first proposal to the [quorum]-th node's commit, for
     blocks that reached it.  A node counts at most once per block even

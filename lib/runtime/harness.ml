@@ -318,7 +318,7 @@ let run_protocol (type m) ?(on_commit = fun ~node:_ _ -> ()) ?trace
             observer (node 0) passes the recovery anchor.  No wall-clock
             machinery runs, so the committed chain is a pure function of
             the protocol and the schedule — identical on simulator and
-            sockets ([crossval-chaos]). *)
+            sockets ([moonshot crossval --scenario chaos]). *)
          let view_of id =
            match node_refs.(id) with
            | Some nd -> P.current_view nd
@@ -506,15 +506,8 @@ let run_protocol (type m) ?(on_commit = fun ~node:_ _ -> ()) ?trace
   result
 
 let run ?on_commit ?trace ?on_client_command (cfg : Config.t) =
-  let go p = run_protocol ?on_commit ?trace ?on_client_command p cfg in
-  match cfg.Config.protocol with
-  | Protocol_kind.Simple_moonshot -> go (module Moonshot.Simple_node.Protocol)
-  | Protocol_kind.Pipelined_moonshot ->
-      go (module Moonshot.Pipelined_node.Protocol)
-  | Protocol_kind.Commit_moonshot ->
-      go (module Moonshot.Pipelined_node.Commit_protocol)
-  | Protocol_kind.Jolteon -> go (module Jolteon.Jolteon_node.Protocol)
-  | Protocol_kind.Hotstuff -> go (module Hotstuff.Hotstuff_node.Protocol)
+  let (Protocol_kind.Impl p) = Protocol_kind.impl cfg.Config.protocol in
+  run_protocol ?on_commit ?trace ?on_client_command p cfg
 
 let run_seeds cfg ~seeds =
   List.map (fun seed -> run { cfg with Config.seed }) seeds

@@ -10,106 +10,73 @@ let config kind ~n ~blocks =
   }
 
 let run kind cfg =
-  match kind with
-  | Protocol_kind.Simple_moonshot ->
-      Bft_net.Tcp.run (module Moonshot.Simple_node.Protocol) cfg
-  | Protocol_kind.Pipelined_moonshot ->
-      Bft_net.Tcp.run (module Moonshot.Pipelined_node.Protocol) cfg
-  | Protocol_kind.Commit_moonshot ->
-      Bft_net.Tcp.run (module Moonshot.Pipelined_node.Commit_protocol) cfg
-  | Protocol_kind.Jolteon ->
-      Bft_net.Tcp.run (module Jolteon.Jolteon_node.Protocol) cfg
-  | Protocol_kind.Hotstuff ->
-      Bft_net.Tcp.run (module Hotstuff.Hotstuff_node.Protocol) cfg
+  let (Protocol_kind.Impl p) = Protocol_kind.impl kind in
+  Bft_net.Tcp.run p cfg
+
+let crashed (result : Bft_net.Tcp.result) =
+  List.exists
+    (fun fe -> fe.Bft_net.Tcp.fe_kind = Bft_obs.Trace.Crash)
+    result.Bft_net.Tcp.fault_events
+  || Array.exists (fun nr -> nr.Bft_net.Tcp.restarts > 0) result.nodes
 
 let check (result : Bft_net.Tcp.result) ~target =
   let open Bft_net.Tcp in
-  let fail fmt = Format.kasprintf (fun s -> Error s) fmt in
   if not result.reached_target then
-    fail "cluster did not reach %d blocks within the timeout" target
+    Error
+      (Printf.sprintf "cluster did not reach %d blocks within the timeout"
+         target)
   else
-    let problems =
-      Array.to_list result.nodes
-      |> List.filter_map (fun nr ->
-             let k = List.length nr.commits in
-             if k < target then
-               Some
-                 (Printf.sprintf "node %d committed only %d/%d blocks" nr.id k
-                    target)
-             else
-               List.find_mapi
-                 (fun i c ->
-                   if c.c_height <> i + 1 then
-                     Some
-                       (Printf.sprintf
-                          "node %d: commit %d has height %d, expected %d"
-                          nr.id i c.c_height (i + 1))
-                   else None)
-                 nr.commits)
-    in
-    match problems with
-    | p :: _ -> Error p
-    | [] -> (
-        (* Pairwise common-prefix agreement against node 0. *)
-        let hashes nr =
-          Array.of_list (List.map (fun c -> c.c_hash) nr.commits)
-        in
-        let h0 = hashes result.nodes.(0) in
-        let disagrees =
-          Array.to_list result.nodes
-          |> List.find_map (fun nr ->
-                 let h = hashes nr in
-                 let common = min (Array.length h0) (Array.length h) in
-                 let rec scan i =
-                   if i >= common then None
-                   else if h.(i) <> h0.(i) then
-                     Some
-                       (Printf.sprintf
-                          "nodes 0 and %d disagree at height %d: %Lx vs %Lx"
-                          nr.id (i + 1) h0.(i) h.(i))
-                   else scan (i + 1)
-                 in
-                 scan 0)
-        in
-        match disagrees with Some p -> Error p | None -> Ok ())
-
-let check_chaos (result : Bft_net.Tcp.result) ~target =
-  let open Bft_net.Tcp in
-  let fail fmt = Format.kasprintf (fun s -> Error s) fmt in
-  if not result.reached_target then
-    fail "cluster did not reach %d blocks within the timeout" target
-  else begin
-    (* A recovered node's commit log is not dense (pre-crash commits may
-       be lost with the incarnation, catch-up re-commits others), so the
-       chaos variant of {!check} asserts only what holds under crashes:
-       every node reached the target height, and no two nodes ever
-       committed different hashes at the same height. *)
-    let seen : (int, int * int64) Hashtbl.t = Hashtbl.create 64 in
-    let problem = ref None in
-    Array.iter
-      (fun nr ->
+    (* Without crashes every node's commit log is dense from height 1.  A
+       recovered node's is not (pre-crash commits may die with the
+       incarnation, catch-up re-commits others), so after a crash only
+       each node's top height is held to the target. *)
+    let dense = not (crashed result) in
+    let progress nr =
+      if dense then
+        let k = List.length nr.commits in
+        if k < target then
+          Some
+            (Printf.sprintf "node %d committed only %d/%d blocks" nr.id k
+               target)
+        else
+          List.find_mapi
+            (fun i c ->
+              if c.c_height <> i + 1 then
+                Some
+                  (Printf.sprintf "node %d: commit %d has height %d, expected %d"
+                     nr.id i c.c_height (i + 1))
+              else None)
+            nr.commits
+      else
         let top = List.fold_left (fun a c -> max a c.c_height) 0 nr.commits in
-        if top < target && !problem = None then
-          problem :=
-            Some
-              (Printf.sprintf "node %d topped out at height %d/%d" nr.id top
-                 target);
-        List.iter
-          (fun c ->
-            match Hashtbl.find_opt seen c.c_height with
-            | Some (id0, h0) when h0 <> c.c_hash ->
-                if !problem = None then
-                  problem :=
-                    Some
-                      (Printf.sprintf
-                         "nodes %d and %d disagree at height %d: %Lx vs %Lx"
-                         id0 nr.id c.c_height h0 c.c_hash)
-            | Some _ -> ()
-            | None -> Hashtbl.add seen c.c_height (nr.id, c.c_hash))
-          nr.commits)
-      result.nodes;
-    match !problem with Some p -> Error p | None -> Ok ()
-  end
+        if top < target then
+          Some
+            (Printf.sprintf "node %d topped out at height %d/%d" nr.id top
+               target)
+        else None
+    in
+    (* Agreement: no two nodes ever commit different hashes at one height. *)
+    let seen : (int, int * int64) Hashtbl.t = Hashtbl.create 64 in
+    let conflict nr c =
+      match Hashtbl.find_opt seen c.c_height with
+      | Some (id0, h0) when h0 <> c.c_hash ->
+          Some
+            (Printf.sprintf "nodes %d and %d disagree at height %d: %Lx vs %Lx"
+               id0 nr.id c.c_height h0 c.c_hash)
+      | Some _ -> None
+      | None ->
+          Hashtbl.add seen c.c_height (nr.id, c.c_hash);
+          None
+    in
+    let nodes = Array.to_list result.nodes in
+    match List.find_map progress nodes with
+    | Some p -> Error p
+    | None -> (
+        match
+          List.find_map (fun nr -> List.find_map (conflict nr) nr.commits) nodes
+        with
+        | Some p -> Error p
+        | None -> Ok ())
 
 let net_liveness (result : Bft_net.Tcp.result) ~delta =
   let open Bft_net.Tcp in
@@ -149,42 +116,12 @@ let net_liveness (result : Bft_net.Tcp.result) ~delta =
                 ~height:c.c_height))
         nr.commits)
     result.nodes;
-  (* Quorum commits: the time the [quorum]-th distinct node first commits
-     a given (height, hash). *)
-  let q = quorum ~n in
-  let firsts : (int * int64, (int, float) Hashtbl.t) Hashtbl.t =
-    Hashtbl.create 64
-  in
-  Array.iter
-    (fun nr ->
-      List.iter
-        (fun c ->
-          let key = (c.c_height, c.c_hash) in
-          let m =
-            match Hashtbl.find_opt firsts key with
-            | Some m -> m
-            | None ->
-                let m = Hashtbl.create 8 in
-                Hashtbl.add firsts key m;
-                m
-          in
-          match Hashtbl.find_opt m nr.id with
-          | Some t when t <= c.c_time_ms -> ()
-          | _ -> Hashtbl.replace m nr.id c.c_time_ms)
-        nr.commits)
-    result.nodes;
-  Hashtbl.iter
-    (fun (height, hash) m ->
-      let times =
-        Hashtbl.fold (fun _ t acc -> t :: acc) m []
-        |> List.sort Float.compare
-      in
-      if List.length times >= q then
-        let t = List.nth times (q - 1) in
-        add t 2 (fun () ->
-            Bft_obs.Liveness.note_quorum_commit mon ~time:t ~height
-              ~hash:(Int64.to_int hash)))
-    firsts;
+  List.iter
+    (fun (_, qc) ->
+      add qc.c_time_ms 2 (fun () ->
+          Bft_obs.Liveness.note_quorum_commit mon ~time:qc.c_time_ms
+            ~height:qc.c_height ~hash:(Int64.to_int qc.c_hash)))
+    (quorum_commits result ~quorum:(quorum ~n));
   List.iter
     (fun (_, _, run) -> run ())
     (List.sort
@@ -201,255 +138,115 @@ let net_liveness (result : Bft_net.Tcp.result) ~delta =
 let client_stats (result : Bft_net.Tcp.result) ~spec ~view_ms =
   let open Bft_net.Tcp in
   let n = Array.length result.nodes in
-  let q = quorum ~n in
-  (* Quorum-commit time per height: the [q]-th smallest first-commit
-     time across nodes (client-traffic runs are fault-free, so heights
-     identify blocks). *)
-  let firsts : (int, (int, float) Hashtbl.t) Hashtbl.t = Hashtbl.create 64 in
-  Array.iter
-    (fun nr ->
-      List.iter
-        (fun c ->
-          let m =
-            match Hashtbl.find_opt firsts c.c_height with
-            | Some m -> m
-            | None ->
-                let m = Hashtbl.create 8 in
-                Hashtbl.add firsts c.c_height m;
-                m
-          in
-          match Hashtbl.find_opt m nr.id with
-          | Some t when t <= c.c_time_ms -> ()
-          | _ -> Hashtbl.replace m nr.id c.c_time_ms)
-        nr.commits)
-    result.nodes;
-  let quorum_time height =
-    match Hashtbl.find_opt firsts height with
-    | None -> None
-    | Some m ->
-        let times =
-          Hashtbl.fold (fun _ t acc -> t :: acc) m []
-          |> List.sort Float.compare
-        in
-        if List.length times >= q then Some (List.nth times (q - 1)) else None
-  in
-  (* Replay node 0's chain (deduped by height, commit order = chain
-     order) through a fresh ingestion site: the commit records carry the
-     packed batch references, which is all the replayer needs to rebuild
-     every command and its end-to-end latency. *)
+  let quorum_time : (int64, float) Hashtbl.t = Hashtbl.create 64 in
+  List.iter
+    (fun (_, qc) -> Hashtbl.replace quorum_time qc.c_hash qc.c_time_ms)
+    (quorum_commits result ~quorum:(quorum ~n));
+  (* Replay node 0's chain (commit order = chain order) through a fresh
+     ingestion site, each quorum-committed block once: the commit records
+     carry the packed batch references, which is all the replayer needs to
+     rebuild every command and its end-to-end latency. *)
   let ing = Bft_mempool.Ingest.create ~spec ~n ~view_ms () in
-  let seen = Hashtbl.create 64 in
   List.iter
     (fun c ->
-      if not (Hashtbl.mem seen c.c_height) then begin
-        Hashtbl.add seen c.c_height ();
-        match quorum_time c.c_height with
-        | None -> ()
-        | Some t ->
-            let payload =
-              Bft_types.Payload.make ~id:c.c_payload_id
-                ~size_bytes:c.c_payload_bytes
-            in
-            ignore (Bft_mempool.Ingest.on_quorum_commit ing ~payload ~time:t)
-      end)
+      match Hashtbl.find_opt quorum_time c.c_hash with
+      | None -> ()
+      | Some t ->
+          Hashtbl.remove quorum_time c.c_hash;
+          let payload =
+            Bft_types.Payload.make ~id:c.c_payload_id
+              ~size_bytes:c.c_payload_bytes
+          in
+          ignore (Bft_mempool.Ingest.on_quorum_commit ing ~payload ~time:t))
     result.nodes.(0).commits;
   Bft_mempool.Ingest.summary ing
 
 type commit_id = { height : int; view : int; hash : int64 }
 
-type crossval = {
-  sim_commits : commit_id list;
-  net_commits : commit_id list;
-  agree : bool;
-}
+type scenario =
+  | Fault_free of { payload_bytes : int }
+  | Chaos of { seed : int }
+  | Clients of Bft_mempool.Spec.t
 
-let cross_validate ?(n = 4) ?(payload_bytes = 0) ~protocol ~blocks () =
-  (* Simulator side: the happy-path local config, long enough for [blocks]
-     commits at node 0 with room to spare. *)
-  let sim_cfg =
-    {
-      (Config.local protocol ~n) with
-      Config.payload_bytes;
-      duration_ms = 5_000. +. (float_of_int blocks *. 200.);
-    }
-  in
-  let sim_acc = ref [] in
-  let (_ : Harness.run_result) =
-    Harness.run
-      ~on_commit:(fun ~node b ->
-        if node = 0 then
-          sim_acc :=
-            {
-              height = b.Bft_types.Block.height;
-              view = b.Bft_types.Block.view;
-              hash = Bft_types.Hash.to_int64 b.Bft_types.Block.hash;
-            }
-            :: !sim_acc)
-      sim_cfg
-  in
-  let take k l = List.filteri (fun i _ -> i < k) l in
-  let sim_commits = take blocks (List.rev !sim_acc) in
-  if List.length sim_commits < blocks then
-    failwith
-      (Printf.sprintf "crossval: simulator committed only %d/%d blocks"
-         (List.length sim_commits) blocks);
-  (* Socket side: same n, same round-robin schedule, same payloads; delta
-     large enough that localhost never times out. *)
-  let net_cfg =
-    { (config protocol ~n ~blocks) with Bft_net.Tcp.payload_bytes }
-  in
-  let result = run protocol net_cfg in
-  let net_commits =
-    take blocks
-      (List.map
-         (fun c ->
-           {
-             height = c.Bft_net.Tcp.c_height;
-             view = c.Bft_net.Tcp.c_view;
-             hash = c.Bft_net.Tcp.c_hash;
-           })
-         result.Bft_net.Tcp.nodes.(0).Bft_net.Tcp.commits)
-  in
-  if List.length net_commits < blocks then
-    failwith
-      (Printf.sprintf "crossval: TCP cluster committed only %d/%d blocks"
-         (List.length net_commits) blocks);
-  { sim_commits; net_commits; agree = sim_commits = net_commits }
-
-type chaos_crossval = {
-  schedule : Bft_faults.Fault_schedule.t;
-  blocks : int;
-  sim_chain : commit_id list;
-  thread_chain : commit_id list;
-  process_chain : commit_id list;
-  agree : bool;
-  thread_liveness : Bft_obs.Liveness.report;
-  process_liveness : Bft_obs.Liveness.report;
-}
-
-let cross_validate_chaos ?(n = 4) ?(seed = 7) ~protocol () =
-  let rng = Bft_sim.Rng.create seed in
-  let schedule = Bft_faults.Logical.random ~rng ~n in
-  let lg = Bft_faults.Logical.of_schedule_exn ~n schedule in
-  (* Run well past the last anchor so the recovered node's catch-up and
-     the healed partition both sit inside the compared prefix. *)
-  let blocks = Bft_faults.Logical.last_anchor lg + 8 in
-  let take k l = List.filteri (fun i _ -> i < k) l in
-  (* Simulator, view-clock interpretation. *)
-  let sim_cfg =
-    {
-      (Config.local protocol ~n) with
-      Config.faults = schedule;
-      logical_faults = true;
-      duration_ms = 10_000. +. (float_of_int blocks *. 300.);
-    }
-  in
-  let sim_acc = ref [] in
-  let (_ : Harness.run_result) =
-    Harness.run
-      ~on_commit:(fun ~node b ->
-        if node = 0 then
-          sim_acc :=
-            {
-              height = b.Bft_types.Block.height;
-              view = b.Bft_types.Block.view;
-              hash = Bft_types.Hash.to_int64 b.Bft_types.Block.hash;
-            }
-            :: !sim_acc)
-      sim_cfg
-  in
-  let sim_chain = take blocks (List.rev !sim_acc) in
-  if List.length sim_chain < blocks then
-    failwith
-      (Printf.sprintf "crossval-chaos: simulator committed only %d/%d blocks"
-         (List.length sim_chain) blocks);
-  (* Sockets, same schedule on the same clock, in both execution modes.
-     The link delay keeps view duration well above restart-and-redial
-     time so a recovering incarnation never misses its leader slot. *)
-  let net_run mode =
-    let cfg =
-      {
-        (config protocol ~n ~blocks) with
-        Bft_net.Tcp.mode;
-        (* Views with a dead or partitioned leader stall for delta; keep
-           it well above a paced view (~3 hops) but far below the 1 s
-           fault-free default so stalls stay cheap. *)
-        delta_ms = 500.;
-        faults = schedule;
-        fault_clock = Bft_net.Fault_plane.Views;
-        fault_seed = seed;
-        link_delay_ms = 20.;
-      }
-    in
-    let result = run protocol cfg in
-    (match check_chaos result ~target:blocks with
-    | Ok () -> ()
-    | Error e ->
-        failwith (Printf.sprintf "crossval-chaos (%s): %s"
-            (match mode with
-            | Bft_net.Tcp.Threads -> "threads"
-            | Bft_net.Tcp.Processes -> "processes")
-            e));
-    let chain =
-      take blocks
-        (List.map
-           (fun c ->
-             {
-               height = c.Bft_net.Tcp.c_height;
-               view = c.Bft_net.Tcp.c_view;
-               hash = c.Bft_net.Tcp.c_hash;
-             })
-           result.Bft_net.Tcp.nodes.(0).Bft_net.Tcp.commits)
-    in
-    (chain, net_liveness result ~delta:cfg.Bft_net.Tcp.delta_ms)
-  in
-  let thread_chain, thread_liveness = net_run Bft_net.Tcp.Threads in
-  let process_chain, process_liveness = net_run Bft_net.Tcp.Processes in
+let views_clients =
   {
-    schedule;
-    blocks;
-    sim_chain;
-    thread_chain;
-    process_chain;
-    agree = sim_chain = thread_chain && sim_chain = process_chain;
-    thread_liveness;
-    process_liveness;
+    Bft_mempool.Spec.default with
+    Bft_mempool.Spec.clients = 100_000;
+    clock = Bft_mempool.Spec.Views;
+    per_view = 32;
   }
 
-type client_crossval = {
-  cc_spec : Bft_mempool.Spec.t;
-  cc_blocks : int;
-  cc_sim_chain : commit_id list;
-  cc_net_chain : commit_id list;
-  cc_agree : bool;
-  cc_sim_summary : Bft_mempool.Ingest.summary;
-  cc_net_summary : Bft_mempool.Ingest.summary;
+type substrate = Sim | Net of Bft_net.Tcp.mode
+
+let substrate_name = function
+  | Sim -> "sim"
+  | Net Bft_net.Tcp.Threads -> "threads"
+  | Net Bft_net.Tcp.Processes -> "procs"
+
+type leg = {
+  substrate : substrate;
+  chain : commit_id list;
+  liveness : Bft_obs.Liveness.report option;
+  client_summary : Bft_mempool.Ingest.summary option;
 }
 
-let cross_validate_clients ?(n = 4) ?spec ~protocol ~blocks () =
-  let spec =
-    match spec with
-    | Some s -> s
-    | None ->
-        {
-          Bft_mempool.Spec.default with
-          Bft_mempool.Spec.clients = 100_000;
-          clock = Bft_mempool.Spec.Views;
-          per_view = 32;
-        }
+type crossval = {
+  schedule : Bft_faults.Fault_schedule.t;
+  blocks : int;
+  legs : leg list;
+  agree : bool;
+}
+
+let crossval ?(n = 4) ~protocol ~blocks scenario =
+  let module FS = Bft_faults.Fault_schedule in
+  (match scenario with
+  | Clients spec when spec.Bft_mempool.Spec.clock <> Bft_mempool.Spec.Views ->
+      invalid_arg
+        "Net_harness.crossval: the client spec must use the Views ingest \
+         clock (Wall-clock watermarks are substrate-dependent)"
+  | _ -> ());
+  (* Under chaos, run well past the last anchor so the recovered node's
+     catch-up and the healed partition both sit inside the compared
+     prefix. *)
+  let schedule, blocks =
+    match scenario with
+    | Chaos { seed } ->
+        let module L = Bft_faults.Logical in
+        let schedule = L.random ~rng:(Bft_sim.Rng.create seed) ~n in
+        let last = L.last_anchor (L.of_schedule_exn ~n schedule) in
+        (schedule, max blocks (last + 8))
+    | Fault_free _ | Clients _ -> (FS.empty, blocks)
   in
-  if spec.Bft_mempool.Spec.clock <> Bft_mempool.Spec.Views then
-    invalid_arg
-      "cross_validate_clients: the spec must use the Views ingest clock \
-       (Wall-clock watermarks are substrate-dependent)";
-  let take k l = List.filteri (fun i _ -> i < k) l in
-  (* Simulator side. *)
+  let prefix substrate chain =
+    let chain = List.filteri (fun i _ -> i < blocks) chain in
+    if List.length chain < blocks then
+      failwith
+        (Printf.sprintf "crossval: %s committed only %d/%d blocks"
+           (substrate_name substrate) (List.length chain) blocks);
+    chain
+  in
+  (* Simulator leg: the happy-path local config (view-clock faults under
+     chaos), long enough for [blocks] commits at node 0 with room to
+     spare. *)
   let sim_cfg =
-    {
-      (Config.local protocol ~n) with
-      Config.clients = Some spec;
-      duration_ms = 5_000. +. (float_of_int blocks *. 200.);
-    }
+    let base = Config.local protocol ~n in
+    let horizon a b = a +. (float_of_int blocks *. b) in
+    match scenario with
+    | Fault_free { payload_bytes } ->
+        { base with Config.payload_bytes; duration_ms = horizon 5_000. 200. }
+    | Clients spec ->
+        {
+          base with
+          Config.clients = Some spec;
+          duration_ms = horizon 5_000. 200.;
+        }
+    | Chaos _ ->
+        {
+          base with
+          Config.faults = schedule;
+          logical_faults = true;
+          duration_ms = horizon 10_000. 300.;
+        }
   in
   let sim_acc = ref [] in
   let sim_res =
@@ -465,45 +262,77 @@ let cross_validate_clients ?(n = 4) ?spec ~protocol ~blocks () =
             :: !sim_acc)
       sim_cfg
   in
-  let sim_chain = take blocks (List.rev !sim_acc) in
-  if List.length sim_chain < blocks then
-    failwith
-      (Printf.sprintf "crossval-clients: simulator committed only %d/%d blocks"
-         (List.length sim_chain) blocks);
-  let cc_sim_summary =
-    match sim_res.Harness.client_summary with
-    | Some s -> s
-    | None -> assert false
+  let sim =
+    {
+      substrate = Sim;
+      chain = prefix Sim (List.rev !sim_acc);
+      liveness = None;
+      client_summary = sim_res.Harness.client_summary;
+    }
   in
-  (* Socket side: same spec — under the Views clock every cut is a pure
-     function of the view, so the chains must be bit-identical. *)
-  let net_cfg =
-    { (config protocol ~n ~blocks) with Bft_net.Tcp.clients = Some spec }
+  (* Socket legs: same n, round-robin schedule, payloads or client stream
+     and fault schedule.  The fault-free delta is large enough that
+     localhost never times out; under chaos, views with a dead or
+     partitioned leader stall for delta, so it stays well above a paced
+     view (~3 hops) but far below the fault-free default, and the link
+     delay keeps view duration well above restart-and-redial time so a
+     recovering incarnation never misses its leader slot. *)
+  let net_leg mode =
+    let base = { (config protocol ~n ~blocks) with Bft_net.Tcp.mode } in
+    let cfg =
+      match scenario with
+      | Fault_free { payload_bytes } ->
+          { base with Bft_net.Tcp.payload_bytes }
+      | Clients spec -> { base with Bft_net.Tcp.clients = Some spec }
+      | Chaos { seed } ->
+          {
+            base with
+            Bft_net.Tcp.delta_ms = 500.;
+            faults = schedule;
+            fault_clock = Bft_net.Fault_plane.Views;
+            fault_seed = seed;
+            link_delay_ms = 20.;
+          }
+    in
+    let substrate = Net mode in
+    let result = run protocol cfg in
+    (match check result ~target:blocks with
+    | Ok () -> ()
+    | Error e ->
+        failwith
+          (Printf.sprintf "crossval (%s): %s" (substrate_name substrate) e));
+    {
+      substrate;
+      chain =
+        prefix substrate
+          (List.map
+             (fun c ->
+               {
+                 height = c.Bft_net.Tcp.c_height;
+                 view = c.Bft_net.Tcp.c_view;
+                 hash = c.Bft_net.Tcp.c_hash;
+               })
+             result.Bft_net.Tcp.nodes.(0).Bft_net.Tcp.commits);
+      liveness =
+        (if FS.is_empty schedule then None
+         else Some (net_liveness result ~delta:cfg.Bft_net.Tcp.delta_ms));
+      client_summary =
+        Option.map
+          (fun spec ->
+            client_stats result ~spec ~view_ms:cfg.Bft_net.Tcp.delta_ms)
+          cfg.Bft_net.Tcp.clients;
+    }
   in
-  let result = run protocol net_cfg in
-  (match check result ~target:blocks with
-  | Ok () -> ()
-  | Error e -> failwith ("crossval-clients: " ^ e));
-  let net_chain =
-    take blocks
-      (List.map
-         (fun c ->
-           {
-             height = c.Bft_net.Tcp.c_height;
-             view = c.Bft_net.Tcp.c_view;
-             hash = c.Bft_net.Tcp.c_hash;
-           })
-         result.Bft_net.Tcp.nodes.(0).Bft_net.Tcp.commits)
+  (* Process mode adds a real SIGKILL and a WAL-file rebuild, so it runs
+     exactly when the schedule crashes someone. *)
+  let modes =
+    Bft_net.Tcp.Threads
+    :: (if FS.crash_count schedule > 0 then [ Bft_net.Tcp.Processes ] else [])
   in
-  let cc_net_summary =
-    client_stats result ~spec ~view_ms:net_cfg.Bft_net.Tcp.delta_ms
-  in
+  let legs = sim :: List.map net_leg modes in
   {
-    cc_spec = spec;
-    cc_blocks = blocks;
-    cc_sim_chain = sim_chain;
-    cc_net_chain = net_chain;
-    cc_agree = sim_chain = net_chain;
-    cc_sim_summary;
-    cc_net_summary;
+    schedule;
+    blocks;
+    legs;
+    agree = List.for_all (fun leg -> leg.chain = sim.chain) legs;
   }

@@ -3,12 +3,12 @@
 
     {!Harness} drives a protocol through the discrete-event simulator;
     this module drives the {e same} node modules over real localhost TCP
-    sockets, dispatching on {!Protocol_kind.t} exactly like {!Harness.run}
-    does.  It also hosts the substrate-equivalence check: on a fault-free
-    schedule whose [delta] dwarfs localhost jitter, no timeout ever fires,
-    so the committed chain is a pure function of the protocol — both
-    substrates must produce the identical commit sequence, and
-    {!cross_validate} asserts they do. *)
+    sockets, dispatching through {!Protocol_kind.impl} exactly like
+    {!Harness.run} does.  It also hosts the substrate-equivalence check:
+    when every run's chain is a pure function of the protocol and the
+    scenario (no wall-clock timeout decides anything), all substrates
+    must produce the identical commit sequence, and {!crossval} asserts
+    they do. *)
 
 (** The commit quorum [n - f] with [f = (n - 1) / 3] — the number of
     nodes whose commit makes a block final for latency accounting. *)
@@ -23,23 +23,20 @@ val config : Protocol_kind.t -> n:int -> blocks:int -> Bft_net.Tcp.config
 (** Launch a cluster of the given protocol (see {!Bft_net.Tcp.run}). *)
 val run : Protocol_kind.t -> Bft_net.Tcp.config -> Bft_net.Tcp.result
 
-(** Post-run sanity assertions: the run reached its target, every node
-    committed at least [target] blocks, per-node commit heights are
-    consecutive from height 1, and all nodes agree on their common prefix
-    (same hash at same height).  Returns a human-readable reason on
-    failure. *)
+(** Post-run sanity assertions.  The run must have reached its target,
+    and no two nodes may commit different hashes at one height.  Without a
+    crash, every node must also have committed at least [target] blocks
+    at consecutive heights from 1.  When the result records a crash (a
+    [Crash] fault event, or a node with [restarts > 0]) a recovered node's
+    commit log is not dense — pre-crash commits die with the incarnation
+    in process mode, catch-up re-commits heights — so then only each
+    node's top committed height must reach [target].  Returns a
+    human-readable reason on failure. *)
 val check : Bft_net.Tcp.result -> target:int -> (unit, string) result
 
-(** {!check} for runs with crashes: a recovered node's commit log is not
-    dense (pre-crash commits die with the incarnation in process mode,
-    catch-up re-commits heights), so this asserts only the crash-tolerant
-    invariants — the run reached its target, every node's top committed
-    height is at least [target], and no two nodes committed different
-    hashes at the same height. *)
-val check_chaos : Bft_net.Tcp.result -> target:int -> (unit, string) result
-
 (** Post-hoc liveness audit of a socket run: replays the run's fault
-    events, per-node commits and derived quorum commits into a
+    events, per-node commits and quorum commits
+    ({!Bft_net.Tcp.quorum_commits}) into a
     {!Bft_obs.Liveness} monitor in wall-time order, with the monitor's
     GST set to the last disruption.  If the run lasted past
     [gst + bound], enforces one {!Bft_obs.Liveness.check} over that
@@ -54,8 +51,7 @@ val net_liveness :
     carried [clients = Some spec].  Rebuilds an ingestion site from the
     spec and replays node 0's committed chain through it (the commit
     records carry each block's packed batch reference), computing every
-    block's quorum-commit time as the [quorum]-th smallest first-commit
-    time across nodes.  The returned summary is the socket-side
+    block's quorum-commit time with {!Bft_net.Tcp.quorum_commits}.  The returned summary is the socket-side
     counterpart of {!Harness.run_result.client_summary}: admission and
     backpressure counters, client-perceived end-to-end latency
     percentiles, per-lane fairness and dissemination bytes.  [view_ms]
@@ -70,70 +66,64 @@ val client_stats :
 (** One commit as compared across substrates. *)
 type commit_id = { height : int; view : int; hash : int64 }
 
+(** What a cross-validation run replays on every substrate.  Each
+    variant carries only what applies to it. *)
+type scenario =
+  | Fault_free of { payload_bytes : int }
+      (** The happy path with a parametric payload: no timeout ever
+          fires, so the chain is a pure function of the protocol. *)
+  | Chaos of { seed : int }
+      (** A random view-anchored fault schedule
+          ({!Bft_faults.Logical.random}: one crash/recover cycle plus one
+          partition window) drawn from [seed], run by the simulator under
+          [logical_faults] and by the sockets under [fault_clock = Views]
+          (Δ = 500 ms, 20 ms link delay, [fault_seed = seed]). *)
+  | Clients of Bft_mempool.Spec.t
+      (** The same seeded client stream through the mempool on every
+          substrate.  The spec must use the [Views] ingest clock: under it
+          a leader's batch cut is a pure function of the view number and
+          the parent's cursor, so chain agreement means the substrates
+          replicated the same mempool contents command for command. *)
+
+(** The fixed client spec of the cross-validation runs: 100k clients,
+    32 commands per view, [Views] ingest clock. *)
+val views_clients : Bft_mempool.Spec.t
+
+type substrate = Sim | Net of Bft_net.Tcp.mode
+
+(** ["sim"], ["threads"] or ["procs"]. *)
+val substrate_name : substrate -> string
+
+(** One substrate's run. *)
+type leg = {
+  substrate : substrate;
+  chain : commit_id list;  (** Node 0's first [blocks] commits. *)
+  liveness : Bft_obs.Liveness.report option;
+      (** {!net_liveness} of a socket leg under a fault schedule. *)
+  client_summary : Bft_mempool.Ingest.summary option;
+      (** Under {!Clients}: the simulator's own summary, or
+          {!client_stats} of a socket leg. *)
+}
+
 type crossval = {
-  sim_commits : commit_id list;  (** Node 0's first [blocks] sim commits. *)
-  net_commits : commit_id list;  (** Node 0's first [blocks] TCP commits. *)
-  agree : bool;  (** The two sequences are identical. *)
-}
-
-(** [cross_validate ~protocol ~blocks ()] replays the fault-free
-    round-robin schedule on both substrates ([n] defaults to 4) and
-    compares node 0's first [blocks] commits as [(height, view, hash)]
-    triples.  Raises [Failure] if either substrate fails to commit
-    [blocks] blocks at all. *)
-val cross_validate :
-  ?n:int -> ?payload_bytes:int -> protocol:Protocol_kind.t -> blocks:int ->
-  unit -> crossval
-
-type chaos_crossval = {
   schedule : Bft_faults.Fault_schedule.t;
-      (** The drawn logical schedule (times are view numbers). *)
-  blocks : int;  (** Compared prefix length: past the last anchor. *)
-  sim_chain : commit_id list;  (** Node 0, simulator, view clock. *)
-  thread_chain : commit_id list;  (** Node 0, TCP threads mode. *)
-  process_chain : commit_id list;  (** Node 0, TCP process mode. *)
-  agree : bool;  (** All three chains are identical. *)
-  thread_liveness : Bft_obs.Liveness.report;
-  process_liveness : Bft_obs.Liveness.report;
+      (** The drawn logical schedule (times are view numbers); empty
+          unless {!Chaos}. *)
+  blocks : int;  (** Compared prefix length. *)
+  legs : leg list;
+      (** The simulator, then TCP threads mode, then TCP process mode
+          (with a real [SIGKILL] and a WAL-file rebuild) exactly when the
+          schedule crashes a node. *)
+  agree : bool;  (** Every leg's chain is identical. *)
 }
 
-(** The chaos equivalence check: draw a random logical fault schedule
-    ({!Bft_faults.Logical.random} — one crash/recover cycle plus one
-    partition window, seeded by [seed]) and run it on three substrates —
-    the simulator under [logical_faults], and the TCP cluster under
-    [fault_clock = Views] in both threads and process mode (the latter
-    with a real [SIGKILL] and a WAL-file rebuild).  Because every fault
-    is anchored to protocol views, all three runs must commit the same
-    (height, view, hash) chain; {!check_chaos} and {!net_liveness} run
-    on both socket results along the way.  Raises [Failure] when a
-    substrate fails to commit the prefix at all. *)
-val cross_validate_chaos :
-  ?n:int -> ?seed:int -> protocol:Protocol_kind.t -> unit -> chaos_crossval
-
-type client_crossval = {
-  cc_spec : Bft_mempool.Spec.t;  (** The traffic spec both runs ingested. *)
-  cc_blocks : int;  (** Compared prefix length. *)
-  cc_sim_chain : commit_id list;  (** Node 0, simulator. *)
-  cc_net_chain : commit_id list;  (** Node 0, TCP threads mode. *)
-  cc_agree : bool;  (** The two chains are identical. *)
-  cc_sim_summary : Bft_mempool.Ingest.summary;
-  cc_net_summary : Bft_mempool.Ingest.summary;  (** Via {!client_stats}. *)
-}
-
-(** The client-traffic equivalence check: run the same seeded client
-    stream through the simulator and through a live TCP cluster and
-    assert both commit the identical [(height, view, hash)] chain.  The
-    spec must use the [Views] ingest clock (the default here: 100k
-    clients, 32 commands per view) — under it a leader's batch cut is a
-    pure function of the view number and the parent's cursor, so chain
-    agreement means the two substrates replicated the {e same} mempool
-    contents command-for-command.  Raises [Invalid_argument] on a
-    [Wall]-clock spec and [Failure] when either substrate fails to
-    commit the prefix. *)
-val cross_validate_clients :
-  ?n:int ->
-  ?spec:Bft_mempool.Spec.t ->
-  protocol:Protocol_kind.t ->
-  blocks:int ->
-  unit ->
-  client_crossval
+(** [crossval ~protocol ~blocks scenario] runs the scenario on every leg
+    ([n] defaults to 4, round-robin leaders) and compares node 0's first
+    commits as [(height, view, hash)] triples.  The compared prefix is
+    [blocks], or under {!Chaos} [max blocks (last_anchor + 8)] so the
+    recovered node's catch-up and the healed partition both sit inside
+    it.  Every socket leg must also pass {!check}.  Raises
+    [Invalid_argument] on a [Wall]-clock client spec and [Failure] when a
+    leg fails {!check} or commits fewer than the prefix. *)
+val crossval :
+  ?n:int -> protocol:Protocol_kind.t -> blocks:int -> scenario -> crossval

@@ -31,3 +31,12 @@ let of_name = function
   | _ -> None
 
 let pp ppf t = Format.pp_print_string ppf (name t)
+
+type impl = Impl : (module Bft_types.Protocol_intf.S with type msg = 'm) -> impl
+
+let impl = function
+  | Simple_moonshot -> Impl (module Moonshot.Simple_node.Protocol)
+  | Pipelined_moonshot -> Impl (module Moonshot.Pipelined_node.Protocol)
+  | Commit_moonshot -> Impl (module Moonshot.Pipelined_node.Commit_protocol)
+  | Jolteon -> Impl (module Jolteon.Jolteon_node.Protocol)
+  | Hotstuff -> Impl (module Hotstuff.Hotstuff_node.Protocol)

@@ -37,7 +37,7 @@ let () =
   if not r.Tcp.reached_target then fail "block target not reached";
   if r.Tcp.nodes.(victim).Tcp.restarts < 1 then
     fail "victim node %d never restarted" victim;
-  (match Net.check_chaos r ~target:blocks with
+  (match Net.check r ~target:blocks with
   | Ok () -> ()
   | Error e -> fail "chaos check: %s" e);
   let report = Net.net_liveness r ~delta:cfg.Tcp.delta_ms in

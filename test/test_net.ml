@@ -8,7 +8,11 @@
    Transport layer: localhost TCP clusters for all five protocols (thread
    and process modes), survival under malformed-frame injection, trace
    merging, and the substrate cross-validation: the simulator and the
-   socket cluster must commit identical chains on the happy path. *)
+   socket clusters must commit identical chains.
+
+   Post-hoc readers: [Net_harness.check], [Tcp.quorum_commits],
+   [Net_harness.net_liveness] and [Net_harness.client_stats] on synthetic
+   socket results, no sockets involved. *)
 
 open Bft_types
 module Wire = Bft_net.Wire
@@ -483,7 +487,7 @@ let wall_chaos_result mode =
   Net_harness.run kind cfg
 
 let assert_recovered (r : Tcp.result) ~node =
-  (match Net_harness.check_chaos r ~target:40 with
+  (match Net_harness.check r ~target:40 with
   | Ok () -> ()
   | Error reason -> Alcotest.fail reason);
   Alcotest.(check bool) "completed cooperatively" true (r.Tcp.outcome = Tcp.Completed);
@@ -514,86 +518,256 @@ let threads_crash_recover () =
 let process_crash_recover () =
   assert_recovered (wall_chaos_result Tcp.Processes) ~node:2
 
+(* --- post-hoc readers on synthetic results ---------------------------------- *)
+
+let commit ?(payload = Payload.make ~id:0 ~size_bytes:0) ~t h hash =
+  {
+    Tcp.c_height = h;
+    c_view = h;
+    c_hash = hash;
+    c_time_ms = t;
+    c_payload_id = payload.Payload.id;
+    c_payload_bytes = payload.Payload.size_bytes;
+  }
+
+let node ?(restarts = 0) id commits =
+  {
+    Tcp.id;
+    commits;
+    proposals = [];
+    trace_lines = [];
+    decode_errors = 0;
+    messages_sent = 0;
+    bytes_sent = 0;
+    bytes_heal = 0;
+    reconnects = 0;
+    restarts;
+    malformed_by_peer = [||];
+    dropped_by_peer = [||];
+  }
+
+let result ?(fault_events = []) ?(wall_ms = 100.) nodes =
+  {
+    Tcp.nodes = Array.of_list nodes;
+    wall_ms;
+    reached_target = true;
+    outcome = Tcp.Completed;
+    fault_events;
+  }
+
+let crash_event node =
+  { Tcp.fe_time_ms = 1.; fe_node = node; fe_kind = Bft_obs.Trace.Crash }
+
+(* Four nodes committing heights 1-3 with hash [100 + h].  With [gap],
+   node 1 commits heights 1, 3, 4; with [conflict], node 2 commits hash
+   999 at height 2. *)
+let synthetic ?(restarts = 0) ?fault_events ?(gap = false) ?(conflict = false)
+    () =
+  let chain ?(bad = false) hs =
+    List.map
+      (fun h ->
+        commit ~t:(float_of_int h) h
+          (if bad && h = 2 then 999L else Int64.of_int (100 + h)))
+      hs
+  in
+  result ?fault_events
+    [
+      node 0 (chain [ 1; 2; 3 ]);
+      node ~restarts 1 (chain (if gap then [ 1; 3; 4 ] else [ 1; 2; 3 ]));
+      node 2 (chain ~bad:conflict [ 1; 2; 3 ]);
+      node 3 (chain [ 1; 2; 3 ]);
+    ]
+
+let expect_check what want r =
+  match (Net_harness.check r ~target:3, want) with
+  | Ok (), true | Error _, false -> ()
+  | Ok (), false -> Alcotest.failf "%s: check passed" what
+  | Error e, true -> Alcotest.failf "%s: %s" what e
+
+let check_dense () = expect_check "dense" true (synthetic ())
+let check_gap_no_crash () = expect_check "gap" false (synthetic ~gap:true ())
+
+let check_gap_with_crash () =
+  expect_check "gap after crash event" true
+    (synthetic ~gap:true ~fault_events:[ crash_event 1 ] ());
+  expect_check "gap after restart" true (synthetic ~gap:true ~restarts:1 ())
+
+let check_conflict () =
+  expect_check "conflict" false (synthetic ~conflict:true ());
+  expect_check "conflict after crash" false
+    (synthetic ~conflict:true ~fault_events:[ crash_event 1 ] ())
+
+(* Block A: earliest commits 5, 3, 4, 20 (node 2 re-commits at 9 after a
+   recovery) -> the 3rd smallest is node 0's, at 5.  Block B: nodes 0 and
+   2 only, node 2 twice -> two distinct nodes, no quorum. *)
+let quorum_commits_earliest () =
+  let r =
+    result
+      [
+        node 0 [ commit ~t:5. 1 0xAL; commit ~t:6. 2 0xBL ];
+        node 1 [ commit ~t:3. 1 0xAL ];
+        node ~restarts:1 2
+          [ commit ~t:4. 1 0xAL; commit ~t:7. 2 0xBL; commit ~t:9. 1 0xAL;
+            commit ~t:10. 2 0xBL ];
+        node 3 [ commit ~t:20. 1 0xAL ];
+      ]
+  in
+  match Tcp.quorum_commits r ~quorum:3 with
+  | [ (id, c) ] ->
+      Alcotest.(check int) "quorum-th committer" 0 id;
+      Alcotest.(check int64) "block" 0xAL c.Tcp.c_hash;
+      Alcotest.(check (float 0.)) "quorum time" 5. c.Tcp.c_time_ms
+  | qs -> Alcotest.failf "expected one quorum commit, got %d" (List.length qs)
+
+(* n = 4, quorum 3, Delta 10 (bound 200 ms).  Node 2 crashes at 15 and
+   recovers at 50 (GST), then re-commits h1 and catches up.
+   Quorum commits: h1 at 12 (10, 11, 12), h2 at 40 (20, 25, 40; node 2's
+   66 is 4th), h3 at 62 (60, 61, 62).  At the recovery the quorum height
+   is 2, which node 2 reaches at 66.  The only quorum commit after GST
+   is h3, 22 ms after h2.  The run ends at 100 < 50 + 200, so no window
+   check runs. *)
+let net_liveness_by_hand () =
+  let fe t kind = { Tcp.fe_time_ms = t; fe_node = 2; fe_kind = kind } in
+  let r =
+    result
+      ~fault_events:
+        [ fe 15. Bft_obs.Trace.Crash; fe 50. Bft_obs.Trace.Recover ]
+      [
+        node 0 [ commit ~t:10. 1 1L; commit ~t:20. 2 2L; commit ~t:60. 3 3L ];
+        node 1 [ commit ~t:12. 1 1L; commit ~t:25. 2 2L; commit ~t:61. 3 3L ];
+        node ~restarts:1 2
+          [ commit ~t:11. 1 1L; commit ~t:65. 1 1L; commit ~t:66. 2 2L;
+            commit ~t:70. 3 3L ];
+        node 3 [ commit ~t:30. 1 1L; commit ~t:40. 2 2L; commit ~t:62. 3 3L ];
+      ]
+  in
+  let rep = Net_harness.net_liveness r ~delta:10. in
+  Alcotest.(check (float 0.))
+    "max quorum gap" 22. rep.Bft_obs.Liveness.max_quorum_gap_ms;
+  Alcotest.(check int) "checks" 0 rep.Bft_obs.Liveness.checks_passed;
+  match rep.Bft_obs.Liveness.recoveries with
+  | [ rec_ ] ->
+      Alcotest.(check int) "node" 2 rec_.Bft_obs.Liveness.node;
+      Alcotest.(check int)
+        "target height" 2 rec_.Bft_obs.Liveness.target_height;
+      Alcotest.(check (option (float 0.))) "caught up" (Some 66.)
+        rec_.Bft_obs.Liveness.caught_up_at_ms
+  | rs -> Alcotest.failf "expected 1 recovery, got %d" (List.length rs)
+
+(* Views clock, 2 arrivals per view, Delta 10: arrival slots are 0, 1, 2,
+   2, so submit times are 0, 10, 20, 20 ms.  Block 1 carries arrivals
+   0-1 and quorum-commits at 25 (20, 22, 25); block 2 carries 2-3 and
+   quorum-commits at 47 (45, 46, 47).  Latencies: 25, 15, 27, 27. *)
+let client_stats_by_hand () =
+  let spec =
+    {
+      Bft_mempool.Spec.default with
+      Bft_mempool.Spec.clients = 16;
+      clock = Bft_mempool.Spec.Views;
+      per_view = 2;
+      lanes = 1;
+    }
+  in
+  let b1 = Payload.batch ~cursor:0 ~watermark:2 ~count:2 in
+  let b2 = Payload.batch ~cursor:2 ~watermark:4 ~count:2 in
+  let c ~t h =
+    commit ~payload:(if h = 1 then b1 else b2) ~t h (Int64.of_int h)
+  in
+  let r =
+    result
+      [
+        node 0 [ c ~t:20. 1; c ~t:47. 2 ];
+        node 1 [ c ~t:25. 1; c ~t:45. 2 ];
+        node 2 [ c ~t:22. 1; c ~t:50. 2 ];
+        node 3 [ c ~t:40. 1; c ~t:46. 2 ];
+      ]
+  in
+  let s = Net_harness.client_stats r ~spec ~view_ms:10. in
+  Alcotest.(check int) "submitted" 4 s.Bft_mempool.Ingest.submitted;
+  Alcotest.(check int) "committed" 4 s.Bft_mempool.Ingest.committed;
+  Alcotest.(check int) "batches" 2 s.Bft_mempool.Ingest.batches;
+  Alcotest.(check int) "samples" 4 s.Bft_mempool.Ingest.lat.samples;
+  Alcotest.(check (float 1e-9))
+    "mean latency" 23.5 s.Bft_mempool.Ingest.lat.mean_ms;
+  Alcotest.(check (float 0.)) "max latency" 27. s.Bft_mempool.Ingest.lat.max_ms
+
 (* --- substrate cross-validation -------------------------------------------- *)
 
-let crossval_case kind =
-  Alcotest.test_case (Protocol_kind.name kind) `Quick (fun () ->
-      let cv = Net_harness.cross_validate ~n:4 ~protocol:kind ~blocks:5 () in
-      if not cv.Net_harness.agree then
-        Alcotest.failf "substrates disagree: sim %s, net %s"
-          (String.concat ","
-             (List.map
-                (fun (c : Net_harness.commit_id) ->
-                  Printf.sprintf "%d@%d" c.Net_harness.height c.view)
-                cv.Net_harness.sim_commits))
-          (String.concat ","
-             (List.map
-                (fun (c : Net_harness.commit_id) ->
-                  Printf.sprintf "%d@%d" c.Net_harness.height c.view)
-                cv.Net_harness.net_commits)))
-
-let crossval_with_payload () =
-  let cv =
-    Net_harness.cross_validate ~n:4 ~payload_bytes:2048
-      ~protocol:Protocol_kind.Commit_moonshot ~blocks:5 ()
+(* One table, one runner: each scenario runs on the simulator, a
+   threads-mode cluster and — when the scenario crashes a node — a
+   process-mode cluster, which must all commit the same (height, view,
+   hash) chain.  Fault-free and client runs compare 5 blocks; chaos runs
+   compare up to 8 blocks past the drawn schedule's last anchor. *)
+let crossval_table =
+  let every scenario =
+    List.map (fun k -> (Protocol_kind.name k, k, scenario)) Protocol_kind.all
   in
-  Alcotest.(check bool) "payload run agrees" true cv.Net_harness.agree
+  [
+    ( "crossval",
+      every (Net_harness.Fault_free { payload_bytes = 0 })
+      @ [
+          ( "with payload",
+            Protocol_kind.Commit_moonshot,
+            Net_harness.Fault_free { payload_bytes = 2048 } );
+        ] );
+    ("crossval-clients", every (Net_harness.Clients Net_harness.views_clients));
+    ("crossval-chaos", every (Net_harness.Chaos { seed = 7 }));
+  ]
 
-(* The client-traffic equivalence bar: the same seeded client stream,
-   ingested under the Views clock, must put every command in the same
-   block on both substrates — chains agree (height, view, hash), and
-   since batch contents are a pure function of the payload reference,
-   the replicated mempools agree command-for-command. *)
-let crossval_clients_case kind =
-  Alcotest.test_case (Protocol_kind.name kind) `Quick (fun () ->
-      let cv =
-        Net_harness.cross_validate_clients ~n:4 ~protocol:kind ~blocks:5 ()
-      in
-      if not cv.Net_harness.cc_agree then
-        Alcotest.failf "client chains disagree: sim %s, net %s"
-          (String.concat ","
-             (List.map
-                (fun (c : Net_harness.commit_id) ->
-                  Printf.sprintf "%d@%d" c.Net_harness.height c.view)
-                cv.Net_harness.cc_sim_chain))
-          (String.concat ","
-             (List.map
-                (fun (c : Net_harness.commit_id) ->
-                  Printf.sprintf "%d@%d" c.Net_harness.height c.view)
-                cv.Net_harness.cc_net_chain));
-      (* Both replayers saw real traffic and lost nothing. *)
-      List.iter
-        (fun (s : Bft_mempool.Ingest.summary) ->
-          Alcotest.(check bool) "commands flowed" true (s.committed > 0);
-          Alcotest.(check int) "conservation" s.submitted
-            (s.rejected + s.committed + s.pending + s.backlogged))
-        [ cv.Net_harness.cc_sim_summary; cv.Net_harness.cc_net_summary ])
-
-(* The chaos equivalence bar: a seeded random logical schedule (one
-   crash/recover plus one partition window) must yield the identical
-   committed (height, view, hash) chain on the simulator and on real
-   sockets in both execution modes. *)
-let crossval_chaos_case kind =
-  Alcotest.test_case (Protocol_kind.name kind) `Quick (fun () ->
-      let cv = Net_harness.cross_validate_chaos ~protocol:kind () in
-      if not cv.Net_harness.agree then
-        Alcotest.failf "chaos chains disagree under [%s] (%d blocks)"
-          (Bft_faults.Fault_schedule.to_string cv.Net_harness.schedule)
-          cv.Net_harness.blocks;
-      List.iter
-        (fun (rep : Bft_obs.Liveness.report) ->
+let crossval_run kind scenario () =
+  let cv = Net_harness.crossval ~n:4 ~protocol:kind ~blocks:5 scenario in
+  let name (leg : Net_harness.leg) = Net_harness.substrate_name leg.substrate in
+  if not cv.agree then
+    Alcotest.failf "chains disagree under [%s] (%d blocks): %s"
+      (Bft_faults.Fault_schedule.to_string cv.schedule)
+      cv.blocks
+      (String.concat " | "
+         (List.map
+            (fun (leg : Net_harness.leg) ->
+              name leg ^ " "
+              ^ String.concat ","
+                  (List.map
+                     (fun (c : Net_harness.commit_id) ->
+                       Printf.sprintf "%d@%d" c.height c.view)
+                     leg.chain))
+            cv.legs));
+  let legs, prefix =
+    match scenario with
+    | Net_harness.Chaos _ ->
+        ( [ "sim"; "threads"; "procs" ],
+          Bft_faults.Logical.(last_anchor (of_schedule_exn ~n:4 cv.schedule))
+          + 8 )
+    | Net_harness.Fault_free _ | Net_harness.Clients _ -> ([ "sim"; "threads" ], 5)
+  in
+  Alcotest.(check (list string)) "legs" legs (List.map name cv.legs);
+  Alcotest.(check int) "prefix" prefix cv.blocks;
+  List.iter
+    (fun (leg : Net_harness.leg) ->
+      (* Under chaos, every socket leg saw the victim catch up. *)
+      (match (scenario, leg.substrate, leg.liveness) with
+      | Net_harness.Chaos _, Net_harness.Net _, Some rep -> (
           match rep.Bft_obs.Liveness.recoveries with
           | [ rec_ ] ->
               Alcotest.(check bool) "caught up after recovery" true
                 (rec_.Bft_obs.Liveness.caught_up_at_ms <> None)
-          | rs ->
-              Alcotest.failf "expected 1 recovery, got %d" (List.length rs))
-        [ cv.Net_harness.thread_liveness; cv.Net_harness.process_liveness ])
+          | rs -> Alcotest.failf "expected 1 recovery, got %d" (List.length rs))
+      | Net_harness.Chaos _, Net_harness.Net _, None ->
+          Alcotest.fail "socket leg without a liveness report"
+      | _ -> ());
+      (* Client runs: every replayer saw real traffic and lost nothing. *)
+      match (scenario, leg.client_summary) with
+      | Net_harness.Clients _, Some s ->
+          Alcotest.(check bool) "commands flowed" true (s.committed > 0);
+          Alcotest.(check int) "conservation" s.submitted
+            (s.rejected + s.committed + s.pending + s.backlogged)
+      | Net_harness.Clients _, None -> Alcotest.fail "leg without a client summary"
+      | _ -> ())
+    cv.legs
 
 let () =
   let q = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "net"
-    [
+    ([
       ( "codec",
         q
           [
@@ -632,9 +806,23 @@ let () =
           Alcotest.test_case "process crash/recover" `Quick
             process_crash_recover;
         ] );
-      ( "crossval",
-        List.map crossval_case Protocol_kind.all
-        @ [ Alcotest.test_case "with payload" `Quick crossval_with_payload ] );
-      ( "crossval-clients", List.map crossval_clients_case Protocol_kind.all );
-      ( "crossval-chaos", List.map crossval_chaos_case Protocol_kind.all );
+      ( "readers",
+        [
+          Alcotest.test_case "check dense" `Quick check_dense;
+          Alcotest.test_case "check gap without crash" `Quick check_gap_no_crash;
+          Alcotest.test_case "check gap with crash" `Quick check_gap_with_crash;
+          Alcotest.test_case "check conflict" `Quick check_conflict;
+          Alcotest.test_case "quorum_commits earliest" `Quick
+            quorum_commits_earliest;
+          Alcotest.test_case "net_liveness by hand" `Quick net_liveness_by_hand;
+          Alcotest.test_case "client_stats by hand" `Quick client_stats_by_hand;
+        ] );
     ]
+    @ List.map
+        (fun (group, cases) ->
+          ( group,
+            List.map
+              (fun (name, kind, scenario) ->
+                Alcotest.test_case name `Quick (crossval_run kind scenario))
+              cases ))
+        crossval_table)
