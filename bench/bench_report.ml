@@ -5,12 +5,7 @@
    those event loops allocated (via the harness's atomic lifetime counters,
    so worker-domain runs count).  [write] dumps the collected entries as
    BENCH_simcore.json so successive PRs can diff events/second and
-   bytes-allocated-per-event instead of eyeballing bench output.
-
-   The [bench_smoke] block is the regression tripwire's reference point:
-   the committed BENCH_simcore.json at the repo root carries the
-   events/second the @bench-smoke alias compares fresh measurements
-   against (see [Bench_smoke]). *)
+   bytes-allocated-per-event instead of eyeballing bench output. *)
 
 type entry = {
   name : string;
@@ -33,15 +28,6 @@ let with_experiment name f =
       in
       entries := { name; wall_s; events; alloc_bytes } :: !entries)
     f
-
-type smoke = {
-  smoke_wall_s : float;
-  smoke_events : int;
-  smoke_alloc_bytes : int;
-}
-
-let smoke_result : smoke option ref = ref None
-let set_smoke s = smoke_result := Some s
 
 let events_per_sec ~events ~wall_s =
   if wall_s > 0. then float_of_int events /. wall_s else 0.
@@ -78,15 +64,6 @@ let write ~jobs ~path =
     (events_per_sec ~events ~wall_s)
     alloc_bytes
     (bytes_per_event ~events ~alloc_bytes);
-  (match !smoke_result with
-  | None -> ()
-  | Some { smoke_wall_s; smoke_events; smoke_alloc_bytes } ->
-      Printf.bprintf b
-        "  \"bench_smoke\": {\"wall_clock_s\": %.3f, \"events\": %d, \
-         \"events_per_sec\": %.0f, \"alloc_bytes_per_event\": %.1f},\n"
-        smoke_wall_s smoke_events
-        (events_per_sec ~events:smoke_events ~wall_s:smoke_wall_s)
-        (bytes_per_event ~events:smoke_events ~alloc_bytes:smoke_alloc_bytes));
   Buffer.add_string b "  \"experiments\": [\n";
   List.iteri
     (fun i e ->

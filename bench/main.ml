@@ -8,17 +8,13 @@
      dune exec bench/main.exe -- smoke            # tiny grid, CI tripwire
 
    Experiments: table1 table2 table3 fig6 fig7 fig8 fig9 fairness ablations
-   micro mc mc-smoke smoke bench-smoke n1000 all
+   micro mc mc-smoke smoke n1000 all
 
    [mc] explores the model checker's exhaustive worlds and writes
    BENCH_mc.json (states/second, pruning ratio); [--full] uses the
    view-bound-3 acceptance worlds (under a minute per protocol).
 
-   [bench-smoke] re-measures the n=200 multicast+drain micro and fails if
-   events/second regressed more than 30 % against the bench_smoke block of
-   the JSON given via [--baseline] (the committed BENCH_simcore.json in CI;
-   MOONSHOT_BENCH_SMOKE=skip turns a failure into a warning).  [n1000]
-   runs the beyond-paper scale sweep.
+   [n1000] runs the beyond-paper scale sweep.
 
    [--jobs N] fans independent grid runs out over N domains; the printed
    tables are byte-identical whatever N is (results are collected in
@@ -29,14 +25,13 @@
 let usage () =
   print_endline
     "usage: main.exe \
-     [table1|table2|table3|fig6|fig7|fig8|fig9|fairness|chaos|clients|ablations|micro|mc|mc-smoke|mc-swarm-smoke|smoke|bench-smoke|n1000|all] \
-     [--full] [--jobs N] [--baseline PATH]";
+     [table1|table2|table3|fig6|fig7|fig8|fig9|fairness|chaos|clients|ablations|micro|mc|mc-smoke|mc-swarm-smoke|smoke|n1000|all] \
+     [--full] [--jobs N]";
   exit 1
 
 let parse_args args =
   let full = ref false in
   let jobs = ref None in
-  let baseline = ref None in
   let targets = ref [] in
   let set_jobs s =
     match int_of_string_opt s with
@@ -54,9 +49,6 @@ let parse_args args =
     | arg :: rest when String.length arg > 7 && String.sub arg 0 7 = "--jobs=" ->
         set_jobs (String.sub arg 7 (String.length arg - 7));
         go rest
-    | "--baseline" :: path :: rest ->
-        baseline := Some path;
-        go rest
     | arg :: _ when String.length arg > 0 && arg.[0] = '-' -> usage ()
     | target :: rest ->
         targets := target :: !targets;
@@ -64,11 +56,11 @@ let parse_args args =
   in
   go args;
   let targets = match List.rev !targets with [] -> [ "all" ] | ts -> ts in
-  (!full, !jobs, !baseline, targets)
+  (!full, !jobs, targets)
 
 let () =
   Bft_parallel.Parallel.tune_gc ();
-  let full, jobs_flag, baseline, targets =
+  let full, jobs_flag, targets =
     parse_args (List.tl (Array.to_list Sys.argv))
   in
   let jobs = Option.value jobs_flag ~default:1 in
@@ -78,18 +70,9 @@ let () =
     in
     { base with Experiments.jobs }
   in
-  let smoke_failed = ref false in
   let dispatch target =
-    match target with
-    | "bench-smoke" ->
-        (* Timed against its own baseline, not the experiment counters: the
-           raw-engine measurement never touches the harness, so wrapping it
-           in [with_experiment] would record a zero-event entry. *)
-        if not (Bench_smoke.run ~baseline) then smoke_failed := true
-    | _ ->
     Bench_report.with_experiment target (fun () ->
         match target with
-        | "bench-smoke" -> assert false
         | "table1" ->
             Experiments.table1 ();
             Experiments.table1_empirical scale
@@ -144,5 +127,4 @@ let () =
       targets
   in
   List.iter dispatch expanded;
-  Bench_report.write ~jobs ~path:"BENCH_simcore.json";
-  if !smoke_failed then exit 1
+  Bench_report.write ~jobs ~path:"BENCH_simcore.json"

@@ -79,6 +79,8 @@ let search_config ?(rounds = 24) ?(population = 8) ?(mutants = 12)
   }
 
 module Make (P : Protocol_intf.S) = struct
+  module H = Bft_net.Node_host.Make (P)
+
   (* The protocol nodes are mutable and unclonable, so exploration is
      stateless: every frontier path is replayed from a fresh world.  A world
      owns the engine (capture hook installed), the nodes, their WALs, and
@@ -127,6 +129,7 @@ module Make (P : Protocol_intf.S) = struct
         (** (src, view, slot) -> digest of the first vote seen there *)
     mutable violations : (Mc_report.violation_kind * string) list;
     trace : Trace.t option;
+    mutable hosts : H.t array;
   }
 
   let add_violation w kind detail = w.violations <- (kind, detail) :: w.violations
@@ -189,59 +192,37 @@ module Make (P : Protocol_intf.S) = struct
               q
           end
 
-  let env_of w id : P.msg Env.t =
-    let n = w.cfg.n in
-    {
-      Env.id;
-      validators = Validator_set.make n;
-      delta = w.cfg.delta;
-      now = (fun () -> Engine.now w.engine);
-      send = (fun dst msg -> Engine.send w.engine ~src:id ~dst msg);
-      multicast = (fun msg -> Engine.multicast w.engine ~src:id msg);
-      set_timer = (fun delay f -> Engine.set_timer ~owner:id w.engine delay f);
-      leader_of = (fun view -> ((view - 1) mod n + n) mod n);
-      make_payload =
-        (fun ~view ~parent:_ -> Payload.make ~id:view ~size_bytes:w.cfg.payload_bytes);
-      on_commit =
-        (fun b ->
-          w.commits_total <- w.commits_total + 1;
-          (match w.trace with
-          | None -> ()
-          | Some sink ->
-              Trace.emit sink
-                {
-                  Trace.time = Engine.now w.engine;
-                  node = id;
-                  kind = Trace.Committed { view = b.Block.view; height = b.Block.height };
-                });
-          let h = Hash.to_int64 b.Block.hash in
-          match Hashtbl.find_opt w.commits b.Block.height with
-          | None -> Hashtbl.replace w.commits b.Block.height h
-          | Some h' when Int64.equal h h' -> ()
-          | Some _ ->
-              add_violation w Mc_report.Conflicting_commits
-                (Format.asprintf "node %d committed %a at height %d, conflicting with an earlier commit"
-                   id Block.pp b b.Block.height));
-      on_propose = (fun _ -> ());
-      probe =
-        (match w.trace with
-        | None -> None
-        | Some sink ->
-            Some
-              (fun pe ->
-                Trace.emit sink
-                  { Trace.time = Engine.now w.engine; node = id; kind = Trace.Node_event pe }));
-    }
+  let record_commit w id b =
+    w.commits_total <- w.commits_total + 1;
+    let h = Hash.to_int64 b.Block.hash in
+    match Hashtbl.find_opt w.commits b.Block.height with
+    | None -> Hashtbl.replace w.commits b.Block.height h
+    | Some h' when Int64.equal h h' -> ()
+    | Some _ ->
+        add_violation w Mc_report.Conflicting_commits
+          (Format.asprintf "node %d committed %a at height %d, conflicting with an earlier commit"
+             id Block.pp b b.Block.height)
 
-  let spawn_node w id =
-    let node =
-      P.create
-        ~equivocate:(List.mem id w.cfg.equivocators)
-        ~wal:w.wals.(id) (env_of w id)
-    in
-    Engine.set_handler w.engine id (P.handle node);
-    w.nodes.(id) <- Some node;
-    node
+  let host_of w id =
+    let n = w.cfg.n in
+    H.create
+      {
+        Bft_net.Node_host.n;
+        delta = w.cfg.delta;
+        leader_of = (fun view -> ((view - 1) mod n + n) mod n);
+        payload_bytes = w.cfg.payload_bytes;
+        ingest = None;
+        trace = w.trace;
+        faults = None;
+      }
+      ~wal:w.wals.(id)
+      ~equivocate:(List.mem id w.cfg.equivocators)
+      ~on_commit:(record_commit w id)
+      ~on_spawn:(fun node handler ->
+        Engine.set_handler w.engine id handler;
+        w.nodes.(id) <- Some node)
+      ~id
+      (Bft_net.Node_host.engine_io w.engine id)
 
   let rec drain w =
     match Queue.take_opt w.sync_q with
@@ -278,23 +259,14 @@ module Make (P : Protocol_intf.S) = struct
         vote_slots = Hashtbl.create 97;
         violations = [];
         trace;
+        hosts = [||];
       }
     in
     Engine.set_capture engine (fun ev -> capture w ev);
-    (match trace with
-    | None -> ()
-    | Some sink ->
-        Engine.set_delivery_tap engine (fun ~time ~src ~dst:node msg ->
-            Trace.emit sink
-              {
-                Trace.time;
-                node;
-                kind =
-                  Trace.Delivered
-                    { src; cls = P.classify msg; view = P.view_of msg; bytes = P.msg_size msg };
-              }));
-    let nodes = List.init cfg.n (fun id -> spawn_node w id) in
-    List.iter P.start nodes;
+    H.trace_deliveries trace engine;
+    w.hosts <- Array.init cfg.n (host_of w);
+    Array.iter H.spawn w.hosts;
+    Array.iter H.start w.hosts;
     drain w;
     w
 
@@ -424,17 +396,13 @@ module Make (P : Protocol_intf.S) = struct
         Format.asprintf "fault %a" Mc_schedule.pp_step step
 
   let apply_fault w step =
-    (match w.trace with
-    | None -> ()
-    | Some sink ->
-        let node, f =
-          match (step : Mc_schedule.step) with
-          | Crash i -> (i, Trace.Crash)
-          | Recover i -> (i, Trace.Recover)
-          | Partition_on _ -> (-1, Trace.Partition_start)
-          | Partition_off -> (-1, Trace.Partition_heal)
-        in
-        Trace.emit sink { Trace.time = Engine.now w.engine; node; kind = Trace.Fault f });
+    let edge f =
+      match w.trace with
+      | None -> ()
+      | Some sink ->
+          Trace.emit sink
+            { Trace.time = Engine.now w.engine; node = -1; kind = Trace.Fault f }
+    in
     (* The timer budget is per fault era: each fault step delimits a new
        network regime in which stuck nodes may again time out (they re-arm
        and rebroadcast on every expiry), so post-heal recovery is
@@ -442,16 +410,20 @@ module Make (P : Protocol_intf.S) = struct
     Array.fill w.timers_fired 0 w.cfg.n 0;
     match (step : Mc_schedule.step) with
     | Crash i ->
+        H.emit w.hosts.(i) Trace.(Fault Crash);
         Engine.crash w.engine i;
         w.nodes.(i) <- None
     | Recover i ->
         Engine.recover w.engine i;
-        let node = spawn_node w i in
         (* The lock may legitimately regress to whatever the WAL preserved. *)
         w.lock_floor.(i) <- 0;
-        P.start node
-    | Partition_on groups -> w.partition <- Some groups
-    | Partition_off -> w.partition <- None
+        H.recover w.hosts.(i)
+    | Partition_on groups ->
+        edge Trace.Partition_start;
+        w.partition <- Some groups
+    | Partition_off ->
+        edge Trace.Partition_heal;
+        w.partition <- None
 
   exception Bad_path of string
 

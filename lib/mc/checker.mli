@@ -1,8 +1,8 @@
 (** Bounded model checker: exhaustive exploration of message-delivery and
     timer-firing orderings for small worlds, over the exact engine and node
-    wiring the experiments use — plus two sampling modes that scale past
-    what exhaustion can reach (swarm walks and coverage-guided schedule
-    search).
+    host ({!Bft_net.Node_host}) the experiments use — plus two sampling
+    modes that scale past what exhaustion can reach (swarm walks and
+    coverage-guided schedule search).
 
     The checker installs the engine's capture hook ({!Bft_sim.Engine.set_capture}),
     so every network delivery, timer expiry and scheduled thunk becomes an

@@ -14,7 +14,6 @@ type t = {
   rngs : Bft_sim.Rng.t array; (* per-sender loss draws *)
   link_delay_ms : float;
   heal_windows : (float * float) list;
-  timeline : (float * wall_event) list;
   active : bool;
 }
 
@@ -26,49 +25,45 @@ let none =
     rngs = [||];
     link_delay_ms = 0.;
     heal_windows = [];
-    timeline = [];
     active = false;
   }
+
+let wall_events sched =
+  List.concat_map
+    (function
+      | FS.Crash { node; at } -> [ (at, Wall_crash node) ]
+      | FS.Recover { node; at } -> [ (at, Wall_recover node) ]
+      | FS.Partition { from_; until; _ } ->
+          [
+            (from_, Wall_edge Bft_obs.Trace.Partition_start);
+            (until, Wall_edge Bft_obs.Trace.Partition_heal);
+          ]
+      | FS.Link_loss { from_; until; _ } ->
+          [
+            (from_, Wall_edge Bft_obs.Trace.Loss_start);
+            (until, Wall_edge Bft_obs.Trace.Loss_end);
+          ]
+      | FS.Delay_spike { from_; until; _ } ->
+          [
+            (from_, Wall_edge Bft_obs.Trace.Delay_start);
+            (until, Wall_edge Bft_obs.Trace.Delay_end);
+          ])
+    (FS.sorted sched)
+  |> List.stable_sort (fun (a, _) (b, _) -> Float.compare a b)
 
 let compile ~n ~clock ~seed ~link_delay_ms ~heal_bound_ms sched =
   if FS.is_empty sched && link_delay_ms <= 0. then none
   else
     let sched = FS.sorted sched in
-    let overlay, logical, heal_windows, timeline =
+    let overlay, logical, heal_windows =
       match clock with
       | Views ->
-          (None, Some (Bft_faults.Logical.of_schedule_exn ~n sched), [], [])
+          (None, Some (Bft_faults.Logical.of_schedule_exn ~n sched), [])
       | Wall_ms ->
           let heal_windows =
             List.map (fun h -> (h, h +. heal_bound_ms)) (FS.heal_times sched)
           in
-          let timeline =
-            List.concat_map
-              (function
-                | FS.Crash { node; at } -> [ (at, Wall_crash node) ]
-                | FS.Recover { node; at } -> [ (at, Wall_recover node) ]
-                | FS.Partition { from_; until; _ } ->
-                    [
-                      (from_, Wall_edge Bft_obs.Trace.Partition_start);
-                      (until, Wall_edge Bft_obs.Trace.Partition_heal);
-                    ]
-                | FS.Link_loss { from_; until; _ } ->
-                    [
-                      (from_, Wall_edge Bft_obs.Trace.Loss_start);
-                      (until, Wall_edge Bft_obs.Trace.Loss_end);
-                    ]
-                | FS.Delay_spike { from_; until; _ } ->
-                    [
-                      (from_, Wall_edge Bft_obs.Trace.Delay_start);
-                      (until, Wall_edge Bft_obs.Trace.Delay_end);
-                    ])
-              sched
-            |> List.stable_sort (fun (a, _) (b, _) -> Float.compare a b)
-          in
-          ( Some (Bft_faults.Overlay.compile ~n sched),
-            None,
-            heal_windows,
-            timeline )
+          (Some (Bft_faults.Overlay.compile ~n sched), None, heal_windows)
     in
     {
       clock;
@@ -77,11 +72,9 @@ let compile ~n ~clock ~seed ~link_delay_ms ~heal_bound_ms sched =
       rngs = Array.init n (fun i -> Bft_sim.Rng.create (seed lxor (i * 7919)));
       link_delay_ms;
       heal_windows;
-      timeline;
       active = true;
     }
 
-let active t = t.active
 let clock t = t.clock
 
 let verdict t ~src ~dst ~now_ms ~src_view =
@@ -110,19 +103,4 @@ let delay_ms t ~now_ms =
 let in_heal_window t ~now_ms =
   List.exists (fun (a, b) -> now_ms >= a && now_ms <= b) t.heal_windows
 
-let crash_anchor t ~node =
-  Option.bind t.logical (fun lg -> Bft_faults.Logical.crash_anchor lg node)
-
-let recoveries t =
-  match t.logical with
-  | None -> []
-  | Some lg -> Bft_faults.Logical.recoveries lg
-
-let recoveries_upto t ~view =
-  List.mapi (fun i x -> (i, x)) (recoveries t)
-  |> List.filter_map (fun (i, (v, node)) ->
-         if v <= view then Some (i, node) else None)
-
-let recovery_of_index t i = List.nth_opt (recoveries t) i
-
-let wall_timeline t = t.timeline
+let logical t = t.logical

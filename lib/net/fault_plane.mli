@@ -46,9 +46,6 @@ val compile :
   Bft_faults.Fault_schedule.t ->
   t
 
-(** Whether any fault interposition or pacing is configured. *)
-val active : t -> bool
-
 val clock : t -> clock
 
 (** Send-time verdict for a frame [src -> dst].  [src_view] is the
@@ -65,29 +62,19 @@ val delay_ms : t -> now_ms:float -> float
     ([heal, heal + heal_bound_ms] after each wall-clock heal point). *)
 val in_heal_window : t -> now_ms:float -> bool
 
-(** {2 Crash/recovery anchors (logical clock)} *)
+(** The view-anchored schedule under the {!Views} clock, for each node's
+    {!Node_host.Fault_step}; [None] under {!Wall_ms}. *)
+val logical : t -> Bft_faults.Logical.t option
 
-(** View at which [node]'s first incarnation crashes, if scheduled. *)
-val crash_anchor : t -> node:int -> int option
-
-(** Recoveries whose observer-view anchor is [<= view], as
-    (index, node) pairs — [index] is the recovery's position in
-    {!Bft_faults.Logical.recoveries} order, stable across substrates and
-    process boundaries. *)
-val recoveries_upto : t -> view:int -> (int * int) list
-
-(** Recovery by index, for coordinator-side dispatch of observer
-    milestones. *)
-val recovery_of_index : t -> int -> (int * int) option
-
-(** {2 Wall-clock timeline (coordinator side)} *)
+(** {2 Wall-clock timeline} *)
 
 type wall_event =
   | Wall_crash of int
   | Wall_recover of int
   | Wall_edge of Bft_obs.Trace.fault
 
-(** Time-ordered crash/recover instants and window edges, for the
-    coordinator's fault driver and the fault-event record.  Empty under
-    the {!Views} clock. *)
-val wall_timeline : t -> (float * wall_event) list
+(** A schedule read on a millisecond clock: its crash/recover instants
+    and window edges, stable-sorted by time (events of equal time keep
+    schedule order).  The simulator harness schedules its wall-clock
+    faults from it, and so do the TCP coordinators under {!Wall_ms}. *)
+val wall_events : Bft_faults.Fault_schedule.t -> (float * wall_event) list

@@ -230,30 +230,13 @@ let node_main (type m) (module P : Protocol_intf.S with type msg = m)
     ~(crash_flag : bool Atomic.t) ~on_done ~(on_recover_order : int -> unit)
     ~(ctl_fd : Unix.file_descr option) ~register_teardown :
     node_result * exit_reason =
+  let module H = Node_host.Make (P) in
   let commits = ref [] and done_sent = ref false in
   let proposals = ref [] in
-  let trace_lines = ref [] in
+  let trace = if cfg.trace then Some (Bft_obs.Trace.create ()) else None in
   let malformed = Array.make cfg.n 0 in
   let crashing = ref false in
-  let emit kind =
-    if cfg.trace then
-      trace_lines :=
-        Bft_obs.Trace.event_to_json
-          { Bft_obs.Trace.time = now_ms t0; node = id; kind }
-        :: !trace_lines
-  in
-  let wal =
-    match wal_blob with
-    | None -> P.wal_create ()
-    | Some s -> (
-        match P.wal_decode s with
-        | Ok w -> w
-        | Error reason ->
-            Log.err (fun m ->
-                m "node %d: corrupt WAL snapshot (%s); restarting empty" id
-                  reason);
-            P.wal_create ())
-  in
+  let wal = H.wal_of_snapshot ~id wal_blob in
   let hello =
     Wire.frame (encode_hello ~id ~n:cfg.n ~protocol:cfg.protocol_name)
   in
@@ -284,12 +267,13 @@ let node_main (type m) (module P : Protocol_intf.S with type msg = m)
   in
   let selfq : m Queue.t = Queue.create () in
   let node_ref = ref None in
+  let handler = ref (fun ~src:_ (_ : m) -> ()) in
   let view () =
     match !node_ref with Some nd -> P.current_view nd | None -> 0
   in
-  (* Everything the fault plane anchors on protocol state happens here,
-     between events: WAL snapshot persistence, the node's own logical
-     crash trigger, and (on the observer) logical recovery orders. *)
+  (* The WAL snapshot reaches the file after every event; the host's
+     fault step (the node's own logical crash, the observer's recovery
+     orders) runs inside the handler and timer callbacks. *)
   let last_wal = ref (Option.value wal_blob ~default:"") in
   let persist_wal () =
     match wal_file with
@@ -308,25 +292,6 @@ let node_main (type m) (module P : Protocol_intf.S with type msg = m)
             Log.err (fun m -> m "node %d: cannot persist WAL" id)
         end
   in
-  let crash_anchor =
-    if incarnation = 0 then Fault_plane.crash_anchor plane ~node:id else None
-  in
-  let next_order = ref 0 in
-  let post_event () =
-    persist_wal ();
-    (match crash_anchor with
-    | Some v when (not !crashing) && view () >= v -> crashing := true
-    | _ -> ());
-    if id = 0 && Fault_plane.active plane then
-      List.iter
-        (fun (idx, _node) ->
-          if idx >= !next_order then begin
-            next_order := idx + 1;
-            on_recover_order idx
-          end)
-        (Fault_plane.recoveries_upto plane ~view:(view ()))
-  in
-  let validators = Validator_set.make cfg.n in
   (* Client-traffic ingestion: each validator rebuilds the identical seeded
      arrival stream locally, so a leader's watermark observation is the only
      nondeterminism a batch carries — and under the [Views] spec clock even
@@ -341,12 +306,20 @@ let node_main (type m) (module P : Protocol_intf.S with type msg = m)
         Bft_mempool.Ingest.create ~spec ~n:cfg.n ~view_ms:cfg.delta_ms ())
       cfg.clients
   in
-  let env =
+  let policy =
     {
-      Env.id;
-      validators;
+      Node_host.n = cfg.n;
       delta = cfg.delta_ms;
-      now = (fun () -> now_ms t0);
+      leader_of = cfg.leader_of;
+      payload_bytes = cfg.payload_bytes;
+      ingest;
+      trace;
+      faults = Fault_plane.logical plane;
+    }
+  in
+  let io =
+    {
+      Node_host.now = (fun () -> now_ms t0);
       send =
         (fun dst msg ->
           if dst = id then Queue.push msg selfq
@@ -362,49 +335,43 @@ let node_main (type m) (module P : Protocol_intf.S with type msg = m)
             else Conn_manager.send cm ~dst ~src_view frame
           done);
       set_timer;
-      leader_of = cfg.leader_of;
-      make_payload =
-        (fun ~view ~parent ->
-          match ingest with
-          | Some ing ->
-              Bft_mempool.Ingest.cut ing ~view ~parent ~now:(now_ms t0)
-          | None -> Payload.make ~id:view ~size_bytes:cfg.payload_bytes);
-      on_commit =
-        (fun b ->
-          commits :=
-            {
-              c_height = b.Block.height;
-              c_view = b.Block.view;
-              c_hash = Hash.to_int64 b.Block.hash;
-              c_time_ms = now_ms t0;
-              c_payload_id = b.Block.payload.Payload.id;
-              c_payload_bytes = b.Block.payload.Payload.size_bytes;
-            }
-            :: !commits;
-          emit
-            (Bft_obs.Trace.Committed
-               { view = b.Block.view; height = b.Block.height });
-          (* Height-based, not count-based: a recovered incarnation
-             starts from an empty commit log and reaches the target by
-             syncing, whether or not every historic height is replayed
-             through [on_commit]. *)
-          if b.Block.height >= cfg.target_blocks && not !done_sent then begin
-            done_sent := true;
-            on_done ()
-          end);
-      on_propose =
-        (fun b ->
-          proposals :=
-            {
-              p_height = b.Block.height;
-              p_hash = Hash.to_int64 b.Block.hash;
-              p_time_ms = now_ms t0;
-            }
-            :: !proposals);
-      probe =
-        (if cfg.trace then Some (fun ev -> emit (Bft_obs.Trace.Node_event ev))
-         else None);
     }
+  in
+  let host =
+    H.create policy ~incarnation ~wal ~id io
+      ~on_spawn:(fun node h ->
+        node_ref := Some node;
+        handler := h)
+      ~on_commit:(fun b ->
+        commits :=
+          {
+            c_height = b.Block.height;
+            c_view = b.Block.view;
+            c_hash = Hash.to_int64 b.Block.hash;
+            c_time_ms = now_ms t0;
+            c_payload_id = b.Block.payload.Payload.id;
+            c_payload_bytes = b.Block.payload.Payload.size_bytes;
+          }
+          :: !commits;
+        (* Height-based, not count-based: a recovered incarnation starts
+           from an empty commit log and reaches the target by syncing,
+           whether or not every historic height is replayed through
+           [on_commit]. *)
+        if b.Block.height >= cfg.target_blocks && not !done_sent then begin
+          done_sent := true;
+          on_done ()
+        end)
+      ~on_propose:(fun b ->
+        proposals :=
+          {
+            p_height = b.Block.height;
+            p_hash = Hash.to_int64 b.Block.hash;
+            p_time_ms = now_ms t0;
+          }
+          :: !proposals)
+      ~on_verdict:(fun v ->
+        if v.Node_host.crash then crashing := true;
+        List.iter on_recover_order v.Node_host.recover)
   in
   let conns : (Unix.file_descr * int) list ref = ref [] in
   let close_conn fd =
@@ -415,17 +382,12 @@ let node_main (type m) (module P : Protocol_intf.S with type msg = m)
       List.iter (fun (fd, _) -> close_quiet fd) !conns;
       close_quiet listener;
       Conn_manager.force_close cm);
-  if incarnation > 0 then emit (Bft_obs.Trace.Fault Bft_obs.Trace.Recover);
   (try
-     let node = P.create ~wal env in
-     node_ref := Some node;
+     H.spawn host;
      let deliver ~src ~bytes msg =
-       if cfg.trace then
-         emit
-           (Bft_obs.Trace.Delivered
-              { src; cls = P.classify msg; view = P.view_of msg; bytes });
-       P.handle node ~src msg;
-       post_event ()
+       H.delivered host ~src ~bytes msg;
+       !handler ~src msg;
+       persist_wal ()
      in
      let rec drain_self () =
        if not !crashing then
@@ -448,7 +410,7 @@ let node_main (type m) (module P : Protocol_intf.S with type msg = m)
          (fun (_, _, f) ->
            if not !crashing then begin
              f ();
-             post_event ()
+             persist_wal ()
            end)
          (List.sort (fun (a, _, _) (b, _, _) -> Float.compare a b) due)
      in
@@ -478,8 +440,9 @@ let node_main (type m) (module P : Protocol_intf.S with type msg = m)
            | _ -> Atomic.set stop true)
        | exception Unix.Unix_error _ -> Atomic.set stop true
      in
-     P.start node;
-     post_event ();
+     H.start host;
+     H.fault_step host;
+     persist_wal ();
      drain_self ();
      let hard_deadline = cfg.timeout_ms +. 5000. in
      while (not (Atomic.get stop)) && not !crashing do
@@ -549,7 +512,7 @@ let node_main (type m) (module P : Protocol_intf.S with type msg = m)
      Log.err (fun m ->
          m "node %d: executor died: %s" id (Printexc.to_string exn)));
   if !crashing then begin
-    emit (Bft_obs.Trace.Fault Bft_obs.Trace.Crash);
+    H.emit host Bft_obs.Trace.(Fault Crash);
     (* The simulator treats every send a handler issued before the crash
        point as already on the wire; drain the sender queue (including
        paced frames) before dying so the socket run agrees. *)
@@ -567,19 +530,25 @@ let node_main (type m) (module P : Protocol_intf.S with type msg = m)
   close_quiet listener;
   Conn_manager.shutdown cm;
   let st = Conn_manager.stats cm in
-  if cfg.trace then
-    Array.iteri
-      (fun peer m ->
-        let d = st.Conn_manager.dropped.(peer) in
-        if peer <> id && (m > 0 || d > 0) then
-          emit (Bft_obs.Trace.Link_report { peer; malformed = m; dropped = d }))
-      malformed;
+  Array.iteri
+    (fun peer m ->
+      let d = st.Conn_manager.dropped.(peer) in
+      if peer <> id && (m > 0 || d > 0) then
+        H.emit host
+          (Bft_obs.Trace.Link_report { peer; malformed = m; dropped = d }))
+    malformed;
+  let trace_lines =
+    match trace with
+    | None -> []
+    | Some sink ->
+        List.map Bft_obs.Trace.event_to_json (Bft_obs.Trace.events sink)
+  in
   let r =
     {
       id;
       commits = List.rev !commits;
       proposals = List.rev !proposals;
-      trace_lines = List.rev !trace_lines;
+      trace_lines;
       decode_errors = Array.fold_left ( + ) 0 malformed;
       messages_sent = st.Conn_manager.messages_sent;
       bytes_sent = st.Conn_manager.bytes_sent;
@@ -619,6 +588,13 @@ let validate cfg =
     FS.validate ~n:cfg.n
       ~f:((cfg.n - 1) / 3)
       ~byzantine:[] cfg.faults
+
+(* The coordinator's fault driver: empty under the view clock, whose
+   crashes and recoveries the nodes' own fault steps trigger. *)
+let wall_timeline cfg =
+  match cfg.fault_clock with
+  | Fault_plane.Wall_ms -> Fault_plane.wall_events cfg.faults
+  | Fault_plane.Views -> []
 
 let sort_fault_log log =
   List.stable_sort
@@ -690,15 +666,12 @@ let run_threads (type m) (module P : Protocol_intf.S with type msg = m) cfg
     Mutex.unlock flm
   in
   let results : node_result list array = Array.make cfg.n [] in
-  let order_recover idx =
-    match Fault_plane.recovery_of_index plane idx with
-    | None -> ()
-    | Some (_, node) ->
-        let s = slots.(node) in
-        Mutex.lock s.sm;
-        s.recover_ordered <- true;
-        Condition.broadcast s.sc;
-        Mutex.unlock s.sm
+  let order_recover node =
+    let s = slots.(node) in
+    Mutex.lock s.sm;
+    s.recover_ordered <- true;
+    Condition.broadcast s.sc;
+    Mutex.unlock s.sm
   in
   let supervisor i listener0 =
     let wal_file =
@@ -768,17 +741,12 @@ let run_threads (type m) (module P : Protocol_intf.S with type msg = m) cfg
           match ev with
           | Fault_plane.Wall_crash node ->
               Atomic.set slots.(node).crash_flag true
-          | Fault_plane.Wall_recover node ->
-              let s = slots.(node) in
-              Mutex.lock s.sm;
-              s.recover_ordered <- true;
-              Condition.broadcast s.sc;
-              Mutex.unlock s.sm
+          | Fault_plane.Wall_recover node -> order_recover node
           | Fault_plane.Wall_edge f -> log_fault ~node:(-1) f)
-      (Fault_plane.wall_timeline plane)
+      (wall_timeline cfg)
   in
   let driver_t =
-    if Fault_plane.wall_timeline plane = [] then None
+    if wall_timeline cfg = [] then None
     else Some (Thread.create driver ())
   in
   let deadline = t0 +. (cfg.timeout_ms /. 1000.) in
@@ -830,10 +798,11 @@ let run_threads (type m) (module P : Protocol_intf.S with type msg = m) cfg
 (* --- process mode ---------------------------------------------------------- *)
 
 (* Coordinator-side view of one validator process.  The result pipe
-   carries a byte protocol: 'D' = target reached, 'O' idx = the observer
-   ordered logical recovery [idx], 'R' = a result blob follows; EOF = the
-   process died (expected exactly when a crash was scheduled or ordered —
-   a crashing child is killed with SIGKILL, no farewell). *)
+   carries a byte protocol: 'D' = target reached, 'O' node = the observer
+   ordered the logical recovery of [node], 'C' = the child is about to
+   SIGKILL itself for a crash, 'R' = a result blob follows; EOF = the
+   process died (expected exactly when a crash was announced or ordered —
+   the crashing child's volatile state and result die with it). *)
 type child = {
   mutable pid : int;
   mutable rfd : Unix.file_descr;
@@ -845,7 +814,7 @@ type child = {
   mutable dead : bool;
   mutable restarts : int;
   mutable recover_pending : bool;
-  mutable kill_sent : bool;
+  mutable crash_expected : bool;
   mutable reaped : bool;
 }
 
@@ -864,7 +833,7 @@ let run_processes (type m) (module P : Protocol_intf.S with type msg = m) cfg
           dead = false;
           restarts = 0;
           recover_pending = false;
-          kill_sent = false;
+          crash_expected = false;
           reaped = false;
         })
   in
@@ -919,10 +888,10 @@ let run_processes (type m) (module P : Protocol_intf.S with type msg = m) cfg
               ~on_done:(fun () ->
                 try ignore (Unix.write_substring w "D" 0 1)
                 with Unix.Unix_error _ -> ())
-              ~on_recover_order:(fun idx ->
+              ~on_recover_order:(fun node ->
                 let b = Bytes.create 2 in
                 Bytes.set b 0 'O';
-                Bytes.set b 1 (Char.chr (idx land 0xff));
+                Bytes.set b 1 (Char.chr (node land 0xff));
                 try ignore (Unix.write w b 0 2)
                 with Unix.Unix_error _ -> ())
               ~ctl_fd:(Some cr)
@@ -934,6 +903,8 @@ let run_processes (type m) (module P : Protocol_intf.S with type msg = m) cfg
             (* A real crash: the process is killed outright, its volatile
                state and pending result die with it.  Only the WAL file
                survives for the next incarnation. *)
+            (try ignore (Unix.write_substring w "C" 0 1)
+             with Unix.Unix_error _ -> ());
             Unix.kill (Unix.getpid ()) Sys.sigkill
         | Stopped -> ());
         (try
@@ -958,7 +929,7 @@ let run_processes (type m) (module P : Protocol_intf.S with type msg = m) cfg
         c.got_r <- false;
         c.target_met <- false;
         c.down <- false;
-        c.kill_sent <- false;
+        c.crash_expected <- false;
         c.reaped <- false;
         c.restarts <- incarnation
   in
@@ -974,7 +945,12 @@ let run_processes (type m) (module P : Protocol_intf.S with type msg = m) cfg
     log_fault i Bft_obs.Trace.Recover;
     spawn i ~incarnation:(c.restarts + 1)
   in
-  let timeline = ref (Fault_plane.wall_timeline plane) in
+  let order_recover node =
+    let c = children.(node) in
+    if c.down then respawn node
+    else if not c.dead then c.recover_pending <- true
+  in
+  let timeline = ref (wall_timeline cfg) in
   let fire_due_wall () =
     let now = now_ms t0 in
     let rec go () =
@@ -984,25 +960,17 @@ let run_processes (type m) (module P : Protocol_intf.S with type msg = m) cfg
           (match ev with
           | Fault_plane.Wall_crash node ->
               let c = children.(node) in
-              if c.alive && not c.kill_sent then begin
-                c.kill_sent <- true;
+              if c.alive && not c.crash_expected then begin
+                c.crash_expected <- true;
                 try ignore (Unix.write_substring c.cwfd "K" 0 1)
                 with Unix.Unix_error _ -> ()
               end
-          | Fault_plane.Wall_recover node ->
-              let c = children.(node) in
-              if c.down then respawn node
-              else if not c.dead then c.recover_pending <- true
+          | Fault_plane.Wall_recover node -> order_recover node
           | Fault_plane.Wall_edge f -> log_fault (-1) f);
           go ()
       | _ -> ()
     in
     go ()
-  in
-  let expected_crash i =
-    let c = children.(i) in
-    c.kill_sent
-    || (c.restarts = 0 && Fault_plane.crash_anchor plane ~node:i <> None)
   in
   let handle_eof i =
     let c = children.(i) in
@@ -1011,7 +979,7 @@ let run_processes (type m) (module P : Protocol_intf.S with type msg = m) cfg
     close_quiet c.cwfd;
     (try ignore (Unix.waitpid [] c.pid) with Unix.Unix_error _ -> ());
     c.reaped <- true;
-    if expected_crash i && not c.down then begin
+    if c.crash_expected && not c.down then begin
       c.down <- true;
       log_fault i Bft_obs.Trace.Crash;
       if c.recover_pending then begin
@@ -1030,17 +998,13 @@ let run_processes (type m) (module P : Protocol_intf.S with type msg = m) cfg
         match Bytes.get buf 0 with
         | 'D' -> c.target_met <- true
         | 'R' -> c.got_r <- true
+        | 'C' -> c.crash_expected <- true
         | 'O' -> (
             match Unix.read c.rfd buf 0 1 with
             | 0 -> handle_eof i
-            | _ -> (
-                let idx = Char.code (Bytes.get buf 0) in
-                match Fault_plane.recovery_of_index plane idx with
-                | Some (_, node) ->
-                    let cn = children.(node) in
-                    if cn.down then respawn node
-                    else if not cn.dead then cn.recover_pending <- true
-                | None -> ())
+            | _ ->
+                let node = Char.code (Bytes.get buf 0) in
+                if node < cfg.n then order_recover node
             | exception Unix.Unix_error _ -> handle_eof i)
         | _ -> ())
     | exception Unix.Unix_error _ -> handle_eof i

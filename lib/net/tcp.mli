@@ -3,11 +3,12 @@
 
     {!run} launches an [n]-validator cluster in which every node is the
     unmodified event-driven state machine behind
-    {!Bft_types.Protocol_intf.S} — only its {!Bft_types.Env.t} differs:
-    [send]/[multicast] encode messages with the protocol's wire codec and
-    write frames to per-peer TCP connections, [set_timer] arms wall-clock
-    timers, and [now] reads the wall clock (milliseconds since cluster
-    start).  Two execution modes share all of this code:
+    {!Bft_types.Protocol_intf.S}, hosted by the same {!Node_host} as in
+    the simulator — only the transport differs: [send]/[multicast] encode
+    messages with the protocol's wire codec and write frames to per-peer
+    TCP connections, [set_timer] arms wall-clock timers, and [now] reads
+    the wall clock (milliseconds since cluster start).  Two execution
+    modes share all of this code:
 
     - {!Threads}: each validator is one executor thread (plus a
       {!Conn_manager} sender thread) inside the calling process;

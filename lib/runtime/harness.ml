@@ -49,9 +49,8 @@ let run_protocol (type m) ?(on_commit = fun ~node:_ _ -> ()) ?trace
   in
   let faults = Bft_faults.Fault_schedule.sorted cfg.Config.faults in
   let faulted = not (Bft_faults.Fault_schedule.is_empty faults) in
-  let logical = faulted && cfg.Config.logical_faults in
   let lg =
-    if logical then
+    if faulted && cfg.Config.logical_faults then
       Some (Bft_faults.Logical.of_schedule_exn ~n:cfg.Config.n faults)
     else None
   in
@@ -103,23 +102,8 @@ let run_protocol (type m) ?(on_commit = fun ~node:_ _ -> ()) ?trace
            ~gst:cfg.Config.gst_ms ())
     else None
   in
-  (match trace with
-  | None -> ()
-  | Some sink ->
-      Bft_sim.Engine.set_delivery_tap engine (fun ~time ~src ~dst msg ->
-          Bft_obs.Trace.emit sink
-            {
-              Bft_obs.Trace.time;
-              node = dst;
-              kind =
-                Bft_obs.Trace.Delivered
-                  {
-                    src;
-                    cls = P.classify msg;
-                    view = P.view_of msg;
-                    bytes = P.msg_size msg;
-                  };
-            }));
+  let module H = Bft_net.Node_host.Make (P) in
+  H.trace_deliveries trace engine;
   (* Metrics has a single quorum-commit observer slot: compose the trace
      emitter, the liveness monitor and the ingest replayer into it. *)
   (match (trace, monitor, ingest) with
@@ -169,88 +153,17 @@ let run_protocol (type m) ?(on_commit = fun ~node:_ _ -> ()) ?trace
                     }
               | None -> ())
           | None -> ()));
-  let validators = Validator_set.make cfg.Config.n in
-  let leader_of =
-    Bft_workload.Schedules.leader_of cfg.Config.schedule ~n:cfg.Config.n
-      ~f':cfg.Config.f_actual
-  in
-  (* Logical-clock fault machinery: the current incarnation of every node
-     (for view reads) and a forward reference to the between-events hook
-     the faulted block installs below.  Both are inert unless [logical]:
-     the hook stays a no-op and handlers are installed unwrapped. *)
-  let node_refs : P.node option array = Array.make cfg.Config.n None in
-  let after_event_hook = ref (fun (_ : int) -> ()) in
-  let install id node =
-    node_refs.(id) <- Some node;
-    if logical then
-      Bft_sim.Engine.set_handler engine id (fun ~src msg ->
-          P.handle node ~src msg;
-          !after_event_hook id)
-    else Bft_sim.Engine.set_handler engine id (P.handle node)
-  in
-  let env_of id =
+  let policy =
     {
-      Env.id;
-      validators;
+      Bft_net.Node_host.n = cfg.Config.n;
       delta = cfg.Config.delta_ms;
-      now = (fun () -> Bft_sim.Engine.now engine);
-      send = (fun dst msg -> Bft_sim.Engine.send engine ~src:id ~dst msg);
-      multicast = (fun msg -> Bft_sim.Engine.multicast engine ~src:id msg);
-      set_timer =
-        (fun delay f ->
-          let f =
-            if logical then (fun () ->
-              f ();
-              !after_event_hook id)
-            else f
-          in
-          Bft_sim.Engine.set_timer ~owner:id engine delay f);
-      leader_of;
-      make_payload =
-        (fun ~view ~parent ->
-          match ingest with
-          | Some ing ->
-              Bft_mempool.Ingest.cut ing ~view ~parent
-                ~now:(Bft_sim.Engine.now engine)
-          | None -> Payload.make ~id:view ~size_bytes:cfg.Config.payload_bytes);
-      on_commit =
-        (fun block ->
-          (match trace with
-          | None -> ()
-          | Some sink ->
-              Bft_obs.Trace.emit sink
-                {
-                  Bft_obs.Trace.time = Bft_sim.Engine.now engine;
-                  node = id;
-                  kind =
-                    Bft_obs.Trace.Committed
-                      { view = block.Block.view; height = block.Block.height };
-                });
-          (match monitor with
-          | Some mon ->
-              Bft_obs.Liveness.note_commit mon ~node:id
-                ~time:(Bft_sim.Engine.now engine)
-                ~height:block.Block.height
-          | None -> ());
-          Metrics.on_commit metrics ~node:id
-            ~time:(Bft_sim.Engine.now engine)
-            block;
-          on_commit ~node:id block);
-      on_propose =
-        (fun block ->
-          Metrics.on_propose metrics ~time:(Bft_sim.Engine.now engine) block);
-      probe =
-        (match trace with
-        | None -> None
-        | Some sink ->
-            Some
-              (fun ev ->
-                Bft_obs.Trace.emit sink
-                  {
-                    Bft_obs.Trace.time = Bft_sim.Engine.now engine;
-                    node = id;
-                    kind = Bft_obs.Trace.Node_event ev;
-                  }));
+      leader_of =
+        Bft_workload.Schedules.leader_of cfg.Config.schedule ~n:cfg.Config.n
+          ~f':cfg.Config.f_actual;
+      payload_bytes = cfg.Config.payload_bytes;
+      ingest;
+      trace;
+      faults = lg;
     }
   in
   let silent id =
@@ -262,35 +175,90 @@ let run_protocol (type m) ?(on_commit = fun ~node:_ _ -> ()) ?trace
     else if List.mem id cfg.Config.equivocators then Some Byzantine.Equivocate
     else List.assoc_opt id cfg.Config.byzantine
   in
+  (* Crash and recovery, whoever orders them: the wall-clock thunks below,
+     or — for view-anchored faults — a node's host, whose fault step runs
+     after each of its events.  A logical crash lands between the victim's
+     events once its own view reaches the anchor; a logical recovery fires
+     when the observer (node 0) passes the recovery anchor.  No wall-clock
+     machinery runs then, so the committed chain is a pure function of the
+     protocol and the schedule — identical on simulator and sockets
+     ([moonshot crossval --scenario chaos]). *)
+  let hosts = ref [||] in
+  let crash node =
+    let time = Bft_sim.Engine.now engine in
+    Log.debug (fun m ->
+        m "fault: crash node %d at %.0f (view %d)" node time
+          (H.view !hosts.(node)));
+    Bft_sim.Engine.crash engine node;
+    Bft_obs.Liveness.note_crash (Option.get monitor) ~node ~time;
+    H.emit !hosts.(node) Bft_obs.Trace.(Fault Crash)
+  in
+  let recover node =
+    let time = Bft_sim.Engine.now engine in
+    Log.debug (fun m -> m "fault: recover node %d at %.0f" node time);
+    Bft_sim.Engine.recover engine node;
+    Bft_obs.Liveness.note_recover (Option.get monitor) ~node ~time;
+    (* Rebuild the node from its WAL; [start] resumes from the recorded
+       view and the block synchronizer refills the store (the node catches
+       up instead of re-voting). *)
+    H.recover !hosts.(node)
+  in
+  (* After the last recovery the network is disruption-free modulo
+     partition windows, whose view anchors pass within a few view changes:
+     enforce the liveness bound from there, as the wall-clock path does from
+     each heal time. *)
+  let last_recovery =
+    Option.bind lg (fun lg ->
+        List.nth_opt (List.rev (Bft_faults.Logical.recoveries lg)) 0
+        |> Option.map snd)
+  in
+  let on_verdict id (v : Bft_net.Node_host.verdict) =
+    if v.crash then crash id;
+    List.iter
+      (fun node ->
+        recover node;
+        if last_recovery = Some node then
+          let mon = Option.get monitor in
+          let time = Bft_sim.Engine.now engine in
+          let k_ms = Bft_obs.Liveness.bound mon in
+          Bft_sim.Engine.schedule_at engine (time +. k_ms) (fun () ->
+              Bft_obs.Liveness.check mon ~since:time ~now:(time +. k_ms)))
+      v.recover
+  in
   (* WALs exist only in fault runs; each participant gets one that outlives
      its incarnations, so a recovery restarts the node from its own durable
      state (and only from that — proving the double-vote-prevention story). *)
-  let wals =
-    if faulted then Array.init cfg.Config.n (fun _ -> P.wal_create ())
-    else [||]
-  in
-  let wal_of id = if faulted then Some wals.(id) else None in
-  let nodes =
-    List.filter_map
-      (fun id ->
-        let make ?(equivocate = false) env =
-          let node = P.create ~equivocate ?wal:(wal_of id) env in
-          install id node;
-          Some node
-        in
-        match behaviour_of id with
-        | Some Byzantine.Silent -> None
-        | Some Byzantine.Equivocate -> make ~equivocate:true (env_of id)
-        | Some Byzantine.Withhold_votes ->
-            make
-              (Env.with_outgoing_filter
-                 ~keep:(fun msg -> P.classify msg <> `Vote)
-                 (env_of id))
-        | Some (Byzantine.Delay_all delay) ->
-            make (Env.with_outgoing_delay ~delay (env_of id))
-        | None -> make (env_of id))
-      (List.init cfg.Config.n (fun i -> i))
-  in
+  hosts :=
+    Array.init cfg.Config.n (fun id ->
+        H.create policy ~id
+          (Bft_net.Node_host.engine_io engine id)
+          ?wal:(if faulted then Some (P.wal_create ()) else None)
+          ~equivocate:(behaviour_of id = Some Byzantine.Equivocate)
+          ~wrap:
+            (match behaviour_of id with
+            | Some Byzantine.Withhold_votes ->
+                Env.with_outgoing_filter ~keep:(fun msg ->
+                    P.classify msg <> `Vote)
+            | Some (Byzantine.Delay_all delay) -> Env.with_outgoing_delay ~delay
+            | Some (Byzantine.Silent | Byzantine.Equivocate) | None -> Fun.id)
+          ~on_spawn:(fun _ handler ->
+            Bft_sim.Engine.set_handler engine id handler)
+          ~on_commit:(fun block ->
+            (match monitor with
+            | Some mon ->
+                Bft_obs.Liveness.note_commit mon ~node:id
+                  ~time:(Bft_sim.Engine.now engine)
+                  ~height:block.Block.height
+            | None -> ());
+            Metrics.on_commit metrics ~node:id
+              ~time:(Bft_sim.Engine.now engine)
+              block;
+            on_commit ~node:id block)
+          ~on_propose:(fun block ->
+            Metrics.on_propose metrics ~time:(Bft_sim.Engine.now engine) block)
+          ~on_verdict:(on_verdict id));
+  let hosts = !hosts in
+  Array.iteri (fun id h -> if not (silent id) then H.spawn h) hosts;
   (* Interpret the fault schedule: crash/recover thunks, link-level window
      overlays, liveness checkpoints and healing-traffic accounting. *)
   let messages_during_heal = ref 0 in
@@ -301,78 +269,15 @@ let run_protocol (type m) ?(on_commit = fun ~node:_ _ -> ()) ?trace
        (fun id ->
          if behaviour_of id <> None then Bft_obs.Liveness.set_exempt mon id)
        (List.init cfg.Config.n (fun i -> i));
-     let emit_fault ~time ~node fault =
-       match trace with
-       | Some sink ->
-           Bft_obs.Trace.emit sink
-             { Bft_obs.Trace.time; node; kind = Bft_obs.Trace.Fault fault }
-       | None -> ()
-     in
      match lg with
      | Some lg ->
-         (* View-anchored interpretation — the sim-side mirror of the live
-            transport's [fault_clock = Views].  Sends are gated on the
-            sender's current view (the engine's link filter runs at send
-            time), a crash lands between the victim's events once its own
-            view reaches the anchor, and a recovery fires when the
-            observer (node 0) passes the recovery anchor.  No wall-clock
-            machinery runs, so the committed chain is a pure function of
-            the protocol and the schedule — identical on simulator and
-            sockets ([moonshot crossval --scenario chaos]). *)
-         let view_of id =
-           match node_refs.(id) with
-           | Some nd -> P.current_view nd
-           | None -> 0
-         in
+         (* Sends are gated on the sender's current view (the engine's link
+            filter runs at send time) — the sim-side mirror of the live
+            transport's [fault_clock = Views]. *)
          Bft_sim.Engine.set_link_filter engine (fun ~src ~dst ~now:_ ->
              not
-               (Bft_faults.Logical.cut lg ~src ~src_view:(view_of src) ~dst));
-         let crashed = Array.make cfg.Config.n false in
-         let recoveries = Bft_faults.Logical.recoveries lg in
-         let next_order = ref 0 in
-         let k_ms = Bft_obs.Liveness.bound mon in
-         let rec do_recover node =
-           let time = Bft_sim.Engine.now engine in
-           Log.debug (fun m ->
-               m "fault: logical recover node %d at %.0f" node time);
-           Bft_sim.Engine.recover engine node;
-           Bft_obs.Liveness.note_recover mon ~node ~time;
-           emit_fault ~time ~node Bft_obs.Trace.Recover;
-           let fresh = P.create ?wal:(wal_of node) (env_of node) in
-           install node fresh;
-           P.start fresh;
-           (* After the last recovery the network is disruption-free
-              modulo partition windows, whose view anchors pass within a
-              few view changes: enforce the liveness bound from here, as
-              the wall-clock path does from each heal time. *)
-           if !next_order = List.length recoveries then
-             Bft_sim.Engine.schedule_at engine (time +. k_ms) (fun () ->
-                 Bft_obs.Liveness.check mon ~since:time ~now:(time +. k_ms))
-         and after_event id =
-           (match Bft_faults.Logical.crash_anchor lg id with
-           | Some v when (not crashed.(id)) && view_of id >= v ->
-               let time = Bft_sim.Engine.now engine in
-               Log.debug (fun m ->
-                   m "fault: logical crash node %d at %.0f (view %d)" id
-                     time (view_of id));
-               crashed.(id) <- true;
-               Bft_sim.Engine.crash engine id;
-               Bft_obs.Liveness.note_crash mon ~node:id ~time;
-               emit_fault ~time ~node:id Bft_obs.Trace.Crash
-           | _ -> ());
-           if id = Bft_faults.Logical.observer lg then
-             let ov = view_of id in
-             let rec fire () =
-               match List.nth_opt recoveries !next_order with
-               | Some (v, node) when v <= ov ->
-                   incr next_order;
-                   do_recover node;
-                   fire ()
-               | _ -> ()
-             in
-             fire ()
-         in
-         after_event_hook := after_event
+               (Bft_faults.Logical.cut lg ~src ~src_view:(H.view hosts.(src))
+                  ~dst))
      | None ->
      let overlay = Bft_faults.Overlay.compile ~n:cfg.Config.n faults in
      if Bft_faults.Overlay.has_link_effects overlay then begin
@@ -387,46 +292,25 @@ let run_protocol (type m) ?(on_commit = fun ~node:_ _ -> ()) ?trace
        Bft_sim.Engine.set_link_delay engine (fun ~src:_ ~dst:_ ~now ->
            Bft_faults.Overlay.extra_delay overlay ~now)
      end;
-     let window_edges from_ until start_fault end_fault =
-       if Option.is_some trace then begin
-         Bft_sim.Engine.schedule_at engine from_ (fun () ->
-             emit_fault ~time:from_ ~node:(-1) start_fault);
-         Bft_sim.Engine.schedule_at engine until (fun () ->
-             emit_fault ~time:until ~node:(-1) end_fault)
-       end
-     in
      List.iter
-       (fun ev ->
+       (fun (at, ev) ->
          match ev with
-         | FS.Crash { node; at } ->
-             Bft_sim.Engine.schedule_at engine at (fun () ->
-                 Log.debug (fun m -> m "fault: crash node %d at %.0f" node at);
-                 Bft_sim.Engine.crash engine node;
-                 Bft_obs.Liveness.note_crash mon ~node ~time:at;
-                 emit_fault ~time:at ~node Bft_obs.Trace.Crash)
-         | FS.Recover { node; at } ->
-             Bft_sim.Engine.schedule_at engine at (fun () ->
-                 Log.debug (fun m ->
-                     m "fault: recover node %d at %.0f" node at);
-                 Bft_sim.Engine.recover engine node;
-                 Bft_obs.Liveness.note_recover mon ~node ~time:at;
-                 emit_fault ~time:at ~node Bft_obs.Trace.Recover;
-                 (* Rebuild the node from its WAL; [start] resumes from the
-                    recorded view and the block synchronizer refills the
-                    store (the node catches up instead of re-voting). *)
-                 let fresh = P.create ?wal:(wal_of node) (env_of node) in
-                 Bft_sim.Engine.set_handler engine node (P.handle fresh);
-                 P.start fresh)
-         | FS.Partition { from_; until; _ } ->
-             window_edges from_ until Bft_obs.Trace.Partition_start
-               Bft_obs.Trace.Partition_heal
-         | FS.Link_loss { from_; until; _ } ->
-             window_edges from_ until Bft_obs.Trace.Loss_start
-               Bft_obs.Trace.Loss_end
-         | FS.Delay_spike { from_; until; _ } ->
-             window_edges from_ until Bft_obs.Trace.Delay_start
-               Bft_obs.Trace.Delay_end)
-       faults;
+         | Bft_net.Fault_plane.Wall_crash node ->
+             Bft_sim.Engine.schedule_at engine at (fun () -> crash node)
+         | Bft_net.Fault_plane.Wall_recover node ->
+             Bft_sim.Engine.schedule_at engine at (fun () -> recover node)
+         | Bft_net.Fault_plane.Wall_edge fault ->
+             Option.iter
+               (fun sink ->
+                 Bft_sim.Engine.schedule_at engine at (fun () ->
+                     Bft_obs.Trace.emit sink
+                       {
+                         Bft_obs.Trace.time = at;
+                         node = -1;
+                         kind = Bft_obs.Trace.Fault fault;
+                       }))
+               trace)
+       (Bft_net.Fault_plane.wall_events faults);
      (* One liveness checkpoint per surviving disruption-free point; the
         supersession semantics live in {!FS.checkpoints}, shared with the
         net-trace liveness replay. *)
@@ -467,13 +351,10 @@ let run_protocol (type m) ?(on_commit = fun ~node:_ _ -> ()) ?trace
    end);
   Log.debug (fun m -> m "starting run: %a" Config.pp cfg);
   let alloc0 = Gc.allocated_bytes () in
-  List.iter P.start nodes;
+  Array.iter H.start hosts;
   (* A logical crash anchored at a view the node reaches during start-up
      must land before any message is delivered. *)
-  if logical then
-    Array.iteri
-      (fun id -> function Some _ -> !after_event_hook id | None -> ())
-      node_refs;
+  Array.iter H.fault_step hosts;
   Bft_sim.Engine.run engine ~until:cfg.Config.duration_ms;
   let alloc = Gc.allocated_bytes () -. alloc0 in
   let stats = Bft_sim.Engine.stats engine in

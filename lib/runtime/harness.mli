@@ -1,5 +1,9 @@
 (** The experiment harness: builds a simulated network from a {!Config.t},
     runs the configured protocol on it and returns the paper's metrics.
+    Nodes are hosted through {!Bft_net.Node_host} over the engine's
+    transport — the host the TCP cluster and the model checker use too —
+    so this module keeps only the event loop, the network and fault
+    models, and the metrics.
 
     Silent Byzantine nodes are modelled by not instantiating a node at all
     (their messages are never sent, their handlers drop everything), which is

@@ -2,8 +2,9 @@
     experiment harness.
 
     A protocol is a message type with a wire-size model plus an event-driven
-    node.  The harness instantiates one node per honest participant, wires
-    its {!Env.t} to the simulator and feeds it incoming messages. *)
+    node.  {!Bft_net.Node_host} instantiates one node per honest
+    participant, builds its {!Env.t} over a substrate's transport (the
+    simulator or TCP sockets) and feeds it incoming messages. *)
 
 module type S = sig
   type msg

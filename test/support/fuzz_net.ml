@@ -69,12 +69,21 @@ let create (type node)
       delivered = 0;
     }
   in
-  let env_of id =
+  let module H = Bft_net.Node_host.Make (P) in
+  let policy =
     {
-      Env.id;
-      validators = Validator_set.make n;
+      Bft_net.Node_host.n;
       delta = 10.;
-      now = (fun () -> t.clock);
+      leader_of = (fun view -> (view - 1) mod n);
+      payload_bytes = 0;
+      ingest = None;
+      trace = None;
+      faults = None;
+    }
+  in
+  let io id =
+    {
+      Bft_net.Node_host.now = (fun () -> t.clock);
       send =
         (fun dst msg ->
           if dst = id then t.handlers.(id) ~src:id msg
@@ -90,29 +99,23 @@ let create (type node)
           let cancelled = ref false in
           t.timers <- (cancelled, id, f) :: t.timers;
           fun () -> cancelled := true);
-      leader_of = (fun view -> (view - 1) mod n);
-      make_payload = (fun ~view ~parent:_ -> Payload.make ~id:view ~size_bytes:0);
-      on_commit =
-        (fun b ->
-          check_safety t b;
-          t.committed.(id) <- t.committed.(id) + 1);
-      on_propose = (fun _ -> ());
-      probe = None;
     }
   in
   for id = 0 to n - 1 do
-    let equivocate = equivocator && id = 0 in
-    let wal = P.wal_create () in
-    let boot () =
-      let node = P.create ~equivocate ~wal (env_of id) in
-      t.handlers.(id) <- P.handle node;
-      fun () -> P.start node
+    let h =
+      H.create policy ~id (io id) ~wal:(P.wal_create ())
+        ~equivocate:(equivocator && id = 0)
+        ~on_spawn:(fun _ handler -> t.handlers.(id) <- handler)
+        ~on_commit:(fun b ->
+          check_safety t b;
+          t.committed.(id) <- t.committed.(id) + 1)
     in
-    t.starts.(id) <- boot ();
+    H.spawn h;
+    t.starts.(id) <- (fun () -> H.start h);
     t.restarts.(id) <-
       (fun () ->
         t.down.(id) <- false;
-        (boot ()) ())
+        H.recover h)
   done;
   t
 

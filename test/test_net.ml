@@ -12,7 +12,10 @@
 
    Post-hoc readers: [Net_harness.check], [Tcp.quorum_commits],
    [Net_harness.net_liveness] and [Net_harness.client_stats] on synthetic
-   socket results, no sockets involved. *)
+   socket results, no sockets involved.
+
+   Node host: the logical fault step both substrates run after each event,
+   fed views by hand. *)
 
 open Bft_types
 module Wire = Bft_net.Wire
@@ -693,6 +696,40 @@ let client_stats_by_hand () =
 
 (* --- substrate cross-validation -------------------------------------------- *)
 
+(* --- node host fault step ------------------------------------------------------ *)
+
+(* One row per check: node [id] in incarnation [inc] under [sched] (view
+   anchors, n = 7) sees [views] after successive events and must get back
+   [want], one (crash, recover) verdict per event. *)
+let fault_step_table =
+  let no = (false, []) and crash = (true, []) in
+  let two = "crash@3:2;crash@4:3;recover@9:2;recover@10:3" in
+  [
+    ("crash once at its anchor", two, 2, 0, [ 1; 2; 3; 4; 9 ], [ no; no; crash; no; no ]);
+    ("crash when a view jumps past it", two, 3, 0, [ 1; 7; 8 ], [ no; crash; no ]);
+    ("no crash in a later incarnation", two, 2, 1, [ 1; 3; 5 ], [ no; no; no ]);
+    ( "observer orders each recovery once", two, 0, 0, [ 5; 9; 9; 10; 11 ],
+      [ no; (false, [ 2 ]); no; (false, [ 3 ]); no ] );
+    ("observer orders two in one step", two, 0, 0, [ 8; 12; 13 ], [ no; (false, [ 2; 3 ]); no ]);
+    ("non-observer orders none", two, 1, 0, [ 9; 10; 20 ], [ no; no; no ]);
+    ("empty schedule does nothing", "", 0, 0, [ 1; 5; 100 ], [ no; no; no ]);
+  ]
+
+let fault_step_run sched id inc views want () =
+  let module Fs = Bft_net.Node_host.Fault_step in
+  let fs =
+    match Bft_faults.Fault_schedule.of_string sched with
+    | Ok s -> Fs.create (Bft_faults.Logical.of_schedule_exn ~n:7 s) ~id ~incarnation:inc
+    | Error e -> Alcotest.fail e
+  in
+  Alcotest.(check (list (pair bool (list int))))
+    "verdicts" want
+    (List.map
+       (fun view ->
+         let v = Fs.step fs ~view in
+         (v.Bft_net.Node_host.crash, v.recover))
+       views)
+
 (* One table, one runner: each scenario runs on the simulator, a
    threads-mode cluster and — when the scenario crashes a node — a
    process-mode cluster, which must all commit the same (height, view,
@@ -817,6 +854,12 @@ let () =
           Alcotest.test_case "net_liveness by hand" `Quick net_liveness_by_hand;
           Alcotest.test_case "client_stats by hand" `Quick client_stats_by_hand;
         ] );
+      ( "host",
+        List.map
+          (fun (name, sched, id, inc, views, want) ->
+            Alcotest.test_case name `Quick
+              (fault_step_run sched id inc views want))
+          fault_step_table );
     ]
     @ List.map
         (fun (group, cases) ->

@@ -88,19 +88,61 @@ let test_disabled_sink_records_nothing () =
   check_int "disabled sink stays empty" 0 (Trace.length trace);
   check "run still commits" true (r.Harness.metrics.Metrics.committed_blocks > 0)
 
-let test_tracing_does_not_perturb_run () =
-  let untraced = Harness.run (cfg ()) in
-  let disabled = Trace.disabled () in
-  let with_disabled = Harness.run ~trace:disabled (cfg ()) in
-  let _, with_enabled = traced_run (cfg ()) in
-  check_int "disabled trace matches untraced commits"
-    untraced.Harness.metrics.Metrics.committed_blocks
-    with_disabled.Harness.metrics.Metrics.committed_blocks;
-  check_int "enabled trace matches untraced commits"
-    untraced.Harness.metrics.Metrics.committed_blocks
-    with_enabled.Harness.metrics.Metrics.committed_blocks;
-  check_int "message counts identical" untraced.Harness.messages_sent
-    with_enabled.Harness.messages_sent
+(* Tracing observes every host path without perturbing it: an untraced,
+   a disabled-sink and a traced run commit the same node-0 chain after the
+   same number of engine events — plus, traced on the wall clock, one event
+   per fault-window edge it records. *)
+let perturbation_table =
+  let long = { (cfg ()) with Config.duration_ms = 3000. } in
+  let views = { Bft_mempool.Spec.default with clock = Bft_mempool.Spec.Views } in
+  [
+    ("tracing does not perturb", cfg ());
+    ( "traced = untraced, wall faults",
+      {
+        long with
+        Config.faults =
+          Bft_faults.Fault_schedule.demo ~n:4 ~leader:1 ~crash_at:200.
+            ~partition_at:400. ~heal_at:700. ~recover_at:900.;
+      } );
+    ( "traced = untraced, logical faults",
+      {
+        long with
+        Config.faults = Bft_faults.Logical.random ~rng:(Bft_sim.Rng.create 7) ~n:4;
+        logical_faults = true;
+      } );
+    ("traced = untraced, views clients", { (cfg ()) with Config.clients = Some views });
+  ]
+
+let test_tracing_does_not_perturb config () =
+  let run trace =
+    let chain = ref [] in
+    let on_commit ~node b =
+      if node = 0 then chain := (b.Block.height, b.Block.view, b.Block.hash) :: !chain
+    in
+    let r = Harness.run ?trace ~on_commit config in
+    (!chain, r.Harness.events_processed)
+  in
+  let edges =
+    if config.Config.logical_faults then 0
+    else
+      List.length
+        (List.filter
+           (function _, Bft_net.Fault_plane.Wall_edge _ -> true | _ -> false)
+           (Bft_net.Fault_plane.wall_events config.Config.faults))
+  in
+  let chain0, events0 = run None in
+  check "node 0 committed" true (chain0 <> []);
+  let sink = Trace.create () in
+  List.iter
+    (fun (what, trace, extra) ->
+      let chain, events = run (Some trace) in
+      check (what ^ ": node 0 chain") true (chain = chain0);
+      check_int (what ^ ": events") (events0 + extra) events)
+    [ ("disabled sink", Trace.disabled (), 0); ("traced", sink, edges) ];
+  (* The fault rows really restart a node through the host. *)
+  check "recovery traced"
+    (Bft_faults.Fault_schedule.crash_count config.Config.faults > 0)
+    (List.mem Trace.(Fault Recover) (List.map (fun e -> e.Trace.kind) (Trace.events sink)))
 
 (* --- Sink basics -------------------------------------------------------------------- *)
 
@@ -201,9 +243,12 @@ let () =
         [
           Alcotest.test_case "disabled sink empty" `Quick
             test_disabled_sink_records_nothing;
-          Alcotest.test_case "tracing does not perturb" `Quick
-            test_tracing_does_not_perturb_run;
-        ] );
+        ]
+        @ List.map
+            (fun (name, config) ->
+              Alcotest.test_case name `Quick
+                (test_tracing_does_not_perturb config))
+            perturbation_table );
       ( "sink",
         [
           Alcotest.test_case "emit and clear" `Quick test_sink_emit_and_clear;
