@@ -1,6 +1,7 @@
 (* Bechamel micro-benchmarks of the hot paths under the simulation: block
-   hashing, vote aggregation, event-queue churn, block-store ancestry.
-   These are per-operation costs, printed in nanoseconds. *)
+   hashing, vote aggregation, event-queue churn, block-store ancestry, a
+   commit on a long chain.  These are per-operation costs, printed in
+   nanoseconds. *)
 
 open Bechamel
 open Toolkit
@@ -56,6 +57,63 @@ let test_store_ancestry =
          ignore
            (Bft_chain.Block_store.is_ancestor store ~ancestor:Block.genesis
               ~of_:tip)))
+
+(* Each call commits one more block, so this test runs with its own
+   sample limit, and the node holds enough blocks above h=4096 for every
+   call: bechamel's default sampling (start 1, next run max(1.01 * run,
+   run + 1)) makes [commit_calls] calls in [commit_limit] samples. *)
+let commit_limit = 200
+
+let commit_calls =
+  let rec go run samples acc =
+    if samples = 0 then acc
+    else
+      go (max (int_of_float (float_of_int run *. 1.01)) (run + 1))
+        (samples - 1) (acc + run)
+  in
+  go 1 commit_limit 0
+
+let null_env : unit Env.t =
+  {
+    id = 0;
+    validators = Validator_set.make 4;
+    delta = 50.;
+    now = (fun () -> 0.);
+    send = (fun _ () -> ());
+    multicast = (fun () -> ());
+    set_timer = (fun _ _ () -> ());
+    leader_of = (fun v -> v mod 4);
+    make_payload = (fun ~view ~parent:_ -> Payload.make ~id:view ~size_bytes:0);
+    on_commit = (fun _ -> ());
+    on_propose = (fun _ -> ());
+    probe = None;
+  }
+
+(* A node that has committed up to h=4096 and stores the next
+   [commit_calls] blocks; each call commits the next one. *)
+let test_commit_next =
+  let h = 4096 in
+  let allocate () =
+    let core = Moonshot.Node_core.create null_env in
+    let parent = ref Block.genesis in
+    let blocks =
+      Array.init (h + commit_calls) (fun i ->
+          let b =
+            Block.create ~parent:!parent ~view:(i + 1) ~proposer:(i mod 4)
+              ~payload:(Payload.make ~id:(i + 1) ~size_bytes:0)
+          in
+          Moonshot.Node_core.note_block core b;
+          parent := b;
+          b)
+    in
+    Moonshot.Node_core.commit core blocks.(h - 1);
+    (core, blocks, ref h)
+  in
+  Test.make_with_resource ~name:"commit next block at h=4096" Test.uniq
+    ~allocate ~free:ignore
+    (Staged.stage (fun (core, blocks, next) ->
+         Moonshot.Node_core.commit core blocks.(!next);
+         incr next))
 
 let test_signer_set =
   Test.make ~name:"signer-set add x200"
@@ -127,11 +185,20 @@ let test_probe_disabled =
            | Some f -> f (Probe.Timeout_sent { view = i })
          done))
 
+let default_cfg =
+  Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~stabilize:true ()
+
+let commit_cfg =
+  Benchmark.cfg ~limit:commit_limit ~quota:(Time.second 0.5) ~stabilize:true
+    ()
+
 let tests =
+  let d test = (default_cfg, test) in
   [
-    test_block_create; test_vote_aggregation; test_event_queue;
-    test_engine_multicast; test_store_ancestry; test_signer_set;
-    test_signer_set_to_list; test_trace_emit; test_probe_disabled;
+    d test_block_create; d test_vote_aggregation; d test_event_queue;
+    d test_engine_multicast; d test_store_ancestry;
+    (commit_cfg, test_commit_next); d test_signer_set;
+    d test_signer_set_to_list; d test_trace_emit; d test_probe_disabled;
   ]
 
 let run () =
@@ -141,11 +208,8 @@ let run () =
     Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:Measure.[| run |]
   in
   let instances = Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~stabilize:true ()
-  in
   List.iter
-    (fun test ->
+    (fun (cfg, test) ->
       let results = Benchmark.all cfg instances test in
       let analyzed = Analyze.all ols (List.hd instances) results in
       Hashtbl.iter

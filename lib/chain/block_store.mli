@@ -30,7 +30,10 @@ val is_ancestor : t -> ancestor:Block.t -> of_:Block.t -> [ `Yes | `No | `Unknow
 val descendants : t -> Hash.t -> Block.t list
 
 (** The chain from genesis to [b] inclusive, oldest first.  [None] when an
-    ancestor is missing. *)
+    ancestor is missing.  O(height of [b]) and allocating a list of that
+    length: commits use [Commit_log.connects], which calls this only on a
+    fork off the committed prefix.  It is kept for that fallback, for tests
+    and for the benchmark's chain probe. *)
 val chain_to : t -> Block.t -> Block.t list option
 
 (** Fold over every stored block (genesis included) in {e unspecified}

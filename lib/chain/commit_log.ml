@@ -71,4 +71,22 @@ let commit t store (b : Block.t) =
     newly
   end
 
+(* Walk parent links only down to the committed prefix.  Meeting it at the
+   committed hash settles the question: every committed block's ancestors
+   are in the store (the store never forgets and [commit] found each one
+   there).  Meeting it at another hash is a fork; only then does the whole
+   chain need walking, so a fork keeps its old outcome (deferred on a gap,
+   [Safety_violation] from [commit] otherwise). *)
+let connects t store (b : Block.t) =
+  let rec walk (cur : Block.t) =
+    if cur.Block.height < t.len then
+      Hash.equal t.chain.(cur.Block.height).Block.hash cur.Block.hash
+      || Option.is_some (Block_store.chain_to store cur)
+    else
+      match Block_store.find store cur.Block.parent with
+      | None -> false
+      | Some p -> walk p
+  in
+  walk b
+
 let to_list t = Array.to_list (Array.sub t.chain 0 t.len)

@@ -17,11 +17,21 @@ type t
 val create : ?on_commit:(Block.t -> unit) -> unit -> t
 
 (** [commit t store b] commits [b] and any uncommitted ancestors found in
-    [store].  Returns the list of newly committed blocks in chain order
-    (empty if [b] was already committed).  Raises [Safety_violation] on a
+    [store], walking parent links only down to the committed prefix.
+    Returns the list of newly committed blocks in chain order (empty if
+    [b] was already committed).  Raises [Safety_violation] on a
     conflicting commit and [Invalid_argument] when an ancestor is missing
     from [store]. *)
 val commit : t -> Block_store.t -> Block.t -> Block.t list
+
+(** [connects t store b] is [Block_store.chain_to store b <> None] for a
+    log that only ever committed through [store]: whether every ancestor of
+    [b] is in [store], so that {!commit} can run.  It walks only the
+    uncommitted suffix ending at [b], stopping at the first block below the
+    committed height; the full walk to genesis runs only when that block
+    is a fork (its hash differs from the committed one at its height).  A
+    commit therefore costs the new blocks, not the chain height. *)
+val connects : t -> Block_store.t -> Block.t -> bool
 
 val is_committed : t -> Hash.t -> bool
 val last : t -> Block.t  (** Highest committed block; genesis initially. *)

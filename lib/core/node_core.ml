@@ -41,11 +41,11 @@ let try_deferred t =
       let still_deferred =
         List.filter
           (fun b ->
-            match Block_store.chain_to t.store b with
-            | Some _ ->
-                ignore (Commit_log.commit t.log t.store b);
-                false
-            | None -> true)
+            if Commit_log.connects t.log t.store b then begin
+              ignore (Commit_log.commit t.log t.store b);
+              false
+            end
+            else true)
           pending
       in
       t.deferred_commits <- still_deferred
@@ -114,15 +114,14 @@ let chain_commits t ~depth (c : Cert.t) =
 let two_chain_commits t c = chain_commits t ~depth:2 c
 
 let commit t b =
-  match Block_store.chain_to t.store b with
-  | Some _ -> ignore (Commit_log.commit t.log t.store b)
-  | None ->
-      if
-        not
-          (List.exists
-             (fun (d : Block.t) -> Hash.equal d.Block.hash b.Block.hash)
-             t.deferred_commits)
-      then t.deferred_commits <- b :: t.deferred_commits
+  if Commit_log.connects t.log t.store b then
+    ignore (Commit_log.commit t.log t.store b)
+  else if
+    not
+      (List.exists
+         (fun (d : Block.t) -> Hash.equal d.Block.hash b.Block.hash)
+         t.deferred_commits)
+  then t.deferred_commits <- b :: t.deferred_commits
 
 let committed t = Commit_log.length t.log
 

@@ -11,7 +11,9 @@ val env : 'msg t -> 'msg Env.t
 val store : 'msg t -> Bft_chain.Block_store.t
 val log : 'msg t -> Bft_chain.Commit_log.t
 
-(** Record a block header seen in any message; retries deferred commits. *)
+(** Record a block header seen in any message; retries deferred commits.
+    A retry walks only the deferred block's uncommitted suffix (see
+    {!commit}). *)
 val note_block : 'msg t -> Block.t -> unit
 
 (** [add_vote t ~signer ~kind block] accumulates a vote.  Returns the
@@ -46,7 +48,10 @@ val chain_commits : 'msg t -> depth:int -> Cert.t -> Block.t list
 
 (** Commit a block (and its ancestors).  If an ancestor header has not
     arrived yet the commit is deferred and retried on the next
-    {!note_block}. *)
+    {!note_block}.  Both the connectivity check and the commit walk only
+    the uncommitted suffix ending at the block, so a commit costs the new
+    blocks, not the chain height; the full walk to genesis runs only when
+    the suffix meets the committed prefix at a different hash (a fork). *)
 val commit : 'msg t -> Block.t -> unit
 
 (** Number of blocks this node has committed (genesis excluded). *)

@@ -308,6 +308,88 @@ let test_sync_response_after_advance () =
   check "digest settles to the fresh state" true
     (Bft_types.Hash.equal (Sync.state_hash sync) (Sync.state_hash fresh))
 
+(* --- commits walk only the uncommitted suffix ------------------------------ *)
+
+(* A fork off genesis whose first block is missing, under a committed
+   prefix of height 3: the commit's walk meets the prefix at a different
+   hash (height 3), so it falls back to a full walk, which stops at the
+   gap.  The commit stays deferred; once the gap fills, the retried commit
+   reaches the commit log, which refuses the fork. *)
+let test_fork_fallback () =
+  let core = make () in
+  List.iter (fun v -> Node_core.note_block core (blk v)) [ 1; 2; 3 ];
+  Node_core.commit core (blk 3);
+  check_int "prefix committed" 3 (Node_core.committed core);
+  let g1 = B.block ~view:7 ~payload_id:71 ~parent:Block.genesis () in
+  let g2 = B.block ~view:8 ~payload_id:72 ~parent:g1 () in
+  let g3 = B.block ~view:9 ~payload_id:73 ~parent:g2 () in
+  let g4 = B.block ~view:10 ~payload_id:74 ~parent:g3 () in
+  List.iter (Node_core.note_block core) [ g2; g3; g4 ];
+  Node_core.commit core g4;
+  check "fork with a gap stays deferred" true (Node_core.has_deferred core);
+  check_int "nothing more committed" 3 (Node_core.committed core);
+  check "filling the gap raises Safety_violation" true
+    (try
+       Node_core.note_block core g1;
+       false
+     with Bft_chain.Commit_log.Safety_violation _ -> true)
+
+(* The chain [1 .. 4100] for the height-independence rows. *)
+let long_chain = Array.of_list (Block.genesis :: B.chain 4100)
+
+let minor_words f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+(* A node that has committed [long_chain] up to height [h]. *)
+let committed_to h =
+  let core = make () in
+  for i = 1 to h do
+    Node_core.note_block core long_chain.(i)
+  done;
+  Node_core.commit core long_chain.(h);
+  check_int "prefix committed" h (Node_core.committed core);
+  core
+
+(* Committing the next block allocates the same at h=64 as at h=4096.
+   While commits rebuilt the chain from genesis to test that it connects,
+   this delta grew linearly with h (one list cell per block). *)
+let test_commit_next_height_independent () =
+  let next h =
+    let core = committed_to h in
+    Node_core.note_block core long_chain.(h + 1);
+    let words =
+      minor_words (fun () -> Node_core.commit core long_chain.(h + 1))
+    in
+    check_int "next block committed" (h + 1) (Node_core.committed core);
+    words
+  in
+  Alcotest.(check (float 0.)) "same minor words at h=64 and h=4096"
+    (next 64) (next 4096)
+
+(* Likewise for a commit deferred across a 3-block gap and completed by
+   the [note_block] that fills it.  While commits rebuilt the chain from
+   genesis, this delta too grew linearly with h: the completing retry
+   walked the whole chain. *)
+let test_deferred_commit_height_independent () =
+  let across_gap h =
+    let core = committed_to h in
+    let top = long_chain.(h + 4) in
+    Node_core.note_block core top;
+    let words =
+      minor_words (fun () ->
+          Node_core.commit core top;
+          for i = h + 1 to h + 3 do
+            Node_core.note_block core long_chain.(i)
+          done)
+    in
+    check_int "gap filled and committed" (h + 4) (Node_core.committed core);
+    words
+  in
+  Alcotest.(check (float 0.)) "same minor words at h=64 and h=4096"
+    (across_gap 64) (across_gap 4096)
+
 let () =
   Alcotest.run "node-core"
     [
@@ -351,5 +433,13 @@ let () =
           Alcotest.test_case "deferred until ancestors" `Quick
             test_deferred_commit_until_ancestors;
           Alcotest.test_case "idempotent" `Quick test_commit_idempotent;
+        ] );
+      ( "commit-walk",
+        [
+          Alcotest.test_case "fork fallback" `Quick test_fork_fallback;
+          Alcotest.test_case "next block, height-independent" `Quick
+            test_commit_next_height_independent;
+          Alcotest.test_case "deferred commit, height-independent" `Quick
+            test_deferred_commit_height_independent;
         ] );
     ]

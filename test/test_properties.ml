@@ -311,6 +311,60 @@ let prop_store_out_of_order_insertion =
       | Some full -> List.length full = len + 1
       | None -> false)
 
+(* [Commit_log.connects] walks only down to the committed prefix and falls
+   back to a full walk on a fork; it must agree with [chain_to] on every
+   block, stored or not.  Block [i] extends block [i - 1] three times in
+   four, and otherwise a uniformly drawn earlier block, so chains grow long
+   and forks leave the committed prefix below its top.  A quarter of the
+   blocks are never stored, which puts gaps both above and below the
+   committed prefix.  Each commit targets a block [chain_to] can reach; a
+   conflicting one raises before it changes the log and is skipped. *)
+let block_tree_gen =
+  let open QCheck.Gen in
+  let* n = int_range 1 40 in
+  let* parents = list_repeat n (pair (int_range 0 3) nat) in
+  let* stored = list_repeat n (int_range 0 3) in
+  let* commits = list_size (int_range 0 4) nat in
+  return (parents, stored, commits)
+
+let prop_connects_matches_chain_to =
+  QCheck.Test.make ~count:500
+    ~name:"connects agrees with chain_to after any committed prefix"
+    (QCheck.make block_tree_gen ~print:(fun (parents, stored, commits) ->
+         let ints l = String.concat ";" (List.map string_of_int l) in
+         Printf.sprintf "parents=[%s] stored=[%s] commits=[%s]"
+           (String.concat ";"
+              (List.map (fun (k, r) -> Printf.sprintf "(%d,%d)" k r) parents))
+           (ints stored) (ints commits)))
+    (fun (parents, stored, commits) ->
+      let open Bft_chain in
+      let n = List.length parents in
+      let blocks = Array.make (n + 1) Bft_types.Block.genesis in
+      List.iteri
+        (fun j (kind, r) ->
+          let i = j + 1 in
+          let parent = if kind > 0 then i - 1 else r mod i in
+          blocks.(i) <-
+            Test_support.Builders.block ~view:i ~parent:blocks.(parent) ())
+        parents;
+      let store = Block_store.create () in
+      List.iteri
+        (fun j keep ->
+          if keep > 0 then ignore (Block_store.insert store blocks.(j + 1)))
+        stored;
+      let reachable b = Block_store.chain_to store b <> None in
+      let log = Commit_log.create () in
+      List.iter
+        (fun pick ->
+          let candidates = List.filter reachable (Array.to_list blocks) in
+          let target = List.nth candidates (pick mod List.length candidates) in
+          try ignore (Commit_log.commit log store target)
+          with Commit_log.Safety_violation _ -> ())
+        commits;
+      Array.for_all
+        (fun b -> Commit_log.connects log store b = reachable b)
+        blocks)
+
 (* --- vote rules ---------------------------------------------------------------------------------- *)
 
 let prop_no_normal_vote_for_equivocation =
@@ -522,12 +576,12 @@ let prop_proposal_size_monotone_in_payload =
 
 (* Perf tripwire riding along with the property suite: a small Pipelined
    Moonshot run must stay under a pinned bytes-allocated-per-event ceiling.
-   With the engine's message pools in place this config measures about
-   1050 B/event — at n=4 the per-view costs (blocks, certificates, vote
-   records, metrics conses) amortize over only 3-wide fan-outs, so the
-   figure is dominated by protocol allocations, not engine ones.  The 2500
-   ceiling leaves ~2.4x headroom for GC-state noise while still catching a
-   per-delivery allocation regression, which multiplies the figure.  A
+   This config measures about 560 B/event — at n=4 the per-view costs
+   (blocks, certificates, vote records, metrics conses) amortize over only
+   3-wide fan-outs, so the figure is dominated by protocol allocations,
+   not engine ones.  The 2500 ceiling leaves ~4.5x headroom for GC-state noise
+   while still catching a per-delivery allocation regression, which
+   multiplies the figure.  A
    warm-up run keeps one-time module/table initialization out of the
    measurement. *)
 let alloc_budget_ceiling = 2_500.
@@ -556,6 +610,39 @@ let alloc_budget () =
     true
     (per_event <= alloc_budget_ceiling)
 
+(* Second tripwire: a Commit Moonshot run on 1 ms links commits a chain of
+   thousands of blocks, so a commit whose cost grows with the chain height
+   shows up as bytes per committed block.  This config commits about 2200
+   blocks and measures about 27,500 B/block; the 70,000 ceiling is ~2.5x
+   that.  A commit that rebuilt the chain from genesis (allocating an
+   (h+1)-element list per commit attempt) measured about 578,000 B/block
+   here, 8x over the ceiling.  No warm-up: one-time initialization
+   amortizes over the 2200 blocks. *)
+let longchain_budget_ceiling = 70_000.
+
+let alloc_budget_longchain () =
+  let cfg =
+    {
+      (Config.local Protocol_kind.Commit_moonshot ~n:4) with
+      Config.latency = Config.Uniform { base = 1.; jitter = 0. };
+      duration_ms = 2_200.;
+      payload_bytes = 0;
+    }
+  in
+  let alloc0 = Harness.bytes_allocated_total () in
+  let r = Harness.run cfg in
+  let alloc = Harness.bytes_allocated_total () - alloc0 in
+  let blocks = r.Harness.metrics.Metrics.committed_blocks in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d blocks committed, at least 2000" blocks)
+    true (blocks >= 2000);
+  let per_block = float_of_int alloc /. float_of_int blocks in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f bytes/block within %.0f ceiling" per_block
+       longchain_budget_ceiling)
+    true
+    (per_block <= longchain_budget_ceiling)
+
 let () =
   let q = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "properties"
@@ -580,7 +667,9 @@ let () =
         q [ prop_percentile_bounds; prop_percentile_monotone; prop_outliers_partition ]
       );
       ("workload", q [ prop_schedules_are_fair ]);
-      ("chain", q [ prop_store_out_of_order_insertion ]);
+      ( "chain",
+        q [ prop_store_out_of_order_insertion; prop_connects_matches_chain_to ]
+      );
       ("rules", q [ prop_no_normal_vote_for_equivocation ]);
       ( "cost-models",
         q [ prop_cost_models_sane; prop_proposal_size_monotone_in_payload ] );
@@ -595,5 +684,9 @@ let () =
         @ [ Alcotest.test_case "progress exists" `Quick fuzz_commits_somewhere ] );
       ("faults", q [ prop_random_fault_schedules ]);
       ( "alloc",
-        [ Alcotest.test_case "bytes-per-event budget" `Quick alloc_budget ] );
+        [
+          Alcotest.test_case "bytes-per-event budget" `Quick alloc_budget;
+          Alcotest.test_case "long-chain bytes-per-block budget" `Quick
+            alloc_budget_longchain;
+        ] );
     ]
