@@ -14,6 +14,7 @@ let create () =
 
 let mem t h = Hashtbl.mem t.blocks (key h)
 let find t h = Hashtbl.find_opt t.blocks (key h)
+let find_key t k = Hashtbl.find_opt t.blocks k
 
 let insert t (b : Block.t) =
   if mem t b.Block.hash then false

@@ -15,6 +15,11 @@ val create : unit -> t
 val insert : t -> Block.t -> bool
 
 val find : t -> Hash.t -> Block.t option
+
+(** [find_key t k] is the stored block whose hash has [Hash.to_int] equal
+    to [k], the key the store is indexed by.  For tables that key blocks
+    by that int (the vote accumulator) and need the block back. *)
+val find_key : t -> int -> Block.t option
 val mem : t -> Hash.t -> bool
 val parent : t -> Block.t -> Block.t option
 val children : t -> Hash.t -> Block.t list

@@ -5,7 +5,11 @@ type 'msg t = {
   env : 'msg Env.t;
   store : Block_store.t;
   log : Commit_log.t;
-  votes : (int * int * int) Bft_crypto.Accumulator.t;
+  (* One accumulator per vote kind, indexed by [Vote_kind.to_tag] and keyed
+     by [Hash.to_int] of the block hash, the block's identity in the store:
+     an int key costs no allocation per vote, where a (view, kind, hash)
+     tuple would.  The block's view is implied by its hash. *)
+  votes : int Bft_crypto.Accumulator.t array;
   certs_by_view : (int, Cert.t list) Hashtbl.t;
   mutable high_cert : Cert.t;
   mutable deferred_commits : Block.t list;
@@ -18,8 +22,9 @@ let create env =
       store = Block_store.create ();
       log = Commit_log.create ~on_commit:env.Env.on_commit ();
       votes =
-        Bft_crypto.Accumulator.create ~n:(Env.n env)
-          ~threshold:(Env.quorum env);
+        Array.init Vote_kind.count (fun _ ->
+            Bft_crypto.Accumulator.create ~n:(Env.n env)
+              ~threshold:(Env.quorum env));
       certs_by_view = Hashtbl.create 64;
       high_cert = Cert.genesis;
       deferred_commits = [];
@@ -53,25 +58,35 @@ let try_deferred t =
 let note_block t b =
   if Block_store.insert t.store b then try_deferred t
 
-let vote_key ~kind (b : Block.t) =
-  (b.Block.view, Vote_kind.to_tag kind, Hash.to_int b.Block.hash)
-
 let add_vote t ~signer ~kind block =
   note_block t block;
-  match Bft_crypto.Accumulator.add t.votes (vote_key ~kind block) ~signer with
+  match
+    Bft_crypto.Accumulator.add
+      t.votes.(Vote_kind.to_tag kind)
+      (Hash.to_int block.Block.hash) ~signer
+  with
   | Threshold_reached signers ->
       Some
         (Cert.make ~kind ~view:block.Block.view ~block
            ~signers:(Bft_crypto.Signer_set.count signers))
   | Added _ | Duplicate | Already_complete -> None
 
+(* [find] rather than [find_opt], and a named walk rather than
+   [List.exists (Cert.equal_id c)]: every gossiped certificate lands here,
+   and neither may allocate. *)
 let certs_at t view =
-  Option.value ~default:[] (Hashtbl.find_opt t.certs_by_view view)
+  match Hashtbl.find t.certs_by_view view with
+  | certs -> certs
+  | exception Not_found -> []
+
+let rec mem_id c = function
+  | [] -> false
+  | c' :: rest -> Cert.equal_id c c' || mem_id c rest
 
 let record_cert t (c : Cert.t) =
   note_block t c.Cert.block;
   let existing = certs_at t c.Cert.view in
-  if List.exists (Cert.equal_id c) existing then false
+  if mem_id c existing then false
   else begin
     Hashtbl.replace t.certs_by_view c.Cert.view (c :: existing);
     if Cert.rank_gt c t.high_cert then t.high_cert <- c;
@@ -127,15 +142,20 @@ let committed t = Commit_log.length t.log
 
 let has_deferred t = t.deferred_commits <> []
 
+(* Runs after every handler (via [Sync.poke]); with nothing deferred it
+   returns before building the [probe] closure. *)
 let first_missing t =
-  let rec probe (child : Block.t) =
-    if Block.is_genesis child then None
-    else
-      match Block_store.find t.store child.Block.parent with
-      | Some parent -> probe parent
-      | None -> Some (child.Block.parent, child.Block.proposer)
-  in
-  List.find_map probe t.deferred_commits
+  match t.deferred_commits with
+  | [] -> None
+  | deferred ->
+      let rec probe (child : Block.t) =
+        if Block.is_genesis child then None
+        else
+          match Block_store.find t.store child.Block.parent with
+          | Some parent -> probe parent
+          | None -> Some (child.Block.parent, child.Block.proposer)
+      in
+      List.find_map probe deferred
 
 (* Hashtable-backed pieces (store, vote accumulator, cert table) combine
    per-entry digests with addition so the result is independent of
@@ -149,22 +169,37 @@ let state_hash t =
   in
   let log_h = Hash.of_fields (List.map bh (Commit_log.to_list t.log)) in
   let votes_h =
-    Bft_crypto.Accumulator.fold
-      (fun (view, tag, bkey) ~signers ~complete acc ->
-        (* Once complete, extra signers are behaviorally inert (the
-           certificate is already out; late votes only feed dedup), so they
-           are excluded — post-quorum vote-arrival orders collapse. *)
-        Int64.add acc
-          (h
-             (Hash.of_fields
-                (Int64.of_int view :: Int64.of_int tag :: Int64.of_int bkey
-                ::
-                (if complete then [ 1L ]
-                 else
-                   0L
-                   :: List.map Int64.of_int
-                        (Bft_crypto.Signer_set.to_list signers))))))
-      t.votes 0L
+    let acc = ref 0L in
+    Array.iteri
+      (fun tag votes ->
+        acc :=
+          Bft_crypto.Accumulator.fold
+            (fun bkey ~signers ~complete acc ->
+              (* A vote's block is noted before the vote counts, so the
+                 store holds it. *)
+              let view =
+                match Block_store.find_key t.store bkey with
+                | Some b -> b.Block.view
+                | None -> assert false
+              in
+              (* Once complete, extra signers are behaviorally inert (the
+                 certificate is already out; late votes only feed dedup), so
+                 they are excluded — post-quorum vote-arrival orders
+                 collapse. *)
+              Int64.add acc
+                (h
+                   (Hash.of_fields
+                      (Int64.of_int view :: Int64.of_int tag
+                     :: Int64.of_int bkey
+                      ::
+                      (if complete then [ 1L ]
+                       else
+                         0L
+                         :: List.map Int64.of_int
+                              (Bft_crypto.Signer_set.to_list signers))))))
+            votes !acc)
+      t.votes;
+    !acc
   in
   let certs_h =
     Hashtbl.fold

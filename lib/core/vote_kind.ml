@@ -6,6 +6,7 @@ let equal a b =
   | (Opt | Normal | Fallback), _ -> false
 
 let to_tag = function Opt -> 0 | Normal -> 1 | Fallback -> 2
+let count = 3
 let compare a b = Int.compare (to_tag a) (to_tag b)
 
 let pp ppf = function

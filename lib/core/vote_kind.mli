@@ -8,7 +8,11 @@ type t = Opt | Normal | Fallback
 val equal : t -> t -> bool
 val compare : t -> t -> int
 
-(** Stable small integer for use in aggregation keys. *)
+(** Stable small integer for use in aggregation keys, in
+    [\[0, count)]. *)
 val to_tag : t -> int
+
+(** Number of vote kinds. *)
+val count : int
 
 val pp : Format.formatter -> t -> unit

@@ -79,7 +79,12 @@ type 'msg t = {
   cpu_free : float array;
   msg_size : 'msg -> int;
   cpu_cost : ('msg -> float) option;
-  mutable clock : float;
+  (* [times.(clock_slot)] is the simulated time; [times.(time_slot)] carries
+     one event time to or from {!Network} and {!Event_queue}.  A mutable
+     float field of this mixed record would be stored boxed (one
+     allocation per clock tick), and a float passed between modules is
+     boxed too, so times live in this unboxed array instead. *)
+  times : float array;
   (* Fault state: [down.(i)] quenches node [i]'s sends, deliveries and
      timers; [epochs.(i)] counts its incarnations so events and timers from
      before a crash stay dead after recovery. *)
@@ -113,10 +118,15 @@ type 'msg t = {
   stats : stats;
 }
 
-(* [Float.max] is a cross-module call with NaN/signed-zero handling; clock
-   and queue times are finite and non-negative here, so a two-way compare
-   is equivalent on the hot path. *)
-let fmax (a : float) (b : float) = if a < b then b else a
+let clock_slot = 0
+let time_slot = 1
+let[@inline] clock t = Array.unsafe_get t.times clock_slot
+let[@inline] set_clock t time = Array.unsafe_set t.times clock_slot time
+
+(* [Float.max] handles NaN and signed zeros and is too large to inline, so
+   calling it boxes both arguments and its result.  Clock and queue times
+   are finite and non-negative, where a two-way compare is equivalent. *)
+let[@inline] fmax (a : float) (b : float) = if a < b then b else a
 
 let create ~n ~network ~seed ~msg_size ?cpu_cost () =
   if n < 1 then invalid_arg "Engine.create: n < 1";
@@ -133,7 +143,7 @@ let create ~n ~network ~seed ~msg_size ?cpu_cost () =
     cpu_free = Array.make n 0.;
     msg_size;
     cpu_cost;
-    clock = 0.;
+    times = [| 0.; 0. |];
     down = Array.make n false;
     epochs = Array.make n 0;
     cell_pool = [||];
@@ -225,21 +235,26 @@ let release_batch t b =
   Array.unsafe_set t.batch_pool len b;
   t.batch_pool_len <- len + 1
 
+(* Queue [ev] at [time], handed over in the time slot.  Inlined, so [time]
+   is never boxed. *)
+let[@inline] push_at t ~time ev =
+  Array.unsafe_set t.times time_slot time;
+  Event_queue.push_from t.queue t.times time_slot ev
+
 (* All event scheduling funnels through here so an installed capture hook
    sees every message, timer and thunk the simulation would otherwise order
    by time. *)
-let enqueue t ~time ev =
+let[@inline] enqueue t ~time ev =
   match t.capture with
-  | None -> Event_queue.push t.queue ~time ev
+  | None -> push_at t ~time ev
   | Some f -> f ev
 
 (* Message-event scheduling: pooled cells when the engine owns ordering,
    fresh cells under a capture hook (whose owner may hold them
    indefinitely). *)
-let enqueue_msg t ~time ~src ~dst ~epoch ~deliver msg =
+let[@inline] enqueue_msg t ~time ~src ~dst ~epoch ~deliver msg =
   match t.capture with
-  | None ->
-      Event_queue.push t.queue ~time (acquire_cell t ~src ~dst ~epoch ~deliver msg)
+  | None -> push_at t ~time (acquire_cell t ~src ~dst ~epoch ~deliver msg)
   | Some f -> f (fresh_cell ~src ~dst ~epoch ~deliver msg)
 
 let set_capture t f =
@@ -266,7 +281,7 @@ let set_link_delay t f =
 let set_delivery_tap t f =
   t.tap <- f;
   t.tap_installed <- true
-let now t = t.clock
+let now t = clock t
 let n t = t.n
 let node_rng t i = t.node_rngs.(i)
 
@@ -300,7 +315,7 @@ let deliver t ~src ~dst ~epoch msg =
   if (not (Array.unsafe_get t.down dst))
      && Array.unsafe_get t.epochs dst = epoch
   then begin
-    if t.tap_installed then t.tap ~time:t.clock ~src ~dst msg;
+    if t.tap_installed then t.tap ~time:(clock t) ~src ~dst msg;
     t.handlers.(dst) ~src msg
   end
 
@@ -313,10 +328,11 @@ let process t ~src ~dst ~epoch msg =
     match t.cpu_cost with
     | None -> deliver t ~src ~dst ~epoch msg
     | Some cost ->
-        let start = fmax t.clock (Array.unsafe_get t.cpu_free dst) in
+        let now = clock t in
+        let start = fmax now (Array.unsafe_get t.cpu_free dst) in
         let finish = start +. cost msg in
         Array.unsafe_set t.cpu_free dst finish;
-        if finish <= t.clock then deliver t ~src ~dst ~epoch msg
+        if finish <= now then deliver t ~src ~dst ~epoch msg
         else enqueue_msg t ~time:finish ~src ~dst ~epoch ~deliver:true msg
 
 (* One network send with the byte size already computed and accounted. *)
@@ -324,19 +340,20 @@ let send_sized t ~src ~dst ~size msg =
   if Array.unsafe_get t.down src then ()
   else if dst = src then
     (* Local hand-off: no serialization, no propagation, no CPU charge. *)
-    enqueue_msg t ~time:t.clock ~src ~dst
+    enqueue_msg t ~time:(clock t) ~src ~dst
       ~epoch:(Array.unsafe_get t.epochs dst)
       ~deliver:true msg
-  else if (not t.filter_installed) || t.filter ~src ~dst ~now:t.clock then begin
+  else if (not t.filter_installed) || t.filter ~src ~dst ~now:(clock t) then begin
     let drop = t.network.Network.drop_prob in
     if drop > 0. && Rng.float t.net_rng 1. < drop then ()
     else begin
+      let times = t.times in
+      Array.unsafe_set times time_slot (clock t);
+      Network.delivery_into t.network t.net_rng ~egress:t.egress_free ~src ~dst
+        ~size times time_slot;
+      let arrival = Array.unsafe_get times time_slot in
       let arrival =
-        Network.delivery_into t.network t.net_rng ~now:t.clock
-          ~egress:t.egress_free ~src ~dst ~size
-      in
-      let arrival =
-        if t.delay_installed then arrival +. t.delay ~src ~dst ~now:t.clock
+        if t.delay_installed then arrival +. t.delay ~src ~dst ~now:(clock t)
         else arrival
       in
       let epoch = Array.unsafe_get t.epochs dst in
@@ -397,7 +414,7 @@ let multicast t ~src msg =
              && net.Network.bandwidth_bps = None
              && net.Network.drop_prob = 0.
              && net.Network.duplicate_prob = 0. ->
-          let start = fmax t.clock (Array.unsafe_get t.egress_free src) in
+          let start = fmax (clock t) (Array.unsafe_get t.egress_free src) in
           if start >= net.Network.gst || net.Network.pre_gst_extra = 0. then begin
             (* Zero serialization time: the egress link frees at [start],
                matching n - 1 [delivery_into] calls. *)
@@ -414,7 +431,7 @@ let multicast t ~src msg =
               end
             done;
             b.b_count <- fanout;
-            Event_queue.push t.queue ~time:arrival b.b_ev
+            push_at t ~time:arrival b.b_ev
           end
           else
             (* Pre-GST extra delay draws per-destination randomness. *)
@@ -427,11 +444,11 @@ let set_timer ?(owner = -1) t delay f =
   if delay < 0. then invalid_arg "Engine.set_timer: negative delay";
   let epoch = if owner >= 0 then t.epochs.(owner) else 0 in
   let tm = { cancelled = false; owner; epoch; action = f } in
-  enqueue t ~time:(t.clock +. delay) (Timer tm);
+  enqueue t ~time:(clock t +. delay) (Timer tm);
   fun () -> tm.cancelled <- true
 
 let schedule_at t time f =
-  if time < t.clock then invalid_arg "Engine.schedule_at: time in the past";
+  if time < clock t then invalid_arg "Engine.schedule_at: time in the past";
   enqueue t ~time (Thunk f)
 
 let timer_live t tm =
@@ -477,8 +494,8 @@ let dispatch t ev =
   exec t ev
 
 let advance_clock t time =
-  if time < t.clock then invalid_arg "Engine.advance_clock: time in the past";
-  t.clock <- time
+  if time < clock t then invalid_arg "Engine.advance_clock: time in the past";
+  set_clock t time
 
 let run t ~until =
   let rec loop () =
@@ -486,13 +503,14 @@ let run t ~until =
       (* The run nominally reaches [until] even when no event is left:
          leaving the clock at the last event's time would make a
          subsequent [now] or [set_timer] act in the past. *)
-      t.clock <- fmax t.clock until
+      set_clock t (fmax (clock t) until)
     else begin
-      let time = Event_queue.min_time t.queue in
-      if time > until then t.clock <- until
+      Event_queue.min_time_into t.queue t.times time_slot;
+      let time = Array.unsafe_get t.times time_slot in
+      if time > until then set_clock t until
       else begin
         let ev = Event_queue.take t.queue in
-        t.clock <- time;
+        set_clock t time;
         (* A batch is [b_count] logical message events; read before [exec]
            recycles it. *)
         t.stats.events_processed <-

@@ -8,13 +8,23 @@ type t =
 let matrix_low = 0.75
 let matrix_high = 1.05
 
-let sample t rng ~src ~dst =
+(* [Rng.float rng bound], scaled here from the raw bits so the draw stays
+   an unboxed float: a float returned by another module is boxed. *)
+let[@inline] uniform rng bound =
+  float_of_int (Rng.bits53 rng) /. 9007199254740992. *. bound
+
+(* Each arm writes its sum straight into the slot, so no float leaves the
+   function. *)
+let add_sample t rng ~src ~dst times i =
+  let at = times.(i) in
   match t with
   | Uniform { base; jitter } ->
-      if jitter <= 0. then base else base +. Rng.float rng jitter
+      if jitter <= 0. then times.(i) <- at +. base
+      else times.(i) <- at +. (base +. uniform rng jitter)
   | Matrix { table; region_of } ->
       let p90 = table.(region_of src).(region_of dst) in
-      p90 *. (matrix_low +. Rng.float rng (matrix_high -. matrix_low))
+      times.(i) <-
+        at +. (p90 *. (matrix_low +. uniform rng (matrix_high -. matrix_low)))
 
 let upper_bound = function
   | Uniform { base; jitter } -> base +. Float.max 0. jitter

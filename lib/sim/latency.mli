@@ -14,9 +14,13 @@ type t =
       region_of : int -> int;  (** Node id to region index. *)
     }
 
-(** [sample t rng ~src ~dst] draws the propagation latency for one message
-    from [src] to [dst]. *)
-val sample : t -> Rng.t -> src:int -> dst:int -> float
+(** [add_sample t rng ~src ~dst times i] draws the propagation latency of
+    one message from [src] to [dst] and adds it to [times.(i)].  The
+    result goes into a float array slot, not a return value, so the draw
+    allocates nothing ({!Network.delivery_into} passes the message's
+    egress-done time in the slot).  Raises [Invalid_argument] when [i] is
+    out of bounds. *)
+val add_sample : t -> Rng.t -> src:int -> dst:int -> float array -> int -> unit
 
 (** Largest latency the model can produce (used to sanity-check Delta). *)
 val upper_bound : t -> float

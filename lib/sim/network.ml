@@ -22,38 +22,28 @@ let make ?bandwidth_bps ?(gst = 0.) ?(pre_gst_extra = 0.) ?(duplicate_prob = 0.)
   { latency; bandwidth_bps; gst; delta; pre_gst_extra; duplicate_prob;
     drop_prob }
 
-let serialization_ms t ~size =
+let[@inline] serialization_ms t ~size =
   match t.bandwidth_bps with
   | None -> 0.
   | Some bps -> float_of_int size *. 8. /. bps *. 1000.
 
-(* The simulator's per-message path.  [egress.(src)] is read and written in
-   place (unboxed float-array traffic) and only the arrival time crosses the
-   call boundary, so a send costs two float boxes instead of the five a
-   tupled return would. *)
-let delivery_into t rng ~now ~egress ~src ~dst ~size =
-  let start = Float.max now (Array.unsafe_get egress src) in
+(* The simulator's per-message path.  Under the dev profile's [-opaque] a
+   float passed to or returned from another module is boxed, so no float
+   crosses this function's boundary: the send time comes in and the
+   arrival time goes out through [times.(i)], and [egress.(src)] is updated
+   in place.  Times are finite and non-negative, so a two-way compare
+   stands in for [Float.max], which is too large to inline. *)
+let delivery_into t rng ~egress ~src ~dst ~size times i =
+  let now = times.(i) and free = egress.(src) in
+  let start = if now < free then free else now in
   let egress_end = start +. serialization_ms t ~size in
-  Array.unsafe_set egress src egress_end;
-  let propagation = Latency.sample t.latency rng ~src ~dst in
-  let base = egress_end +. propagation in
-  if start >= t.gst || t.pre_gst_extra = 0. then base
-  else
+  egress.(src) <- egress_end;
+  times.(i) <- egress_end;
+  Latency.add_sample t.latency rng ~src ~dst times i;
+  if start < t.gst && t.pre_gst_extra <> 0. then begin
     (* Adversarial extra delay, but the partially synchronous model still
        requires delivery within Delta of max(send time, GST). *)
+    let base = times.(i) in
     let delayed = base +. Rng.float rng t.pre_gst_extra in
-    Float.min delayed (Float.max base (t.gst +. t.delta))
-
-let delivery t rng ~now ~egress_free ~src ~dst ~size =
-  let start = Float.max now egress_free in
-  let egress_end = start +. serialization_ms t ~size in
-  let propagation = Latency.sample t.latency rng ~src ~dst in
-  let base = egress_end +. propagation in
-  let arrival =
-    if start >= t.gst || t.pre_gst_extra = 0. then base
-    else
-      let delayed = base +. Rng.float rng t.pre_gst_extra in
-      Float.min delayed (Float.max base (t.gst +. t.delta))
-  in
-  (egress_end, arrival)
-
+    times.(i) <- Float.min delayed (Float.max base (t.gst +. t.delta))
+  end

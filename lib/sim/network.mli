@@ -50,29 +50,22 @@ val make :
 (** Serialization time of [size] bytes on the egress link, ms. *)
 val serialization_ms : t -> size:int -> float
 
-(** [delivery t rng ~now ~egress_free ~src ~dst ~size] computes
-    [(egress_busy_until, delivery_time)] for a message handed to the network
-    at [now] whose sender's egress is free from [egress_free]. *)
-val delivery :
-  t ->
-  Rng.t ->
-  now:float ->
-  egress_free:float ->
-  src:int ->
-  dst:int ->
-  size:int ->
-  float * float
-
-(** Same model as {!delivery}, shaped for the engine's per-message hot
-    path: reads and updates [egress.(src)] (the per-node egress-busy-until
-    array) in place and returns only the arrival time, so nothing but two
-    floats is boxed per call. *)
+(** [delivery_into t rng ~egress ~src ~dst ~size times i] hands one
+    message of [size] bytes from [src] to the network at time [times.(i)]
+    and replaces [times.(i)] with its arrival time at [dst].  [egress] is
+    the per-node egress-busy-until array: the message waits for
+    [egress.(src)], occupies the link for {!serialization_ms}, and
+    [egress.(src)] is advanced to when the link frees.  Propagation is
+    drawn with {!Latency.add_sample}.  Times travel through array slots
+    because a float passed between modules is boxed; this is the engine's
+    per-message path and allocates nothing after GST. *)
 val delivery_into :
   t ->
   Rng.t ->
-  now:float ->
   egress:float array ->
   src:int ->
   dst:int ->
   size:int ->
-  float
+  float array ->
+  int ->
+  unit

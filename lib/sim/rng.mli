@@ -13,8 +13,15 @@ val create : int -> t
     each node / channel its own generator without correlating draws. *)
 val split : t -> t
 
-(** Uniform in [\[0, bound)].  [bound] must be positive. *)
+(** Uniform in [\[0, bound)].  [bound] must be positive.  Equal to
+    [float_of_int (bits53 t) /. 2{^53} *. bound]. *)
 val float : t -> float -> float
+
+(** The next draw as 53 uniform bits, in [\[0, 2{^53})].  For hot paths in
+    other modules: a [float] returned across a module boundary is boxed,
+    an [int] is not, so callers scale the bits themselves as {!float}
+    does.  Consumes the same draw as {!float}. *)
+val bits53 : t -> int
 
 (** Uniform in [\[0, bound)].  [bound] must be positive. *)
 val int : t -> int -> int

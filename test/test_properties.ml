@@ -576,10 +576,10 @@ let prop_proposal_size_monotone_in_payload =
 
 (* Perf tripwire riding along with the property suite: a small Pipelined
    Moonshot run must stay under a pinned bytes-allocated-per-event ceiling.
-   This config measures about 560 B/event — at n=4 the per-view costs
+   This config measures about 250 B/event — at n=4 the per-view costs
    (blocks, certificates, vote records, metrics conses) amortize over only
    3-wide fan-outs, so the figure is dominated by protocol allocations,
-   not engine ones.  The 2500 ceiling leaves ~4.5x headroom for GC-state noise
+   not engine ones.  The 2500 ceiling leaves ~10x headroom for GC-state noise
    while still catching a per-delivery allocation regression, which
    multiplies the figure.  A
    warm-up run keeps one-time module/table initialization out of the
@@ -613,7 +613,7 @@ let alloc_budget () =
 (* Second tripwire: a Commit Moonshot run on 1 ms links commits a chain of
    thousands of blocks, so a commit whose cost grows with the chain height
    shows up as bytes per committed block.  This config commits about 2200
-   blocks and measures about 27,500 B/block; the 70,000 ceiling is ~2.5x
+   blocks and measures about 21,300 B/block; the 70,000 ceiling is ~3.3x
    that.  A commit that rebuilt the chain from genesis (allocating an
    (h+1)-element list per commit attempt) measured about 578,000 B/block
    here, 8x over the ceiling.  No warm-up: one-time initialization
@@ -642,6 +642,39 @@ let alloc_budget_longchain () =
        longchain_budget_ceiling)
     true
     (per_block <= longchain_budget_ceiling)
+
+(* Third tripwire, on the WAN path the paper's experiments run: Commit
+   Moonshot at n = 16 on [Config.default] (region latency matrix, 10 Gbit/s
+   egress, CPU model), 5 s simulated.  Every delivered message crosses the
+   network model, the event queue, the CPU queue and a vote or
+   certificate handler.  This config measures about 40 B/event; the
+   ceiling is about twice that.  While times, Rng state, vote keys and
+   accumulator outcomes were still boxed per message it measured about
+   163 B/event, over the ceiling. *)
+let wan_budget_ceiling = 80.
+
+let alloc_budget_wan () =
+  let cfg =
+    {
+      (Config.default Protocol_kind.Commit_moonshot ~n:16) with
+      Config.duration_ms = 5_000.;
+    }
+  in
+  ignore (Harness.run cfg);
+  let events0 = Harness.events_processed_total () in
+  let alloc0 = Harness.bytes_allocated_total () in
+  let r = Harness.run cfg in
+  let events = Harness.events_processed_total () - events0 in
+  let alloc = Harness.bytes_allocated_total () - alloc0 in
+  Alcotest.(check bool)
+    "run made progress" true
+    (events > 0 && r.Harness.metrics.Metrics.committed_blocks > 0);
+  let per_event = float_of_int alloc /. float_of_int events in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f bytes/event within %.0f ceiling" per_event
+       wan_budget_ceiling)
+    true
+    (per_event <= wan_budget_ceiling)
 
 let () =
   let q = List.map QCheck_alcotest.to_alcotest in
@@ -688,5 +721,7 @@ let () =
           Alcotest.test_case "bytes-per-event budget" `Quick alloc_budget;
           Alcotest.test_case "long-chain bytes-per-block budget" `Quick
             alloc_budget_longchain;
+          Alcotest.test_case "WAN bytes-per-event budget" `Quick
+            alloc_budget_wan;
         ] );
     ]
