@@ -85,7 +85,8 @@ let tag = function
   | Message.Blocks_response _ -> 0x0b
 
 let encode (m : Message.t) =
-  Wire.encode_body ~tag:(tag m) (fun w ->
+  Wire.encode_body ~payload_bytes:(Message.payload_bytes m) ~tag:(tag m)
+    (fun w ->
       match m with
       | Message.Opt_propose { block } -> write_block_data w block
       | Message.Propose { block; cert } ->
@@ -155,7 +156,7 @@ let decode_msg body = Result.map_error Wire.error_to_string (decode body)
    in a file the same node wrote.  All five protocol variants share
    [Wal.t], so this one codec serves them all. *)
 
-let encode_wal (wal : Wal.t) =
+let encode_wal_uncached (wal : Wal.t) =
   let w = W.create () in
   (match Wal.load wal with
   | None -> W.u8 w 0
@@ -167,6 +168,8 @@ let encode_wal (wal : Wal.t) =
       W.option w write_block s.Wal.voted_opt;
       W.bool w s.Wal.voted_main);
   W.contents w
+
+let encode_wal wal = Wal.snapshot wal encode_wal_uncached
 
 let decode_wal body =
   Wire.run_decoder (fun () ->

@@ -75,6 +75,10 @@ val decode_msg : string -> (Message.t, string) result
     variants share {!Wal.t}, so this codec serves every
     [Protocol_intf.S.wal_encode]/[wal_decode]. *)
 
+(** Snapshot bytes, cached per record ({!Wal.snapshot}): on a log
+    unchanged since the last call it returns the physically same string
+    and allocates nothing, which is how the TCP transport detects that a
+    persist has nothing new to write. *)
 val encode_wal : Wal.t -> string
 
 (** Total inverse of {!encode_wal}: a fresh WAL holding the decoded

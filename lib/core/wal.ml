@@ -8,13 +8,26 @@ type state = {
   voted_main : bool;
 }
 
-type t = { mutable latest : state option; mutable writes : int }
+type t = {
+  mutable latest : state option;
+  mutable writes : int;
+  mutable snapshot : string option;
+}
 
-let create () = { latest = None; writes = 0 }
+let create () = { latest = None; writes = 0; snapshot = None }
 
 let record t state =
   t.latest <- Some state;
-  t.writes <- t.writes + 1
+  t.writes <- t.writes + 1;
+  t.snapshot <- None
+
+let snapshot t encode =
+  match t.snapshot with
+  | Some s -> s
+  | None ->
+      let s = encode t in
+      t.snapshot <- Some s;
+      s
 
 let load t = t.latest
 let writes t = t.writes

@@ -34,6 +34,12 @@ val record : t -> state -> unit
 
 val load : t -> state option
 
+(** [snapshot t encode] is [encode t], computed once per record: the
+    result is cached until the next {!record}, so repeated calls on an
+    unchanged log return the physically same string without allocating.
+    [encode] must be a pure function of {!load}. *)
+val snapshot : t -> (t -> string) -> string
+
 (** Number of records written (introspection for tests). *)
 val writes : t -> int
 

@@ -12,7 +12,8 @@ let tag = function
   | Jolteon_msg.Blocks_response _ -> 0x25
 
 let encode (m : Jolteon_msg.t) =
-  Wire.encode_body ~tag:(tag m) (fun w ->
+  Wire.encode_body ~payload_bytes:(Jolteon_msg.payload_bytes m) ~tag:(tag m)
+    (fun w ->
       match m with
       | Jolteon_msg.Propose { block; qc; tc } ->
           C.write_block_data w block;

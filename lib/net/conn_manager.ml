@@ -9,8 +9,8 @@ type stats = {
   reconnects : int;
 }
 
-(* A frame waiting for its release time (enqueue time + pacing/spike
-   delay).  Releases are monotone in enqueue order except across the end
+(* A frame waiting for its release time (send time + pacing/spike
+   delay).  Releases are monotone in send order except across the end
    of a delay-spike window; waiting on the head frame (instead of
    reordering) keeps per-link FIFO, which is what a TCP stream would do
    anyway. *)
@@ -31,6 +31,8 @@ type t = {
   plane : Fault_plane.t;
   backoff_base_ms : float;
   backoff_cap_ms : float;
+  held : item Queue.t;
+      (* Frames sent since the last [release]; executor-only, unlocked. *)
   queue : item Queue.t;
   qm : Mutex.t;
   qc : Condition.t;
@@ -161,6 +163,7 @@ let create ?(backoff_base_ms = 10.) ?(backoff_cap_ms = 500.) ~n ~id ~ports
       plane;
       backoff_base_ms;
       backoff_cap_ms;
+      held = Queue.create ();
       queue = Queue.create ();
       qm = Mutex.create ();
       qc = Condition.create ();
@@ -195,12 +198,18 @@ let send t ~dst ~src_view frame =
   | `Drop -> t.dropped.(dst) <- t.dropped.(dst) + 1
   | `Pass ->
       let release = now +. Fault_plane.delay_ms t.plane ~now_ms:now in
-      Mutex.lock t.qm;
-      if not t.quit then begin
-        Queue.push { release; dst; frame } t.queue;
-        Condition.signal t.qc
-      end;
-      Mutex.unlock t.qm
+      Queue.push { release; dst; frame } t.held
+
+let release t =
+  if not (Queue.is_empty t.held) then begin
+    Mutex.lock t.qm;
+    if t.quit then Queue.clear t.held
+    else begin
+      Queue.transfer t.held t.queue;
+      Condition.signal t.qc
+    end;
+    Mutex.unlock t.qm
+  end
 
 let flush t ~timeout_s =
   let deadline = Unix.gettimeofday () +. timeout_s in

@@ -8,8 +8,8 @@
 
     Three responsibilities live here:
 
-    - {b Fault interposition}: every enqueued frame gets a
-      {!Fault_plane.verdict} using the sender's view at enqueue time and
+    - {b Fault interposition}: every frame gets a
+      {!Fault_plane.verdict} using the sender's view at send time and
       the wall clock; dropped frames are counted per destination, delayed
       frames sit in the queue until their release time.  Interposition
       happens on encoded frames, below the codec.
@@ -51,12 +51,23 @@ val create :
   unit ->
   t
 
-(** Enqueue a frame.  [src_view] is the sender's current view (the
-    logical clock for partition verdicts).  Never blocks. *)
+(** Take a frame's fault verdict and release time now, from [src_view]
+    (the sender's current view, the logical clock for partition
+    verdicts) and the wall clock, then hold the frame until the next
+    {!release}.  Never blocks; executor thread only.  Holding is what
+    makes the WAL write ahead of the wire: the executor releases an
+    iteration's frames only once that iteration's WAL snapshot is on
+    disk. *)
 val send : t -> dst:int -> src_view:int -> string -> unit
 
+(** Hand every frame held since the previous call to the sender thread,
+    in send order, under one acquisition of the queue lock.  Executor
+    thread only. *)
+val release : t -> unit
+
 (** Wait until the queue has fully drained (including frames still held
-    for pacing) or [timeout_s] elapsed; returns whether it drained.
+    for pacing, but not frames held for {!release}) or [timeout_s]
+    elapsed; returns whether it drained.
     Called on the crash path so that frames the protocol logically sent
     before the crash point reach the wire — the simulator's crash
     semantics, where scheduled deliveries from the victim survive. *)

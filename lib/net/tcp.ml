@@ -217,6 +217,21 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
+(* Write [s] to [tmp] through a bare fd (no channel buffer to allocate),
+   then rename it over [path]: a reader sees the old snapshot or the new
+   one, never a torn write. *)
+let write_file_atomic ~tmp ~path s =
+  let fd =
+    Unix.openfile tmp [ Unix.O_WRONLY; O_CREAT; O_TRUNC; O_CLOEXEC ] 0o644
+  in
+  Fun.protect ~finally:(fun () -> close_quiet fd) (fun () -> Wire.write_all fd s);
+  Unix.rename tmp path
+
+(* How long an accepted connection may take to deliver its hello frame.
+   Dialers write the hello right after [connect], so only a dead or
+   hostile connector comes close. *)
+let hello_timeout_s = 0.5
+
 (* How one incarnation of a validator ended: externally stopped (normal
    shutdown, deadline, executor exception) or crashed by the fault plane.
    A crash carries the final WAL snapshot so the next incarnation can be
@@ -271,26 +286,29 @@ let node_main (type m) (module P : Protocol_intf.S with type msg = m)
   let view () =
     match !node_ref with Some nd -> P.current_view nd | None -> 0
   in
-  (* The WAL snapshot reaches the file after every event; the host's
-     fault step (the node's own logical crash, the observer's recovery
-     orders) runs inside the handler and timer callbacks. *)
-  let last_wal = ref (Option.value wal_blob ~default:"") in
-  let persist_wal () =
+  (* Output commit: the WAL snapshot reaches the file once per loop
+     iteration, after that iteration's handlers and timers and before
+     {!Conn_manager.release} hands their frames to the sender thread, so no
+     vote is on the wire before the state that binds it is on disk.  The
+     host's fault step (the node's own logical crash, the observer's
+     recovery orders) runs inside the handler and timer callbacks. *)
+  let persist_wal =
     match wal_file with
-    | None -> ()
+    | None -> fun () -> ()
     | Some path ->
-        let s = P.wal_encode wal in
-        if not (String.equal s !last_wal) then begin
-          last_wal := s;
-          try
-            let tmp = path ^ ".tmp" in
-            let oc = open_out_bin tmp in
-            output_string oc s;
-            close_out oc;
-            Sys.rename tmp path
-          with Sys_error _ ->
-            Log.err (fun m -> m "node %d: cannot persist WAL" id)
-        end
+        let tmp = path ^ ".tmp" in
+        let last = ref (Option.value wal_blob ~default:"") in
+        fun () ->
+          (* The snapshot is cached until the next record: an unchanged log
+             returns the same string, and [String.equal] tests physical
+             equality first. *)
+          let s = P.wal_encode wal in
+          if not (String.equal s !last) then begin
+            last := s;
+            try write_file_atomic ~tmp ~path s
+            with Unix.Unix_error _ ->
+              Log.err (fun m -> m "node %d: cannot persist WAL" id)
+          end
   in
   (* Client-traffic ingestion: each validator rebuilds the identical seeded
      arrival stream locally, so a leader's watermark observation is the only
@@ -384,10 +402,13 @@ let node_main (type m) (module P : Protocol_intf.S with type msg = m)
       Conn_manager.force_close cm);
   (try
      H.spawn host;
+     (* Set by every handler or timer run; the end of a loop iteration
+        persists only when something ran. *)
+     let ran = ref false in
      let deliver ~src ~bytes msg =
+       ran := true;
        H.delivered host ~src ~bytes msg;
-       !handler ~src msg;
-       persist_wal ()
+       !handler ~src msg
      in
      let rec drain_self () =
        if not !crashing then
@@ -409,10 +430,17 @@ let node_main (type m) (module P : Protocol_intf.S with type msg = m)
        List.iter
          (fun (_, _, f) ->
            if not !crashing then begin
-             f ();
-             persist_wal ()
+             ran := true;
+             f ()
            end)
          (List.sort (fun (a, _, _) (b, _, _) -> Float.compare a b) due)
+     in
+     let end_iteration () =
+       if !ran then begin
+         ran := false;
+         persist_wal ()
+       end;
+       Conn_manager.release cm
      in
      let accept_conn () =
        match Unix.accept listener with
@@ -420,7 +448,17 @@ let node_main (type m) (module P : Protocol_intf.S with type msg = m)
        | fd, _ -> (
            (try Unix.setsockopt fd Unix.TCP_NODELAY true
             with Unix.Unix_error _ -> ());
-           match Wire.read_frame fd with
+           (* The hello read blocks the executor: bound it, so a connector
+              that never sends one (a peer killed mid-dial) costs at most
+              [hello_timeout_s], then lift the bound for the connection's
+              lifetime. *)
+           let hello () =
+             Unix.setsockopt_float fd Unix.SO_RCVTIMEO hello_timeout_s;
+             let r = Wire.read_frame fd in
+             Unix.setsockopt_float fd Unix.SO_RCVTIMEO 0.;
+             r
+           in
+           match hello () with
            | Ok body -> (
                match decode_hello body with
                | Ok (src, n', proto)
@@ -442,70 +480,64 @@ let node_main (type m) (module P : Protocol_intf.S with type msg = m)
      in
      H.start host;
      H.fault_step host;
-     persist_wal ();
+     ran := true;
      drain_self ();
+     end_iteration ();
      let hard_deadline = cfg.timeout_ms +. 5000. in
      while (not (Atomic.get stop)) && not !crashing do
-       (* Wall-clock crashes land at event-loop boundaries, never inside
-          a handler, so the WAL file on disk is always a post-handler
-          snapshot. *)
+       (* Wall-clock crashes land at loop-iteration boundaries, never
+          inside a handler, so the WAL file on disk is always an
+          end-of-iteration snapshot and every frame of the iteration has
+          been released. *)
        if Atomic.get crash_flag then crashing := true
+       else if now_ms t0 > hard_deadline then Atomic.set stop true
        else begin
+         (let timeout =
+            let d = (next_deadline () -. now_ms t0) /. 1000. in
+            Float.max 0. (Float.min d max_select_s)
+          in
+          let fds =
+            (listener :: (match ctl_fd with Some f -> [ f ] | None -> []))
+            @ List.map fst !conns
+          in
+          match Unix.select fds [] [] timeout with
+          | exception Unix.Unix_error (EINTR, _, _) -> ()
+          | exception Unix.Unix_error (EBADF, _, _) ->
+              (* Watchdog force-closed our sockets under us. *)
+              Atomic.set stop true
+          | ready, _, _ ->
+              List.iter
+                (fun fd ->
+                  if !crashing then ()
+                  else if fd = listener then accept_conn ()
+                  else if ctl_fd = Some fd then handle_ctl fd
+                  else
+                    match List.assoc_opt fd !conns with
+                    | None -> ()
+                    | Some src -> (
+                        match Wire.read_frame fd with
+                        | Ok body -> (
+                            match P.decode_msg body with
+                            | Ok msg ->
+                                deliver ~src ~bytes:(String.length body + 4) msg;
+                                drain_self ()
+                            | Error reason ->
+                                malformed.(src) <- malformed.(src) + 1;
+                                Log.debug (fun m ->
+                                    m "node %d: dropped frame from %d: %s" id
+                                      src reason))
+                        | Error `Closed -> close_conn fd
+                        | Error (`Frame_error e) ->
+                            malformed.(src) <- malformed.(src) + 1;
+                            Log.debug (fun m ->
+                                m "node %d: framing error from %d: %s" id src
+                                  (Wire.error_to_string e));
+                            close_conn fd
+                        | exception Unix.Unix_error _ -> close_conn fd))
+                ready);
          fire_due ();
          drain_self ();
-         if not !crashing then begin
-           if now_ms t0 > hard_deadline then Atomic.set stop true
-           else begin
-             let timeout =
-               let d = (next_deadline () -. now_ms t0) /. 1000. in
-               Float.max 0. (Float.min d max_select_s)
-             in
-             let fds =
-               (listener
-               :: (match ctl_fd with Some f -> [ f ] | None -> []))
-               @ List.map fst !conns
-             in
-             match Unix.select fds [] [] timeout with
-             | exception Unix.Unix_error (EINTR, _, _) -> ()
-             | exception Unix.Unix_error (EBADF, _, _) ->
-                 (* Watchdog force-closed our sockets under us. *)
-                 Atomic.set stop true
-             | ready, _, _ ->
-                 List.iter
-                   (fun fd ->
-                     if !crashing then ()
-                     else if fd = listener then accept_conn ()
-                     else if ctl_fd = Some fd then handle_ctl fd
-                     else
-                       match List.assoc_opt fd !conns with
-                       | None -> ()
-                       | Some src -> (
-                           match Wire.read_frame fd with
-                           | Ok body -> (
-                               match P.decode_msg body with
-                               | Ok msg ->
-                                   deliver ~src
-                                     ~bytes:(String.length body + 4)
-                                     msg;
-                                   drain_self ()
-                               | Error reason ->
-                                   malformed.(src) <- malformed.(src) + 1;
-                                   Log.debug (fun m ->
-                                       m
-                                         "node %d: dropped frame from %d: \
-                                          %s"
-                                         id src reason))
-                           | Error `Closed -> close_conn fd
-                           | Error (`Frame_error e) ->
-                               malformed.(src) <- malformed.(src) + 1;
-                               Log.debug (fun m ->
-                                   m "node %d: framing error from %d: %s" id
-                                     src (Wire.error_to_string e));
-                               close_conn fd
-                           | exception Unix.Unix_error _ -> close_conn fd))
-                   ready
-           end
-         end
+         end_iteration ()
        end
      done
    with exn ->
@@ -514,12 +546,12 @@ let node_main (type m) (module P : Protocol_intf.S with type msg = m)
   if !crashing then begin
     H.emit host Bft_obs.Trace.(Fault Crash);
     (* The simulator treats every send a handler issued before the crash
-       point as already on the wire; drain the sender queue (including
-       paced frames) before dying so the socket run agrees. *)
+       point as already on the wire.  The crashing iteration has persisted
+       and released its frames ([end_iteration]); drain the sender queue
+       (including paced frames) before dying so the socket run agrees. *)
     ignore
       (Conn_manager.flush cm
-         ~timeout_s:(0.25 +. (3. *. cfg.link_delay_ms /. 1000.)));
-    persist_wal ()
+         ~timeout_s:(0.25 +. (3. *. cfg.link_delay_ms /. 1000.)))
   end;
   (* Closing the inbound side first unblocks every peer sender that might
      be mid-write to us, then our own sender is reaped.  A crashed

@@ -35,12 +35,26 @@
     are real: in {!Threads} mode the incarnation tears down its sockets
     and its supervisor waits for the recovery order before rebuilding the
     node (same port, WAL snapshot threaded through); in {!Processes} mode
-    the child kills itself with [SIGKILL] at an event boundary and the
-    coordinator re-forks it, the new incarnation rebuilding from the WAL
-    file it persisted after every event and catching up via sync.  With
+    the child kills itself with [SIGKILL] at a loop-iteration boundary
+    and the coordinator re-forks it, the new incarnation rebuilding from
+    its WAL file and catching up via sync.  With
     [fault_clock = Views] the schedule is interpreted logically
     ({!Bft_faults.Logical}) — identically to the simulator harness, which
     is what makes chaos chains comparable across substrates.
+
+    {2 Output commit}
+
+    Each executor loop iteration waits in [select], handles the frames
+    that arrived, fires due timers and drains the node's messages to
+    itself.  The frames those handlers send are not written yet: their
+    fault verdicts (and the sender's view) are taken at send time, then
+    {!Conn_manager} holds them.  At the end of the iteration the node's
+    WAL snapshot is written to [node-<i>.wal] (write to a temp file,
+    then rename; skipped when the log did not change), and only after
+    that write returns are the held frames handed to the sender thread.
+    A vote therefore never reaches the wire before the WAL state that
+    binds it reaches the file.  A crashing node persists, releases what
+    its last iteration held, and flushes the sender queue before it dies.
 
     The cluster runs until every node has committed [target_blocks]
     blocks (each node keeps running after reaching its own target so its

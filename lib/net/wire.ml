@@ -23,7 +23,7 @@ exception Decode of error
 module W = struct
   type t = Buffer.t
 
-  let create () = Buffer.create 128
+  let create ?(size = 128) () = Buffer.create size
 
   let u8 t v =
     if v < 0 || v > 0xff then invalid_arg "Wire.W.u8: out of range";
@@ -163,8 +163,12 @@ end
 
 let bad_tag t = raise (Decode (Bad_tag t))
 
-let encode_body ~tag enc =
-  let w = W.create () in
+(* Headers, certificates and timeout certificates together stay well
+   under this many bytes; only the payload padding can be large. *)
+let header_slack = 128
+
+let encode_body ?(payload_bytes = 0) ~tag enc =
+  let w = W.create ~size:(2 + header_slack + payload_bytes) () in
   W.u8 w version;
   W.u8 w tag;
   enc w;

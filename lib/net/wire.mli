@@ -53,7 +53,9 @@ val error_to_string : error -> string
 module W : sig
   type t
 
-  val create : unit -> t
+  (** [create ?size ()] starts empty with room for [size] bytes (default
+      128) before the first reallocation. *)
+  val create : ?size:int -> unit -> t
 
   (** One byte; [v] must be in [0, 255]. *)
   val u8 : t -> int -> unit
@@ -141,9 +143,12 @@ end
 
 (** {2 Framing} *)
 
-(** [encode_body ~tag enc] builds a frame body: version byte, [tag], then
-    whatever [enc] writes. *)
-val encode_body : tag:int -> (W.t -> unit) -> string
+(** [encode_body ?payload_bytes ~tag enc] builds a frame body: version
+    byte, [tag], then whatever [enc] writes.  [payload_bytes] (default 0)
+    is the padding the message carries ({!Bft_types.Protocol_intf.S.payload_bytes});
+    the writer is sized for it plus a fixed header allowance, so encoding a
+    padded proposal does not regrow the buffer. *)
+val encode_body : ?payload_bytes:int -> tag:int -> (W.t -> unit) -> string
 
 (** [frame body] prepends the [u32be] length prefix, yielding the exact
     byte sequence sent on a socket.  Raises [Invalid_argument] if [body]

@@ -8,15 +8,8 @@ type t = {
 }
 
 let hash_fields ~parent ~view ~height ~proposer ~(payload : Payload.t) =
-  Hash.of_fields
-    [
-      Int64.of_int (Hash.to_int parent);
-      Int64.of_int view;
-      Int64.of_int height;
-      Int64.of_int proposer;
-      Int64.of_int payload.Payload.id;
-      Int64.of_int payload.Payload.size_bytes;
-    ]
+  Hash.of_ints6 (Hash.to_int parent) view height proposer payload.Payload.id
+    payload.Payload.size_bytes
 
 let genesis =
   let payload = Payload.empty ~id:0 in

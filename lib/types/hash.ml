@@ -6,23 +6,50 @@ let compare = Int64.compare
 let fnv_offset = 0xcbf29ce484222325L
 let fnv_prime = 0x100000001b3L
 
-let mix_byte acc b =
-  Int64.mul (Int64.logxor acc (Int64.of_int (b land 0xff))) fnv_prime
+(* Every fold below keeps its accumulator in a local [ref] that never
+   escapes, which ocamlopt keeps unboxed; a helper taking or returning an
+   [int64] would box it once per byte (the dev profile's [-opaque] stops
+   cross-module inlining, and a recursive helper is never inlined). *)
 
-let mix_int64 acc v =
-  let rec go acc i =
-    if i = 8 then acc
-    else
-      let b = Int64.to_int (Int64.shift_right_logical v (8 * i)) land 0xff in
-      go (mix_byte acc b) (i + 1)
-  in
-  go acc 0
+let of_fields fields =
+  let acc = ref fnv_offset in
+  let rest = ref fields in
+  let finished = ref false in
+  while not !finished do
+    match !rest with
+    | [] -> finished := true
+    | v :: tl ->
+        for i = 0 to 7 do
+          let b = Int64.to_int (Int64.shift_right_logical v (8 * i)) land 0xff in
+          acc := Int64.mul (Int64.logxor !acc (Int64.of_int b)) fnv_prime
+        done;
+        rest := tl
+  done;
+  !acc
 
-let of_fields fields = List.fold_left mix_int64 fnv_offset fields
+let of_ints6 a b c d e f =
+  let acc = ref fnv_offset in
+  for k = 0 to 5 do
+    let v =
+      match k with 0 -> a | 1 -> b | 2 -> c | 3 -> d | 4 -> e | _ -> f
+    in
+    (* [asr] on the 63-bit int replicates the sign bit into bits 56..63,
+       exactly the top byte of [Int64.of_int v]. *)
+    for i = 0 to 7 do
+      let byte = (v asr (8 * i)) land 0xff in
+      acc := Int64.mul (Int64.logxor !acc (Int64.of_int byte)) fnv_prime
+    done
+  done;
+  !acc
 
 let of_string s =
   let acc = ref fnv_offset in
-  String.iter (fun c -> acc := mix_byte !acc (Char.code c)) s;
+  for i = 0 to String.length s - 1 do
+    acc :=
+      Int64.mul
+        (Int64.logxor !acc (Int64.of_int (Char.code (String.unsafe_get s i))))
+        fnv_prime
+  done;
   !acc
 
 let null = 0L

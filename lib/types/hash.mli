@@ -14,6 +14,12 @@ val compare : t -> t -> int
 (** [of_fields fields] digests a list of 64-bit field values. *)
 val of_fields : int64 list -> t
 
+(** [of_ints6 a b c d e f] equals
+    [of_fields (List.map Int64.of_int [ a; b; c; d; e; f ])] (each int
+    sign-extended to 64 bits) without building the list or boxing the
+    fields: only the result is allocated.  Block hashing's entry point. *)
+val of_ints6 : int -> int -> int -> int -> int -> int -> t
+
 (** [of_string s] digests the bytes of [s]. *)
 val of_string : string -> t
 

@@ -66,7 +66,8 @@ module type S = sig
   val wal_create : unit -> wal
 
   (** Snapshot of a WAL's latest record as bytes — the durable form the
-      live transport persists to a file after every handler run, so a
+      live transport persists to a file once per event-loop iteration
+      (before releasing that iteration's outbound frames), so a
       killed validator process can be re-spawned and rebuilt from disk.
       Not a wire frame: the blob is only ever read back by the node that
       wrote it. *)

@@ -26,6 +26,8 @@
 #                                the gate on a work-in-progress tree only
 #                                flags dirt the build itself introduced
 #
+# On exit, pass or fail, the script prints each step's wall seconds.
+#
 # Performance is not gated here: BENCHMARK.json's `compare` (see
 # benchmark/README.md) is the perf reference, judged on medians of
 # repeated runs rather than a single wall-clock floor.
@@ -33,7 +35,35 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-step() { printf '\n==> %s\n' "$*"; }
+# Each step's wall seconds, printed as a summary when the script exits
+# (pass or fail), so every CI log shows where the gate's time goes.
+step_names=()
+step_secs=()
+step_start=
+current=
+finish_step() {
+  if [ -n "$current" ]; then
+    step_names+=("$current")
+    step_secs+=($(( $(date +%s) - step_start )))
+  fi
+}
+step() {
+  finish_step
+  current="$*"
+  step_start=$(date +%s)
+  printf '\n==> %s\n' "$*"
+}
+summary() {
+  status=$?
+  finish_step
+  current=
+  printf '\n==> step wall seconds\n'
+  for i in "${!step_names[@]}"; do
+    printf '%6d s  %s\n' "${step_secs[$i]}" "${step_names[$i]}"
+  done
+  return $status
+}
+trap summary EXIT
 
 before=$(git status --porcelain)
 

@@ -465,6 +465,142 @@ let hello_rejects () =
   | Ok () -> ()
   | Error reason -> Alcotest.fail reason
 
+(* A connector that never sends its hello (a peer killed mid-dial) must
+   not stall the validator that accepted it: the hello read times out and
+   the cluster still reaches its target.  Without the timeout node 0
+   blocks in that read until the silent socket closes. *)
+let silent_connector () =
+  let kind = Protocol_kind.Commit_moonshot in
+  let base_port = 28511 in
+  let cfg =
+    {
+      (Net_harness.config kind ~n:4 ~blocks:5) with
+      Tcp.base_port = Some base_port;
+      timeout_ms = 10_000.;
+    }
+  in
+  let finished = Atomic.make false in
+  let hold () =
+    let rec connect tries =
+      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+      try
+        Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, base_port));
+        Some fd
+      with Unix.Unix_error _ ->
+        (try Unix.close fd with Unix.Unix_error _ -> ());
+        if tries = 0 then None
+        else begin
+          Thread.delay 0.005;
+          connect (tries - 1)
+        end
+    in
+    match connect 400 with
+    | None -> ()
+    | Some fd ->
+        (* Silent until the run is over (bounded, so that a stalled
+           validator is released and the test fails instead of hanging). *)
+        let deadline = Unix.gettimeofday () +. 15. in
+        while (not (Atomic.get finished)) && Unix.gettimeofday () < deadline do
+          Thread.delay 0.01
+        done;
+        (try Unix.close fd with Unix.Unix_error _ -> ())
+  in
+  let holder = Thread.create hold () in
+  let r = Net_harness.run kind cfg in
+  Atomic.set finished true;
+  Thread.join holder;
+  match Net_harness.check r ~target:5 with
+  | Ok () -> ()
+  | Error reason -> Alcotest.fail reason
+
+(* --- output commit: the WAL is on disk before the vote is on the wire ------ *)
+
+(* Pipelined Moonshot, with every vote checked at its receiver against the
+   sender's WAL file: the file must already record the vote's view with
+   that vote slot taken (or a later view).  Each executor iteration
+   persists the WAL before it releases the iteration's frames, so no vote
+   can overtake the snapshot that binds it.  Self-addressed votes are not
+   checked: they are delivered inside the iteration that sends them. *)
+module Output_commit = struct
+  module P = Moonshot.Pipelined_node.Protocol
+
+  let wal_dir = ref ""
+  let checked = Atomic.make 0
+  let violations = Atomic.make 0
+
+  type msg = P.msg
+  type wal = P.wal
+  type node = { id : int; inner : P.node }
+
+  let msg_size = P.msg_size
+  let cpu_cost = P.cpu_cost
+  let classify = P.classify
+  let payload_bytes = P.payload_bytes
+  let view_of = P.view_of
+  let encode_msg = P.encode_msg
+  let decode_msg = P.decode_msg
+  let wal_create = P.wal_create
+  let wal_encode = P.wal_encode
+  let wal_decode = P.wal_decode
+
+  let create ?equivocate ?wal env =
+    { id = env.Env.id; inner = P.create ?equivocate ?wal env }
+
+  let start nd = P.start nd.inner
+
+  let durable ~src ~view ~slot =
+    let file = Filename.concat !wal_dir (Printf.sprintf "node-%d.wal" src) in
+    match In_channel.with_open_bin file In_channel.input_all with
+    | exception Sys_error _ -> false
+    | blob -> (
+        match Codec.decode_wal blob with
+        | Error _ -> false
+        | Ok w -> (
+            match Moonshot.Wal.load w with
+            | None -> false
+            | Some st ->
+                st.Moonshot.Wal.cur_view > view
+                || st.Moonshot.Wal.cur_view = view
+                   && if slot = 0 then st.Moonshot.Wal.voted_opt <> None
+                      else st.Moonshot.Wal.voted_main))
+
+  let handle nd ~src m =
+    (match P.vote_slot m with
+    | Some (view, slot) when src <> nd.id ->
+        Atomic.incr checked;
+        if not (durable ~src ~view ~slot) then Atomic.incr violations
+    | _ -> ());
+    P.handle nd.inner ~src m
+
+  let msg_digest = P.msg_digest
+  let pp_msg = P.pp_msg
+  let vote_slot = P.vote_slot
+  let state_hash nd = P.state_hash nd.inner
+  let current_view nd = P.current_view nd.inner
+  let lock_view nd = P.lock_view nd.inner
+  let wal_hash = P.wal_hash
+  let wal_consistent nd = P.wal_consistent nd.inner
+end
+
+let output_commit () =
+  let kind = Protocol_kind.Pipelined_moonshot in
+  let dir = Filename.temp_file "moonshot-output-commit" "" in
+  Sys.remove dir;
+  Output_commit.wal_dir := dir;
+  let cfg =
+    { (Net_harness.config kind ~n:4 ~blocks:30) with Tcp.wal_dir = Some dir }
+  in
+  let r = Tcp.run (module Output_commit) cfg in
+  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+  Sys.rmdir dir;
+  (match Net_harness.check r ~target:30 with
+  | Ok () -> ()
+  | Error reason -> Alcotest.fail reason);
+  Alcotest.(check bool) "votes were checked" true
+    (Atomic.get Output_commit.checked > 0);
+  Alcotest.(check int) "votes that overtook their WAL snapshot" 0
+    (Atomic.get Output_commit.violations)
+
 (* --- chaos: fault injection on live sockets -------------------------------- *)
 
 (* One wall-clock crash/recover cycle while the cluster runs.  The dead
@@ -835,6 +971,8 @@ let () =
             Alcotest.test_case "traced run" `Quick traced_cluster;
             Alcotest.test_case "malformed injection" `Quick malformed_injection;
             Alcotest.test_case "hello rejects" `Quick hello_rejects;
+            Alcotest.test_case "silent connector" `Quick silent_connector;
+            Alcotest.test_case "output commit" `Quick output_commit;
           ] );
       ( "chaos",
         [

@@ -337,10 +337,7 @@ let test_fork_fallback () =
 (* The chain [1 .. 4100] for the height-independence rows. *)
 let long_chain = Array.of_list (Block.genesis :: B.chain 4100)
 
-let minor_words f =
-  let before = Gc.minor_words () in
-  f ();
-  Gc.minor_words () -. before
+let minor_words = Test_support.Alloc.minor_words
 
 (* A node that has committed [long_chain] up to height [h]. *)
 let committed_to h =
@@ -389,6 +386,64 @@ let test_deferred_commit_height_independent () =
   in
   Alcotest.(check (float 0.)) "same minor words at h=64 and h=4096"
     (across_gap 64) (across_gap 4096)
+
+(* --- Allocation pins --------------------------------------------------------- *)
+
+(* The socket path's per-message costs.  Hashing a block once boxed an
+   [Int64] for every byte it mixed: creating a block allocated ~1.7 kB
+   and decoding a 16-byte vote (whose block is re-hashed) ~2 kB. *)
+
+let test_block_create_alloc () =
+  let parent = blk 1 in
+  let payload = Bft_types.Payload.make ~id:7 ~size_bytes:180 in
+  let bytes =
+    Test_support.Alloc.minor_bytes (fun () ->
+        ignore
+          (Sys.opaque_identity
+             (Block.create ~parent ~view:5 ~proposer:1 ~payload)))
+  in
+  if bytes > 128. then Alcotest.failf "Block.create allocates %.0f B > 128 B" bytes
+
+let test_vote_decode_alloc () =
+  let body = Codec.encode (Message.Vote { kind = Vote_kind.Normal; block = blk 2 }) in
+  let bytes =
+    Test_support.Alloc.minor_bytes (fun () ->
+        ignore (Sys.opaque_identity (Codec.decode body)))
+  in
+  if bytes > 512. then
+    Alcotest.failf "decoding a vote allocates %.0f B > 512 B" bytes
+
+(* The TCP executor asks for the WAL snapshot once per loop iteration;
+   while nothing was recorded that must cost nothing. *)
+let test_unchanged_wal_encode_alloc () =
+  let wal = Wal.create () in
+  Wal.record wal
+    {
+      Wal.cur_view = 3;
+      lock = cert_of 2;
+      timeout_view = 2;
+      voted_opt = Some (blk 3);
+      voted_main = true;
+    };
+  let first = Codec.encode_wal wal in
+  Alcotest.(check (float 0.)) "no bytes on an unchanged WAL" 0.
+    (Test_support.Alloc.minor_bytes (fun () ->
+         ignore (Sys.opaque_identity (Codec.encode_wal wal))));
+  check "same snapshot string" true (Codec.encode_wal wal == first);
+  Wal.record wal
+    {
+      Wal.cur_view = 4;
+      lock = cert_of 3;
+      timeout_view = 2;
+      voted_opt = None;
+      voted_main = false;
+    };
+  let second = Codec.encode_wal wal in
+  check "a record invalidates the snapshot" false (String.equal first second);
+  match Codec.decode_wal second with
+  | Ok w -> check "snapshot decodes to the new record" true
+              (Hash.equal (Wal.digest w) (Wal.digest wal))
+  | Error e -> Alcotest.fail e
 
 let () =
   Alcotest.run "node-core"
@@ -441,5 +496,12 @@ let () =
             test_commit_next_height_independent;
           Alcotest.test_case "deferred commit, height-independent" `Quick
             test_deferred_commit_height_independent;
+        ] );
+      ( "alloc-pins",
+        [
+          Alcotest.test_case "Block.create" `Quick test_block_create_alloc;
+          Alcotest.test_case "decode a vote" `Quick test_vote_decode_alloc;
+          Alcotest.test_case "unchanged WAL snapshot" `Quick
+            test_unchanged_wal_encode_alloc;
         ] );
     ]

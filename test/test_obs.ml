@@ -48,6 +48,34 @@ let test_different_seed_differs () =
   check "different seeds give different traces" true
     (Trace.to_jsonl t1 <> Trace.to_jsonl t2)
 
+(* [moonshot trace -p P --jsonl -]'s default run, whose MD5s were recorded
+   before the codec and hashing rewrites: those must change no trace byte. *)
+let test_trace_digests_pinned () =
+  List.iter
+    (fun (protocol, digest) ->
+      let config =
+        {
+          (Config.default protocol ~n:4) with
+          Config.payload_bytes = 0;
+          duration_ms = 1000.;
+          delta_ms = 50.;
+          seed = 1;
+          latency = Config.Uniform { base = 10.; jitter = 0. };
+          bandwidth_bps = None;
+          model_cpu = false;
+        }
+      in
+      let trace, _ = traced_run config in
+      check_str (Protocol_kind.name protocol) digest
+        (Digest.to_hex (Digest.string (Trace.to_jsonl trace))))
+    [
+      (Protocol_kind.Simple_moonshot, "f2d59d700c8e8d10a9429bf9e671ad7b");
+      (Protocol_kind.Pipelined_moonshot, "68313000485b8b1f2d34eecd39a66457");
+      (Protocol_kind.Commit_moonshot, "d6a02ded0da0089b1d0898d1e6d1ca3d");
+      (Protocol_kind.Jolteon, "9e79e2aaa80037392becda2b404a408f");
+      (Protocol_kind.Hotstuff, "182a03309c85ba539cb27e2ba742954a");
+    ]
+
 (* --- Span well-formedness ---------------------------------------------------------- *)
 
 let test_commits_close_proposals () =
@@ -233,6 +261,8 @@ let () =
           Alcotest.test_case "same seed same bytes" `Quick
             test_same_seed_identical_jsonl;
           Alcotest.test_case "seeds differ" `Quick test_different_seed_differs;
+          Alcotest.test_case "trace digests pinned" `Quick
+            test_trace_digests_pinned;
         ] );
       ( "spans",
         [

@@ -32,6 +32,93 @@ let test_hash_compare_consistent () =
   check "compare/equal agree" true (Hash.compare a a = 0 && Hash.equal a a);
   check "compare antisym" true (Hash.compare a b = -Hash.compare b a)
 
+(* The per-byte FNV-1a fold [Hash.of_fields] computed before it became a
+   single unboxed loop, kept verbatim as the reference. *)
+module Reference = struct
+  let fnv_offset = 0xcbf29ce484222325L
+  let fnv_prime = 0x100000001b3L
+
+  let mix_byte acc b =
+    Int64.mul (Int64.logxor acc (Int64.of_int (b land 0xff))) fnv_prime
+
+  let mix_int64 acc v =
+    let rec go acc i =
+      if i = 8 then acc
+      else
+        let b = Int64.to_int (Int64.shift_right_logical v (8 * i)) land 0xff in
+        go (mix_byte acc b) (i + 1)
+    in
+    go acc 0
+
+  let of_fields fields = List.fold_left mix_int64 fnv_offset fields
+end
+
+(* Ints across the whole range: small, negative, and with bit 62 set
+   (what [Hash.to_int] makes of a digest whose top bits are set). *)
+let int_gen =
+  QCheck.Gen.oneof
+    [
+      QCheck.Gen.int_range (-1000) 1000;
+      QCheck.Gen.int;
+      QCheck.Gen.map (fun v -> v lor (1 lsl 62)) QCheck.Gen.int;
+      QCheck.Gen.oneofl [ 0; -1; max_int; min_int ];
+    ]
+
+let int64_gen =
+  QCheck.Gen.oneof
+    [
+      QCheck.Gen.ui64;
+      QCheck.Gen.map Int64.neg QCheck.Gen.ui64;
+      QCheck.Gen.map (fun v -> Int64.logor v Int64.min_int) QCheck.Gen.ui64;
+      QCheck.Gen.map Int64.of_int int_gen;
+    ]
+
+let prop_of_fields_matches_reference =
+  QCheck.Test.make ~count:500 ~name:"of_fields = per-byte FNV-1a fold"
+    QCheck.(
+      make
+        ~print:(fun l -> String.concat ";" (List.map Int64.to_string l))
+        Gen.(list_size (int_range 0 8) int64_gen))
+    (fun fields ->
+      Int64.equal
+        (Hash.to_int64 (Hash.of_fields fields))
+        (Reference.of_fields fields))
+
+let prop_of_ints6_matches_reference =
+  QCheck.Test.make ~count:500 ~name:"of_ints6 = fold over sign-extended ints"
+    QCheck.(
+      make
+        ~print:(fun l -> String.concat ";" (List.map string_of_int l))
+        Gen.(list_repeat 6 int_gen))
+    (fun ints ->
+      match ints with
+      | [ a; b; c; d; e; f ] ->
+          Int64.equal
+            (Hash.to_int64 (Hash.of_ints6 a b c d e f))
+            (Reference.of_fields (List.map Int64.of_int ints))
+      | _ -> false)
+
+(* Block hashes as recorded before the unboxed rewrite; every chain,
+   trace and crossval case depends on them staying put. *)
+let test_block_hashes_pinned () =
+  let hex = Alcotest.(check string) in
+  hex "genesis" "53d3efa3b1aa8f5d" (Hash.to_hex Block.genesis.Block.hash);
+  let b1 =
+    Block.create ~parent:Block.genesis ~view:1 ~proposer:1
+      ~payload:(Payload.make ~id:7 ~size_bytes:180)
+  in
+  hex "fixed child of genesis" "3c5f6a2e161100fe" (Hash.to_hex b1.Block.hash);
+  (* A parent digest goes in as [Int64.of_int (Hash.to_int parent)]: bit
+     63 is dropped and bit 62 sign-extended into it. *)
+  let with_parent p =
+    Block.of_wire ~parent:(Hash.of_int64 p) ~view:5 ~height:3 ~proposer:2
+      ~payload:(Payload.make ~id:(-9) ~size_bytes:0)
+  in
+  hex "parent 0x8000..01" "e880978313a87980"
+    (Hash.to_hex (with_parent 0x8000_0000_0000_0001L).Block.hash);
+  hex "parent 0xc000..01" "c76be305e7aa2140"
+    (Hash.to_hex (with_parent 0xc000_0000_0000_0001L).Block.hash)
+
 (* --- Payload --------------------------------------------------------------- *)
 
 let test_payload_items () =
@@ -147,6 +234,8 @@ let () =
           Alcotest.test_case "null" `Quick test_hash_null;
           Alcotest.test_case "hex" `Quick test_hash_hex;
           Alcotest.test_case "compare" `Quick test_hash_compare_consistent;
+          QCheck_alcotest.to_alcotest prop_of_fields_matches_reference;
+          QCheck_alcotest.to_alcotest prop_of_ints6_matches_reference;
         ] );
       ( "payload",
         [
@@ -161,6 +250,7 @@ let () =
           Alcotest.test_case "view must grow" `Quick test_block_view_must_grow;
           Alcotest.test_case "hash binds fields" `Quick test_block_hash_binds_fields;
           Alcotest.test_case "equivocation" `Quick test_equivocation;
+          Alcotest.test_case "hashes pinned" `Quick test_block_hashes_pinned;
         ] );
       ( "validator-set",
         [
