@@ -10,6 +10,9 @@
    Experiments: table1 table2 table3 fig6 fig7 fig8 fig9 fairness ablations
    micro mc mc-smoke smoke n1000 all
 
+   [alloc] prints the per-handler allocation split of the [wan-n100]
+   benchmark workload (see Alloc_split); it writes no BENCH file.
+
    [mc] explores the model checker's exhaustive worlds and writes
    BENCH_mc.json (states/second, pruning ratio); [--full] uses the
    view-bound-3 acceptance worlds (under a minute per protocol).
@@ -25,7 +28,7 @@
 let usage () =
   print_endline
     "usage: main.exe \
-     [table1|table2|table3|fig6|fig7|fig8|fig9|fairness|chaos|clients|ablations|micro|mc|mc-smoke|mc-swarm-smoke|smoke|n1000|all] \
+     [table1|table2|table3|fig6|fig7|fig8|fig9|fairness|chaos|clients|ablations|micro|alloc|mc|mc-smoke|mc-swarm-smoke|smoke|n1000|all] \
      [--full] [--jobs N]";
   exit 1
 
@@ -90,6 +93,7 @@ let () =
             Experiments.ablation_block_period scale;
             Experiments.ablation_lso scale
         | "micro" -> Micro.run ()
+        | "alloc" -> Alloc_split.run ()
         | "n1000" -> Experiments.scale_beyond scale
         | "mc" -> Mc.run ~jobs ~full ()
         | "mc-smoke" -> Mc.smoke ()
@@ -127,4 +131,5 @@ let () =
       targets
   in
   List.iter dispatch expanded;
-  Bench_report.write ~jobs ~path:"BENCH_simcore.json"
+  if List.exists (fun t -> t <> "alloc") expanded then
+    Bench_report.write ~jobs ~path:"BENCH_simcore.json"

@@ -220,7 +220,7 @@ let test_trace_emit =
          done))
 
 (* The price an untraced run pays per probe site: one None check, no
-   event allocation (the thunk is never forced). *)
+   event allocation (the event is built only under [Some]). *)
 let test_probe_disabled =
   Test.make ~name:"probe emit x64 (disabled env)"
     (Staged.stage (fun () ->

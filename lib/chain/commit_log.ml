@@ -29,6 +29,35 @@ let is_committed t hash =
   in
   scan (t.len - 1)
 
+let rec append t = function
+  | [] -> ()
+  | (blk : Block.t) :: rest ->
+      t.chain.(blk.Block.height) <- blk;
+      t.len <- blk.Block.height + 1;
+      t.on_commit blk;
+      append t rest
+
+(* The uncommitted suffix ending at [b], oldest first: [cur] walks down
+   from [b], [acc] holds what it passed.  Top-level rather than local to
+   [commit], as [connects] is: a local walk would be a closure per call. *)
+let rec suffix t store (b : Block.t) acc (cur : Block.t) =
+  let open Block in
+  if cur.height < t.len then begin
+    if not (Hash.equal t.chain.(cur.height).hash cur.hash) then
+      raise
+        (Safety_violation
+           (Format.asprintf "commit of %a forks from committed %a at height %d"
+              Block.pp b Block.pp t.chain.(cur.height) cur.height));
+    acc
+  end
+  else
+    match Block_store.find store cur.parent with
+    | None ->
+        invalid_arg
+          (Format.asprintf "Commit_log.commit: missing ancestor of %a" Block.pp
+             cur)
+    | Some p -> suffix t store b (cur :: acc) p
+
 let commit t store (b : Block.t) =
   let open Block in
   if b.height < t.len then begin
@@ -41,33 +70,9 @@ let commit t store (b : Block.t) =
     []
   end
   else begin
-    (* Collect the uncommitted suffix ending at b, oldest first. *)
-    let rec ancestors acc (cur : Block.t) =
-      if cur.height < t.len then begin
-        if not (Hash.equal t.chain.(cur.height).hash cur.hash) then
-          raise
-            (Safety_violation
-               (Format.asprintf
-                  "commit of %a forks from committed %a at height %d" Block.pp
-                  b Block.pp t.chain.(cur.height) cur.height));
-        acc
-      end
-      else
-        match Block_store.find store cur.parent with
-        | None ->
-            invalid_arg
-              (Format.asprintf "Commit_log.commit: missing ancestor of %a"
-                 Block.pp cur)
-        | Some p -> ancestors (cur :: acc) p
-    in
-    let newly = ancestors [] b in
+    let newly = suffix t store b [] b in
     ensure_capacity t b.height;
-    List.iter
-      (fun (blk : Block.t) ->
-        t.chain.(blk.height) <- blk;
-        t.len <- blk.height + 1;
-        t.on_commit blk)
-      newly;
+    append t newly;
     newly
   end
 
@@ -77,16 +82,13 @@ let commit t store (b : Block.t) =
    there).  Meeting it at another hash is a fork; only then does the whole
    chain need walking, so a fork keeps its old outcome (deferred on a gap,
    [Safety_violation] from [commit] otherwise). *)
-let connects t store (b : Block.t) =
-  let rec walk (cur : Block.t) =
-    if cur.Block.height < t.len then
-      Hash.equal t.chain.(cur.Block.height).Block.hash cur.Block.hash
-      || Option.is_some (Block_store.chain_to store cur)
-    else
-      match Block_store.find store cur.Block.parent with
-      | None -> false
-      | Some p -> walk p
-  in
-  walk b
+let rec connects t store (cur : Block.t) =
+  if cur.Block.height < t.len then
+    Hash.equal t.chain.(cur.Block.height).Block.hash cur.Block.hash
+    || Option.is_some (Block_store.chain_to store cur)
+  else
+    match Block_store.find store cur.Block.parent with
+    | None -> false
+    | Some p -> connects t store p
 
 let to_list t = Array.to_list (Array.sub t.chain 0 t.len)

@@ -93,36 +93,44 @@ let record_cert t (c : Cert.t) =
     true
   end
 
+(* The block at view [base] that [child] descends from through one
+   certificate at every view from [v] down to [base], if there is one.  A
+   named walk, not [List.find_opt] with a closure: every new certificate
+   runs it, and only a found chain allocates (its [Some]). *)
+let rec certified_base t ~base (child : Block.t) v =
+  if v < base then Some child else link_below t ~base child v (certs_at t v)
+
+and link_below t ~base child v = function
+  | [] -> None
+  | (link : Cert.t) :: rest ->
+      if Cert.certifies_parent_of link child then
+        certified_base t ~base link.Cert.block (v - 1)
+      else link_below t ~base child v rest
+
+let rec mem_block (b : Block.t) = function
+  | [] -> false
+  | (b' : Block.t) :: rest -> Block.equal b b' || mem_block b rest
+
+let rec window_bottoms t ~base ~top_view found = function
+  | [] -> found
+  | (top : Cert.t) :: rest ->
+      let found =
+        match certified_base t ~base top.Cert.block (top_view - 1) with
+        | Some bottom when not (mem_block bottom found) -> bottom :: found
+        | Some _ | None -> found
+      in
+      window_bottoms t ~base ~top_view found rest
+
 let chain_commits t ~depth (c : Cert.t) =
   if depth < 2 then invalid_arg "Node_core.chain_commits: depth < 2";
   (* For every window of [depth] consecutive views containing c's view, walk
      parent links down from the window's top certificates; a fully certified
-     chain commits the block at the window's base view. *)
+     chain commits the block at the window's base view.  No closure
+     captures [found], so it stays a local variable. *)
   let found = ref [] in
   for base = Stdlib.max 0 (c.Cert.view - depth + 1) to c.Cert.view do
     let top_view = base + depth - 1 in
-    List.iter
-      (fun (top : Cert.t) ->
-        let rec walk (child : Block.t) v =
-          if v < base then Some child
-          else
-            match
-              List.find_opt
-                (fun (link : Cert.t) -> Cert.certifies_parent_of link child)
-                (certs_at t v)
-            with
-            | Some link -> walk link.Cert.block (v - 1)
-            | None -> None
-        in
-        match walk top.Cert.block (top_view - 1) with
-        | Some bottom
-          when not
-                 (List.exists
-                    (fun (b : Block.t) -> Block.equal b bottom)
-                    !found) ->
-            found := bottom :: !found
-        | Some _ | None -> ())
-      (certs_at t top_view)
+    found := window_bottoms t ~base ~top_view !found (certs_at t top_view)
   done;
   !found
 
@@ -137,6 +145,12 @@ let commit t b =
          (fun (d : Block.t) -> Hash.equal d.Block.hash b.Block.hash)
          t.deferred_commits)
   then t.deferred_commits <- b :: t.deferred_commits
+
+let rec commit_all t = function
+  | [] -> ()
+  | b :: rest ->
+      commit t b;
+      commit_all t rest
 
 let committed t = Commit_log.length t.log
 

@@ -54,6 +54,10 @@ val chain_commits : 'msg t -> depth:int -> Cert.t -> Block.t list
     the suffix meets the committed prefix at a different hash (a fork). *)
 val commit : 'msg t -> Block.t -> unit
 
+(** [commit] each block in list order ([List.iter (commit t)] without its
+    closure). *)
+val commit_all : 'msg t -> Block.t list -> unit
+
 (** Number of blocks this node has committed (genesis excluded). *)
 val committed : 'msg t -> int
 

@@ -26,9 +26,12 @@ type t = {
   lso : bool;
   mutable opt_proposed_view : int;  (* highest view we opt-proposed for *)
   timeout_aggs : (int, tmo_entry) Hashtbl.t;
-  commit_votes : (int * int) Bft_crypto.Accumulator.t;
+  (* Keyed by [Hash.to_int] of the block hash, as [Node_core]'s votes are;
+     see [on_commit_vote]. *)
+  commit_votes : int Bft_crypto.Accumulator.t;
   tcs : (int, Tc.t) Hashtbl.t;
   pending : (int, pending list) Hashtbl.t;
+  mutable pending_floor : int;  (* no [pending] key is below it *)
   timeout_sent : (int, unit) Hashtbl.t;
   commit_voted : (int, Block.t) Hashtbl.t;  (* Hash.to_int -> block *)
   mutable cur_view : int;
@@ -37,42 +40,13 @@ type t = {
   mutable voted_opt : Block.t option;  (* in cur_view *)
   mutable voted_main : bool;  (* in cur_view *)
   mutable cancel_timer : unit -> unit;
+  (* What [arm_view_timer] hands the timer, built once: a float computed
+     per call would be boxed, and [fun () -> on_view_timer t] is a closure. *)
+  view_timeout : float;
+  mutable expire : unit -> unit;
 }
 
 let view_timer_multiplier = 3.
-
-let create ?(precommit = false) ?(equivocate = false) ?(lso = false) ?wal env =
-  let t =
-  {
-    core = Node_core.create env;
-    env;
-    sync = None;
-    wal;
-    precommit;
-    equivocate;
-    lso;
-    opt_proposed_view = 0;
-    timeout_aggs = Hashtbl.create 16;
-    commit_votes =
-      Bft_crypto.Accumulator.create ~n:(Env.n env) ~threshold:(Env.quorum env);
-    tcs = Hashtbl.create 16;
-    pending = Hashtbl.create 16;
-    timeout_sent = Hashtbl.create 16;
-    commit_voted = Hashtbl.create 64;
-    cur_view = 0;
-    lock = Cert.genesis;
-    timeout_view = 0;
-    voted_opt = None;
-    voted_main = false;
-    cancel_timer = (fun () -> ());
-  }
-  in
-  t.sync <-
-    Some
-      (Sync.create ~core:t.core ~env
-         ~make_request:(fun hash -> Message.Block_request { hash })
-         ~make_response:(fun blocks -> Message.Blocks_response { blocks }));
-  t
 
 let sync t = Option.get t.sync
 
@@ -111,7 +85,7 @@ let rec observe_cert t (c : Cert.t) =
       persist t
     end;
     (* Two-chain commit rule, run from both sides of the new certificate. *)
-    List.iter (Node_core.commit t.core) (Node_core.two_chain_commits t.core c);
+    Node_core.commit_all t.core (Node_core.two_chain_commits t.core c);
     if t.precommit then maybe_commit_vote t c;
     if c.Cert.view >= t.cur_view then
       advance_to t (c.Cert.view + 1) (Via_cert c)
@@ -132,7 +106,9 @@ and send_timeout t view =
     Hashtbl.replace t.timeout_sent view ();
     t.timeout_view <- max t.timeout_view view;
     persist t;
-    Env.emit t.env (fun () -> Probe.Timeout_sent { view });
+    (match t.env.Env.probe with
+    | Some probe -> probe (Probe.Timeout_sent { view })
+    | None -> ());
     t.env.Env.multicast (Message.Timeout { view; lock = Some t.lock })
   end
 
@@ -143,7 +119,8 @@ and advance_to t view how =
     | Via_cert c -> t.env.Env.multicast (Message.Cert_gossip c)
     | Via_tc tc -> t.env.Env.send (t.env.Env.leader_of view) (Message.Tc_gossip tc)
     | Via_start | Via_recovery -> ());
-    Env.emit t.env (fun () ->
+    (match t.env.Env.probe with
+    | Some probe ->
         let via =
           match how with
           | Via_cert _ -> `Cert
@@ -151,7 +128,8 @@ and advance_to t view how =
           | Via_start -> `Start
           | Via_recovery -> `Recovery
         in
-        Probe.View_entered { view; via });
+        probe (Probe.View_entered { view; via })
+    | None -> ());
     t.cur_view <- view;
     t.voted_opt <- None;
     t.voted_main <- false;
@@ -163,10 +141,7 @@ and advance_to t view how =
 
 and arm_view_timer t =
   t.cancel_timer ();
-  t.cancel_timer <-
-    t.env.Env.set_timer
-      (view_timer_multiplier *. t.env.Env.delta)
-      (fun () -> on_view_timer t)
+  t.cancel_timer <- t.env.Env.set_timer t.view_timeout t.expire
 
 (* On expiry, send — or, when stuck in the view, re-multicast — the timeout
    and re-arm, so view changes survive message loss (a pacemaker-style
@@ -205,9 +180,16 @@ and propose t view how =
           Message.Fb_propose { block; cert = t.lock; tc })
 
 and process_pending t =
-  match Hashtbl.find_opt t.pending t.cur_view with
-  | None -> ()
-  | Some items -> List.iter (try_pending t) (List.rev items)
+  match Hashtbl.find t.pending t.cur_view with
+  | items -> try_oldest_first t items
+  | exception Not_found -> ()
+
+(* A view's buffer lists the newest proposal first. *)
+and try_oldest_first t = function
+  | [] -> ()
+  | p :: older ->
+      try_oldest_first t older;
+      try_pending t p
 
 and try_pending t = function
   | P_opt block -> try_opt_vote t block
@@ -253,13 +235,16 @@ and try_fallback_vote t block cert tc =
   end
 
 and cast_vote t kind (block : Block.t) =
-  Env.emit t.env (fun () ->
-      Probe.Vote_sent
-        {
-          view = block.Block.view;
-          height = block.Block.height;
-          kind = Format.asprintf "%a" Vote_kind.pp kind;
-        });
+  (match t.env.Env.probe with
+  | Some probe ->
+      probe
+        (Probe.Vote_sent
+          {
+            view = block.Block.view;
+            height = block.Block.height;
+            kind = Format.asprintf "%a" Vote_kind.pp kind;
+          })
+  | None -> ());
   t.env.Env.multicast (Message.Vote { kind; block });
   (* Optimistic Propose: the next leader extends the block it just voted
      for, without waiting to observe its certification. *)
@@ -287,13 +272,16 @@ and maybe_commit_vote t (c : Cert.t) =
     if direct || indirect () then begin
       prune_commit_voted t;
       Hashtbl.replace t.commit_voted (Hash.to_int block.Block.hash) block;
-      Env.emit t.env (fun () ->
-          Probe.Vote_sent
-            {
-              view = c.Cert.view;
-              height = block.Block.height;
-              kind = "commit";
-            });
+      (match t.env.Env.probe with
+      | Some probe ->
+          probe
+            (Probe.Vote_sent
+              {
+                view = c.Cert.view;
+                height = block.Block.height;
+                kind = "commit";
+              })
+      | None -> ());
       t.env.Env.multicast (Message.Commit_vote { view = c.Cert.view; block })
     end
   end
@@ -316,25 +304,68 @@ and prune_commit_voted t =
     let frontier =
       (Bft_chain.Commit_log.last (Node_core.log t.core)).Block.height
     in
-    let stale =
-      Hashtbl.fold
-        (fun k (b : Block.t) acc ->
-          if b.Block.height <= frontier then k :: acc else acc)
-        t.commit_voted []
-    in
-    List.iter (Hashtbl.remove t.commit_voted) stale
+    Hashtbl.filter_map_inplace
+      (fun _ (b : Block.t) -> if b.Block.height <= frontier then None else Some b)
+      t.commit_voted
   end
+
+let create ?(precommit = false) ?(equivocate = false) ?(lso = false) ?wal env =
+  let t =
+  {
+    core = Node_core.create env;
+    env;
+    sync = None;
+    wal;
+    precommit;
+    equivocate;
+    lso;
+    opt_proposed_view = 0;
+    timeout_aggs = Hashtbl.create 16;
+    commit_votes =
+      Bft_crypto.Accumulator.create ~n:(Env.n env) ~threshold:(Env.quorum env);
+    tcs = Hashtbl.create 16;
+    pending = Hashtbl.create 16;
+    pending_floor = 0;
+    timeout_sent = Hashtbl.create 16;
+    commit_voted = Hashtbl.create 64;
+    cur_view = 0;
+    lock = Cert.genesis;
+    timeout_view = 0;
+    voted_opt = None;
+    voted_main = false;
+    cancel_timer = (fun () -> ());
+    view_timeout = view_timer_multiplier *. env.Env.delta;
+    expire = (fun () -> ());
+  }
+  in
+  t.expire <- (fun () -> on_view_timer t);
+  t.sync <-
+    Some
+      (Sync.create ~core:t.core ~env
+         ~make_request:(fun hash -> Message.Block_request { hash })
+         ~make_response:(fun blocks -> Message.Blocks_response { blocks }));
+  t
 
 (* --- message handlers ---------------------------------------------------- *)
 
 let buffer t view p =
   if view >= t.cur_view then begin
-    let items = Option.value ~default:[] (Hashtbl.find_opt t.pending view) in
+    let items =
+      match Hashtbl.find t.pending view with
+      | items -> items
+      | exception Not_found -> []
+    in
     Hashtbl.replace t.pending view (p :: items);
-    (* Garbage-collect buffers for views we have left behind. *)
-    Hashtbl.iter
-      (fun v _ -> if v < t.cur_view then Hashtbl.remove t.pending v)
-      (Hashtbl.copy t.pending)
+    (* Garbage-collect buffers for views we have left behind, in place and
+       once per view: every key added since the last sweep is at least the
+       view it was added in. *)
+    if t.pending_floor < t.cur_view then begin
+      let cur = t.cur_view in
+      Hashtbl.filter_map_inplace
+        (fun v items -> if v < cur then None else Some items)
+        t.pending;
+      t.pending_floor <- cur
+    end
   end
 
 let on_timeout t ~src view lock =
@@ -370,20 +401,27 @@ let on_timeout t ~src view lock =
     end;
     if count >= Env.quorum t.env && not entry.tc_formed then begin
       entry.tc_formed <- true;
-      Env.emit t.env (fun () -> Probe.Tc_formed { view; signers = count });
+      (match t.env.Env.probe with
+      | Some probe -> probe (Probe.Tc_formed { view; signers = count })
+      | None -> ());
       observe_tc t (Tc.make ~view ~high_cert:entry.high ~signers:count)
     end
   end
 
+(* Only a vote at its block's view counts.  Every honest commit vote is
+   one ([Cert.make] enforces [view = block.view], on the wire too), so a
+   mismatched vote is Byzantine; counted, it would join the block's
+   matching votes under the same hash key. *)
 let on_commit_vote t ~src view (block : Block.t) =
   Node_core.note_block t.core block;
-  match
-    Bft_crypto.Accumulator.add t.commit_votes
-      (view, Hash.to_int block.Block.hash)
-      ~signer:src
-  with
-  | Threshold_reached _ -> Node_core.commit t.core block
-  | Added _ | Duplicate | Already_complete -> ()
+  if view = block.Block.view then
+    match
+      Bft_crypto.Accumulator.add t.commit_votes
+        (Hash.to_int block.Block.hash)
+        ~signer:src
+    with
+    | Threshold_reached _ -> Node_core.commit t.core block
+    | Added _ | Duplicate | Already_complete -> ()
 
 let handle t ~src msg =
   match msg with
@@ -405,13 +443,16 @@ let handle t ~src msg =
   | Message.Vote { kind; block } -> (
       match Node_core.add_vote t.core ~signer:src ~kind block with
       | Some cert ->
-          Env.emit t.env (fun () ->
-              Probe.Cert_formed
-                {
-                  view = cert.Cert.view;
-                  height = cert.Cert.block.Block.height;
-                  signers = cert.Cert.signers;
-                });
+          (match t.env.Env.probe with
+          | Some probe ->
+              probe
+                (Probe.Cert_formed
+                  {
+                    view = cert.Cert.view;
+                    height = cert.Cert.block.Block.height;
+                    signers = cert.Cert.signers;
+                  })
+          | None -> ());
           observe_cert t cert
       | None -> ())
   | Message.Timeout { view; lock } -> on_timeout t ~src view lock
@@ -485,7 +526,14 @@ let state_hash t =
   in
   let commit_votes_h =
     Bft_crypto.Accumulator.fold
-      (fun (view, bkey) ~signers ~complete acc ->
+      (fun bkey ~signers ~complete acc ->
+        (* A commit vote's block is noted before the vote counts, and only
+           a vote at the block's view counts. *)
+        let view =
+          match Bft_chain.Block_store.find_key (Node_core.store t.core) bkey with
+          | Some b -> b.Block.view
+          | None -> assert false
+        in
         Int64.add acc
           (h
              (Hash.of_fields

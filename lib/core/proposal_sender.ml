@@ -11,14 +11,16 @@ let conflicting_block env ~view ~parent =
 
 let send env ~equivocate ~view ~parent wrap =
   let block = honest_block env ~view ~parent in
-  Env.emit env (fun () ->
+  (match env.Env.probe with
+  | Some probe ->
       let kind =
         match wrap block with
         | Message.Opt_propose _ -> Probe.Optimistic
         | Message.Fb_propose _ -> Probe.Fallback
         | _ -> Probe.Normal
       in
-      Probe.Proposal_sent { view; height = block.Block.height; kind });
+      probe (Probe.Proposal_sent { view; height = block.Block.height; kind })
+  | None -> ());
   env.Env.on_propose block;
   if not equivocate then env.Env.multicast (wrap block)
   else begin

@@ -91,7 +91,7 @@ let send_proposal t ~view ~parent wrap =
 
 let rec observe_cert t (c : Cert.t) =
   if Node_core.record_cert t.core c then begin
-    List.iter (Node_core.commit t.core) (Node_core.two_chain_commits t.core c);
+    Node_core.commit_all t.core (Node_core.two_chain_commits t.core c);
     if c.Cert.view >= t.cur_view then advance_to t (c.Cert.view + 1) (Via_cert c)
     else if
       (* Propose rule (i): the leader proposes upon receiving the previous
@@ -117,7 +117,8 @@ and advance_to t view how =
     | Via_cert c -> t.env.Env.multicast (Message.Cert_gossip c)
     | Via_tc tc -> t.env.Env.multicast (Message.Tc_gossip tc)
     | Via_start | Via_recovery -> ());
-    Env.emit t.env (fun () ->
+    (match t.env.Env.probe with
+    | Some probe ->
         let via =
           match how with
           | Via_cert _ -> `Cert
@@ -125,7 +126,8 @@ and advance_to t view how =
           | Via_start -> `Start
           | Via_recovery -> `Recovery
         in
-        Probe.View_entered { view; via });
+        probe (Probe.View_entered { view; via })
+    | None -> ());
     t.lock <- Node_core.high_cert t.core;
     if t.lock.Cert.view < view - 1 then
       t.env.Env.send (t.env.Env.leader_of view)
@@ -194,7 +196,9 @@ and local_timeout t =
   if not t.timed_out then begin
     t.timed_out <- true;
     persist t;
-    Env.emit t.env (fun () -> Probe.Timeout_sent { view = t.cur_view });
+    (match t.env.Env.probe with
+    | Some probe -> probe (Probe.Timeout_sent { view = t.cur_view })
+    | None -> ());
     (* The timeout carries the sender's lock so that lagging nodes learn
        the certificate that let the rest of the network advance. *)
     t.env.Env.multicast
@@ -232,13 +236,16 @@ and try_normal_vote t block cert =
 and cast_vote t (block : Block.t) =
   t.voted <- true;
   persist t;
-  Env.emit t.env (fun () ->
-      Probe.Vote_sent
-        {
-          view = block.Block.view;
-          height = block.Block.height;
-          kind = "normal";
-        });
+  (match t.env.Env.probe with
+  | Some probe ->
+      probe
+        (Probe.Vote_sent
+          {
+            view = block.Block.view;
+            height = block.Block.height;
+            kind = "normal";
+          })
+  | None -> ());
   t.env.Env.multicast (Message.Vote { kind = Vote_kind.Normal; block });
   let next = block.Block.view + 1 in
   if Env.is_leader t.env ~view:next then
@@ -274,7 +281,9 @@ let on_timeout t ~src view =
     if count >= Env.weak_quorum t.env && view = t.cur_view then local_timeout t;
     if count >= Env.quorum t.env && not entry.tc_formed then begin
       entry.tc_formed <- true;
-      Env.emit t.env (fun () -> Probe.Tc_formed { view; signers = count });
+      (match t.env.Env.probe with
+      | Some probe -> probe (Probe.Tc_formed { view; signers = count })
+      | None -> ());
       observe_tc t (Tc.make ~view ~high_cert:None ~signers:count)
     end
   end
@@ -295,13 +304,16 @@ let handle t ~src msg =
         Node_core.add_vote t.core ~signer:src ~kind:Vote_kind.Normal block
       with
       | Some cert ->
-          Env.emit t.env (fun () ->
-              Probe.Cert_formed
-                {
-                  view = cert.Cert.view;
-                  height = cert.Cert.block.Block.height;
-                  signers = cert.Cert.signers;
-                });
+          (match t.env.Env.probe with
+          | Some probe ->
+              probe
+                (Probe.Cert_formed
+                  {
+                    view = cert.Cert.view;
+                    height = cert.Cert.block.Block.height;
+                    signers = cert.Cert.signers;
+                  })
+          | None -> ());
           observe_cert t cert
       | None -> ())
   | Message.Timeout { view; lock } ->

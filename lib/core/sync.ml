@@ -72,7 +72,9 @@ let rec poke t =
         | Some _ | None -> t.attempt <- 0);
         t.last_request <- Some (key, now);
         t.requests_sent <- t.requests_sent + 1;
-        Env.emit t.env (fun () -> Probe.Sync_request { attempt = t.attempt });
+        (match t.env.Env.probe with
+        | Some probe -> probe (Probe.Sync_request { attempt = t.attempt })
+        | None -> ());
         t.env.Env.send (target t ~hint) (t.make_request missing)
       end;
       if not t.timer_alive then begin

@@ -30,36 +30,14 @@ type t = {
   mutable last_voted_round : int;
   mutable timeout_round : int;  (* highest round a timeout was sent for *)
   mutable cancel_timer : unit -> unit;
+  (* What [arm_round_timer] hands the timer, built once: a float computed
+     per call would be boxed, and [fun () -> on_round_timer t] is a
+     closure. *)
+  round_timeout : float;
+  mutable expire : unit -> unit;
 }
 
 let round_timer_multiplier = 4.
-
-let create ?(equivocate = false) ?(commit_depth = 2) ?wal env =
-  if commit_depth < 2 then invalid_arg "Jolteon_node.create: commit_depth < 2";
-  let t =
-  {
-    core = Node_core.create env;
-    env;
-    sync = None;
-    wal;
-    equivocate;
-    commit_depth;
-    timeout_aggs = Hashtbl.create 16;
-    tcs = Hashtbl.create 16;
-    pending = Hashtbl.create 16;
-    timeout_sent = Hashtbl.create 16;
-    cur_round = 0;
-    last_voted_round = 0;
-    timeout_round = 0;
-    cancel_timer = (fun () -> ());
-  }
-  in
-  t.sync <-
-    Some
-      (Moonshot.Sync.create ~core:t.core ~env
-         ~make_request:(fun hash -> Jolteon_msg.Block_request { hash })
-         ~make_response:(fun blocks -> Jolteon_msg.Blocks_response { blocks }));
-  t
 
 let sync t = Option.get t.sync
 
@@ -99,11 +77,12 @@ let conflicting_block t ~round ~parent =
 let send_proposal t ~round ~qc ~tc =
   let parent = qc.Cert.block in
   let block = honest_block t ~round ~parent in
-  Env.emit t.env (fun () ->
-      let kind =
-        if tc = None then Probe.Normal else Probe.Fallback
-      in
-      Probe.Proposal_sent { view = round; height = block.Block.height; kind });
+  (match t.env.Env.probe with
+  | Some probe ->
+      let kind = if tc = None then Probe.Normal else Probe.Fallback in
+      probe
+        (Probe.Proposal_sent { view = round; height = block.Block.height; kind })
+  | None -> ());
   t.env.Env.on_propose block;
   if not t.equivocate then
     t.env.Env.multicast (Jolteon_msg.Propose { block; qc; tc })
@@ -119,7 +98,7 @@ let send_proposal t ~round ~qc ~tc =
 
 let rec observe_qc t (qc : Cert.t) =
   if Node_core.record_cert t.core qc then begin
-    List.iter (Node_core.commit t.core)
+    Node_core.commit_all t.core
       (Node_core.chain_commits t.core ~depth:t.commit_depth qc);
     if qc.Cert.view >= t.cur_round then
       advance_to t (qc.Cert.view + 1) (Via_qc qc)
@@ -137,17 +116,16 @@ and send_timeout t round =
     Hashtbl.replace t.timeout_sent round ();
     t.timeout_round <- max t.timeout_round round;
     persist t;
-    Env.emit t.env (fun () -> Probe.Timeout_sent { view = round });
+    (match t.env.Env.probe with
+    | Some probe -> probe (Probe.Timeout_sent { view = round })
+    | None -> ());
     t.env.Env.multicast
       (Jolteon_msg.Timeout { round; high_qc = Node_core.high_cert t.core })
   end
 
 and arm_round_timer t =
   t.cancel_timer ();
-  t.cancel_timer <-
-    t.env.Env.set_timer
-      (round_timer_multiplier *. t.env.Env.delta)
-      (fun () -> on_round_timer t)
+  t.cancel_timer <- t.env.Env.set_timer t.round_timeout t.expire
 
 (* Rebroadcast while stuck, so view changes survive message loss. *)
 and on_round_timer t =
@@ -160,7 +138,8 @@ and on_round_timer t =
 
 and advance_to t round how =
   if round > t.cur_round then begin
-    Env.emit t.env (fun () ->
+    (match t.env.Env.probe with
+    | Some probe ->
         let via =
           match how with
           | Via_qc _ -> `Cert
@@ -168,7 +147,8 @@ and advance_to t round how =
           | Via_start -> `Start
           | Via_recovery -> `Recovery
         in
-        Probe.View_entered { view = round; via });
+        probe (Probe.View_entered { view = round; via })
+    | None -> ());
     t.cur_round <- round;
     persist t;
     arm_round_timer t;
@@ -185,16 +165,27 @@ and advance_to t round how =
              was observed above, so extending high_qc satisfies voters. *)
           send_proposal t ~round ~qc:(Node_core.high_cert t.core) ~tc:(Some tc)
     end;
-    process_pending t
+    process_pending t;
+    (* Garbage-collect buffers for rounds we have left behind, in place:
+       [buffer] adds no round below [cur_round], so sweeping on entering a
+       round is enough. *)
+    let cur = t.cur_round in
+    Hashtbl.filter_map_inplace
+      (fun r items -> if r < cur then None else Some items)
+      t.pending
   end
 
 and process_pending t =
-  (match Hashtbl.find_opt t.pending t.cur_round with
-  | None -> ()
-  | Some items -> List.iter (try_vote t) (List.rev items));
-  Hashtbl.iter
-    (fun r _ -> if r < t.cur_round then Hashtbl.remove t.pending r)
-    (Hashtbl.copy t.pending)
+  match Hashtbl.find t.pending t.cur_round with
+  | items -> try_oldest_first t items
+  | exception Not_found -> ()
+
+(* A round's buffer lists the newest proposal first. *)
+and try_oldest_first t = function
+  | [] -> ()
+  | p :: older ->
+      try_oldest_first t older;
+      try_vote t p
 
 and try_vote t (P (block, qc, tc)) =
   let round = block.Block.view in
@@ -215,15 +206,52 @@ and try_vote t (P (block, qc, tc)) =
   then begin
     t.last_voted_round <- round;
     persist t;
-    Env.emit t.env (fun () ->
-        Probe.Vote_sent
-          { view = round; height = block.Block.height; kind = "normal" });
+    (match t.env.Env.probe with
+    | Some probe ->
+        probe
+          (Probe.Vote_sent
+            { view = round; height = block.Block.height; kind = "normal" })
+    | None -> ());
     t.env.Env.send (t.env.Env.leader_of (round + 1)) (Jolteon_msg.Vote { block })
   end
 
+let create ?(equivocate = false) ?(commit_depth = 2) ?wal env =
+  if commit_depth < 2 then invalid_arg "Jolteon_node.create: commit_depth < 2";
+  let t =
+  {
+    core = Node_core.create env;
+    env;
+    sync = None;
+    wal;
+    equivocate;
+    commit_depth;
+    timeout_aggs = Hashtbl.create 16;
+    tcs = Hashtbl.create 16;
+    pending = Hashtbl.create 16;
+    timeout_sent = Hashtbl.create 16;
+    cur_round = 0;
+    last_voted_round = 0;
+    timeout_round = 0;
+    cancel_timer = (fun () -> ());
+    round_timeout = round_timer_multiplier *. env.Env.delta;
+    expire = (fun () -> ());
+  }
+  in
+  t.expire <- (fun () -> on_round_timer t);
+  t.sync <-
+    Some
+      (Moonshot.Sync.create ~core:t.core ~env
+         ~make_request:(fun hash -> Jolteon_msg.Block_request { hash })
+         ~make_response:(fun blocks -> Jolteon_msg.Blocks_response { blocks }));
+  t
+
 let buffer t round p =
   if round >= t.cur_round then begin
-    let items = Option.value ~default:[] (Hashtbl.find_opt t.pending round) in
+    let items =
+      match Hashtbl.find t.pending round with
+      | items -> items
+      | exception Not_found -> []
+    in
     Hashtbl.replace t.pending round (p :: items)
   end
 
@@ -257,8 +285,9 @@ let on_timeout t ~src round high_qc =
     end;
     if count >= Env.quorum t.env && not entry.tc_formed then begin
       entry.tc_formed <- true;
-      Env.emit t.env (fun () ->
-          Probe.Tc_formed { view = round; signers = count });
+      (match t.env.Env.probe with
+      | Some probe -> probe (Probe.Tc_formed { view = round; signers = count })
+      | None -> ());
       observe_tc t (Tc.make ~view:round ~high_cert:(Some entry.high) ~signers:count)
     end
   end
@@ -279,13 +308,16 @@ let handle t ~src msg =
           block
       with
       | Some qc ->
-          Env.emit t.env (fun () ->
-              Probe.Cert_formed
-                {
-                  view = qc.Cert.view;
-                  height = qc.Cert.block.Block.height;
-                  signers = qc.Cert.signers;
-                });
+          (match t.env.Env.probe with
+          | Some probe ->
+              probe
+                (Probe.Cert_formed
+                  {
+                    view = qc.Cert.view;
+                    height = qc.Cert.block.Block.height;
+                    signers = qc.Cert.signers;
+                  })
+          | None -> ());
           observe_qc t qc
       | None -> ())
   | Jolteon_msg.Timeout { round; high_qc } -> on_timeout t ~src round high_qc

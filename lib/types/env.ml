@@ -13,9 +13,6 @@ type 'msg t = {
   probe : (Probe.event -> unit) option;
 }
 
-let emit t ev =
-  match t.probe with None -> () | Some f -> f (ev ())
-
 let quorum t = Validator_set.quorum t.validators
 let weak_quorum t = Validator_set.weak_quorum t.validators
 let n t = t.validators.Validator_set.n

@@ -33,14 +33,13 @@ type 'msg t = {
   probe : (Probe.event -> unit) option;
       (** Observability hook: node-internal protocol events (vote sends,
           certificate assembly, timeouts — see {!Probe}).  [None] outside
-          traced runs; instrumented code must not build events when unset
-          (use {!emit}). *)
+          traced runs.  Instrumented code matches on it and builds the
+          event only under [Some]:
+          [match env.probe with Some probe -> probe ev | None -> ()].  A
+          disabled probe then costs one comparison and allocates nothing;
+          a thunk passed to a helper would be a closure allocated at every
+          call site, probe or not. *)
 }
-
-(** [emit env ev] calls the probe with [ev ()] when one is installed; when
-    [probe = None] the thunk is never forced, so a disabled probe costs one
-    comparison (plus the thunk closure) and allocates no event. *)
-val emit : 'msg t -> (unit -> Probe.event) -> unit
 
 (** {2 Byzantine-behaviour wrappers}
 

@@ -387,6 +387,44 @@ let test_deferred_commit_height_independent () =
   Alcotest.(check (float 0.)) "same minor words at h=64 and h=4096"
     (across_gap 64) (across_gap 4096)
 
+(* --- Commit Moonshot's commit votes ------------------------------------------ *)
+
+(* A Commit Moonshot node with n = 7 (f = 2, quorum 5) in view 1. *)
+let commit_node () =
+  let mock, env = Mock.create ~n:7 ~id:6 () in
+  let node = Pipelined_node.create ~precommit:true env in
+  Mock.attach mock (fun ~src msg -> Pipelined_node.handle node ~src msg);
+  Pipelined_node.start node;
+  node
+
+let commit_vote ~view block = Message.Commit_vote { view; block }
+
+(* Only a commit vote at its block's view counts.  Counted by block hash
+   alone, the f mismatched votes would join the matching ones and commit
+   the block at the (f+1)-th matching vote, and n mismatched votes would
+   commit it with no matching vote at all. *)
+let test_commit_vote_view_must_match () =
+  let b = blk 1 in
+  let node = commit_node () in
+  Pipelined_node.handle node ~src:0 (commit_vote ~view:2 b);
+  Pipelined_node.handle node ~src:1 (commit_vote ~view:5 b);
+  List.iteri
+    (fun i src ->
+      check_int
+        (Printf.sprintf "nothing committed after %d matching votes" i)
+        0
+        (Pipelined_node.committed node);
+      Pipelined_node.handle node ~src (commit_vote ~view:1 b))
+    [ 2; 3; 4; 5; 6 ];
+  check_int "committed at the 2f+1-th matching vote" 1
+    (Pipelined_node.committed node);
+  let node = commit_node () in
+  for src = 0 to 6 do
+    Pipelined_node.handle node ~src (commit_vote ~view:2 b);
+    Pipelined_node.handle node ~src (commit_vote ~view:(3 + src) b)
+  done;
+  check_int "mismatched votes never commit" 0 (Pipelined_node.committed node)
+
 (* --- Allocation pins --------------------------------------------------------- *)
 
 (* The socket path's per-message costs.  Hashing a block once boxed an
@@ -412,6 +450,37 @@ let test_vote_decode_alloc () =
   in
   if bytes > 512. then
     Alcotest.failf "decoding a vote allocates %.0f B > 512 B" bytes
+
+(* The simulator's per-vote path.  A vote below its quorum, commit votes
+   included, costs nothing once its key exists: both are counted by the
+   block hash's int.  While commit votes were counted by a (view, hash)
+   pair, each one allocated that 24 B tuple. *)
+let test_below_quorum_votes_alloc () =
+  let node = commit_node () in
+  let b = blk 1 in
+  let cv = commit_vote ~view:1 b in
+  let v = Message.Vote { kind = Vote_kind.Normal; block = b } in
+  Pipelined_node.handle node ~src:0 cv;
+  Pipelined_node.handle node ~src:0 v;
+  Alcotest.(check (float 0.)) "no words for a below-quorum commit vote" 0.
+    (minor_words (fun () -> Pipelined_node.handle node ~src:1 cv));
+  Alcotest.(check (float 0.)) "no words for a below-quorum vote" 0.
+    (minor_words (fun () -> Pipelined_node.handle node ~src:1 v))
+
+(* Buffering a proposal for a future view adds one list cell and its
+   constructor (40 B); stale views are swept in place once per view.
+   Copying the [pending] table to sweep it on every proposal made this
+   336 B. *)
+let test_future_proposal_buffer_alloc () =
+  let node = commit_node () in
+  let msg = Message.Opt_propose { block = blk 4 } in
+  let bytes =
+    Test_support.Alloc.minor_bytes (fun () ->
+        Pipelined_node.handle node ~src:3 msg)
+  in
+  if bytes > 64. then
+    Alcotest.failf "buffering a future-view proposal allocates %.0f B > 64 B"
+      bytes
 
 (* The TCP executor asks for the WAL snapshot once per loop iteration;
    while nothing was recorded that must cost nothing. *)
@@ -497,11 +566,20 @@ let () =
           Alcotest.test_case "deferred commit, height-independent" `Quick
             test_deferred_commit_height_independent;
         ] );
+      ( "commit-votes",
+        [
+          Alcotest.test_case "view must match the block's" `Quick
+            test_commit_vote_view_must_match;
+        ] );
       ( "alloc-pins",
         [
           Alcotest.test_case "Block.create" `Quick test_block_create_alloc;
           Alcotest.test_case "decode a vote" `Quick test_vote_decode_alloc;
           Alcotest.test_case "unchanged WAL snapshot" `Quick
             test_unchanged_wal_encode_alloc;
+          Alcotest.test_case "below-quorum votes" `Quick
+            test_below_quorum_votes_alloc;
+          Alcotest.test_case "future-view proposal" `Quick
+            test_future_proposal_buffer_alloc;
         ] );
     ]
