@@ -21,9 +21,7 @@
 
    [--jobs N] fans independent grid runs out over N domains; the printed
    tables are byte-identical whatever N is (results are collected in
-   submission order, printing stays on the main domain).  Every invocation
-   also writes BENCH_simcore.json — per-experiment wall-clock and simulator
-   events/second — so perf changes leave a machine-readable trail. *)
+   submission order, printing stays on the main domain). *)
 
 let usage () =
   print_endline
@@ -74,52 +72,51 @@ let () =
     { base with Experiments.jobs }
   in
   let dispatch target =
-    Bench_report.with_experiment target (fun () ->
-        match target with
-        | "table1" ->
-            Experiments.table1 ();
-            Experiments.table1_empirical scale
-        | "table2" -> Experiments.table2 ()
-        | "table3" -> Experiments.table3 scale
-        | "fig6" -> Experiments.fig6 scale
-        | "fig7" -> Experiments.fig7 scale
-        | "fig8" -> Experiments.fig8 scale
-        | "fig9" -> Experiments.fig9 scale
-        | "fairness" -> Experiments.fairness scale
-        | "chaos" -> Experiments.chaos scale
-        | "clients" -> Experiments.clients scale
-        | "ablations" ->
-            Experiments.ablation_bandwidth scale;
-            Experiments.ablation_block_period scale;
-            Experiments.ablation_lso scale
-        | "micro" -> Micro.run ()
-        | "alloc" -> Alloc_split.run ()
-        | "n1000" -> Experiments.scale_beyond scale
-        | "mc" -> Mc.run ~jobs ~full ()
-        | "mc-smoke" -> Mc.smoke ()
-        | "mc-swarm-smoke" -> Mc.swarm_smoke ()
-        | "smoke" ->
-            (* Tiny grid on 2 domains (unless --jobs overrides), exercised
-               from [dune runtest]: keeps the bench binary, the experiment
-               driver and the domain pool from rotting without paying for a
-               real evaluation run. *)
-            let scale =
-              match jobs_flag with
-              | None -> Experiments.smoke_scale
-              | Some jobs -> { Experiments.smoke_scale with Experiments.jobs }
-            in
-            Experiments.table3 scale;
-            Experiments.fig9 scale;
-            (* Sub-second chaos smoke: a randomized fault schedule through
-               the real harness, fault interpreter and liveness monitor. *)
-            Experiments.chaos scale;
-            (* Client-traffic smoke: the full ingestion path (arrival
-               generator, mempool, batch cuts, commit-order replay) under
-               sub- and over-saturation load on a tiny grid. *)
-            Experiments.clients scale
-        | other ->
-            Format.printf "unknown experiment %S@." other;
-            usage ())
+    match target with
+    | "table1" ->
+        Experiments.table1 ();
+        Experiments.table1_empirical scale
+    | "table2" -> Experiments.table2 ()
+    | "table3" -> Experiments.table3 scale
+    | "fig6" -> Experiments.fig6 scale
+    | "fig7" -> Experiments.fig7 scale
+    | "fig8" -> Experiments.fig8 scale
+    | "fig9" -> Experiments.fig9 scale
+    | "fairness" -> Experiments.fairness scale
+    | "chaos" -> Experiments.chaos scale
+    | "clients" -> Experiments.clients scale
+    | "ablations" ->
+        Experiments.ablation_bandwidth scale;
+        Experiments.ablation_block_period scale;
+        Experiments.ablation_lso scale
+    | "micro" -> Micro.run ()
+    | "alloc" -> Alloc_split.run ()
+    | "n1000" -> Experiments.scale_beyond scale
+    | "mc" -> Mc.run ~jobs ~full ()
+    | "mc-smoke" -> Mc.smoke ()
+    | "mc-swarm-smoke" -> Mc.swarm_smoke ()
+    | "smoke" ->
+        (* Tiny grid on 2 domains (unless --jobs overrides), exercised
+           from [dune runtest]: keeps the bench binary, the experiment
+           driver and the domain pool from rotting without paying for a
+           real evaluation run. *)
+        let scale =
+          match jobs_flag with
+          | None -> Experiments.smoke_scale
+          | Some jobs -> { Experiments.smoke_scale with Experiments.jobs }
+        in
+        Experiments.table3 scale;
+        Experiments.fig9 scale;
+        (* Sub-second chaos smoke: a randomized fault schedule through
+           the real harness, fault interpreter and liveness monitor. *)
+        Experiments.chaos scale;
+        (* Client-traffic smoke: the full ingestion path (arrival
+           generator, mempool, batch cuts, commit-order replay) under
+           sub- and over-saturation load on a tiny grid. *)
+        Experiments.clients scale
+    | other ->
+        Format.printf "unknown experiment %S@." other;
+        usage ()
   in
   let expanded =
     List.concat_map
@@ -130,6 +127,4 @@ let () =
         | t -> [ t ])
       targets
   in
-  List.iter dispatch expanded;
-  if List.exists (fun t -> t <> "alloc") expanded then
-    Bench_report.write ~jobs ~path:"BENCH_simcore.json"
+  List.iter dispatch expanded

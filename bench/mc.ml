@@ -6,8 +6,7 @@
    acceptance comparison (canonicalized run exhausts; baseline gets the
    same wall-clock budget and is cut off), samples a swarm block per
    protocol, then writes BENCH_mc.json (schema bench_mc/v2) so successive
-   PRs can diff checker performance the same way BENCH_simcore.json tracks
-   the simulator.  [smoke] is the sub-second `dune runtest` tripwire: tiny
+   PRs can diff checker performance.  [smoke] is the sub-second `dune runtest` tripwire: tiny
    worlds through the full checker stack, failing loudly on any violation,
    deadlock or non-exhaustion.  [swarm_smoke] is its sampling-mode twin:
    jobs-determinism, seed-separation and symmetry-agreement checks on tiny

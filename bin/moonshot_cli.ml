@@ -296,6 +296,29 @@ let fault_sched_conv =
   in
   Arg.conv (parse, print)
 
+(* A liveness report as [run-net] and [crossval] print it: one line per
+   recovery, then the quorum-commit gap, each under [label] padded to
+   [width]. *)
+let print_liveness ~width label (report : Bft_obs.Liveness.report) =
+  List.iter
+    (fun (rec_ : Bft_obs.Liveness.recovery) ->
+      Format.printf "%-*s: node %d down %.0f ms, %s@." width label rec_.node
+        (rec_.recovered_at_ms -. rec_.crashed_at_ms)
+        (match rec_.caught_up_at_ms with
+        | Some t ->
+            Printf.sprintf "caught up to height %d in %.0f ms"
+              rec_.target_height
+              (t -. rec_.recovered_at_ms)
+        | None -> "NEVER CAUGHT UP"))
+    report.recoveries;
+  Format.printf
+    "%-*s: max quorum-commit gap %.0f ms (bound %.0f ms after last \
+     disruption)%s@."
+    width label report.max_quorum_gap_ms report.bound_ms
+    (match report.min_slack_ms with
+    | Some s -> Printf.sprintf ", min check slack %.0f ms" s
+    | None -> "")
+
 let run_net_cmd =
   let mode_conv =
     Arg.enum
@@ -492,26 +515,7 @@ let run_net_cmd =
     end;
     (if faulted then
        match Net_harness.net_liveness r ~delta with
-       | report ->
-           List.iter
-             (fun (rec_ : Bft_obs.Liveness.recovery) ->
-               Format.printf
-                 "recovery        : node %d down %.0f ms, %s@." rec_.node
-                 (rec_.recovered_at_ms -. rec_.crashed_at_ms)
-                 (match rec_.caught_up_at_ms with
-                 | Some t ->
-                     Printf.sprintf "caught up to height %d in %.0f ms"
-                       rec_.target_height
-                       (t -. rec_.recovered_at_ms)
-                 | None -> "never caught up"))
-             report.recoveries;
-           Format.printf
-             "liveness        : max quorum-commit gap %.0f ms (bound %.0f \
-              ms after last disruption)%s@."
-             report.max_quorum_gap_ms report.bound_ms
-             (match report.min_slack_ms with
-             | Some s -> Printf.sprintf ", min check slack %.0f ms" s
-             | None -> "")
+       | report -> print_liveness ~width:16 "liveness" report
        | exception Bft_obs.Liveness.Violation msg ->
            Format.printf "liveness        : VIOLATION (%s)@." msg;
            if check then exit 1);
@@ -634,26 +638,7 @@ let crossval_cmd =
     | Net_harness.Fault_free _ -> ());
     List.iter
       (fun (leg : Net_harness.leg) ->
-        Option.iter
-          (fun (report : Bft_obs.Liveness.report) ->
-            List.iter
-              (fun (rec_ : Bft_obs.Liveness.recovery) ->
-                Format.printf "%-8s : node %d down %.0f ms, %s@." (name leg)
-                  rec_.node
-                  (rec_.recovered_at_ms -. rec_.crashed_at_ms)
-                  (match rec_.caught_up_at_ms with
-                  | Some t ->
-                      Printf.sprintf "caught up to height %d in %.0f ms"
-                        rec_.target_height
-                        (t -. rec_.recovered_at_ms)
-                  | None -> "NEVER CAUGHT UP"))
-              report.recoveries;
-            Format.printf "%-8s : max quorum-commit gap %.0f ms (bound %.0f ms)%s@."
-              (name leg) report.max_quorum_gap_ms report.bound_ms
-              (match report.min_slack_ms with
-              | Some s -> Printf.sprintf ", min check slack %.0f ms" s
-              | None -> ""))
-          leg.liveness;
+        Option.iter (print_liveness ~width:9 (name leg)) leg.liveness;
         Option.iter
           (Format.printf "%-8s :@.%a@." (name leg) Bft_mempool.Ingest.pp_summary)
           leg.client_summary)

@@ -206,10 +206,18 @@ let decode_node_result body =
 let now_ms t0 = (Unix.gettimeofday () -. t0) *. 1000.
 let close_quiet fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
-(* The executor polls the stop flag between select rounds; this caps how
-   long shutdown waits on an idle cluster without costing anything on an
-   active one (inbound traffic wakes select immediately). *)
+(* Stop and crash orders arrive on the control pipe and wake the
+   executor's [select] at once; inbound traffic and due timers bound the
+   rest of its waits.  The cap is left for the two ends that no pipe
+   announces: the executor's own hard deadline, and a forced teardown,
+   whose closure closes the incarnation's sockets from the coordinator's
+   thread without waking a [select] already blocked on them (the next
+   call fails with [EBADF]). *)
 let max_select_s = 0.02
+
+(* A short message on a report or control pipe.  A reader that is gone is
+   no reason to raise. *)
+let post fd s = try Wire.write_all fd s with Unix.Unix_error _ -> ()
 
 let read_file path =
   let ic = open_in_bin path in
@@ -241,10 +249,9 @@ type exit_reason = Stopped | Crashed of string
 let node_main (type m) (module P : Protocol_intf.S with type msg = m)
     (cfg : config) ~id ~incarnation ~t0 ~listener ~(ports : int array)
     ~(plane : Fault_plane.t) ~(wal_blob : string option)
-    ~(wal_file : string option) ~(stop : bool Atomic.t)
-    ~(crash_flag : bool Atomic.t) ~on_done ~(on_recover_order : int -> unit)
-    ~(ctl_fd : Unix.file_descr option) ~register_teardown :
-    node_result * exit_reason =
+    ~(wal_file : string option) ~(report : Unix.file_descr)
+    ~(ctl_fd : Unix.file_descr) ~register_teardown : node_result * exit_reason
+    =
   let module H = Node_host.Make (P) in
   let commits = ref [] and done_sent = ref false in
   let proposals = ref [] in
@@ -377,7 +384,7 @@ let node_main (type m) (module P : Protocol_intf.S with type msg = m)
            [on_commit]. *)
         if b.Block.height >= cfg.target_blocks && not !done_sent then begin
           done_sent := true;
-          on_done ()
+          post report "D"
         end)
       ~on_propose:(fun b ->
         proposals :=
@@ -389,7 +396,9 @@ let node_main (type m) (module P : Protocol_intf.S with type msg = m)
           :: !proposals)
       ~on_verdict:(fun v ->
         if v.Node_host.crash then crashing := true;
-        List.iter on_recover_order v.Node_host.recover)
+        List.iter
+          (fun node -> post report (Printf.sprintf "O%c" (Char.chr node)))
+          v.Node_host.recover)
   in
   let conns : (Unix.file_descr * int) list ref = ref [] in
   let close_conn fd =
@@ -468,15 +477,12 @@ let node_main (type m) (module P : Protocol_intf.S with type msg = m)
                | Ok _ | Error _ -> close_quiet fd)
            | Error _ | (exception Unix.Unix_error _) -> close_quiet fd)
      in
-     let handle_ctl fd =
+     let stop = ref false and crash_ordered = ref false in
+     let handle_ctl () =
        let buf = Bytes.create 1 in
-       match Unix.read fd buf 0 1 with
-       | 0 -> Atomic.set stop true
-       | _ -> (
-           match Bytes.get buf 0 with
-           | 'K' -> Atomic.set crash_flag true
-           | _ -> Atomic.set stop true)
-       | exception Unix.Unix_error _ -> Atomic.set stop true
+       match Unix.read ctl_fd buf 0 1 with
+       | 1 when Bytes.get buf 0 = 'K' -> crash_ordered := true
+       | _ | (exception Unix.Unix_error _) -> stop := true
      in
      H.start host;
      H.fault_step host;
@@ -484,33 +490,30 @@ let node_main (type m) (module P : Protocol_intf.S with type msg = m)
      drain_self ();
      end_iteration ();
      let hard_deadline = cfg.timeout_ms +. 5000. in
-     while (not (Atomic.get stop)) && not !crashing do
+     while (not !stop) && not !crashing do
        (* Wall-clock crashes land at loop-iteration boundaries, never
           inside a handler, so the WAL file on disk is always an
           end-of-iteration snapshot and every frame of the iteration has
           been released. *)
-       if Atomic.get crash_flag then crashing := true
-       else if now_ms t0 > hard_deadline then Atomic.set stop true
+       if !crash_ordered then crashing := true
+       else if now_ms t0 > hard_deadline then stop := true
        else begin
          (let timeout =
             let d = (next_deadline () -. now_ms t0) /. 1000. in
             Float.max 0. (Float.min d max_select_s)
           in
-          let fds =
-            (listener :: (match ctl_fd with Some f -> [ f ] | None -> []))
-            @ List.map fst !conns
-          in
+          let fds = listener :: ctl_fd :: List.map fst !conns in
           match Unix.select fds [] [] timeout with
           | exception Unix.Unix_error (EINTR, _, _) -> ()
           | exception Unix.Unix_error (EBADF, _, _) ->
-              (* Watchdog force-closed our sockets under us. *)
-              Atomic.set stop true
+              (* A forced teardown closed our sockets under us. *)
+              stop := true
           | ready, _, _ ->
               List.iter
                 (fun fd ->
                   if !crashing then ()
                   else if fd = listener then accept_conn ()
-                  else if ctl_fd = Some fd then handle_ctl fd
+                  else if fd = ctl_fd then handle_ctl ()
                   else
                     match List.assoc_opt fd !conns with
                     | None -> ()
@@ -609,6 +612,8 @@ let make_listener ~port =
 
 let validate cfg =
   if cfg.n < 1 then invalid_arg "Tcp.run: n < 1";
+  (* A recovery order names its node in one byte of the report pipe. *)
+  if cfg.n > 256 then invalid_arg "Tcp.run: n > 256";
   if cfg.target_blocks < 1 then invalid_arg "Tcp.run: target_blocks < 1";
   if cfg.timeout_ms <= 0. then invalid_arg "Tcp.run: non-positive timeout";
   if cfg.link_delay_ms < 0. then invalid_arg "Tcp.run: negative link delay";
@@ -620,6 +625,11 @@ let validate cfg =
     FS.validate ~n:cfg.n
       ~f:((cfg.n - 1) / 3)
       ~byzantine:[] cfg.faults
+
+let wal_file cfg id =
+  Option.map
+    (fun d -> Filename.concat d (Printf.sprintf "node-%d.wal" id))
+    cfg.wal_dir
 
 (* The coordinator's fault driver: empty under the view clock, whose
    crashes and recoveries the nodes' own fault steps trigger. *)
@@ -633,22 +643,9 @@ let sort_fault_log log =
     (fun a b -> Float.compare a.fe_time_ms b.fe_time_ms)
     (List.rev log)
 
-(* --- threads mode ---------------------------------------------------------- *)
-
-(* Per-node supervision slot: the channel between the coordinator (wall
-   driver, logical recovery orders, watchdog) and the node's supervisor
-   loop. *)
-type slot = {
-  sm : Mutex.t;
-  sc : Condition.t;
-  mutable recover_ordered : bool;
-  crash_flag : bool Atomic.t;
-  mutable teardown : unit -> unit;
-}
-
-let merge_incarnations ~n ~id rs =
+let merge_incarnations ~n ~id ~restarts rs =
   match rs with
-  | [] -> empty_node_result ~n id
+  | [] -> { (empty_node_result ~n id) with restarts }
   | _ ->
       let sum f = List.fold_left (fun a r -> a + f r) 0 rs in
       let sum_arr f =
@@ -671,493 +668,302 @@ let merge_incarnations ~n ~id rs =
         bytes_sent = sum (fun r -> r.bytes_sent);
         bytes_heal = sum (fun r -> r.bytes_heal);
         reconnects = sum (fun r -> r.reconnects);
-        restarts = List.length rs - 1;
+        restarts;
         malformed_by_peer = sum_arr (fun r -> r.malformed_by_peer);
         dropped_by_peer = sum_arr (fun r -> r.dropped_by_peer);
       }
 
-let run_threads (type m) (module P : Protocol_intf.S with type msg = m) cfg
-    ~listeners ~ports ~plane ~t0 =
-  let stop = Atomic.make false in
-  let done_flags = Array.init cfg.n (fun _ -> Atomic.make false) in
-  let slots =
-    Array.init cfg.n (fun _ ->
-        {
-          sm = Mutex.create ();
-          sc = Condition.create ();
-          recover_ordered = false;
-          crash_flag = Atomic.make false;
-          teardown = (fun () -> ());
-        })
-  in
-  let fault_log = ref [] in
-  let flm = Mutex.create () in
-  let log_fault ~node fe_kind =
-    Mutex.lock flm;
-    fault_log := { fe_time_ms = now_ms t0; fe_node = node; fe_kind } :: !fault_log;
-    Mutex.unlock flm
-  in
-  let results : node_result list array = Array.make cfg.n [] in
-  let order_recover node =
-    let s = slots.(node) in
-    Mutex.lock s.sm;
-    s.recover_ordered <- true;
-    Condition.broadcast s.sc;
-    Mutex.unlock s.sm
-  in
-  let supervisor i listener0 =
-    let wal_file =
-      Option.map
-        (fun d -> Filename.concat d (Printf.sprintf "node-%d.wal" i))
-        cfg.wal_dir
-    in
-    let rec go incarnation listener wal_blob =
-      let r, reason =
-        node_main
-          (module P : Protocol_intf.S with type msg = m)
-          cfg ~id:i ~incarnation ~t0 ~listener ~ports ~plane ~wal_blob
-          ~wal_file ~stop ~crash_flag:slots.(i).crash_flag
-          ~on_done:(fun () -> Atomic.set done_flags.(i) true)
-          ~on_recover_order:order_recover ~ctl_fd:None
-          ~register_teardown:(fun f -> slots.(i).teardown <- f)
-      in
-      results.(i) <- r :: results.(i);
-      match reason with
-      | Stopped -> ()
-      | Crashed blob -> (
-          log_fault ~node:i Bft_obs.Trace.Crash;
-          let s = slots.(i) in
-          Mutex.lock s.sm;
-          while (not s.recover_ordered) && not (Atomic.get stop) do
-            Condition.wait s.sc s.sm
-          done;
-          let ordered = s.recover_ordered in
-          s.recover_ordered <- false;
-          Mutex.unlock s.sm;
-          if ordered && not (Atomic.get stop) then begin
-            Atomic.set s.crash_flag false;
-            match make_listener ~port:ports.(i) with
-            | exception _ ->
-                Log.err (fun m ->
-                    m "node %d: cannot rebind port %d for recovery" i
-                      ports.(i))
-            | listener', _ ->
-                log_fault ~node:i Bft_obs.Trace.Recover;
-                go (incarnation + 1) listener' (Some blob)
-          end)
-    in
-    go 0 listener0 None
-  in
-  let threads =
-    Array.mapi
-      (fun i (listener, _) -> Thread.create (fun () -> supervisor i listener) ())
-      listeners
-  in
-  (* Wall driver: fires scheduled crashes (flag, picked up at the next
-     event boundary), recoveries (supervisor wake-up) and records window
-     edges for the fault-event record. *)
-  let driver () =
-    List.iter
-      (fun (at, ev) ->
-        let rec wait () =
-          if not (Atomic.get stop) then begin
-            let remaining = (t0 +. (at /. 1000.)) -. Unix.gettimeofday () in
-            if remaining > 0. then begin
-              Thread.delay (Float.min remaining max_select_s);
-              wait ()
-            end
-          end
-        in
-        wait ();
-        if not (Atomic.get stop) then
-          match ev with
-          | Fault_plane.Wall_crash node ->
-              Atomic.set slots.(node).crash_flag true
-          | Fault_plane.Wall_recover node -> order_recover node
-          | Fault_plane.Wall_edge f -> log_fault ~node:(-1) f)
-      (wall_timeline cfg)
-  in
-  let driver_t =
-    if wall_timeline cfg = [] then None
-    else Some (Thread.create driver ())
-  in
-  let deadline = t0 +. (cfg.timeout_ms /. 1000.) in
-  let all_done () = Array.for_all Atomic.get done_flags in
-  while (not (all_done ())) && Unix.gettimeofday () < deadline do
-    Thread.delay 0.002
-  done;
-  let reached = all_done () in
-  Atomic.set stop true;
-  Array.iter
-    (fun s ->
-      Mutex.lock s.sm;
-      Condition.broadcast s.sc;
-      Mutex.unlock s.sm)
-    slots;
-  (* Watchdog: if the supervisors have not joined shortly after the stop
-     flag, force-close every incarnation's sockets out from under it.
-     [Timed_out] means exactly that this teardown was needed. *)
-  let joined = Atomic.make false in
-  let forced = Atomic.make false in
-  let watchdog =
-    Thread.create
-      (fun () ->
-        let d = Unix.gettimeofday () +. 2.0 in
-        while (not (Atomic.get joined)) && Unix.gettimeofday () < d do
-          Thread.delay 0.05
-        done;
-        if not (Atomic.get joined) then begin
-          Atomic.set forced true;
-          Array.iter (fun s -> try s.teardown () with _ -> ()) slots
-        end)
-      ()
-  in
-  Array.iter Thread.join threads;
-  Atomic.set joined true;
-  (match driver_t with Some th -> Thread.join th | None -> ());
-  Thread.join watchdog;
-  {
-    nodes =
-      Array.mapi
-        (fun i rs -> merge_incarnations ~n:cfg.n ~id:i (List.rev rs))
-        results;
-    wall_ms = now_ms t0;
-    reached_target = reached;
-    outcome = (if Atomic.get forced then Timed_out else Completed);
-    fault_events = sort_fault_log !fault_log;
-  }
-
-(* --- process mode ---------------------------------------------------------- *)
-
-(* Coordinator-side view of one validator process.  The result pipe
-   carries a byte protocol: 'D' = target reached, 'O' node = the observer
-   ordered the logical recovery of [node], 'C' = the child is about to
-   SIGKILL itself for a crash, 'R' = a result blob follows; EOF = the
-   process died (expected exactly when a crash was announced or ordered —
-   the crashing child's volatile state and result die with it). *)
-type child = {
-  mutable pid : int;
-  mutable rfd : Unix.file_descr;
-  mutable cwfd : Unix.file_descr;
-  mutable alive : bool;
+(* The coordinator's view of one validator across its incarnations.  Every
+   incarnation, thread or child process, reports on its own pipe: 'D' =
+   target reached, 'O' node = the observer ordered the logical recovery of
+   [node], 'C' = crashing, 'R' = stopped, result handed back; EOF = the
+   incarnation is over.  The coordinator orders 'K' (crash) and 'S' (stop)
+   on a control pipe that the executor selects on. *)
+type member = {
+  node : int;
+  mutable incarnation : int;
+  mutable rfd : Unix.file_descr;  (* report pipe, read end *)
+  mutable cwfd : Unix.file_descr;  (* control pipe, write end *)
+  mutable alive : bool;  (* the report pipe is open *)
   mutable got_r : bool;
   mutable target_met : bool;
-  mutable down : bool;
-  mutable dead : bool;
-  mutable restarts : int;
-  mutable recover_pending : bool;
   mutable crash_expected : bool;
-  mutable reaped : bool;
+  mutable down : bool;  (* crashed, waiting for its recovery order *)
+  mutable dead : bool;  (* over without a crash, never restarted *)
+  mutable recover_pending : bool;
+  mutable reap : unit -> unit;  (* wait for an incarnation that is over *)
+  mutable force : unit -> unit;  (* bring a wedged incarnation down *)
+  mutable results : node_result list;  (* handed back, newest first *)
+  mutable wal_blob : string option;
+      (* threads: the last crashed incarnation's WAL snapshot *)
 }
 
-let run_processes (type m) (module P : Protocol_intf.S with type msg = m) cfg
-    ~(listeners : (Unix.file_descr * int) array) ~ports ~plane ~t0 =
-  let children =
-    Array.init cfg.n (fun _ ->
+(* How long stopped incarnations may take to report before they are forced
+   down (and the run counts as [Timed_out]). *)
+let stop_grace_ms = 2000.
+
+(* Threads mode: the incarnation runs on a thread of this process, hands
+   its result (and after a crash its WAL snapshot) back in memory, and is
+   forced down by its teardown closure. *)
+let start_thread run_node m ~listener ~report ~ctl_fd ~inherited:_ =
+  let id = m.node and incarnation = m.incarnation and wal_blob = m.wal_blob in
+  m.force <- ignore;
+  let body () =
+    (match
+       run_node ~id ~incarnation ~listener ~wal_blob ~report ~ctl_fd
+         ~register_teardown:(fun f -> m.force <- f)
+     with
+    | r, reason -> (
+        m.results <- r :: m.results;
+        match reason with
+        | Crashed blob ->
+            m.wal_blob <- Some blob;
+            post report "C"
+        | Stopped -> post report "R")
+    | exception e ->
+        Log.err (fun f ->
+            f "node %d: incarnation %d failed: %s" id incarnation
+              (Printexc.to_string e)));
+    close_quiet report;
+    close_quiet ctl_fd
+  in
+  let th = Thread.create body () in
+  m.reap <- (fun () -> Thread.join th)
+
+(* Process mode: the incarnation is a forked child, which closes the
+   coordinator's [inherited] descriptors.  A respawned child binds its own
+   port and rebuilds from its WAL file.  A crash really kills the child, so
+   only a stopped incarnation's result comes back, as a blob after 'R'.
+   It is forced down by TERM, then KILL. *)
+let start_child cfg run_node m ~listener ~report ~ctl_fd ~inherited =
+  let id = m.node and incarnation = m.incarnation in
+  match Unix.fork () with
+  | 0 ->
+      List.iter close_quiet inherited;
+      (try
+         let wal_blob =
+           match wal_file cfg id with
+           | Some path when incarnation > 0 && Sys.file_exists path -> (
+               try Some (read_file path) with Sys_error _ -> None)
+           | _ -> None
+         in
+         match
+           run_node ~id ~incarnation ~listener ~wal_blob ~report ~ctl_fd
+             ~register_teardown:ignore
+         with
+         | _, Crashed _ ->
+             (* Volatile state and the pending result die with the
+                process; only the WAL file survives. *)
+             post report "C";
+             Unix.kill (Unix.getpid ()) Sys.sigkill
+         | r, Stopped -> post report ("R" ^ Wire.frame (encode_node_result r))
+       with _ -> ());
+      Unix._exit 0
+  | pid ->
+      close_quiet report;
+      close_quiet ctl_fd;
+      Option.iter close_quiet listener;
+      m.reap <-
+        (fun () ->
+          try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ());
+      m.force <-
+        (fun () ->
+          (try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ());
+          let until = Unix.gettimeofday () +. 0.5 in
+          let rec exited () =
+            match Unix.waitpid [ Unix.WNOHANG ] pid with
+            | 0, _ ->
+                Unix.gettimeofday () < until
+                && (Thread.delay 0.02;
+                    exited ())
+            | _ | (exception Unix.Unix_error _) -> true
+          in
+          if not (exited ()) then
+            try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ())
+
+let collect_blob m =
+  match Wire.read_frame m.rfd with
+  | Ok body -> (
+      match decode_node_result body with
+      | Ok r -> m.results <- [ r ]
+      | Error _ -> ())
+  | Error _ | (exception Unix.Unix_error _) -> ()
+
+(* One select loop drives the cluster in either mode: it fires the wall
+   fault timeline, follows every incarnation's reports, restarts crashed
+   nodes on their recovery orders, and ends the run once every node has
+   reached the target (or is over) or the deadline passes. *)
+let coordinate cfg ~t0 ~listeners ~start ~collect =
+  let members =
+    Array.init cfg.n (fun node ->
         {
-          pid = -1;
+          node;
+          incarnation = 0;
           rfd = Unix.stdin;
           cwfd = Unix.stdin;
           alive = false;
           got_r = false;
           target_met = false;
+          crash_expected = false;
           down = false;
           dead = false;
-          restarts = 0;
           recover_pending = false;
-          crash_expected = false;
-          reaped = false;
+          reap = ignore;
+          force = ignore;
+          results = [];
+          wal_blob = None;
         })
   in
-  (* Initial listeners are owned by the parent until the matching child is
-     forked; after the initial round they are closed parent-side and a
-     re-spawned child binds its (fixed) port itself. *)
-  let listener_opts = Array.map (fun l -> Some l) listeners in
-  let spawn i ~incarnation =
-    let r, w = Unix.pipe () in
-    let cr, cw = Unix.pipe () in
-    match Unix.fork () with
-    | 0 ->
-        close_quiet r;
-        close_quiet cw;
-        Array.iteri
-          (fun j c ->
-            if j <> i && c.alive then begin
-              close_quiet c.rfd;
-              close_quiet c.cwfd
-            end)
-          children;
-        Array.iteri
-          (fun j l ->
-            match l with
-            | Some (fd, _) when j <> i -> close_quiet fd
-            | _ -> ())
-          listener_opts;
-        let listener =
-          match listener_opts.(i) with
-          | Some (fd, _) -> fd
-          | None -> fst (make_listener ~port:ports.(i))
-        in
-        let wal_file =
-          Option.map
-            (fun d -> Filename.concat d (Printf.sprintf "node-%d.wal" i))
-            cfg.wal_dir
-        in
-        let wal_blob =
-          match wal_file with
-          | Some path when incarnation > 0 && Sys.file_exists path -> (
-              try Some (read_file path) with Sys_error _ -> None)
-          | _ -> None
-        in
-        let stop = Atomic.make false in
-        let crash_flag = Atomic.make false in
-        let result, reason =
-          try
-            node_main
-              (module P : Protocol_intf.S with type msg = m)
-              cfg ~id:i ~incarnation ~t0 ~listener ~ports ~plane ~wal_blob
-              ~wal_file ~stop ~crash_flag
-              ~on_done:(fun () ->
-                try ignore (Unix.write_substring w "D" 0 1)
-                with Unix.Unix_error _ -> ())
-              ~on_recover_order:(fun node ->
-                let b = Bytes.create 2 in
-                Bytes.set b 0 'O';
-                Bytes.set b 1 (Char.chr (node land 0xff));
-                try ignore (Unix.write w b 0 2)
-                with Unix.Unix_error _ -> ())
-              ~ctl_fd:(Some cr)
-              ~register_teardown:(fun _ -> ())
-          with _ -> (empty_node_result ~n:cfg.n i, Stopped)
-        in
-        (match reason with
-        | Crashed _ ->
-            (* A real crash: the process is killed outright, its volatile
-               state and pending result die with it.  Only the WAL file
-               survives for the next incarnation. *)
-            (try ignore (Unix.write_substring w "C" 0 1)
-             with Unix.Unix_error _ -> ());
-            Unix.kill (Unix.getpid ()) Sys.sigkill
-        | Stopped -> ());
-        (try
-           ignore (Unix.write_substring w "R" 0 1);
-           Wire.write_all w (Wire.frame (encode_node_result result))
-         with _ -> ());
-        close_quiet w;
-        Unix._exit 0
-    | pid ->
-        close_quiet w;
-        close_quiet cr;
-        (match listener_opts.(i) with
-        | Some (fd, _) ->
-            close_quiet fd;
-            listener_opts.(i) <- None
-        | None -> ());
-        let c = children.(i) in
-        c.pid <- pid;
-        c.rfd <- r;
-        c.cwfd <- cw;
-        c.alive <- true;
-        c.got_r <- false;
-        c.target_met <- false;
-        c.down <- false;
-        c.crash_expected <- false;
-        c.reaped <- false;
-        c.restarts <- incarnation
-  in
-  for i = 0 to cfg.n - 1 do
-    spawn i ~incarnation:0
-  done;
   let fault_log = ref [] in
   let log_fault node fe_kind =
     fault_log := { fe_time_ms = now_ms t0; fe_node = node; fe_kind } :: !fault_log
   in
-  let respawn i =
-    let c = children.(i) in
-    log_fault i Bft_obs.Trace.Recover;
-    spawn i ~incarnation:(c.restarts + 1)
+  let stopping = ref false in
+  let spawn m =
+    let rfd, report = Unix.pipe () in
+    let ctl_fd, cwfd = Unix.pipe () in
+    m.rfd <- rfd;
+    m.cwfd <- cwfd;
+    m.alive <- true;
+    m.got_r <- false;
+    m.target_met <- false;
+    m.crash_expected <- false;
+    m.down <- false;
+    (* The initial listeners are bound here; a respawn binds its own. *)
+    let listener = listeners.(m.node) in
+    listeners.(m.node) <- None;
+    let inherited =
+      Array.fold_left
+        (fun acc m' -> if m'.alive then m'.rfd :: m'.cwfd :: acc else acc)
+        (List.filter_map Fun.id (Array.to_list listeners))
+        members
+    in
+    start m ~listener ~report ~ctl_fd ~inherited
   in
-  let order_recover node =
-    let c = children.(node) in
-    if c.down then respawn node
-    else if not c.dead then c.recover_pending <- true
+  let respawn m =
+    m.incarnation <- m.incarnation + 1;
+    m.recover_pending <- false;
+    log_fault m.node Bft_obs.Trace.Recover;
+    spawn m
+  in
+  let order_recover m =
+    if !stopping then ()
+    else if m.down then respawn m
+    else if not m.dead then m.recover_pending <- true
+  in
+  let finish m =
+    m.alive <- false;
+    close_quiet m.rfd;
+    close_quiet m.cwfd;
+    m.reap ();
+    if m.crash_expected && not m.got_r then begin
+      m.down <- true;
+      log_fault m.node Bft_obs.Trace.Crash;
+      if m.recover_pending then order_recover m
+    end
+    else m.dead <- true
+  in
+  let read_report m =
+    let buf = Bytes.create 1 in
+    let byte () =
+      match Unix.read m.rfd buf 0 1 with
+      | 1 -> Some (Bytes.get buf 0)
+      | _ | (exception Unix.Unix_error _) -> None
+    in
+    match byte () with
+    | None -> finish m
+    | Some 'D' -> m.target_met <- true
+    | Some 'C' -> m.crash_expected <- true
+    | Some 'R' ->
+        m.got_r <- true;
+        collect m
+    | Some 'O' -> (
+        match byte () with
+        | Some c -> if Char.code c < cfg.n then order_recover members.(Char.code c)
+        | None -> finish m)
+    | Some _ -> ()
   in
   let timeline = ref (wall_timeline cfg) in
   let fire_due_wall () =
     let now = now_ms t0 in
-    let rec go () =
-      match !timeline with
+    let rec go = function
       | (at, ev) :: rest when at <= now ->
-          timeline := rest;
           (match ev with
           | Fault_plane.Wall_crash node ->
-              let c = children.(node) in
-              if c.alive && not c.crash_expected then begin
-                c.crash_expected <- true;
-                try ignore (Unix.write_substring c.cwfd "K" 0 1)
-                with Unix.Unix_error _ -> ()
+              let m = members.(node) in
+              if m.alive && not m.crash_expected then begin
+                m.crash_expected <- true;
+                post m.cwfd "K"
               end
-          | Fault_plane.Wall_recover node -> order_recover node
+          | Fault_plane.Wall_recover node -> order_recover members.(node)
           | Fault_plane.Wall_edge f -> log_fault (-1) f);
-          go ()
-      | _ -> ()
+          go rest
+      | rest -> rest
     in
-    go ()
+    timeline := go !timeline
   in
-  let handle_eof i =
-    let c = children.(i) in
-    c.alive <- false;
-    close_quiet c.rfd;
-    close_quiet c.cwfd;
-    (try ignore (Unix.waitpid [] c.pid) with Unix.Unix_error _ -> ());
-    c.reaped <- true;
-    if c.crash_expected && not c.down then begin
-      c.down <- true;
-      log_fault i Bft_obs.Trace.Crash;
-      if c.recover_pending then begin
-        c.recover_pending <- false;
-        respawn i
-      end
-    end
-    else c.dead <- true
-  in
-  let handle_byte i =
-    let c = children.(i) in
-    let buf = Bytes.create 1 in
-    match Unix.read c.rfd buf 0 1 with
-    | 0 -> handle_eof i
-    | _ -> (
-        match Bytes.get buf 0 with
-        | 'D' -> c.target_met <- true
-        | 'R' -> c.got_r <- true
-        | 'C' -> c.crash_expected <- true
-        | 'O' -> (
-            match Unix.read c.rfd buf 0 1 with
-            | 0 -> handle_eof i
-            | _ ->
-                let node = Char.code (Bytes.get buf 0) in
-                if node < cfg.n then order_recover node
-            | exception Unix.Unix_error _ -> handle_eof i)
-        | _ -> ())
-    | exception Unix.Unix_error _ -> handle_eof i
-  in
-  (* Phase 1: run until every child has either reported its target, sent
-     an early result (executor error), or died for good — with crashed
-     children re-spawned along the way. *)
-  let settled c = c.target_met || c.got_r || c.dead in
-  let deadline = t0 +. (cfg.timeout_ms /. 1000.) in
-  let pending () =
-    Array.exists (fun c -> (not (settled c)) || c.down) children
-    && Unix.gettimeofday () < deadline
-  in
-  while pending () do
-    fire_due_wall ();
+  (* Follow reports until [until_ms] or the next wall-timeline instant. *)
+  let poll ~until_ms =
+    let until_ms =
+      match !timeline with
+      | (at, _) :: _ -> Float.min at until_ms
+      | [] -> until_ms
+    in
     let fds =
-      Array.to_list children
-      |> List.filter_map (fun c ->
-             if c.alive && not c.got_r then Some c.rfd else None)
+      Array.fold_left
+        (fun acc m -> if m.alive then m.rfd :: acc else acc)
+        [] members
     in
-    if fds = [] then Thread.delay 0.01
-    else
-      match Unix.select fds [] [] max_select_s with
-      | exception Unix.Unix_error (EINTR, _, _) -> ()
-      | ready, _, _ ->
-          List.iter
-            (fun fd ->
-              let idx = ref (-1) in
-              Array.iteri
-                (fun i c -> if c.alive && c.rfd = fd then idx := i)
-                children;
-              if !idx >= 0 then handle_byte !idx)
-            ready
+    match
+      Unix.select fds [] []
+        (Float.max 0. ((until_ms -. now_ms t0) /. 1000.))
+    with
+    | exception Unix.Unix_error (EINTR, _, _) -> ()
+    | ready, _, _ ->
+        List.iter
+          (fun fd ->
+            Option.iter read_report
+              (Array.find_opt (fun m -> m.alive && m.rfd = fd) members))
+          ready
+  in
+  Array.iter spawn members;
+  let settled m = m.target_met || m.got_r || m.dead in
+  while
+    Array.exists (fun m -> m.down || not (settled m)) members
+    && now_ms t0 < cfg.timeout_ms
+  do
+    fire_due_wall ();
+    poll ~until_ms:cfg.timeout_ms
   done;
-  let reached = Array.for_all (fun c -> c.target_met) children in
-  (* Phase 2: stop every live child, collect result blobs, then reap with
-     TERM -> KILL escalation.  Needing SIGKILL marks the run Timed_out. *)
+  let reached = Array.for_all (fun m -> m.target_met) members in
+  stopping := true;
+  timeline := [];
+  Array.iter (fun m -> if m.alive then post m.cwfd "S") members;
+  let grace = now_ms t0 +. stop_grace_ms in
+  while Array.exists (fun m -> m.alive) members && now_ms t0 < grace do
+    poll ~until_ms:grace
+  done;
+  let forced = Array.exists (fun m -> m.alive) members in
   Array.iter
-    (fun c ->
-      if c.alive then
-        try ignore (Unix.write_substring c.cwfd "S" 0 1)
-        with Unix.Unix_error _ -> ())
-    children;
-  let read_result i =
-    let c = children.(i) in
-    if not c.alive then { (empty_node_result ~n:cfg.n i) with restarts = c.restarts }
-    else begin
-      let blob_deadline = Unix.gettimeofday () +. 8. in
-      let rec await_marker () =
-        if c.got_r then true
-        else
-          match Unix.select [ c.rfd ] [] [] 0.1 with
-          | exception Unix.Unix_error (EINTR, _, _) -> await_marker ()
-          | [], _, _ ->
-              if Unix.gettimeofday () < blob_deadline then await_marker ()
-              else false
-          | _ -> (
-              let buf = Bytes.create 1 in
-              match Unix.read c.rfd buf 0 1 with
-              | 0 -> false
-              | _ ->
-                  if Bytes.get buf 0 = 'R' then true
-                  else if Bytes.get buf 0 = 'O' then begin
-                    (* late recovery order; consume its index byte *)
-                    (try ignore (Unix.read c.rfd buf 0 1)
-                     with Unix.Unix_error _ -> ());
-                    await_marker ()
-                  end
-                  else await_marker ()
-              | exception Unix.Unix_error _ -> false)
-      in
-      let result =
-        if not (await_marker ()) then
-          { (empty_node_result ~n:cfg.n i) with restarts = c.restarts }
-        else
-          match Wire.read_frame c.rfd with
-          | Ok body -> (
-              match decode_node_result body with
-              | Ok nr -> { nr with restarts = c.restarts }
-              | Error _ ->
-                  { (empty_node_result ~n:cfg.n i) with restarts = c.restarts })
-          | Error _ | (exception Unix.Unix_error _) ->
-              { (empty_node_result ~n:cfg.n i) with restarts = c.restarts }
-      in
-      close_quiet c.rfd;
-      close_quiet c.cwfd;
-      result
-    end
-  in
-  let nodes = Array.init cfg.n read_result in
-  let forced = ref false in
-  let rec reap_poll pid until =
-    match Unix.waitpid [ Unix.WNOHANG ] pid with
-    | 0, _ ->
-        if Unix.gettimeofday () < until then begin
-          Thread.delay 0.02;
-          reap_poll pid until
-        end
-        else false
-    | _ -> true
-    | exception Unix.Unix_error _ -> true
-  in
-  Array.iter
-    (fun c ->
-      if not c.reaped then begin
-        if not (reap_poll c.pid (Unix.gettimeofday () +. 0.3)) then begin
-          (try Unix.kill c.pid Sys.sigterm with Unix.Unix_error _ -> ());
-          if not (reap_poll c.pid (Unix.gettimeofday () +. 0.5)) then begin
-            forced := true;
-            (try Unix.kill c.pid Sys.sigkill with Unix.Unix_error _ -> ());
-            try ignore (Unix.waitpid [] c.pid) with Unix.Unix_error _ -> ()
-          end
-        end;
-        c.reaped <- true
+    (fun m ->
+      if m.alive then begin
+        m.force ();
+        m.reap ();
+        m.alive <- false;
+        close_quiet m.rfd;
+        close_quiet m.cwfd
       end)
-    children;
+    members;
   {
-    nodes;
+    nodes =
+      Array.map
+        (fun m ->
+          merge_incarnations ~n:cfg.n ~id:m.node ~restarts:m.incarnation
+            (List.rev m.results))
+        members;
     wall_ms = now_ms t0;
     reached_target = reached;
-    outcome = (if !forced then Timed_out else Completed);
+    outcome = (if forced then Timed_out else Completed);
     fault_events = sort_fault_log !fault_log;
   }
 
@@ -1197,25 +1003,37 @@ let run (type m) (module P : Protocol_intf.S with type msg = m) cfg =
   | Some d ->
       (try Unix.mkdir d 0o700 with Unix.Unix_error _ -> ());
       for i = 0 to cfg.n - 1 do
-        let p = Filename.concat d (Printf.sprintf "node-%d.wal" i) in
-        try Sys.remove p with Sys_error _ -> ()
+        Option.iter
+          (fun p -> try Sys.remove p with Sys_error _ -> ())
+          (wal_file cfg i)
       done);
-  let listeners =
+  let bound =
     Array.init cfg.n (fun i ->
         make_listener
           ~port:(match cfg.base_port with None -> 0 | Some b -> b + i))
   in
-  let ports = Array.map snd listeners in
+  let ports = Array.map snd bound in
   let t0 = Unix.gettimeofday () in
-  match cfg.mode with
-  | Threads ->
-      run_threads
-        (module P : Protocol_intf.S with type msg = m)
-        cfg ~listeners ~ports ~plane ~t0
-  | Processes ->
-      run_processes
-        (module P : Protocol_intf.S with type msg = m)
-        cfg ~listeners ~ports ~plane ~t0
+  let run_node ~id ~incarnation ~listener ~wal_blob ~report ~ctl_fd
+      ~register_teardown =
+    let listener =
+      match listener with
+      | Some fd -> fd
+      | None -> fst (make_listener ~port:ports.(id))
+    in
+    node_main
+      (module P : Protocol_intf.S with type msg = m)
+      cfg ~id ~incarnation ~t0 ~listener ~ports ~plane ~wal_blob
+      ~wal_file:(wal_file cfg id) ~report ~ctl_fd ~register_teardown
+  in
+  let start, collect =
+    match cfg.mode with
+    | Threads -> (start_thread run_node, ignore)
+    | Processes -> (start_child cfg run_node, collect_blob)
+  in
+  coordinate cfg ~t0
+    ~listeners:(Array.map (fun (fd, _) -> Some fd) bound)
+    ~start ~collect
 
 (* --- post-hoc aggregation -------------------------------------------------- *)
 

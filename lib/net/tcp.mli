@@ -7,14 +7,23 @@
     the simulator — only the transport differs: [send]/[multicast] encode
     messages with the protocol's wire codec and write frames to per-peer
     TCP connections, [set_timer] arms wall-clock timers, and [now] reads
-    the wall clock (milliseconds since cluster start).  Two execution
-    modes share all of this code:
+    the wall clock (milliseconds since cluster start).
 
-    - {!Threads}: each validator is one executor thread (plus a
-      {!Conn_manager} sender thread) inside the calling process;
-    - {!Processes}: each validator is a forked child process; results
-      travel back to the coordinator over pipes as
-      {!Bft_net.Wire}-encoded blobs.
+    One coordinator drives the cluster in two execution modes.  Every
+    incarnation of a validator reports to it over a pipe (target reached,
+    recovery ordered, crashing, stopped) and takes stop and crash orders
+    from a second pipe, which its executor waits on together with its
+    sockets.  The mode decides only how an incarnation starts, how its
+    result comes back and how it is forced down:
+
+    - {!Threads}: each incarnation is one executor thread (plus a
+      {!Conn_manager} sender thread) inside the calling process; results
+      come back in memory, and a wedged incarnation has its sockets
+      closed from under it;
+    - {!Processes}: each incarnation is a forked child process; a stopped
+      child sends its result back over its pipe as a
+      {!Bft_net.Wire}-encoded blob, and a wedged one gets [SIGTERM], then
+      [SIGKILL].
 
     Topology: full mesh.  Node [i] listens on one TCP port; for sending,
     it opens one connection to each peer and writes frames only on it, so
@@ -32,12 +41,14 @@
     {!Fault_plane.t} and interposed below the codec layer (see
     [docs/WIRE.md]): partitions and loss drop frames at send time, delay
     windows and [link_delay_ms] hold them in the sender queue.  Crashes
-    are real: in {!Threads} mode the incarnation tears down its sockets
-    and its supervisor waits for the recovery order before rebuilding the
-    node (same port, WAL snapshot threaded through); in {!Processes} mode
-    the child kills itself with [SIGKILL] at a loop-iteration boundary
-    and the coordinator re-forks it, the new incarnation rebuilding from
-    its WAL file and catching up via sync.  With
+    are real and land at a loop-iteration boundary: in {!Threads} mode
+    the incarnation tears down its sockets and hands its WAL snapshot to
+    the coordinator, which starts the next incarnation from it (same
+    port) on the recovery order; in {!Processes} mode the child kills
+    itself with [SIGKILL] and the coordinator re-forks it, the new
+    incarnation rebuilding from its WAL file.  Either way the node
+    catches up via sync.  Under [Wall_ms] the coordinator fires the
+    schedule's crashes and recoveries at their instants.  With
     [fault_clock = Views] the schedule is interpreted logically
     ({!Bft_faults.Logical}) — identically to the simulator harness, which
     is what makes chaos chains comparable across substrates.
@@ -66,10 +77,10 @@ open Bft_types
 type mode = Threads | Processes
 
 (** How the run ended.  {!Timed_out} does not mean the deadline expired —
-    it means cooperative shutdown failed and force-teardown was needed:
-    the threads-mode watchdog had to close sockets out from under a
-    wedged executor, or a child process survived [SIGTERM] and had to be
-    [SIGKILL]ed. *)
+    it means cooperative shutdown failed and forcing was needed: some
+    incarnation had not reported its stop within two seconds of the stop
+    order, so the coordinator closed its sockets out from under it
+    (threads) or signalled it down (processes). *)
 type outcome = Completed | Timed_out
 
 type config = {
@@ -172,13 +183,15 @@ type result = {
   nodes : node_result array;
   wall_ms : float;  (** Run length, cluster start to shutdown. *)
   reached_target : bool;
-      (** Every node committed [target_blocks] before the timeout. *)
+      (** Every node's current incarnation committed [target_blocks]
+          before the timeout. *)
   outcome : outcome;
   fault_events : fault_event list;  (** Time-sorted. *)
 }
 
-(** Run a cluster.  Raises [Invalid_argument] on a config with [n < 1],
-    a non-positive target, a fixed port range that does not fit, a
+(** Run a cluster.  Raises [Invalid_argument] on a config with [n < 1]
+    or [n > 256] (a recovery order names its node in one byte), a
+    non-positive target, a non-positive timeout, a negative link delay, a fixed port range that does not fit, a
     schedule outside the fault budget, or a [Views]-clock schedule that
     is not a valid logical schedule. *)
 val run : (module Protocol_intf.S with type msg = 'm) -> config -> result

@@ -85,15 +85,14 @@ val run_seeds : Config.t -> seeds:int list -> run_result list
 (** Simulator events processed by every run this process has completed,
     summed across domains (the counter is atomic, so domain-parallel
     sweeps — {!Bft_parallel.Parallel}-driven benches — account correctly).
-    The bench harness reads it before and after an experiment to report
-    events/second alongside wall-clock. *)
+    Read it before and after a workload to get events/second alongside
+    wall-clock. *)
 val events_processed_total : unit -> int
 
 (** Heap bytes allocated inside the event loops of every run this process
     has completed (per-domain [Gc.allocated_bytes] deltas, summed across
     domains like {!events_processed_total}).  Dividing its delta by the
-    event counter's delta gives the bytes-allocated-per-event probe the
-    bench reports record. *)
+    event counter's delta gives bytes allocated per event. *)
 val bytes_allocated_total : unit -> int
 
 (** Averages across repeated runs. *)

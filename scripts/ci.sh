@@ -8,6 +8,10 @@
 # lockstep by keeping all logic here and none in the workflow.
 #
 # Steps:
+#   0. bench files            -- no committed BENCH_*.json may record
+#                                "events": 0, "blocks": 0 or "states": 0
+#                                (a bench file written by a run that
+#                                measured nothing)
 #   1. dune build @all        -- every library, executable and example
 #   2. dune runtest           -- unit/property/integration suites plus the
 #                                smoke aliases (bench smoke, mc-smoke,
@@ -66,6 +70,15 @@ summary() {
 trap summary EXIT
 
 before=$(git status --porcelain)
+
+step "committed BENCH_*.json record work (no zero events, blocks or states)"
+degenerate=$(git ls-files -z 'BENCH_*.json' \
+  | xargs -0 -r grep -nE '"(events|blocks|states)" *: *0([^0-9.eE]|$)' || true)
+if [ -n "$degenerate" ]; then
+  echo "error: degenerate bench file(s):" >&2
+  echo "$degenerate" >&2
+  exit 1
+fi
 
 step "dune build @all"
 dune build @all

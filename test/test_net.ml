@@ -301,6 +301,57 @@ let process_mode () =
   | Ok () -> ()
   | Error reason -> Alcotest.fail reason
 
+(* [Tcp.run] refuses a config it cannot run before it binds a socket.  The
+   short timeout keeps a config that slipped through from running long. *)
+let validate_rejects () =
+  let kind = Protocol_kind.Commit_moonshot in
+  let base =
+    { (Net_harness.config kind ~n:4 ~blocks:3) with Tcp.timeout_ms = 1000. }
+  in
+  List.iter
+    (fun (what, cfg) ->
+      match Net_harness.run kind cfg with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "%s: accepted" what)
+    [
+      ("n < 1", { base with Tcp.n = 0 });
+      (* A recovery order carries its node id in one byte. *)
+      ("n > 256", { base with Tcp.n = 257 });
+      ("base port 0", { base with Tcp.base_port = Some 0 });
+      ("port range past 65535", { base with Tcp.base_port = Some 65534 });
+      ("negative link delay", { base with Tcp.link_delay_ms = -1. });
+    ]
+
+(* A target no cluster reaches in time: the coordinator must stop every
+   node at the deadline, cooperatively, and still hand back each node's
+   result (in process mode, the blob a child sends over its pipe). *)
+let deadline_exit mode () =
+  let kind = Protocol_kind.Commit_moonshot in
+  let cfg =
+    {
+      (Net_harness.config kind ~n:4 ~blocks:100_000) with
+      Tcp.mode;
+      timeout_ms = 400.;
+    }
+  in
+  let r = Net_harness.run kind cfg in
+  Alcotest.(check bool) "target not reached" false r.Tcp.reached_target;
+  Alcotest.(check bool) "stopped cooperatively" true
+    (r.Tcp.outcome = Tcp.Completed);
+  Alcotest.(check bool)
+    (Printf.sprintf "wall %.0f ms within timeout + 2 s" r.Tcp.wall_ms)
+    true
+    (r.Tcp.wall_ms < cfg.Tcp.timeout_ms +. 2000.);
+  Alcotest.(check (list int)) "one result per node" [ 0; 1; 2; 3 ]
+    (Array.to_list (Array.map (fun nr -> nr.Tcp.id) r.Tcp.nodes));
+  Array.iter
+    (fun nr ->
+      Alcotest.(check bool)
+        (Printf.sprintf "node %d result handed back" nr.Tcp.id)
+        true
+        (nr.Tcp.messages_sent > 0 && nr.Tcp.commits <> []))
+    r.Tcp.nodes
+
 let traced_cluster () =
   let kind = Protocol_kind.Pipelined_moonshot in
   let cfg =
@@ -605,7 +656,7 @@ let output_commit () =
 
 (* One wall-clock crash/recover cycle while the cluster runs.  The dead
    incarnation's sockets must go down (peers see drops, then reconnect),
-   the supervisor must rebuild the node from its WAL snapshot, and the
+   the coordinator must rebuild the node from its WAL snapshot, and the
    cluster must still reach the target with per-height agreement. *)
 let wall_chaos_result mode =
   let kind = Protocol_kind.Commit_moonshot in
@@ -973,6 +1024,11 @@ let () =
             Alcotest.test_case "hello rejects" `Quick hello_rejects;
             Alcotest.test_case "silent connector" `Quick silent_connector;
             Alcotest.test_case "output commit" `Quick output_commit;
+            Alcotest.test_case "validate rejects" `Quick validate_rejects;
+            Alcotest.test_case "deadline exit (threads)" `Quick
+              (deadline_exit Tcp.Threads);
+            Alcotest.test_case "deadline exit (procs)" `Quick
+              (deadline_exit Tcp.Processes);
           ] );
       ( "chaos",
         [
