@@ -395,8 +395,8 @@ let run_net_cmd =
       & info [ "faults" ] ~docv:"SCHEDULE"
           ~doc:
             "Fault schedule to inject, in the simulator's schedule syntax \
-             (e.g. $(b,crash\\@150:2;recover\\@700:2) or \
-             $(b,loss\\@100-400:1>2:0.5)).  Crashes kill the node for real \
+             (e.g. $(b,crash@150:2;recover@700:2) or \
+             $(b,loss@100-400:1>2:0.5)).  Crashes kill the node for real \
              — SIGKILL in $(b,procs) mode — and recovery replays its WAL.")
   in
   let fault_clock =
@@ -582,7 +582,7 @@ let run_net_cmd =
         \  # 2 kB payloads over the sockets\n\
         \  moonshot run-net -p PM --payload 2048 --blocks 100\n\n\
         \  # Kill node 2 for real (SIGKILL) at 150 ms, re-spawn at 700 ms\n\
-        \  moonshot run-net -p CM --mode procs --blocks 40 \\\n\
+        \  moonshot run-net -p CM --mode procs --blocks 40 \\\\\n\
         \      --faults 'crash@150:2;recover@700:2' --delta 300 --check";
     ]
   in

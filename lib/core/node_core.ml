@@ -66,9 +66,14 @@ let add_vote t ~signer ~kind block =
       (Hash.to_int block.Block.hash) ~signer
   with
   | Threshold_reached signers ->
-      Some
-        (Cert.make ~kind ~view:block.Block.view ~block
-           ~signers:(Bft_crypto.Signer_set.count signers))
+      let signers = Bft_crypto.Signer_set.count signers in
+      (match t.env.Env.probe with
+      | Some probe ->
+          probe
+            (Probe.Cert_formed
+               { view = block.Block.view; height = block.Block.height; signers })
+      | None -> ());
+      Some (Cert.make ~kind ~view:block.Block.view ~block ~signers)
   | Added _ | Duplicate | Already_complete -> None
 
 (* [find] rather than [find_opt], and a named walk rather than

@@ -18,7 +18,8 @@ val note_block : 'msg t -> Block.t -> unit
 
 (** [add_vote t ~signer ~kind block] accumulates a vote.  Returns the
     freshly completed certificate when this vote was the one that reached a
-    quorum (at most once per (view, kind, block)). *)
+    quorum (at most once per (view, kind, block)), and reports it as a
+    {!Bft_types.Probe.Cert_formed} event in traced runs. *)
 val add_vote : 'msg t -> signer:int -> kind:Vote_kind.t -> Block.t -> Cert.t option
 
 (** [record_cert t c] files a certificate in the per-view table.  Returns

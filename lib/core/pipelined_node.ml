@@ -1,14 +1,5 @@
 open Bft_types
 
-(* A view's timeout-message aggregation: distinct senders plus the highest
-   lock they reported (the provable high certificate of any TC formed). *)
-type tmo_entry = {
-  signers : Bft_crypto.Signer_set.t;
-  mutable high : Cert.t option;
-  mutable amplified : bool;
-  mutable tc_formed : bool;
-}
-
 type pending =
   | P_opt of Block.t
   | P_normal of Block.t * Cert.t
@@ -19,17 +10,16 @@ type how_entered = Via_cert of Cert.t | Via_tc of Tc.t | Via_start | Via_recover
 type t = {
   core : Message.t Node_core.t;
   env : Message.t Env.t;
-  mutable sync : Message.t Sync.t option;
+  sync : Message.t Sync.t;
   wal : Wal.t option;
   precommit : bool;
   equivocate : bool;
   lso : bool;
   mutable opt_proposed_view : int;  (* highest view we opt-proposed for *)
-  timeout_aggs : (int, tmo_entry) Hashtbl.t;
+  tmo : Timeout_agg.t;
   (* Keyed by [Hash.to_int] of the block hash, as [Node_core]'s votes are;
      see [on_commit_vote]. *)
   commit_votes : int Bft_crypto.Accumulator.t;
-  tcs : (int, Tc.t) Hashtbl.t;
   pending : (int, pending list) Hashtbl.t;
   mutable pending_floor : int;  (* no [pending] key is below it *)
   timeout_sent : (int, unit) Hashtbl.t;
@@ -47,8 +37,6 @@ type t = {
 }
 
 let view_timer_multiplier = 3.
-
-let sync t = Option.get t.sync
 
 (* Persist the safety-critical state; called BEFORE the message that makes
    it binding is sent, as a durable WAL would be. *)
@@ -72,8 +60,8 @@ let committed t = Node_core.committed t.core
 let commit_log t = Node_core.log t.core
 let store t = Node_core.store t.core
 
-let send_proposal t ~view ~parent wrap =
-  Proposal_sender.send t.env ~equivocate:t.equivocate ~view ~parent wrap
+let send_proposal t ~kind ~view ~parent wrap =
+  Proposal_sender.send t.env ~equivocate:t.equivocate ~kind ~view ~parent wrap
 
 (* --- forward declarations via mutual recursion -------------------------- *)
 
@@ -94,8 +82,7 @@ let rec observe_cert t (c : Cert.t) =
 
 and observe_tc t (tc : Tc.t) =
   (match tc.Tc.high_cert with Some c -> observe_cert t c | None -> ());
-  if not (Hashtbl.mem t.tcs tc.Tc.view) then begin
-    Hashtbl.replace t.tcs tc.Tc.view tc;
+  if Timeout_agg.hold t.tmo tc then begin
     (* Timeout rule: join a view change evidenced by a TC. *)
     if tc.Tc.view >= t.cur_view then send_timeout t tc.Tc.view;
     if tc.Tc.view >= t.cur_view then advance_to t (tc.Tc.view + 1) (Via_tc tc)
@@ -168,16 +155,16 @@ and propose t view how =
          just be ignored by honest voters. *)
       ()
   | Via_start ->
-      send_proposal t ~view ~parent:Block.genesis (fun block ->
-          Message.Propose { block; cert = Cert.genesis })
+      send_proposal t ~kind:Probe.Normal ~view ~parent:Block.genesis
+        (fun block -> Message.Propose { block; cert = Cert.genesis })
   | Via_cert c ->
-      send_proposal t ~view ~parent:c.Cert.block (fun block ->
-          Message.Propose { block; cert = c })
+      send_proposal t ~kind:Probe.Normal ~view ~parent:c.Cert.block
+        (fun block -> Message.Propose { block; cert = c })
   | Via_tc tc ->
       (* The Lock rule ran on the TC's embedded certificate before entering,
          so lock >= tc.high_cert as the fallback vote rule requires. *)
-      send_proposal t ~view ~parent:t.lock.Cert.block (fun block ->
-          Message.Fb_propose { block; cert = t.lock; tc })
+      send_proposal t ~kind:Probe.Fallback ~view ~parent:t.lock.Cert.block
+        (fun block -> Message.Fb_propose { block; cert = t.lock; tc })
 
 and process_pending t =
   match Hashtbl.find t.pending t.cur_view with
@@ -251,7 +238,7 @@ and cast_vote t kind (block : Block.t) =
   let next = block.Block.view + 1 in
   if Env.is_leader t.env ~view:next then begin
     t.opt_proposed_view <- max t.opt_proposed_view next;
-    send_proposal t ~view:next ~parent:block (fun b ->
+    send_proposal t ~kind:Probe.Optimistic ~view:next ~parent:block (fun b ->
         Message.Opt_propose { block = b })
   end
 
@@ -310,20 +297,23 @@ and prune_commit_voted t =
   end
 
 let create ?(precommit = false) ?(equivocate = false) ?(lso = false) ?wal env =
+  let core = Node_core.create env in
   let t =
   {
-    core = Node_core.create env;
+    core;
     env;
-    sync = None;
+    sync =
+      Sync.create ~core ~env
+        ~make_request:(fun hash -> Message.Block_request { hash })
+        ~make_response:(fun blocks -> Message.Blocks_response { blocks });
     wal;
     precommit;
     equivocate;
     lso;
     opt_proposed_view = 0;
-    timeout_aggs = Hashtbl.create 16;
+    tmo = Timeout_agg.create env;
     commit_votes =
       Bft_crypto.Accumulator.create ~n:(Env.n env) ~threshold:(Env.quorum env);
-    tcs = Hashtbl.create 16;
     pending = Hashtbl.create 16;
     pending_floor = 0;
     timeout_sent = Hashtbl.create 16;
@@ -339,11 +329,6 @@ let create ?(precommit = false) ?(equivocate = false) ?(lso = false) ?wal env =
   }
   in
   t.expire <- (fun () -> on_view_timer t);
-  t.sync <-
-    Some
-      (Sync.create ~core:t.core ~env
-         ~make_request:(fun hash -> Message.Block_request { hash })
-         ~make_response:(fun blocks -> Message.Blocks_response { blocks }));
   t
 
 (* --- message handlers ---------------------------------------------------- *)
@@ -370,42 +355,18 @@ let buffer t view p =
 
 let on_timeout t ~src view lock =
   (match lock with Some c -> observe_cert t c | None -> ());
-  let entry =
-    match Hashtbl.find_opt t.timeout_aggs view with
-    | Some e -> e
-    | None ->
-        let e =
-          {
-            signers = Bft_crypto.Signer_set.create ~n:(Env.n t.env);
-            high = None;
-            amplified = false;
-            tc_formed = false;
-          }
-        in
-        Hashtbl.replace t.timeout_aggs view e;
-        e
-  in
-  if Bft_crypto.Signer_set.add entry.signers src then begin
-    (match (lock, entry.high) with
-    | Some c, Some h when Cert.rank_gt c h -> entry.high <- Some c
-    | Some c, None -> entry.high <- Some c
-    | _ -> ());
-    let count = Bft_crypto.Signer_set.count entry.signers in
+  let count = Timeout_agg.add t.tmo ~view ~src lock in
+  if count > 0 then begin
+    (* Bracha-style amplification: a weak quorum for a view not yet left
+       behind proves an honest request, so join it, once. *)
     if
       count >= Env.weak_quorum t.env
-      && (not entry.amplified)
       && view >= t.cur_view
-    then begin
-      entry.amplified <- true;
-      send_timeout t view
-    end;
-    if count >= Env.quorum t.env && not entry.tc_formed then begin
-      entry.tc_formed <- true;
-      (match t.env.Env.probe with
-      | Some probe -> probe (Probe.Tc_formed { view; signers = count })
-      | None -> ());
-      observe_tc t (Tc.make ~view ~high_cert:entry.high ~signers:count)
-    end
+      && Timeout_agg.amplify t.tmo view
+    then send_timeout t view;
+    match Timeout_agg.form_tc t.tmo view with
+    | Some tc -> observe_tc t tc
+    | None -> ()
   end
 
 (* Only a vote at its block's view counts.  Every honest commit vote is
@@ -442,18 +403,7 @@ let handle t ~src msg =
       process_pending t
   | Message.Vote { kind; block } -> (
       match Node_core.add_vote t.core ~signer:src ~kind block with
-      | Some cert ->
-          (match t.env.Env.probe with
-          | Some probe ->
-              probe
-                (Probe.Cert_formed
-                  {
-                    view = cert.Cert.view;
-                    height = cert.Cert.block.Block.height;
-                    signers = cert.Cert.signers;
-                  })
-          | None -> ());
-          observe_cert t cert
+      | Some cert -> observe_cert t cert
       | None -> ())
   | Message.Timeout { view; lock } -> on_timeout t ~src view lock
   | Message.Cert_gossip c -> observe_cert t c
@@ -461,14 +411,14 @@ let handle t ~src msg =
   | Message.Status _ -> ()  (* Simple Moonshot only. *)
   | Message.Commit_vote { view; block } ->
       if t.precommit then on_commit_vote t ~src view block
-  | Message.Block_request { hash } -> Sync.handle_request (sync t) ~src hash
-  | Message.Blocks_response { blocks } -> Sync.handle_response (sync t) blocks
+  | Message.Block_request { hash } -> Sync.handle_request t.sync ~src hash
+  | Message.Blocks_response { blocks } -> Sync.handle_response t.sync blocks
 
 (* Run the message, then let the synchronizer chase any commit that is now
    deferred on missing ancestors. *)
 let handle t ~src msg =
   handle t ~src msg;
-  Sync.poke (sync t)
+  Sync.poke t.sync
 
 let start t =
   match Option.map Wal.load t.wal with
@@ -507,23 +457,6 @@ let state_hash t =
   let table_h tbl per_entry =
     Hashtbl.fold (fun k v acc -> Int64.add acc (per_entry k v)) tbl 0L
   in
-  let aggs_h =
-    table_h t.timeout_aggs (fun view (e : tmo_entry) ->
-        (* Signers are inert once the TC formed — see Node_core.state_hash. *)
-        h
-          (Hash.of_fields
-             (Int64.of_int view
-             :: (match e.high with
-                | None -> 0L
-                | Some c -> h (Cert.digest c))
-             :: (if e.amplified then 1L else 0L)
-             ::
-             (if e.tc_formed then [ 1L ]
-              else
-                0L
-                :: List.map Int64.of_int
-                     (Bft_crypto.Signer_set.to_list e.signers)))))
-  in
   let commit_votes_h =
     Bft_crypto.Accumulator.fold
       (fun bkey ~signers ~complete acc ->
@@ -546,10 +479,6 @@ let state_hash t =
                         (Bft_crypto.Signer_set.to_list signers))))))
       t.commit_votes 0L
   in
-  let tcs_h =
-    table_h t.tcs (fun view tc ->
-        h (Hash.of_fields [ Int64.of_int view; h (Tc.digest tc) ]))
-  in
   let pending_h =
     table_h t.pending (fun view items ->
         h (Hash.of_fields (Int64.of_int view :: List.map pending_digest items)))
@@ -563,11 +492,11 @@ let state_hash t =
   Hash.of_fields
     [
       h (Node_core.state_hash t.core);
-      h (Sync.state_hash (sync t));
+      h (Sync.state_hash t.sync);
       Int64.of_int t.opt_proposed_view;
-      aggs_h;
+      Timeout_agg.entries_digest t.tmo;
       commit_votes_h;
-      tcs_h;
+      Timeout_agg.tcs_digest t.tmo;
       pending_h;
       timeout_sent_h;
       commit_voted_h;
@@ -593,11 +522,33 @@ let wal_consistent t =
           && Option.equal Block.equal s.Wal.voted_opt t.voted_opt
           && s.Wal.voted_main = t.voted_main)
 
-module Mc = struct
+module Make (Variant : sig
+  val precommit : bool
+  val lso : bool
+end) =
+struct
+  type msg = Message.t
+
+  let msg_size = Message.size
+  let cpu_cost = Message.cpu_cost
+  let payload_bytes = Message.payload_bytes
+  let classify = Message.classify
+  let view_of = Message.view_of
   let encode_msg = Codec.encode_msg
+  let decode_msg = Codec.decode_msg
+
+  type node = t
+  type wal = Wal.t
+
+  let wal_create = Wal.create
   let wal_encode = Codec.encode_wal
   let wal_decode = Codec.decode_wal
-  let decode_msg = Codec.decode_msg
+
+  let create ?(equivocate = false) ?wal env =
+    create ~precommit:Variant.precommit ~lso:Variant.lso ~equivocate ?wal env
+
+  let start = start
+  let handle = handle
   let msg_digest = Message.digest
   let pp_msg = Message.pp
   let vote_slot = Message.vote_slot
@@ -608,69 +559,6 @@ module Mc = struct
   let wal_consistent = wal_consistent
 end
 
-module Protocol = struct
-  type msg = Message.t
-
-  let msg_size = Message.size
-  let cpu_cost = Message.cpu_cost
-  let payload_bytes = Message.payload_bytes
-  let classify = Message.classify
-  let view_of = Message.view_of
-
-  type node = t
-  type wal = Wal.t
-
-  let wal_create = Wal.create
-
-  let create ?(equivocate = false) ?wal env =
-    create ~precommit:false ~equivocate ?wal env
-
-  let start = start
-  let handle = handle
-
-  include Mc
-end
-
-module Commit_protocol = struct
-  type msg = Message.t
-
-  let msg_size = Message.size
-  let cpu_cost = Message.cpu_cost
-  let payload_bytes = Message.payload_bytes
-  let classify = Message.classify
-  let view_of = Message.view_of
-
-  type node = t
-  type wal = Wal.t
-
-  let wal_create = Wal.create
-
-  let create ?(equivocate = false) ?wal env =
-    create ~precommit:true ~equivocate ?wal env
-
-  let start = start
-  let handle = handle
-
-  include Mc
-end
-
-module Lso_protocol = struct
-  type msg = Message.t
-
-  let msg_size = Message.size
-  let cpu_cost = Message.cpu_cost
-  let payload_bytes = Message.payload_bytes
-  let classify = Message.classify
-  let view_of = Message.view_of
-
-  type node = t
-  type wal = Wal.t
-
-  let wal_create = Wal.create
-
-  let create ?(equivocate = false) ?wal env = create ~lso:true ~equivocate ?wal env
-  let start = start
-  let handle = handle
-
-  include Mc
-end
+module Protocol = Make (struct let precommit = false let lso = false end)
+module Commit_protocol = Make (struct let precommit = true let lso = false end)
+module Lso_protocol = Make (struct let precommit = false let lso = true end)

@@ -9,16 +9,10 @@ let conflicting_block env ~view ~parent =
   let payload = Payload.make ~id:(-view) ~size_bytes:honest.Payload.size_bytes in
   Block.create ~parent ~view ~proposer:env.Env.id ~payload
 
-let send env ~equivocate ~view ~parent wrap =
+let send env ~equivocate ~kind ~view ~parent wrap =
   let block = honest_block env ~view ~parent in
   (match env.Env.probe with
   | Some probe ->
-      let kind =
-        match wrap block with
-        | Message.Opt_propose _ -> Probe.Optimistic
-        | Message.Fb_propose _ -> Probe.Fallback
-        | _ -> Probe.Normal
-      in
       probe (Probe.Proposal_sent { view; height = block.Block.height; kind })
   | None -> ());
   env.Env.on_propose block;

@@ -1,5 +1,5 @@
-(** Block creation and proposal dissemination, shared by all Moonshot node
-    implementations.
+(** Block creation and proposal dissemination, shared by every node
+    implementation of the suite.
 
     Honest leaders build the deterministic block for a view (fixed payload
     [b_v], so an optimistic and a normal proposal with the same parent carry
@@ -9,17 +9,15 @@
 
 open Bft_types
 
-(** [honest_block env ~view ~parent] is the unique block an honest [env.id]
-    proposes for [view] on top of [parent]. *)
-val honest_block : Message.t Env.t -> view:int -> parent:Block.t -> Block.t
-
-(** [send env ~equivocate ~view ~parent wrap] builds the block(s), reports
-    them via [env.on_propose] (and, in traced runs, a
-    {!Bft_types.Probe.Proposal_sent} event) and disseminates [wrap block]. *)
+(** [send env ~equivocate ~kind ~view ~parent wrap] builds the block(s),
+    reports them via [env.on_propose] (and, in traced runs, a
+    {!Bft_types.Probe.Proposal_sent} event of [kind]) and disseminates
+    [wrap block]. *)
 val send :
-  Message.t Env.t ->
+  'msg Env.t ->
   equivocate:bool ->
+  kind:Probe.proposal_kind ->
   view:int ->
   parent:Block.t ->
-  (Block.t -> Message.t) ->
+  (Block.t -> 'msg) ->
   unit

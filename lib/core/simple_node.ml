@@ -1,10 +1,5 @@
 open Bft_types
 
-type tmo_entry = {
-  signers : Bft_crypto.Signer_set.t;
-  mutable tc_formed : bool;
-}
-
 type pending = P_opt of Block.t | P_normal of Block.t * Cert.t
 
 type how_entered = Via_cert of Cert.t | Via_tc of Tc.t | Via_start | Via_recovery
@@ -12,11 +7,10 @@ type how_entered = Via_cert of Cert.t | Via_tc of Tc.t | Via_start | Via_recover
 type t = {
   core : Message.t Node_core.t;
   env : Message.t Env.t;
-  mutable sync : Message.t Sync.t option;
+  sync : Message.t Sync.t;
   wal : Wal.t option;
   equivocate : bool;
-  timeout_aggs : (int, tmo_entry) Hashtbl.t;
-  tcs : (int, Tc.t) Hashtbl.t;
+  tmo : Timeout_agg.t;
   pending : (int, pending list) Hashtbl.t;
   mutable cur_view : int;
   mutable entered_via : how_entered;
@@ -32,15 +26,17 @@ let view_timer_multiplier = 5.
 let propose_wait_multiplier = 2.
 
 let create ?(equivocate = false) ?wal env =
-  let t =
+  let core = Node_core.create env in
   {
-    core = Node_core.create env;
+    core;
     env;
-    sync = None;
+    sync =
+      Sync.create ~core ~env
+        ~make_request:(fun hash -> Message.Block_request { hash })
+        ~make_response:(fun blocks -> Message.Blocks_response { blocks });
     wal;
     equivocate;
-    timeout_aggs = Hashtbl.create 16;
-    tcs = Hashtbl.create 16;
+    tmo = Timeout_agg.create env;
     pending = Hashtbl.create 16;
     cur_view = 0;
     entered_via = Via_start;
@@ -51,15 +47,6 @@ let create ?(equivocate = false) ?wal env =
     cancel_view_timer = (fun () -> ());
     cancel_propose_timer = (fun () -> ());
   }
-  in
-  t.sync <-
-    Some
-      (Sync.create ~core:t.core ~env
-         ~make_request:(fun hash -> Message.Block_request { hash })
-         ~make_response:(fun blocks -> Message.Blocks_response { blocks }));
-  t
-
-let sync t = Option.get t.sync
 
 (* Persist the safety-critical state; called BEFORE the message that makes
    it binding is sent, as a durable WAL would be.  Simple Moonshot has a
@@ -84,8 +71,8 @@ let committed t = Node_core.committed t.core
 let commit_log t = Node_core.log t.core
 let store t = Node_core.store t.core
 
-let send_proposal t ~view ~parent wrap =
-  Proposal_sender.send t.env ~equivocate:t.equivocate ~view ~parent wrap
+let send_proposal t ~kind ~view ~parent wrap =
+  Proposal_sender.send t.env ~equivocate:t.equivocate ~kind ~view ~parent wrap
 
 (* --- core flows, mutually recursive -------------------------------------- *)
 
@@ -103,10 +90,8 @@ let rec observe_cert t (c : Cert.t) =
   end
 
 and observe_tc t (tc : Tc.t) =
-  if not (Hashtbl.mem t.tcs tc.Tc.view) then begin
-    Hashtbl.replace t.tcs tc.Tc.view tc;
-    if tc.Tc.view >= t.cur_view then advance_to t (tc.Tc.view + 1) (Via_tc tc)
-  end
+  if Timeout_agg.hold t.tmo tc && tc.Tc.view >= t.cur_view then
+    advance_to t (tc.Tc.view + 1) (Via_tc tc)
 
 and advance_to t view how =
   if view > t.cur_view then begin
@@ -158,8 +143,8 @@ and advance_to t view how =
 and propose_with_cert t (c : Cert.t) =
   t.proposed <- true;
   t.cancel_propose_timer ();
-  send_proposal t ~view:t.cur_view ~parent:c.Cert.block (fun block ->
-      Message.Propose { block; cert = c })
+  send_proposal t ~kind:Probe.Normal ~view:t.cur_view ~parent:c.Cert.block
+    (fun block -> Message.Propose { block; cert = c })
 
 and propose_fallback t =
   (* Propose rule (ii): 2 Delta elapsed; extend the highest certificate
@@ -209,9 +194,10 @@ and process_pending t =
   (match Hashtbl.find_opt t.pending t.cur_view with
   | None -> ()
   | Some items -> List.iter (try_pending t) (List.rev items));
-  Hashtbl.iter
-    (fun v _ -> if v < t.cur_view then Hashtbl.remove t.pending v)
-    (Hashtbl.copy t.pending)
+  let cur = t.cur_view in
+  Hashtbl.filter_map_inplace
+    (fun v items -> if v < cur then None else Some items)
+    t.pending
 
 and try_pending t = function
   | P_opt block -> try_opt_vote t block
@@ -249,7 +235,7 @@ and cast_vote t (block : Block.t) =
   t.env.Env.multicast (Message.Vote { kind = Vote_kind.Normal; block });
   let next = block.Block.view + 1 in
   if Env.is_leader t.env ~view:next then
-    send_proposal t ~view:next ~parent:block (fun b ->
+    send_proposal t ~kind:Probe.Optimistic ~view:next ~parent:block (fun b ->
         Message.Opt_propose { block = b })
 
 (* --- message handlers ----------------------------------------------------- *)
@@ -260,32 +246,16 @@ let buffer t view p =
     Hashtbl.replace t.pending view (p :: items)
   end
 
+(* Simple Moonshot's timeouts prove no lock, so its TCs carry none. *)
 let on_timeout t ~src view =
-  let entry =
-    match Hashtbl.find_opt t.timeout_aggs view with
-    | Some e -> e
-    | None ->
-        let e =
-          {
-            signers = Bft_crypto.Signer_set.create ~n:(Env.n t.env);
-            tc_formed = false;
-          }
-        in
-        Hashtbl.replace t.timeout_aggs view e;
-        e
-  in
-  if Bft_crypto.Signer_set.add entry.signers src then begin
-    let count = Bft_crypto.Signer_set.count entry.signers in
+  let count = Timeout_agg.add t.tmo ~view ~src None in
+  if count > 0 then begin
     (* Timeout rule: join a view change once a weak quorum (and hence at
        least one honest node) requests it for the current view. *)
     if count >= Env.weak_quorum t.env && view = t.cur_view then local_timeout t;
-    if count >= Env.quorum t.env && not entry.tc_formed then begin
-      entry.tc_formed <- true;
-      (match t.env.Env.probe with
-      | Some probe -> probe (Probe.Tc_formed { view; signers = count })
-      | None -> ());
-      observe_tc t (Tc.make ~view ~high_cert:None ~signers:count)
-    end
+    match Timeout_agg.form_tc t.tmo view with
+    | Some tc -> observe_tc t tc
+    | None -> ()
   end
 
 let handle t ~src msg =
@@ -303,18 +273,7 @@ let handle t ~src msg =
       match
         Node_core.add_vote t.core ~signer:src ~kind:Vote_kind.Normal block
       with
-      | Some cert ->
-          (match t.env.Env.probe with
-          | Some probe ->
-              probe
-                (Probe.Cert_formed
-                  {
-                    view = cert.Cert.view;
-                    height = cert.Cert.block.Block.height;
-                    signers = cert.Cert.signers;
-                  })
-          | None -> ());
-          observe_cert t cert
+      | Some cert -> observe_cert t cert
       | None -> ())
   | Message.Timeout { view; lock } ->
       (match lock with Some c -> observe_cert t c | None -> ());
@@ -324,12 +283,12 @@ let handle t ~src msg =
   | Message.Status { lock; _ } -> observe_cert t lock
   | Message.Fb_propose _ | Message.Commit_vote _ ->
       ()  (* Not part of Simple Moonshot. *)
-  | Message.Block_request { hash } -> Sync.handle_request (sync t) ~src hash
-  | Message.Blocks_response { blocks } -> Sync.handle_response (sync t) blocks
+  | Message.Block_request { hash } -> Sync.handle_request t.sync ~src hash
+  | Message.Blocks_response { blocks } -> Sync.handle_response t.sync blocks
 
 let handle t ~src msg =
   handle t ~src msg;
-  Sync.poke (sync t)
+  Sync.poke t.sync
 
 let start t =
   match Option.map Wal.load t.wal with
@@ -366,30 +325,6 @@ let via_digest = function
    Timer state lives in the engine and is digested by the checker. *)
 let state_hash t =
   let h = Hash.to_int64 in
-  let aggs_h =
-    Hashtbl.fold
-      (fun view (e : tmo_entry) acc ->
-        (* Signers are inert once the TC formed (late timeouts only feed
-           dedup) — excluding them collapses post-quorum arrival orders. *)
-        Int64.add acc
-          (h
-             (Hash.of_fields
-                (Int64.of_int view
-                ::
-                (if e.tc_formed then [ 1L ]
-                 else
-                   0L
-                   :: List.map Int64.of_int
-                        (Bft_crypto.Signer_set.to_list e.signers))))))
-      t.timeout_aggs 0L
-  in
-  let tcs_h =
-    Hashtbl.fold
-      (fun view tc acc ->
-        Int64.add acc
-          (h (Hash.of_fields [ Int64.of_int view; h (Tc.digest tc) ])))
-      t.tcs 0L
-  in
   let pending_h =
     Hashtbl.fold
       (fun view items acc ->
@@ -400,9 +335,9 @@ let state_hash t =
   Hash.of_fields
     [
       h (Node_core.state_hash t.core);
-      h (Sync.state_hash (sync t));
-      aggs_h;
-      tcs_h;
+      h (Sync.state_hash t.sync);
+      Timeout_agg.entries_digest t.tmo;
+      Timeout_agg.tcs_digest t.tmo;
       pending_h;
       Int64.of_int t.cur_view;
       via_digest t.entered_via;

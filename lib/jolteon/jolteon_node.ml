@@ -3,13 +3,7 @@ module Cert = Moonshot.Cert
 module Tc = Moonshot.Tc
 module Node_core = Moonshot.Node_core
 module Wal = Moonshot.Wal
-
-type tmo_entry = {
-  signers : Bft_crypto.Signer_set.t;
-  mutable high : Cert.t;
-  mutable amplified : bool;
-  mutable tc_formed : bool;
-}
+module Timeout_agg = Moonshot.Timeout_agg
 
 type pending = P of Block.t * Cert.t * Tc.t option
 
@@ -18,12 +12,11 @@ type how_entered = Via_qc of Cert.t | Via_tc of Tc.t | Via_start | Via_recovery
 type t = {
   core : Jolteon_msg.t Node_core.t;
   env : Jolteon_msg.t Env.t;
-  mutable sync : Jolteon_msg.t Moonshot.Sync.t option;
+  sync : Jolteon_msg.t Moonshot.Sync.t;
   wal : Wal.t option;
   equivocate : bool;
   commit_depth : int;
-  timeout_aggs : (int, tmo_entry) Hashtbl.t;
-  tcs : (int, Tc.t) Hashtbl.t;
+  tmo : Timeout_agg.t;
   pending : (int, pending list) Hashtbl.t;
   timeout_sent : (int, unit) Hashtbl.t;
   mutable cur_round : int;
@@ -38,8 +31,6 @@ type t = {
 }
 
 let round_timer_multiplier = 4.
-
-let sync t = Option.get t.sync
 
 (* Persist the safety-critical state before the message that makes it
    binding hits the wire.  Jolteon's slots map onto the shared WAL record:
@@ -65,36 +56,11 @@ let committed t = Node_core.committed t.core
 let commit_log t = Node_core.log t.core
 let store t = Node_core.store t.core
 
-let honest_block t ~round ~parent =
-  Block.create ~parent ~view:round ~proposer:t.env.Env.id
-    ~payload:(t.env.Env.make_payload ~view:round ~parent)
-
-let conflicting_block t ~round ~parent =
-  let honest = t.env.Env.make_payload ~view:round ~parent in
-  let payload = Payload.make ~id:(-round) ~size_bytes:honest.Payload.size_bytes in
-  Block.create ~parent ~view:round ~proposer:t.env.Env.id ~payload
-
 let send_proposal t ~round ~qc ~tc =
-  let parent = qc.Cert.block in
-  let block = honest_block t ~round ~parent in
-  (match t.env.Env.probe with
-  | Some probe ->
-      let kind = if tc = None then Probe.Normal else Probe.Fallback in
-      probe
-        (Probe.Proposal_sent { view = round; height = block.Block.height; kind })
-  | None -> ());
-  t.env.Env.on_propose block;
-  if not t.equivocate then
-    t.env.Env.multicast (Jolteon_msg.Propose { block; qc; tc })
-  else begin
-    let block' = conflicting_block t ~round ~parent in
-    t.env.Env.on_propose block';
-    let half = Env.n t.env / 2 in
-    for dst = 0 to Env.n t.env - 1 do
-      let b = if dst < half then block else block' in
-      t.env.Env.send dst (Jolteon_msg.Propose { block = b; qc; tc })
-    done
-  end
+  Moonshot.Proposal_sender.send t.env ~equivocate:t.equivocate
+    ~kind:(if tc = None then Probe.Normal else Probe.Fallback)
+    ~view:round ~parent:qc.Cert.block
+    (fun block -> Jolteon_msg.Propose { block; qc; tc })
 
 let rec observe_qc t (qc : Cert.t) =
   if Node_core.record_cert t.core qc then begin
@@ -106,10 +72,8 @@ let rec observe_qc t (qc : Cert.t) =
 
 and observe_tc t (tc : Tc.t) =
   (match tc.Tc.high_cert with Some c -> observe_qc t c | None -> ());
-  if not (Hashtbl.mem t.tcs tc.Tc.view) then begin
-    Hashtbl.replace t.tcs tc.Tc.view tc;
-    if tc.Tc.view >= t.cur_round then advance_to t (tc.Tc.view + 1) (Via_tc tc)
-  end
+  if Timeout_agg.hold t.tmo tc && tc.Tc.view >= t.cur_round then
+    advance_to t (tc.Tc.view + 1) (Via_tc tc)
 
 and send_timeout t round =
   if not (Hashtbl.mem t.timeout_sent round) then begin
@@ -217,16 +181,19 @@ and try_vote t (P (block, qc, tc)) =
 
 let create ?(equivocate = false) ?(commit_depth = 2) ?wal env =
   if commit_depth < 2 then invalid_arg "Jolteon_node.create: commit_depth < 2";
+  let core = Node_core.create env in
   let t =
   {
-    core = Node_core.create env;
+    core;
     env;
-    sync = None;
+    sync =
+      Moonshot.Sync.create ~core ~env
+        ~make_request:(fun hash -> Jolteon_msg.Block_request { hash })
+        ~make_response:(fun blocks -> Jolteon_msg.Blocks_response { blocks });
     wal;
     equivocate;
     commit_depth;
-    timeout_aggs = Hashtbl.create 16;
-    tcs = Hashtbl.create 16;
+    tmo = Timeout_agg.create env;
     pending = Hashtbl.create 16;
     timeout_sent = Hashtbl.create 16;
     cur_round = 0;
@@ -238,11 +205,6 @@ let create ?(equivocate = false) ?(commit_depth = 2) ?wal env =
   }
   in
   t.expire <- (fun () -> on_round_timer t);
-  t.sync <-
-    Some
-      (Moonshot.Sync.create ~core:t.core ~env
-         ~make_request:(fun hash -> Jolteon_msg.Block_request { hash })
-         ~make_response:(fun blocks -> Jolteon_msg.Blocks_response { blocks }));
   t
 
 let buffer t round p =
@@ -257,39 +219,16 @@ let buffer t round p =
 
 let on_timeout t ~src round high_qc =
   observe_qc t high_qc;
-  let entry =
-    match Hashtbl.find_opt t.timeout_aggs round with
-    | Some e -> e
-    | None ->
-        let e =
-          {
-            signers = Bft_crypto.Signer_set.create ~n:(Env.n t.env);
-            high = high_qc;
-            amplified = false;
-            tc_formed = false;
-          }
-        in
-        Hashtbl.replace t.timeout_aggs round e;
-        e
-  in
-  if Bft_crypto.Signer_set.add entry.signers src then begin
-    if Cert.rank_gt high_qc entry.high then entry.high <- high_qc;
-    let count = Bft_crypto.Signer_set.count entry.signers in
+  let count = Timeout_agg.add t.tmo ~view:round ~src (Some high_qc) in
+  if count > 0 then begin
     if
       count >= Env.weak_quorum t.env
-      && (not entry.amplified)
       && round >= t.cur_round
-    then begin
-      entry.amplified <- true;
-      send_timeout t round
-    end;
-    if count >= Env.quorum t.env && not entry.tc_formed then begin
-      entry.tc_formed <- true;
-      (match t.env.Env.probe with
-      | Some probe -> probe (Probe.Tc_formed { view = round; signers = count })
-      | None -> ());
-      observe_tc t (Tc.make ~view:round ~high_cert:(Some entry.high) ~signers:count)
-    end
+      && Timeout_agg.amplify t.tmo round
+    then send_timeout t round;
+    match Timeout_agg.form_tc t.tmo round with
+    | Some tc -> observe_tc t tc
+    | None -> ()
   end
 
 let handle t ~src msg =
@@ -307,28 +246,17 @@ let handle t ~src msg =
         Node_core.add_vote t.core ~signer:src ~kind:Moonshot.Vote_kind.Normal
           block
       with
-      | Some qc ->
-          (match t.env.Env.probe with
-          | Some probe ->
-              probe
-                (Probe.Cert_formed
-                  {
-                    view = qc.Cert.view;
-                    height = qc.Cert.block.Block.height;
-                    signers = qc.Cert.signers;
-                  })
-          | None -> ());
-          observe_qc t qc
+      | Some qc -> observe_qc t qc
       | None -> ())
   | Jolteon_msg.Timeout { round; high_qc } -> on_timeout t ~src round high_qc
   | Jolteon_msg.Block_request { hash } ->
-      Moonshot.Sync.handle_request (sync t) ~src hash
+      Moonshot.Sync.handle_request t.sync ~src hash
   | Jolteon_msg.Blocks_response { blocks } ->
-      Moonshot.Sync.handle_response (sync t) blocks
+      Moonshot.Sync.handle_response t.sync blocks
 
 let handle t ~src msg =
   handle t ~src msg;
-  Moonshot.Sync.poke (sync t)
+  Moonshot.Sync.poke t.sync
 
 let start t =
   match Option.map Wal.load t.wal with
@@ -355,25 +283,6 @@ let state_hash t =
   let table_h tbl per_entry =
     Hashtbl.fold (fun k v acc -> Int64.add acc (per_entry k v)) tbl 0L
   in
-  let aggs_h =
-    table_h t.timeout_aggs (fun round (e : tmo_entry) ->
-        (* Signers are inert once the TC formed — see Node_core.state_hash. *)
-        h
-          (Hash.of_fields
-             (Int64.of_int round
-             :: h (Cert.digest e.high)
-             :: (if e.amplified then 1L else 0L)
-             ::
-             (if e.tc_formed then [ 1L ]
-              else
-                0L
-                :: List.map Int64.of_int
-                     (Bft_crypto.Signer_set.to_list e.signers)))))
-  in
-  let tcs_h =
-    table_h t.tcs (fun round tc ->
-        h (Hash.of_fields [ Int64.of_int round; h (Tc.digest tc) ]))
-  in
   let pending_h =
     table_h t.pending (fun round items ->
         h
@@ -398,9 +307,9 @@ let state_hash t =
   Hash.of_fields
     [
       h (Node_core.state_hash t.core);
-      h (Moonshot.Sync.state_hash (sync t));
-      aggs_h;
-      tcs_h;
+      h (Moonshot.Sync.state_hash t.sync);
+      Timeout_agg.entries_digest t.tmo;
+      Timeout_agg.tcs_digest t.tmo;
       pending_h;
       timeout_sent_h;
       Int64.of_int t.cur_round;

@@ -17,11 +17,12 @@ type t = {
   mutable on_quorum_commit : (node:int -> time:float -> Block.t -> unit) option;
 }
 
+let latency_quorum ~n = (2 * ((n - 1) / 3)) + 1
+
 let create ~n () =
-  let f = (n - 1) / 3 in
   {
     n;
-    quorum = (2 * f) + 1;
+    quorum = latency_quorum ~n;
     blocks = Hashtbl.create 1024;
     height_first = Hashtbl.create 1024;
     per_node_committed = Array.make n 0;

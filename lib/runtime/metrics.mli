@@ -17,7 +17,13 @@ type t
 
 val create : n:int -> unit -> t
 
-(** Commit quorum, [2f + 1]. *)
+(** The commit quorum [2f + 1], with [f = (n - 1) / 3], of an [n]-node
+    run: the number of nodes whose commit of a block ends its latency.
+    It equals the protocol quorum [n - f] only when [n = 3f + 1]; both
+    substrates time commits against this one value. *)
+val latency_quorum : n:int -> int
+
+(** [latency_quorum] of the collector's [n]. *)
 val commit_quorum : t -> int
 
 val on_propose : t -> time:float -> Block.t -> unit

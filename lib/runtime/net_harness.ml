@@ -1,4 +1,4 @@
-let quorum ~n = n - ((n - 1) / 3)
+let quorum ~n = Metrics.latency_quorum ~n
 
 let config kind ~n ~blocks =
   {

@@ -10,8 +10,9 @@
     must produce the identical commit sequence, and {!crossval} asserts
     they do. *)
 
-(** The commit quorum [n - f] with [f = (n - 1) / 3] — the number of
-    nodes whose commit makes a block final for latency accounting. *)
+(** The commit quorum [2f + 1] with [f = (n - 1) / 3] — the number of
+    nodes whose commit makes a block final for latency accounting, the
+    simulator's {!Metrics.latency_quorum}. *)
 val quorum : n:int -> int
 
 (** [config kind ~n ~blocks] — a {!Bft_net.Tcp.config} wired for

@@ -514,6 +514,126 @@ let test_unchanged_wal_encode_alloc () =
               (Hash.equal (Wal.digest w) (Wal.digest wal))
   | Error e -> Alcotest.fail e
 
+(* --- Timeout_agg ------------------------------------------------------------ *)
+
+(* n = 4: weak quorum 2, quorum 3.  The probe records every TC formed. *)
+let make_agg () =
+  let _mock, env = Mock.create ~n:4 ~id:0 () in
+  let formed = ref [] in
+  let probe = function
+    | Probe.Tc_formed { view; signers } -> formed := (view, signers) :: !formed
+    | _ -> ()
+  in
+  (Timeout_agg.create { env with Env.probe = Some probe }, formed)
+
+let high_view (tc : Tc.t) = Tc.high_cert_view tc
+
+let test_agg_repeated_sender () =
+  let agg, _ = make_agg () in
+  check_int "first sender counts" 1
+    (Timeout_agg.add agg ~view:5 ~src:1 (Some (cert_of 1)));
+  let before = Timeout_agg.entries_digest agg in
+  check_int "repeat returns 0" 0
+    (Timeout_agg.add agg ~view:5 ~src:1 (Some (cert_of 4)));
+  check "repeat changes nothing" true
+    (Int64.equal before (Timeout_agg.entries_digest agg));
+  check_int "next sender counts 2" 2 (Timeout_agg.add agg ~view:5 ~src:2 None);
+  check_int "third sender counts 3" 3 (Timeout_agg.add agg ~view:5 ~src:3 None);
+  match Timeout_agg.form_tc agg 5 with
+  | Some tc -> check_int "the repeat's higher cert was ignored" 1 (high_view tc)
+  | None -> Alcotest.fail "quorum reached without a TC"
+
+let permutations l =
+  let rec go = function
+    | [] -> [ [] ]
+    | l ->
+        List.concat_map
+          (fun x -> List.map (fun p -> x :: p) (go (List.filter (( <> ) x) l)))
+          l
+  in
+  go l
+
+let test_agg_highest_cert_wins () =
+  List.iter
+    (fun order ->
+      let agg, _ = make_agg () in
+      List.iteri
+        (fun src v ->
+          ignore (Timeout_agg.add agg ~view:7 ~src (Some (cert_of v))))
+        order;
+      match Timeout_agg.form_tc agg 7 with
+      | Some tc ->
+          check_int
+            (Printf.sprintf "order %s"
+               (String.concat "," (List.map string_of_int order)))
+            3 (high_view tc)
+      | None -> Alcotest.fail "quorum reached without a TC")
+    (permutations [ 1; 2; 3 ])
+
+let test_agg_amplify_once () =
+  let agg, _ = make_agg () in
+  check "first ask" true (Timeout_agg.amplify agg 2);
+  check "second ask" false (Timeout_agg.amplify agg 2);
+  check "another view" true (Timeout_agg.amplify agg 3);
+  check "that view again" false (Timeout_agg.amplify agg 3)
+
+let test_agg_tc_once_at_quorum () =
+  let agg, formed = make_agg () in
+  let step src cert =
+    ignore (Timeout_agg.add agg ~view:4 ~src cert);
+    Timeout_agg.form_tc agg 4
+  in
+  check "1 sender: none" true (step 0 (Some (cert_of 2)) = None);
+  check "2 senders: none" true (step 1 None = None);
+  (match step 2 (Some (cert_of 1)) with
+  | Some tc ->
+      check_int "TC view" 4 tc.Tc.view;
+      check_int "TC signers" 3 tc.Tc.signers;
+      check_int "TC proves the highest cert" 2 (high_view tc)
+  | None -> Alcotest.fail "third sender should form the TC");
+  check "4 senders: none" true (step 3 (Some (cert_of 3)) = None);
+  check "asked again: none" true (Timeout_agg.form_tc agg 4 = None);
+  check "probed once" true (!formed = [ (4, 3) ]);
+  (* Timeouts that prove no lock form a TC without a certificate. *)
+  let agg, _ = make_agg () in
+  List.iter (fun src -> ignore (Timeout_agg.add agg ~view:1 ~src None)) [ 0; 1; 2 ];
+  match Timeout_agg.form_tc agg 1 with
+  | Some tc -> check "no cert" true (tc.Tc.high_cert = None)
+  | None -> Alcotest.fail "quorum reached without a TC"
+
+let test_agg_digest () =
+  let feed agg adds =
+    List.iter
+      (fun (view, src, v) ->
+        ignore (Timeout_agg.add agg ~view ~src (Option.map cert_of v));
+        ignore (Timeout_agg.form_tc agg view))
+      adds
+  in
+  let adds =
+    [ (3, 0, Some 1); (3, 1, Some 2); (4, 2, None); (3, 2, None); (4, 0, Some 2) ]
+  in
+  let a, _ = make_agg () and b, _ = make_agg () in
+  feed a adds;
+  feed b (List.rev adds);
+  check "insertion order ignored" true
+    (Int64.equal (Timeout_agg.entries_digest a) (Timeout_agg.entries_digest b));
+  let formed = Timeout_agg.entries_digest a in
+  feed a [ (3, 3, Some 4) ];
+  check "sender after the TC ignored" true
+    (Int64.equal formed (Timeout_agg.entries_digest a));
+  feed a [ (4, 3, None) ];
+  check "sender before the TC counted" false
+    (Int64.equal formed (Timeout_agg.entries_digest a))
+
+let test_agg_hold () =
+  let agg, _ = make_agg () in
+  let empty = Timeout_agg.tcs_digest agg in
+  check "first TC held" true (Timeout_agg.hold agg (B.tc 3));
+  check "second TC for the view refused" false
+    (Timeout_agg.hold agg (B.tc ~high_cert:(cert_of 2) 3));
+  check "digest covers held TCs" false
+    (Int64.equal empty (Timeout_agg.tcs_digest agg))
+
 let () =
   Alcotest.run "node-core"
     [
@@ -570,6 +690,15 @@ let () =
         [
           Alcotest.test_case "view must match the block's" `Quick
             test_commit_vote_view_must_match;
+        ] );
+      ( "timeout-agg",
+        [
+          Alcotest.test_case "repeated sender" `Quick test_agg_repeated_sender;
+          Alcotest.test_case "highest cert wins" `Quick test_agg_highest_cert_wins;
+          Alcotest.test_case "amplify once" `Quick test_agg_amplify_once;
+          Alcotest.test_case "one TC at quorum" `Quick test_agg_tc_once_at_quorum;
+          Alcotest.test_case "entries digest" `Quick test_agg_digest;
+          Alcotest.test_case "held TCs" `Quick test_agg_hold;
         ] );
       ( "alloc-pins",
         [

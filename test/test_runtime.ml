@@ -55,6 +55,16 @@ let test_metrics_quorum_commit () =
   check "latency is third commit minus creation" true
     (r.Metrics.latencies_ms = [ 30. ])
 
+(* Socket runs time the same commit as simulated ones, also where the
+   protocol quorum n - f exceeds 2f + 1 (n = 5: 4 vs 3; n = 6: 5 vs 3). *)
+let test_latency_quorum_shared () =
+  List.iter
+    (fun (n, q) ->
+      let label = Printf.sprintf "n=%d" n in
+      check_int (label ^ " metrics") q (Metrics.commit_quorum (Metrics.create ~n ()));
+      check_int (label ^ " sockets") q (Bft_runtime.Net_harness.quorum ~n))
+    [ (4, 3); (5, 3); (6, 3); (7, 5) ]
+
 let test_metrics_dedup_per_node () =
   let m = Metrics.create ~n:4 () in
   Metrics.on_propose m ~time:0. (blk 1);
@@ -195,6 +205,7 @@ let () =
       ( "metrics",
         [
           Alcotest.test_case "quorum commit" `Quick test_metrics_quorum_commit;
+          Alcotest.test_case "one latency quorum" `Quick test_latency_quorum_shared;
           Alcotest.test_case "per-node dedup" `Quick test_metrics_dedup_per_node;
           Alcotest.test_case "creation dedup" `Quick test_metrics_creation_deduped;
           Alcotest.test_case "global safety" `Quick test_metrics_global_safety;
