@@ -29,9 +29,6 @@ open Bft_types
     {!Bft_net.Wire.run_decoder}; they are exported for the Jolteon codec
     and for tests. *)
 
-val write_payload : Bft_net.Wire.W.t -> Payload.t -> unit
-val read_payload : Bft_net.Wire.R.t -> Payload.t
-
 (** Block header only — what votes, certificates and commit votes carry;
     no payload padding. *)
 val write_block : Bft_net.Wire.W.t -> Block.t -> unit

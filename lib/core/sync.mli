@@ -17,9 +17,6 @@ open Bft_types
 
 type 'msg t
 
-(** How many blocks a single response may carry. *)
-val batch_size : int
-
 val create :
   core:'msg Node_core.t ->
   env:'msg Env.t ->

@@ -43,9 +43,6 @@ val snapshot : t -> (t -> string) -> string
 (** Number of records written (introspection for tests). *)
 val writes : t -> int
 
-(** Canonical digest of a recorded state. *)
-val state_digest : state -> Hash.t
-
 (** Digest of the latest record ({!Hash.null} when empty).  The write
     counter is excluded: recovery reads only the latest record, so logs
     with equal latest records are behaviourally equivalent. *)

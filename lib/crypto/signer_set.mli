@@ -25,16 +25,6 @@ val count : t -> int
 (** The [n] the set was created with. *)
 val capacity : t -> int
 
-(** {2 Unchecked word operations}
-
-    Same as {!add}/{!mem} minus the range check.  The caller must guarantee
-    [0 <= i < n]; out-of-range indices silently corrupt or read neighbouring
-    bits.  Used on paths that already validated the signer (e.g. a message
-    source assigned by the engine). *)
-
-val unsafe_add : t -> int -> bool
-val unsafe_mem : t -> int -> bool
-
 (** [iter f t] applies [f] to each member in ascending order, without
     allocating.  This is the certificate-formation path's replacement for
     {!to_list}. *)

@@ -36,9 +36,6 @@ val empty : t
 (** Whether the schedule has no events. *)
 val is_empty : t -> bool
 
-(** Start time of an event (the [at] / [from_] field). *)
-val time_of : event -> float
-
 (** Events sorted by start time (stable). *)
 val sorted : t -> t
 

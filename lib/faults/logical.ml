@@ -89,7 +89,6 @@ let of_schedule_exn ~n sched =
   | Error e -> invalid_arg ("Logical.of_schedule: " ^ e)
 
 let crash_anchor t node = t.crash_of.(node)
-let recover_anchor t node = t.recover_of.(node)
 
 let recoveries t =
   List.filter_map
@@ -104,13 +103,6 @@ let cut t ~src ~src_view ~dst =
          src_view >= w.from_v && src_view < w.until_v
          && w.group_of.(src) <> w.group_of.(dst))
        t.windows
-
-let cut_any t ~src ~src_view =
-  List.exists
-    (fun w ->
-      src_view >= w.from_v && src_view < w.until_v
-      && Array.exists (fun g -> g <> w.group_of.(src)) w.group_of)
-    t.windows
 
 let last_anchor t =
   let m = ref 0 in

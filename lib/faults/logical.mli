@@ -50,10 +50,6 @@ val observer : t -> int
     its first incarnation only), if the schedule crashes it. *)
 val crash_anchor : t -> int -> int option
 
-(** [recover_anchor t node] — the observer view at which [node] is
-    restarted, if scheduled. *)
-val recover_anchor : t -> int -> int option
-
 (** All (recover_view, node) pairs, sorted by view. *)
 val recoveries : t -> (int * int) list
 
@@ -62,11 +58,6 @@ val recoveries : t -> (int * int) list
     cut.  Nodes in no listed group share one implicit group, as in
     {!Overlay}. *)
 val cut : t -> src:int -> src_view:int -> dst:int -> bool
-
-(** Whether any destination could be cut for [src] at [src_view] — a
-    cheap pre-test that lets a multicast stay a multicast outside
-    partition windows. *)
-val cut_any : t -> src:int -> src_view:int -> bool
 
 (** The largest view mentioned by any anchor — runs should target enough
     blocks to progress well past it. *)

@@ -9,10 +9,6 @@
     fittest.  The first counterexample stops the search.  Identical seeds
     and inputs replay identical searches. *)
 
-(** Near-miss weight in the fitness sum (one commit-free walk counts as
-    this many fresh digests). *)
-val near_weight : float
-
 type outcome = {
   o_digests : int64 list;
   o_near_misses : int;

@@ -70,8 +70,6 @@ val digest_prune_ratio : stats -> float
 val sleep_prune_ratio : stats -> float
 
 val kind_name : violation_kind -> string
-val pp_path : Format.formatter -> int list -> unit
-val pp_violation : Format.formatter -> violation -> unit
 val pp : Format.formatter -> t -> unit
 
 (** {2 Swarm mode} *)
@@ -86,8 +84,6 @@ type endpoint =
       (** every enabled action was asleep — the sampled branch of the
           reduced tree is empty here, exactly as exhaustive DPOR would
           skip it *)
-
-val endpoint_name : endpoint -> string
 
 type swarm = {
   sw_walks : int;
@@ -128,5 +124,4 @@ type search = {
           walk that exhibits it under that schedule *)
 }
 
-val pp_counterexample : Format.formatter -> counterexample -> unit
 val pp_search : Format.formatter -> search -> unit

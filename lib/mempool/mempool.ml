@@ -26,7 +26,6 @@ let create ~lanes ~lane_capacity ~backlog_capacity =
     committed = 0;
   }
 
-let lane_count t = Array.length t.lanes
 let lane_of t ~client = client mod Array.length t.lanes
 
 let submit t ~client ~seq ~time =

@@ -27,8 +27,6 @@ type t
 type verdict = Admitted | Deferred | Rejected
 
 val create : lanes:int -> lane_capacity:int -> backlog_capacity:int -> t
-val lane_count : t -> int
-val lane_of : t -> client:int -> int
 
 (** [submit t ~client ~seq ~time] offers command [seq] from [client],
     submitted at [time]. *)

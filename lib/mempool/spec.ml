@@ -25,13 +25,6 @@ let default =
     seed = 1;
   }
 
-let clock_of_string = function
-  | "wall" -> Ok Wall
-  | "views" -> Ok Views
-  | s -> Error (Printf.sprintf "unknown ingest clock %S (expected wall|views)" s)
-
-let clock_to_string = function Wall -> "wall" | Views -> "views"
-
 let validate t =
   if t.clients <= 0 then invalid_arg "Spec.validate: clients must be positive";
   if t.lanes <= 0 then invalid_arg "Spec.validate: lanes must be positive";

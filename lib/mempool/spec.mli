@@ -31,9 +31,6 @@ type t = {
     512-command batches, wall clock. *)
 val default : t
 
-val clock_of_string : string -> (clock, string) result
-val clock_to_string : clock -> string
-
 (** Raises [Invalid_argument] on non-positive population, lanes, bounds or
     rates. *)
 val validate : t -> unit

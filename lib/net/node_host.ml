@@ -70,6 +70,7 @@ module Make (P : Protocol_intf.S) = struct
     mutable incarnation : int;
     mutable step : Fault_step.t option;
     mutable node : P.node option;
+    mutable handler : src:int -> P.msg -> unit;
   }
 
   let create policy ?(incarnation = 0) ?wal ?(equivocate = false)
@@ -89,6 +90,7 @@ module Make (P : Protocol_intf.S) = struct
       incarnation;
       step = None;
       node = None;
+      handler = (fun ~src:_ _ -> ());
     }
 
   let emit t kind =
@@ -167,14 +169,16 @@ module Make (P : Protocol_intf.S) = struct
         t.policy.faults;
     let node = P.create ~equivocate:t.equivocate ?wal:t.wal (t.wrap (env t)) in
     t.node <- Some node;
-    t.on_spawn node
+    t.handler <-
       (match t.step with
       | None -> P.handle node
       | Some _ ->
           fun ~src msg ->
             P.handle node ~src msg;
-            fault_step t)
+            fault_step t);
+    t.on_spawn node t.handler
 
+  let handle t ~src msg = t.handler ~src msg
   let start t = Option.iter P.start t.node
 
   let recover t =

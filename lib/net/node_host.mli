@@ -6,9 +6,9 @@
     stamped with the transport's clock, the logical fault step after each
     event, and the incarnation lifecycle (WAL, [P.create], install,
     [P.start]).  The simulator's transport is {!engine_io}, shared by
-    [Bft_runtime.Harness] and [Bft_mc.Checker]; {!Tcp} builds its own over
-    the connection manager, a self-queue and wall timers.  Event loops
-    stay substrate code. *)
+    [Bft_runtime.Harness] and [Bft_mc.Checker]; {!Executor} builds the
+    socket one over a frame sink, a self-queue and its own timer heap.
+    Event loops stay substrate code. *)
 
 open Bft_types
 
@@ -85,6 +85,10 @@ module Make (P : Protocol_intf.S) : sig
 
   (** [P.start] the current node, if one was spawned. *)
   val start : t -> unit
+
+  (** Deliver a message to the current node through the handler {!spawn}
+      installed; a no-op before the first spawn. *)
+  val handle : t -> src:int -> P.msg -> unit
 
   (** The fault step on the current node's view, as after an event. *)
   val fault_step : t -> unit

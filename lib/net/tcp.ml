@@ -49,7 +49,7 @@ let default ~n ~target_blocks =
     clients = None;
   }
 
-type commit = {
+type commit = Executor.commit = {
   c_height : int;
   c_view : int;
   c_hash : int64;
@@ -58,9 +58,10 @@ type commit = {
   c_payload_bytes : int;
 }
 
-type proposal = { p_height : int; p_hash : int64; p_time_ms : float }
+type proposal = Executor.proposal =
+  { p_height : int; p_hash : int64; p_time_ms : float }
 
-type node_result = {
+type node_result = Executor.node_result = {
   id : int;
   commits : commit list;
   proposals : proposal list;
@@ -89,22 +90,6 @@ type result = {
   fault_events : fault_event list;
 }
 
-let empty_node_result ~n id =
-  {
-    id;
-    commits = [];
-    proposals = [];
-    trace_lines = [];
-    decode_errors = 0;
-    messages_sent = 0;
-    bytes_sent = 0;
-    bytes_heal = 0;
-    reconnects = 0;
-    restarts = 0;
-    malformed_by_peer = Array.make n 0;
-    dropped_by_peer = Array.make n 0;
-  }
-
 (* --- transport-level hello frame (tag 0x00) ------------------------------- *)
 
 let hello_tag = 0x00
@@ -123,107 +108,14 @@ let decode_hello body =
       let protocol = R.bytes r in
       (id, n, protocol))
 
-(* --- result blobs (process mode, child -> coordinator pipe) --------------- *)
-
-let encode_node_result r =
-  let w = W.create () in
-  W.uvar w r.id;
-  W.list w
-    (fun w c ->
-      W.uvar w c.c_height;
-      W.uvar w c.c_view;
-      W.u64 w c.c_hash;
-      W.f64 w c.c_time_ms;
-      (* Zigzag: equivocation payloads have negative ids. *)
-      W.svar w c.c_payload_id;
-      W.uvar w c.c_payload_bytes)
-    r.commits;
-  W.list w
-    (fun w p ->
-      W.uvar w p.p_height;
-      W.u64 w p.p_hash;
-      W.f64 w p.p_time_ms)
-    r.proposals;
-  W.uvar w r.decode_errors;
-  W.uvar w r.messages_sent;
-  W.uvar w r.bytes_sent;
-  W.uvar w r.bytes_heal;
-  W.uvar w r.reconnects;
-  W.uvar w r.restarts;
-  W.list w W.uvar (Array.to_list r.malformed_by_peer);
-  W.list w W.uvar (Array.to_list r.dropped_by_peer);
-  W.list w W.bytes r.trace_lines;
-  W.contents w
-
-let decode_node_result body =
-  Wire.run_decoder (fun () ->
-      let r = R.of_string body in
-      let id = R.uvar r in
-      let commits =
-        R.list r (fun r ->
-            let c_height = R.uvar r in
-            let c_view = R.uvar r in
-            let c_hash = R.u64 r in
-            let c_time_ms = R.f64 r in
-            let c_payload_id = R.svar r in
-            let c_payload_bytes = R.uvar r in
-            { c_height; c_view; c_hash; c_time_ms; c_payload_id; c_payload_bytes })
-      in
-      let proposals =
-        R.list r (fun r ->
-            let p_height = R.uvar r in
-            let p_hash = R.u64 r in
-            let p_time_ms = R.f64 r in
-            { p_height; p_hash; p_time_ms })
-      in
-      let decode_errors = R.uvar r in
-      let messages_sent = R.uvar r in
-      let bytes_sent = R.uvar r in
-      let bytes_heal = R.uvar r in
-      let reconnects = R.uvar r in
-      let restarts = R.uvar r in
-      let malformed_by_peer = Array.of_list (R.list r R.uvar) in
-      let dropped_by_peer = Array.of_list (R.list r R.uvar) in
-      let trace_lines = R.list r R.bytes in
-      R.expect_end r;
-      {
-        id;
-        commits;
-        proposals;
-        trace_lines;
-        decode_errors;
-        messages_sent;
-        bytes_sent;
-        bytes_heal;
-        reconnects;
-        restarts;
-        malformed_by_peer;
-        dropped_by_peer;
-      })
-
 (* --- one validator incarnation -------------------------------------------- *)
 
 let now_ms t0 = (Unix.gettimeofday () -. t0) *. 1000.
 let close_quiet fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
-(* Stop and crash orders arrive on the control pipe and wake the
-   executor's [select] at once; inbound traffic and due timers bound the
-   rest of its waits.  The cap is left for the two ends that no pipe
-   announces: the executor's own hard deadline, and a forced teardown,
-   whose closure closes the incarnation's sockets from the coordinator's
-   thread without waking a [select] already blocked on them (the next
-   call fails with [EBADF]). *)
-let max_select_s = 0.02
-
 (* A short message on a report or control pipe.  A reader that is gone is
    no reason to raise. *)
 let post fd s = try Wire.write_all fd s with Unix.Unix_error _ -> ()
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
 
 (* Write [s] to [tmp] through a bare fd (no channel buffer to allocate),
    then rename it over [path]: a reader sees the old snapshot or the new
@@ -240,25 +132,33 @@ let write_file_atomic ~tmp ~path s =
    hostile connector comes close. *)
 let hello_timeout_s = 0.5
 
-(* How one incarnation of a validator ended: externally stopped (normal
-   shutdown, deadline, executor exception) or crashed by the fault plane.
-   A crash carries the final WAL snapshot so the next incarnation can be
-   rebuilt from it even when no [wal_dir] is configured. *)
-type exit_reason = Stopped | Crashed of string
+(* Every validator rebuilds the client stream from [cfg.clients] itself
+   (see [config.clients]). *)
+let policy cfg plane =
+  {
+    Node_host.n = cfg.n;
+    delta = cfg.delta_ms;
+    leader_of = cfg.leader_of;
+    payload_bytes = cfg.payload_bytes;
+    ingest =
+      Option.map
+        (fun spec ->
+          Bft_mempool.Ingest.create ~spec ~n:cfg.n ~view_ms:cfg.delta_ms ())
+        cfg.clients;
+    trace = (if cfg.trace then Some (Bft_obs.Trace.create ()) else None);
+    faults = Fault_plane.logical plane;
+  }
 
+(* The [select] shell around one incarnation's {!Executor}: accept and
+   hello, the control pipe, frame reads, teardown.  Control orders wake
+   [select] at once; otherwise the executor's earliest timer, at worst its
+   hard deadline, bounds the wait.  Returns what {!Executor.Make.finish}
+   does. *)
 let node_main (type m) (module P : Protocol_intf.S with type msg = m)
-    (cfg : config) ~id ~incarnation ~t0 ~listener ~(ports : int array)
-    ~(plane : Fault_plane.t) ~(wal_blob : string option)
-    ~(wal_file : string option) ~(report : Unix.file_descr)
-    ~(ctl_fd : Unix.file_descr) ~register_teardown : node_result * exit_reason
-    =
-  let module H = Node_host.Make (P) in
-  let commits = ref [] and done_sent = ref false in
-  let proposals = ref [] in
-  let trace = if cfg.trace then Some (Bft_obs.Trace.create ()) else None in
-  let malformed = Array.make cfg.n 0 in
-  let crashing = ref false in
-  let wal = H.wal_of_snapshot ~id wal_blob in
+    (cfg : config) ~id ~incarnation ~t0 ~listener ~ports ~plane ~wal_blob
+    ~wal_file ~report ~ctl_fd ~register_teardown =
+  let module E = Executor.Make (P) in
+  let now () = now_ms t0 in
   let hello =
     Wire.frame (encode_hello ~id ~n:cfg.n ~protocol:cfg.protocol_name)
   in
@@ -271,330 +171,125 @@ let node_main (type m) (module P : Protocol_intf.S with type msg = m)
     | Fault_plane.Wall_ms -> 500.
   in
   let cm =
-    Conn_manager.create ~backoff_cap_ms ~n:cfg.n ~id ~ports ~hello
-      ~now_ms:(fun () -> now_ms t0)
+    Conn_manager.create ~backoff_cap_ms ~n:cfg.n ~id ~ports ~hello ~now_ms:now
       ~plane ()
   in
-  (* Wall-clock timers; touched only by the executor thread. *)
-  let timers : (float * bool ref * (unit -> unit)) list ref = ref [] in
-  let set_timer delay f =
-    let cancelled = ref false in
-    timers := (now_ms t0 +. delay, cancelled, f) :: !timers;
-    fun () -> cancelled := true
-  in
-  let next_deadline () =
-    List.fold_left
-      (fun acc (d, c, _) -> if !c then acc else Float.min acc d)
-      infinity !timers
-  in
-  let selfq : m Queue.t = Queue.create () in
-  let node_ref = ref None in
-  let handler = ref (fun ~src:_ (_ : m) -> ()) in
-  let view () =
-    match !node_ref with Some nd -> P.current_view nd | None -> 0
-  in
-  (* Output commit: the WAL snapshot reaches the file once per loop
-     iteration, after that iteration's handlers and timers and before
-     {!Conn_manager.release} hands their frames to the sender thread, so no
-     vote is on the wire before the state that binds it is on disk.  The
-     host's fault step (the node's own logical crash, the observer's
-     recovery orders) runs inside the handler and timer callbacks. *)
-  let persist_wal =
-    match wal_file with
-    | None -> fun () -> ()
-    | Some path ->
-        let tmp = path ^ ".tmp" in
-        let last = ref (Option.value wal_blob ~default:"") in
-        fun () ->
-          (* The snapshot is cached until the next record: an unchanged log
-             returns the same string, and [String.equal] tests physical
-             equality first. *)
-          let s = P.wal_encode wal in
-          if not (String.equal s !last) then begin
-            last := s;
-            try write_file_atomic ~tmp ~path s
-            with Unix.Unix_error _ ->
-              Log.err (fun m -> m "node %d: cannot persist WAL" id)
-          end
-  in
-  (* Client-traffic ingestion: each validator rebuilds the identical seeded
-     arrival stream locally, so a leader's watermark observation is the only
-     nondeterminism a batch carries — and under the [Views] spec clock even
-     that is a pure function of the view, making socket chains bit-identical
-     to simulator chains.  Latency accounting happens post-hoc in the
-     coordinator ([Net_harness.client_stats], used by [moonshot run-net
-     --clients] and [moonshot crossval --scenario clients]), against the
-     quorum-commit times of [quorum_commits]. *)
-  let ingest =
+  let persist =
     Option.map
-      (fun spec ->
-        Bft_mempool.Ingest.create ~spec ~n:cfg.n ~view_ms:cfg.delta_ms ())
-      cfg.clients
+      (fun path s ->
+        try write_file_atomic ~tmp:(path ^ ".tmp") ~path s
+        with Unix.Unix_error _ ->
+          Log.err (fun m -> m "node %d: cannot persist WAL" id))
+      wal_file
   in
-  let policy =
-    {
-      Node_host.n = cfg.n;
-      delta = cfg.delta_ms;
-      leader_of = cfg.leader_of;
-      payload_bytes = cfg.payload_bytes;
-      ingest;
-      trace;
-      faults = Fault_plane.logical plane;
-    }
+  let ex =
+    E.create (policy cfg plane) ~id ~incarnation ~wal:wal_blob
+      ~target_blocks:cfg.target_blocks ~now
+      { send = Conn_manager.send cm;
+        release = (fun () -> Conn_manager.release cm) }
+      ~persist
+      ~on_target:(fun () -> post report "D")
+      ~on_recover:(fun node ->
+        post report (Printf.sprintf "O%c" (Char.chr node)))
   in
-  let io =
-    {
-      Node_host.now = (fun () -> now_ms t0);
-      send =
-        (fun dst msg ->
-          if dst = id then Queue.push msg selfq
-          else
-            Conn_manager.send cm ~dst ~src_view:(view ())
-              (Wire.frame (P.encode_msg msg)));
-      multicast =
-        (fun msg ->
-          let frame = Wire.frame (P.encode_msg msg) in
-          let src_view = view () in
-          for dst = 0 to cfg.n - 1 do
-            if dst = id then Queue.push msg selfq
-            else Conn_manager.send cm ~dst ~src_view frame
-          done);
-      set_timer;
-    }
-  in
-  let host =
-    H.create policy ~incarnation ~wal ~id io
-      ~on_spawn:(fun node h ->
-        node_ref := Some node;
-        handler := h)
-      ~on_commit:(fun b ->
-        commits :=
-          {
-            c_height = b.Block.height;
-            c_view = b.Block.view;
-            c_hash = Hash.to_int64 b.Block.hash;
-            c_time_ms = now_ms t0;
-            c_payload_id = b.Block.payload.Payload.id;
-            c_payload_bytes = b.Block.payload.Payload.size_bytes;
-          }
-          :: !commits;
-        (* Height-based, not count-based: a recovered incarnation starts
-           from an empty commit log and reaches the target by syncing,
-           whether or not every historic height is replayed through
-           [on_commit]. *)
-        if b.Block.height >= cfg.target_blocks && not !done_sent then begin
-          done_sent := true;
-          post report "D"
-        end)
-      ~on_propose:(fun b ->
-        proposals :=
-          {
-            p_height = b.Block.height;
-            p_hash = Hash.to_int64 b.Block.hash;
-            p_time_ms = now_ms t0;
-          }
-          :: !proposals)
-      ~on_verdict:(fun v ->
-        if v.Node_host.crash then crashing := true;
-        List.iter
-          (fun node -> post report (Printf.sprintf "O%c" (Char.chr node)))
-          v.Node_host.recover)
-  in
-  let conns : (Unix.file_descr * int) list ref = ref [] in
+  (* Accepted connections, each with the peer its hello named. *)
+  let conns : (Unix.file_descr, int) Hashtbl.t = Hashtbl.create cfg.n in
   let close_conn fd =
-    conns := List.filter (fun (fd', _) -> fd' <> fd) !conns;
+    Hashtbl.remove conns fd;
     close_quiet fd
   in
+  let close_inbound () =
+    Hashtbl.iter (fun fd _ -> close_quiet fd) conns;
+    close_quiet listener
+  in
   register_teardown (fun () ->
-      List.iter (fun (fd, _) -> close_quiet fd) !conns;
-      close_quiet listener;
+      close_inbound ();
       Conn_manager.force_close cm);
+  let accept_conn () =
+    match Unix.accept listener with
+    | exception Unix.Unix_error _ -> ()
+    | fd, _ -> (
+        (try Unix.setsockopt fd Unix.TCP_NODELAY true
+         with Unix.Unix_error _ -> ());
+        (* The hello read blocks the executor: bound it, so a connector
+           that never sends one (a peer killed mid-dial) costs at most
+           [hello_timeout_s], then lift the bound for the connection's
+           lifetime. *)
+        let hello () =
+          Unix.setsockopt_float fd Unix.SO_RCVTIMEO hello_timeout_s;
+          let r = Wire.read_frame fd in
+          Unix.setsockopt_float fd Unix.SO_RCVTIMEO 0.;
+          r
+        in
+        match hello () with
+        | Ok body -> (
+            match decode_hello body with
+            | Ok (src, n', proto)
+              when src >= 0 && src < cfg.n && src <> id && n' = cfg.n
+                   && String.equal proto cfg.protocol_name ->
+                Hashtbl.replace conns fd src
+            | Ok _ | Error _ -> close_quiet fd)
+        | Error _ | (exception Unix.Unix_error _) -> close_quiet fd)
+  in
+  let handle_ctl () =
+    let buf = Bytes.create 1 in
+    match Unix.read ctl_fd buf 0 1 with
+    | 1 when Bytes.get buf 0 = 'K' -> E.crash ex
+    | _ | (exception Unix.Unix_error _) -> E.stop ex
+  in
+  let read_from fd src =
+    match Wire.read_frame fd with
+    | Ok body -> E.receive ex ~src body
+    | Error `Closed -> close_conn fd
+    | Error (`Frame_error e) ->
+        E.malformed ex ~src ("framing error: " ^ Wire.error_to_string e);
+        close_conn fd
+    | exception Unix.Unix_error _ -> close_conn fd
+  in
   (try
-     H.spawn host;
-     (* Set by every handler or timer run; the end of a loop iteration
-        persists only when something ran. *)
-     let ran = ref false in
-     let deliver ~src ~bytes msg =
-       ran := true;
-       H.delivered host ~src ~bytes msg;
-       !handler ~src msg
+     E.start ex;
+     let (_ : unit -> unit) =
+       E.set_timer ex (cfg.timeout_ms +. 5000. -. now ()) (fun () -> E.stop ex)
      in
-     let rec drain_self () =
-       if not !crashing then
-         match Queue.take_opt selfq with
-         | None -> ()
-         | Some msg ->
-             let bytes =
-               if cfg.trace then String.length (P.encode_msg msg) + 4 else 0
-             in
-             deliver ~src:id ~bytes msg;
-             drain_self ()
-     in
-     let fire_due () =
-       let now = now_ms t0 in
-       let due, rest =
-         List.partition (fun (d, c, _) -> (not !c) && d <= now) !timers
-       in
-       timers := List.filter (fun (_, c, _) -> not !c) rest;
-       List.iter
-         (fun (_, _, f) ->
-           if not !crashing then begin
-             ran := true;
-             f ()
-           end)
-         (List.sort (fun (a, _, _) (b, _, _) -> Float.compare a b) due)
-     in
-     let end_iteration () =
-       if !ran then begin
-         ran := false;
-         persist_wal ()
-       end;
-       Conn_manager.release cm
-     in
-     let accept_conn () =
-       match Unix.accept listener with
-       | exception Unix.Unix_error _ -> ()
-       | fd, _ -> (
-           (try Unix.setsockopt fd Unix.TCP_NODELAY true
-            with Unix.Unix_error _ -> ());
-           (* The hello read blocks the executor: bound it, so a connector
-              that never sends one (a peer killed mid-dial) costs at most
-              [hello_timeout_s], then lift the bound for the connection's
-              lifetime. *)
-           let hello () =
-             Unix.setsockopt_float fd Unix.SO_RCVTIMEO hello_timeout_s;
-             let r = Wire.read_frame fd in
-             Unix.setsockopt_float fd Unix.SO_RCVTIMEO 0.;
-             r
-           in
-           match hello () with
-           | Ok body -> (
-               match decode_hello body with
-               | Ok (src, n', proto)
-                 when src >= 0 && src < cfg.n && src <> id && n' = cfg.n
-                      && String.equal proto cfg.protocol_name ->
-                   conns := (fd, src) :: !conns
-               | Ok _ | Error _ -> close_quiet fd)
-           | Error _ | (exception Unix.Unix_error _) -> close_quiet fd)
-     in
-     let stop = ref false and crash_ordered = ref false in
-     let handle_ctl () =
-       let buf = Bytes.create 1 in
-       match Unix.read ctl_fd buf 0 1 with
-       | 1 when Bytes.get buf 0 = 'K' -> crash_ordered := true
-       | _ | (exception Unix.Unix_error _) -> stop := true
-     in
-     H.start host;
-     H.fault_step host;
-     ran := true;
-     drain_self ();
-     end_iteration ();
-     let hard_deadline = cfg.timeout_ms +. 5000. in
-     while (not !stop) && not !crashing do
-       (* Wall-clock crashes land at loop-iteration boundaries, never
-          inside a handler, so the WAL file on disk is always an
-          end-of-iteration snapshot and every frame of the iteration has
-          been released. *)
-       if !crash_ordered then crashing := true
-       else if now_ms t0 > hard_deadline then stop := true
-       else begin
-         (let timeout =
-            let d = (next_deadline () -. now_ms t0) /. 1000. in
-            Float.max 0. (Float.min d max_select_s)
-          in
-          let fds = listener :: ctl_fd :: List.map fst !conns in
-          match Unix.select fds [] [] timeout with
-          | exception Unix.Unix_error (EINTR, _, _) -> ()
-          | exception Unix.Unix_error (EBADF, _, _) ->
-              (* A forced teardown closed our sockets under us. *)
-              stop := true
-          | ready, _, _ ->
-              List.iter
-                (fun fd ->
-                  if !crashing then ()
-                  else if fd = listener then accept_conn ()
-                  else if fd = ctl_fd then handle_ctl ()
-                  else
-                    match List.assoc_opt fd !conns with
-                    | None -> ()
-                    | Some src -> (
-                        match Wire.read_frame fd with
-                        | Ok body -> (
-                            match P.decode_msg body with
-                            | Ok msg ->
-                                deliver ~src ~bytes:(String.length body + 4) msg;
-                                drain_self ()
-                            | Error reason ->
-                                malformed.(src) <- malformed.(src) + 1;
-                                Log.debug (fun m ->
-                                    m "node %d: dropped frame from %d: %s" id
-                                      src reason))
-                        | Error `Closed -> close_conn fd
-                        | Error (`Frame_error e) ->
-                            malformed.(src) <- malformed.(src) + 1;
-                            Log.debug (fun m ->
-                                m "node %d: framing error from %d: %s" id src
-                                  (Wire.error_to_string e));
-                            close_conn fd
-                        | exception Unix.Unix_error _ -> close_conn fd))
-                ready);
-         fire_due ();
-         drain_self ();
-         end_iteration ()
-       end
+     (* A crash order lands at once: the rest of the iteration runs no
+        handler or timer, and [E.step] still persists and releases what
+        ran before it, so the WAL file on disk is always an end-of-iteration
+        snapshot. *)
+     while E.running ex do
+       let fds = Hashtbl.fold (fun fd _ l -> fd :: l) conns [] in
+       (match Unix.select (listener :: ctl_fd :: fds) [] [] (E.wait_s ex) with
+       | exception Unix.Unix_error (EINTR, _, _) -> ()
+       | exception Unix.Unix_error (EBADF, _, _) ->
+           (* A forced teardown closed our sockets under us. *)
+           E.stop ex
+       | ready, _, _ ->
+           List.iter
+             (fun fd ->
+               if fd = listener then accept_conn ()
+               else if fd = ctl_fd then handle_ctl ()
+               else Option.iter (read_from fd) (Hashtbl.find_opt conns fd))
+             ready);
+       E.step ex
      done
    with exn ->
      Log.err (fun m ->
          m "node %d: executor died: %s" id (Printexc.to_string exn)));
-  if !crashing then begin
-    H.emit host Bft_obs.Trace.(Fault Crash);
+  if E.crashed ex then
     (* The simulator treats every send a handler issued before the crash
        point as already on the wire.  The crashing iteration has persisted
-       and released its frames ([end_iteration]); drain the sender queue
-       (including paced frames) before dying so the socket run agrees. *)
+       and released its frames; drain the sender queue (including paced
+       frames) before dying so the socket run agrees. *)
     ignore
       (Conn_manager.flush cm
-         ~timeout_s:(0.25 +. (3. *. cfg.link_delay_ms /. 1000.)))
-  end;
+         ~timeout_s:(0.25 +. (3. *. cfg.link_delay_ms /. 1000.)));
   (* Closing the inbound side first unblocks every peer sender that might
      be mid-write to us, then our own sender is reaped.  A crashed
      incarnation also closes its listener: frames sent while the node is
      down must be lost, not parked in an accept backlog for the next
      incarnation to read. *)
-  List.iter (fun (fd, _) -> close_quiet fd) !conns;
-  close_quiet listener;
+  close_inbound ();
   Conn_manager.shutdown cm;
-  let st = Conn_manager.stats cm in
-  Array.iteri
-    (fun peer m ->
-      let d = st.Conn_manager.dropped.(peer) in
-      if peer <> id && (m > 0 || d > 0) then
-        H.emit host
-          (Bft_obs.Trace.Link_report { peer; malformed = m; dropped = d }))
-    malformed;
-  let trace_lines =
-    match trace with
-    | None -> []
-    | Some sink ->
-        List.map Bft_obs.Trace.event_to_json (Bft_obs.Trace.events sink)
-  in
-  let r =
-    {
-      id;
-      commits = List.rev !commits;
-      proposals = List.rev !proposals;
-      trace_lines;
-      decode_errors = Array.fold_left ( + ) 0 malformed;
-      messages_sent = st.Conn_manager.messages_sent;
-      bytes_sent = st.Conn_manager.bytes_sent;
-      bytes_heal = st.Conn_manager.bytes_heal;
-      reconnects = st.Conn_manager.reconnects;
-      restarts = incarnation;
-      malformed_by_peer = Array.copy malformed;
-      dropped_by_peer = st.Conn_manager.dropped;
-    }
-  in
-  (r, if !crashing then Crashed (P.wal_encode wal) else Stopped)
+  E.finish ex (Conn_manager.stats cm)
 
 (* --- coordination --------------------------------------------------------- *)
 
@@ -643,35 +338,31 @@ let sort_fault_log log =
     (fun a b -> Float.compare a.fe_time_ms b.fe_time_ms)
     (List.rev log)
 
+(* With no incarnation result at all, every count is 0. *)
 let merge_incarnations ~n ~id ~restarts rs =
-  match rs with
-  | [] -> { (empty_node_result ~n id) with restarts }
-  | _ ->
-      let sum f = List.fold_left (fun a r -> a + f r) 0 rs in
-      let sum_arr f =
-        let acc = Array.make n 0 in
-        List.iter
-          (fun r ->
-            Array.iteri
-              (fun j v -> if j < n then acc.(j) <- acc.(j) + v)
-              (f r))
-          rs;
-        acc
-      in
-      {
-        id;
-        commits = List.concat_map (fun r -> r.commits) rs;
-        proposals = List.concat_map (fun r -> r.proposals) rs;
-        trace_lines = List.concat_map (fun r -> r.trace_lines) rs;
-        decode_errors = sum (fun r -> r.decode_errors);
-        messages_sent = sum (fun r -> r.messages_sent);
-        bytes_sent = sum (fun r -> r.bytes_sent);
-        bytes_heal = sum (fun r -> r.bytes_heal);
-        reconnects = sum (fun r -> r.reconnects);
-        restarts;
-        malformed_by_peer = sum_arr (fun r -> r.malformed_by_peer);
-        dropped_by_peer = sum_arr (fun r -> r.dropped_by_peer);
-      }
+  let sum f = List.fold_left (fun a r -> a + f r) 0 rs in
+  let sum_arr f =
+    let acc = Array.make n 0 in
+    List.iter
+      (fun r ->
+        Array.iteri (fun j v -> if j < n then acc.(j) <- acc.(j) + v) (f r))
+      rs;
+    acc
+  in
+  {
+    id;
+    commits = List.concat_map (fun r -> r.commits) rs;
+    proposals = List.concat_map (fun r -> r.proposals) rs;
+    trace_lines = List.concat_map (fun r -> r.trace_lines) rs;
+    decode_errors = sum (fun r -> r.decode_errors);
+    messages_sent = sum (fun r -> r.messages_sent);
+    bytes_sent = sum (fun r -> r.bytes_sent);
+    bytes_heal = sum (fun r -> r.bytes_heal);
+    reconnects = sum (fun r -> r.reconnects);
+    restarts;
+    malformed_by_peer = sum_arr (fun r -> r.malformed_by_peer);
+    dropped_by_peer = sum_arr (fun r -> r.dropped_by_peer);
+  }
 
 (* The coordinator's view of one validator across its incarnations.  Every
    incarnation, thread or child process, reports on its own pipe: 'D' =
@@ -713,13 +404,10 @@ let start_thread run_node m ~listener ~report ~ctl_fd ~inherited:_ =
        run_node ~id ~incarnation ~listener ~wal_blob ~report ~ctl_fd
          ~register_teardown:(fun f -> m.force <- f)
      with
-    | r, reason -> (
+    | r, crash_wal ->
         m.results <- r :: m.results;
-        match reason with
-        | Crashed blob ->
-            m.wal_blob <- Some blob;
-            post report "C"
-        | Stopped -> post report "R")
+        if Option.is_some crash_wal then m.wal_blob <- crash_wal;
+        post report (if Option.is_some crash_wal then "C" else "R")
     | exception e ->
         Log.err (fun f ->
             f "node %d: incarnation %d failed: %s" id incarnation
@@ -744,19 +432,20 @@ let start_child cfg run_node m ~listener ~report ~ctl_fd ~inherited =
          let wal_blob =
            match wal_file cfg id with
            | Some path when incarnation > 0 && Sys.file_exists path -> (
-               try Some (read_file path) with Sys_error _ -> None)
+               try Some (In_channel.with_open_bin path In_channel.input_all)
+               with Sys_error _ -> None)
            | _ -> None
          in
          match
            run_node ~id ~incarnation ~listener ~wal_blob ~report ~ctl_fd
              ~register_teardown:ignore
          with
-         | _, Crashed _ ->
+         | _, Some _ ->
              (* Volatile state and the pending result die with the
                 process; only the WAL file survives. *)
              post report "C";
              Unix.kill (Unix.getpid ()) Sys.sigkill
-         | r, Stopped -> post report ("R" ^ Wire.frame (encode_node_result r))
+         | r, None -> post report ("R" ^ Wire.frame (Marshal.to_string r []))
        with _ -> ());
       Unix._exit 0
   | pid ->
@@ -781,12 +470,11 @@ let start_child cfg run_node m ~listener ~report ~ctl_fd ~inherited =
           if not (exited ()) then
             try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ())
 
+(* The blob is [Marshal]led: both ends run the same executable, and the
+   frame's length prefix keeps a torn write from reaching [from_string]. *)
 let collect_blob m =
   match Wire.read_frame m.rfd with
-  | Ok body -> (
-      match decode_node_result body with
-      | Ok r -> m.results <- [ r ]
-      | Error _ -> ())
+  | Ok body -> m.results <- [ (Marshal.from_string body 0 : node_result) ]
   | Error _ | (exception Unix.Unix_error _) -> ()
 
 (* One select loop drives the cluster in either mode: it fires the wall

@@ -6,8 +6,8 @@
     {!Bft_types.Protocol_intf.S}, hosted by the same {!Node_host} as in
     the simulator — only the transport differs: [send]/[multicast] encode
     messages with the protocol's wire codec and write frames to per-peer
-    TCP connections, [set_timer] arms wall-clock timers, and [now] reads
-    the wall clock (milliseconds since cluster start).
+    TCP connections, [set_timer] arms timers on the node's {!Executor},
+    and [now] reads the wall clock (milliseconds since cluster start).
 
     One coordinator drives the cluster in two execution modes.  Every
     incarnation of a validator reports to it over a pipe (target reached,
@@ -21,9 +21,8 @@
       come back in memory, and a wedged incarnation has its sockets
       closed from under it;
     - {!Processes}: each incarnation is a forked child process; a stopped
-      child sends its result back over its pipe as a
-      {!Bft_net.Wire}-encoded blob, and a wedged one gets [SIGTERM], then
-      [SIGKILL].
+      child sends its result back over its pipe as a marshalled blob in
+      one frame, and a wedged one gets [SIGTERM], then [SIGKILL].
 
     Topology: full mesh.  Node [i] listens on one TCP port; for sending,
     it opens one connection to each peer and writes frames only on it, so
@@ -55,17 +54,14 @@
 
     {2 Output commit}
 
-    Each executor loop iteration waits in [select], handles the frames
-    that arrived, fires due timers and drains the node's messages to
-    itself.  The frames those handlers send are not written yet: their
-    fault verdicts (and the sender's view) are taken at send time, then
-    {!Conn_manager} holds them.  At the end of the iteration the node's
-    WAL snapshot is written to [node-<i>.wal] (write to a temp file,
-    then rename; skipped when the log did not change), and only after
-    that write returns are the held frames handed to the sender thread.
-    A vote therefore never reaches the wire before the WAL state that
-    binds it reaches the file.  A crashing node persists, releases what
-    its last iteration held, and flushes the sender queue before it dies.
+    A vote never reaches the wire before the WAL state that binds it
+    reaches the file: {!Executor} has {!Conn_manager} hold each loop
+    iteration's frames until the node's WAL snapshot is written to
+    [node-<i>.wal].  The write goes to a temp file renamed over the old
+    one, without fsync: a killed process leaves the old snapshot or the
+    new one; host power loss is out of scope.  A crashing node persists,
+    releases what its last iteration held, and flushes the sender queue
+    before it dies.
 
     The cluster runs until every node has committed [target_blocks]
     blocks (each node keeps running after reaching its own target so its
@@ -129,7 +125,7 @@ type config = {
 val default : n:int -> target_blocks:int -> config
 
 (** One block commit as observed by one node, in local commit order. *)
-type commit = {
+type commit = Executor.commit = {
   c_height : int;
   c_view : int;
   c_hash : int64;
@@ -143,9 +139,10 @@ type commit = {
 
 (** One first-broadcast of a block by its proposer ({!Bft_types.Env.t}'s
     [on_propose]) — the creation timestamp of the latency metric. *)
-type proposal = { p_height : int; p_hash : int64; p_time_ms : float }
+type proposal = Executor.proposal =
+  { p_height : int; p_hash : int64; p_time_ms : float }
 
-type node_result = {
+type node_result = Executor.node_result = {
   id : int;
   commits : commit list;
       (** Commit order = chain order; a node that crashed and recovered

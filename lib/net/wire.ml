@@ -35,8 +35,6 @@ module W = struct
         (Char.chr (Int64.to_int (Int64.shift_right_logical v (8 * i)) land 0xff))
     done
 
-  let f64 t v = u64 t (Int64.bits_of_float v)
-
   let uvar t v =
     if v < 0 then invalid_arg "Wire.W.uvar: negative";
     let rec go v =
@@ -105,8 +103,6 @@ module R = struct
       t.pos <- t.pos + 1
     done;
     !v
-
-  let f64 t = Int64.float_of_bits (u64 t)
 
   let uvar t =
     let rec go acc shift =

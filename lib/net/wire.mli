@@ -63,10 +63,6 @@ module W : sig
   (** Fixed 8-byte big-endian two's-complement integer (hashes). *)
   val u64 : t -> int64 -> unit
 
-  (** IEEE-754 double, big-endian (timestamps in result blobs; never
-      used in protocol messages). *)
-  val f64 : t -> float -> unit
-
   (** Unsigned LEB128 varint; [v] must be non-negative.  Encoders emit
       the minimal form. *)
   val uvar : t -> int -> unit
@@ -113,7 +109,6 @@ module R : sig
 
   val u8 : t -> int
   val u64 : t -> int64
-  val f64 : t -> float
 
   (** Unsigned LEB128; rejects encodings over 10 bytes or overflowing
       [int]. *)
@@ -165,7 +160,7 @@ val bad_tag : int -> 'a
 val decode_body : string -> (int -> R.t -> 'a) -> ('a, error) result
 
 (** [run_decoder f] runs a reader action outside the frame envelope
-    (result blobs, tests), converting exceptions to [Error] without
+    (WAL snapshots, tests), converting exceptions to [Error] without
     checking version/tag or full consumption. *)
 val run_decoder : (unit -> 'a) -> ('a, error) result
 

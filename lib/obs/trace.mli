@@ -110,9 +110,6 @@ val to_jsonl : t -> string
 (** Write {!to_jsonl} to a channel. *)
 val output : out_channel -> t -> unit
 
-val class_name : delivery_class -> string
-val fault_name : fault -> string
-
 (** One human-readable timeline line, e.g.
     [" 20.0 ms  0 -> 2  proposal v=2 (278B)"]. *)
 val pp_event : Format.formatter -> event -> unit

@@ -73,7 +73,6 @@ type 'msg t = {
   network : Network.t;
   queue : 'msg event Event_queue.t;
   handlers : (src:int -> 'msg -> unit) array;
-  node_rngs : Rng.t array;
   net_rng : Rng.t;
   egress_free : float array;
   cpu_free : float array;
@@ -131,14 +130,14 @@ let[@inline] fmax (a : float) (b : float) = if a < b then b else a
 let create ~n ~network ~seed ~msg_size ?cpu_cost () =
   if n < 1 then invalid_arg "Engine.create: n < 1";
   if n > slot_mask then invalid_arg "Engine.create: n too large";
-  let root = Rng.create seed in
   {
     n;
     network;
     queue = Event_queue.create ();
     handlers = Array.make n (fun ~src:_ _ -> ());
-    node_rngs = Array.init n (fun _ -> Rng.split root);
-    net_rng = Rng.split root;
+    (* The seed root's first split: every recorded run's network draws
+       (jitter, loss, duplication) follow from it. *)
+    net_rng = Rng.split (Rng.create seed);
     egress_free = Array.make n 0.;
     cpu_free = Array.make n 0.;
     msg_size;
@@ -283,7 +282,6 @@ let set_delivery_tap t f =
   t.tap_installed <- true
 let now t = clock t
 let n t = t.n
-let node_rng t i = t.node_rngs.(i)
 
 let check_node t name i =
   if i < 0 || i >= t.n then invalid_arg ("Engine." ^ name ^ ": node out of range")

@@ -74,9 +74,6 @@ val now : 'msg t -> float
 (** Number of nodes the engine was created with. *)
 val n : 'msg t -> int
 
-(** Per-node RNG stream, deterministic per engine seed. *)
-val node_rng : 'msg t -> int -> Rng.t
-
 (** [send t ~src ~dst msg] hands a message to the network at the current
     time.  Sending to self delivers at the current time (no network). *)
 val send : 'msg t -> src:int -> dst:int -> 'msg -> unit

@@ -182,4 +182,3 @@ let pop t =
     let time = Array.unsafe_get t.times 0 in
     Some (time, unguarded_take t)
 
-let peek_time t = if t.size = 0 then None else Some (Array.unsafe_get t.times 0)

@@ -40,9 +40,6 @@ val min_time_into : 'a t -> float array -> int -> unit
     timestamp is needed. *)
 val take : 'a t -> 'a
 
-(** Time of the earliest event without popping, or [None] when empty. *)
-val peek_time : 'a t -> float option
-
 (** Whether the queue holds no events. *)
 val is_empty : 'a t -> bool
 

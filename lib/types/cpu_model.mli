@@ -14,9 +14,6 @@
 (** One ED25519 signature verification, ms. *)
 val sig_verify_ms : float
 
-(** Hashing / copying payload bytes, ms per byte (about 1 GB/s). *)
-val hash_ms_per_byte : float
-
 (** Deduplication table lookup for an already-known certificate, ms. *)
 val cache_check_ms : float
 

@@ -15,10 +15,10 @@
 #   1. dune build @all        -- every library, executable and example
 #   2. dune runtest           -- unit/property/integration suites plus the
 #                                smoke aliases (bench smoke, mc-smoke,
-#                                mc-swarm-smoke, net smoke, CLI smoke,
-#                                benchmark smoke), then a CLI explore smoke (a
-#                                small swarm over a healthy world must find
-#                                no counterexample)
+#                                mc-swarm-smoke, net smoke, benchmark smoke,
+#                                and CLI smoke, which includes the explore
+#                                smoke: a small swarm over a healthy world
+#                                must find no counterexample)
 #   3. dune build @doc        -- only when odoc is installed; docs are part
 #                                of the gate where available, skipped (with
 #                                a notice) where not
@@ -85,12 +85,6 @@ dune build @all
 
 step "dune runtest"
 dune runtest
-
-# Sub-second exerciser of the CLI's model-checker sampling modes: a small
-# swarm over a healthy world must find no violation and no certified
-# livelock (explore exits 1 on any counterexample).
-step "explore smoke (CLI swarm over a healthy world)"
-dune exec bin/moonshot_cli.exe -- explore -p CM -n 4 --budget 64 --depth 48
 
 if command -v odoc >/dev/null 2>&1; then
   step "dune build @doc"

@@ -15,7 +15,11 @@
    socket results, no sockets involved.
 
    Node host: the logical fault step both substrates run after each event,
-   fed views by hand. *)
+   fed views by hand.
+
+   Executor: the socket node's loop body on a hand-advanced clock and a
+   sink that records frames, releases and WAL snapshots, no sockets
+   involved. *)
 
 open Bft_types
 module Wire = Bft_net.Wire
@@ -566,6 +570,20 @@ let silent_connector () =
 
 (* --- output commit: the WAL is on disk before the vote is on the wire ------ *)
 
+(* Whether a Pipelined Moonshot WAL snapshot records the vote in [slot] of
+   [view]: it is at that view with the slot taken, or at a later view. *)
+let wal_records_vote blob ~view ~slot =
+  match Codec.decode_wal blob with
+  | Error _ -> false
+  | Ok w -> (
+      match Moonshot.Wal.load w with
+      | None -> false
+      | Some st ->
+          st.Moonshot.Wal.cur_view > view
+          || st.Moonshot.Wal.cur_view = view
+             && if slot = 0 then st.Moonshot.Wal.voted_opt <> None
+                else st.Moonshot.Wal.voted_main)
+
 (* Pipelined Moonshot, with every vote checked at its receiver against the
    sender's WAL file: the file must already record the vote's view with
    that vote slot taken (or a later view).  Each executor iteration
@@ -603,17 +621,7 @@ module Output_commit = struct
     let file = Filename.concat !wal_dir (Printf.sprintf "node-%d.wal" src) in
     match In_channel.with_open_bin file In_channel.input_all with
     | exception Sys_error _ -> false
-    | blob -> (
-        match Codec.decode_wal blob with
-        | Error _ -> false
-        | Ok w -> (
-            match Moonshot.Wal.load w with
-            | None -> false
-            | Some st ->
-                st.Moonshot.Wal.cur_view > view
-                || st.Moonshot.Wal.cur_view = view
-                   && if slot = 0 then st.Moonshot.Wal.voted_opt <> None
-                      else st.Moonshot.Wal.voted_main))
+    | blob -> wal_records_vote blob ~view ~slot
 
   let handle nd ~src m =
     (match P.vote_slot m with
@@ -651,6 +659,208 @@ let output_commit () =
     (Atomic.get Output_commit.checked > 0);
   Alcotest.(check int) "votes that overtook their WAL snapshot" 0
     (Atomic.get Output_commit.violations)
+
+(* --- executor: the loop body without sockets ------------------------------ *)
+
+module Pm = Moonshot.Pipelined_node.Protocol
+module Executor = Bft_net.Executor
+
+(* Pipelined Moonshot that counts its handler runs.  [view_offset] shifts
+   the view its host sees, which is how a test moves a node onto its crash
+   anchor without driving a view change. *)
+module Counted = struct
+  include Pm
+
+  let handled = ref 0
+  let view_offset = ref 0
+
+  let handle nd ~src m =
+    incr handled;
+    Pm.handle nd ~src m
+
+  let current_view nd = Pm.current_view nd + !view_offset
+end
+
+module Ex = Executor.Make (Counted)
+
+(* What left an executor: a frame body for [dst], a release, a snapshot. *)
+type outbound = Sent of int * string | Released | Persisted of string
+
+(* Node [id] of four, round-robin leaders from view 1 (node 1 leads it),
+   view timers at 1 s, on a clock that only the test moves.  Returns the
+   executor, the clock and a reader of everything it sent, in order. *)
+let executor ?faults ~id () =
+  let clock = ref 0. and out = ref [] in
+  let record o = out := o :: !out in
+  let policy =
+    {
+      Bft_net.Node_host.n = 4;
+      delta = 1000.;
+      leader_of = (fun v -> v mod 4);
+      payload_bytes = 0;
+      ingest = None;
+      trace = None;
+      faults;
+    }
+  in
+  let sink =
+    {
+      Executor.send =
+        (fun ~dst ~src_view:_ frame ->
+          record (Sent (dst, String.sub frame 4 (String.length frame - 4))));
+      release = (fun () -> record Released);
+    }
+  in
+  let ex =
+    Ex.create policy ~id ~incarnation:0 ~wal:None ~target_blocks:100
+      ~now:(fun () -> !clock)
+      sink
+      ~persist:(Some (fun s -> record (Persisted s)))
+      ~on_target:ignore ~on_recover:ignore
+  in
+  (ex, clock, fun () -> List.rev !out)
+
+let no_traffic =
+  {
+    Bft_net.Conn_manager.messages_sent = 0;
+    bytes_sent = 0;
+    bytes_heal = 0;
+    dropped = Array.make 4 0;
+    connect_attempts = 0;
+    reconnects = 0;
+  }
+
+(* The view-1 proposal node 1 sends to node 2 when it starts. *)
+let view1_proposal () =
+  let leader, _, out = executor ~id:1 () in
+  Ex.start leader;
+  match
+    List.find_map
+      (function
+        | Sent (2, body) -> (
+            match Pm.decode_msg body with
+            | Ok m when Pm.classify m = `Proposal -> Some body
+            | _ -> None)
+        | _ -> None)
+      (out ())
+  with
+  | Some body -> body
+  | None -> Alcotest.fail "the leader sent node 2 no proposal"
+
+(* Every vote frame must be recorded by a snapshot handed to [persist]
+   after it was sent and before the release that hands it on. *)
+let check_votes_persisted out =
+  let votes = ref 0 and pending = ref [] in
+  List.iter
+    (function
+      | Sent (_, body) -> (
+          match Result.map Pm.vote_slot (Pm.decode_msg body) with
+          | Ok (Some (view, slot)) ->
+              incr votes;
+              pending := (view, slot, ref false) :: !pending
+          | Ok None -> ()
+          | Error e -> Alcotest.fail e)
+      | Persisted s ->
+          List.iter
+            (fun (view, slot, durable) ->
+              if wal_records_vote s ~view ~slot then durable := true)
+            !pending
+      | Released ->
+          List.iter
+            (fun (view, _, durable) ->
+              Alcotest.(check bool)
+                (Printf.sprintf "view-%d vote persisted before release" view)
+                true !durable)
+            !pending;
+          pending := [])
+    out;
+  Alcotest.(check bool) "votes were sent" true (!votes > 0)
+
+let executor_output_commit () =
+  (* The leader votes for its own proposal while starting; node 2 votes
+     when the proposal arrives. *)
+  let leader, _, out = executor ~id:1 () in
+  Ex.start leader;
+  check_votes_persisted (out ());
+  let proposal = view1_proposal () in
+  let ex, _, out = executor ~id:2 () in
+  Ex.start ex;
+  Ex.receive ex ~src:1 proposal;
+  Ex.step ex;
+  check_votes_persisted (out ())
+
+let executor_timer_order () =
+  let ex, clock, _ = executor ~id:2 () in
+  Ex.start ex;
+  let fired = ref [] in
+  List.iter
+    (fun d ->
+      let (_ : unit -> unit) =
+        Ex.set_timer ex d (fun () -> fired := d :: !fired)
+      in
+      ())
+    [ 30.; 10.; 20. ];
+  Alcotest.(check (float 1e-9)) "wait for the earliest" 0.01 (Ex.wait_s ex);
+  clock := 50.;
+  Ex.step ex;
+  Alcotest.(check (list (float 0.))) "deadline order" [ 10.; 20.; 30. ]
+    (List.rev !fired)
+
+let executor_cancel_in_batch () =
+  let ex, clock, _ = executor ~id:2 () in
+  Ex.start ex;
+  let cancel_later = ref ignore and fired = ref false in
+  let (_ : unit -> unit) = Ex.set_timer ex 10. (fun () -> !cancel_later ()) in
+  cancel_later := Ex.set_timer ex 20. (fun () -> fired := true);
+  clock := 50.;
+  Ex.step ex;
+  Alcotest.(check bool) "cancelled by an earlier timer, not fired" false !fired
+
+let executor_malformed () =
+  let ex, _, out = executor ~id:2 () in
+  Ex.start ex;
+  let handled = !Counted.handled and sent = List.length (out ()) in
+  Ex.receive ex ~src:3 "\x01\x7f\xde\xad";
+  Ex.step ex;
+  Alcotest.(check int) "no handler ran" handled !Counted.handled;
+  Alcotest.(check bool) "nothing persisted" false
+    (List.exists
+       (function Persisted _ -> true | _ -> false)
+       (List.filteri (fun i _ -> i >= sent) (out ())));
+  let r, crash_wal = Ex.finish ex no_traffic in
+  Alcotest.(check (array int)) "counted against peer 3" [| 0; 0; 0; 1 |]
+    r.Executor.malformed_by_peer;
+  Alcotest.(check int) "decode errors" 1 r.Executor.decode_errors;
+  Alcotest.(check bool) "no crash snapshot" true (crash_wal = None)
+
+let executor_crash_verdict () =
+  let proposal = view1_proposal () in
+  let faults =
+    match Bft_faults.Fault_schedule.of_string "crash@5:2" with
+    | Ok s -> Bft_faults.Logical.of_schedule_exn ~n:4 s
+    | Error e -> Alcotest.fail e
+  in
+  let ex, clock, out = executor ~faults ~id:2 () in
+  Ex.start ex;
+  Alcotest.(check bool) "running below the anchor" true (Ex.running ex);
+  let fired = ref false in
+  let (_ : unit -> unit) = Ex.set_timer ex 10. (fun () -> fired := true) in
+  clock := 50.;
+  let handled = !Counted.handled in
+  (* The proposal's handler runs; its fault step sees view 11 >= 5.  Its
+     vote to itself, the second copy and the due timer must not run. *)
+  Counted.view_offset := 10;
+  Ex.receive ex ~src:1 proposal;
+  Ex.receive ex ~src:1 proposal;
+  Ex.step ex;
+  Counted.view_offset := 0;
+  Alcotest.(check int) "only the crashing handler ran" (handled + 1)
+    !Counted.handled;
+  Alcotest.(check bool) "due timer did not fire" false !fired;
+  Alcotest.(check bool) "crashed" true (Ex.crashed ex && not (Ex.running ex));
+  check_votes_persisted (out ());
+  let _, crash_wal = Ex.finish ex no_traffic in
+  Alcotest.(check bool) "crash snapshot" true (crash_wal <> None)
 
 (* --- chaos: fault injection on live sockets -------------------------------- *)
 
@@ -1030,6 +1240,18 @@ let () =
             Alcotest.test_case "deadline exit (procs)" `Quick
               (deadline_exit Tcp.Processes);
           ] );
+      ( "executor",
+        [
+          Alcotest.test_case "persist before release" `Quick
+            executor_output_commit;
+          Alcotest.test_case "timers in deadline order" `Quick
+            executor_timer_order;
+          Alcotest.test_case "cancelled in the same batch" `Quick
+            executor_cancel_in_batch;
+          Alcotest.test_case "malformed body" `Quick executor_malformed;
+          Alcotest.test_case "crash verdict ends the iteration" `Quick
+            executor_crash_verdict;
+        ] );
       ( "chaos",
         [
           Alcotest.test_case "threads crash/recover" `Quick
