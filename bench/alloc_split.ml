@@ -2,35 +2,51 @@
 
      dune exec bench/main.exe -- alloc
 
-   Runs Commit Moonshot and Jolteon on the [wan-n100] benchmark workload's
-   configuration (n = 100, [Config.default]: region latency matrix, egress
-   and CPU models on, 1800-byte payloads, 25 s simulated, seed 1) through
-   [Make], a [Protocol_intf.S] wrapper that brackets every message handler
-   (by [P.classify]), [start], every timer callback and every [Env]
-   callback the node makes with a minor-heap reading.  A call's own bytes
-   are the minor words it allocated minus those of the calls nested in it,
-   so a handler is not charged for the [multicast] it makes, nor
-   [multicast] for the handlers of the self-delivered copy.  Prints one row
-   per class: calls, own bytes per call and own bytes per quorum-committed
-   block, then the run's total minor-heap bytes; the rest of the total is
-   the substrate's (engine, network and CPU models, metrics).  Prints
-   only.
+   Two legs, each for Commit Moonshot and Jolteon, through [Make], a
+   [Protocol_intf.S] wrapper that brackets every message handler (by
+   [P.classify]), [start], every timer callback, every [Env] callback the
+   node makes, the wire codec and the WAL snapshot encoder with a
+   minor-heap reading:
+
+   - the simulator on the [wan-n100] benchmark workload's configuration
+     (n = 100, [Config.default]: region latency matrix, egress and CPU
+     models on, 1800-byte payloads, 25 s simulated, seed 1), which never
+     calls the codec;
+   - localhost sockets on the [net-wal] workload's configuration (threads
+     mode, n = 4, a WAL snapshot after every handler, 5k cmd/s of
+     clients), for [socket_blocks] blocks.
+
+   A call's own bytes are the minor words it allocated minus those of the
+   calls nested in it, so a handler is not charged for the [multicast] it
+   makes, nor [multicast] for the handlers of the self-delivered copy or
+   the encoding of what it sends.  Prints one row per class: calls, own
+   bytes per call and own bytes per quorum-committed block; then the
+   attributed sum, the substrate's share (the rest: the engine, network
+   and CPU models in the simulator; frame reads, [select], the sender
+   thread and WAL writes on sockets) and the run's total.  Prints only.
 
    Minor-heap words only: a block of more than 256 words goes straight to
    the major heap and is not counted.  The wrapper allocates nothing on a
    call except the closure it wraps a timer callback in, which is charged
-   to no one. *)
+   to no one.  On sockets every validator is a thread of one domain, and
+   the domain has one minor-heap counter: each thread keeps its own stack
+   of open calls, but a thread switch inside a bracketed call (a 50 ms
+   tick against calls of microseconds) charges the other thread's words
+   to it. *)
 
 open Bft_types
 module Config = Bft_runtime.Config
 module Harness = Bft_runtime.Harness
+module Net_harness = Bft_runtime.Net_harness
 module Kind = Bft_runtime.Protocol_kind
+module Tcp = Bft_net.Tcp
 
 let names =
   [|
     "handle.proposal"; "handle.vote"; "handle.timeout"; "handle.other";
     "start"; "timer"; "env.send"; "env.multicast"; "env.set_timer";
-    "env.make_payload"; "env.on_commit"; "env.on_propose";
+    "env.make_payload"; "env.on_commit"; "env.on_propose"; "codec.encode";
+    "codec.decode"; "wal.encode";
   |]
 
 let proposal = 0
@@ -45,37 +61,63 @@ let set_timer = 8
 let make_payload = 9
 let on_commit = 10
 let on_propose = 11
+let encode = 12
+let decode = 13
+let wal_encode = 14
 
-(* Per-class call counts and own words; a stack of open calls, each with
-   the minor-words reading at entry and the words of its finished nested
-   calls.  Float arrays, so no reading is boxed. *)
+(* Per-class call counts and own words; per thread, a stack of open calls,
+   each with the minor-words reading at entry and the words of its
+   finished nested calls.  Float arrays, so no reading is boxed. *)
 let calls = Array.make (Array.length names) 0
 let own = Array.make (Array.length names) 0.
 let max_depth = 256
-let entry = Array.make max_depth 0.
-let nested = Array.make max_depth 0.
-let depth = ref 0
+
+type stack = { entry : float array; nested : float array; mutable depth : int }
+
+(* Indexed by thread id: the threads alive at once in a run have nearby
+   ids, far fewer than 64 apart. *)
+let stacks =
+  Array.init 64 (fun _ ->
+      {
+        entry = Array.make max_depth 0.;
+        nested = Array.make max_depth 0.;
+        depth = 0;
+      })
+
+let stack () = stacks.(Thread.id (Thread.self ()) land 63)
 
 let reset () =
   Array.fill calls 0 (Array.length calls) 0;
   Array.fill own 0 (Array.length own) 0.;
-  depth := 0
+  Array.iter (fun st -> st.depth <- 0) stacks
 
 let enter () =
-  let d = !depth in
-  nested.(d) <- 0.;
-  depth := d + 1;
-  entry.(d) <- Gc.minor_words ()
+  let st = stack () in
+  let d = st.depth in
+  st.nested.(d) <- 0.;
+  st.depth <- d + 1;
+  st.entry.(d) <- Gc.minor_words ()
 
 let leave k =
   let now = Gc.minor_words () in
-  let d = !depth - 1 in
-  depth := d;
-  let total = now -. entry.(d) in
-  own.(k) <- own.(k) +. (total -. nested.(d));
+  let st = stack () in
+  let d = st.depth - 1 in
+  st.depth <- d;
+  let total = now -. st.entry.(d) in
+  own.(k) <- own.(k) +. (total -. st.nested.(d));
   calls.(k) <- calls.(k) + 1;
-  if d > 0 then nested.(d - 1) <- nested.(d - 1) +. total
+  if d > 0 then st.nested.(d - 1) <- st.nested.(d - 1) +. total
 
+(* [f x] as a bracketed call of class [k]. *)
+let bracket k f x =
+  enter ();
+  match f x with
+  | v ->
+      leave k;
+      v
+  | exception e ->
+      leave k;
+      raise e
 
 module Make (P : Protocol_intf.S) :
   Protocol_intf.S with type msg = P.msg and type wal = P.wal = struct
@@ -86,23 +128,17 @@ module Make (P : Protocol_intf.S) :
   let classify = P.classify
   let payload_bytes = P.payload_bytes
   let view_of = P.view_of
-  let encode_msg = P.encode_msg
-  let decode_msg = P.decode_msg
+  let encode_msg m = bracket encode P.encode_msg m
+  let decode_msg s = bracket decode P.decode_msg s
 
   type node = P.node
   type wal = P.wal
 
   let wal_create = P.wal_create
-  let wal_encode = P.wal_encode
+  let wal_encode w = bracket wal_encode P.wal_encode w
   let wal_decode = P.wal_decode
 
-  let timed_timer f () =
-    enter ();
-    match f () with
-    | () -> leave timer
-    | exception e ->
-        leave timer;
-        raise e
+  let timed_timer f () = bracket timer f ()
 
   let wrap_env (env : msg Env.t) =
     {
@@ -123,8 +159,10 @@ module Make (P : Protocol_intf.S) :
              a float passed to a function would be boxed. *)
           let w0 = Gc.minor_words () in
           let g = timed_timer f in
-          let d = !depth - 1 in
-          if d >= 0 then nested.(d) <- nested.(d) +. (Gc.minor_words () -. w0);
+          let st = stack () in
+          let d = st.depth - 1 in
+          if d >= 0 then
+            st.nested.(d) <- st.nested.(d) +. (Gc.minor_words () -. w0);
           enter ();
           let cancel = env.Env.set_timer delay g in
           leave set_timer;
@@ -183,7 +221,7 @@ module Split_cm = Make (Moonshot.Pipelined_node.Commit_protocol)
 module Split_j = Make (Jolteon.Jolteon_node.Protocol)
 
 (* [wan-n100]'s configuration (benchmark/workload.ml). *)
-let config p =
+let sim_config p =
   {
     (Config.default p ~n:100) with
     Config.payload_bytes = 1800;
@@ -191,17 +229,40 @@ let config p =
     seed = 1;
   }
 
+(* [net-wal]'s configuration (benchmark/workload.ml), with its WAL files
+   in a directory of their own. *)
+let net_config p ~blocks ~wal_dir =
+  {
+    (Net_harness.config p ~n:4 ~blocks) with
+    Tcp.delta_ms = 1000.;
+    wal_dir = Some wal_dir;
+    fault_seed = 1;
+    clients =
+      Some
+        {
+          Bft_mempool.Spec.default with
+          Bft_mempool.Spec.clients = 1_000_000;
+          rate_per_s = 5_000.;
+          clock = Bft_mempool.Spec.Wall;
+          lanes = 8;
+          lane_capacity = 4096;
+          backlog_capacity = 4096;
+          max_batch = 512;
+          seed = 1;
+        };
+  }
+
 let word_bytes = float_of_int (Sys.word_size / 8)
 
-let report p (m : (module Protocol_intf.S with type msg = 'm)) =
+(* Run [f], which returns its quorum-committed block count, and print the
+   split under [title]. *)
+let report title f =
   reset ();
   let w0 = Gc.minor_words () in
-  let r = Harness.run_protocol m (config p) in
+  let blocks = f () in
   let total = (Gc.minor_words () -. w0) *. word_bytes in
-  let blocks = r.Harness.metrics.Bft_runtime.Metrics.committed_blocks in
   let per_block x = if blocks > 0 then x /. float_of_int blocks else 0. in
-  Printf.printf "%s on wan-n100 (seed 1): %d blocks committed\n"
-    (Kind.name p) blocks;
+  Printf.printf "%s: %d blocks committed\n" title blocks;
   Printf.printf "  %-18s %10s %12s %12s\n" "class" "calls" "B/call" "B/block";
   let attributed = ref 0. in
   Array.iteri
@@ -213,12 +274,47 @@ let report p (m : (module Protocol_intf.S with type msg = 'm)) =
           (bytes /. float_of_int calls.(k))
           (per_block bytes))
     names;
-  Printf.printf "  %-18s %10s %12s %12.0f\n" "protocol + env" "" ""
-    (per_block !attributed);
-  Printf.printf "  %-18s %10s %12s %12.0f\n" "whole run" "" ""
-    (per_block total);
+  let row name x = Printf.printf "  %-18s %10s %12s %12.0f\n" name "" "" x in
+  row "attributed" (per_block !attributed);
+  row "substrate" (per_block (total -. !attributed));
+  row "whole run" (per_block total);
   print_newline ()
 
+let sim_leg p (m : (module Protocol_intf.S with type msg = 'm)) =
+  report
+    (Printf.sprintf "%s on wan-n100 (seed 1)" (Kind.name p))
+    (fun () ->
+      let r = Harness.run_protocol m (sim_config p) in
+      r.Harness.metrics.Bft_runtime.Metrics.committed_blocks)
+
+let socket_leg ~blocks p (m : (module Protocol_intf.S with type msg = 'm)) =
+  let wal_dir =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "moonshot-alloc-%d" (Unix.getpid ()))
+  in
+  report
+    (Printf.sprintf "%s on net-wal (threads, %d blocks)" (Kind.name p) blocks)
+    (fun () ->
+      let r = Tcp.run m (net_config p ~blocks ~wal_dir) in
+      if Sys.file_exists wal_dir then begin
+        Array.iter
+          (fun f -> Sys.remove (Filename.concat wal_dir f))
+          (Sys.readdir wal_dir);
+        Sys.rmdir wal_dir
+      end;
+      (match Net_harness.check r ~target:blocks with
+      | Ok () -> ()
+      | Error e -> failwith ("alloc socket leg: " ^ e));
+      List.length (Tcp.quorum_latencies r ~quorum:(Net_harness.quorum ~n:4)))
+
+let socket_blocks = 300
+
+let sockets ~blocks =
+  socket_leg ~blocks Kind.Commit_moonshot (module Split_cm);
+  socket_leg ~blocks Kind.Jolteon (module Split_j)
+
 let run () =
-  report Kind.Commit_moonshot (module Split_cm);
-  report Kind.Jolteon (module Split_j)
+  sim_leg Kind.Commit_moonshot (module Split_cm);
+  sim_leg Kind.Jolteon (module Split_j);
+  sockets ~blocks:socket_blocks

@@ -10,8 +10,9 @@
    Experiments: table1 table2 table3 fig6 fig7 fig8 fig9 fairness ablations
    micro mc mc-smoke smoke n1000 all
 
-   [alloc] prints the per-handler allocation split of the [wan-n100]
-   benchmark workload (see Alloc_split); it writes no BENCH file.
+   [alloc] prints the per-layer allocation split of the [wan-n100] and
+   [net-wal] benchmark workloads (see Alloc_split); it writes no BENCH
+   file.
 
    [mc] explores the model checker's exhaustive worlds and writes
    BENCH_mc.json (states/second, pruning ratio); [--full] uses the
@@ -113,7 +114,10 @@ let () =
         (* Client-traffic smoke: the full ingestion path (arrival
            generator, mempool, batch cuts, commit-order replay) under
            sub- and over-saturation load on a tiny grid. *)
-        Experiments.clients scale
+        Experiments.clients scale;
+        (* Socket allocation-split smoke: the wrapped codec, WAL encoder
+           and handlers on a 20-block threads-mode run. *)
+        Alloc_split.sockets ~blocks:20
     | other ->
         Format.printf "unknown experiment %S@." other;
         usage ()

@@ -84,34 +84,34 @@ let tag = function
   | Message.Block_request _ -> 0x0a
   | Message.Blocks_response _ -> 0x0b
 
-let encode (m : Message.t) =
-  Wire.encode_body ~payload_bytes:(Message.payload_bytes m) ~tag:(tag m)
-    (fun w ->
-      match m with
-      | Message.Opt_propose { block } -> write_block_data w block
-      | Message.Propose { block; cert } ->
-          write_block_data w block;
-          write_cert w cert
-      | Message.Fb_propose { block; cert; tc } ->
-          write_block_data w block;
-          write_cert w cert;
-          write_tc w tc
-      | Message.Vote { kind; block } ->
-          write_vote_kind w kind;
-          write_block w block
-      | Message.Timeout { view; lock } ->
-          W.uvar w view;
-          W.option w write_cert lock
-      | Message.Cert_gossip c -> write_cert w c
-      | Message.Tc_gossip tc -> write_tc w tc
-      | Message.Status { view; lock } ->
-          W.uvar w view;
-          write_cert w lock
-      | Message.Commit_vote { view; block } ->
-          W.uvar w view;
-          write_block w block
-      | Message.Block_request { hash } -> W.u64 w (Hash.to_int64 hash)
-      | Message.Blocks_response { blocks } -> W.list w write_block_data blocks)
+let write_msg w (m : Message.t) =
+  match m with
+  | Message.Opt_propose { block } -> write_block_data w block
+  | Message.Propose { block; cert } ->
+      write_block_data w block;
+      write_cert w cert
+  | Message.Fb_propose { block; cert; tc } ->
+      write_block_data w block;
+      write_cert w cert;
+      write_tc w tc
+  | Message.Vote { kind; block } ->
+      write_vote_kind w kind;
+      write_block w block
+  | Message.Timeout { view; lock } ->
+      W.uvar w view;
+      W.option w write_cert lock
+  | Message.Cert_gossip c -> write_cert w c
+  | Message.Tc_gossip tc -> write_tc w tc
+  | Message.Status { view; lock } ->
+      W.uvar w view;
+      write_cert w lock
+  | Message.Commit_vote { view; block } ->
+      W.uvar w view;
+      write_block w block
+  | Message.Block_request { hash } -> W.u64 w (Hash.to_int64 hash)
+  | Message.Blocks_response { blocks } -> W.list w write_block_data blocks
+
+let encode m = Wire.encode_body ~tag:(tag m) write_msg m
 
 let decode body =
   Wire.decode_body body (fun tag r ->
@@ -156,9 +156,7 @@ let decode_msg body = Result.map_error Wire.error_to_string (decode body)
    in a file the same node wrote.  All five protocol variants share
    [Wal.t], so this one codec serves them all. *)
 
-let encode_wal_uncached (wal : Wal.t) =
-  let w = W.create () in
-  (match Wal.load wal with
+let write_snapshot w = function
   | None -> W.u8 w 0
   | Some s ->
       W.u8 w 1;
@@ -166,8 +164,9 @@ let encode_wal_uncached (wal : Wal.t) =
       write_cert w s.Wal.lock;
       W.uvar w s.Wal.timeout_view;
       W.option w write_block s.Wal.voted_opt;
-      W.bool w s.Wal.voted_main);
-  W.contents w
+      W.bool w s.Wal.voted_main
+
+let encode_wal_uncached wal = W.to_string write_snapshot (Wal.load wal)
 
 let encode_wal wal = Wal.snapshot wal encode_wal_uncached
 

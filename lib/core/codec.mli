@@ -50,8 +50,9 @@ val read_tc : Bft_net.Wire.R.t -> Tc.t
 (** Wire tag of a message ([0x01]-[0x0b]; see [docs/WIRE.md]). *)
 val tag : Message.t -> int
 
-(** Frame body (version, tag, fields) for a message; the transport adds
-    the length prefix ({!Bft_net.Wire.frame}). *)
+(** Frame body (version, tag, fields) for a message, in one exact-size
+    string; the sender adds the length prefix
+    ({!Bft_net.Wire.Frame_writer}). *)
 val encode : Message.t -> string
 
 (** Total inverse of {!encode} with structured errors. *)

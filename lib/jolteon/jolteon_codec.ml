@@ -11,21 +11,20 @@ let tag = function
   | Jolteon_msg.Block_request _ -> 0x24
   | Jolteon_msg.Blocks_response _ -> 0x25
 
-let encode (m : Jolteon_msg.t) =
-  Wire.encode_body ~payload_bytes:(Jolteon_msg.payload_bytes m) ~tag:(tag m)
-    (fun w ->
-      match m with
-      | Jolteon_msg.Propose { block; qc; tc } ->
-          C.write_block_data w block;
-          C.write_cert w qc;
-          W.option w C.write_tc tc
-      | Jolteon_msg.Vote { block } -> C.write_block w block
-      | Jolteon_msg.Timeout { round; high_qc } ->
-          W.uvar w round;
-          C.write_cert w high_qc
-      | Jolteon_msg.Block_request { hash } -> W.u64 w (Hash.to_int64 hash)
-      | Jolteon_msg.Blocks_response { blocks } ->
-          W.list w C.write_block_data blocks)
+let write_msg w (m : Jolteon_msg.t) =
+  match m with
+  | Jolteon_msg.Propose { block; qc; tc } ->
+      C.write_block_data w block;
+      C.write_cert w qc;
+      W.option w C.write_tc tc
+  | Jolteon_msg.Vote { block } -> C.write_block w block
+  | Jolteon_msg.Timeout { round; high_qc } ->
+      W.uvar w round;
+      C.write_cert w high_qc
+  | Jolteon_msg.Block_request { hash } -> W.u64 w (Hash.to_int64 hash)
+  | Jolteon_msg.Blocks_response { blocks } -> W.list w C.write_block_data blocks
+
+let encode m = Wire.encode_body ~tag:(tag m) write_msg m
 
 let decode body =
   Wire.decode_body body (fun tag r ->

@@ -14,7 +14,7 @@ type stats = {
    of a delay-spike window; waiting on the head frame (instead of
    reordering) keeps per-link FIFO, which is what a TCP stream would do
    anyway. *)
-type item = { release : float; dst : int; frame : string }
+type item = { release : float; dst : int; body : string }
 
 type peer = {
   mutable fd : Unix.file_descr option;
@@ -50,6 +50,7 @@ type t = {
   mutable connect_attempts : int;
   mutable reconnects : int;
   mutable thread : Thread.t option;
+  out : Wire.Frame_writer.t;  (* sender thread only *)
 }
 
 let dial t dst =
@@ -61,13 +62,13 @@ let dial t dst =
       try
         Unix.connect fd
           (Unix.ADDR_INET (Unix.inet_addr_loopback, t.ports.(dst)));
-        Wire.write_all fd t.hello;
+        Wire.Frame_writer.write t.out fd t.hello;
         Some fd
       with Unix.Unix_error _ ->
         close_quiet fd;
         None)
 
-let write_item t { dst; frame; _ } =
+let write_item t { dst; body; _ } =
   let now = t.now_ms () in
   let p = t.peers.(dst) in
   let fd_opt =
@@ -99,11 +100,12 @@ let write_item t { dst; frame; _ } =
   | None -> t.dropped.(dst) <- t.dropped.(dst) + 1
   | Some fd -> (
       try
-        Wire.write_all fd frame;
+        Wire.Frame_writer.write t.out fd body;
+        let bytes = 4 + String.length body in
         t.messages_sent <- t.messages_sent + 1;
-        t.bytes_sent <- t.bytes_sent + String.length frame;
+        t.bytes_sent <- t.bytes_sent + bytes;
         if Fault_plane.in_heal_window t.plane ~now_ms:now then
-          t.bytes_heal <- t.bytes_heal + String.length frame
+          t.bytes_heal <- t.bytes_heal + bytes
       with Unix.Unix_error _ ->
         (* Peer went away mid-stream (crashed validator): tear the
            connection down and allow an immediate redial for the next
@@ -185,12 +187,13 @@ let create ?(backoff_base_ms = 10.) ?(backoff_cap_ms = 500.) ~n ~id ~ports
       connect_attempts = 0;
       reconnects = 0;
       thread = None;
+      out = Wire.Frame_writer.create ();
     }
   in
   t.thread <- Some (Thread.create sender_loop t);
   t
 
-let send t ~dst ~src_view frame =
+let send t ~dst ~src_view body =
   let now = t.now_ms () in
   match
     Fault_plane.verdict t.plane ~src:t.id ~dst ~now_ms:now ~src_view
@@ -198,7 +201,7 @@ let send t ~dst ~src_view frame =
   | `Drop -> t.dropped.(dst) <- t.dropped.(dst) + 1
   | `Pass ->
       let release = now +. Fault_plane.delay_ms t.plane ~now_ms:now in
-      Queue.push { release; dst; frame } t.held
+      Queue.push { release; dst; body } t.held
 
 let release t =
   if not (Queue.is_empty t.held) then begin

@@ -18,9 +18,14 @@
       fixed 50 × 20 ms retry budget, which blocked the sender thread and
       starved other peers).  While a destination is in backoff, frames to
       it are dropped — exactly the loss a down peer implies.
-    - {b Accounting}: messages/bytes sent, per-destination drops,
-      connect attempts and re-establishments, and bytes sent inside
-      healing windows (for the bench's recovery-cost numbers). *)
+    - {b Accounting}: messages/bytes sent (a frame counts its 4-byte
+      length prefix and its body), per-destination drops, connect
+      attempts and re-establishments, and bytes sent inside healing
+      windows (for the bench's recovery-cost numbers).
+
+    The executor hands over message bodies; the sender thread frames each
+    one into a buffer it reuses ({!Wire.Frame_writer}) and writes it with
+    one [write]. *)
 
 type t
 
@@ -34,7 +39,7 @@ type stats = {
 }
 
 (** [create ~n ~id ~ports ~hello ~now_ms ~plane ()] starts the sender
-    thread.  [hello] is the already-framed handshake written first on
+    thread.  [hello] is the handshake body framed and written first on
     every new connection; [now_ms] the shared run clock.
     [backoff_base_ms]/[backoff_cap_ms] bound the reconnect backoff
     (defaults 10 / 500 ms; logical-clock runs pass a small cap so a
@@ -53,7 +58,7 @@ val create :
 
 (** Take a frame's fault verdict and release time now, from [src_view]
     (the sender's current view, the logical clock for partition
-    verdicts) and the wall clock, then hold the frame until the next
+    verdicts) and the wall clock, then hold the frame's body until the next
     {!release}.  Never blocks; executor thread only.  Holding is what
     makes the WAL write ahead of the wire: the executor releases an
     iteration's frames only once that iteration's WAL snapshot is on

@@ -83,16 +83,14 @@ module Make (P : Protocol_intf.S) = struct
 
   let send t dst msg =
     if dst = t.id then Queue.push msg t.selfq
-    else
-      t.sink.send ~dst ~src_view:(H.view (host t))
-        (Wire.frame (P.encode_msg msg))
+    else t.sink.send ~dst ~src_view:(H.view (host t)) (P.encode_msg msg)
 
   let multicast t n msg =
-    let frame = Wire.frame (P.encode_msg msg) in
+    let body = P.encode_msg msg in
     let src_view = H.view (host t) in
     for dst = 0 to n - 1 do
       if dst = t.id then Queue.push msg t.selfq
-      else t.sink.send ~dst ~src_view frame
+      else t.sink.send ~dst ~src_view body
     done
 
   let create (policy : Node_host.policy) ~id ~incarnation ~wal ~target_blocks

@@ -94,11 +94,13 @@ type result = {
 
 let hello_tag = 0x00
 
+let write_hello w (id, n, protocol) =
+  W.uvar w id;
+  W.uvar w n;
+  W.bytes w protocol
+
 let encode_hello ~id ~n ~protocol =
-  Wire.encode_body ~tag:hello_tag (fun w ->
-      W.uvar w id;
-      W.uvar w n;
-      W.bytes w protocol)
+  Wire.encode_body ~tag:hello_tag write_hello (id, n, protocol)
 
 let decode_hello body =
   Wire.decode_body body (fun tag r ->
@@ -124,7 +126,11 @@ let write_file_atomic ~tmp ~path s =
   let fd =
     Unix.openfile tmp [ Unix.O_WRONLY; O_CREAT; O_TRUNC; O_CLOEXEC ] 0o644
   in
-  Fun.protect ~finally:(fun () -> close_quiet fd) (fun () -> Wire.write_all fd s);
+  (match Wire.write_all fd s with
+  | () -> close_quiet fd
+  | exception e ->
+      close_quiet fd;
+      raise e);
   Unix.rename tmp path
 
 (* How long an accepted connection may take to deliver its hello frame.
@@ -149,6 +155,14 @@ let policy cfg plane =
     faults = Fault_plane.logical plane;
   }
 
+(* An accepted connection: the peer its hello named, its input buffer and
+   the delivery its frames go to. *)
+type conn = {
+  src : int;
+  inbox : Wire.Frame_reader.t;
+  deliver : string -> unit;
+}
+
 (* The [select] shell around one incarnation's {!Executor}: accept and
    hello, the control pipe, frame reads, teardown.  Control orders wake
    [select] at once; otherwise the executor's earliest timer, at worst its
@@ -159,9 +173,7 @@ let node_main (type m) (module P : Protocol_intf.S with type msg = m)
     ~wal_file ~report ~ctl_fd ~register_teardown =
   let module E = Executor.Make (P) in
   let now () = now_ms t0 in
-  let hello =
-    Wire.frame (encode_hello ~id ~n:cfg.n ~protocol:cfg.protocol_name)
-  in
+  let hello = encode_hello ~id ~n:cfg.n ~protocol:cfg.protocol_name in
   let backoff_cap_ms =
     (* Under the logical clock the whole run is paced by [link_delay_ms];
        a recovered peer must be redialed well within its catch-up slack,
@@ -176,10 +188,12 @@ let node_main (type m) (module P : Protocol_intf.S with type msg = m)
   in
   let persist =
     Option.map
-      (fun path s ->
-        try write_file_atomic ~tmp:(path ^ ".tmp") ~path s
-        with Unix.Unix_error _ ->
-          Log.err (fun m -> m "node %d: cannot persist WAL" id))
+      (fun path ->
+        let tmp = path ^ ".tmp" in
+        fun s ->
+          try write_file_atomic ~tmp ~path s
+          with Unix.Unix_error _ ->
+            Log.err (fun m -> m "node %d: cannot persist WAL" id))
       wal_file
   in
   let ex =
@@ -192,10 +206,16 @@ let node_main (type m) (module P : Protocol_intf.S with type msg = m)
       ~on_recover:(fun node ->
         post report (Printf.sprintf "O%c" (Char.chr node)))
   in
-  (* Accepted connections, each with the peer its hello named. *)
-  let conns : (Unix.file_descr, int) Hashtbl.t = Hashtbl.create cfg.n in
+  (* Accepted connections, each with the peer its hello named, and the
+     [select] watch list, rebuilt only when a connection comes or goes. *)
+  let conns : (Unix.file_descr, conn) Hashtbl.t = Hashtbl.create cfg.n in
+  let watch = ref [ listener; ctl_fd ] in
+  let rewatch () =
+    watch := listener :: ctl_fd :: Hashtbl.fold (fun fd _ l -> fd :: l) conns []
+  in
   let close_conn fd =
     Hashtbl.remove conns fd;
+    rewatch ();
     close_quiet fd
   in
   let close_inbound () =
@@ -227,7 +247,13 @@ let node_main (type m) (module P : Protocol_intf.S with type msg = m)
             | Ok (src, n', proto)
               when src >= 0 && src < cfg.n && src <> id && n' = cfg.n
                    && String.equal proto cfg.protocol_name ->
-                Hashtbl.replace conns fd src
+                Hashtbl.replace conns fd
+                  {
+                    src;
+                    inbox = Wire.Frame_reader.create ();
+                    deliver = E.receive ex ~src;
+                  };
+                rewatch ()
             | Ok _ | Error _ -> close_quiet fd)
         | Error _ | (exception Unix.Unix_error _) -> close_quiet fd)
   in
@@ -237,14 +263,23 @@ let node_main (type m) (module P : Protocol_intf.S with type msg = m)
     | 1 when Bytes.get buf 0 = 'K' -> E.crash ex
     | _ | (exception Unix.Unix_error _) -> E.stop ex
   in
-  let read_from fd src =
-    match Wire.read_frame fd with
-    | Ok body -> E.receive ex ~src body
-    | Error `Closed -> close_conn fd
-    | Error (`Frame_error e) ->
-        E.malformed ex ~src ("framing error: " ^ Wire.error_to_string e);
+  (* One read, then every complete frame it buffered. *)
+  let read_from fd c =
+    match Wire.Frame_reader.read c.inbox fd c.deliver with
+    | `Open -> ()
+    | `Closed -> close_conn fd
+    | `Frame_error e ->
+        E.malformed ex ~src:c.src ("framing error: " ^ Wire.error_to_string e);
         close_conn fd
     | exception Unix.Unix_error _ -> close_conn fd
+  in
+  let on_ready fd =
+    if fd = listener then accept_conn ()
+    else if fd = ctl_fd then handle_ctl ()
+    else
+      match Hashtbl.find conns fd with
+      | c -> read_from fd c
+      | exception Not_found -> ()
   in
   (try
      E.start ex;
@@ -256,19 +291,12 @@ let node_main (type m) (module P : Protocol_intf.S with type msg = m)
         ran before it, so the WAL file on disk is always an end-of-iteration
         snapshot. *)
      while E.running ex do
-       let fds = Hashtbl.fold (fun fd _ l -> fd :: l) conns [] in
-       (match Unix.select (listener :: ctl_fd :: fds) [] [] (E.wait_s ex) with
+       (match Unix.select !watch [] [] (E.wait_s ex) with
        | exception Unix.Unix_error (EINTR, _, _) -> ()
        | exception Unix.Unix_error (EBADF, _, _) ->
            (* A forced teardown closed our sockets under us. *)
            E.stop ex
-       | ready, _, _ ->
-           List.iter
-             (fun fd ->
-               if fd = listener then accept_conn ()
-               else if fd = ctl_fd then handle_ctl ()
-               else Option.iter (read_from fd) (Hashtbl.find_opt conns fd))
-             ready);
+       | ready, _, _ -> List.iter on_ready ready);
        E.step ex
      done
    with exn ->

@@ -32,7 +32,11 @@
     protocol, letting the receiver attribute (and validate) all later
     frames.  Malformed frame {e bodies} are counted and skipped;
     desynchronizing framing errors (a bad length prefix, a mid-frame EOF)
-    close only the offending connection — neither crashes a node.
+    close only the offending connection — neither crashes a node.  An
+    accepted connection reads into its own {!Wire.Frame_reader}: one
+    [read] per readiness hands every complete frame it buffered to the
+    executor, so one loop iteration, and one WAL persist, covers them
+    all.
 
     {2 Fault injection}
 

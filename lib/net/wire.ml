@@ -20,31 +20,47 @@ let error_to_string = function
 
 exception Decode of error
 
+(* A writer runs twice over the same encoder: first with an empty [buf],
+   where every primitive only advances [pos], then over a buffer of
+   exactly the counted size.  Closure-free loops throughout: an encoder
+   allocates the writer and its output string and nothing else. *)
 module W = struct
-  type t = Buffer.t
+  type t = { mutable buf : Bytes.t; mutable pos : int }
 
-  let create ?(size = 128) () = Buffer.create size
+  let counting () = { buf = Bytes.empty; pos = 0 }
+  let filling t = Bytes.length t.buf > 0
+
+  (* Turn a writer that has counted an encoding into one that fills an
+     exact-size buffer from the start. *)
+  let to_fill t =
+    t.buf <- Bytes.create t.pos;
+    t.pos <- 0
+
+  let contents t =
+    if t.pos <> Bytes.length t.buf then
+      invalid_arg "Wire.W: encoder wrote a different length when filling";
+    Bytes.unsafe_to_string t.buf
+
+  let byte t c =
+    if filling t then Bytes.set t.buf t.pos c;
+    t.pos <- t.pos + 1
 
   let u8 t v =
     if v < 0 || v > 0xff then invalid_arg "Wire.W.u8: out of range";
-    Buffer.add_char t (Char.chr v)
+    byte t (Char.unsafe_chr v)
 
   let u64 t v =
-    for i = 7 downto 0 do
-      Buffer.add_char t
-        (Char.chr (Int64.to_int (Int64.shift_right_logical v (8 * i)) land 0xff))
-    done
+    if filling t then Bytes.set_int64_be t.buf t.pos v;
+    t.pos <- t.pos + 8
 
   let uvar t v =
     if v < 0 then invalid_arg "Wire.W.uvar: negative";
-    let rec go v =
-      if v < 0x80 then Buffer.add_char t (Char.chr v)
-      else begin
-        Buffer.add_char t (Char.chr (0x80 lor (v land 0x7f)));
-        go (v lsr 7)
-      end
-    in
-    go v
+    let v = ref v in
+    while !v >= 0x80 do
+      byte t (Char.unsafe_chr (0x80 lor (!v land 0x7f)));
+      v := !v lsr 7
+    done;
+    byte t (Char.unsafe_chr !v)
 
   (* Zigzag: 0 -> 0, -1 -> 1, 1 -> 2, -2 -> 3, ...  The shift in the
      mapping needs one spare bit, so magnitudes at the very top of the
@@ -56,8 +72,10 @@ module W = struct
   let bool t v = u8 t (if v then 1 else 0)
 
   let bytes t s =
-    uvar t (String.length s);
-    Buffer.add_string t s
+    let n = String.length s in
+    uvar t n;
+    if filling t then Bytes.blit_string s 0 t.buf t.pos n;
+    t.pos <- t.pos + n
 
   let option t enc = function
     | None -> u8 t 0
@@ -65,18 +83,27 @@ module W = struct
         u8 t 1;
         enc t v
 
+  let rec items t enc = function
+    | [] -> ()
+    | v :: vs ->
+        enc t v;
+        items t enc vs
+
   let list t enc vs =
     uvar t (List.length vs);
-    List.iter (enc t) vs
+    items t enc vs
 
   let padding t n =
     if n < 0 then invalid_arg "Wire.W.padding: negative";
-    for _ = 1 to n do
-      Buffer.add_char t '\x00'
-    done
+    if filling t then Bytes.fill t.buf t.pos n '\x00';
+    t.pos <- t.pos + n
 
-  let contents = Buffer.contents
-  let length = Buffer.length
+  let to_string enc v =
+    let t = counting () in
+    enc t v;
+    to_fill t;
+    enc t v;
+    contents t
 end
 
 module R = struct
@@ -96,27 +123,23 @@ module R = struct
 
   let u64 t =
     need t 8;
-    let v = ref 0L in
-    for _ = 1 to 8 do
-      v := Int64.logor (Int64.shift_left !v 8)
-             (Int64.of_int (Char.code t.input.[t.pos]));
-      t.pos <- t.pos + 1
-    done;
-    !v
+    let v = String.get_int64_be t.input t.pos in
+    t.pos <- t.pos + 8;
+    v
+
+  let rec uvar_from t acc shift =
+    if shift >= 63 then fail "varint too long"
+    else
+      let b = u8 t in
+      let low = b land 0x7f in
+      if shift > 0 && (low lsl shift) lsr shift <> low then
+        fail "varint overflow"
+      else
+        let acc = acc lor (low lsl shift) in
+        if b land 0x80 = 0 then acc else uvar_from t acc (shift + 7)
 
   let uvar t =
-    let rec go acc shift =
-      if shift >= 63 then fail "varint too long"
-      else
-        let b = u8 t in
-        let low = b land 0x7f in
-        if shift > 0 && (low lsl shift) lsr shift <> low then
-          fail "varint overflow"
-        else
-          let acc = acc lor (low lsl shift) in
-          if b land 0x80 = 0 then acc else go acc (shift + 7)
-    in
-    let v = go 0 0 in
+    let v = uvar_from t 0 0 in
     if v < 0 then fail "varint overflow" else v
 
   let svar t =
@@ -159,26 +182,42 @@ end
 
 let bad_tag t = raise (Decode (Bad_tag t))
 
-(* Headers, certificates and timeout certificates together stay well
-   under this many bytes; only the payload padding can be large. *)
-let header_slack = 128
-
-let encode_body ?(payload_bytes = 0) ~tag enc =
-  let w = W.create ~size:(2 + header_slack + payload_bytes) () in
+let encode_body ~tag enc v =
+  let w = W.counting () in
   W.u8 w version;
   W.u8 w tag;
-  enc w;
+  enc w v;
+  if w.W.pos > max_frame_len then
+    invalid_arg "Wire.encode_body: body exceeds max_frame_len";
+  W.to_fill w;
+  W.u8 w version;
+  W.u8 w tag;
+  enc w v;
   W.contents w
 
-let frame body =
+(* The u32be length prefix at [pos]. *)
+let get_length buf pos =
+  (Char.code (Bytes.get buf pos) lsl 24)
+  lor (Char.code (Bytes.get buf (pos + 1)) lsl 16)
+  lor (Char.code (Bytes.get buf (pos + 2)) lsl 8)
+  lor Char.code (Bytes.get buf (pos + 3))
+
+let valid_length n = n >= 2 && n <= max_frame_len
+
+(* [body]'s frame at the start of [buf], which holds at least
+   [4 + String.length body] bytes. *)
+let frame_into buf body =
   let n = String.length body in
-  if n < 2 || n > max_frame_len then invalid_arg "Wire.frame: bad body length";
-  let b = Bytes.create (4 + n) in
-  Bytes.set b 0 (Char.chr ((n lsr 24) land 0xff));
-  Bytes.set b 1 (Char.chr ((n lsr 16) land 0xff));
-  Bytes.set b 2 (Char.chr ((n lsr 8) land 0xff));
-  Bytes.set b 3 (Char.chr (n land 0xff));
-  Bytes.blit_string body 0 b 4 n;
+  if not (valid_length n) then invalid_arg "Wire.frame: bad body length";
+  Bytes.set buf 0 (Char.unsafe_chr (n lsr 24));
+  Bytes.set buf 1 (Char.unsafe_chr ((n lsr 16) land 0xff));
+  Bytes.set buf 2 (Char.unsafe_chr ((n lsr 8) land 0xff));
+  Bytes.set buf 3 (Char.unsafe_chr (n land 0xff));
+  Bytes.blit_string body 0 buf 4 n
+
+let frame body =
+  let b = Bytes.create (4 + String.length body) in
+  frame_into b body;
   Bytes.unsafe_to_string b
 
 let run_decoder f =
@@ -188,14 +227,18 @@ let run_decoder f =
   | exception Invalid_argument reason -> Error (Invalid reason)
 
 let decode_body body f =
-  run_decoder (fun () ->
-      let r = R.of_string body in
-      let v = R.u8 r in
-      if v <> version then raise (Decode (Bad_version v));
-      let tag = R.u8 r in
-      let msg = f tag r in
-      R.expect_end r;
-      msg)
+  let r = R.of_string body in
+  match
+    let v = R.u8 r in
+    if v <> version then raise (Decode (Bad_version v));
+    let tag = R.u8 r in
+    let msg = f tag r in
+    R.expect_end r;
+    msg
+  with
+  | msg -> Ok msg
+  | exception Decode e -> Error e
+  | exception Invalid_argument reason -> Error (Invalid reason)
 
 let write_all fd s =
   let n = String.length s in
@@ -226,17 +269,83 @@ let read_frame fd =
   | exception Decode e -> Error (`Frame_error e)
   | false -> Error `Closed
   | true -> (
-      let len =
-        (Char.code (Bytes.get header 0) lsl 24)
-        lor (Char.code (Bytes.get header 1) lsl 16)
-        lor (Char.code (Bytes.get header 2) lsl 8)
-        lor Char.code (Bytes.get header 3)
-      in
-      if len < 2 || len > max_frame_len then
-        Error (`Frame_error (Frame_too_large len))
+      let len = get_length header 0 in
+      if not (valid_length len) then Error (`Frame_error (Frame_too_large len))
       else
         let body = Bytes.create len in
         match read_exact fd body ~mid_frame:true with
         | true -> Ok (Bytes.unsafe_to_string body)
         | false -> Error (`Frame_error Truncated)
         | exception Decode e -> Error (`Frame_error e))
+
+module Frame_writer = struct
+  type t = { mutable buf : Bytes.t }
+
+  let create () = { buf = Bytes.create 256 }
+
+  let write t fd body =
+    let n = 4 + String.length body in
+    if Bytes.length t.buf < n then
+      t.buf <- Bytes.create (Int.max n (2 * Bytes.length t.buf));
+    frame_into t.buf body;
+    let pos = ref 0 in
+    while !pos < n do
+      pos := !pos + Unix.write fd t.buf !pos (n - !pos)
+    done
+end
+
+(* Unconsumed input is [buf.[start .. stop - 1]].  Every length prefix
+   among it has passed the range check, so growing the buffer to fit the
+   frame it announces is bounded by [max_frame_len]. *)
+module Frame_reader = struct
+  type t = { mutable buf : Bytes.t; mutable start : int; mutable stop : int }
+
+  let create () = { buf = Bytes.create 4096; start = 0; stop = 0 }
+  let capacity t = Bytes.length t.buf
+
+  (* Hand every complete frame to [deliver]; stop at the first out-of-range
+     length prefix. *)
+  let rec drain t deliver =
+    let avail = t.stop - t.start in
+    if avail < 4 then None
+    else
+      let len = get_length t.buf t.start in
+      if not (valid_length len) then Some (Frame_too_large len)
+      else if avail < 4 + len then None
+      else begin
+        let body = Bytes.sub_string t.buf (t.start + 4) len in
+        t.start <- t.start + 4 + len;
+        deliver body;
+        drain t deliver
+      end
+
+  (* Move the partial frame to the front, and grow the buffer when the
+     frame its (checked) length prefix announces does not fit. *)
+  let make_room t =
+    let avail = t.stop - t.start in
+    if t.start > 0 then begin
+      Bytes.blit t.buf t.start t.buf 0 avail;
+      t.start <- 0;
+      t.stop <- avail
+    end;
+    if avail >= 4 then begin
+      let need = 4 + get_length t.buf 0 in
+      let cap = Bytes.length t.buf in
+      if need > cap then begin
+        let buf = Bytes.create (Int.min (Int.max need (2 * cap)) (4 + max_frame_len)) in
+        Bytes.blit t.buf 0 buf 0 avail;
+        t.buf <- buf
+      end
+    end
+
+  let read t fd deliver =
+    make_room t;
+    let k = Unix.read fd t.buf t.stop (Bytes.length t.buf - t.stop) in
+    if k = 0 then if t.stop = t.start then `Closed else `Frame_error Truncated
+    else begin
+      t.stop <- t.stop + k;
+      match drain t deliver with
+      | None -> `Open
+      | Some e -> `Frame_error e
+    end
+end

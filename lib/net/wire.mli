@@ -46,16 +46,15 @@ val error_to_string : error -> string
 
 (** {2 Writer}
 
-    A writer is an append-only byte buffer.  Encoders never fail (other
-    than [Invalid_argument] on out-of-domain arguments, which indicates a
-    caller bug, not input data). *)
+    Encoders are written against a writer and run twice: once with a
+    writer that only counts bytes, then with one that fills a buffer of
+    exactly the counted size ({!W.to_string}, {!encode_body}).  An encoder
+    must therefore write the same bytes on both runs.  Encoders never fail
+    (other than [Invalid_argument] on out-of-domain arguments, which
+    indicates a caller bug, not input data). *)
 
 module W : sig
   type t
-
-  (** [create ?size ()] starts empty with room for [size] bytes (default
-      128) before the first reallocation. *)
-  val create : ?size:int -> unit -> t
 
   (** One byte; [v] must be in [0, 255]. *)
   val u8 : t -> int -> unit
@@ -88,8 +87,11 @@ module W : sig
   (** [padding w n] appends [n] zero bytes (synthetic payload bodies). *)
   val padding : t -> int -> unit
 
-  val contents : t -> string
-  val length : t -> int
+  (** [to_string enc v] is the bytes [enc] writes for [v], in one
+      exact-size string (WAL snapshots, tests).  Raises
+      [Invalid_argument] if [enc] writes a different length on its
+      filling run. *)
+  val to_string : (t -> 'a -> unit) -> 'a -> string
 end
 
 (** {2 Reader}
@@ -138,16 +140,15 @@ end
 
 (** {2 Framing} *)
 
-(** [encode_body ?payload_bytes ~tag enc] builds a frame body: version
-    byte, [tag], then whatever [enc] writes.  [payload_bytes] (default 0)
-    is the padding the message carries ({!Bft_types.Protocol_intf.S.payload_bytes});
-    the writer is sized for it plus a fixed header allowance, so encoding a
-    padded proposal does not regrow the buffer. *)
-val encode_body : ?payload_bytes:int -> tag:int -> (W.t -> unit) -> string
+(** [encode_body ~tag enc v] builds a frame body: version byte, [tag],
+    then whatever [enc] writes for [v], in one exact-size string.  Raises
+    [Invalid_argument] if the body exceeds {!max_frame_len}.  Passing the
+    value apart from a top-level encoder keeps the call closure-free. *)
+val encode_body : tag:int -> (W.t -> 'a -> unit) -> 'a -> string
 
 (** [frame body] prepends the [u32be] length prefix, yielding the exact
     byte sequence sent on a socket.  Raises [Invalid_argument] if [body]
-    exceeds {!max_frame_len}. *)
+    is shorter than 2 bytes or exceeds {!max_frame_len}. *)
 val frame : string -> string
 
 (** Abort the current decode with [Bad_tag t] — for the tag-dispatch
@@ -164,18 +165,59 @@ val decode_body : string -> (int -> R.t -> 'a) -> ('a, error) result
     checking version/tag or full consumption. *)
 val run_decoder : (unit -> 'a) -> ('a, error) result
 
-(** {2 Blocking socket helpers}
+(** {2 Socket helpers}
 
-    Frame-at-a-time IO on file descriptors, used by the TCP backend.
-    Both loop over partial reads/writes. *)
+    Frame IO on file descriptors, used by the TCP backend.  All of them
+    loop over partial writes; {!read_frame} loops over partial reads. *)
 
 (** [write_all fd s] writes the whole string; raises [Unix.Unix_error]
     on failure. *)
 val write_all : Unix.file_descr -> string -> unit
 
-(** [read_frame fd] reads one length prefix and body.  [Ok body] on
+(** [read_frame fd] reads exactly one length prefix and body, blocking
+    until both are in (the hello handshake, pipes).  [Ok body] on
     success, [Error `Closed] on EOF at a frame boundary, [Error
     (`Frame_error e)] on a bad length prefix or mid-frame EOF.  Raises
     [Unix.Unix_error] on socket errors. *)
 val read_frame :
   Unix.file_descr -> (string, [ `Closed | `Frame_error of error ]) result
+
+(** The sending side of a connection: frames bodies into one buffer that
+    it reuses, growing it only for a larger frame. *)
+module Frame_writer : sig
+  type t
+
+  val create : unit -> t
+
+  (** [write t fd body] writes [body]'s frame (length prefix, then body)
+      with one [write] per frame unless the kernel takes it in parts.
+      Raises [Invalid_argument] on a body {!frame} refuses and
+      [Unix.Unix_error] on failure. *)
+  val write : t -> Unix.file_descr -> string -> unit
+end
+
+(** The receiving side of a connection: a buffer that starts at 4 KiB and
+    grows only to fit a frame whose length prefix has passed the range
+    check, so a hostile prefix allocates nothing. *)
+module Frame_reader : sig
+  type t
+
+  val create : unit -> t
+
+  (** Current buffer size in bytes. *)
+  val capacity : t -> int
+
+  (** [read t fd deliver] makes one [read] on [fd], then hands every
+      complete frame's body now buffered to [deliver], in order.  [`Open]:
+      the connection is still good.  [`Closed]: EOF at a frame boundary.
+      [`Frame_error Truncated]: EOF inside a frame.  [`Frame_error
+      (Frame_too_large n)]: an out-of-range length prefix; the frames
+      before it were delivered, and the stream cannot be framed further.
+      Raises [Unix.Unix_error] on socket errors; an exception from
+      [deliver] propagates, and the reader is not to be used after it. *)
+  val read :
+    t ->
+    Unix.file_descr ->
+    (string -> unit) ->
+    [ `Open | `Closed | `Frame_error of error ]
+end

@@ -189,9 +189,7 @@ let prop_uvar_roundtrip =
     (* [land max_int] rather than [abs]: abs min_int is still negative. *)
     QCheck.(map (fun i -> i land max_int) int)
     (fun v ->
-      let w = Wire.W.create () in
-      Wire.W.uvar w v;
-      let r = Wire.R.of_string (Wire.W.contents w) in
+      let r = Wire.R.of_string (Wire.W.to_string Wire.W.uvar v) in
       let v' = Wire.R.uvar r in
       Wire.R.expect_end r;
       v' = v)
@@ -202,9 +200,7 @@ let prop_svar_roundtrip =
   QCheck.Test.make ~name:"svar round-trip" ~count:1000
     QCheck.(map (fun i -> i asr 2) int)
     (fun v ->
-      let w = Wire.W.create () in
-      Wire.W.svar w v;
-      let r = Wire.R.of_string (Wire.W.contents w) in
+      let r = Wire.R.of_string (Wire.W.to_string Wire.W.svar v) in
       let v' = Wire.R.svar r in
       Wire.R.expect_end r;
       v' = v)
@@ -258,20 +254,237 @@ let trailing_rejected () =
 let negative_height_rejected () =
   (* A hand-built Vote body whose height varint zigzag-decodes fine but
      whose block constructor must refuse it: proposer -2 (svar 03). *)
-  let w = Wire.W.create () in
-  Wire.W.u8 w 0x01;
-  Wire.W.u8 w 0x04;
-  Wire.W.u8 w 1;
-  Wire.W.u64 w 0L;
-  Wire.W.uvar w 0;
-  Wire.W.uvar w 0;
-  Wire.W.svar w (-2);
-  Wire.W.uvar w 0;
-  Wire.W.uvar w 0;
-  match Codec.decode (Wire.W.contents w) with
+  let body =
+    Wire.W.to_string
+      (fun w () ->
+        Wire.W.u8 w 0x01;
+        Wire.W.u8 w 0x04;
+        Wire.W.u8 w 1;
+        Wire.W.u64 w 0L;
+        Wire.W.uvar w 0;
+        Wire.W.uvar w 0;
+        Wire.W.svar w (-2);
+        Wire.W.uvar w 0;
+        Wire.W.uvar w 0)
+      ()
+  in
+  match Codec.decode body with
   | Error (Wire.Invalid _) -> ()
   | Error e -> Alcotest.failf "wrong error: %s" (Wire.error_to_string e)
   | Ok _ -> Alcotest.fail "bad proposer accepted"
+
+let of_hex h =
+  String.init (String.length h / 2) (fun i ->
+      Char.chr (int_of_string ("0x" ^ String.sub h (2 * i) 2)))
+
+(* A snapshot as the [Buffer]-based writer wrote it: lock on a view-1
+   block with a 180-byte payload, view 300, Opt vote for a view-2 block.
+   It must still decode, and re-encode to the same bytes, so that a WAL
+   file survives an upgrade. *)
+let pinned_wal_snapshot () =
+  let bytes =
+    of_hex
+      "01ac02010153d3efa3b1aa8f5d01010207b4010302013c5f6a2e161100fe020204080001"
+  in
+  match Codec.decode_wal bytes with
+  | Error e -> Alcotest.fail e
+  | Ok wal -> (
+      Alcotest.(check string) "re-encodes to the same bytes" (hex bytes)
+        (hex (Codec.encode_wal wal));
+      match Moonshot.Wal.load wal with
+      | None -> Alcotest.fail "no record"
+      | Some st ->
+          Alcotest.(check int) "view" 300 st.Moonshot.Wal.cur_view;
+          Alcotest.(check int) "lock view" 1 st.Moonshot.Wal.lock.Cert.view;
+          Alcotest.(check (option int)) "opt vote's view" (Some 2)
+            (Option.map (fun b -> b.Block.view) st.Moonshot.Wal.voted_opt))
+
+(* --- frames: the buffered reader and the sender ---------------------------- *)
+
+module Reader = Wire.Frame_reader
+
+(* Bodies from 2 bytes to past the reader's 4 KiB starting buffer, cut
+   after 48 KiB in all so that a whole stream fits in a pipe; and the
+   chunk sizes the stream arrives in, cycled, mostly small enough to cut
+   inside length prefixes. *)
+let stream_gen =
+  let open QCheck.Gen in
+  let body =
+    let* len =
+      frequency
+        [ (8, int_range 2 64); (3, int_range 65 1500); (1, int_range 4000 9000) ]
+    in
+    string_size ~gen:char (return len)
+  in
+  let* bodies = list_size (int_range 0 12) body in
+  let rec under total = function
+    | b :: rest when total + String.length b <= 48 * 1024 ->
+        b :: under (total + String.length b) rest
+    | _ -> []
+  in
+  let* chunks =
+    list_size (int_range 1 8)
+      (frequency [ (4, return 1); (3, int_range 2 7); (2, int_range 8 9000) ])
+  in
+  return (under 0 bodies, chunks)
+
+let readable fd =
+  match Unix.select [ fd ] [] [] 0. with [], _, _ -> false | _ -> true
+
+(* What the buffered reader yields for [stream] written into a pipe in
+   chunks of the given sizes, each chunk read before the next is written,
+   then EOF: the bodies and the final status. *)
+let buffered_read stream chunks =
+  let rd, wr = Unix.pipe () in
+  let r = Reader.create () and got = ref [] and status = ref `Open in
+  let deliver body = got := body :: !got in
+  let rec feed pos = function
+    | [] -> feed pos chunks
+    | k :: rest when pos < String.length stream ->
+        let k = Int.min k (String.length stream - pos) in
+        Wire.write_all wr (String.sub stream pos k);
+        while !status = `Open && readable rd do
+          status := Reader.read r rd deliver
+        done;
+        feed (pos + k) rest
+    | _ -> ()
+  in
+  feed 0 chunks;
+  Unix.close wr;
+  if !status = `Open then status := Reader.read r rd deliver;
+  Unix.close rd;
+  (List.rev !got, !status)
+
+(* The same stream through [Wire.read_frame], one frame per call. *)
+let exact_read stream =
+  let rd, wr = Unix.pipe () in
+  Wire.write_all wr stream;
+  Unix.close wr;
+  let rec go acc =
+    match Wire.read_frame rd with
+    | Ok body -> go (body :: acc)
+    | Error _ -> List.rev acc
+  in
+  let bodies = go [] in
+  Unix.close rd;
+  bodies
+
+let prop_reader_matches_read_frame =
+  QCheck.Test.make ~name:"buffered reader = read_frame under any chunking"
+    ~count:200 (QCheck.make stream_gen) (fun (bodies, chunks) ->
+      let stream = String.concat "" (List.map Wire.frame bodies) in
+      let got, status = buffered_read stream chunks in
+      let want = exact_read stream in
+      want = bodies && got = want && status = `Closed)
+
+let frame_error = function
+  | `Frame_error e -> Wire.error_to_string e
+  | `Open -> "open"
+  | `Closed -> "closed"
+
+(* A length prefix out of range ends the stream without growing the
+   buffer, whether it arrives alone or behind a good frame. *)
+let reader_rejects_bad_length () =
+  List.iter
+    (fun (len, behind) ->
+      let r = Reader.create () in
+      let cap = Reader.capacity r in
+      let rd, wr = Unix.pipe () in
+      let prefix =
+        String.init 4 (fun i -> Char.chr ((len lsr (8 * (3 - i))) land 0xff))
+      in
+      let good = if behind then Wire.frame "\x01\x05\x03\x00" else "" in
+      Wire.write_all wr (good ^ prefix ^ String.make 64 'x');
+      let got = ref 0 in
+      let status = Reader.read r rd (fun _ -> incr got) in
+      Alcotest.(check string)
+        (Printf.sprintf "length %d rejected" len)
+        (Wire.error_to_string (Wire.Frame_too_large len))
+        (frame_error status);
+      Alcotest.(check int) "frames before it delivered"
+        (if behind then 1 else 0)
+        !got;
+      Alcotest.(check int) "buffer not grown" cap (Reader.capacity r);
+      Unix.close rd;
+      Unix.close wr)
+    [
+      (0, false);
+      (1, true);
+      (Wire.max_frame_len + 1, false);
+      (Wire.max_frame_len + 1, true);
+      (0xffff_ffff, false);
+    ]
+
+(* EOF at a frame boundary closes; EOF inside a frame, its length prefix
+   included, is a torn frame. *)
+let reader_eof () =
+  let frame = Wire.frame "\x01\x05\x03\x00" in
+  List.iter
+    (fun (what, input, want) ->
+      let r = Reader.create () in
+      let rd, wr = Unix.pipe () in
+      Wire.write_all wr input;
+      Unix.close wr;
+      let status = ref `Open in
+      while !status = `Open do
+        status := Reader.read r rd ignore
+      done;
+      Unix.close rd;
+      Alcotest.(check string) what want (frame_error !status))
+    [
+      ("empty stream", "", "closed");
+      ("after a whole frame", frame, "closed");
+      ("inside a body", frame ^ String.sub frame 0 6, "truncated input");
+      ("inside a length prefix", frame ^ String.sub frame 0 2, "truncated input");
+    ]
+
+(* The sender writes each body's frame, behind the framed hello, and
+   counts every frame as its length prefix plus its body. *)
+let sender_frames () =
+  let listener = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.bind listener (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  Unix.listen listener 4;
+  let port =
+    match Unix.getsockname listener with
+    | Unix.ADDR_INET (_, p) -> p
+    | _ -> assert false
+  in
+  let hello = "\x01\x00hello" in
+  let bodies =
+    [ "\x01\x05"; String.make 16 'v'; String.make 300 'p'; String.make 5000 'q' ]
+  in
+  let t0 = Unix.gettimeofday () in
+  let cm =
+    Bft_net.Conn_manager.create ~n:2 ~id:0 ~ports:[| 0; port |] ~hello
+      ~now_ms:(fun () -> (Unix.gettimeofday () -. t0) *. 1000.)
+      ~plane:Bft_net.Fault_plane.none ()
+  in
+  List.iter (Bft_net.Conn_manager.send cm ~dst:1 ~src_view:0) bodies;
+  Bft_net.Conn_manager.release cm;
+  Alcotest.(check bool) "queue drained" true
+    (Bft_net.Conn_manager.flush cm ~timeout_s:5.);
+  let st = Bft_net.Conn_manager.stats cm in
+  Bft_net.Conn_manager.shutdown cm;
+  let fd, _ = Unix.accept listener in
+  let received = Buffer.create 8192 and buf = Bytes.create 4096 in
+  let rec drain () =
+    match Unix.read fd buf 0 (Bytes.length buf) with
+    | 0 -> ()
+    | k ->
+        Buffer.add_subbytes received buf 0 k;
+        drain ()
+  in
+  drain ();
+  Unix.close fd;
+  Unix.close listener;
+  Alcotest.(check string) "hello, then each body's frame"
+    (hex (String.concat "" (List.map Wire.frame (hello :: bodies))))
+    (hex (Buffer.contents received));
+  Alcotest.(check int) "messages sent" (List.length bodies)
+    st.Bft_net.Conn_manager.messages_sent;
+  Alcotest.(check int) "bytes sent: prefix + body per frame"
+    (List.fold_left (fun acc b -> acc + 4 + String.length b) 0 bodies)
+    st.Bft_net.Conn_manager.bytes_sent
 
 (* --- live clusters --------------------------------------------------------- *)
 
@@ -394,6 +607,17 @@ let traced_cluster () =
   Alcotest.(check bool) "has latency samples" true
     (Tcp.quorum_latencies r ~quorum <> [])
 
+let hello_frame ?(version = 0x01) ~sender ~n ~protocol () =
+  Wire.frame
+    (Wire.W.to_string
+       (fun w () ->
+         Wire.W.u8 w version;
+         Wire.W.u8 w 0x00;
+         Wire.W.uvar w sender;
+         Wire.W.uvar w n;
+         Wire.W.bytes w protocol)
+       ())
+
 (* A rogue client connects to a validator and feeds it garbage while the
    cluster runs; the cluster must still commit, and the frames sent after
    a valid hello must be counted as decode errors. *)
@@ -421,14 +645,9 @@ let malformed_injection () =
     (* Client 1: a valid hello from "node 2", then well-framed garbage
        bodies — each must be skipped and counted, not crash the node. *)
     let fd = connect 200 in
-    let w = Wire.W.create () in
-    Wire.W.u8 w 0x01;
-    Wire.W.u8 w 0x00;
-    Wire.W.uvar w 2;
-    Wire.W.uvar w 4;
-    Wire.W.bytes w (Protocol_kind.name kind);
     (try
-       Wire.write_all fd (Wire.frame (Wire.W.contents w));
+       Wire.write_all fd
+         (hello_frame ~sender:2 ~n:4 ~protocol:(Protocol_kind.name kind) ());
        Wire.write_all fd (Wire.frame "\x01\x7f\xde\xad\xbe\xef");
        Wire.write_all fd (Wire.frame "\x42\x42\x42")
      with Unix.Unix_error _ -> ());
@@ -451,15 +670,6 @@ let malformed_injection () =
   Alcotest.(check bool) "garbage frames counted" true (errors >= 1)
 
 (* --- hello handshake rejection --------------------------------------------- *)
-
-let hello_frame ?(version = 0x01) ~sender ~n ~protocol () =
-  let w = Wire.W.create () in
-  Wire.W.u8 w version;
-  Wire.W.u8 w 0x00;
-  Wire.W.uvar w sender;
-  Wire.W.uvar w n;
-  Wire.W.bytes w protocol;
-  Wire.frame (Wire.W.contents w)
 
 (* A validator that rejects a hello closes the connection without writing
    anything: from the rogue client's side that is a clean EOF (or a reset
@@ -706,8 +916,7 @@ let executor ?faults ~id () =
   let sink =
     {
       Executor.send =
-        (fun ~dst ~src_view:_ frame ->
-          record (Sent (dst, String.sub frame 4 (String.length frame - 4))));
+        (fun ~dst ~src_view:_ body -> record (Sent (dst, body)));
       release = (fun () -> record Released);
     }
   in
@@ -1223,7 +1432,16 @@ let () =
           Alcotest.test_case "unknown tag" `Quick unknown_tag_rejected;
           Alcotest.test_case "trailing bytes" `Quick trailing_rejected;
           Alcotest.test_case "bad proposer" `Quick negative_height_rejected;
+          Alcotest.test_case "WAL snapshot (pinned)" `Quick pinned_wal_snapshot;
         ] );
+      ( "frames",
+        q [ prop_reader_matches_read_frame ]
+        @ [
+            Alcotest.test_case "bad length prefix" `Quick
+              reader_rejects_bad_length;
+            Alcotest.test_case "EOF" `Quick reader_eof;
+            Alcotest.test_case "sender frames bodies" `Quick sender_frames;
+          ] );
       ( "cluster",
         List.map cluster_case Protocol_kind.all
         @ [
