@@ -22,17 +22,19 @@
    the encoding of what it sends.  Prints one row per class: calls, own
    bytes per call and own bytes per quorum-committed block; then the
    attributed sum, the substrate's share (the rest: the engine, network
-   and CPU models in the simulator; frame reads, [select], the sender
-   thread and WAL writes on sockets) and the run's total.  Prints only.
+   and CPU models in the simulator; frame reads, [select], the output
+   buffers and their writes, and WAL writes on sockets) and the run's
+   total.  Prints only.
 
    Minor-heap words only: a block of more than 256 words goes straight to
    the major heap and is not counted.  The wrapper allocates nothing on a
    call except the closure it wraps a timer callback in, which is charged
-   to no one.  On sockets every validator is a thread of one domain, and
-   the domain has one minor-heap counter: each thread keeps its own stack
-   of open calls, but a thread switch inside a bracketed call (a 50 ms
-   tick against calls of microseconds) charges the other thread's words
-   to it. *)
+   to no one.  On sockets every validator is one thread of one domain,
+   and the domain has one minor-heap counter: each thread keeps its own
+   stack of open calls.  No bracketed call makes a blocking system call
+   ([send] only fills a buffer that the loop writes between calls), so
+   only a tick switches threads inside one, and a tick (50 ms against
+   calls of microseconds) charges the other thread's words to it. *)
 
 open Bft_types
 module Config = Bft_runtime.Config

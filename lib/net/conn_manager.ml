@@ -1,23 +1,28 @@
 let close_quiet fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
+(* The first pause after a failed dial; it doubles up to the cap. *)
+let backoff_base_ms = 10.
+
 type stats = {
   messages_sent : int;
   bytes_sent : int;
   bytes_heal : int;
   dropped : int array;
-  connect_attempts : int;
   reconnects : int;
 }
 
-(* A frame waiting for its release time (send time + pacing/spike
-   delay).  Releases are monotone in send order except across the end
-   of a delay-spike window; waiting on the head frame (instead of
-   reordering) keeps per-link FIFO, which is what a TCP stream would do
-   anyway. *)
-type item = { release : float; dst : int; body : string }
+(* A frame waiting for its release time (send time + pacing/spike delay).
+   Waiting on the head frame instead of reordering keeps per-link FIFO
+   across the end of a delay-spike window, as a TCP stream would. *)
+type paced = { at : float; dst : int; body : string }
 
 type peer = {
+  port : int;
+  out : Wire.Frame_writer.t;
+  mutable frames : int;  (* in [out], of [bytes] bytes, since it was empty *)
+  mutable bytes : int;
   mutable fd : Unix.file_descr option;
+  mutable up : bool;  (* the hello is written: the dial succeeded *)
   mutable next_try_ms : float;
   mutable backoff_ms : float;
   mutable ever_connected : bool;
@@ -25,173 +30,100 @@ type peer = {
 
 type t = {
   id : int;
-  ports : int array;
-  hello : string;
+  hello : string;  (* framed *)
   now_ms : unit -> float;
   plane : Fault_plane.t;
-  backoff_base_ms : float;
   backoff_cap_ms : float;
-  held : item Queue.t;
-      (* Frames sent since the last [release]; executor-only, unlocked. *)
-  queue : item Queue.t;
-  qm : Mutex.t;
-  qc : Condition.t;
-  mutable quit : bool;
-  mutable inflight : bool;
   peers : peer array;
+  paced : paced Queue.t;
+  mutable unreleased : int;  (* [paced]'s tail sent since the last release *)
   jitter : Bft_sim.Rng.t;
-  (* Counters are plain mutable ints: the executor and the sender both
-     touch [dropped], but a lost increment on a diagnostic counter is
-     preferable to taking the queue lock around every socket write. *)
   mutable messages_sent : int;
   mutable bytes_sent : int;
   mutable bytes_heal : int;
   dropped : int array;
-  mutable connect_attempts : int;
   mutable reconnects : int;
-  mutable thread : Thread.t option;
-  out : Wire.Frame_writer.t;  (* sender thread only *)
 }
 
-let dial t dst =
-  match Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 with
-  | exception Unix.Unix_error _ -> None
-  | fd -> (
-      (try Unix.setsockopt fd Unix.TCP_NODELAY true
-       with Unix.Unix_error _ -> ());
-      try
-        Unix.connect fd
-          (Unix.ADDR_INET (Unix.inet_addr_loopback, t.ports.(dst)));
-        Wire.Frame_writer.write t.out fd t.hello;
-        Some fd
-      with Unix.Unix_error _ ->
-        close_quiet fd;
-        None)
-
-let write_item t { dst; body; _ } =
-  let now = t.now_ms () in
-  let p = t.peers.(dst) in
-  let fd_opt =
-    match p.fd with
-    | Some _ as s -> s
-    | None ->
-        if now < p.next_try_ms then None
-        else begin
-          t.connect_attempts <- t.connect_attempts + 1;
-          match dial t dst with
-          | Some fd ->
-              if p.ever_connected then t.reconnects <- t.reconnects + 1;
-              p.ever_connected <- true;
-              p.backoff_ms <- t.backoff_base_ms;
-              p.fd <- Some fd;
-              Some fd
-          | None ->
-              (* Bounded exponential backoff with jitter: a dead peer
-                 costs one failed [connect] per backoff period instead of
-                 a blocking retry loop that starves every other link. *)
-              let factor = 0.5 +. Bft_sim.Rng.float t.jitter 0.5 in
-              p.next_try_ms <- now +. (p.backoff_ms *. factor);
-              p.backoff_ms <-
-                Float.min t.backoff_cap_ms (p.backoff_ms *. 2.);
-              None
-        end
-  in
-  match fd_opt with
-  | None -> t.dropped.(dst) <- t.dropped.(dst) + 1
-  | Some fd -> (
-      try
-        Wire.Frame_writer.write t.out fd body;
-        let bytes = 4 + String.length body in
-        t.messages_sent <- t.messages_sent + 1;
-        t.bytes_sent <- t.bytes_sent + bytes;
-        if Fault_plane.in_heal_window t.plane ~now_ms:now then
-          t.bytes_heal <- t.bytes_heal + bytes
-      with Unix.Unix_error _ ->
-        (* Peer went away mid-stream (crashed validator): tear the
-           connection down and allow an immediate redial for the next
-           frame; backoff only builds up across failed dials. *)
-        close_quiet fd;
-        p.fd <- None;
-        p.next_try_ms <- now;
-        p.backoff_ms <- t.backoff_base_ms;
-        t.dropped.(dst) <- t.dropped.(dst) + 1)
-
-let rec sender_loop t =
-  Mutex.lock t.qm;
-  while Queue.is_empty t.queue && not t.quit do
-    Condition.wait t.qc t.qm
-  done;
-  if t.quit then begin
-    (* Terminal: anything still queued is best-effort traffic to peers
-       that are shutting down too. *)
-    Queue.clear t.queue;
-    Mutex.unlock t.qm;
-    Array.iter
-      (fun p ->
-        Option.iter close_quiet p.fd;
-        p.fd <- None)
-      t.peers
-  end
-  else begin
-    let head = Queue.peek t.queue in
-    let now = t.now_ms () in
-    if head.release > now +. 0.01 then begin
-      Mutex.unlock t.qm;
-      (* OCaml's [Condition] has no timed wait; poll in short slices so
-         both release times and [quit] are honoured promptly. *)
-      Thread.delay (Float.min ((head.release -. now) /. 1000.) 0.02);
-      sender_loop t
-    end
-    else begin
-      let item = Queue.pop t.queue in
-      t.inflight <- true;
-      Mutex.unlock t.qm;
-      write_item t item;
-      Mutex.lock t.qm;
-      t.inflight <- false;
-      Mutex.unlock t.qm;
-      sender_loop t
-    end
-  end
-
-let create ?(backoff_base_ms = 10.) ?(backoff_cap_ms = 500.) ~n ~id ~ports
-    ~hello ~now_ms ~plane () =
-  let t =
+let create ?(backoff_cap_ms = 500.) ~n ~id ~ports ~hello ~now_ms ~plane () =
+  let peer port =
     {
-      id;
-      ports;
-      hello;
-      now_ms;
-      plane;
-      backoff_base_ms;
-      backoff_cap_ms;
-      held = Queue.create ();
-      queue = Queue.create ();
-      qm = Mutex.create ();
-      qc = Condition.create ();
-      quit = false;
-      inflight = false;
-      peers =
-        Array.init n (fun _ ->
-            {
-              fd = None;
-              next_try_ms = 0.;
-              backoff_ms = backoff_base_ms;
-              ever_connected = false;
-            });
-      jitter = Bft_sim.Rng.create ((id * 2654435761) lxor 0x5ca1ab1e);
-      messages_sent = 0;
-      bytes_sent = 0;
-      bytes_heal = 0;
-      dropped = Array.make n 0;
-      connect_attempts = 0;
-      reconnects = 0;
-      thread = None;
+      port;
       out = Wire.Frame_writer.create ();
+      frames = 0;
+      bytes = 0;
+      fd = None;
+      up = false;
+      next_try_ms = 0.;
+      backoff_ms = backoff_base_ms;
+      ever_connected = false;
     }
   in
-  t.thread <- Some (Thread.create sender_loop t);
-  t
+  {
+    id;
+    hello = Wire.frame hello;
+    now_ms;
+    plane;
+    backoff_cap_ms;
+    peers = Array.map peer ports;
+    paced = Queue.create ();
+    unreleased = 0;
+    jitter = Bft_sim.Rng.create ((id * 2654435761) lxor 0x5ca1ab1e);
+    messages_sent = 0;
+    bytes_sent = 0;
+    bytes_heal = 0;
+    dropped = Array.make n 0;
+    reconnects = 0;
+  }
+
+(* Bounded exponential backoff with jitter after a failed dial: a dead
+   peer costs one failed [connect] per backoff period, and its frames are
+   dropped meanwhile, the loss a down peer implies. *)
+let back_off t p ~now =
+  let factor = 0.5 +. Bft_sim.Rng.float t.jitter 0.5 in
+  p.next_try_ms <- now +. (p.backoff_ms *. factor);
+  p.backoff_ms <- Float.min t.backoff_cap_ms (p.backoff_ms *. 2.)
+
+(* Whether [p] has a connection, dialed now unless it is in backoff.  The
+   dial does not wait: a [connect] still in progress fails, if at all, at
+   the first write. *)
+let connected t p ~now =
+  Option.is_some p.fd
+  || now >= p.next_try_ms
+     &&
+     match
+       let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+       p.fd <- Some fd;
+       p.up <- false;
+       Unix.set_nonblock fd;
+       Unix.setsockopt fd Unix.TCP_NODELAY true;
+       Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, p.port))
+     with
+     | () | (exception Unix.Unix_error (EINPROGRESS, _, _)) -> true
+     | exception Unix.Unix_error _ ->
+         Option.iter close_quiet p.fd;
+         p.fd <- None;
+         back_off t p ~now;
+         false
+
+(* Commit every released paced frame that is due to its peer's output, or
+   drop it when the peer has no connection.  The slack absorbs [select]
+   truncating its timeout to microseconds. *)
+let rec commit_due t ~now =
+  if
+    Queue.length t.paced > t.unreleased
+    && (Queue.peek t.paced).at <= now +. 0.01
+  then begin
+    let { dst; body; _ } = Queue.pop t.paced in
+    let p = t.peers.(dst) in
+    if connected t p ~now then begin
+      Wire.Frame_writer.add p.out body;
+      p.frames <- p.frames + 1;
+      p.bytes <- p.bytes + 4 + String.length body
+    end
+    else t.dropped.(dst) <- t.dropped.(dst) + 1;
+    commit_due t ~now
+  end
 
 let send t ~dst ~src_view body =
   let now = t.now_ms () in
@@ -200,34 +132,85 @@ let send t ~dst ~src_view body =
   with
   | `Drop -> t.dropped.(dst) <- t.dropped.(dst) + 1
   | `Pass ->
-      let release = now +. Fault_plane.delay_ms t.plane ~now_ms:now in
-      Queue.push { release; dst; body } t.held
+      let at = now +. Fault_plane.delay_ms t.plane ~now_ms:now in
+      Queue.push { at; dst; body } t.paced;
+      t.unreleased <- t.unreleased + 1
+
+(* Write [p]'s hello unless the dial has (a fresh socket's buffer takes it
+   whole, so only a [connect] in progress defers it), then its output.
+   Once [out] is empty its frames count as sent; a failed connection loses
+   them all.  A peer gone mid-stream (a crashed validator) may be redialed
+   at once, one that refused the dial only after its backoff. *)
+let write t dst p ~now =
+  match p.fd with
+  | Some fd when (not p.up) || p.frames > 0 -> (
+      match
+        if not p.up then begin
+          Wire.write_all fd t.hello;
+          p.up <- true;
+          if p.ever_connected then t.reconnects <- t.reconnects + 1;
+          p.ever_connected <- true;
+          p.backoff_ms <- backoff_base_ms
+        end;
+        Wire.Frame_writer.write p.out fd
+      with
+      | true ->
+          t.messages_sent <- t.messages_sent + p.frames;
+          t.bytes_sent <- t.bytes_sent + p.bytes;
+          if Fault_plane.in_heal_window t.plane ~now_ms:now then
+            t.bytes_heal <- t.bytes_heal + p.bytes;
+          p.frames <- 0;
+          p.bytes <- 0
+      | false | (exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _)) -> ()
+      | exception Unix.Unix_error _ ->
+          close_quiet fd;
+          p.fd <- None;
+          if not p.up then back_off t p ~now;
+          Wire.Frame_writer.clear p.out;
+          t.dropped.(dst) <- t.dropped.(dst) + p.frames;
+          p.frames <- 0;
+          p.bytes <- 0)
+  | _ -> ()
 
 let release t =
-  if not (Queue.is_empty t.held) then begin
-    Mutex.lock t.qm;
-    if t.quit then Queue.clear t.held
-    else begin
-      Queue.transfer t.held t.queue;
-      Condition.signal t.qc
-    end;
-    Mutex.unlock t.qm
-  end
+  let now = t.now_ms () in
+  t.unreleased <- 0;
+  commit_due t ~now;
+  for dst = 0 to Array.length t.peers - 1 do
+    write t dst t.peers.(dst) ~now
+  done
 
-let flush t ~timeout_s =
-  let deadline = Unix.gettimeofday () +. timeout_s in
-  let rec wait () =
-    Mutex.lock t.qm;
-    let drained = Queue.is_empty t.queue && not t.inflight in
-    Mutex.unlock t.qm;
-    if drained then true
-    else if Unix.gettimeofday () >= deadline then false
-    else begin
-      Thread.delay 0.002;
-      wait ()
-    end
+let blocked t =
+  Array.fold_left
+    (fun acc p ->
+      match p.fd with
+      | Some fd when (not p.up) || p.frames > 0 -> fd :: acc
+      | _ -> acc)
+    [] t.peers
+
+let wait_s t bound =
+  if Queue.length t.paced <= t.unreleased then bound
+  else
+    let due = (Queue.peek t.paced).at in
+    let w = Float.max 0. ((due -. t.now_ms ()) /. 1000.) in
+    if bound < 0. then w else Float.min w bound
+
+let drain t =
+  let deadline =
+    Queue.fold (fun d f -> Float.max d f.at) (t.now_ms ()) t.paced +. 250.
   in
-  wait ()
+  let rec go () =
+    release t;
+    let left = (deadline -. t.now_ms ()) /. 1000. in
+    (Queue.is_empty t.paced && blocked t = [])
+    || left > 0.
+       && begin
+         (try ignore (Unix.select [] (blocked t) [] (wait_s t left))
+          with Unix.Unix_error (EINTR, _, _) -> ());
+         go ()
+       end
+  in
+  go ()
 
 let stats t =
   {
@@ -235,23 +218,12 @@ let stats t =
     bytes_sent = t.bytes_sent;
     bytes_heal = t.bytes_heal;
     dropped = Array.copy t.dropped;
-    connect_attempts = t.connect_attempts;
     reconnects = t.reconnects;
   }
 
-let shutdown t =
-  Mutex.lock t.qm;
-  t.quit <- true;
-  Condition.signal t.qc;
-  Mutex.unlock t.qm;
-  (match t.thread with
-  | Some th -> ( try Thread.join th with _ -> ())
-  | None -> ());
-  t.thread <- None
-
-let force_close t =
-  Mutex.lock t.qm;
-  t.quit <- true;
-  Condition.signal t.qc;
-  Mutex.unlock t.qm;
-  Array.iter (fun p -> Option.iter close_quiet p.fd) t.peers
+let close t =
+  Array.iter
+    (fun p ->
+      Option.iter close_quiet p.fd;
+      p.fd <- None)
+    t.peers

@@ -1,51 +1,41 @@
 (** Outbound connection manager: one per validator incarnation.
 
-    Owns the per-peer outbound TCP connections and the sender thread, so
-    the executor never blocks on a peer's full socket buffer.  Splitting
-    it out of the executor ({!Tcp}) gives crash-recovery a clean seam:
-    killing an incarnation is [shutdown]; a recovered incarnation simply
-    creates a fresh manager and redials.
-
-    Three responsibilities live here:
+    Owns the per-peer outbound TCP connections and their output buffers,
+    written from the executor's own loop and never blocking it.  Killing
+    an incarnation is [close]; a recovered incarnation creates a fresh
+    manager and redials.
 
     - {b Fault interposition}: every frame gets a
       {!Fault_plane.verdict} using the sender's view at send time and
-      the wall clock; dropped frames are counted per destination, delayed
-      frames sit in the queue until their release time.  Interposition
-      happens on encoded frames, below the codec.
-    - {b Reconnection}: connections are dialed on demand with {e bounded
-      exponential backoff with jitter} per destination (replacing the old
-      fixed 50 × 20 ms retry budget, which blocked the sender thread and
-      starved other peers).  While a destination is in backoff, frames to
-      it are dropped — exactly the loss a down peer implies.
-    - {b Accounting}: messages/bytes sent (a frame counts its 4-byte
-      length prefix and its body), per-destination drops, connect
-      attempts and re-establishments, and bytes sent inside healing
-      windows (for the bench's recovery-cost numbers).
-
-    The executor hands over message bodies; the sender thread frames each
-    one into a buffer it reuses ({!Wire.Frame_writer}) and writes it with
-    one [write]. *)
+      the wall clock, below the codec; the frames not dropped wait in one
+      FIFO, in send order, until released and due.
+    - {b Reconnection}: dials do not wait for the handshake and back off
+      {e exponentially with jitter}, per destination.  Frames to a
+      destination in backoff are dropped, the loss a down peer implies.
+    - {b Output commit}: a frame enters its peer's output buffer
+      ({!Wire.Frame_writer}) only once {!release} has released it. *)
 
 type t
 
+(** A frame counts as sent, with its 4-byte length prefix, once the
+    kernel has taken all of its peer's output buffer; as dropped if the
+    connection fails first; as neither if {!close} finds it there. *)
 type stats = {
   messages_sent : int;
   bytes_sent : int;
-  bytes_heal : int;  (** Bytes sent inside {!Fault_plane.in_heal_window}. *)
-  dropped : int array;  (** Per destination: frames never written. *)
-  connect_attempts : int;
+  bytes_heal : int;
+      (** Bytes sent inside {!Fault_plane.in_heal_window}. *)
+  dropped : int array;
+      (** Per destination: frames the fault plane dropped, and frames a
+          destination in backoff or a failed connection lost. *)
   reconnects : int;  (** Successful dials beyond the first, per peer. *)
 }
 
-(** [create ~n ~id ~ports ~hello ~now_ms ~plane ()] starts the sender
-    thread.  [hello] is the handshake body framed and written first on
-    every new connection; [now_ms] the shared run clock.
-    [backoff_base_ms]/[backoff_cap_ms] bound the reconnect backoff
-    (defaults 10 / 500 ms; logical-clock runs pass a small cap so a
-    recovered peer is redialed well within its catch-up slack). *)
+(** [create ~n ~id ~ports ~hello ~now_ms ~plane ()]: [hello] is the
+    handshake body, framed and written first on every new connection;
+    [now_ms] the run clock.  The reconnect backoff starts at 10 ms and
+    doubles up to [backoff_cap_ms] (default 500 ms). *)
 val create :
-  ?backoff_base_ms:float ->
   ?backoff_cap_ms:float ->
   n:int ->
   id:int ->
@@ -58,32 +48,33 @@ val create :
 
 (** Take a frame's fault verdict and release time now, from [src_view]
     (the sender's current view, the logical clock for partition
-    verdicts) and the wall clock, then hold the frame's body until the next
-    {!release}.  Never blocks; executor thread only.  Holding is what
-    makes the WAL write ahead of the wire: the executor releases an
-    iteration's frames only once that iteration's WAL snapshot is on
-    disk. *)
+    verdicts) and the wall clock, then hold it until the next {!release}:
+    the executor releases an iteration's frames once its WAL snapshot is
+    on disk. *)
 val send : t -> dst:int -> src_view:int -> string -> unit
 
-(** Hand every frame held since the previous call to the sender thread,
-    in send order, under one acquisition of the queue lock.  Executor
-    thread only. *)
+(** Release the frames held since the previous call, commit those due to
+    their peers' output, and write each output until its socket would
+    block. *)
 val release : t -> unit
 
-(** Wait until the queue has fully drained (including frames still held
-    for pacing, but not frames held for {!release}) or [timeout_s]
-    elapsed; returns whether it drained.
-    Called on the crash path so that frames the protocol logically sent
-    before the crash point reach the wire — the simulator's crash
-    semantics, where scheduled deliveries from the victim survive. *)
-val flush : t -> timeout_s:float -> bool
+(** The connections still dialing or with output the kernel has not
+    taken yet: the write set of the loop's [select]. *)
+val blocked : t -> Unix.file_descr list
+
+(** [wait_s t bound]: the loop's [select] timeout in seconds, [bound]
+    (negative: none) or sooner if a paced frame falls due before it. *)
+val wait_s : t -> float -> float
+
+(** Release, then write everything, waiting out pacing delays; return
+    whether all of it reached the kernel by 0.25 s after the last paced
+    frame's release time.  The crash path: frames the protocol sent
+    before the crash point reach the wire, as scheduled deliveries from
+    a crashed node do in the simulator. *)
+val drain : t -> bool
 
 val stats : t -> stats
 
-(** Graceful teardown: drop anything still queued, close connections,
-    join the sender thread. *)
-val shutdown : t -> unit
-
-(** Forced-teardown path: close the sockets out from under the sender
-    without joining (a subsequent {!shutdown} still joins). *)
-val force_close : t -> unit
+(** Close the connections, dropping everything not yet written.  Only
+    {!stats} may follow. *)
+val close : t -> unit

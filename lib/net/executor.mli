@@ -48,10 +48,10 @@ type node_result = {
 }
 
 (** Where frames go: {!Conn_manager} in production, a recorder in tests.
-    [send] takes a frame's fault verdict and holds its body (one encoding
-    per message, shared by every destination of a multicast; the sender
-    adds the length prefix); [release] hands every held frame to the
-    wire. *)
+    Both calls are synchronous.  [send] takes a frame's fault verdict and
+    holds its body (one encoding per message, shared by every destination
+    of a multicast; the sink adds the length prefix); [release] writes
+    every held frame that is due, without blocking. *)
 type sink = {
   send : dst:int -> src_view:int -> string -> unit;
   release : unit -> unit;

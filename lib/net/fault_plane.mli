@@ -3,8 +3,8 @@
     Interprets a {!Bft_faults.Fault_schedule.t} below the codec layer:
     verdicts are rendered on already-encoded frames at send time, so the
     wire format (and every pinned vector in [docs/WIRE.md]) is untouched —
-    a dropped frame simply never reaches [write], a delayed one sits in
-    the sender queue until its release time.
+    a dropped frame simply never reaches [write], a delayed one waits in
+    {!Conn_manager}'s FIFO until its release time.
 
     Two clocks select how event times are read:
 

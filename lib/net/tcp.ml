@@ -133,11 +133,6 @@ let write_file_atomic ~tmp ~path s =
       raise e);
   Unix.rename tmp path
 
-(* How long an accepted connection may take to deliver its hello frame.
-   Dialers write the hello right after [connect], so only a dead or
-   hostile connector comes close. *)
-let hello_timeout_s = 0.5
-
 (* Every validator rebuilds the client stream from [cfg.clients] itself
    (see [config.clients]). *)
 let policy cfg plane =
@@ -155,25 +150,33 @@ let policy cfg plane =
     faults = Fault_plane.logical plane;
   }
 
-(* An accepted connection: the peer its hello named, its input buffer and
-   the delivery its frames go to. *)
+(* An accepted connection: the peer its hello named ([-1] until the hello
+   is in), its input buffer and the delivery its frames go to. *)
 type conn = {
-  src : int;
+  mutable src : int;
   inbox : Wire.Frame_reader.t;
   deliver : string -> unit;
 }
 
-(* The [select] shell around one incarnation's {!Executor}: accept and
-   hello, the control pipe, frame reads, teardown.  Control orders wake
-   [select] at once; otherwise the executor's earliest timer, at worst its
-   hard deadline, bounds the wait.  Returns what {!Executor.Make.finish}
-   does. *)
+exception Bad_hello
+
+(* The [select] shell around one incarnation's {!Executor}: accepts, the
+   control pipe, frame reads, blocked writes, teardown.  Control orders
+   and writable sockets wake [select] at once, else the next timer (at
+   worst the hard deadline) or paced frame does.  Returns what
+   {!Executor.Make.finish} does. *)
 let node_main (type m) (module P : Protocol_intf.S with type msg = m)
     (cfg : config) ~id ~incarnation ~t0 ~listener ~ports ~plane ~wal_blob
     ~wal_file ~report ~ctl_fd ~register_teardown =
   let module E = Executor.Make (P) in
   let now () = now_ms t0 in
   let hello = encode_hello ~id ~n:cfg.n ~protocol:cfg.protocol_name in
+  (* The longest valid hello: a connection that has not sent one cannot
+     grow its input buffer past it. *)
+  let hello_limit =
+    String.length
+      (encode_hello ~id:(cfg.n - 1) ~n:cfg.n ~protocol:cfg.protocol_name)
+  in
   let backoff_cap_ms =
     (* Under the logical clock the whole run is paced by [link_delay_ms];
        a recovered peer must be redialed well within its catch-up slack,
@@ -222,40 +225,32 @@ let node_main (type m) (module P : Protocol_intf.S with type msg = m)
     Hashtbl.iter (fun fd _ -> close_quiet fd) conns;
     close_quiet listener
   in
-  register_teardown (fun () ->
-      close_inbound ();
-      Conn_manager.force_close cm);
+  (* A wedged incarnation's next [select] fails on the closed sockets. *)
+  register_teardown close_inbound;
+  (* A connection's first frame is its hello, naming the peer of every
+     later one; a connector that sends none just idles in the watch list. *)
+  let on_frame c body =
+    if c.src >= 0 then E.receive ex ~src:c.src body
+    else
+      match decode_hello body with
+      | Ok (src, n', proto)
+        when src >= 0 && src < cfg.n && src <> id && n' = cfg.n
+             && String.equal proto cfg.protocol_name ->
+          c.src <- src;
+          Wire.Frame_reader.set_limit c.inbox Wire.max_frame_len
+      | Ok _ | Error _ -> raise Bad_hello
+  in
   let accept_conn () =
     match Unix.accept listener with
     | exception Unix.Unix_error _ -> ()
-    | fd, _ -> (
+    | fd, _ ->
         (try Unix.setsockopt fd Unix.TCP_NODELAY true
          with Unix.Unix_error _ -> ());
-        (* The hello read blocks the executor: bound it, so a connector
-           that never sends one (a peer killed mid-dial) costs at most
-           [hello_timeout_s], then lift the bound for the connection's
-           lifetime. *)
-        let hello () =
-          Unix.setsockopt_float fd Unix.SO_RCVTIMEO hello_timeout_s;
-          let r = Wire.read_frame fd in
-          Unix.setsockopt_float fd Unix.SO_RCVTIMEO 0.;
-          r
-        in
-        match hello () with
-        | Ok body -> (
-            match decode_hello body with
-            | Ok (src, n', proto)
-              when src >= 0 && src < cfg.n && src <> id && n' = cfg.n
-                   && String.equal proto cfg.protocol_name ->
-                Hashtbl.replace conns fd
-                  {
-                    src;
-                    inbox = Wire.Frame_reader.create ();
-                    deliver = E.receive ex ~src;
-                  };
-                rewatch ()
-            | Ok _ | Error _ -> close_quiet fd)
-        | Error _ | (exception Unix.Unix_error _) -> close_quiet fd)
+        let inbox = Wire.Frame_reader.create () in
+        Wire.Frame_reader.set_limit inbox hello_limit;
+        let rec c = { src = -1; inbox; deliver = (fun b -> on_frame c b) } in
+        Hashtbl.replace conns fd c;
+        rewatch ()
   in
   let handle_ctl () =
     let buf = Bytes.create 1 in
@@ -269,9 +264,10 @@ let node_main (type m) (module P : Protocol_intf.S with type msg = m)
     | `Open -> ()
     | `Closed -> close_conn fd
     | `Frame_error e ->
-        E.malformed ex ~src:c.src ("framing error: " ^ Wire.error_to_string e);
+        if c.src >= 0 then
+          E.malformed ex ~src:c.src ("framing error: " ^ Wire.error_to_string e);
         close_conn fd
-    | exception Unix.Unix_error _ -> close_conn fd
+    | exception (Unix.Unix_error _ | Bad_hello) -> close_conn fd
   in
   let on_ready fd =
     if fd = listener then accept_conn ()
@@ -291,7 +287,8 @@ let node_main (type m) (module P : Protocol_intf.S with type msg = m)
         ran before it, so the WAL file on disk is always an end-of-iteration
         snapshot. *)
      while E.running ex do
-       (match Unix.select !watch [] [] (E.wait_s ex) with
+       let wait = Conn_manager.wait_s cm (E.wait_s ex) in
+       (match Unix.select !watch (Conn_manager.blocked cm) [] wait with
        | exception Unix.Unix_error (EINTR, _, _) -> ()
        | exception Unix.Unix_error (EBADF, _, _) ->
            (* A forced teardown closed our sockets under us. *)
@@ -305,18 +302,14 @@ let node_main (type m) (module P : Protocol_intf.S with type msg = m)
   if E.crashed ex then
     (* The simulator treats every send a handler issued before the crash
        point as already on the wire.  The crashing iteration has persisted
-       and released its frames; drain the sender queue (including paced
-       frames) before dying so the socket run agrees. *)
-    ignore
-      (Conn_manager.flush cm
-         ~timeout_s:(0.25 +. (3. *. cfg.link_delay_ms /. 1000.)));
-  (* Closing the inbound side first unblocks every peer sender that might
-     be mid-write to us, then our own sender is reaped.  A crashed
-     incarnation also closes its listener: frames sent while the node is
-     down must be lost, not parked in an accept backlog for the next
-     incarnation to read. *)
+       and released its frames; write them all, paced ones included,
+       before dying so the socket run agrees. *)
+    ignore (Conn_manager.drain cm);
+  (* A crashed incarnation also closes its listener: frames sent while the
+     node is down must be lost, not parked in an accept backlog for the
+     next incarnation to read. *)
   close_inbound ();
-  Conn_manager.shutdown cm;
+  Conn_manager.close cm;
   E.finish ex (Conn_manager.stats cm)
 
 (* --- coordination --------------------------------------------------------- *)

@@ -16,10 +16,9 @@
     sockets.  The mode decides only how an incarnation starts, how its
     result comes back and how it is forced down:
 
-    - {!Threads}: each incarnation is one executor thread (plus a
-      {!Conn_manager} sender thread) inside the calling process; results
-      come back in memory, and a wedged incarnation has its sockets
-      closed from under it;
+    - {!Threads}: each incarnation is one thread inside the calling
+      process; results come back in memory, and a wedged incarnation has
+      its sockets closed from under it;
     - {!Processes}: each incarnation is a forked child process; a stopped
       child sends its result back over its pipe as a marshalled blob in
       one frame, and a wedged one gets [SIGTERM], then [SIGKILL].
@@ -33,17 +32,20 @@
     frames.  Malformed frame {e bodies} are counted and skipped;
     desynchronizing framing errors (a bad length prefix, a mid-frame EOF)
     close only the offending connection — neither crashes a node.  An
-    accepted connection reads into its own {!Wire.Frame_reader}: one
-    [read] per readiness hands every complete frame it buffered to the
-    executor, so one loop iteration, and one WAL persist, covers them
-    all.
+    accepted connection reads into its own {!Wire.Frame_reader}, hello
+    included (until the hello is in, a longer length prefix than any
+    valid hello's is a framing error): one [read] per readiness hands
+    every complete frame it buffered on, so one loop iteration, and one
+    WAL persist, covers them all.  Neither writes nor dials block: a
+    peer that stops reading or accepting costs only its own output
+    buffer in {!Conn_manager}.
 
     {2 Fault injection}
 
     A {!Bft_faults.Fault_schedule.t} in [config.faults] is compiled to a
     {!Fault_plane.t} and interposed below the codec layer (see
     [docs/WIRE.md]): partitions and loss drop frames at send time, delay
-    windows and [link_delay_ms] hold them in the sender queue.  Crashes
+    windows and [link_delay_ms] hold them in {!Conn_manager}'s FIFO.  Crashes
     are real and land at a loop-iteration boundary: in {!Threads} mode
     the incarnation tears down its sockets and hands its WAL snapshot to
     the coordinator, which starts the next incarnation from it (same
@@ -64,8 +66,8 @@
     [node-<i>.wal].  The write goes to a temp file renamed over the old
     one, without fsync: a killed process leaves the old snapshot or the
     new one; host power loss is out of scope.  A crashing node persists,
-    releases what its last iteration held, and flushes the sender queue
-    before it dies.
+    releases what its last iteration held, and writes all of it, paced
+    frames included, before it dies.
 
     The cluster runs until every node has committed [target_blocks]
     blocks (each node keeps running after reaching its own target so its

@@ -204,20 +204,20 @@ let get_length buf pos =
 
 let valid_length n = n >= 2 && n <= max_frame_len
 
-(* [body]'s frame at the start of [buf], which holds at least
-   [4 + String.length body] bytes. *)
-let frame_into buf body =
+(* [body]'s frame at [pos] in [buf], which holds at least
+   [pos + 4 + String.length body] bytes. *)
+let frame_into buf pos body =
   let n = String.length body in
   if not (valid_length n) then invalid_arg "Wire.frame: bad body length";
-  Bytes.set buf 0 (Char.unsafe_chr (n lsr 24));
-  Bytes.set buf 1 (Char.unsafe_chr ((n lsr 16) land 0xff));
-  Bytes.set buf 2 (Char.unsafe_chr ((n lsr 8) land 0xff));
-  Bytes.set buf 3 (Char.unsafe_chr (n land 0xff));
-  Bytes.blit_string body 0 buf 4 n
+  Bytes.set buf pos (Char.unsafe_chr (n lsr 24));
+  Bytes.set buf (pos + 1) (Char.unsafe_chr ((n lsr 16) land 0xff));
+  Bytes.set buf (pos + 2) (Char.unsafe_chr ((n lsr 8) land 0xff));
+  Bytes.set buf (pos + 3) (Char.unsafe_chr (n land 0xff));
+  Bytes.blit_string body 0 buf (pos + 4) n
 
 let frame body =
   let b = Bytes.create (4 + String.length body) in
-  frame_into b body;
+  frame_into b 0 body;
   Bytes.unsafe_to_string b
 
 let run_decoder f =
@@ -278,30 +278,60 @@ let read_frame fd =
         | false -> Error (`Frame_error Truncated)
         | exception Decode e -> Error (`Frame_error e))
 
+(* Output waiting for the wire is [buf.[start .. stop - 1]]. *)
 module Frame_writer = struct
-  type t = { mutable buf : Bytes.t }
+  type t = { mutable buf : Bytes.t; mutable start : int; mutable stop : int }
 
-  let create () = { buf = Bytes.create 256 }
+  let create () = { buf = Bytes.create 256; start = 0; stop = 0 }
 
-  let write t fd body =
-    let n = 4 + String.length body in
-    if Bytes.length t.buf < n then
-      t.buf <- Bytes.create (Int.max n (2 * Bytes.length t.buf));
-    frame_into t.buf body;
-    let pos = ref 0 in
-    while !pos < n do
-      pos := !pos + Unix.write fd t.buf !pos (n - !pos)
-    done
+  let clear t =
+    t.start <- 0;
+    t.stop <- 0
+
+  (* Without room for the frame, the unwritten bytes move to the front,
+     into a larger buffer only when the old one is too small. *)
+  let add t body =
+    let n = 4 + String.length body and cap = Bytes.length t.buf in
+    if t.stop + n > cap then begin
+      let live = t.stop - t.start in
+      let buf =
+        if live + n <= cap then t.buf
+        else Bytes.create (Int.max (live + n) (2 * cap))
+      in
+      Bytes.blit t.buf t.start buf 0 live;
+      t.buf <- buf;
+      t.stop <- live;
+      t.start <- 0
+    end;
+    frame_into t.buf t.stop body;
+    t.stop <- t.stop + n
+
+  let write t fd =
+    try
+      while t.start < t.stop do
+        t.start <- t.start + Unix.write fd t.buf t.start (t.stop - t.start)
+      done;
+      clear t;
+      true
+    with Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) -> false
 end
 
 (* Unconsumed input is [buf.[start .. stop - 1]].  Every length prefix
-   among it has passed the range check, so growing the buffer to fit the
-   frame it announces is bounded by [max_frame_len]. *)
+   among it has passed the range check against [limit], so growing the
+   buffer to fit the frame it announces is bounded by it. *)
 module Frame_reader = struct
-  type t = { mutable buf : Bytes.t; mutable start : int; mutable stop : int }
+  type t = {
+    mutable buf : Bytes.t;
+    mutable start : int;
+    mutable stop : int;
+    mutable limit : int;
+  }
 
-  let create () = { buf = Bytes.create 4096; start = 0; stop = 0 }
+  let create () =
+    { buf = Bytes.create 4096; start = 0; stop = 0; limit = max_frame_len }
+
   let capacity t = Bytes.length t.buf
+  let set_limit t limit = t.limit <- limit
 
   (* Hand every complete frame to [deliver]; stop at the first out-of-range
      length prefix. *)
@@ -310,7 +340,8 @@ module Frame_reader = struct
     if avail < 4 then None
     else
       let len = get_length t.buf t.start in
-      if not (valid_length len) then Some (Frame_too_large len)
+      if not (valid_length len && len <= t.limit) then
+        Some (Frame_too_large len)
       else if avail < 4 + len then None
       else begin
         let body = Bytes.sub_string t.buf (t.start + 4) len in

@@ -167,33 +167,39 @@ val run_decoder : (unit -> 'a) -> ('a, error) result
 
 (** {2 Socket helpers}
 
-    Frame IO on file descriptors, used by the TCP backend.  All of them
-    loop over partial writes; {!read_frame} loops over partial reads. *)
+    Frame IO on file descriptors, used by the TCP backend.  {!write_all}
+    loops over partial writes, {!read_frame} over partial reads. *)
 
 (** [write_all fd s] writes the whole string; raises [Unix.Unix_error]
     on failure. *)
 val write_all : Unix.file_descr -> string -> unit
 
 (** [read_frame fd] reads exactly one length prefix and body, blocking
-    until both are in (the hello handshake, pipes).  [Ok body] on
-    success, [Error `Closed] on EOF at a frame boundary, [Error
-    (`Frame_error e)] on a bad length prefix or mid-frame EOF.  Raises
-    [Unix.Unix_error] on socket errors. *)
+    until both are in (pipes).  [Ok body] on success, [Error `Closed] on
+    EOF at a frame boundary, [Error (`Frame_error e)] on a bad length
+    prefix or mid-frame EOF.  Raises [Unix.Unix_error] on socket
+    errors. *)
 val read_frame :
   Unix.file_descr -> (string, [ `Closed | `Frame_error of error ]) result
 
-(** The sending side of a connection: frames bodies into one buffer that
-    it reuses, growing it only for a larger frame. *)
+(** The sending side of a connection: one buffer that it reuses, growing
+    it only for more output than it holds. *)
 module Frame_writer : sig
   type t
 
   val create : unit -> t
 
-  (** [write t fd body] writes [body]'s frame (length prefix, then body)
-      with one [write] per frame unless the kernel takes it in parts.
-      Raises [Invalid_argument] on a body {!frame} refuses and
-      [Unix.Unix_error] on failure. *)
-  val write : t -> Unix.file_descr -> string -> unit
+  (** [add t body] appends [body]'s frame (length prefix, then body).
+      Raises [Invalid_argument] on a body {!frame} refuses. *)
+  val add : t -> string -> unit
+
+  (** [write t fd] writes to the non-blocking [fd] until nothing is left
+      (true) or [fd] would block (false).  Raises [Unix.Unix_error] on
+      any other failure. *)
+  val write : t -> Unix.file_descr -> bool
+
+  (** Drop everything not yet written. *)
+  val clear : t -> unit
 end
 
 (** The receiving side of a connection: a buffer that starts at 4 KiB and
@@ -203,6 +209,9 @@ module Frame_reader : sig
   type t
 
   val create : unit -> t
+
+  (** Set the range check's upper bound, at first {!max_frame_len}. *)
+  val set_limit : t -> int -> unit
 
   (** Current buffer size in bytes. *)
   val capacity : t -> int

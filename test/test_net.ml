@@ -415,6 +415,42 @@ let reader_rejects_bad_length () =
       (0xffff_ffff, false);
     ]
 
+(* A reader under a hello-sized limit refuses a larger frame without
+   growing, unless the first frame lifts the limit as an accepted hello
+   does. *)
+let reader_limit () =
+  List.iter
+    (fun lift ->
+      let r = Reader.create () in
+      Reader.set_limit r 16;
+      let cap = Reader.capacity r in
+      let big = "\x01\x05" ^ String.make 8192 'b' in
+      let rd, wr = Unix.pipe () in
+      Wire.write_all wr (Wire.frame (String.make 16 'h') ^ Wire.frame big);
+      Unix.close wr;
+      let got = ref [] and status = ref `Open in
+      let deliver body =
+        if lift then Reader.set_limit r Wire.max_frame_len;
+        got := body :: !got
+      in
+      while !status = `Open do
+        status := Reader.read r rd deliver
+      done;
+      Unix.close rd;
+      if lift then begin
+        Alcotest.(check string) "lifted: stream ends cleanly" "closed"
+          (frame_error !status);
+        Alcotest.(check bool) "lifted: both frames" true
+          (List.rev !got = [ String.make 16 'h'; big ])
+      end
+      else begin
+        Alcotest.(check string) "kept: refused"
+          (Wire.error_to_string (Wire.Frame_too_large (String.length big)))
+          (frame_error !status);
+        Alcotest.(check int) "kept: buffer not grown" cap (Reader.capacity r)
+      end)
+    [ true; false ]
+
 (* EOF at a frame boundary closes; EOF inside a frame, its length prefix
    included, is a torn frame. *)
 let reader_eof () =
@@ -462,9 +498,9 @@ let sender_frames () =
   List.iter (Bft_net.Conn_manager.send cm ~dst:1 ~src_view:0) bodies;
   Bft_net.Conn_manager.release cm;
   Alcotest.(check bool) "queue drained" true
-    (Bft_net.Conn_manager.flush cm ~timeout_s:5.);
+    (Bft_net.Conn_manager.drain cm);
   let st = Bft_net.Conn_manager.stats cm in
-  Bft_net.Conn_manager.shutdown cm;
+  Bft_net.Conn_manager.close cm;
   let fd, _ = Unix.accept listener in
   let received = Buffer.create 8192 and buf = Bytes.create 4096 in
   let rec drain () =
@@ -485,6 +521,215 @@ let sender_frames () =
   Alcotest.(check int) "bytes sent: prefix + body per frame"
     (List.fold_left (fun acc b -> acc + 4 + String.length b) 0 bodies)
     st.Bft_net.Conn_manager.bytes_sent
+
+module Cm = Bft_net.Conn_manager
+
+let test_hello = "\x01\x00hello"
+
+(* A loopback listener on a free port, with accept queue [backlog] and
+   receive buffer [rcvbuf] if given, and node 0 of two managing its
+   connection to it on [plane], on the wall clock. *)
+let manager_to_listener ?rcvbuf ?(backlog = 4)
+    ?(plane = Bft_net.Fault_plane.none) () =
+  let listener = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Option.iter (Unix.setsockopt_int listener Unix.SO_RCVBUF) rcvbuf;
+  Unix.bind listener (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  Unix.listen listener backlog;
+  let port =
+    match Unix.getsockname listener with
+    | Unix.ADDR_INET (_, p) -> p
+    | _ -> assert false
+  in
+  let t0 = Unix.gettimeofday () in
+  let cm =
+    Cm.create ~n:2 ~id:0 ~ports:[| 0; port |] ~hello:test_hello
+      ~now_ms:(fun () -> (Unix.gettimeofday () -. t0) *. 1000.)
+      ~plane ()
+  in
+  (listener, cm)
+
+(* Accept the manager's connection and read it to EOF. *)
+let accept_all listener =
+  let fd, _ = Unix.accept listener in
+  let received = Buffer.create 8192 and buf = Bytes.create 4096 in
+  let rec drain () =
+    match Unix.read fd buf 0 (Bytes.length buf) with
+    | 0 -> ()
+    | k ->
+        Buffer.add_subbytes received buf 0 k;
+        drain ()
+  in
+  drain ();
+  Unix.close fd;
+  Unix.close listener;
+  Buffer.contents received
+
+(* A frame sent after the last release never reaches the wire. *)
+let held_frame_unwritten () =
+  let listener, cm = manager_to_listener () in
+  Cm.send cm ~dst:1 ~src_view:0 "\x01\x05released";
+  Cm.release cm;
+  Cm.send cm ~dst:1 ~src_view:0 "\x01\x05held";
+  let st = Cm.stats cm in
+  Cm.close cm;
+  Alcotest.(check string) "hello, then the released frame only"
+    (hex (Wire.frame test_hello ^ Wire.frame "\x01\x05released"))
+    (hex (accept_all listener));
+  Alcotest.(check int) "messages sent" 1 st.Cm.messages_sent
+
+(* 8 MiB to a peer that does not read: far more than its 64 KiB receive
+   buffer and the kernel's 4 MiB send-buffer cap hold.  [release] writes
+   what the kernel takes and returns; once the peer reads, later releases
+   write the rest, in order. *)
+let stalled_peer () =
+  let listener, cm = manager_to_listener ~rcvbuf:65536 () in
+  let bodies =
+    List.init 128 (fun i ->
+        Printf.sprintf "\x01%c%s" (Char.chr i) (String.make 65536 'b'))
+  in
+  List.iter (Cm.send cm ~dst:1 ~src_view:0) bodies;
+  let t = Unix.gettimeofday () in
+  Cm.release cm;
+  let took = Unix.gettimeofday () -. t in
+  Alcotest.(check bool)
+    (Printf.sprintf "release returned after %.3f s" took)
+    true (took < 1.);
+  Alcotest.(check bool) "output left for later" true (Cm.blocked cm <> []);
+  let fd, _ = Unix.accept listener in
+  let reader = Reader.create () and got = ref [] and frames = ref 0 in
+  let deliver body =
+    got := body :: !got;
+    incr frames
+  in
+  let status = ref `Open and deadline = Unix.gettimeofday () +. 10. in
+  while !status = `Open && !frames < 129 && Unix.gettimeofday () < deadline do
+    (match Unix.select [ fd ] (Cm.blocked cm) [] 0.1 with
+    | [], _, _ -> ()
+    | _ -> status := Reader.read reader fd deliver);
+    Cm.release cm
+  done;
+  let st = Cm.stats cm in
+  Cm.close cm;
+  Unix.close fd;
+  Unix.close listener;
+  Alcotest.(check int) "frames received" 129 !frames;
+  Alcotest.(check bool) "hello, then every body in order" true
+    (List.rev !got = test_hello :: bodies);
+  Alcotest.(check int) "messages sent" 128 st.Cm.messages_sent;
+  Alcotest.(check int) "bytes sent: prefix + body per frame"
+    (List.fold_left (fun acc b -> acc + 4 + String.length b) 0 bodies)
+    st.Cm.bytes_sent
+
+(* A crash drain waits out a delay window: frames held 600 ms reach the
+   wire before [drain] returns. *)
+let drain_waits_out_delay () =
+  let sched =
+    match Bft_faults.Fault_schedule.of_string "delay@0-60000:600" with
+    | Ok s -> s
+    | Error e -> Alcotest.fail e
+  in
+  let plane =
+    Bft_net.Fault_plane.compile ~n:2 ~clock:Bft_net.Fault_plane.Wall_ms
+      ~seed:1 ~link_delay_ms:0. ~heal_bound_ms:0. sched
+  in
+  let listener, cm = manager_to_listener ~plane () in
+  let bodies = [ "\x01\x05"; String.make 16 'v'; String.make 300 'p' ] in
+  List.iter (Cm.send cm ~dst:1 ~src_view:0) bodies;
+  Cm.release cm;
+  Alcotest.(check int) "nothing written before the delay" 0
+    (Cm.stats cm).Cm.messages_sent;
+  let t = Unix.gettimeofday () in
+  Alcotest.(check bool) "drained" true (Cm.drain cm);
+  let took = Unix.gettimeofday () -. t in
+  Alcotest.(check bool)
+    (Printf.sprintf "drain waited %.3f s for the delay" took)
+    true (took > 0.5);
+  Cm.close cm;
+  Alcotest.(check string) "hello, then each body's frame"
+    (hex (String.concat "" (List.map Wire.frame (test_hello :: bodies))))
+    (hex (accept_all listener))
+
+(* A dial to a listener whose accept queue is full does not wait for the
+   handshake: [release] returns at once, and the hello and the frame
+   follow once the listener accepts.  (Should the dial wait, the listener
+   is closed after 1.5 s so that it fails instead of hanging.) *)
+let dial_never_waits () =
+  let listener, cm = manager_to_listener ~backlog:0 () in
+  let filler = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.connect filler (Unix.getsockname listener);
+  let body = "\x01\x05queued" in
+  Cm.send cm ~dst:1 ~src_view:0 body;
+  let returned = Atomic.make false in
+  let (_ : Thread.t) =
+    Thread.create
+      (fun () ->
+        Thread.delay 1.5;
+        if not (Atomic.get returned) then Unix.close listener)
+      ()
+  in
+  let t = Unix.gettimeofday () in
+  Cm.release cm;
+  Atomic.set returned true;
+  let took = Unix.gettimeofday () -. t in
+  Alcotest.(check bool)
+    (Printf.sprintf "release returned after %.3f s" took)
+    true (took < 0.2);
+  Alcotest.(check bool) "connect in progress" true (Cm.blocked cm <> []);
+  let accepted = ref [] and deadline = Unix.gettimeofday () +. 10. in
+  while Cm.blocked cm <> [] && Unix.gettimeofday () < deadline do
+    (match Unix.select [ listener ] (Cm.blocked cm) [] 0.1 with
+    | l :: _, _, _ -> accepted := fst (Unix.accept l) :: !accepted
+    | _ -> ());
+    Cm.release cm
+  done;
+  Cm.close cm;
+  Unix.close filler;
+  let received = Buffer.create 64 and buf = Bytes.create 64 in
+  List.iter
+    (fun fd ->
+      let rec drain () =
+        match Unix.read fd buf 0 64 with
+        | 0 -> ()
+        | k ->
+            Buffer.add_subbytes received buf 0 k;
+            drain ()
+      in
+      drain ();
+      Unix.close fd)
+    !accepted;
+  Unix.close listener;
+  Alcotest.(check string) "hello, then the frame"
+    (hex (Wire.frame test_hello ^ Wire.frame body))
+    (hex (Buffer.contents received))
+
+(* Frames a broken connection does not take count as dropped, not sent. *)
+let broken_connection_drops () =
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  let listener, cm = manager_to_listener () in
+  let send_release body =
+    Cm.send cm ~dst:1 ~src_view:0 body;
+    Cm.release cm
+  in
+  send_release "\x01\x05first";
+  let fd, _ = Unix.accept listener in
+  let want = String.length (Wire.frame test_hello ^ Wire.frame "\x01\x05first") in
+  let buf = Bytes.create want in
+  let rec read_all pos =
+    if pos < want then read_all (pos + Unix.read fd buf pos (want - pos))
+  in
+  read_all 0;
+  Unix.close fd;
+  (* The kernel takes this one; the peer answers it with a reset. *)
+  send_release "\x01\x05second";
+  Unix.sleepf 0.05;
+  Cm.send cm ~dst:1 ~src_view:0 "\x01\x05third";
+  send_release "\x01\x05fourth";
+  let st = Cm.stats cm in
+  Cm.close cm;
+  Unix.close listener;
+  Alcotest.(check int) "messages sent" 2 st.Cm.messages_sent;
+  Alcotest.(check int) "bytes sent" (4 + 7 + 4 + 8) st.Cm.bytes_sent;
+  Alcotest.(check int) "dropped" 2 st.Cm.dropped.(1)
 
 (* --- live clusters --------------------------------------------------------- *)
 
@@ -674,8 +919,8 @@ let malformed_injection () =
 (* A validator that rejects a hello closes the connection without writing
    anything: from the rogue client's side that is a clean EOF (or a reset
    if our write raced the close). *)
-let expect_closed what fd =
-  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.;
+let expect_closed ?(within = 5.) what fd =
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO within;
   let buf = Bytes.create 1 in
   (match Unix.read fd buf 0 1 with
   | 0 -> ()
@@ -693,6 +938,8 @@ let hello_rejects () =
     {
       (Net_harness.config kind ~n:4 ~blocks:10) with
       Tcp.base_port = Some base_port;
+      (* Paced hops keep the run going while the hellos go in. *)
+      link_delay_ms = 50.;
     }
   in
   let inject () =
@@ -707,11 +954,14 @@ let hello_rejects () =
         Thread.delay 0.005;
         connect (tries - 1)
     in
-    let try_hello what frame =
+    let try_hello ?within what frame =
       let fd = connect 400 in
       (try Wire.write_all fd frame with Unix.Unix_error _ -> ());
-      expect_closed what fd
+      expect_closed ?within what fd
     in
+    (* A length prefix no hello needs is refused at once, not once the
+       16 MiB it announces are in (or the run is over). *)
+    try_hello ~within:0.3 "oversized first frame" "\x01\x00\x00\x00";
     try_hello "wrong protocol"
       (hello_frame ~sender:2 ~n:4 ~protocol:"bogus-protocol" ());
     try_hello "wrong cluster size" (hello_frame ~sender:2 ~n:5 ~protocol:proto ());
@@ -723,17 +973,21 @@ let hello_rejects () =
     try_hello "stale version"
       (hello_frame ~version:0x02 ~sender:2 ~n:4 ~protocol:proto ())
   in
-  let injector = Thread.create inject () in
+  (* A thread's exception does not reach [Thread.join]: carry it over. *)
+  let failed = ref None in
+  let injector =
+    Thread.create (fun () -> try inject () with e -> failed := Some e) ()
+  in
   let r = Net_harness.run kind cfg in
   Thread.join injector;
+  Option.iter raise !failed;
   match Net_harness.check r ~target:10 with
   | Ok () -> ()
   | Error reason -> Alcotest.fail reason
 
 (* A connector that never sends its hello (a peer killed mid-dial) must
-   not stall the validator that accepted it: the hello read times out and
-   the cluster still reaches its target.  Without the timeout node 0
-   blocks in that read until the silent socket closes. *)
+   not stall the validator that accepted it: its connection idles in the
+   watch list and the cluster still reaches its target. *)
 let silent_connector () =
   let kind = Protocol_kind.Commit_moonshot in
   let base_port = 28511 in
@@ -935,7 +1189,6 @@ let no_traffic =
     bytes_sent = 0;
     bytes_heal = 0;
     dropped = Array.make 4 0;
-    connect_attempts = 0;
     reconnects = 0;
   }
 
@@ -1441,6 +1694,15 @@ let () =
               reader_rejects_bad_length;
             Alcotest.test_case "EOF" `Quick reader_eof;
             Alcotest.test_case "sender frames bodies" `Quick sender_frames;
+            Alcotest.test_case "held frame stays unwritten" `Quick
+              held_frame_unwritten;
+            Alcotest.test_case "stalled peer" `Quick stalled_peer;
+            Alcotest.test_case "drain waits out a delay" `Quick
+              drain_waits_out_delay;
+            Alcotest.test_case "dial never waits" `Quick dial_never_waits;
+            Alcotest.test_case "broken connection drops" `Quick
+              broken_connection_drops;
+            Alcotest.test_case "hello-sized limit" `Quick reader_limit;
           ] );
       ( "cluster",
         List.map cluster_case Protocol_kind.all
