@@ -2,7 +2,7 @@
 
      dune exec bench/main.exe -- alloc
 
-   Two legs, each for Commit Moonshot and Jolteon, through [Make], a
+   Three legs, each for Commit Moonshot and Jolteon, through [Make], a
    [Protocol_intf.S] wrapper that brackets every message handler (by
    [P.classify]), [start], every timer callback, every [Env] callback the
    node makes, the wire codec and the WAL snapshot encoder with a
@@ -12,6 +12,11 @@
      (n = 100, [Config.default]: region latency matrix, egress and CPU
      models on, 1800-byte payloads, 25 s simulated, seed 1), which never
      calls the codec;
+   - the simulator on the [chaos-clients] workload's configuration at
+     seed 1 (n = 7 on [Config.local], 30 s simulated, a crash and a
+     no-quorum partition from [Fault_schedule.demo] under the link-window
+     overlay, 7k cmd/s of wall-clock clients), where [env.make_payload]
+     cuts client batches and [env.on_commit] replays the mempool;
    - localhost sockets on the [net-wal] workload's configuration (threads
      mode, n = 4, a WAL snapshot after every handler, 5k cmd/s of
      clients), for [socket_blocks] blocks.
@@ -223,12 +228,47 @@ module Split_cm = Make (Moonshot.Pipelined_node.Commit_protocol)
 module Split_j = Make (Jolteon.Jolteon_node.Protocol)
 
 (* [wan-n100]'s configuration (benchmark/workload.ml). *)
-let sim_config p =
+let wan_config p =
   {
     (Config.default p ~n:100) with
     Config.payload_bytes = 1800;
     duration_ms = 25_000.;
     seed = 1;
+  }
+
+(* [chaos-clients]' configuration (benchmark/workload.ml) at seed 1: its
+   [chaos_schedule] draws, in this order, the crashed node and the four
+   edges over the first two thirds of the run. *)
+let chaos_config p =
+  let n = 7 and seed = 1 and duration = 30_000. in
+  let span = duration *. 2. /. 3. in
+  let rng = Bft_sim.Rng.create (0x0c4a05 + seed) in
+  let at frac = (frac +. Bft_sim.Rng.float rng 0.02) *. span in
+  let leader = 1 + Bft_sim.Rng.int rng (n - 1) in
+  let crash_at = at 0.15 in
+  let partition_at = at 0.25 in
+  let heal_at = at 0.33 in
+  let recover_at = at 0.40 in
+  {
+    (Config.local p ~n) with
+    Config.duration_ms = duration;
+    faults =
+      Bft_faults.Fault_schedule.demo ~n ~leader ~crash_at ~partition_at
+        ~heal_at ~recover_at;
+    clients =
+      Some
+        {
+          Bft_mempool.Spec.default with
+          Bft_mempool.Spec.clients = 1_000_000;
+          rate_per_s = 7_000.;
+          clock = Bft_mempool.Spec.Wall;
+          lanes = 8;
+          lane_capacity = 2048;
+          backlog_capacity = 2048;
+          max_batch = 256;
+          seed;
+        };
+    seed;
   }
 
 (* [net-wal]'s configuration (benchmark/workload.ml), with its WAL files
@@ -282,11 +322,12 @@ let report title f =
   row "whole run" (per_block total);
   print_newline ()
 
-let sim_leg p (m : (module Protocol_intf.S with type msg = 'm)) =
+let sim_leg ~workload config p
+    (m : (module Protocol_intf.S with type msg = 'm)) =
   report
-    (Printf.sprintf "%s on wan-n100 (seed 1)" (Kind.name p))
+    (Printf.sprintf "%s on %s (seed 1)" (Kind.name p) workload)
     (fun () ->
-      let r = Harness.run_protocol m (sim_config p) in
+      let r = Harness.run_protocol m (config p) in
       r.Harness.metrics.Bft_runtime.Metrics.committed_blocks)
 
 let socket_leg ~blocks p (m : (module Protocol_intf.S with type msg = 'm)) =
@@ -316,7 +357,11 @@ let sockets ~blocks =
   socket_leg ~blocks Kind.Commit_moonshot (module Split_cm);
   socket_leg ~blocks Kind.Jolteon (module Split_j)
 
+let sim_legs ~workload config =
+  sim_leg ~workload config Kind.Commit_moonshot (module Split_cm);
+  sim_leg ~workload config Kind.Jolteon (module Split_j)
+
 let run () =
-  sim_leg Kind.Commit_moonshot (module Split_cm);
-  sim_leg Kind.Jolteon (module Split_j);
+  sim_legs ~workload:"wan-n100" wan_config;
+  sim_legs ~workload:"chaos-clients" chaos_config;
   sockets ~blocks:socket_blocks

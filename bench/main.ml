@@ -10,9 +10,9 @@
    Experiments: table1 table2 table3 fig6 fig7 fig8 fig9 fairness ablations
    micro mc mc-smoke smoke n1000 all
 
-   [alloc] prints the per-layer allocation split of the [wan-n100] and
-   [net-wal] benchmark workloads (see Alloc_split); it writes no BENCH
-   file.
+   [alloc] prints the per-layer allocation split of the [wan-n100],
+   [chaos-clients] and [net-wal] benchmark workloads (see Alloc_split); it
+   writes no BENCH file.
 
    [mc] explores the model checker's exhaustive worlds and writes
    BENCH_mc.json (states/second, pruning ratio); [--full] uses the

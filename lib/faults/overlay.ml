@@ -1,61 +1,22 @@
-(* Each partition window is compiled to a per-node group index, with -1 for
-   nodes in no listed group: those form an implicit extra group (all of them
-   on the same side, matching the "rest of the cluster" reading). *)
-type partition = { from_ : float; until : float; group_of : int array }
-type loss = { from_ : float; until : float; prob : float }
-type delay = { from_ : float; until : float; extra_ms : float }
+module W = Bft_sim.Link_windows
 
-type t = {
-  partitions : partition array;
-  losses : loss array;
-  delays : delay array;
-}
+(* Each partition window is compiled to a per-node group index, with -1 for
+   nodes in no listed group. *)
+let group_of ~n groups =
+  let group_of = Array.make n (-1) in
+  List.iteri
+    (fun gi members -> List.iter (fun node -> group_of.(node) <- gi) members)
+    groups;
+  group_of
 
 let compile ~n (schedule : Fault_schedule.t) =
-  let partitions = ref [] and losses = ref [] and delays = ref [] in
-  List.iter
-    (function
-      | Fault_schedule.Crash _ | Fault_schedule.Recover _ -> ()
+  List.fold_left
+    (fun w -> function
+      | Fault_schedule.Crash _ | Fault_schedule.Recover _ -> w
       | Fault_schedule.Partition { groups; from_; until } ->
-          let group_of = Array.make n (-1) in
-          List.iteri
-            (fun gi members ->
-              List.iter (fun node -> group_of.(node) <- gi) members)
-            groups;
-          partitions := { from_; until; group_of } :: !partitions
+          W.partition w ~from_ ~until ~group_of:(group_of ~n groups)
       | Fault_schedule.Link_loss { prob; from_; until } ->
-          losses := { from_; until; prob } :: !losses
+          W.loss w ~from_ ~until ~prob
       | Fault_schedule.Delay_spike { extra_ms; from_; until } ->
-          delays := { from_; until; extra_ms } :: !delays)
-    schedule;
-  {
-    partitions = Array.of_list (List.rev !partitions);
-    losses = Array.of_list (List.rev !losses);
-    delays = Array.of_list (List.rev !delays);
-  }
-
-let has_link_effects t =
-  Array.length t.partitions > 0
-  || Array.length t.losses > 0
-  || Array.length t.delays > 0
-
-let cut t ~src ~dst ~now =
-  let cut_by (p : partition) =
-    now >= p.from_ && now < p.until && p.group_of.(src) <> p.group_of.(dst)
-  in
-  Array.exists cut_by t.partitions
-
-let loss_prob t ~now =
-  let keep =
-    Array.fold_left
-      (fun acc (l : loss) ->
-        if now >= l.from_ && now < l.until then acc *. (1. -. l.prob) else acc)
-      1. t.losses
-  in
-  1. -. keep
-
-let extra_delay t ~now =
-  Array.fold_left
-    (fun acc (d : delay) ->
-      if now >= d.from_ && now < d.until then acc +. d.extra_ms else acc)
-    0. t.delays
+          W.delay w ~from_ ~until ~extra_ms)
+    W.empty schedule

@@ -1,27 +1,13 @@
 (** Compiled link-level view of a fault schedule.
 
     {!compile} turns the partition / loss / delay events of a schedule into
-    flat window arrays the engine's per-message hooks can query in O(#windows)
-    with no allocation; crash and recover events are not link-level and are
-    ignored here (the harness interprets those directly). *)
+    {!Bft_sim.Link_windows}: flat window arrays that the simulator's engine
+    and the socket transport's fault plane query for every message in
+    O(#windows) with no allocation (pinned by test_sim); crash and recover
+    events are not link-level and are ignored here (the harness interprets
+    those directly). *)
 
-type t
-
-val compile : n:int -> Fault_schedule.t -> t
-
-(** Whether the schedule has any partition, loss or delay window at all —
-    when false the engine hooks need not be installed and the run's message
-    path stays byte-identical to an unfaulted run. *)
-val has_link_effects : t -> bool
-
-(** [cut t ~src ~dst ~now] is true when some active partition window places
-    [src] and [dst] in different groups (nodes absent from every listed
-    group form an implicit extra group). *)
-val cut : t -> src:int -> dst:int -> now:float -> bool
-
-(** Combined loss probability of all active loss windows at [now]
-    (independent losses: [1 - prod (1 - p_i)]); 0 when none is active. *)
-val loss_prob : t -> now:float -> float
-
-(** Sum of the extra delays of all active delay windows at [now]. *)
-val extra_delay : t -> now:float -> float
+(** Windows keep the schedule's order.  A partition's nodes absent from
+    every listed group form an implicit extra group: all of them on the
+    same side, matching the "rest of the cluster" reading. *)
+val compile : n:int -> Fault_schedule.t -> Bft_sim.Link_windows.t

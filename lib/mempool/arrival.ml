@@ -16,13 +16,18 @@ type t = {
   seed : int;
   mutable state : int;
   mutable index : int;
-  mutable time : float;
+  (* [time.(0)] is the next arrival's time.  A mutable float field of this
+     mixed record would be stored boxed, one allocation per arrival. *)
+  time : float array;
 }
 
-let gap t =
+(* Draw the next interarrival gap and add it to the time, in place: a gap
+   returned as a float would be boxed. *)
+let add_gap t =
   t.state <- mix t.state;
   let u = float_of_int (t.state land ((1 lsl 53) - 1)) /. 9007199254740992. in
-  -.t.mean_gap_ms *. log (if u < 1e-15 then 1e-15 else u)
+  let gap = -.t.mean_gap_ms *. log (if u < 1e-15 then 1e-15 else u) in
+  t.time.(0) <- t.time.(0) +. gap
 
 let create (spec : Spec.t) =
   let t =
@@ -35,12 +40,10 @@ let create (spec : Spec.t) =
       seed = mix (spec.seed + 0x1ced);
       state = mix (spec.seed + 0x1ced);
       index = 0;
-      time = 0.;
+      time = [| 0. |];
     }
   in
-  (match t.clock with
-  | Spec.Wall -> t.time <- gap t
-  | Spec.Views -> t.time <- 0.);
+  (match t.clock with Spec.Wall -> add_gap t | Spec.Views -> ());
   t
 
 let seq t = t.index
@@ -48,19 +51,19 @@ let seq t = t.index
 let client_of t s = mix (t.seed lxor ((s + 1) * 0x21c8864680b583eb)) mod t.clients
 
 let next_client t = client_of t t.index
-let next_time t = t.time
+let next_time_into t times i = times.(i) <- t.time.(0)
 
 let advance t =
   t.index <- t.index + 1;
   match t.clock with
-  | Spec.Wall -> t.time <- t.time +. gap t
+  | Spec.Wall -> add_gap t
   | Spec.Views ->
       (* Arrival [s] becomes visible in view slot [s / per_view] (plus one:
          the first proposing view is 1, not the genesis view 0). *)
-      t.time <- float_of_int (1 + (t.index / t.per_view))
+      t.time.(0) <- float_of_int (1 + (t.index / t.per_view))
 
 let count_until t ~now =
-  while t.time <= now do
+  while t.time.(0) <= now do
     advance t
   done;
   t.index

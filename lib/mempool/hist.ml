@@ -6,38 +6,40 @@ let log_growth = log 1.07
 let bounds =
   Array.init buckets (fun i -> base_v *. exp (float_of_int i *. log_growth))
 
-type t = {
-  counts : int array;
-  mutable total : int;
-  mutable sum : float;
-  mutable max_v : float;
-}
+(* The sum and the maximum live in a float array, [acc.(sum_slot)] and
+   [acc.(max_slot)]: mutable float fields of this mixed record would be
+   stored boxed, one allocation per update. *)
+type t = { counts : int array; mutable total : int; acc : float array }
 
-let create () = { counts = Array.make buckets 0; total = 0; sum = 0.; max_v = 0. }
+let sum_slot = 0
+let max_slot = 1
+let create () = { counts = Array.make buckets 0; total = 0; acc = [| 0.; 0. |] }
 
 let clear t =
   Array.fill t.counts 0 buckets 0;
   t.total <- 0;
-  t.sum <- 0.;
-  t.max_v <- 0.
+  Array.fill t.acc 0 2 0.
 
-let index_of v =
+(* Inlined into [add_from], so [v] is never boxed. *)
+let[@inline] index_of v =
   if v <= base_v then 0
   else
     let i = 1 + int_of_float (log (v /. base_v) /. log_growth) in
     if i >= buckets then buckets - 1 else i
 
-let add t v =
+let add_from t times i =
+  let v = times.(i) in
   let v = if v < 0. then 0. else v in
   let i = index_of v in
   t.counts.(i) <- t.counts.(i) + 1;
   t.total <- t.total + 1;
-  t.sum <- t.sum +. v;
-  if v > t.max_v then t.max_v <- v
+  t.acc.(sum_slot) <- t.acc.(sum_slot) +. v;
+  if v > t.acc.(max_slot) then t.acc.(max_slot) <- v
 
 let count t = t.total
-let max_value t = t.max_v
-let mean t = if t.total = 0 then 0. else t.sum /. float_of_int t.total
+let max_value t = t.acc.(max_slot)
+let mean t =
+  if t.total = 0 then 0. else t.acc.(sum_slot) /. float_of_int t.total
 
 let quantile t q =
   if t.total = 0 then 0.
@@ -59,7 +61,7 @@ let quantile t q =
     (* Report the bucket's upper bound, capped by the true maximum so the
        tail quantiles cannot exceed an observed value. *)
     let b = bounds.(!found) in
-    if b > t.max_v then t.max_v else b
+    if b > t.acc.(max_slot) then t.acc.(max_slot) else b
   end
 
 let merge ~into t =
@@ -67,5 +69,6 @@ let merge ~into t =
     into.counts.(i) <- into.counts.(i) + t.counts.(i)
   done;
   into.total <- into.total + t.total;
-  into.sum <- into.sum +. t.sum;
-  if t.max_v > into.max_v then into.max_v <- t.max_v
+  into.acc.(sum_slot) <- into.acc.(sum_slot) +. t.acc.(sum_slot);
+  if t.acc.(max_slot) > into.acc.(max_slot) then
+    into.acc.(max_slot) <- t.acc.(max_slot)

@@ -1,8 +1,9 @@
 (** Fixed-memory log-bucketed latency histogram.
 
     400 geometric buckets (7% relative width) from 0.05 ms upward; recording
-    a sample touches one array cell and three scalar fields, so tracking the
-    end-to-end latency of millions of client commands allocates nothing.
+    a sample touches one bucket, the count, and a float array holding the
+    sum and the maximum, so tracking the end-to-end latency of millions of
+    client commands through {!add_from} allocates nothing.
     Quantiles report a bucket's upper bound (≤ 7% relative error), capped by
     the exact observed maximum. *)
 
@@ -11,8 +12,10 @@ type t
 val create : unit -> t
 val clear : t -> unit
 
-(** Record one sample (negative values clamp to zero). *)
-val add : t -> float -> unit
+(** [add_from t times i] records the sample [times.(i)] (negative values
+    clamp to zero).  The sample comes in a slot because a float passed
+    across a module boundary is boxed. *)
+val add_from : t -> float array -> int -> unit
 
 val count : t -> int
 val mean : t -> float

@@ -46,27 +46,58 @@ type t = {
   mutable dissemination_bytes : int;
   on_command :
     (seq:int -> lane:int -> submit_ms:float -> commit_ms:float -> unit) option;
+  (* Times of the replay in flight, passed to {!Arrival}, {!Mempool} and
+     {!Hist} in these slots rather than as (boxed) floats. *)
+  times : float array;
+  (* [drawn t], built once: [Mempool.drain]'s callback. *)
+  on_drawn : seq:int -> lane:int -> unit;
 }
+
+let arrival_slot = 0 (* a replayed arrival's submit time *)
+let commit_slot = 1 (* the committed block's time *)
+let submit_slot = 2 (* a drawn command's submit time *)
+let latency_slot = 3 (* its end-to-end latency *)
+
+(* A command drawn into the committed batch: record its latency. *)
+let drawn t ~seq ~lane =
+  let times = t.times in
+  let at = times.(submit_slot) in
+  let submit_ms =
+    match t.spec.Spec.clock with Spec.Wall -> at | Spec.Views -> at *. t.view_ms
+  in
+  let lat = times.(commit_slot) -. submit_ms in
+  times.(latency_slot) <- (if lat < 0. then 0. else lat);
+  Hist.add_from t.hist times latency_slot;
+  match t.on_command with
+  | None -> ()
+  | Some f -> f ~seq ~lane ~submit_ms ~commit_ms:times.(commit_slot)
 
 let create ?on_command ~spec ~n ~view_ms () =
   Spec.validate spec;
-  {
-    spec;
-    n;
-    view_ms;
-    wm = Arrival.create spec;
-    replay = Arrival.create spec;
-    pool =
-      Mempool.create ~lanes:spec.Spec.lanes
-        ~lane_capacity:spec.Spec.lane_capacity
-        ~backlog_capacity:spec.Spec.backlog_capacity;
-    memo = Hashtbl.create 64;
-    hist = Hist.create ();
-    shortfall = 0;
-    batches = 0;
-    dissemination_bytes = 0;
-    on_command;
-  }
+  let wm = Arrival.create spec and replay = Arrival.create spec in
+  let pool =
+    Mempool.create ~lanes:spec.Spec.lanes ~lane_capacity:spec.Spec.lane_capacity
+      ~backlog_capacity:spec.Spec.backlog_capacity
+  in
+  let rec t =
+    {
+      spec;
+      n;
+      view_ms;
+      wm;
+      replay;
+      pool;
+      memo = Hashtbl.create 64;
+      hist = Hist.create ();
+      shortfall = 0;
+      batches = 0;
+      dissemination_bytes = 0;
+      on_command;
+      times = Array.make 4 0.;
+      on_drawn = (fun ~seq ~lane -> drawn t ~seq ~lane);
+    }
+  in
+  t
 
 let spec t = t.spec
 
@@ -103,14 +134,15 @@ let on_quorum_commit t ~payload ~time =
   else begin
     let wm = Payload.batch_watermark payload in
     let count = Payload.item_count payload in
+    let times = t.times in
     (* Replicate the mempool state machine: ingest every arrival the batch's
        watermark covers, in stream order, through admission control. *)
     while Arrival.seq t.replay < wm do
       let seq = Arrival.seq t.replay in
       let client = Arrival.next_client t.replay in
-      let at = Arrival.next_time t.replay in
+      Arrival.next_time_into t.replay times arrival_slot;
       Arrival.advance t.replay;
-      match Mempool.submit t.pool ~client ~seq ~time:at with
+      match Mempool.submit t.pool ~client ~seq times arrival_slot with
       | Mempool.Admitted | Mempool.Deferred ->
           (* Client-to-validator dissemination: each accepted command reaches
              all n validators, off the ordering path. *)
@@ -118,20 +150,8 @@ let on_quorum_commit t ~payload ~time =
             t.dissemination_bytes + (Payload.item_size * t.n)
       | Mempool.Rejected -> ()
     done;
-    let drained =
-      Mempool.drain t.pool ~count ~f:(fun ~seq ~lane ~time:at ->
-          let submit_ms =
-            match t.spec.Spec.clock with
-            | Spec.Wall -> at
-            | Spec.Views -> at *. t.view_ms
-          in
-          let lat = time -. submit_ms in
-          let lat = if lat < 0. then 0. else lat in
-          Hist.add t.hist lat;
-          match t.on_command with
-          | None -> ()
-          | Some f -> f ~seq ~lane ~submit_ms ~commit_ms:time)
-    in
+    times.(commit_slot) <- time;
+    let drained = Mempool.drain t.pool ~count times submit_slot ~f:t.on_drawn in
     t.batches <- t.batches + 1;
     t.shortfall <- t.shortfall + (count - drained);
     drained

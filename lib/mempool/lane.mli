@@ -2,8 +2,10 @@
 
     A ring over two preallocated unboxed arrays — sequence number and submit
     time per entry — so pushes and pops on the ingestion hot path allocate
-    nothing.  Capacity is fixed at creation; [push] on a full lane raises
-    (admission control decides before pushing). *)
+    nothing.  Times come in and go out through float array slots: a float
+    passed across a module boundary is boxed.  Capacity is fixed at
+    creation; [push] on a full lane raises (admission control decides
+    before pushing). *)
 
 type t
 
@@ -13,11 +15,15 @@ val length : t -> int
 val is_empty : t -> bool
 val is_full : t -> bool
 
-(** Raises [Invalid_argument] when full. *)
-val push : t -> seq:int -> time:float -> unit
+(** [push t ~seq times i] appends command [seq] submitted at [times.(i)].
+    Raises [Invalid_argument] when full. *)
+val push : t -> seq:int -> float array -> int -> unit
 
 val front_seq : t -> int
-val front_time : t -> float
+
+(** [front_time_into t times i] writes the front command's submit time to
+    [times.(i)]. *)
+val front_time_into : t -> float array -> int -> unit
 
 (** Raises [Invalid_argument] when empty. *)
 val pop : t -> unit

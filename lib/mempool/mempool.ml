@@ -10,6 +10,8 @@ type t = {
   mutable deferred : int;
   mutable rejected : int;
   mutable committed : int;
+  (* A slot to carry a backlog entry's submit time into its lane. *)
+  moved : float array;
 }
 
 let create ~lanes ~lane_capacity ~backlog_capacity =
@@ -24,22 +26,23 @@ let create ~lanes ~lane_capacity ~backlog_capacity =
     deferred = 0;
     rejected = 0;
     committed = 0;
+    moved = [| 0. |];
   }
 
 let lane_of t ~client = client mod Array.length t.lanes
 
-let submit t ~client ~seq ~time =
+let submit t ~client ~seq times i =
   t.submitted <- t.submitted + 1;
   let l = lane_of t ~client in
   if not (Lane.is_full t.lanes.(l)) then begin
-    Lane.push t.lanes.(l) ~seq ~time;
+    Lane.push t.lanes.(l) ~seq times i;
     t.admitted <- t.admitted + 1;
     Admitted
   end
   else if not (Lane.is_full t.backlog.(l)) then begin
     (* Bounded retry: the command waits in the lane's backlog with its
        original submit time, so deferral shows up in its latency. *)
-    Lane.push t.backlog.(l) ~seq ~time;
+    Lane.push t.backlog.(l) ~seq times i;
     t.deferred <- t.deferred + 1;
     Deferred
   end
@@ -50,8 +53,8 @@ let submit t ~client ~seq ~time =
 
 let promote t l =
   if (not (Lane.is_empty t.backlog.(l))) && not (Lane.is_full t.lanes.(l)) then begin
-    Lane.push t.lanes.(l) ~seq:(Lane.front_seq t.backlog.(l))
-      ~time:(Lane.front_time t.backlog.(l));
+    Lane.front_time_into t.backlog.(l) t.moved 0;
+    Lane.push t.lanes.(l) ~seq:(Lane.front_seq t.backlog.(l)) t.moved 0;
     Lane.pop t.backlog.(l)
   end
 
@@ -62,7 +65,7 @@ let backlogged t =
 
 let committed_per_lane t = Array.copy t.committed_per_lane
 
-let drain t ~count ~f =
+let drain t ~count times i ~f =
   let k = Array.length t.lanes in
   let drained = ref 0 in
   let empty_scan = ref 0 in
@@ -73,12 +76,12 @@ let drain t ~count ~f =
     else begin
       empty_scan := 0;
       let seq = Lane.front_seq t.lanes.(l) in
-      let time = Lane.front_time t.lanes.(l) in
+      Lane.front_time_into t.lanes.(l) times i;
       Lane.pop t.lanes.(l);
       promote t l;
       t.committed_per_lane.(l) <- t.committed_per_lane.(l) + 1;
       t.committed <- t.committed + 1;
-      f ~seq ~lane:l ~time;
+      f ~seq ~lane:l;
       incr drained
     end
   done;

@@ -28,9 +28,10 @@ type verdict = Admitted | Deferred | Rejected
 
 val create : lanes:int -> lane_capacity:int -> backlog_capacity:int -> t
 
-(** [submit t ~client ~seq ~time] offers command [seq] from [client],
-    submitted at [time]. *)
-val submit : t -> client:int -> seq:int -> time:float -> verdict
+(** [submit t ~client ~seq times i] offers command [seq] from [client],
+    submitted at [times.(i)].  Times travel in float array slots here and
+    in {!drain}, so neither boxes a float per command. *)
+val submit : t -> client:int -> seq:int -> float array -> int -> verdict
 
 (** Commands currently admitted across all lanes. *)
 val pending : t -> int
@@ -38,12 +39,12 @@ val pending : t -> int
 (** Commands currently deferred across all backlogs. *)
 val backlogged : t -> int
 
-(** [drain t ~count ~f] draws up to [count] commands round-robin from lane
-    fronts, calling [f ~seq ~lane ~time] for each (with the original submit
-    [time]); promotes backlog entries as lanes free up.  Returns the number
-    actually drawn (short when the pool runs dry). *)
+(** [drain t ~count times i ~f] draws up to [count] commands round-robin
+    from lane fronts, calling [f ~seq ~lane] for each with its original
+    submit time in [times.(i)]; promotes backlog entries as lanes free up.
+    Returns the number actually drawn (short when the pool runs dry). *)
 val drain :
-  t -> count:int -> f:(seq:int -> lane:int -> time:float -> unit) -> int
+  t -> count:int -> float array -> int -> f:(seq:int -> lane:int -> unit) -> int
 
 (** Commands drawn per lane since creation (a copy). *)
 val committed_per_lane : t -> int array

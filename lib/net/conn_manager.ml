@@ -132,7 +132,7 @@ let send t ~dst ~src_view body =
   with
   | `Drop -> t.dropped.(dst) <- t.dropped.(dst) + 1
   | `Pass ->
-      let at = now +. Fault_plane.delay_ms t.plane ~now_ms:now in
+      let at = now +. Fault_plane.delay_ms t.plane ~src:t.id ~now_ms:now in
       Queue.push { at; dst; body } t.paced;
       t.unreleased <- t.unreleased + 1
 

@@ -1,4 +1,5 @@
 module FS = Bft_faults.Fault_schedule
+module W = Bft_sim.Link_windows
 
 type clock = Wall_ms | Views
 
@@ -9,9 +10,13 @@ type wall_event =
 
 type t = {
   clock : clock;
-  overlay : Bft_faults.Overlay.t option; (* Wall_ms link windows *)
+  windows : W.t; (* Wall_ms link windows; empty under Views *)
   logical : Bft_faults.Logical.t option; (* Views interpretation *)
   rngs : Bft_sim.Rng.t array; (* per-sender loss draws *)
+  (* Per-sender time slots for the window queries: [2 src] holds the
+     clock, [2 src + 1] a delay sum.  Each sender is one thread, so no two
+     threads share a slot. *)
+  times : float array;
   link_delay_ms : float;
   heal_windows : (float * float) list;
   active : bool;
@@ -20,9 +25,10 @@ type t = {
 let none =
   {
     clock = Wall_ms;
-    overlay = None;
+    windows = W.empty;
     logical = None;
     rngs = [||];
+    times = [||];
     link_delay_ms = 0.;
     heal_windows = [];
     active = false;
@@ -55,21 +61,22 @@ let compile ~n ~clock ~seed ~link_delay_ms ~heal_bound_ms sched =
   if FS.is_empty sched && link_delay_ms <= 0. then none
   else
     let sched = FS.sorted sched in
-    let overlay, logical, heal_windows =
+    let windows, logical, heal_windows =
       match clock with
       | Views ->
-          (None, Some (Bft_faults.Logical.of_schedule_exn ~n sched), [])
+          (W.empty, Some (Bft_faults.Logical.of_schedule_exn ~n sched), [])
       | Wall_ms ->
           let heal_windows =
             List.map (fun h -> (h, h +. heal_bound_ms)) (FS.heal_times sched)
           in
-          (Some (Bft_faults.Overlay.compile ~n sched), None, heal_windows)
+          (Bft_faults.Overlay.compile ~n sched, None, heal_windows)
     in
     {
       clock;
-      overlay;
+      windows;
       logical;
       rngs = Array.init n (fun i -> Bft_sim.Rng.create (seed lxor (i * 7919)));
+      times = Array.make (2 * n) 0.;
       link_delay_ms;
       heal_windows;
       active = true;
@@ -80,27 +87,32 @@ let clock t = t.clock
 let verdict t ~src ~dst ~now_ms ~src_view =
   if (not t.active) || src = dst then `Pass
   else
-    match (t.overlay, t.logical) with
-    | Some ov, _ ->
-        if Bft_faults.Overlay.cut ov ~src ~dst ~now:now_ms then `Drop
-        else
-          let p = Bft_faults.Overlay.loss_prob ov ~now:now_ms in
-          if p > 0. && Bft_sim.Rng.float t.rngs.(src) 1. < p then `Drop
-          else `Pass
-    | None, Some lg ->
+    match t.logical with
+    | Some lg ->
         if Bft_faults.Logical.cut lg ~src ~src_view ~dst then `Drop else `Pass
-    | None, None -> `Pass
+    | None ->
+        let now = 2 * src in
+        t.times.(now) <- now_ms;
+        if
+          W.cut t.windows ~src ~dst t.times now
+          || not (W.keep t.windows t.rngs.(src) t.times now)
+        then `Drop
+        else `Pass
 
-let delay_ms t ~now_ms =
+let delay_ms t ~src ~now_ms =
   if not t.active then 0.
-  else
-    t.link_delay_ms
-    +.
-    match t.overlay with
-    | Some ov -> Bft_faults.Overlay.extra_delay ov ~now:now_ms
-    | None -> 0.
+  else begin
+    let now = 2 * src in
+    t.times.(now) <- now_ms;
+    t.times.(now + 1) <- 0.;
+    W.add_delay t.windows t.times ~now (now + 1);
+    t.link_delay_ms +. t.times.(now + 1)
+  end
 
-let in_heal_window t ~now_ms =
-  List.exists (fun (a, b) -> now_ms >= a && now_ms <= b) t.heal_windows
+let rec in_windows now = function
+  | [] -> false
+  | (a, b) :: rest -> (now >= a && now <= b) || in_windows now rest
+
+let in_heal_window t ~now_ms = in_windows now_ms t.heal_windows
 
 let logical t = t.logical

@@ -54,9 +54,9 @@ val clock : t -> clock
 val verdict :
   t -> src:int -> dst:int -> now_ms:float -> src_view:int -> [ `Pass | `Drop ]
 
-(** Sender-side holding delay for a frame enqueued at [now_ms]: the
+(** Sender-side holding delay for a frame [src] enqueues at [now_ms]: the
     uniform pacing delay plus any wall-clock delay-spike window. *)
-val delay_ms : t -> now_ms:float -> float
+val delay_ms : t -> src:int -> now_ms:float -> float
 
 (** Whether [now_ms] falls in a healing-accounting window
     ([heal, heal + heal_bound_ms] after each wall-clock heal point). *)

@@ -274,24 +274,16 @@ let run_protocol (type m) ?(on_commit = fun ~node:_ _ -> ()) ?trace
          (* Sends are gated on the sender's current view (the engine's link
             filter runs at send time) — the sim-side mirror of the live
             transport's [fault_clock = Views]. *)
-         Bft_sim.Engine.set_link_filter engine (fun ~src ~dst ~now:_ ->
+         Bft_sim.Engine.set_link_filter engine (fun ~src ~dst ->
              not
                (Bft_faults.Logical.cut lg ~src ~src_view:(H.view hosts.(src))
                   ~dst))
      | None ->
-     let overlay = Bft_faults.Overlay.compile ~n:cfg.Config.n faults in
-     if Bft_faults.Overlay.has_link_effects overlay then begin
-       (* Probabilistic loss draws come from a dedicated stream so the
-          engine's own RNGs stay on the sequence an unfaulted run sees. *)
-       let fault_rng = Bft_sim.Rng.create (cfg.Config.seed lxor 0x5eed_fa17) in
-       Bft_sim.Engine.set_link_filter engine (fun ~src ~dst ~now ->
-           (not (Bft_faults.Overlay.cut overlay ~src ~dst ~now))
-           &&
-           let p = Bft_faults.Overlay.loss_prob overlay ~now in
-           p <= 0. || Bft_sim.Rng.float fault_rng 1. >= p);
-       Bft_sim.Engine.set_link_delay engine (fun ~src:_ ~dst:_ ~now ->
-           Bft_faults.Overlay.extra_delay overlay ~now)
-     end;
+     (* Probabilistic loss draws come from a dedicated stream so the
+        engine's own RNGs stay on the sequence an unfaulted run sees. *)
+     Bft_sim.Engine.set_link_windows engine
+       (Bft_faults.Overlay.compile ~n:cfg.Config.n faults)
+       ~rng:(Bft_sim.Rng.create (cfg.Config.seed lxor 0x5eed_fa17));
      List.iter
        (fun (at, ev) ->
          match ev with

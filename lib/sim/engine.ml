@@ -98,13 +98,15 @@ type 'msg t = {
   mutable cell_pool_len : int;
   mutable batch_pool : 'msg batch array;
   mutable batch_pool_len : int;
-  (* The filter, delay overlay and tap default to no-ops; the [_installed]
-     flags let the per-message path skip the indirect call entirely in the
-     common uninstrumented, unpartitioned run. *)
-  mutable filter : src:int -> dst:int -> now:float -> bool;
+  (* The filter, link windows and tap default to no-ops; the [_installed]
+     flags let the per-message path skip them entirely in the common
+     uninstrumented, unpartitioned run.  The windows read the time from
+     [times.(clock_slot)], and their loss draws come from [window_rng]. *)
+  mutable filter : src:int -> dst:int -> bool;
   mutable filter_installed : bool;
-  mutable delay : src:int -> dst:int -> now:float -> float;
-  mutable delay_installed : bool;
+  mutable windows : Link_windows.t;
+  mutable window_rng : Rng.t;
+  mutable windows_installed : bool;
   mutable tap : time:float -> src:int -> dst:int -> 'msg -> unit;
   mutable tap_installed : bool;
   (* An external scheduler: when installed, every event that would enter the
@@ -130,14 +132,15 @@ let[@inline] fmax (a : float) (b : float) = if a < b then b else a
 let create ~n ~network ~seed ~msg_size ?cpu_cost () =
   if n < 1 then invalid_arg "Engine.create: n < 1";
   if n > slot_mask then invalid_arg "Engine.create: n too large";
+  (* The seed root's first split: every recorded run's network draws
+     (jitter, loss, duplication) follow from it. *)
+  let net_rng = Rng.split (Rng.create seed) in
   {
     n;
     network;
     queue = Event_queue.create ();
     handlers = Array.make n (fun ~src:_ _ -> ());
-    (* The seed root's first split: every recorded run's network draws
-       (jitter, loss, duplication) follow from it. *)
-    net_rng = Rng.split (Rng.create seed);
+    net_rng;
     egress_free = Array.make n 0.;
     cpu_free = Array.make n 0.;
     msg_size;
@@ -149,10 +152,12 @@ let create ~n ~network ~seed ~msg_size ?cpu_cost () =
     cell_pool_len = 0;
     batch_pool = [||];
     batch_pool_len = 0;
-    filter = (fun ~src:_ ~dst:_ ~now:_ -> true);
+    filter = (fun ~src:_ ~dst:_ -> true);
     filter_installed = false;
-    delay = (fun ~src:_ ~dst:_ ~now:_ -> 0.);
-    delay_installed = false;
+    windows = Link_windows.empty;
+    (* A placeholder, never drawn from while no window is installed. *)
+    window_rng = net_rng;
+    windows_installed = false;
     tap = (fun ~time:_ ~src:_ ~dst:_ _ -> ());
     tap_installed = false;
     capture = None;
@@ -273,9 +278,10 @@ let set_link_filter t f =
   t.filter <- f;
   t.filter_installed <- true
 
-let set_link_delay t f =
-  t.delay <- f;
-  t.delay_installed <- true
+let set_link_windows t windows ~rng =
+  t.windows <- windows;
+  t.window_rng <- rng;
+  t.windows_installed <- not (Link_windows.is_empty windows)
 
 let set_delivery_tap t f =
   t.tap <- f;
@@ -341,7 +347,12 @@ let send_sized t ~src ~dst ~size msg =
     enqueue_msg t ~time:(clock t) ~src ~dst
       ~epoch:(Array.unsafe_get t.epochs dst)
       ~deliver:true msg
-  else if (not t.filter_installed) || t.filter ~src ~dst ~now:(clock t) then begin
+  else if
+    ((not t.filter_installed) || t.filter ~src ~dst)
+    && ((not t.windows_installed)
+       || (not (Link_windows.cut t.windows ~src ~dst t.times clock_slot))
+          && Link_windows.keep t.windows t.window_rng t.times clock_slot)
+  then begin
     let drop = t.network.Network.drop_prob in
     if drop > 0. && Rng.float t.net_rng 1. < drop then ()
     else begin
@@ -349,11 +360,9 @@ let send_sized t ~src ~dst ~size msg =
       Array.unsafe_set times time_slot (clock t);
       Network.delivery_into t.network t.net_rng ~egress:t.egress_free ~src ~dst
         ~size times time_slot;
+      if t.windows_installed then
+        Link_windows.add_delay t.windows times ~now:clock_slot time_slot;
       let arrival = Array.unsafe_get times time_slot in
-      let arrival =
-        if t.delay_installed then arrival +. t.delay ~src ~dst ~now:(clock t)
-        else arrival
-      in
       let epoch = Array.unsafe_get t.epochs dst in
       enqueue_msg t ~time:arrival ~src ~dst ~epoch ~deliver:false msg;
       let dup = t.network.Network.duplicate_prob in
@@ -408,7 +417,7 @@ let multicast t ~src msg =
         when jitter <= 0.
              && (not t.capture_installed)
              && (not t.filter_installed)
-             && (not t.delay_installed)
+             && (not t.windows_installed)
              && net.Network.bandwidth_bps = None
              && net.Network.drop_prob = 0.
              && net.Network.duplicate_prob = 0. ->

@@ -40,17 +40,22 @@ val set_handler : 'msg t -> int -> (src:int -> 'msg -> unit) -> unit
 val set_delivery_tap :
   'msg t -> (time:float -> src:int -> dst:int -> 'msg -> unit) -> unit
 
-(** [set_link_filter t f] drops a message when [f ~src ~dst ~now] is false.
+(** [set_link_filter t f] drops a message when [f ~src ~dst] is false.
     Only meaningful before GST in honest runs (the model's channels are
-    reliable after GST); used by tests to create partitions, by Byzantine
-    behaviours to send to subsets, and by fault injection. *)
-val set_link_filter : 'msg t -> (src:int -> dst:int -> now:float -> bool) -> unit
+    reliable after GST); used by tests to create partitions and by the
+    view-anchored fault interpreter, which gates on the sender's view. *)
+val set_link_filter : 'msg t -> (src:int -> dst:int -> bool) -> unit
 
-(** [set_link_delay t f] adds [f ~src ~dst ~now] ms on top of the network
-    model's delivery time for every non-self message.  A positive value can
-    exceed [delta] — that is the point: fault injection uses it for
-    time-windowed asynchrony spikes. *)
-val set_link_delay : 'msg t -> (src:int -> dst:int -> now:float -> float) -> unit
+(** [set_link_windows t w ~rng] applies the time-windowed link faults [w]
+    to every non-self message at its send time: a message is dropped when
+    {!Link_windows.cut} holds or {!Link_windows.keep} (drawing from [rng])
+    does not, and a kept one arrives {!Link_windows.add_delay} ms after the
+    network model's delivery time.  A delay can exceed [delta]: fault
+    injection uses it for time-windowed asynchrony spikes.  The windows
+    read the engine's clock from its own float slot, so a faulted send
+    allocates no more than an unfaulted one.  Replaces any earlier window
+    set; an empty [w] leaves the message path as in an unfaulted run. *)
+val set_link_windows : 'msg t -> Link_windows.t -> rng:Rng.t -> unit
 
 (** [crash t i] takes node [i] down: its handler is detached, its sends are
     suppressed, and all in-flight deliveries, CPU backlog and pending owned

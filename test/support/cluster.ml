@@ -53,7 +53,7 @@ let create ?(precommit = false) ?(n = 4) ?(hop = 10.) ?(delta = 50.) () =
         node)
   in
   let t = { engine; nodes; wals; envs; precommit; n; isolated = [] } in
-  Bft_sim.Engine.set_link_filter engine (fun ~src ~dst ~now:_ ->
+  Bft_sim.Engine.set_link_filter engine (fun ~src ~dst ->
       (not (List.mem src t.isolated)) && not (List.mem dst t.isolated));
   t
 

@@ -679,6 +679,52 @@ let alloc_budget_wan protocol () =
     true
     (per_event <= wan_budget_ceiling)
 
+(* Fourth tripwire, on the fault and client paths: Commit Moonshot at
+   n = 7 on [Config.local] under [Fault_schedule.demo] (a crash, then a
+   no-quorum partition, healed before the recovery) with 7k cmd/s of
+   wall-clock clients, 10 s simulated: every send crosses the link-window
+   overlay and every committed block replays its batch of commands.  It
+   measures about 13,500 B/block; the ceiling is about twice that.  While
+   the overlay's queries took the time as a float through closures, and
+   arrival, lane and histogram times were boxed per command, it measured
+   about 64,000 B/block. *)
+let faulted_clients_budget_ceiling = 28_000.
+
+let alloc_budget_faulted_clients () =
+  let n = 7 in
+  let cfg =
+    {
+      (Config.local Protocol_kind.Commit_moonshot ~n) with
+      Config.duration_ms = 10_000.;
+      faults =
+        Bft_faults.Fault_schedule.demo ~n ~leader:3 ~crash_at:1_000.
+          ~partition_at:1_700. ~heal_at:2_200. ~recover_at:2_700.;
+      clients =
+        Some
+          {
+            Bft_mempool.Spec.default with
+            Bft_mempool.Spec.rate_per_s = 7_000.;
+            lane_capacity = 2048;
+            backlog_capacity = 2048;
+            max_batch = 256;
+          };
+    }
+  in
+  ignore (Harness.run cfg);
+  let alloc0 = Harness.bytes_allocated_total () in
+  let r = Harness.run cfg in
+  let alloc = Harness.bytes_allocated_total () - alloc0 in
+  let blocks = r.Harness.metrics.Metrics.committed_blocks in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d blocks committed, at least 400" blocks)
+    true (blocks >= 400);
+  let per_block = float_of_int alloc /. float_of_int blocks in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f bytes/block within %.0f ceiling" per_block
+       faulted_clients_budget_ceiling)
+    true
+    (per_block <= faulted_clients_budget_ceiling)
+
 let () =
   let q = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "properties"
@@ -728,5 +774,7 @@ let () =
             (alloc_budget_wan Protocol_kind.Commit_moonshot);
           Alcotest.test_case "Jolteon WAN bytes-per-event budget" `Quick
             (alloc_budget_wan Protocol_kind.Jolteon);
+          Alcotest.test_case "faulted clients bytes-per-block budget" `Quick
+            alloc_budget_faulted_clients;
         ] );
     ]
