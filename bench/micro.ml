@@ -83,13 +83,13 @@ let engine_wan_fanout () =
   round ();
   let stats = Bft_sim.Engine.stats e in
   let events0 = stats.Bft_sim.Engine.events_processed in
-  let bytes0 = Gc.allocated_bytes () in
+  let bytes0 = Bft_obs.Alloc.allocated_bytes () in
   let t0 = Unix.gettimeofday () in
   for _ = 1 to rounds do
     round ()
   done;
   let seconds = Unix.gettimeofday () -. t0 in
-  let bytes = Gc.allocated_bytes () -. bytes0 in
+  let bytes = Bft_obs.Alloc.allocated_bytes () -. bytes0 in
   let events = float_of_int (stats.Bft_sim.Engine.events_processed - events0) in
   Format.printf "%-36s %12.1f ns/event %8.2f B/event@."
     "engine WAN fan-out n=100" (seconds *. 1e9 /. events) (bytes /. events)

@@ -27,15 +27,6 @@ let read_block r =
   let payload = read_payload r in
   Block.of_wire ~parent ~view ~height ~proposer ~payload
 
-let write_block_data w (b : Block.t) =
-  write_block w b;
-  W.padding w b.Block.payload.Payload.size_bytes
-
-let read_block_data r =
-  let b = read_block r in
-  R.padding r b.Block.payload.Payload.size_bytes;
-  b
-
 let write_vote_kind w k = W.u8 w (Vote_kind.to_tag k)
 
 let read_vote_kind r =
@@ -86,12 +77,12 @@ let tag = function
 
 let write_msg w (m : Message.t) =
   match m with
-  | Message.Opt_propose { block } -> write_block_data w block
+  | Message.Opt_propose { block } -> write_block w block
   | Message.Propose { block; cert } ->
-      write_block_data w block;
+      write_block w block;
       write_cert w cert
   | Message.Fb_propose { block; cert; tc } ->
-      write_block_data w block;
+      write_block w block;
       write_cert w cert;
       write_tc w tc
   | Message.Vote { kind; block } ->
@@ -109,20 +100,20 @@ let write_msg w (m : Message.t) =
       W.uvar w view;
       write_block w block
   | Message.Block_request { hash } -> W.u64 w (Hash.to_int64 hash)
-  | Message.Blocks_response { blocks } -> W.list w write_block_data blocks
+  | Message.Blocks_response { blocks } -> W.list w write_block blocks
 
 let encode m = Wire.encode_body ~tag:(tag m) write_msg m
 
 let decode body =
   Wire.decode_body body (fun tag r ->
       match tag with
-      | 0x01 -> Message.Opt_propose { block = read_block_data r }
+      | 0x01 -> Message.Opt_propose { block = read_block r }
       | 0x02 ->
-          let block = read_block_data r in
+          let block = read_block r in
           let cert = read_cert r in
           Message.Propose { block; cert }
       | 0x03 ->
-          let block = read_block_data r in
+          let block = read_block r in
           let cert = read_cert r in
           let tc = read_tc r in
           Message.Fb_propose { block; cert; tc }
@@ -145,7 +136,7 @@ let decode body =
           let block = read_block r in
           Message.Commit_vote { view; block }
       | 0x0a -> Message.Block_request { hash = Hash.of_int64 (R.u64 r) }
-      | 0x0b -> Message.Blocks_response { blocks = R.list r read_block_data }
+      | 0x0b -> Message.Blocks_response { blocks = R.list r read_block }
       | t -> Wire.bad_tag t)
 
 let encode_msg = encode

@@ -16,9 +16,10 @@
     recomputes them from the header fields on decode.  Signatures are
     abstract in this reproduction (see {!Bft_types.Wire_size}), so
     certificates carry their signer {e count} rather than signature
-    bytes.  Proposal-carried payloads are synthetic: the wire carries
-    [size_bytes] of padding so that socket-level byte counts reflect the
-    configured payload size. *)
+    bytes.  Proposal-carried payloads are synthetic, and bodies carry only
+    their [size_bytes]: the transport sends that many zeros as the frame's
+    trailer ({!Bft_net.Wire}), so socket-level byte counts reflect the
+    configured payload size while no encoder or decoder touches them. *)
 
 open Bft_types
 
@@ -29,17 +30,12 @@ open Bft_types
     {!Bft_net.Wire.run_decoder}; they are exported for the Jolteon codec
     and for tests. *)
 
-(** Block header only — what votes, certificates and commit votes carry;
-    no payload padding. *)
+(** Block header — what every message that names a block carries; a
+    proposal's or sync response's payload bytes travel as the frame's
+    trailer. *)
 val write_block : Bft_net.Wire.W.t -> Block.t -> unit
 
 val read_block : Bft_net.Wire.R.t -> Block.t
-
-(** Block header followed by [payload.size_bytes] bytes of padding —
-    what proposals and block-sync responses carry. *)
-val write_block_data : Bft_net.Wire.W.t -> Block.t -> unit
-
-val read_block_data : Bft_net.Wire.R.t -> Block.t
 val write_cert : Bft_net.Wire.W.t -> Cert.t -> unit
 val read_cert : Bft_net.Wire.R.t -> Cert.t
 val write_tc : Bft_net.Wire.W.t -> Tc.t -> unit
@@ -51,7 +47,7 @@ val read_tc : Bft_net.Wire.R.t -> Tc.t
 val tag : Message.t -> int
 
 (** Frame body (version, tag, fields) for a message, in one exact-size
-    string; the sender adds the length prefix
+    string; the sender adds the length prefix and the payload trailer
     ({!Bft_net.Wire.Frame_writer}). *)
 val encode : Message.t -> string
 

@@ -14,7 +14,7 @@ let tag = function
 let write_msg w (m : Jolteon_msg.t) =
   match m with
   | Jolteon_msg.Propose { block; qc; tc } ->
-      C.write_block_data w block;
+      C.write_block w block;
       C.write_cert w qc;
       W.option w C.write_tc tc
   | Jolteon_msg.Vote { block } -> C.write_block w block
@@ -22,7 +22,7 @@ let write_msg w (m : Jolteon_msg.t) =
       W.uvar w round;
       C.write_cert w high_qc
   | Jolteon_msg.Block_request { hash } -> W.u64 w (Hash.to_int64 hash)
-  | Jolteon_msg.Blocks_response { blocks } -> W.list w C.write_block_data blocks
+  | Jolteon_msg.Blocks_response { blocks } -> W.list w C.write_block blocks
 
 let encode m = Wire.encode_body ~tag:(tag m) write_msg m
 
@@ -30,7 +30,7 @@ let decode body =
   Wire.decode_body body (fun tag r ->
       match tag with
       | 0x21 ->
-          let block = C.read_block_data r in
+          let block = C.read_block r in
           let qc = C.read_cert r in
           let tc = R.option r C.read_tc in
           Jolteon_msg.Propose { block; qc; tc }
@@ -41,7 +41,7 @@ let decode body =
           Jolteon_msg.Timeout { round; high_qc }
       | 0x24 -> Jolteon_msg.Block_request { hash = Hash.of_int64 (R.u64 r) }
       | 0x25 ->
-          Jolteon_msg.Blocks_response { blocks = R.list r C.read_block_data }
+          Jolteon_msg.Blocks_response { blocks = R.list r C.read_block }
       | t -> Wire.bad_tag t)
 
 let encode_msg = encode

@@ -8,7 +8,9 @@
     - {b Fault interposition}: every frame gets a
       {!Fault_plane.verdict} using the sender's view at send time and
       the wall clock, below the codec; the frames not dropped wait in one
-      FIFO, in send order, until released and due.
+      FIFO, in send order, until released and due.  The FIFO is a ring of
+      parallel arrays (release time, destination, body, trailer length),
+      so once it has grown to the run's backlog a send allocates nothing.
     - {b Reconnection}: dials do not wait for the handshake and back off
       {e exponentially with jitter}, per destination.  Frames to a
       destination in backoff are dropped, the loss a down peer implies.
@@ -17,9 +19,10 @@
 
 type t
 
-(** A frame counts as sent, with its 4-byte length prefix, once the
-    kernel has taken all of its peer's output buffer; as dropped if the
-    connection fails first; as neither if {!close} finds it there. *)
+(** A frame counts as sent, with all its bytes ({!Wire.frame_size}: the
+    length prefix, trailer length, body and trailer), once the kernel has
+    taken all of its peer's output buffer; as dropped if the connection
+    fails first; as neither if {!close} finds it there. *)
 type stats = {
   messages_sent : int;
   bytes_sent : int;
@@ -31,17 +34,18 @@ type stats = {
   reconnects : int;  (** Successful dials beyond the first, per peer. *)
 }
 
-(** [create ~n ~id ~ports ~hello ~now_ms ~plane ()]: [hello] is the
+(** [create ~n ~id ~ports ~hello ~now_into ~plane ()]: [hello] is the
     handshake body, framed and written first on every new connection;
-    [now_ms] the run clock.  The reconnect backoff starts at 10 ms and
-    doubles up to [backoff_cap_ms] (default 500 ms). *)
+    [now_into slot i] stores the run clock, in ms, into [slot.(i)] (a
+    float returned from a closure would be boxed).  The reconnect backoff
+    starts at 10 ms and doubles up to [backoff_cap_ms] (default 500 ms). *)
 val create :
   ?backoff_cap_ms:float ->
   n:int ->
   id:int ->
   ports:int array ->
   hello:string ->
-  now_ms:(unit -> float) ->
+  now_into:(float array -> int -> unit) ->
   plane:Fault_plane.t ->
   unit ->
   t
@@ -50,12 +54,13 @@ val create :
     (the sender's current view, the logical clock for partition
     verdicts) and the wall clock, then hold it until the next {!release}:
     the executor releases an iteration's frames once its WAL snapshot is
-    on disk. *)
-val send : t -> dst:int -> src_view:int -> string -> unit
+    on disk.  The frame is [body] with a [payload]-byte trailer
+    ({!Wire.Frame_writer.add}). *)
+val send : t -> dst:int -> src_view:int -> payload:int -> string -> unit
 
 (** Release the frames held since the previous call, commit those due to
     their peers' output, and write each output until its socket would
-    block. *)
+    block.  Allocates nothing unless it dials a peer. *)
 val release : t -> unit
 
 (** The connections still dialing or with output the kernel has not

@@ -30,7 +30,7 @@ type node_result = {
 }
 
 type sink = {
-  send : dst:int -> src_view:int -> string -> unit;
+  send : dst:int -> src_view:int -> payload:int -> string -> unit;
   release : unit -> unit;
 }
 
@@ -83,14 +83,16 @@ module Make (P : Protocol_intf.S) = struct
 
   let send t dst msg =
     if dst = t.id then Queue.push msg t.selfq
-    else t.sink.send ~dst ~src_view:(H.view (host t)) (P.encode_msg msg)
+    else
+      t.sink.send ~dst ~src_view:(H.view (host t))
+        ~payload:(P.payload_bytes msg) (P.encode_msg msg)
 
   let multicast t n msg =
     let body = P.encode_msg msg in
-    let src_view = H.view (host t) in
+    let src_view = H.view (host t) and payload = P.payload_bytes msg in
     for dst = 0 to n - 1 do
       if dst = t.id then Queue.push msg t.selfq
-      else t.sink.send ~dst ~src_view body
+      else t.sink.send ~dst ~src_view ~payload body
     done
 
   let create (policy : Node_host.policy) ~id ~incarnation ~wal ~target_blocks
@@ -166,7 +168,9 @@ module Make (P : Protocol_intf.S) = struct
       | None -> ()
       | Some msg ->
           let bytes =
-            if Option.is_some t.trace then String.length (P.encode_msg msg) + 4
+            if Option.is_some t.trace then
+              Wire.frame_size ~payload:(P.payload_bytes msg)
+                (String.length (P.encode_msg msg))
             else 0
           in
           deliver t ~src:t.id ~bytes msg;
@@ -177,12 +181,20 @@ module Make (P : Protocol_intf.S) = struct
     Logs.debug ~src:log_src (fun m ->
         m "node %d: dropped frame from %d: %s" t.id src reason)
 
-  let receive t ~src body =
+  (* A frame whose trailer is not its message's payload is malformed: the
+     trailer stands for exactly those bytes. *)
+  let receive t ~src ~payload body =
     if not t.crashing then
       match P.decode_msg body with
-      | Ok msg ->
-          deliver t ~src ~bytes:(String.length body + 4) msg;
+      | Ok msg when P.payload_bytes msg = payload ->
+          deliver t ~src
+            ~bytes:(Wire.frame_size ~payload (String.length body))
+            msg;
           drain_self t
+      | Ok msg ->
+          malformed t ~src
+            (Printf.sprintf "%d-byte trailer for a %d-byte payload" payload
+               (P.payload_bytes msg))
       | Error reason -> malformed t ~src reason
 
   (* Pops in deadline order, FIFO on ties; a timer set by a callback joins

@@ -50,10 +50,11 @@ type node_result = {
 (** Where frames go: {!Conn_manager} in production, a recorder in tests.
     Both calls are synchronous.  [send] takes a frame's fault verdict and
     holds its body (one encoding per message, shared by every destination
-    of a multicast; the sink adds the length prefix); [release] writes
-    every held frame that is due, without blocking. *)
+    of a multicast) and its trailer length, the message's
+    [P.payload_bytes]; the sink adds the length prefix and the trailer.
+    [release] writes every held frame that is due, without blocking. *)
 type sink = {
-  send : dst:int -> src_view:int -> string -> unit;
+  send : dst:int -> src_view:int -> payload:int -> string -> unit;
   release : unit -> unit;
 }
 
@@ -82,10 +83,12 @@ module Make (P : Protocol_intf.S) : sig
       drain its self-messages, persist, release. *)
   val start : t -> unit
 
-  (** Decode a frame body from peer [src], deliver it, then drain the
-      self-messages.  A body that does not decode counts as malformed and
-      runs no handler.  Ignored after a crash. *)
-  val receive : t -> src:int -> string -> unit
+  (** Decode the body of a frame from peer [src] whose trailer was
+      [payload] bytes, deliver it, then drain the self-messages.  A body
+      that does not decode, or whose message's [P.payload_bytes] is not
+      [payload], counts as malformed and runs no handler.  Ignored after
+      a crash. *)
+  val receive : t -> src:int -> payload:int -> string -> unit
 
   (** Count (and log) a malformed frame from [src]. *)
   val malformed : t -> src:int -> string -> unit

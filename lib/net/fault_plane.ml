@@ -13,10 +13,6 @@ type t = {
   windows : W.t; (* Wall_ms link windows; empty under Views *)
   logical : Bft_faults.Logical.t option; (* Views interpretation *)
   rngs : Bft_sim.Rng.t array; (* per-sender loss draws *)
-  (* Per-sender time slots for the window queries: [2 src] holds the
-     clock, [2 src + 1] a delay sum.  Each sender is one thread, so no two
-     threads share a slot. *)
-  times : float array;
   link_delay_ms : float;
   heal_windows : (float * float) list;
   active : bool;
@@ -28,7 +24,6 @@ let none =
     windows = W.empty;
     logical = None;
     rngs = [||];
-    times = [||];
     link_delay_ms = 0.;
     heal_windows = [];
     active = false;
@@ -76,7 +71,6 @@ let compile ~n ~clock ~seed ~link_delay_ms ~heal_bound_ms sched =
       windows;
       logical;
       rngs = Array.init n (fun i -> Bft_sim.Rng.create (seed lxor (i * 7919)));
-      times = Array.make (2 * n) 0.;
       link_delay_ms;
       heal_windows;
       active = true;
@@ -84,35 +78,31 @@ let compile ~n ~clock ~seed ~link_delay_ms ~heal_bound_ms sched =
 
 let clock t = t.clock
 
-let verdict t ~src ~dst ~now_ms ~src_view =
+let verdict t ~src ~dst ~src_view clock now =
   if (not t.active) || src = dst then `Pass
   else
     match t.logical with
     | Some lg ->
         if Bft_faults.Logical.cut lg ~src ~src_view ~dst then `Drop else `Pass
     | None ->
-        let now = 2 * src in
-        t.times.(now) <- now_ms;
         if
-          W.cut t.windows ~src ~dst t.times now
-          || not (W.keep t.windows t.rngs.(src) t.times now)
+          W.cut t.windows ~src ~dst clock now
+          || not (W.keep t.windows t.rngs.(src) clock now)
         then `Drop
         else `Pass
 
-let delay_ms t ~src ~now_ms =
-  if not t.active then 0.
-  else begin
-    let now = 2 * src in
-    t.times.(now) <- now_ms;
-    t.times.(now + 1) <- 0.;
-    W.add_delay t.windows t.times ~now (now + 1);
-    t.link_delay_ms +. t.times.(now + 1)
+let add_delay t clock ~now i =
+  if t.active then begin
+    W.add_delay t.windows clock ~now i;
+    clock.(i) <- clock.(i) +. t.link_delay_ms
   end
 
-let rec in_windows now = function
+(* The time stays in its slot: a float argument would be boxed. *)
+let rec in_windows clock now = function
   | [] -> false
-  | (a, b) :: rest -> (now >= a && now <= b) || in_windows now rest
+  | (a, b) :: rest ->
+      (clock.(now) >= a && clock.(now) <= b) || in_windows clock now rest
 
-let in_heal_window t ~now_ms = in_windows now_ms t.heal_windows
+let in_heal_window t clock now = in_windows clock now t.heal_windows
 
 let logical t = t.logical

@@ -20,9 +20,9 @@
       [moonshot crossval --scenario chaos] chains comparable byte for
       byte.
 
-    One plane instance is shared by all of a node's send paths; loss
-    draws use a per-sender RNG stream so threads-mode executors do not
-    contend. *)
+    One plane instance is shared by all of a cluster's validators in
+    threads mode; loss draws use a per-sender RNG stream and each sender
+    passes its own time slots, so their executors do not contend. *)
 
 type clock = Wall_ms | Views
 
@@ -48,19 +48,26 @@ val compile :
 
 val clock : t -> clock
 
+(** The queries below read the wall clock from a float array slot,
+    [clock.(now)], and {!add_delay} writes back into one, as
+    {!Bft_sim.Link_windows} does: a float crossing a function boundary is
+    boxed, so a query allocates nothing.  Each sender owns its slots. *)
+
 (** Send-time verdict for a frame [src -> dst].  [src_view] is the
     sender's current view at enqueue time (the logical clock);
-    [now_ms] the wall clock.  Never drops self-traffic. *)
+    [clock.(now)] the wall clock in ms.  Never drops self-traffic. *)
 val verdict :
-  t -> src:int -> dst:int -> now_ms:float -> src_view:int -> [ `Pass | `Drop ]
+  t -> src:int -> dst:int -> src_view:int -> float array -> int ->
+  [ `Pass | `Drop ]
 
-(** Sender-side holding delay for a frame [src] enqueues at [now_ms]: the
-    uniform pacing delay plus any wall-clock delay-spike window. *)
-val delay_ms : t -> src:int -> now_ms:float -> float
+(** [add_delay t clock ~now i] adds to [clock.(i)] the sender-side
+    holding delay of a frame enqueued at [clock.(now)]: the uniform
+    pacing delay plus any wall-clock delay-spike window. *)
+val add_delay : t -> float array -> now:int -> int -> unit
 
-(** Whether [now_ms] falls in a healing-accounting window
+(** Whether [clock.(now)] falls in a healing-accounting window
     ([heal, heal + heal_bound_ms] after each wall-clock heal point). *)
-val in_heal_window : t -> now_ms:float -> bool
+val in_heal_window : t -> float array -> int -> bool
 
 (** The view-anchored schedule under the {!Views} clock, for each node's
     {!Node_host.Fault_step}; [None] under {!Wall_ms}. *)

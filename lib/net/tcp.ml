@@ -155,7 +155,7 @@ let policy cfg plane =
 type conn = {
   mutable src : int;
   inbox : Wire.Frame_reader.t;
-  deliver : string -> unit;
+  deliver : int -> string -> unit;
 }
 
 exception Bad_hello
@@ -171,11 +171,13 @@ let node_main (type m) (module P : Protocol_intf.S with type msg = m)
   let module E = Executor.Make (P) in
   let now () = now_ms t0 in
   let hello = encode_hello ~id ~n:cfg.n ~protocol:cfg.protocol_name in
-  (* The longest valid hello: a connection that has not sent one cannot
-     grow its input buffer past it. *)
+  (* The length field of the longest valid hello: a connection that has
+     not sent one cannot grow its input buffer past it. *)
   let hello_limit =
-    String.length
-      (encode_hello ~id:(cfg.n - 1) ~n:cfg.n ~protocol:cfg.protocol_name)
+    Wire.frame_size ~payload:0
+      (String.length
+         (encode_hello ~id:(cfg.n - 1) ~n:cfg.n ~protocol:cfg.protocol_name))
+    - 4
   in
   let backoff_cap_ms =
     (* Under the logical clock the whole run is paced by [link_delay_ms];
@@ -186,7 +188,10 @@ let node_main (type m) (module P : Protocol_intf.S with type msg = m)
     | Fault_plane.Wall_ms -> 500.
   in
   let cm =
-    Conn_manager.create ~backoff_cap_ms ~n:cfg.n ~id ~ports ~hello ~now_ms:now
+    (* [now_ms t0] written in place: a float returned by a call is boxed. *)
+    Conn_manager.create ~backoff_cap_ms ~n:cfg.n ~id ~ports ~hello
+      ~now_into:(fun slot i ->
+        slot.(i) <- (Unix.gettimeofday () -. t0) *. 1000.)
       ~plane ()
   in
   let persist =
@@ -229,12 +234,12 @@ let node_main (type m) (module P : Protocol_intf.S with type msg = m)
   register_teardown close_inbound;
   (* A connection's first frame is its hello, naming the peer of every
      later one; a connector that sends none just idles in the watch list. *)
-  let on_frame c body =
-    if c.src >= 0 then E.receive ex ~src:c.src body
+  let on_frame c payload body =
+    if c.src >= 0 then E.receive ex ~src:c.src ~payload body
     else
       match decode_hello body with
       | Ok (src, n', proto)
-        when src >= 0 && src < cfg.n && src <> id && n' = cfg.n
+        when payload = 0 && src >= 0 && src < cfg.n && src <> id && n' = cfg.n
              && String.equal proto cfg.protocol_name ->
           c.src <- src;
           Wire.Frame_reader.set_limit c.inbox Wire.max_frame_len
@@ -248,7 +253,9 @@ let node_main (type m) (module P : Protocol_intf.S with type msg = m)
          with Unix.Unix_error _ -> ());
         let inbox = Wire.Frame_reader.create () in
         Wire.Frame_reader.set_limit inbox hello_limit;
-        let rec c = { src = -1; inbox; deliver = (fun b -> on_frame c b) } in
+        let rec c =
+          { src = -1; inbox; deliver = (fun p b -> on_frame c p b) }
+        in
         Hashtbl.replace conns fd c;
         rewatch ()
   in
@@ -495,7 +502,7 @@ let start_child cfg run_node m ~listener ~report ~ctl_fd ~inherited =
    frame's length prefix keeps a torn write from reaching [from_string]. *)
 let collect_blob m =
   match Wire.read_frame m.rfd with
-  | Ok body -> m.results <- [ (Marshal.from_string body 0 : node_result) ]
+  | Ok (_, body) -> m.results <- [ (Marshal.from_string body 0 : node_result) ]
   | Error _ | (exception Unix.Unix_error _) -> ()
 
 (* One select loop drives the cluster in either mode: it fires the wall

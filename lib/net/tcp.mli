@@ -30,13 +30,15 @@
     a [hello] (tag [0x00]) naming the sender id, the cluster size and the
     protocol, letting the receiver attribute (and validate) all later
     frames.  Malformed frame {e bodies} are counted and skipped;
-    desynchronizing framing errors (a bad length prefix, a mid-frame EOF)
-    close only the offending connection — neither crashes a node.  An
-    accepted connection reads into its own {!Wire.Frame_reader}, hello
-    included (until the hello is in, a longer length prefix than any
-    valid hello's is a framing error): one [read] per readiness hands
-    every complete frame it buffered on, so one loop iteration, and one
-    WAL persist, covers them all.  Neither writes nor dials block: a
+    desynchronizing framing errors (a bad length prefix or trailer
+    length, a mid-frame EOF) close only the offending connection —
+    neither crashes a node.  A frame whose payload trailer is not its
+    message's payload is a malformed body.  An accepted connection reads
+    into its own {!Wire.Frame_reader}, hello included (until the hello
+    is in, a longer length prefix than any valid hello's is a framing
+    error): one [read] per readiness hands every complete frame it
+    buffered on, so one loop iteration, and one WAL persist, covers them
+    all.  Neither writes nor dials block: a
     peer that stops reading or accepting costs only its own output
     buffer in {!Conn_manager}.
 
@@ -88,7 +90,7 @@ type outcome = Completed | Timed_out
 type config = {
   n : int;  (** Cluster size. *)
   delta_ms : float;  (** Delay bound handed to the nodes (timer base). *)
-  payload_bytes : int;  (** Per-block payload size (padding on the wire). *)
+  payload_bytes : int;  (** Per-block payload size (a frame trailer on the wire). *)
   target_blocks : int;  (** Stop once every node committed this height. *)
   timeout_ms : float;  (** Wall-clock safety net. *)
   mode : mode;
@@ -160,9 +162,13 @@ type node_result = Executor.node_result = {
   trace_lines : string list;
       (** {!Bft_obs.Trace.event_to_json} lines in emission order;
           [[]] when untraced. *)
-  decode_errors : int;  (** Malformed frame bodies skipped (total). *)
+  decode_errors : int;
+      (** Malformed frame bodies skipped (total), mismatched payload
+          trailers included. *)
   messages_sent : int;  (** Frames written to peers (self excluded). *)
-  bytes_sent : int;  (** Wire bytes written, length prefixes included. *)
+  bytes_sent : int;
+      (** Wire bytes written: whole frames, length prefixes and payload
+          trailers included. *)
   bytes_heal : int;
       (** Bytes written inside post-heal/recovery accounting windows —
           the traffic cost of healing. *)

@@ -1,4 +1,4 @@
-let version = 0x01
+let version = 0x02
 let max_frame_len = 16 * 1024 * 1024
 let max_list_len = 65536
 
@@ -93,11 +93,6 @@ module W = struct
     uvar t (List.length vs);
     items t enc vs
 
-  let padding t n =
-    if n < 0 then invalid_arg "Wire.W.padding: negative";
-    if filling t then Bytes.fill t.buf t.pos n '\x00';
-    t.pos <- t.pos + n
-
   let to_string enc v =
     let t = counting () in
     enc t v;
@@ -169,10 +164,6 @@ module R = struct
     if n > max_list_len then fail (Printf.sprintf "list of %d elements" n);
     List.init n (fun _ -> dec t)
 
-  let padding t n =
-    need t n;
-    t.pos <- t.pos + n
-
   let remaining t = String.length t.input - t.pos
 
   let expect_end t =
@@ -202,22 +193,55 @@ let get_length buf pos =
   lor (Char.code (Bytes.get buf (pos + 2)) lsl 8)
   lor Char.code (Bytes.get buf (pos + 3))
 
-let valid_length n = n >= 2 && n <= max_frame_len
+(* The smallest frame is a one-byte trailer length and a two-byte body. *)
+let valid_length n = n >= 3 && n <= max_frame_len
 
-(* [body]'s frame at [pos] in [buf], which holds at least
-   [pos + 4 + String.length body] bytes. *)
-let frame_into buf pos body =
+let rec uvar_size v = if v < 0x80 then 1 else 1 + uvar_size (v lsr 7)
+
+let frame_size ~payload body_len = 4 + uvar_size payload + body_len + payload
+
+(* The trailer length of a frame is a [uvar] of at most four bytes, which
+   covers every trailer a 16 MiB frame can hold.  [trailer_size buf pos
+   avail 0] is the size of the one at [pos], of which [avail] bytes are
+   buffered: 0 while it is incomplete, -1 past four bytes. *)
+let rec trailer_size buf pos avail i =
+  if i >= avail then 0
+  else if i >= 4 then -1
+  else if Char.code (Bytes.get buf (pos + i)) land 0x80 = 0 then i + 1
+  else trailer_size buf pos avail (i + 1)
+
+(* The value of the [size]-byte trailer length at [pos]. *)
+let rec trailer_value buf pos size acc =
+  if size = 0 then acc
+  else
+    trailer_value buf pos (size - 1)
+      ((acc lsl 7) lor (Char.code (Bytes.get buf (pos + size - 1)) land 0x7f))
+
+(* [body]'s frame with a [payload]-byte trailer at [pos] in [buf], which
+   holds at least [pos + frame_size ~payload (String.length body)] bytes.
+   Closure-free, and the trailer is filled in place. *)
+let frame_into buf pos ~payload body =
   let n = String.length body in
-  if not (valid_length n) then invalid_arg "Wire.frame: bad body length";
-  Bytes.set buf pos (Char.unsafe_chr (n lsr 24));
-  Bytes.set buf (pos + 1) (Char.unsafe_chr ((n lsr 16) land 0xff));
-  Bytes.set buf (pos + 2) (Char.unsafe_chr ((n lsr 8) land 0xff));
-  Bytes.set buf (pos + 3) (Char.unsafe_chr (n land 0xff));
-  Bytes.blit_string body 0 buf (pos + 4) n
+  if payload < 0 then invalid_arg "Wire.frame: negative payload";
+  let len = frame_size ~payload n - 4 in
+  if n < 2 || len > max_frame_len then invalid_arg "Wire.frame: bad body length";
+  Bytes.set buf pos (Char.unsafe_chr (len lsr 24));
+  Bytes.set buf (pos + 1) (Char.unsafe_chr ((len lsr 16) land 0xff));
+  Bytes.set buf (pos + 2) (Char.unsafe_chr ((len lsr 8) land 0xff));
+  Bytes.set buf (pos + 3) (Char.unsafe_chr (len land 0xff));
+  let pos = ref (pos + 4) and v = ref payload in
+  while !v >= 0x80 do
+    Bytes.set buf !pos (Char.unsafe_chr (0x80 lor (!v land 0x7f)));
+    v := !v lsr 7;
+    incr pos
+  done;
+  Bytes.set buf !pos (Char.unsafe_chr !v);
+  Bytes.blit_string body 0 buf (!pos + 1) n;
+  Bytes.fill buf (!pos + 1 + n) payload '\x00'
 
-let frame body =
-  let b = Bytes.create (4 + String.length body) in
-  frame_into b 0 body;
+let frame ?(payload = 0) body =
+  let b = Bytes.create (frame_size ~payload (String.length body)) in
+  frame_into b 0 ~payload body;
   Bytes.unsafe_to_string b
 
 let run_decoder f =
@@ -263,6 +287,8 @@ let read_exact fd buf ~mid_frame =
   done;
   not !eof
 
+let bad_trailer = Invalid "bad trailer length"
+
 let read_frame fd =
   let header = Bytes.create 4 in
   match read_exact fd header ~mid_frame:false with
@@ -272,11 +298,16 @@ let read_frame fd =
       let len = get_length header 0 in
       if not (valid_length len) then Error (`Frame_error (Frame_too_large len))
       else
-        let body = Bytes.create len in
-        match read_exact fd body ~mid_frame:true with
-        | true -> Ok (Bytes.unsafe_to_string body)
+        let rest = Bytes.create len in
+        match read_exact fd rest ~mid_frame:true with
         | false -> Error (`Frame_error Truncated)
-        | exception Decode e -> Error (`Frame_error e))
+        | exception Decode e -> Error (`Frame_error e)
+        | true ->
+            let v = trailer_size rest 0 len 0 in
+            let payload = if v > 0 then trailer_value rest 0 v 0 else 0 in
+            let n = len - v - payload in
+            if v <= 0 || n < 2 then Error (`Frame_error bad_trailer)
+            else Ok (payload, Bytes.sub_string rest v n))
 
 (* Output waiting for the wire is [buf.[start .. stop - 1]]. *)
 module Frame_writer = struct
@@ -290,8 +321,9 @@ module Frame_writer = struct
 
   (* Without room for the frame, the unwritten bytes move to the front,
      into a larger buffer only when the old one is too small. *)
-  let add t body =
-    let n = 4 + String.length body and cap = Bytes.length t.buf in
+  let add t ~payload body =
+    let n = frame_size ~payload (String.length body)
+    and cap = Bytes.length t.buf in
     if t.stop + n > cap then begin
       let live = t.stop - t.start in
       let buf =
@@ -303,7 +335,7 @@ module Frame_writer = struct
       t.stop <- live;
       t.start <- 0
     end;
-    frame_into t.buf t.stop body;
+    frame_into t.buf t.stop ~payload body;
     t.stop <- t.stop + n
 
   let write t fd =
@@ -318,40 +350,83 @@ end
 
 (* Unconsumed input is [buf.[start .. stop - 1]].  Every length prefix
    among it has passed the range check against [limit], so growing the
-   buffer to fit the frame it announces is bounded by it. *)
+   buffer to fit the frame it announces is bounded by it.  The buffer
+   holds a frame's prefix, trailer length and body, never its trailer:
+   once the body is copied out, the trailer is skipped where it lands,
+   [trailer] bytes of it still to come. *)
 module Frame_reader = struct
   type t = {
     mutable buf : Bytes.t;
     mutable start : int;
     mutable stop : int;
     mutable limit : int;
+    mutable payload : int;  (* the trailer length of the frame at [start] *)
+    mutable trailer : int;
+    mutable body : string;  (* the body whose trailer is still to come *)
   }
 
   let create () =
-    { buf = Bytes.create 4096; start = 0; stop = 0; limit = max_frame_len }
+    {
+      buf = Bytes.create 4096;
+      start = 0;
+      stop = 0;
+      limit = max_frame_len;
+      payload = 0;
+      trailer = 0;
+      body = "";
+    }
 
   let capacity t = Bytes.length t.buf
   let set_limit t limit = t.limit <- limit
 
-  (* Hand every complete frame to [deliver]; stop at the first out-of-range
-     length prefix. *)
+  (* The size of the trailer length of the [len]-byte frame at [start],
+     with its value in [payload]: 0 while it is incomplete, -1 when it is
+     malformed or leaves the body under two bytes. *)
+  let header t len =
+    let v = trailer_size t.buf (t.start + 4) (t.stop - t.start - 4) 0 in
+    if v <= 0 then v
+    else begin
+      t.payload <- trailer_value t.buf (t.start + 4) v 0;
+      if len - v - t.payload < 2 then -1 else v
+    end
+
+  (* Hand every frame whose last trailer byte is in to [deliver]; stop at
+     the first malformed header. *)
   let rec drain t deliver =
-    let avail = t.stop - t.start in
-    if avail < 4 then None
+    if t.trailer > 0 then begin
+      let k = Int.min t.trailer (t.stop - t.start) in
+      t.start <- t.start + k;
+      t.trailer <- t.trailer - k;
+      if t.trailer > 0 then None else deliver_body t deliver
+    end
     else
-      let len = get_length t.buf t.start in
-      if not (valid_length len && len <= t.limit) then
-        Some (Frame_too_large len)
-      else if avail < 4 + len then None
-      else begin
-        let body = Bytes.sub_string t.buf (t.start + 4) len in
-        t.start <- t.start + 4 + len;
-        deliver body;
-        drain t deliver
-      end
+      let avail = t.stop - t.start in
+      if avail < 4 then None
+      else
+        let len = get_length t.buf t.start in
+        if not (valid_length len && len <= t.limit) then
+          Some (Frame_too_large len)
+        else
+          let v = header t len in
+          if v < 0 then Some bad_trailer
+          else
+            let n = len - v - t.payload in
+            if v = 0 || avail < 4 + v + n then None
+            else begin
+              t.body <- Bytes.sub_string t.buf (t.start + 4 + v) n;
+              t.start <- t.start + 4 + v + n;
+              t.trailer <- t.payload;
+              if t.trailer > 0 then drain t deliver else deliver_body t deliver
+            end
+
+  and deliver_body t deliver =
+    let body = t.body in
+    t.body <- "";
+    deliver t.payload body;
+    drain t deliver
 
   (* Move the partial frame to the front, and grow the buffer when the
-     frame its (checked) length prefix announces does not fit. *)
+     header and body its (checked) length prefix announces do not fit. *)
   let make_room t =
     let avail = t.stop - t.start in
     if t.start > 0 then begin
@@ -359,8 +434,9 @@ module Frame_reader = struct
       t.start <- 0;
       t.stop <- avail
     end;
-    if avail >= 4 then begin
-      let need = 4 + get_length t.buf 0 in
+    if t.trailer = 0 && avail >= 4 then begin
+      let len = get_length t.buf 0 in
+      let need = if header t len > 0 then 4 + len - t.payload else 0 in
       let cap = Bytes.length t.buf in
       if need > cap then begin
         let buf = Bytes.create (Int.min (Int.max need (2 * cap)) (4 + max_frame_len)) in
@@ -372,7 +448,9 @@ module Frame_reader = struct
   let read t fd deliver =
     make_room t;
     let k = Unix.read fd t.buf t.stop (Bytes.length t.buf - t.stop) in
-    if k = 0 then if t.stop = t.start then `Closed else `Frame_error Truncated
+    if k = 0 then
+      if t.stop = t.start && t.trailer = 0 then `Closed
+      else `Frame_error Truncated
     else begin
       t.stop <- t.stop + k;
       match drain t deliver with

@@ -10,21 +10,25 @@
     Every frame travelling on a socket is
 
     {v
-    frame := length:u32be body
+    frame := length:u32be payload:uvar body zeros(payload)
     body  := version:u8 tag:u8 fields
     v}
 
-    where [length] is the byte length of [body] (at least 2, at most
-    {!max_frame_len}), [version] is {!version}, and [tag] selects the
-    message type.  Decoders are total: any byte string either decodes to
-    a value or to an {!error} — never to an exception escaping
-    {!decode_body}. *)
+    where [length] counts every byte after the prefix (at least 3, at
+    most {!max_frame_len}), [payload] is the length of the trailer of
+    zeros that stands for the message's synthetic payload
+    ({!Bft_types.Protocol_intf.S.payload_bytes}), [version] is
+    {!version}, and [tag] selects the message type.  The trailer is
+    written and read in place, never held as a string.  Decoders are
+    total: any byte string either decodes to a value or to an {!error} —
+    never to an exception escaping {!decode_body}. *)
 
-(** Current (and only) wire-format version byte. *)
+(** Current (and only) wire-format version byte: [0x02], the frame with
+    a payload trailer. *)
 val version : int
 
-(** Upper bound on the body length a decoder accepts (16 MiB).  Encoded
-    frames exceeding it raise [Invalid_argument] at encode time; received
+(** Upper bound on a frame's length field (16 MiB).  Encoded frames
+    exceeding it raise [Invalid_argument] at encode time; received
     length prefixes exceeding it are rejected with {!Frame_too_large}
     before any allocation. *)
 val max_frame_len : int
@@ -84,9 +88,6 @@ module W : sig
   (** [list w enc vs] writes a [uvar] count then the elements in order. *)
   val list : t -> (t -> 'a -> unit) -> 'a list -> unit
 
-  (** [padding w n] appends [n] zero bytes (synthetic payload bodies). *)
-  val padding : t -> int -> unit
-
   (** [to_string enc v] is the bytes [enc] writes for [v], in one
       exact-size string (WAL snapshots, tests).  Raises
       [Invalid_argument] if [enc] writes a different length on its
@@ -128,9 +129,6 @@ module R : sig
   (** Rejects counts above [65536] (frames never carry more elements). *)
   val list : t -> (t -> 'a) -> 'a list
 
-  (** [padding r n] skips [n] bytes without inspecting them. *)
-  val padding : t -> int -> unit
-
   (** Bytes not yet consumed. *)
   val remaining : t -> int
 
@@ -146,10 +144,17 @@ end
     value apart from a top-level encoder keeps the call closure-free. *)
 val encode_body : tag:int -> (W.t -> 'a -> unit) -> 'a -> string
 
-(** [frame body] prepends the [u32be] length prefix, yielding the exact
-    byte sequence sent on a socket.  Raises [Invalid_argument] if [body]
-    is shorter than 2 bytes or exceeds {!max_frame_len}. *)
-val frame : string -> string
+(** [frame_size ~payload n]: the bytes on the wire of a frame with an
+    [n]-byte body and a [payload]-byte trailer, its length prefix
+    included. *)
+val frame_size : payload:int -> int -> int
+
+(** [frame ?payload body] is the exact byte sequence sent on a socket:
+    the length prefix, the trailer length [payload] (default 0), [body],
+    then [payload] zero bytes.  Raises [Invalid_argument] if [body] is
+    shorter than 2 bytes, [payload] is negative, or the frame's length
+    exceeds {!max_frame_len}. *)
+val frame : ?payload:int -> string -> string
 
 (** Abort the current decode with [Bad_tag t] — for the tag-dispatch
     [match] of a message decoder's catch-all arm. *)
@@ -174,13 +179,14 @@ val run_decoder : (unit -> 'a) -> ('a, error) result
     on failure. *)
 val write_all : Unix.file_descr -> string -> unit
 
-(** [read_frame fd] reads exactly one length prefix and body, blocking
-    until both are in (pipes).  [Ok body] on success, [Error `Closed] on
-    EOF at a frame boundary, [Error (`Frame_error e)] on a bad length
-    prefix or mid-frame EOF.  Raises [Unix.Unix_error] on socket
-    errors. *)
+(** [read_frame fd] reads exactly one frame, blocking until all of it is
+    in (pipes).  [Ok (payload, body)] on success, [Error `Closed] on EOF
+    at a frame boundary, [Error (`Frame_error e)] on a bad length prefix
+    ({!Frame_too_large}), a malformed trailer length ([Invalid]) or
+    mid-frame EOF.  Raises [Unix.Unix_error] on socket errors. *)
 val read_frame :
-  Unix.file_descr -> (string, [ `Closed | `Frame_error of error ]) result
+  Unix.file_descr ->
+  (int * string, [ `Closed | `Frame_error of error ]) result
 
 (** The sending side of a connection: one buffer that it reuses, growing
     it only for more output than it holds. *)
@@ -189,9 +195,10 @@ module Frame_writer : sig
 
   val create : unit -> t
 
-  (** [add t body] appends [body]'s frame (length prefix, then body).
-      Raises [Invalid_argument] on a body {!frame} refuses. *)
-  val add : t -> string -> unit
+  (** [add t ~payload body] appends the frame {!frame} makes, its
+      trailer's zeros filled straight into the buffer.  Raises
+      [Invalid_argument] on a frame {!frame} refuses. *)
+  val add : t -> payload:int -> string -> unit
 
   (** [write t fd] writes to the non-blocking [fd] until nothing is left
       (true) or [fd] would block (false).  Raises [Unix.Unix_error] on
@@ -203,8 +210,11 @@ module Frame_writer : sig
 end
 
 (** The receiving side of a connection: a buffer that starts at 4 KiB and
-    grows only to fit a frame whose length prefix has passed the range
-    check, so a hostile prefix allocates nothing. *)
+    grows only to fit a frame's header and body once its length prefix
+    has passed the range check, so a hostile prefix allocates nothing.
+    A trailer never grows it: once the body is copied out, the trailer
+    is consumed where each [read] puts it, over as many reads as it
+    takes. *)
 module Frame_reader : sig
   type t
 
@@ -216,17 +226,21 @@ module Frame_reader : sig
   (** Current buffer size in bytes. *)
   val capacity : t -> int
 
-  (** [read t fd deliver] makes one [read] on [fd], then hands every
-      complete frame's body now buffered to [deliver], in order.  [`Open]:
-      the connection is still good.  [`Closed]: EOF at a frame boundary.
-      [`Frame_error Truncated]: EOF inside a frame.  [`Frame_error
-      (Frame_too_large n)]: an out-of-range length prefix; the frames
-      before it were delivered, and the stream cannot be framed further.
-      Raises [Unix.Unix_error] on socket errors; an exception from
-      [deliver] propagates, and the reader is not to be used after it. *)
+  (** [read t fd deliver] makes one [read] on [fd], then calls [deliver
+      payload body] for every frame whose last trailer byte is now in, in
+      order: a frame is handed on only once all of it has arrived.
+      [`Open]: the connection is still good.  [`Closed]: EOF at a frame
+      boundary.  [`Frame_error Truncated]: EOF inside a frame, trailer
+      included.  [`Frame_error (Frame_too_large n)]: an out-of-range
+      length prefix; [`Frame_error (Invalid _)]: a trailer length over
+      four bytes or leaving the body under two.  After either, the
+      frames before it were delivered, and the stream cannot be framed
+      further.  Raises [Unix.Unix_error] on socket errors; an exception
+      from [deliver] propagates, and the reader is not to be used after
+      it. *)
   val read :
     t ->
     Unix.file_descr ->
-    (string -> unit) ->
+    (int -> string -> unit) ->
     [ `Open | `Closed | `Frame_error of error ]
 end

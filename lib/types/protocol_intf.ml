@@ -29,7 +29,8 @@ module type S = sig
       proposal's payload bytes from its wire size (batch contents travel on
       the client→validator dissemination path, Narwhal-style) while sync
       retransmissions keep theirs.  Always ≤ {!msg_size} of the same
-      message. *)
+      message.  The socket transport sends this many bytes as each frame's
+      trailer, and refuses a frame whose trailer differs. *)
   val payload_bytes : msg -> int
 
   (** The view (round) a message belongs to, when it has one — used by the
@@ -44,8 +45,10 @@ module type S = sig
       of size-annotated in-memory values; every protocol supplies a frame
       codec for its message type (format: [docs/WIRE.md]). *)
 
-  (** Serialize to a wire-frame body (version byte, message tag, fields);
-      the transport prepends the length prefix. *)
+  (** Serialize to a wire-frame body (version byte, message tag, fields).
+      The body carries no payload bytes: the transport prepends the length
+      prefix and the trailer length, and appends {!payload_bytes} zeros as
+      the frame's trailer, without materializing them. *)
   val encode_msg : msg -> string
 
   (** Total inverse of {!encode_msg}: any byte string either decodes or

@@ -12,3 +12,10 @@ let minor_words f =
 let minor_bytes f =
   f ();
   minor_words f *. float_of_int (Sys.word_size / 8)
+
+(* Every byte [f ()] allocates, blocks of more than 256 words included
+   (they go straight to the major heap, where minor words miss them), after
+   one warm-up call. *)
+let bytes f =
+  f ();
+  Bft_obs.Alloc.measure f

@@ -173,7 +173,8 @@ let garbage_gen =
       (* Valid version byte, then noise: exercises the per-tag readers. *)
       (let* tag = QCheck.Gen.int_range 0 0x30 in
        let* rest = QCheck.Gen.string_size (QCheck.Gen.int_range 0 64) in
-       QCheck.Gen.return (Printf.sprintf "\x01%c%s" (Char.chr tag) rest));
+       QCheck.Gen.return
+         (Printf.sprintf "%c%c%s" (Char.chr Wire.version) (Char.chr tag) rest));
     ]
 
 let prop_garbage_never_raises =
@@ -214,32 +215,51 @@ let hex s =
 let pinned_vote_vector () =
   let body = Codec.encode (Message.Vote { kind = Vote_kind.Normal; block = Block.genesis }) in
   Alcotest.(check string)
-    "Vote{Normal, genesis} body" "01040100000000000000000000010000"
+    "Vote{Normal, genesis} body" "02040100000000000000000000010000"
     (hex body);
   Alcotest.(check string)
-    "framed" ("00000010" ^ hex body)
+    "framed" ("00000011" ^ "00" ^ hex body)
     (hex (Wire.frame body))
 
 let pinned_timeout_vector () =
   let body = Codec.encode (Message.Timeout { view = 3; lock = None }) in
-  Alcotest.(check string) "Timeout{3, None} body" "01050300" (hex body)
+  Alcotest.(check string) "Timeout{3, None} body" "02050300" (hex body)
 
 let pinned_jolteon_vote_vector () =
   let body = Jcodec.encode (Jmsg.Vote { block = Block.genesis }) in
   Alcotest.(check string)
-    "Jolteon Vote{genesis} body" "012200000000000000000000010000"
+    "Jolteon Vote{genesis} body" "022200000000000000000000010000"
     (hex body)
+
+(* A view-1 proposal on genesis with a 300-byte payload: the body holds
+   only the payload's size (a two-byte varint, [ac 02]); the frame's
+   trailer length says the same, and 300 zeros end the frame. *)
+let pinned_proposal_vector () =
+  let block =
+    Block.create ~parent:Block.genesis ~view:1 ~proposer:1
+      ~payload:(Payload.make ~id:1 ~size_bytes:300)
+  in
+  let m = Message.Propose { block; cert = Cert.genesis } in
+  let body = Codec.encode m in
+  Alcotest.(check string)
+    "Propose{view 1, 300 B payload; genesis cert} body"
+    "020253d3efa3b1aa8f5d01010201ac0201000000000000000000000001000001"
+    (hex body);
+  Alcotest.(check int) "payload bytes" 300 (Message.payload_bytes m);
+  Alcotest.(check string) "framed"
+    ("0000014e" ^ "ac02" ^ hex body ^ String.make 600 '0')
+    (hex (Wire.frame ~payload:300 body))
 
 let bad_version_rejected () =
   let body = Codec.encode (Message.Timeout { view = 3; lock = None }) in
-  let bad = "\x02" ^ String.sub body 1 (String.length body - 1) in
+  let bad = "\x01" ^ String.sub body 1 (String.length body - 1) in
   match Codec.decode bad with
-  | Error (Wire.Bad_version 2) -> ()
+  | Error (Wire.Bad_version 1) -> ()
   | Error e -> Alcotest.failf "wrong error: %s" (Wire.error_to_string e)
   | Ok _ -> Alcotest.fail "bad version accepted"
 
 let unknown_tag_rejected () =
-  match Codec.decode "\x01\x7f" with
+  match Codec.decode "\x02\x7f" with
   | Error (Wire.Bad_tag 0x7f) -> ()
   | Error e -> Alcotest.failf "wrong error: %s" (Wire.error_to_string e)
   | Ok _ -> Alcotest.fail "unknown tag accepted"
@@ -257,7 +277,7 @@ let negative_height_rejected () =
   let body =
     Wire.W.to_string
       (fun w () ->
-        Wire.W.u8 w 0x01;
+        Wire.W.u8 w Wire.version;
         Wire.W.u8 w 0x04;
         Wire.W.u8 w 1;
         Wire.W.u64 w 0L;
@@ -303,79 +323,106 @@ let pinned_wal_snapshot () =
 
 module Reader = Wire.Frame_reader
 
-(* Bodies from 2 bytes to past the reader's 4 KiB starting buffer, cut
-   after 48 KiB in all so that a whole stream fits in a pipe; and the
-   chunk sizes the stream arrives in, cycled, mostly small enough to cut
-   inside length prefixes. *)
+(* Frames of bodies from 2 bytes to past the reader's 4 KiB starting
+   buffer, with trailers from none to 64 KiB, cut after 160 KiB in all;
+   and the chunk sizes the stream arrives in, cycled, mostly small enough
+   to cut inside length prefixes and trailer lengths. *)
 let stream_gen =
   let open QCheck.Gen in
-  let body =
+  let frame =
     let* len =
       frequency
         [ (8, int_range 2 64); (3, int_range 65 1500); (1, int_range 4000 9000) ]
     in
-    string_size ~gen:char (return len)
+    let* body = string_size ~gen:char (return len) in
+    let* payload =
+      frequency
+        [ (4, return 0); (3, int_range 1 300); (1, int_range 4000 65536) ]
+    in
+    return (payload, body)
   in
-  let* bodies = list_size (int_range 0 12) body in
+  let* frames = list_size (int_range 0 12) frame in
   let rec under total = function
-    | b :: rest when total + String.length b <= 48 * 1024 ->
-        b :: under (total + String.length b) rest
+    | (payload, b) :: rest
+      when total + payload + String.length b <= 160 * 1024 ->
+        (payload, b) :: under (total + payload + String.length b) rest
     | _ -> []
   in
   let* chunks =
     list_size (int_range 1 8)
       (frequency [ (4, return 1); (3, int_range 2 7); (2, int_range 8 9000) ])
   in
-  return (under 0 bodies, chunks)
-
-let readable fd =
-  match Unix.select [ fd ] [] [] 0. with [], _, _ -> false | _ -> true
+  return (under 0 frames, chunks)
 
 (* What the buffered reader yields for [stream] written into a pipe in
    chunks of the given sizes, each chunk read before the next is written,
-   then EOF: the bodies and the final status. *)
+   then EOF: the (trailer, body) pairs, the final status, and the largest
+   buffer it had. *)
 let buffered_read stream chunks =
   let rd, wr = Unix.pipe () in
+  Unix.set_nonblock rd;
   let r = Reader.create () and got = ref [] and status = ref `Open in
-  let deliver body = got := body :: !got in
+  let cap = ref (Reader.capacity r) in
+  let deliver payload body = got := (payload, body) :: !got in
+  let rec read_all () =
+    match Reader.read r rd deliver with
+    | `Open ->
+        cap := Int.max !cap (Reader.capacity r);
+        read_all ()
+    | st -> status := st
+    | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) -> ()
+  in
   let rec feed pos = function
     | [] -> feed pos chunks
-    | k :: rest when pos < String.length stream ->
+    | k :: rest when pos < String.length stream && !status = `Open ->
         let k = Int.min k (String.length stream - pos) in
         Wire.write_all wr (String.sub stream pos k);
-        while !status = `Open && readable rd do
-          status := Reader.read r rd deliver
-        done;
+        read_all ();
         feed (pos + k) rest
     | _ -> ()
   in
   feed 0 chunks;
   Unix.close wr;
-  if !status = `Open then status := Reader.read r rd deliver;
+  if !status = `Open then read_all ();
   Unix.close rd;
-  (List.rev !got, !status)
+  (List.rev !got, !status, !cap)
 
-(* The same stream through [Wire.read_frame], one frame per call. *)
+(* The same stream through [Wire.read_frame], one frame per call, from a
+   file (a pipe would not hold it). *)
 let exact_read stream =
-  let rd, wr = Unix.pipe () in
-  Wire.write_all wr stream;
-  Unix.close wr;
+  let file = Filename.temp_file "moonshot-frames" "" in
+  Out_channel.with_open_bin file (fun oc -> Out_channel.output_string oc stream);
+  let fd = Unix.openfile file [ Unix.O_RDONLY ] 0 in
   let rec go acc =
-    match Wire.read_frame rd with
-    | Ok body -> go (body :: acc)
+    match Wire.read_frame fd with
+    | Ok frame -> go (frame :: acc)
     | Error _ -> List.rev acc
   in
-  let bodies = go [] in
-  Unix.close rd;
-  bodies
+  let frames = go [] in
+  Unix.close fd;
+  Sys.remove file;
+  frames
 
+(* Every frame arrives whole, trailer length included, and the reader's
+   buffer grows for bodies only: never past the largest body's frame
+   header and body, however long the trailers. *)
 let prop_reader_matches_read_frame =
   QCheck.Test.make ~name:"buffered reader = read_frame under any chunking"
-    ~count:200 (QCheck.make stream_gen) (fun (bodies, chunks) ->
-      let stream = String.concat "" (List.map Wire.frame bodies) in
-      let got, status = buffered_read stream chunks in
+    ~count:200 (QCheck.make stream_gen) (fun (frames, chunks) ->
+      let stream =
+        String.concat ""
+          (List.map (fun (payload, b) -> Wire.frame ~payload b) frames)
+      in
+      let got, status, cap = buffered_read stream chunks in
       let want = exact_read stream in
-      want = bodies && got = want && status = `Closed)
+      let biggest =
+        List.fold_left
+          (fun acc (payload, b) ->
+            Int.max acc (Wire.frame_size ~payload (String.length b) - payload))
+          0 frames
+      in
+      want = frames && got = want && status = `Closed
+      && cap <= Int.max 4096 (2 * biggest))
 
 let frame_error = function
   | `Frame_error e -> Wire.error_to_string e
@@ -393,10 +440,10 @@ let reader_rejects_bad_length () =
       let prefix =
         String.init 4 (fun i -> Char.chr ((len lsr (8 * (3 - i))) land 0xff))
       in
-      let good = if behind then Wire.frame "\x01\x05\x03\x00" else "" in
+      let good = if behind then Wire.frame "\x02\x05\x03\x00" else "" in
       Wire.write_all wr (good ^ prefix ^ String.make 64 'x');
       let got = ref 0 in
-      let status = Reader.read r rd (fun _ -> incr got) in
+      let status = Reader.read r rd (fun _ _ -> incr got) in
       Alcotest.(check string)
         (Printf.sprintf "length %d rejected" len)
         (Wire.error_to_string (Wire.Frame_too_large len))
@@ -410,6 +457,7 @@ let reader_rejects_bad_length () =
     [
       (0, false);
       (1, true);
+      (2, false);
       (Wire.max_frame_len + 1, false);
       (Wire.max_frame_len + 1, true);
       (0xffff_ffff, false);
@@ -417,21 +465,22 @@ let reader_rejects_bad_length () =
 
 (* A reader under a hello-sized limit refuses a larger frame without
    growing, unless the first frame lifts the limit as an accepted hello
-   does. *)
+   does.  The limit bounds the whole frame, so a short body with a long
+   trailer is refused like a long body. *)
 let reader_limit () =
+  let hello = String.make 16 'h' in
   List.iter
-    (fun lift ->
+    (fun (lift, (payload, big)) ->
       let r = Reader.create () in
-      Reader.set_limit r 16;
+      Reader.set_limit r (Wire.frame_size ~payload:0 (String.length hello) - 4);
       let cap = Reader.capacity r in
-      let big = "\x01\x05" ^ String.make 8192 'b' in
       let rd, wr = Unix.pipe () in
-      Wire.write_all wr (Wire.frame (String.make 16 'h') ^ Wire.frame big);
+      Wire.write_all wr (Wire.frame hello ^ Wire.frame ~payload big);
       Unix.close wr;
       let got = ref [] and status = ref `Open in
-      let deliver body =
+      let deliver p body =
         if lift then Reader.set_limit r Wire.max_frame_len;
-        got := body :: !got
+        got := (p, body) :: !got
       in
       while !status = `Open do
         status := Reader.read r rd deliver
@@ -441,41 +490,83 @@ let reader_limit () =
         Alcotest.(check string) "lifted: stream ends cleanly" "closed"
           (frame_error !status);
         Alcotest.(check bool) "lifted: both frames" true
-          (List.rev !got = [ String.make 16 'h'; big ])
+          (List.rev !got = [ (0, hello); (payload, big) ])
       end
       else begin
         Alcotest.(check string) "kept: refused"
-          (Wire.error_to_string (Wire.Frame_too_large (String.length big)))
+          (Wire.error_to_string
+             (Wire.Frame_too_large
+                (Wire.frame_size ~payload (String.length big) - 4)))
           (frame_error !status);
         Alcotest.(check int) "kept: buffer not grown" cap (Reader.capacity r)
       end)
-    [ true; false ]
+    (List.concat_map
+       (fun lift ->
+         [ (lift, (0, "\x02\x05" ^ String.make 8192 'b'));
+           (lift, (8192, "\x02\x05")) ])
+       [ true; false ])
 
 (* EOF at a frame boundary closes; EOF inside a frame, its length prefix
-   included, is a torn frame. *)
+   and trailer included, is a torn frame.  A frame is delivered only once
+   its last trailer byte is in. *)
 let reader_eof () =
-  let frame = Wire.frame "\x01\x05\x03\x00" in
+  let frame = Wire.frame "\x02\x05\x03\x00" in
+  let long = Wire.frame ~payload:5000 "\x02\x05\x03\x00" in
   List.iter
-    (fun (what, input, want) ->
+    (fun (what, input, want, frames) ->
       let r = Reader.create () in
       let rd, wr = Unix.pipe () in
       Wire.write_all wr input;
       Unix.close wr;
-      let status = ref `Open in
+      let status = ref `Open and got = ref 0 in
       while !status = `Open do
-        status := Reader.read r rd ignore
+        status := Reader.read r rd (fun _ _ -> incr got)
       done;
       Unix.close rd;
-      Alcotest.(check string) what want (frame_error !status))
+      Alcotest.(check string) what want (frame_error !status);
+      Alcotest.(check int) (what ^ ": frames delivered") frames !got)
     [
-      ("empty stream", "", "closed");
-      ("after a whole frame", frame, "closed");
-      ("inside a body", frame ^ String.sub frame 0 6, "truncated input");
-      ("inside a length prefix", frame ^ String.sub frame 0 2, "truncated input");
+      ("empty stream", "", "closed", 0);
+      ("after a whole frame", frame, "closed", 1);
+      ("after a whole trailer", frame ^ long, "closed", 2);
+      ("inside a body", frame ^ String.sub frame 0 6, "truncated input", 1);
+      ( "inside a length prefix",
+        frame ^ String.sub frame 0 2,
+        "truncated input",
+        1 );
+      ( "inside a trailer",
+        frame ^ String.sub long 0 (String.length long - 1),
+        "truncated input",
+        1 );
     ]
 
-(* The sender writes each body's frame, behind the framed hello, and
-   counts every frame as its length prefix plus its body. *)
+(* A malformed trailer length ends the stream like a bad length prefix:
+   one of five bytes, or one that leaves the body under two bytes. *)
+let reader_bad_trailer () =
+  List.iter
+    (fun (what, rest) ->
+      let r = Reader.create () in
+      let rd, wr = Unix.pipe () in
+      let len = String.length rest in
+      let prefix =
+        String.init 4 (fun i -> Char.chr ((len lsr (8 * (3 - i))) land 0xff))
+      in
+      Wire.write_all wr (Wire.frame "\x02\x05\x03\x00" ^ prefix ^ rest);
+      Unix.close wr;
+      let got = ref 0 and status = ref `Open in
+      while !status = `Open do
+        status := Reader.read r rd (fun _ _ -> incr got)
+      done;
+      Unix.close rd;
+      Alcotest.(check string) what "bad trailer length" (frame_error !status);
+      Alcotest.(check int) (what ^ ": the frame before it delivered") 1 !got)
+    [
+      ("five-byte trailer length", "\x80\x80\x80\x80\x00\x02\x05");
+      ("no room for a body", "\x03\x02\x05\x00\x00");
+    ]
+
+(* The sender writes each frame, trailer included, behind the framed
+   hello, and counts every frame's bytes. *)
 let sender_frames () =
   let listener = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.bind listener (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
@@ -485,17 +576,20 @@ let sender_frames () =
     | Unix.ADDR_INET (_, p) -> p
     | _ -> assert false
   in
-  let hello = "\x01\x00hello" in
-  let bodies =
-    [ "\x01\x05"; String.make 16 'v'; String.make 300 'p'; String.make 5000 'q' ]
+  let hello = "\x02\x00hello" in
+  let frames =
+    [ (0, "\x02\x05"); (0, String.make 16 'v'); (300, String.make 300 'p');
+      (70_000, String.make 5000 'q') ]
   in
   let t0 = Unix.gettimeofday () in
   let cm =
     Bft_net.Conn_manager.create ~n:2 ~id:0 ~ports:[| 0; port |] ~hello
-      ~now_ms:(fun () -> (Unix.gettimeofday () -. t0) *. 1000.)
+      ~now_into:(fun a i -> a.(i) <- (Unix.gettimeofday () -. t0) *. 1000.)
       ~plane:Bft_net.Fault_plane.none ()
   in
-  List.iter (Bft_net.Conn_manager.send cm ~dst:1 ~src_view:0) bodies;
+  List.iter
+    (fun (payload, b) -> Bft_net.Conn_manager.send cm ~dst:1 ~src_view:0 ~payload b)
+    frames;
   Bft_net.Conn_manager.release cm;
   Alcotest.(check bool) "queue drained" true
     (Bft_net.Conn_manager.drain cm);
@@ -513,18 +607,23 @@ let sender_frames () =
   drain ();
   Unix.close fd;
   Unix.close listener;
-  Alcotest.(check string) "hello, then each body's frame"
-    (hex (String.concat "" (List.map Wire.frame (hello :: bodies))))
+  Alcotest.(check string) "hello, then each frame"
+    (hex
+       (String.concat ""
+          (Wire.frame hello
+          :: List.map (fun (payload, b) -> Wire.frame ~payload b) frames)))
     (hex (Buffer.contents received));
-  Alcotest.(check int) "messages sent" (List.length bodies)
+  Alcotest.(check int) "messages sent" (List.length frames)
     st.Bft_net.Conn_manager.messages_sent;
-  Alcotest.(check int) "bytes sent: prefix + body per frame"
-    (List.fold_left (fun acc b -> acc + 4 + String.length b) 0 bodies)
+  Alcotest.(check int) "bytes sent: whole frames"
+    (List.fold_left
+       (fun acc (payload, b) -> acc + Wire.frame_size ~payload (String.length b))
+       0 frames)
     st.Bft_net.Conn_manager.bytes_sent
 
 module Cm = Bft_net.Conn_manager
 
-let test_hello = "\x01\x00hello"
+let test_hello = "\x02\x00hello"
 
 (* A loopback listener on a free port, with accept queue [backlog] and
    receive buffer [rcvbuf] if given, and node 0 of two managing its
@@ -543,7 +642,7 @@ let manager_to_listener ?rcvbuf ?(backlog = 4)
   let t0 = Unix.gettimeofday () in
   let cm =
     Cm.create ~n:2 ~id:0 ~ports:[| 0; port |] ~hello:test_hello
-      ~now_ms:(fun () -> (Unix.gettimeofday () -. t0) *. 1000.)
+      ~now_into:(fun a i -> a.(i) <- (Unix.gettimeofday () -. t0) *. 1000.)
       ~plane ()
   in
   (listener, cm)
@@ -567,9 +666,9 @@ let accept_all listener =
 (* A frame sent after the last release never reaches the wire. *)
 let held_frame_unwritten () =
   let listener, cm = manager_to_listener () in
-  Cm.send cm ~dst:1 ~src_view:0 "\x01\x05released";
+  Cm.send cm ~dst:1 ~src_view:0 ~payload:0 "\x01\x05released";
   Cm.release cm;
-  Cm.send cm ~dst:1 ~src_view:0 "\x01\x05held";
+  Cm.send cm ~dst:1 ~src_view:0 ~payload:0 "\x01\x05held";
   let st = Cm.stats cm in
   Cm.close cm;
   Alcotest.(check string) "hello, then the released frame only"
@@ -587,7 +686,7 @@ let stalled_peer () =
     List.init 128 (fun i ->
         Printf.sprintf "\x01%c%s" (Char.chr i) (String.make 65536 'b'))
   in
-  List.iter (Cm.send cm ~dst:1 ~src_view:0) bodies;
+  List.iter (Cm.send cm ~dst:1 ~src_view:0 ~payload:0) bodies;
   let t = Unix.gettimeofday () in
   Cm.release cm;
   let took = Unix.gettimeofday () -. t in
@@ -597,7 +696,7 @@ let stalled_peer () =
   Alcotest.(check bool) "output left for later" true (Cm.blocked cm <> []);
   let fd, _ = Unix.accept listener in
   let reader = Reader.create () and got = ref [] and frames = ref 0 in
-  let deliver body =
+  let deliver _ body =
     got := body :: !got;
     incr frames
   in
@@ -616,8 +715,10 @@ let stalled_peer () =
   Alcotest.(check bool) "hello, then every body in order" true
     (List.rev !got = test_hello :: bodies);
   Alcotest.(check int) "messages sent" 128 st.Cm.messages_sent;
-  Alcotest.(check int) "bytes sent: prefix + body per frame"
-    (List.fold_left (fun acc b -> acc + 4 + String.length b) 0 bodies)
+  Alcotest.(check int) "bytes sent: whole frames"
+    (List.fold_left
+       (fun acc b -> acc + Wire.frame_size ~payload:0 (String.length b))
+       0 bodies)
     st.Cm.bytes_sent
 
 (* A crash drain waits out a delay window: frames held 600 ms reach the
@@ -634,7 +735,7 @@ let drain_waits_out_delay () =
   in
   let listener, cm = manager_to_listener ~plane () in
   let bodies = [ "\x01\x05"; String.make 16 'v'; String.make 300 'p' ] in
-  List.iter (Cm.send cm ~dst:1 ~src_view:0) bodies;
+  List.iter (Cm.send cm ~dst:1 ~src_view:0 ~payload:0) bodies;
   Cm.release cm;
   Alcotest.(check int) "nothing written before the delay" 0
     (Cm.stats cm).Cm.messages_sent;
@@ -658,7 +759,7 @@ let dial_never_waits () =
   let filler = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.connect filler (Unix.getsockname listener);
   let body = "\x01\x05queued" in
-  Cm.send cm ~dst:1 ~src_view:0 body;
+  Cm.send cm ~dst:1 ~src_view:0 ~payload:0 body;
   let returned = Atomic.make false in
   let (_ : Thread.t) =
     Thread.create
@@ -682,6 +783,12 @@ let dial_never_waits () =
     | _ -> ());
     Cm.release cm
   done;
+  (* The dial can complete, and the frame go out, before [select] sees
+     the listener readable: accept the connection still queued. *)
+  if List.length !accepted < 2 then (
+    match Unix.select [ listener ] [] [] 1. with
+    | l :: _, _, _ -> accepted := fst (Unix.accept l) :: !accepted
+    | _ -> ());
   Cm.close cm;
   Unix.close filler;
   let received = Buffer.create 64 and buf = Bytes.create 64 in
@@ -707,7 +814,7 @@ let broken_connection_drops () =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let listener, cm = manager_to_listener () in
   let send_release body =
-    Cm.send cm ~dst:1 ~src_view:0 body;
+    Cm.send cm ~dst:1 ~src_view:0 ~payload:0 body;
     Cm.release cm
   in
   send_release "\x01\x05first";
@@ -722,14 +829,59 @@ let broken_connection_drops () =
   (* The kernel takes this one; the peer answers it with a reset. *)
   send_release "\x01\x05second";
   Unix.sleepf 0.05;
-  Cm.send cm ~dst:1 ~src_view:0 "\x01\x05third";
+  Cm.send cm ~dst:1 ~src_view:0 ~payload:0 "\x01\x05third";
   send_release "\x01\x05fourth";
   let st = Cm.stats cm in
   Cm.close cm;
   Unix.close listener;
   Alcotest.(check int) "messages sent" 2 st.Cm.messages_sent;
-  Alcotest.(check int) "bytes sent" (4 + 7 + 4 + 8) st.Cm.bytes_sent;
+  Alcotest.(check int) "bytes sent"
+    (Wire.frame_size ~payload:0 7 + Wire.frame_size ~payload:0 8)
+    st.Cm.bytes_sent;
   Alcotest.(check int) "dropped" 2 st.Cm.dropped.(1)
+
+(* Once the FIFO ring and the peer's output buffer have grown to the
+   backlog, sending and releasing a frame allocates nothing: rounds of
+   twenty 64-byte bodies with 300-byte trailers, each round read out by
+   the peer.  While the FIFO was a [Queue] of records, a send cost about
+   100 B: the record, its boxed release time, the queue cell, and the
+   boxed clock and delay readings. *)
+let sender_alloc () =
+  let listener, cm = manager_to_listener () in
+  let body = "\x02\x05" ^ String.make 62 'v' and payload = 300 in
+  let per_round = 20 in
+  let round_bytes = per_round * Wire.frame_size ~payload (String.length body) in
+  let buf = Bytes.create round_bytes in
+  let round () =
+    for _ = 1 to per_round do
+      Cm.send cm ~dst:1 ~src_view:0 ~payload body
+    done;
+    Cm.release cm
+  in
+  round ();
+  let fd, _ = Unix.accept listener in
+  let rec read_exactly fd n =
+    if n > 0 then read_exactly fd (n - Unix.read fd buf 0 (Int.min n round_bytes))
+  in
+  read_exactly fd (String.length (Wire.frame test_hello) + round_bytes);
+  let rounds = 200 in
+  let bytes =
+    Bft_obs.Alloc.measure (fun () ->
+        for _ = 1 to rounds do
+          round ();
+          read_exactly fd round_bytes
+        done)
+  in
+  let st = Cm.stats cm in
+  Cm.close cm;
+  Unix.close fd;
+  Unix.close listener;
+  Alcotest.(check int) "every frame sent" ((rounds + 1) * per_round)
+    st.Cm.messages_sent;
+  let per_frame = bytes /. float_of_int (rounds * per_round) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.3f B/frame under 0.1" per_frame)
+    true (per_frame < 0.1)
 
 (* --- live clusters --------------------------------------------------------- *)
 
@@ -852,7 +1004,7 @@ let traced_cluster () =
   Alcotest.(check bool) "has latency samples" true
     (Tcp.quorum_latencies r ~quorum <> [])
 
-let hello_frame ?(version = 0x01) ~sender ~n ~protocol () =
+let hello_frame ?(version = Wire.version) ~sender ~n ~protocol () =
   Wire.frame
     (Wire.W.to_string
        (fun w () ->
@@ -971,7 +1123,7 @@ let hello_rejects () =
        an inbound hello naming the listener itself is an impostor. *)
     try_hello "sender is self" (hello_frame ~sender:0 ~n:4 ~protocol:proto ());
     try_hello "stale version"
-      (hello_frame ~version:0x02 ~sender:2 ~n:4 ~protocol:proto ())
+      (hello_frame ~version:0x01 ~sender:2 ~n:4 ~protocol:proto ())
   in
   (* A thread's exception does not reach [Thread.join]: carry it over. *)
   let failed = ref None in
@@ -1147,13 +1299,15 @@ end
 
 module Ex = Executor.Make (Counted)
 
-(* What left an executor: a frame body for [dst], a release, a snapshot. *)
-type outbound = Sent of int * string | Released | Persisted of string
+(* What left an executor: a frame body for [dst] with its trailer length, a
+   release, a snapshot. *)
+type outbound = Sent of int * int * string | Released | Persisted of string
 
 (* Node [id] of four, round-robin leaders from view 1 (node 1 leads it),
-   view timers at 1 s, on a clock that only the test moves.  Returns the
-   executor, the clock and a reader of everything it sent, in order. *)
-let executor ?faults ~id () =
+   view timers at 1 s, proposing [payload_bytes]-byte payloads, on a clock
+   that only the test moves.  Returns the executor, the clock and a reader
+   of everything it sent, in order. *)
+let executor ?faults ?(payload_bytes = 0) ~id () =
   let clock = ref 0. and out = ref [] in
   let record o = out := o :: !out in
   let policy =
@@ -1161,7 +1315,7 @@ let executor ?faults ~id () =
       Bft_net.Node_host.n = 4;
       delta = 1000.;
       leader_of = (fun v -> v mod 4);
-      payload_bytes = 0;
+      payload_bytes;
       ingest = None;
       trace = None;
       faults;
@@ -1170,7 +1324,7 @@ let executor ?faults ~id () =
   let sink =
     {
       Executor.send =
-        (fun ~dst ~src_view:_ body -> record (Sent (dst, body)));
+        (fun ~dst ~src_view:_ ~payload body -> record (Sent (dst, payload, body)));
       release = (fun () -> record Released);
     }
   in
@@ -1192,21 +1346,22 @@ let no_traffic =
     reconnects = 0;
   }
 
-(* The view-1 proposal node 1 sends to node 2 when it starts. *)
-let view1_proposal () =
-  let leader, _, out = executor ~id:1 () in
+(* The view-1 proposal node 1 sends to node 2 when it starts, as its
+   trailer length and body. *)
+let view1_proposal ?payload_bytes () =
+  let leader, _, out = executor ?payload_bytes ~id:1 () in
   Ex.start leader;
   match
     List.find_map
       (function
-        | Sent (2, body) -> (
+        | Sent (2, payload, body) -> (
             match Pm.decode_msg body with
-            | Ok m when Pm.classify m = `Proposal -> Some body
+            | Ok m when Pm.classify m = `Proposal -> Some (payload, body)
             | _ -> None)
         | _ -> None)
       (out ())
   with
-  | Some body -> body
+  | Some frame -> frame
   | None -> Alcotest.fail "the leader sent node 2 no proposal"
 
 (* Every vote frame must be recorded by a snapshot handed to [persist]
@@ -1215,7 +1370,7 @@ let check_votes_persisted out =
   let votes = ref 0 and pending = ref [] in
   List.iter
     (function
-      | Sent (_, body) -> (
+      | Sent (_, _, body) -> (
           match Result.map Pm.vote_slot (Pm.decode_msg body) with
           | Ok (Some (view, slot)) ->
               incr votes;
@@ -1244,10 +1399,10 @@ let executor_output_commit () =
   let leader, _, out = executor ~id:1 () in
   Ex.start leader;
   check_votes_persisted (out ());
-  let proposal = view1_proposal () in
+  let payload, proposal = view1_proposal () in
   let ex, _, out = executor ~id:2 () in
   Ex.start ex;
-  Ex.receive ex ~src:1 proposal;
+  Ex.receive ex ~src:1 ~payload proposal;
   Ex.step ex;
   check_votes_persisted (out ())
 
@@ -1282,7 +1437,7 @@ let executor_malformed () =
   let ex, _, out = executor ~id:2 () in
   Ex.start ex;
   let handled = !Counted.handled and sent = List.length (out ()) in
-  Ex.receive ex ~src:3 "\x01\x7f\xde\xad";
+  Ex.receive ex ~src:3 ~payload:0 "\x02\x7f\xde\xad";
   Ex.step ex;
   Alcotest.(check int) "no handler ran" handled !Counted.handled;
   Alcotest.(check bool) "nothing persisted" false
@@ -1296,7 +1451,7 @@ let executor_malformed () =
   Alcotest.(check bool) "no crash snapshot" true (crash_wal = None)
 
 let executor_crash_verdict () =
-  let proposal = view1_proposal () in
+  let payload, proposal = view1_proposal () in
   let faults =
     match Bft_faults.Fault_schedule.of_string "crash@5:2" with
     | Ok s -> Bft_faults.Logical.of_schedule_exn ~n:4 s
@@ -1312,8 +1467,8 @@ let executor_crash_verdict () =
   (* The proposal's handler runs; its fault step sees view 11 >= 5.  Its
      vote to itself, the second copy and the due timer must not run. *)
   Counted.view_offset := 10;
-  Ex.receive ex ~src:1 proposal;
-  Ex.receive ex ~src:1 proposal;
+  Ex.receive ex ~src:1 ~payload proposal;
+  Ex.receive ex ~src:1 ~payload proposal;
   Ex.step ex;
   Counted.view_offset := 0;
   Alcotest.(check int) "only the crashing handler ran" (handled + 1)
@@ -1323,6 +1478,88 @@ let executor_crash_verdict () =
   check_votes_persisted (out ());
   let _, crash_wal = Ex.finish ex no_traffic in
   Alcotest.(check bool) "crash snapshot" true (crash_wal <> None)
+
+(* Frames from peer 1 as the select shell hands them on: read by a
+   [Frame_reader], then received by [ex]. *)
+let to_executor ex payload body = Ex.receive ex ~src:1 ~payload body
+
+(* A frame whose trailer is not its proposal's payload is a malformed
+   body: counted against its sender, no handler runs, and the stream goes
+   on, so the proposal's well-formed frame behind it is handled. *)
+let executor_trailer_mismatch () =
+  let payload, proposal = view1_proposal ~payload_bytes:2048 () in
+  let ex, _, _ = executor ~id:2 () in
+  Ex.start ex;
+  let r = Reader.create () and rd, wr = Unix.pipe () in
+  Unix.set_nonblock rd;
+  let read_all () =
+    let rec go () =
+      match Reader.read r rd (to_executor ex) with
+      | `Open -> go ()
+      | st -> Alcotest.failf "stream ended: %s" (frame_error st)
+      | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) -> ()
+    in
+    go ()
+  in
+  let handled = !Counted.handled in
+  List.iter
+    (fun p ->
+      Wire.write_all wr (Wire.frame ~payload:p proposal);
+      read_all ())
+    [ payload - 1; payload + 1; 0 ];
+  Alcotest.(check int) "no handler ran" handled !Counted.handled;
+  Wire.write_all wr (Wire.frame ~payload proposal);
+  read_all ();
+  Alcotest.(check bool) "the well-formed frame was handled" true
+    (!Counted.handled > handled);
+  Unix.close wr;
+  Alcotest.(check string) "then a clean close" "closed"
+    (frame_error (Reader.read r rd (to_executor ex)));
+  Unix.close rd;
+  let res, _ = Ex.finish ex no_traffic in
+  Alcotest.(check (array int)) "counted against peer 1" [| 0; 3; 0; 0 |]
+    res.Executor.malformed_by_peer
+
+(* Receiving a proposal, from its frame's first byte to the end of its
+   handler, allocates the same for a 0 B, a 2 KiB and a 1 MiB payload,
+   and the reader's buffer stays at 4 KiB: the trailer is skipped where
+   it lands, never copied.  While the payload was padding inside the body,
+   the reader grew its buffer to the frame and copied the body out, and
+   the decoder read the padding: about 2 MiB for the 1 MiB payload. *)
+let executor_receive_alloc () =
+  let receive payload_bytes =
+    let payload, proposal = view1_proposal ~payload_bytes () in
+    let file = Filename.temp_file "moonshot-frame" "" in
+    Out_channel.with_open_bin file (fun oc ->
+        Out_channel.output_string oc (Wire.frame ~payload proposal));
+    let ex, _, _ = executor ~id:2 () in
+    Ex.start ex;
+    let fd = Unix.openfile file [ Unix.O_RDONLY ] 0 in
+    let r = Reader.create () and deliver = to_executor ex in
+    let handled = !Counted.handled and status = ref `Open in
+    let bytes =
+      Bft_obs.Alloc.measure (fun () ->
+          while !status = `Open do
+            status := Reader.read r fd deliver
+          done)
+    in
+    Unix.close fd;
+    Sys.remove file;
+    Alcotest.(check string) "whole frame read" "closed" (frame_error !status);
+    Alcotest.(check bool) "proposal handled" true (!Counted.handled > handled);
+    Alcotest.(check int) "reader buffer" 4096 (Reader.capacity r);
+    bytes
+  in
+  ignore (receive 0);
+  let base = receive 0 in
+  List.iter
+    (fun size ->
+      let bytes = receive size in
+      Alcotest.(check bool)
+        (Printf.sprintf "%d B payload: %.0f B against %.0f B" size bytes base)
+        true
+        (Float.abs (bytes -. base) <= 64.))
+    [ 2048; 1 lsl 20 ]
 
 (* --- chaos: fault injection on live sockets -------------------------------- *)
 
@@ -1681,6 +1918,8 @@ let () =
           Alcotest.test_case "timeout (pinned)" `Quick pinned_timeout_vector;
           Alcotest.test_case "jolteon vote (pinned)" `Quick
             pinned_jolteon_vote_vector;
+          Alcotest.test_case "proposal with trailer (pinned)" `Quick
+            pinned_proposal_vector;
           Alcotest.test_case "bad version" `Quick bad_version_rejected;
           Alcotest.test_case "unknown tag" `Quick unknown_tag_rejected;
           Alcotest.test_case "trailing bytes" `Quick trailing_rejected;
@@ -1703,6 +1942,9 @@ let () =
             Alcotest.test_case "broken connection drops" `Quick
               broken_connection_drops;
             Alcotest.test_case "hello-sized limit" `Quick reader_limit;
+            Alcotest.test_case "bad trailer length" `Quick reader_bad_trailer;
+            Alcotest.test_case "send and release allocate nothing" `Quick
+              sender_alloc;
           ] );
       ( "cluster",
         List.map cluster_case Protocol_kind.all
@@ -1731,6 +1973,10 @@ let () =
           Alcotest.test_case "malformed body" `Quick executor_malformed;
           Alcotest.test_case "crash verdict ends the iteration" `Quick
             executor_crash_verdict;
+          Alcotest.test_case "trailer mismatch is malformed" `Quick
+            executor_trailer_mismatch;
+          Alcotest.test_case "receive cost independent of payload" `Quick
+            executor_receive_alloc;
         ] );
       ( "chaos",
         [

@@ -253,6 +253,39 @@ let test_breakdown_counts_messages () =
          r.Breakdown.commit_ms = None || (r.Breakdown.msgs > 0 && r.Breakdown.bytes > 0))
        rows)
 
+(* --- Exact allocation counts ------------------------------------------------ *)
+
+let word = Sys.word_size / 8
+
+(* 1000 list cells are 3,000 words, read as such however many of them the
+   minor heap still holds (on OCaml 5.1 [Gc.allocated_bytes] read these
+   24,000 B as 3,012 B), and after a minor collection promotes them. *)
+let test_alloc_minor_exact () =
+  let keep = ref [] in
+  let cons () =
+    for i = 1 to 1000 do
+      keep := i :: !keep
+    done
+  in
+  check_int "list cells" (3000 * word)
+    (int_of_float (Bft_obs.Alloc.measure cons));
+  check_int "list cells, then a minor collection" (3000 * word)
+    (int_of_float
+       (Bft_obs.Alloc.measure (fun () ->
+            cons ();
+            Gc.minor ())));
+  check "kept" true (List.length !keep = 2000)
+
+(* A 4 KiB [Bytes.create] goes straight to the major heap, which minor
+   words never see: its header and 513 words are counted all the same. *)
+let test_alloc_direct_major () =
+  let keep = ref Bytes.empty in
+  let bytes =
+    Bft_obs.Alloc.measure (fun () -> keep := Bytes.create 4096)
+  in
+  check_int "4 KiB bytes" (4096 + (2 * word)) (int_of_float bytes);
+  check_int "kept" 4096 (Bytes.length !keep)
+
 let () =
   Alcotest.run "obs"
     [
@@ -283,6 +316,12 @@ let () =
         [
           Alcotest.test_case "emit and clear" `Quick test_sink_emit_and_clear;
           Alcotest.test_case "jsonl lines" `Quick test_jsonl_one_line_per_event;
+        ] );
+      ( "alloc",
+        [
+          Alcotest.test_case "minor heap exact" `Quick test_alloc_minor_exact;
+          Alcotest.test_case "direct major blocks" `Quick
+            test_alloc_direct_major;
         ] );
       ( "breakdown",
         [

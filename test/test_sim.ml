@@ -663,7 +663,8 @@ let test_engine_link_windows () =
    and the CPU queue: the WAN matrix, and uniform latency with jitter
    (both draw from the Rng per message).  When times and Rng state still
    crossed module boundaries as floats and Int64s, which the dev profile's
-   [-opaque] boxes, this measured about 88 B/event. *)
+   [-opaque] boxes, this measured about 88 B/event.  Counted exactly
+   ({!Bft_obs.Alloc}): [Gc.allocated_bytes] lags the minor heap. *)
 let test_engine_alloc latency () =
   let n = 100 in
   let network =
@@ -689,11 +690,12 @@ let test_engine_alloc latency () =
   round ();
   let events0 = (Engine.stats e).Engine.events_processed in
   let delivered0 = !delivered in
-  let bytes0 = Gc.allocated_bytes () in
-  for _ = 1 to 10 do
-    round ()
-  done;
-  let bytes = Gc.allocated_bytes () -. bytes0 in
+  let bytes =
+    Bft_obs.Alloc.measure (fun () ->
+        for _ = 1 to 10 do
+          round ()
+        done)
+  in
   let events = (Engine.stats e).Engine.events_processed - events0 in
   check_int "every copy delivered" (10 * n * n) (!delivered - delivered0);
   let per_event = bytes /. float_of_int events in
