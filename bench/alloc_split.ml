@@ -30,7 +30,8 @@
    engine, network and CPU models in the simulator; frame reads, [select],
    the output buffers and their writes, and WAL writes on sockets), the
    direct major-heap bytes, and the run's total, which is what the
-   benchmark's [alloc_bytes_per_block] reads.  Prints only.
+   benchmark's [alloc_bytes_per_block] reads; a simulator leg adds the
+   most entries its event heap held at once.  Prints only.
 
    The classes are charged minor-heap words only: a block of more than
    256 words goes straight to the major heap, and is counted only in the
@@ -301,8 +302,9 @@ let net_config p ~blocks ~wal_dir =
 let word_bytes = float_of_int (Sys.word_size / 8)
 
 (* Run [f], which returns its quorum-committed block count, and print the
-   split under [title]. *)
-let report title f =
+   split under [title]; a simulator leg also prints the most entries its
+   event heap held ([peak], set by [f]). *)
+let report ?peak title f =
   reset ();
   let w0 = Gc.minor_words () and b0 = Bft_obs.Alloc.allocated_bytes () in
   let blocks = f () in
@@ -326,14 +328,19 @@ let report title f =
   row "substrate" (per_block (minor -. !attributed));
   row "direct major" (per_block (total -. minor));
   row "whole run" (per_block total);
+  (match peak with
+  | Some p -> Printf.printf "  %-18s %10d entries\n" "event heap peak" !p
+  | None -> ());
   print_newline ()
 
 let sim_leg ~workload config p
     (m : (module Protocol_intf.S with type msg = 'm)) =
-  report
+  let peak = ref 0 in
+  report ~peak
     (Printf.sprintf "%s on %s (seed 1)" (Kind.name p) workload)
     (fun () ->
       let r = Harness.run_protocol m (config p) in
+      peak := r.Harness.peak_pending;
       r.Harness.metrics.Bft_runtime.Metrics.committed_blocks)
 
 let socket_leg ~blocks p (m : (module Protocol_intf.S with type msg = 'm)) =

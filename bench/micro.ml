@@ -91,8 +91,9 @@ let engine_wan_fanout () =
   let seconds = Unix.gettimeofday () -. t0 in
   let bytes = Bft_obs.Alloc.allocated_bytes () -. bytes0 in
   let events = float_of_int (stats.Bft_sim.Engine.events_processed - events0) in
-  Format.printf "%-36s %12.1f ns/event %8.2f B/event@."
+  Format.printf "%-36s %12.1f ns/event %8.2f B/event  heap peak %d@."
     "engine WAN fan-out n=100" (seconds *. 1e9 /. events) (bytes /. events)
+    stats.Bft_sim.Engine.peak_pending
 
 let test_store_ancestry =
   Test.make ~name:"block-store ancestry depth 64"

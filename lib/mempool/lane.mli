@@ -1,9 +1,12 @@
 (** Bounded FIFO of pending commands (one mempool shard).
 
-    A ring over two preallocated unboxed arrays — sequence number and submit
-    time per entry — so pushes and pops on the ingestion hot path allocate
-    nothing.  Times come in and go out through float array slots: a float
-    passed across a module boundary is boxed.  Capacity is fixed at
+    A ring over two unboxed arrays — sequence number and submit time per
+    entry — so pushes and pops on the ingestion hot path allocate nothing
+    once the ring has grown to the lane's working depth.  The arrays start
+    at 128 slots (or the capacity, if smaller) and double when full, up to
+    the capacity, so a lane sized for a burst costs memory only once a
+    burst fills it.  Times come in and go out through float array slots: a
+    float passed across a module boundary is boxed.  Capacity is fixed at
     creation; [push] on a full lane raises (admission control decides
     before pushing). *)
 

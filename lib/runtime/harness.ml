@@ -14,6 +14,7 @@ type run_result = {
   messages_sent : int;
   bytes_sent : int;
   events_processed : int;
+  peak_pending : int;
   config : Config.t;
   fault_summary : fault_summary option;
   client_summary : Bft_mempool.Ingest.summary option;
@@ -25,8 +26,9 @@ let events_processed_total () = Atomic.get total_events
 
 (* Lifetime allocation counter for the alloc-per-event probe: each run adds
    the bytes its domain allocated between node start-up and the end of the
-   event loop (measured with [Gc.allocated_bytes], which is per-domain), so
-   bench reports can divide by the event counter above. *)
+   event loop (read exactly with {!Bft_obs.Alloc}, which is per-domain;
+   [Gc.allocated_bytes] lags the minor heap on OCaml 5.1), so bench
+   reports can divide by the event counter above. *)
 let total_alloc = Atomic.make 0
 let bytes_allocated_total () = Atomic.get total_alloc
 
@@ -342,13 +344,13 @@ let run_protocol (type m) ?(on_commit = fun ~node:_ _ -> ()) ?trace
        heal_windows
    end);
   Log.debug (fun m -> m "starting run: %a" Config.pp cfg);
-  let alloc0 = Gc.allocated_bytes () in
+  let alloc0 = Bft_obs.Alloc.allocated_bytes () in
   Array.iter H.start hosts;
   (* A logical crash anchored at a view the node reaches during start-up
      must land before any message is delivered. *)
   Array.iter H.fault_step hosts;
   Bft_sim.Engine.run engine ~until:cfg.Config.duration_ms;
-  let alloc = Gc.allocated_bytes () -. alloc0 in
+  let alloc = Bft_obs.Alloc.allocated_bytes () -. alloc0 in
   let stats = Bft_sim.Engine.stats engine in
   ignore
     (Atomic.fetch_and_add total_events stats.Bft_sim.Engine.events_processed
@@ -360,6 +362,7 @@ let run_protocol (type m) ?(on_commit = fun ~node:_ _ -> ()) ?trace
       messages_sent = stats.Bft_sim.Engine.messages_sent;
       bytes_sent = stats.Bft_sim.Engine.bytes_sent;
       events_processed = stats.Bft_sim.Engine.events_processed;
+      peak_pending = stats.Bft_sim.Engine.peak_pending;
       config = cfg;
       fault_summary =
         Option.map

@@ -35,6 +35,9 @@ type run_result = {
   messages_sent : int;
   bytes_sent : int;
   events_processed : int;
+  peak_pending : int;
+      (** The most entries the engine's event heap held at once
+          ({!Bft_sim.Engine.stats}). *)
   config : Config.t;
   fault_summary : fault_summary option;
       (** [Some _] iff the config carried a non-empty fault schedule. *)
@@ -90,9 +93,10 @@ val run_seeds : Config.t -> seeds:int list -> run_result list
 val events_processed_total : unit -> int
 
 (** Heap bytes allocated inside the event loops of every run this process
-    has completed (per-domain [Gc.allocated_bytes] deltas, summed across
-    domains like {!events_processed_total}).  Dividing its delta by the
-    event counter's delta gives bytes allocated per event. *)
+    has completed (per-domain {!Bft_obs.Alloc.allocated_bytes} deltas,
+    exact, summed across domains like {!events_processed_total}).  Dividing
+    its delta by the event counter's delta gives bytes allocated per
+    event. *)
 val bytes_allocated_total : unit -> int
 
 (** Averages across repeated runs. *)

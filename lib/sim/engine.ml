@@ -2,31 +2,49 @@ type stats = {
   mutable events_processed : int;
   mutable messages_sent : int;
   mutable bytes_sent : int;
+  mutable peak_pending : int;
 }
 
-(* Message traffic — the O(n^2)-per-view hot path — is scheduled as pooled
-   mutable cells carrying (src, dst, dst_epoch, msg), so steady-state send
-   traffic reuses flat records instead of allocating one block per send:
-   when a message event executes, its cell returns to a per-engine free
-   stack and the next [send] claims it back.  Each cell is allocated
-   together with its [Msg] wrapper (tied by [c_ev]), so re-enqueueing costs
-   zero allocations.  Timers and one-off scheduled actions are inherently
-   code, so those arms keep a closure.
+(* The event heap ({!Event_queue}) orders every event by (time, seq), the
+   sequence number breaking ties FIFO.  Three kinds of heap entry carry
+   message traffic, the O(n^2)-per-view hot path, and none of them
+   allocates once the run is warm:
 
-   A [Batch] is one heap entry standing for a whole multicast fan-out whose
-   copies all arrive at the same instant (uniform latency, no jitter, no
-   bandwidth): destinations are packed into an int array and delivered in
-   ascending order, which is exactly the order the per-destination events
-   would have popped in (same time, consecutive seqs).  This turns the
-   O(n log n) heap traffic of a fan-out into O(log n).
+   - A [Run] is one multicast fan-out.  Its copies' arrivals are drawn in
+     destination order, exactly as n - 1 separate sends would draw them
+     (duplicates included), and each takes the seq its own push would
+     have taken ([Event_queue.take_seq]).  They are kept sorted by (time,
+     seq) in flat arrays, and the run sits in the heap once, keyed by its
+     head.  Consuming the head re-keys the entry ([replace_top_from]); a
+     stretch of equal times with consecutive seqs (a uniform-latency
+     fan-out is all one stretch) is consumed without touching the heap.
+   - A [Lane] is one node's CPU queue: messages that have arrived and wait
+     for the node's serial CPU.  Finish times never decrease and seqs
+     increase, so the lane is a FIFO ring, again one heap entry keyed by
+     its head.  The one exception is a crash, which resets the node's CPU:
+     a new arrival that would finish before the lane's tail then falls
+     back to a cell of its own.
+   - A [Msg] cell is one message: a unicast arrival, a self hand-off, a
+     lane's fallback, and every message under a capture hook.
 
-   Message cells additionally carry the destination's incarnation epoch at
-   enqueue time: crashing a node bumps its epoch, so in-flight events
+   Since keys are unique, the heap pops runs, lanes and cells in exactly
+   the order of a heap with one entry per event, and [events_processed]
+   counts each message once.  The heap holds O(fan-outs in flight + n)
+   entries instead of one per message in flight.  Cells and runs are
+   pooled: a drained run and a delivered cell return to per-engine free
+   stacks and the next send claims them back.  Each cell and run is
+   allocated together with its own event wrapper (tied by [c_ev] /
+   [r_ev]), so re-enqueueing costs zero allocations.  Timers and one-off
+   scheduled actions are inherently code, so those arms keep a closure.
+
+   Message entries additionally carry the destination's incarnation epoch
+   at send time: crashing a node bumps its epoch, so in-flight events
    addressed to the previous incarnation are dropped on execution instead
    of resurrecting state the crash was supposed to lose. *)
 type 'msg event =
   | Msg of 'msg cell
-  | Batch of 'msg batch
+  | Run of 'msg run
+  | Lane of 'msg lane
   | Timer of timer
   | Thunk of (unit -> unit)
 
@@ -41,12 +59,34 @@ and 'msg cell = {
   c_ev : 'msg event;  (* this cell's own [Msg] wrapper, allocated once *)
 }
 
-and 'msg batch = {
-  mutable b_src : int;
-  mutable b_msg : 'msg;
-  mutable b_count : int;
-  mutable b_slots : int array;  (* [(epoch lsl slot_bits) lor dst] *)
-  b_ev : 'msg event;
+(* Entries [r_head, r_len) are pending, sorted by (time, seq).  The arrays
+   start at n - 1 slots (one fan-out) and double when duplicates overflow
+   them.  A flat run's entries all arrive at [r_times.(0)] with seqs
+   consecutive from [r_seqs.(0)], so only its slots are filled in. *)
+and 'msg run = {
+  mutable r_src : int;
+  mutable r_msg : 'msg;
+  mutable r_flat : bool;
+  mutable r_times : float array;
+  mutable r_seqs : int array;
+  mutable r_slots : int array;  (* [(epoch lsl slot_bits) lor dst] *)
+  mutable r_head : int;
+  mutable r_len : int;
+  r_ev : 'msg event;
+}
+
+(* A ring of [l_len] entries from [l_head]; the capacity is zero or a power
+   of two and doubles when full.  Non-empty exactly while it is in the
+   heap. *)
+and 'msg lane = {
+  l_dst : int;
+  mutable l_times : float array;
+  mutable l_seqs : int array;
+  mutable l_slots : int array;  (* [(epoch lsl slot_bits) lor src] *)
+  mutable l_msgs : 'msg array;  (* [||] until the first message *)
+  mutable l_head : int;
+  mutable l_len : int;
+  l_ev : 'msg event;
 }
 
 and timer = {
@@ -56,7 +96,7 @@ and timer = {
   action : unit -> unit;
 }
 
-(* Destination index width inside a batch slot; the epoch occupies the bits
+(* Node index width inside a run or lane slot; the epoch occupies the bits
    above.  Bounds n at 2^21 nodes, far past any simulated world. *)
 let slot_bits = 21
 let slot_mask = (1 lsl slot_bits) - 1
@@ -76,6 +116,7 @@ type 'msg t = {
   net_rng : Rng.t;
   egress_free : float array;
   cpu_free : float array;
+  lanes : 'msg lane array;  (* [lanes.(i)] is node [i]'s CPU queue *)
   msg_size : 'msg -> int;
   cpu_cost : ('msg -> float) option;
   (* [times.(clock_slot)] is the simulated time; [times.(time_slot)] carries
@@ -89,15 +130,15 @@ type 'msg t = {
      before a crash stay dead after recovery. *)
   down : bool array;
   epochs : int array;
-  (* Free stacks for message cells and fan-out batches.  The engine is
+  (* Free stacks for message cells and fan-out runs.  The engine is
      single-threaded, so one pool serves all nodes; it grows to the
-     steady-state number of in-flight messages and then every send is
+     steady-state number of in-flight entries and then every send is
      allocation-free.  Pooling is disabled under a capture hook — the
      hook's owner holds events across dispatches. *)
   mutable cell_pool : 'msg cell array;
   mutable cell_pool_len : int;
-  mutable batch_pool : 'msg batch array;
-  mutable batch_pool_len : int;
+  mutable run_pool : 'msg run array;
+  mutable run_pool_len : int;
   (* The filter, link windows and tap default to no-ops; the [_installed]
      flags let the per-message path skip them entirely in the common
      uninstrumented, unpartitioned run.  The windows read the time from
@@ -135,6 +176,21 @@ let create ~n ~network ~seed ~msg_size ?cpu_cost () =
   (* The seed root's first split: every recorded run's network draws
      (jitter, loss, duplication) follow from it. *)
   let net_rng = Rng.split (Rng.create seed) in
+  let lane dst =
+    let rec l =
+      {
+        l_dst = dst;
+        l_times = [||];
+        l_seqs = [||];
+        l_slots = [||];
+        l_msgs = [||];
+        l_head = 0;
+        l_len = 0;
+        l_ev = Lane l;
+      }
+    in
+    l
+  in
   {
     n;
     network;
@@ -143,6 +199,7 @@ let create ~n ~network ~seed ~msg_size ?cpu_cost () =
     net_rng;
     egress_free = Array.make n 0.;
     cpu_free = Array.make n 0.;
+    lanes = Array.init n lane;
     msg_size;
     cpu_cost;
     times = [| 0.; 0. |];
@@ -150,8 +207,8 @@ let create ~n ~network ~seed ~msg_size ?cpu_cost () =
     epochs = Array.make n 0;
     cell_pool = [||];
     cell_pool_len = 0;
-    batch_pool = [||];
-    batch_pool_len = 0;
+    run_pool = [||];
+    run_pool_len = 0;
     filter = (fun ~src:_ ~dst:_ -> true);
     filter_installed = false;
     windows = Link_windows.empty;
@@ -162,7 +219,13 @@ let create ~n ~network ~seed ~msg_size ?cpu_cost () =
     tap_installed = false;
     capture = None;
     capture_installed = false;
-    stats = { events_processed = 0; messages_sent = 0; bytes_sent = 0 };
+    stats =
+      {
+        events_processed = 0;
+        messages_sent = 0;
+        bytes_sent = 0;
+        peak_pending = 0;
+      };
   }
 
 let set_handler t i h = t.handlers.(i) <- h
@@ -208,42 +271,96 @@ let release_cell t c =
     t.cell_pool_len <- len + 1
   end
 
-(* Batches only exist on the captureless fast path, so acquisition never
-   consults the capture flag. *)
-let acquire_batch t ~src msg =
-  let len = t.batch_pool_len in
-  let b =
-    if len > 0 then begin
-      let b = Array.unsafe_get t.batch_pool (len - 1) in
-      t.batch_pool_len <- len - 1;
-      b.b_src <- src;
-      b.b_msg <- msg;
-      b
-    end
-    else
-      let rec b =
-        { b_src = src; b_msg = msg; b_count = 0; b_slots = [||]; b_ev = Batch b }
-      in
-      b
-  in
-  if Array.length b.b_slots < t.n then b.b_slots <- Array.make t.n 0;
-  b
+(* Runs only exist on the captureless path, so acquisition never consults
+   the capture flag. *)
+let acquire_run t ~src msg =
+  let len = t.run_pool_len in
+  if len > 0 then begin
+    let r = Array.unsafe_get t.run_pool (len - 1) in
+    t.run_pool_len <- len - 1;
+    r.r_src <- src;
+    r.r_msg <- msg;
+    r.r_flat <- false;
+    r.r_head <- 0;
+    r.r_len <- 0;
+    r
+  end
+  else
+    let cap = max 1 (t.n - 1) in
+    let rec r =
+      {
+        r_src = src;
+        r_msg = msg;
+        r_flat = false;
+        r_times = Array.make cap 0.;
+        r_seqs = Array.make cap 0;
+        r_slots = Array.make cap 0;
+        r_head = 0;
+        r_len = 0;
+        r_ev = Run r;
+      }
+    in
+    r
 
-let release_batch t b =
-  let len = t.batch_pool_len in
-  if len = Array.length t.batch_pool then begin
-    let pool = Array.make (if len = 0 then 4 else 2 * len) b in
-    Array.blit t.batch_pool 0 pool 0 len;
-    t.batch_pool <- pool
+let release_run t r =
+  let len = t.run_pool_len in
+  if len = Array.length t.run_pool then begin
+    let pool = Array.make (if len = 0 then 4 else 2 * len) r in
+    Array.blit t.run_pool 0 pool 0 len;
+    t.run_pool <- pool
   end;
-  Array.unsafe_set t.batch_pool len b;
-  t.batch_pool_len <- len + 1
+  Array.unsafe_set t.run_pool len r;
+  t.run_pool_len <- len + 1
+
+let grow_run r =
+  let cap = 2 * Array.length r.r_times and len = r.r_len in
+  let times = Array.make cap 0. in
+  Array.blit r.r_times 0 times 0 len;
+  r.r_times <- times;
+  let seqs = Array.make cap 0 in
+  Array.blit r.r_seqs 0 seqs 0 len;
+  r.r_seqs <- seqs;
+  let slots = Array.make cap 0 in
+  Array.blit r.r_slots 0 slots 0 len;
+  r.r_slots <- slots
+
+(* Doubling unrolls the ring: its entries move to [0, l_len). *)
+let grow_lane l msg =
+  let old = Array.length l.l_times and len = l.l_len in
+  let cap = if old = 0 then 8 else 2 * old in
+  let times = Array.make cap 0.
+  and seqs = Array.make cap 0
+  and slots = Array.make cap 0
+  and msgs = Array.make cap msg in
+  for k = 0 to len - 1 do
+    let i = (l.l_head + k) land (old - 1) in
+    times.(k) <- l.l_times.(i);
+    seqs.(k) <- l.l_seqs.(i);
+    slots.(k) <- l.l_slots.(i);
+    msgs.(k) <- l.l_msgs.(i)
+  done;
+  l.l_times <- times;
+  l.l_seqs <- seqs;
+  l.l_slots <- slots;
+  l.l_msgs <- msgs;
+  l.l_head <- 0
+
+(* {2 Scheduling} *)
+
+let[@inline] note_size t =
+  let size = Event_queue.size t.queue in
+  if size > t.stats.peak_pending then t.stats.peak_pending <- size
+
+(* Queue [ev] at [times.(time_slot)]. *)
+let push_slot t ev =
+  Event_queue.push_from t.queue t.times time_slot ev;
+  note_size t
 
 (* Queue [ev] at [time], handed over in the time slot.  Inlined, so [time]
    is never boxed. *)
 let[@inline] push_at t ~time ev =
   Array.unsafe_set t.times time_slot time;
-  Event_queue.push_from t.queue t.times time_slot ev
+  push_slot t ev
 
 (* All event scheduling funnels through here so an installed capture hook
    sees every message, timer and thunk the simulation would otherwise order
@@ -253,13 +370,68 @@ let[@inline] enqueue t ~time ev =
   | None -> push_at t ~time ev
   | Some f -> f ev
 
-(* Message-event scheduling: pooled cells when the engine owns ordering,
-   fresh cells under a capture hook (whose owner may hold them
-   indefinitely). *)
-let[@inline] enqueue_msg t ~time ~src ~dst ~epoch ~deliver msg =
+(* One message event at [times.(time_slot)]: a pooled cell when the engine
+   owns ordering, a fresh one under a capture hook (whose owner may hold
+   it indefinitely). *)
+let enqueue_msg t ~src ~dst ~epoch ~deliver msg =
   match t.capture with
-  | None -> push_at t ~time (acquire_cell t ~src ~dst ~epoch ~deliver msg)
+  | None -> push_slot t (acquire_cell t ~src ~dst ~epoch ~deliver msg)
   | Some f -> f (fresh_cell ~src ~dst ~epoch ~deliver msg)
+
+(* Append the arrival at [times.(time_slot)] for [dst] to the run being
+   built, keeping it sorted by (time, seq).  The new seq is the largest
+   so far, so the copy goes after every entry of equal or earlier time:
+   an insertion from the tail, which moves nothing for an in-order copy.
+   At n = 100 over the region matrix (whose round-robin regions put the
+   copies far out of order) this measured as fast as a bottom-up merge
+   sort of the finished run. *)
+let run_add t r ~dst =
+  let len = r.r_len in
+  if len = Array.length r.r_times then grow_run r;
+  let times = r.r_times and seqs = r.r_seqs and slots = r.r_slots in
+  let time = Array.unsafe_get t.times time_slot in
+  let i = ref len in
+  while !i > 0 && time < Array.unsafe_get times (!i - 1) do
+    let j = !i - 1 in
+    Array.unsafe_set times !i (Array.unsafe_get times j);
+    Array.unsafe_set seqs !i (Array.unsafe_get seqs j);
+    Array.unsafe_set slots !i (Array.unsafe_get slots j);
+    i := j
+  done;
+  Array.unsafe_set times !i time;
+  Array.unsafe_set seqs !i (Event_queue.take_seq t.queue);
+  Array.unsafe_set slots !i
+    ((Array.unsafe_get t.epochs dst lsl slot_bits) lor dst);
+  r.r_len <- len + 1
+
+(* Queue a message that finishes on [dst]'s CPU at [times.(time_slot)]. *)
+let lane_add t ~src ~dst ~epoch msg =
+  let l = Array.unsafe_get t.lanes dst in
+  let len = l.l_len in
+  let finish = Array.unsafe_get t.times time_slot in
+  if
+    len > 0
+    && finish
+       < Array.unsafe_get l.l_times
+           ((l.l_head + len - 1) land (Array.length l.l_times - 1))
+  then
+    (* Only after a crash reset [dst]'s CPU: the dead incarnation's
+       backlog still waits in the lane. *)
+    push_slot t (acquire_cell t ~src ~dst ~epoch ~deliver:true msg)
+  else begin
+    if len = Array.length l.l_times then grow_lane l msg;
+    let i = (l.l_head + len) land (Array.length l.l_times - 1) in
+    let seq = Event_queue.take_seq t.queue in
+    Array.unsafe_set l.l_times i finish;
+    Array.unsafe_set l.l_seqs i seq;
+    Array.unsafe_set l.l_slots i ((epoch lsl slot_bits) lor src);
+    Array.unsafe_set l.l_msgs i msg;
+    l.l_len <- len + 1;
+    if len = 0 then begin
+      Event_queue.push_seq_from t.queue t.times time_slot ~seq l.l_ev;
+      note_size t
+    end
+  end
 
 let set_capture t f =
   t.capture <- Some f;
@@ -267,9 +439,9 @@ let set_capture t f =
 
 let inspect = function
   | Msg c -> Pending_message { src = c.c_src; dst = c.c_dst; msg = c.c_msg }
-  | Batch _ ->
-      (* Batches are never created under a capture hook, and only captured
-         events are inspectable. *)
+  | Run _ | Lane _ ->
+      (* Runs and lanes are never created under a capture hook, and only
+         captured events are inspectable. *)
       assert false
   | Timer tm -> Pending_timer { owner = tm.owner }
   | Thunk _ -> Pending_task
@@ -337,41 +509,60 @@ let process t ~src ~dst ~epoch msg =
         let finish = start +. cost msg in
         Array.unsafe_set t.cpu_free dst finish;
         if finish <= now then deliver t ~src ~dst ~epoch msg
-        else enqueue_msg t ~time:finish ~src ~dst ~epoch ~deliver:true msg
+        else begin
+          Array.unsafe_set t.times time_slot finish;
+          if t.capture_installed then
+            enqueue_msg t ~src ~dst ~epoch ~deliver:true msg
+          else lane_add t ~src ~dst ~epoch msg
+        end
 
-(* One network send with the byte size already computed and accounted. *)
+(* The network leg of one copy to another node: the link filter, the
+   windows (cut, then the loss draw), the drop draw and the network model,
+   in that order.  False when the copy is lost; otherwise its arrival time
+   is in [times.(time_slot)]. *)
+let[@inline] transmit t ~src ~dst ~size =
+  ((not t.filter_installed) || t.filter ~src ~dst)
+  && ((not t.windows_installed)
+     || (not (Link_windows.cut t.windows ~src ~dst t.times clock_slot))
+        && Link_windows.keep t.windows t.window_rng t.times clock_slot)
+  && (let drop = t.network.Network.drop_prob in
+      not (drop > 0. && Rng.float t.net_rng 1. < drop))
+  &&
+  let times = t.times in
+  Array.unsafe_set times time_slot (clock t);
+  Network.delivery_into t.network t.net_rng ~egress:t.egress_free ~src ~dst
+    ~size times time_slot;
+  if t.windows_installed then
+    Link_windows.add_delay t.windows times ~now:clock_slot time_slot;
+  true
+
+(* Whether the network duplicates the copy just transmitted.  If it does,
+   [times.(time_slot)] moves to the duplicate's arrival, which trails the
+   original slightly. *)
+let[@inline] duplicated t =
+  let dup = t.network.Network.duplicate_prob in
+  dup > 0.
+  && Rng.float t.net_rng 1. < dup
+  &&
+  let lag = Rng.float t.net_rng (0.5 *. t.network.Network.delta) in
+  Array.unsafe_set t.times time_slot
+    (Array.unsafe_get t.times time_slot +. lag);
+  true
+
+(* One send with the byte size already computed and accounted. *)
 let send_sized t ~src ~dst ~size msg =
   if Array.unsafe_get t.down src then ()
-  else if dst = src then
+  else if dst = src then begin
     (* Local hand-off: no serialization, no propagation, no CPU charge. *)
-    enqueue_msg t ~time:(clock t) ~src ~dst
+    Array.unsafe_set t.times time_slot (clock t);
+    enqueue_msg t ~src ~dst
       ~epoch:(Array.unsafe_get t.epochs dst)
       ~deliver:true msg
-  else if
-    ((not t.filter_installed) || t.filter ~src ~dst)
-    && ((not t.windows_installed)
-       || (not (Link_windows.cut t.windows ~src ~dst t.times clock_slot))
-          && Link_windows.keep t.windows t.window_rng t.times clock_slot)
-  then begin
-    let drop = t.network.Network.drop_prob in
-    if drop > 0. && Rng.float t.net_rng 1. < drop then ()
-    else begin
-      let times = t.times in
-      Array.unsafe_set times time_slot (clock t);
-      Network.delivery_into t.network t.net_rng ~egress:t.egress_free ~src ~dst
-        ~size times time_slot;
-      if t.windows_installed then
-        Link_windows.add_delay t.windows times ~now:clock_slot time_slot;
-      let arrival = Array.unsafe_get times time_slot in
-      let epoch = Array.unsafe_get t.epochs dst in
-      enqueue_msg t ~time:arrival ~src ~dst ~epoch ~deliver:false msg;
-      let dup = t.network.Network.duplicate_prob in
-      if dup > 0. && Rng.float t.net_rng 1. < dup then begin
-        (* Network-level duplication: the copy trails the original slightly. *)
-        let lag = Rng.float t.net_rng (0.5 *. t.network.Network.delta) in
-        enqueue_msg t ~time:(arrival +. lag) ~src ~dst ~epoch ~deliver:false msg
-      end
-    end
+  end
+  else if transmit t ~src ~dst ~size then begin
+    let epoch = Array.unsafe_get t.epochs dst in
+    enqueue_msg t ~src ~dst ~epoch ~deliver:false msg;
+    if duplicated t then enqueue_msg t ~src ~dst ~epoch ~deliver:false msg
   end
 
 let send t ~src ~dst msg =
@@ -383,12 +574,56 @@ let send t ~src ~dst msg =
     send_sized t ~src ~dst ~size msg
   end
 
-(* Per-destination fan-out, one event each — the general multicast path. *)
-let fanout_sends t ~src ~size msg =
-  if not t.capture_installed then Event_queue.reserve t.queue (t.n - 1);
-  for dst = 0 to t.n - 1 do
-    if dst <> src then send_sized t ~src ~dst ~size msg
-  done
+(* The fan-out as one run: the same copies, draws and seqs as n - 1
+   [send_sized] calls, in one heap entry. *)
+let fanout_run t ~src ~size msg =
+  let r = acquire_run t ~src msg in
+  let net = t.network in
+  (match net.Network.latency with
+  | Latency.Uniform { base; jitter }
+    when jitter <= 0.
+         && (not t.filter_installed)
+         && (not t.windows_installed)
+         && net.Network.bandwidth_bps = None
+         && net.Network.drop_prob = 0.
+         && net.Network.duplicate_prob = 0.
+         && (fmax (clock t) (Array.unsafe_get t.egress_free src)
+             >= net.Network.gst
+            || net.Network.pre_gst_extra = 0.) ->
+      (* Every copy arrives at the same instant and draws nothing, so the
+         network model is evaluated once: the egress link frees at the
+         send's start (zero serialization time), as n - 1
+         [delivery_into] calls would leave it.  The copies take
+         consecutive seqs in destination order, so the run is flat. *)
+      let start = fmax (clock t) (Array.unsafe_get t.egress_free src) in
+      Array.unsafe_set t.egress_free src start;
+      Array.unsafe_set r.r_times 0 (start +. base);
+      Array.unsafe_set r.r_seqs 0
+        (Event_queue.take_seqs t.queue (t.n - 1));
+      let slots = r.r_slots and epochs = t.epochs in
+      let k = ref 0 in
+      for dst = 0 to t.n - 1 do
+        if dst <> src then begin
+          Array.unsafe_set slots !k
+            ((Array.unsafe_get epochs dst lsl slot_bits) lor dst);
+          incr k
+        end
+      done;
+      r.r_len <- !k;
+      r.r_flat <- true
+  | _ ->
+      for dst = 0 to t.n - 1 do
+        if dst <> src && transmit t ~src ~dst ~size then begin
+          run_add t r ~dst;
+          if duplicated t then run_add t r ~dst
+        end
+      done);
+  if r.r_len = 0 then release_run t r
+  else begin
+    Event_queue.push_seq_from t.queue r.r_times 0
+      ~seq:(Array.unsafe_get r.r_seqs 0) r.r_ev;
+    note_size t
+  end
 
 let multicast t ~src msg =
   if Array.unsafe_get t.down src then ()
@@ -403,48 +638,13 @@ let multicast t ~src msg =
     t.stats.messages_sent <- t.stats.messages_sent + fanout;
     t.stats.bytes_sent <- t.stats.bytes_sent + (size * fanout);
     send_sized t ~src ~dst:src ~size msg;
-    if fanout > 0 then begin
-      let net = t.network in
-      (* When every copy of the fan-out arrives at the same instant —
-         constant latency, no bandwidth serialization, and no per-link
-         instrumentation that could split arrivals — the n - 1 events
-         collapse into one Batch heap entry.  Executing the batch delivers
-         in ascending destination order, which is exactly the order the
-         individual events would have popped in (equal time, consecutive
-         seqs), so the schedule is bit-identical to the general path. *)
-      match net.Network.latency with
-      | Latency.Uniform { base; jitter }
-        when jitter <= 0.
-             && (not t.capture_installed)
-             && (not t.filter_installed)
-             && (not t.windows_installed)
-             && net.Network.bandwidth_bps = None
-             && net.Network.drop_prob = 0.
-             && net.Network.duplicate_prob = 0. ->
-          let start = fmax (clock t) (Array.unsafe_get t.egress_free src) in
-          if start >= net.Network.gst || net.Network.pre_gst_extra = 0. then begin
-            (* Zero serialization time: the egress link frees at [start],
-               matching n - 1 [delivery_into] calls. *)
-            Array.unsafe_set t.egress_free src start;
-            let arrival = start +. base in
-            let b = acquire_batch t ~src msg in
-            let slots = b.b_slots in
-            let k = ref 0 in
-            for dst = 0 to t.n - 1 do
-              if dst <> src then begin
-                Array.unsafe_set slots !k
-                  ((Array.unsafe_get t.epochs dst lsl slot_bits) lor dst);
-                incr k
-              end
-            done;
-            b.b_count <- fanout;
-            push_at t ~time:arrival b.b_ev
-          end
-          else
-            (* Pre-GST extra delay draws per-destination randomness. *)
-            fanout_sends t ~src ~size msg
-      | _ -> fanout_sends t ~src ~size msg
-    end
+    if fanout > 0 then
+      if t.capture_installed then
+        (* The hook's owner orders each copy on its own. *)
+        for dst = 0 to t.n - 1 do
+          if dst <> src then send_sized t ~src ~dst ~size msg
+        done
+      else fanout_run t ~src ~size msg
   end
 
 let set_timer ?(owner = -1) t delay f =
@@ -475,24 +675,13 @@ let exec t = function
       release_cell t c;
       if is_deliver then deliver t ~src ~dst ~epoch msg
       else process t ~src ~dst ~epoch msg
-  | Batch b ->
-      let src = b.b_src and count = b.b_count in
-      let msg = b.b_msg in
-      let slots = b.b_slots in
-      for k = 0 to count - 1 do
-        let slot = Array.unsafe_get slots k in
-        process t ~src ~dst:(slot land slot_mask) ~epoch:(slot lsr slot_bits)
-          msg
-      done;
-      (* Only released after the loop: a handler's nested multicast may
-         acquire a batch, and it must not be this one mid-iteration. *)
-      release_batch t b
   | Timer tm -> if timer_live t tm then tm.action ()
   | Thunk f -> f ()
+  | Run _ | Lane _ -> assert false (* consumed in place by [run] *)
 
 let pending_live t = function
   | Msg c -> (not t.down.(c.c_dst)) && t.epochs.(c.c_dst) = c.c_epoch
-  | Batch _ -> assert false (* never captured; see [inspect] *)
+  | Run _ | Lane _ -> assert false (* never captured; see [inspect] *)
   | Timer tm -> timer_live t tm
   | Thunk _ -> true
 
@@ -504,30 +693,83 @@ let advance_clock t time =
   if time < clock t then invalid_arg "Engine.advance_clock: time in the past";
   set_clock t time
 
+(* The run at the top of the heap: its head and every following entry at
+   the same time with consecutive seqs are next, since no other key can
+   fall between them.  The entry is re-keyed (or removed) before any
+   handler runs, so the heap is exact whenever protocol code pushes; a
+   drained run returns to the pool only afterwards, because its arrays
+   are still being read. *)
+let step_run t r =
+  let times = r.r_times and seqs = r.r_seqs and slots = r.r_slots in
+  let len = r.r_len and k = r.r_head in
+  let j = ref (if r.r_flat then len else k + 1) in
+  while
+    !j < len
+    && Array.unsafe_get times !j = Array.unsafe_get times k
+    && Array.unsafe_get seqs !j = Array.unsafe_get seqs (!j - 1) + 1
+  do
+    incr j
+  done;
+  let j = !j in
+  if j = len then ignore (Event_queue.take t.queue : _ event)
+  else begin
+    r.r_head <- j;
+    Event_queue.replace_top_from t.queue times j ~seq:(Array.unsafe_get seqs j)
+  end;
+  let src = r.r_src and msg = r.r_msg in
+  for i = k to j - 1 do
+    let slot = Array.unsafe_get slots i in
+    t.stats.events_processed <- t.stats.events_processed + 1;
+    process t ~src ~dst:(slot land slot_mask) ~epoch:(slot lsr slot_bits) msg
+  done;
+  if j = len then release_run t r
+
+(* The lane at the top of the heap: deliver its head. *)
+let step_lane t l =
+  let h = l.l_head and mask = Array.length l.l_times - 1 in
+  let slot = Array.unsafe_get l.l_slots h
+  and msg = Array.unsafe_get l.l_msgs h in
+  let next = (h + 1) land mask and len = l.l_len - 1 in
+  l.l_head <- next;
+  l.l_len <- len;
+  if len = 0 then ignore (Event_queue.take t.queue : _ event)
+  else
+    Event_queue.replace_top_from t.queue l.l_times next
+      ~seq:(Array.unsafe_get l.l_seqs next);
+  t.stats.events_processed <- t.stats.events_processed + 1;
+  deliver t ~src:(slot land slot_mask) ~dst:l.l_dst ~epoch:(slot lsr slot_bits)
+    msg
+
+(* A loop, not a local recursive function: the closure would be
+   allocated on every call. *)
 let run t ~until =
-  let rec loop () =
-    if Event_queue.is_empty t.queue then
+  let q = t.queue in
+  let running = ref true in
+  while !running do
+    if Event_queue.is_empty q then begin
       (* The run nominally reaches [until] even when no event is left:
          leaving the clock at the last event's time would make a
          subsequent [now] or [set_timer] act in the past. *)
-      set_clock t (fmax (clock t) until)
+      set_clock t (fmax (clock t) until);
+      running := false
+    end
     else begin
-      Event_queue.min_time_into t.queue t.times time_slot;
+      Event_queue.min_time_into q t.times time_slot;
       let time = Array.unsafe_get t.times time_slot in
-      if time > until then set_clock t until
+      if time > until then begin
+        set_clock t until;
+        running := false
+      end
       else begin
-        let ev = Event_queue.take t.queue in
         set_clock t time;
-        (* A batch is [b_count] logical message events; read before [exec]
-           recycles it. *)
-        t.stats.events_processed <-
-          (t.stats.events_processed
-          + match ev with Batch b -> b.b_count | Msg _ | Timer _ | Thunk _ -> 1);
-        exec t ev;
-        loop ()
+        match Event_queue.top q with
+        | Run r -> step_run t r
+        | Lane l -> step_lane t l
+        | (Msg _ | Timer _ | Thunk _) as ev ->
+            ignore (Event_queue.take q : _ event);
+            dispatch t ev
       end
     end
-  in
-  loop ()
+  done
 
 let stats t = t.stats

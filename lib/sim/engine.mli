@@ -4,6 +4,15 @@
     over a {!Network} model.  Handlers run to completion at their scheduled
     time; everything is single-threaded and deterministic given the seed.
 
+    Events run in (time, sequence number) order, the sequence number
+    breaking ties in scheduling order.  The {!Event_queue} heap does not
+    hold one entry per message: a multicast's copies form one sorted
+    {e run}, keyed by its earliest copy, and each node's CPU queue is one
+    FIFO {e lane}.  Runs and lanes are consumed from the top of the heap in
+    place, so events still run in exactly the order a heap with one entry
+    per message would give, and the heap holds about one entry per fan-out
+    in flight and per busy node instead of one per message in flight.
+
     Statistics on message and byte counts are kept per run so experiments can
     report communication complexity alongside throughput and latency. *)
 
@@ -11,8 +20,14 @@ type 'msg t
 
 type stats = {
   mutable events_processed : int;
+      (** Events run: every network arrival, self hand-off, CPU-queue
+          finish, timer and scheduled action counts once, live or
+          quenched. *)
   mutable messages_sent : int;
   mutable bytes_sent : int;
+  mutable peak_pending : int;
+      (** The most entries the event heap has held at once: a run, a lane,
+          a single message, a timer or a scheduled action each count one. *)
 }
 
 (** [create ~n ~network ~seed ~msg_size ()] builds an engine for [n] nodes.
@@ -84,7 +99,9 @@ val n : 'msg t -> int
 val send : 'msg t -> src:int -> dst:int -> 'msg -> unit
 
 (** [multicast t ~src msg] sends to every node; self-delivery is immediate.
-    The egress link serializes the [n - 1] copies in destination order.
+    The egress link serializes the [n - 1] copies in destination order,
+    and the network model draws their arrivals in that order, exactly as
+    [n - 1] {!send}s would.
     Traffic stats count the [n - 1] network sends — the local self hand-off
     is not serialized or propagated, so it contributes no messages or
     bytes. *)

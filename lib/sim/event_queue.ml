@@ -11,6 +11,14 @@
    array is created lazily on the first push (there is no "dummy" value
    to fill it with before that).
 
+   An entry may stand for a sorted sequence of events that share one heap
+   slot (the engine's fan-out runs and CPU lanes).  Such an entry takes its
+   events' sequence numbers with [take_seq] as they are made, is pushed
+   keyed by its first one ([push_seq_from]), and is re-keyed in place by
+   [replace_top_from] as its owner consumes it from the top.  Keys are
+   unique, so the pops of all entries interleave exactly as if each event
+   had been pushed on its own.
+
    Both sifts move a "hole": the displaced element sits in locals while
    ancestors/descendants shift one slot each and is written back exactly
    once — half the memory traffic of swap-based sifting, which matters with
@@ -59,20 +67,6 @@ let set_capacity t cap =
   end
 
 let grow t = set_capacity t (2 * Array.length t.times)
-
-(* Bulk-push support: one capacity check for a whole multicast fan-out
-   instead of one per push. *)
-let reserve t extra =
-  if extra > 0 then begin
-    let needed = t.size + extra in
-    if needed > Array.length t.times then begin
-      let cap = ref (2 * Array.length t.times) in
-      while !cap < needed do
-        cap := 2 * !cap
-      done;
-      set_capacity t !cap
-    end
-  end
 
 let sift_up t i0 =
   let times = t.times and seqs = t.seqs and values = t.values in
@@ -135,7 +129,14 @@ let sift_down t i0 =
   Array.unsafe_set seqs !i seq;
   Array.unsafe_set values !i v
 
-let push_from t src j value =
+let take_seqs t k =
+  let seq = t.next_seq in
+  t.next_seq <- seq + k;
+  seq
+
+let take_seq t = take_seqs t 1
+
+let push_seq_from t src j ~seq value =
   let time = src.(j) in
   if not (Float.is_finite time) then invalid_arg "Event_queue.push: bad time";
   if t.size = Array.length t.times then grow t;
@@ -144,11 +145,12 @@ let push_from t src j value =
   let i = t.size in
   (* [i] is below capacity after the grow check. *)
   Array.unsafe_set t.times i time;
-  Array.unsafe_set t.seqs i t.next_seq;
+  Array.unsafe_set t.seqs i seq;
   Array.unsafe_set t.values i value;
-  t.next_seq <- t.next_seq + 1;
   t.size <- i + 1;
   sift_up t i
+
+let push_from t src j value = push_seq_from t src j ~seq:(take_seq t) value
 
 let push t ~time value = push_from t [| time |] 0 value
 
@@ -175,6 +177,21 @@ let unguarded_take t =
 let take t =
   if t.size = 0 then invalid_arg "Event_queue.take: empty";
   unguarded_take t
+
+let top t =
+  if t.size = 0 then invalid_arg "Event_queue.top: empty";
+  Array.unsafe_get t.values 0
+
+(* The root has no parent, so whatever its new key, a sift down restores
+   the heap order. *)
+let replace_top_from t src j ~seq =
+  if t.size = 0 then invalid_arg "Event_queue.replace_top_from: empty";
+  let time = src.(j) in
+  if not (Float.is_finite time) then
+    invalid_arg "Event_queue.replace_top_from: bad time";
+  Array.unsafe_set t.times 0 time;
+  Array.unsafe_set t.seqs 0 seq;
+  sift_down t 0
 
 let pop t =
   if t.size = 0 then None

@@ -1,7 +1,17 @@
 (** Priority queue of timestamped events.
 
     Events pop in nondecreasing time order; events with equal timestamps pop
-    in insertion (FIFO) order, which keeps simulations fully deterministic. *)
+    in insertion (FIFO) order, which keeps simulations fully deterministic.
+    Each entry is keyed by its time and a sequence number taken from one
+    per-queue counter.
+
+    One entry can also stand for a sorted sequence of events (the engine's
+    fan-out runs and CPU lanes): each event takes its sequence number with
+    {!take_seq} when it is made, the entry is pushed keyed by its first
+    event ({!push_seq_from}), and its owner consumes it from the top,
+    re-keying it with {!replace_top_from} or removing it with {!take}.
+    Because keys are unique, events then leave in exactly the order they
+    would have if each had been pushed on its own. *)
 
 type 'a t
 
@@ -20,10 +30,18 @@ val push : 'a t -> time:float -> 'a -> unit
     how the engine passes event times without allocating. *)
 val push_from : 'a t -> float array -> int -> 'a -> unit
 
-(** [reserve t extra] pre-grows the queue to hold [extra] further events —
-    the bulk-push path: a multicast fan-out reserves its n - 1 pushes once
-    instead of re-checking (and possibly re-growing) capacity per push. *)
-val reserve : 'a t -> int -> unit
+(** [take_seq t] reserves the sequence number the next push would have
+    taken: later pushes take later numbers. *)
+val take_seq : 'a t -> int
+
+(** [take_seqs t k] reserves [k] consecutive sequence numbers and returns
+    the first. *)
+val take_seqs : 'a t -> int -> int
+
+(** [push_seq_from t times i ~seq ev] schedules [ev] keyed by
+    [(times.(i), seq)], with [seq] from {!take_seq}.  Keys must be unique:
+    two entries with the same key pop in an unspecified order. *)
+val push_seq_from : 'a t -> float array -> int -> seq:int -> 'a -> unit
 
 (** Earliest event, or [None] when empty. *)
 val pop : 'a t -> (float * 'a) option
@@ -39,6 +57,16 @@ val min_time_into : 'a t -> float array -> int -> unit
     [Invalid_argument] when empty; read {!min_time_into} first if the
     timestamp is needed. *)
 val take : 'a t -> 'a
+
+(** The earliest event's value, left in place.  Raises [Invalid_argument]
+    when empty. *)
+val top : 'a t -> 'a
+
+(** [replace_top_from t times i ~seq] re-keys the earliest entry to
+    [(times.(i), seq)] and restores the heap order: an entry that stands
+    for a sequence of events moves to its next event's key.  Raises
+    [Invalid_argument] when empty or on a non-finite time. *)
+val replace_top_from : 'a t -> float array -> int -> seq:int -> unit
 
 (** Whether the queue holds no events. *)
 val is_empty : 'a t -> bool

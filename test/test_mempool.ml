@@ -278,6 +278,70 @@ let test_lane_bounds_raise () =
        false
      with Invalid_argument _ -> true)
 
+(* A lane's ring grows on demand, but its capacity is still exact: a
+   lane of 300 (past the initial 128 slots and not a power of two) takes
+   exactly 300 pushes, with the ring wrapped at each growth, and gives
+   them back in FIFO order. *)
+let test_lane_growth () =
+  let cap = 300 in
+  let l = Lane.create ~capacity:cap in
+  check_int "capacity" cap (Lane.capacity l);
+  let next_push = ref 0 and next_pop = ref 0 in
+  let push () =
+    lane_push l ~seq:!next_push ~time:(float_of_int !next_push);
+    incr next_push
+  in
+  let pop () =
+    check_int "fifo order" !next_pop (Lane.front_seq l);
+    check "time rides along" true (lane_front_time l = float_of_int !next_pop);
+    Lane.pop l;
+    incr next_pop
+  in
+  (* Wrap the initial ring before it first grows. *)
+  for _ = 1 to 100 do
+    push ()
+  done;
+  for _ = 1 to 90 do
+    pop ()
+  done;
+  let pushes = ref 0 in
+  while not (Lane.is_full l) do
+    push ();
+    incr pushes
+  done;
+  check_int "full at capacity" cap (Lane.length l);
+  check_int "pushes until full" (cap - 10) !pushes;
+  check "push on full raises" true
+    (try
+       push ();
+       false
+     with Invalid_argument _ -> true);
+  while not (Lane.is_empty l) do
+    pop ()
+  done;
+  check_int "every push popped" !next_push !next_pop
+
+(* An ingest sized like the net-wal benchmark's (8 lanes and 8 backlogs of
+   4,096 commands each) allocates under 64 KB until traffic fills it.
+   While each lane allocated its full capacity up front this was
+   1,054,352 B, once per validator incarnation. *)
+let test_ingest_create_alloc () =
+  let spec =
+    {
+      Spec.default with
+      Spec.rate_per_s = 5_000.;
+      lanes = 8;
+      lane_capacity = 4_096;
+      backlog_capacity = 4_096;
+      max_batch = 512;
+    }
+  in
+  let bytes =
+    Bft_obs.Alloc.measure (fun () ->
+        ignore (Ingest.create ~spec ~n:4 ~view_ms:10. () : Ingest.t))
+  in
+  check (Printf.sprintf "%.0f B under 64 KB" bytes) true (bytes < 65_536.)
+
 (* --- mempool: unit --------------------------------------------------------- *)
 
 let test_verdict_progression () =
@@ -620,6 +684,10 @@ let () =
         [
           Alcotest.test_case "fifo + wraparound" `Quick test_lane_fifo_wraparound;
           Alcotest.test_case "bounds raise" `Quick test_lane_bounds_raise;
+          Alcotest.test_case "grows to capacity in FIFO order" `Quick
+            test_lane_growth;
+          Alcotest.test_case "net-wal ingest under 64 KB" `Quick
+            test_ingest_create_alloc;
         ] );
       ( "mempool",
         [

@@ -113,6 +113,66 @@ let prop_queue_matches_model =
         ops
       && Event_queue.size q = List.length !model)
 
+(* Entries that stand for sorted runs of events, consumed from the top
+   with [replace_top_from], pop their events in the same order as one
+   entry per event: each event takes the sequence number its own push
+   would have ([take_seq]), and each run is sorted by (time, seq). *)
+type run = {
+  times : float array;
+  seqs : int array;
+  values : int array;
+  mutable head : int;
+}
+
+let prop_runs_match_single_events =
+  let gen =
+    QCheck.(
+      list (list_of_size Gen.(1 -- 6) (oneofl [ 0.; 1.; 1.; 2.; 5.; 9. ])))
+  in
+  QCheck.Test.make ~name:"runs pop like single events" ~count:300 gen
+    (fun groups ->
+      let runs = Event_queue.create () and single = Event_queue.create () in
+      let next = ref 0 in
+      List.iter
+        (fun times ->
+          let events =
+            List.map
+              (fun time ->
+                let v = !next in
+                incr next;
+                Event_queue.push single ~time v;
+                (time, Event_queue.take_seq runs, v))
+              times
+            |> List.stable_sort (fun (a, _, _) (b, _, _) -> compare a b)
+            |> Array.of_list
+          in
+          let r =
+            {
+              times = Array.map (fun (t, _, _) -> t) events;
+              seqs = Array.map (fun (_, s, _) -> s) events;
+              values = Array.map (fun (_, _, v) -> v) events;
+              head = 0;
+            }
+          in
+          Event_queue.push_seq_from runs r.times 0 ~seq:r.seqs.(0) r)
+        groups;
+      let from_runs = ref [] in
+      while not (Event_queue.is_empty runs) do
+        let r = Event_queue.top runs in
+        from_runs := r.values.(r.head) :: !from_runs;
+        r.head <- r.head + 1;
+        if r.head = Array.length r.values then
+          ignore (Event_queue.take runs : run)
+        else
+          Event_queue.replace_top_from runs r.times r.head
+            ~seq:r.seqs.(r.head)
+      done;
+      let from_single = ref [] in
+      while not (Event_queue.is_empty single) do
+        from_single := Event_queue.take single :: !from_single
+      done;
+      !from_runs = !from_single)
+
 (* --- RNG ------------------------------------------------------------------------ *)
 
 let test_rng_deterministic () =
@@ -653,18 +713,140 @@ let test_engine_link_windows () =
         (400. +. 10., 0, 1, "healed");
       ])
 
+(* --- Delivery order ------------------------------------------------------------------ *)
+
+(* Seeded engine-only scenarios, each reduced to a digest of the delivery
+   tap's (time, src, dst, msg) sequence plus the final event and send
+   counts.  The digests were recorded on the per-event heap (one heap
+   entry per arrival and per CPU-queued message), so any change to how
+   the engine stores and orders events must reproduce its per-event order
+   and its RNG draws exactly.  Every node reacts to what it receives from
+   a shared budget: a multicast, a unicast, an owned timer that
+   multicasts later, or nothing, picked from the message and the
+   endpoints. *)
+let order_digest ?cpu_cost ?(setup = fun _ -> ()) ~n network =
+  let e =
+    Engine.create ~n ~network ~seed:11
+      ~msg_size:(fun (m : int) -> 100 + (37 * (m mod 7)))
+      ?cpu_cost ()
+  in
+  let buf = Buffer.create 4096 in
+  Engine.set_delivery_tap e (fun ~time ~src ~dst msg ->
+      Printf.bprintf buf "%h %d %d %d;" time src dst msg);
+  let budget = ref (40 * n) in
+  let rec handler i ~src m =
+    if !budget > 0 then begin
+      decr budget;
+      match ((m * 7) + (i * 3) + src) mod 5 with
+      | 0 | 1 -> Engine.multicast e ~src:i (m + 1)
+      | 2 -> Engine.send e ~src:i ~dst:((i + m + 1) mod n) (m + 1)
+      | 3 ->
+          let (_cancel : unit -> unit) =
+            Engine.set_timer ~owner:i e
+              (float_of_int (m mod 4) *. 3.5)
+              (fun () -> Engine.multicast e ~src:i (m + 2))
+          in
+          ()
+      | _ -> ()
+    end
+  and install i = Engine.set_handler e i (handler i) in
+  for i = 0 to n - 1 do
+    install i;
+    Engine.schedule_at e (float_of_int (i mod 3)) (fun () ->
+        Engine.multicast e ~src:i (i * 13))
+  done;
+  setup (e, install);
+  Engine.run e ~until:5_000.;
+  let s = Engine.stats e in
+  Printf.bprintf buf "events %d sent %d bytes %d" s.Engine.events_processed
+    s.Engine.messages_sent s.Engine.bytes_sent;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let cpu m = 0.3 +. (0.25 *. float_of_int (m mod 3))
+
+let order_cases =
+  [
+    ( "uniform latency, CPU cost",
+      "a39ffced8c22aa20a8ea784c1e664069",
+      fun () ->
+        order_digest ~n:12 ~cpu_cost:cpu
+          (Network.make ~latency:(Latency.Uniform { base = 10.; jitter = 0. })
+             ~delta:50. ()) );
+    ( "WAN matrix, egress, CPU cost",
+      "814c3c4dcd93fef546deea0811512e84",
+      fun () ->
+        let latency = Bft_workload.Regions.latency_model () in
+        order_digest ~n:16 ~cpu_cost:cpu
+          (Network.make ~bandwidth_bps:1e8 ~latency
+             ~delta:(Latency.upper_bound latency) ()) );
+    ( "jitter, duplicates, drops",
+      "b2e0fcfdd5d230bd8628460e93fb1039",
+      fun () ->
+        order_digest ~n:10 ~cpu_cost:cpu
+          (Network.make ~duplicate_prob:0.2 ~drop_prob:0.1
+             ~latency:(Latency.Uniform { base = 10.; jitter = 5. })
+             ~delta:20. ()) );
+    ( "link windows",
+      "80c96ac61e1978f3d030c7b2a7ccfc77",
+      fun () ->
+        let w =
+          windows_of
+            ~parts:[ (20., 60., [| 0; 0; 0; 1; 1; 1; -1; -1 |]) ]
+            ~losses:[ (0., 80., 0.25) ]
+            ~delays:[ (10., 50., 12.5); (30., 90., 4.) ]
+        in
+        order_digest ~n:8 ~cpu_cost:cpu
+          ~setup:(fun (e, _) -> Engine.set_link_windows e w ~rng:(Rng.create 5))
+          (Network.make ~bandwidth_bps:1e8
+             ~latency:(Latency.Uniform { base = 10.; jitter = 5. })
+             ~delta:20. ()) );
+    ( "pre-GST extra delay",
+      "24854ab860ffd15c2391389d16e0134d",
+      fun () ->
+        order_digest ~n:9 ~cpu_cost:cpu
+          (Network.make ~gst:60. ~pre_gst_extra:25.
+             ~latency:(Latency.Uniform { base = 10.; jitter = 0. })
+             ~delta:50. ()) );
+    (* Every node's first multicast lands on node 3 at 10 ms and its 5 ms
+       CPU cost queues them until 45 ms.  The crash at 22 ms resets node
+       3's CPU, so after the recovery at 25 ms the fresh incarnation
+       finishes new arrivals before the dead incarnation's queued ones
+       would have. *)
+    ( "crash and recover with a CPU backlog",
+      "edd761b38eaff8a9e92b24572fd134ad",
+      fun () ->
+        order_digest ~n:8 ~cpu_cost:(fun _ -> 5.)
+          ~setup:(fun (e, install) ->
+            Engine.schedule_at e 22. (fun () -> Engine.crash e 3);
+            Engine.schedule_at e 25. (fun () ->
+                Engine.recover e 3;
+                install 3);
+            List.iter
+              (fun at ->
+                Engine.schedule_at e at (fun () ->
+                    Engine.send e ~src:(int_of_float at mod 3) ~dst:3 1000))
+              [ 26.; 27.; 31.; 38. ])
+          (Network.make ~latency:(Latency.Uniform { base = 10.; jitter = 0. })
+             ~delta:50. ()) );
+  ]
+
+let test_order (_, expected, f) () =
+  Alcotest.(check string) "delivery digest" expected (f ())
+
 (* --- Allocation -------------------------------------------------------------------- *)
 
 (* The steady-state message path allocates nothing.  After a warm-up round
-   has sized the cell pool and the event heap, repeated all-to-all
-   multicast rounds at n = 100 must allocate under 1 B per event.  Both
-   rows take the per-destination path with 10 Gbit/s egress and a CPU
-   cost, so every copy crosses the network model, the event queue twice
-   and the CPU queue: the WAN matrix, and uniform latency with jitter
-   (both draw from the Rng per message).  When times and Rng state still
-   crossed module boundaries as floats and Int64s, which the dev profile's
-   [-opaque] boxes, this measured about 88 B/event.  Counted exactly
-   ({!Bft_obs.Alloc}): [Gc.allocated_bytes] lags the minor heap. *)
+   has sized the pools and the event heap, repeated all-to-all multicast
+   rounds at n = 100 must allocate under 1 B per event.  Both rows take
+   the per-destination path with 10 Gbit/s egress and a CPU cost, so
+   every copy crosses the network model, its fan-out's run and the
+   receiver's CPU lane: the WAN matrix, and uniform latency with jitter
+   (both draw from the Rng per message).  The heap holds one entry per
+   fan-out and per busy CPU queue, so it peaks at 2n.  When times and Rng
+   state still crossed module boundaries as floats and Int64s, which the
+   dev profile's [-opaque] boxes, this measured about 88 B/event.  Counted
+   exactly ({!Bft_obs.Alloc}): [Gc.allocated_bytes] lags the minor
+   heap. *)
 let test_engine_alloc latency () =
   let n = 100 in
   let network =
@@ -699,7 +881,11 @@ let test_engine_alloc latency () =
   let events = (Engine.stats e).Engine.events_processed - events0 in
   check_int "every copy delivered" (10 * n * n) (!delivered - delivered0);
   let per_event = bytes /. float_of_int events in
-  check (Printf.sprintf "%.3f B/event under 1" per_event) true (per_event < 1.)
+  check (Printf.sprintf "%.3f B/event under 1" per_event) true (per_event < 1.);
+  (* One run per fan-out and one lane per busy node, where a heap of one
+     entry per message held every copy in flight (about n^2). *)
+  let peak = (Engine.stats e).Engine.peak_pending in
+  check (Printf.sprintf "heap peak %d within 2n" peak) true (peak <= 2 * n)
 
 let word_bytes = float_of_int (Sys.word_size / 8)
 
@@ -730,8 +916,8 @@ let test_windows_alloc () =
       ~delays:[ (0., 1e9, 30.); (0., 1e9, 7.5) ]
   in
   Engine.set_link_windows e w ~rng:(Rng.create 3);
-  (* Ten multicasts per node and round amortize [run]'s own per-call
-     allocation (its loop closure and the boxed horizon). *)
+  (* Ten multicasts per node and round amortize the round's own
+     allocation: the boxed clock reading and horizon passed to [run]. *)
   let round () =
     for _ = 1 to 10 do
       for src = 0 to n - 1 do
@@ -764,6 +950,7 @@ let () =
           Alcotest.test_case "rejects nan" `Quick test_queue_rejects_nan;
           Alcotest.test_case "min_time/take" `Quick test_queue_take;
           QCheck_alcotest.to_alcotest prop_queue_matches_model;
+          QCheck_alcotest.to_alcotest prop_runs_match_single_events;
         ] );
       ( "rng",
         [
@@ -817,6 +1004,11 @@ let () =
           Alcotest.test_case "link windows" `Quick test_engine_link_windows;
           QCheck_alcotest.to_alcotest prop_windows_match_reference;
         ] );
+      ( "order",
+        List.map
+          (fun ((name, _, _) as case) ->
+            Alcotest.test_case name `Quick (test_order case))
+          order_cases );
       ( "alloc",
         [
           Alcotest.test_case "WAN fan-out under 1 B/event" `Quick
