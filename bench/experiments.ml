@@ -546,7 +546,7 @@ let ablation_lso scale =
   let cfg =
     {
       (happy_config scale Protocol_kind.Pipelined_moonshot ~n:8 ~payload:0) with
-      Config.equivocators = [ 0 ];
+      Config.byzantine = [ (0, Byzantine.Equivocate) ];
       duration_ms = 60_000.;
     }
   in

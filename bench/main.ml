@@ -7,8 +7,8 @@
      dune exec bench/main.exe -- all --jobs 4     # grid runs on 4 domains
      dune exec bench/main.exe -- smoke            # tiny grid, CI tripwire
 
-   Experiments: table1 table2 table3 fig6 fig7 fig8 fig9 fairness ablations
-   micro mc mc-smoke smoke n1000 all
+   Experiments: table1 table2 table3 fig6 fig7 fig8 fig9 fairness chaos
+   clients ablations micro alloc mc mc-smoke mc-swarm-smoke smoke n1000 all
 
    [alloc] prints the per-layer allocation split of the [wan-n100],
    [chaos-clients] and [net-wal] benchmark workloads (see Alloc_split); it

@@ -17,7 +17,7 @@ let () =
   let cfg =
     {
       (Config.default Protocol_kind.Pipelined_moonshot ~n:8) with
-      Config.equivocators = [ 0 ];
+      Config.byzantine = [ (0, Byzantine.Equivocate) ];
       duration_ms = 30_000.;
       delta_ms = 500.;
     }

@@ -5,8 +5,6 @@ type t =
   | Incr of { key : string; by : int }
   | Del of { key : string }
 
-let encoded_size = Payload.item_size
-
 (* A cheap deterministic stream: splitmix-style mixing of (payload id,
    command index). *)
 let mix a b =

@@ -12,9 +12,6 @@ type t =
   | Incr of { key : string; by : int }
   | Del of { key : string }
 
-(** Wire footprint of one command: one 180-byte payload item. *)
-val encoded_size : int
-
 (** [of_payload p] expands a payload into its [Payload.item_count p]
     commands, deterministically from [p.id]. *)
 val of_payload : Bft_types.Payload.t -> t list

@@ -21,6 +21,3 @@ val applied : t -> int  (** Total commands applied. *)
 (** Order-independent digest of the current bindings plus the applied-command
     count (so replicas that applied different prefixes differ). *)
 val digest : t -> Bft_types.Hash.t
-
-(** Bindings sorted by key (tests, inspection). *)
-val bindings : t -> (string * int) list

@@ -19,7 +19,6 @@ let ensure_capacity t h =
     t.chain <- bigger
   end
 
-let at_height t h = if h >= 0 && h < t.len then Some t.chain.(h) else None
 let last t = t.chain.(t.len - 1)
 let length t = t.len - 1
 

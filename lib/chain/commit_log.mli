@@ -38,5 +38,4 @@ val last : t -> Block.t  (** Highest committed block; genesis initially. *)
 
 val length : t -> int  (** Committed blocks, genesis excluded. *)
 
-val at_height : t -> int -> Block.t option
 val to_list : t -> Block.t list  (** Genesis first. *)

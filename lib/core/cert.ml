@@ -11,7 +11,6 @@ let make ~kind ~view ~block ~signers =
 let genesis =
   { kind = Vote_kind.Normal; view = 0; block = Block.genesis; signers = 1 }
 
-let rank_compare a b = Int.compare a.view b.view
 let rank_geq a b = a.view >= b.view
 let rank_gt a b = a.view > b.view
 

@@ -23,9 +23,7 @@ val make : kind:Vote_kind.t -> view:int -> block:Block.t -> signers:int -> t
     every node at protocol start. *)
 val genesis : t
 
-(** Rank comparison: by view only; the kind never matters for ranking. *)
-val rank_compare : t -> t -> int
-
+(** Rank comparisons: by view only; the kind never matters for ranking. *)
 val rank_geq : t -> t -> bool
 val rank_gt : t -> t -> bool
 

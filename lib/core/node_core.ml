@@ -159,8 +159,6 @@ let rec commit_all t = function
 
 let committed t = Commit_log.length t.log
 
-let has_deferred t = t.deferred_commits <> []
-
 (* Runs after every handler (via [Sync.poke]); with nothing deferred it
    returns before building the [probe] closure. *)
 let first_missing t =

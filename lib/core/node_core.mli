@@ -28,9 +28,6 @@ val add_vote : 'msg t -> signer:int -> kind:Vote_kind.t -> Block.t -> Cert.t opt
     control ordering relative to their other rules. *)
 val record_cert : 'msg t -> Cert.t -> bool
 
-(** Certificates recorded for a view. *)
-val certs_at : 'msg t -> int -> Cert.t list
-
 (** Highest-ranked certificate recorded so far (genesis initially). *)
 val high_cert : 'msg t -> Cert.t
 
@@ -63,9 +60,6 @@ val commit_all : 'msg t -> Block.t list -> unit
 val committed : 'msg t -> int
 
 (** {2 Hooks for the block synchronizer ({!Sync})} *)
-
-(** Whether any commit is deferred on missing ancestors. *)
-val has_deferred : 'msg t -> bool
 
 (** The first missing ancestor blocking a deferred commit, with the
     proposer of its (known) child as a hint for who certainly had it. *)

@@ -57,8 +57,6 @@ let current_view t = t.cur_view
 let lock t = t.lock
 let timeout_view t = t.timeout_view
 let committed t = Node_core.committed t.core
-let commit_log t = Node_core.log t.core
-let store t = Node_core.store t.core
 
 let send_proposal t ~kind ~view ~parent wrap =
   Proposal_sender.send t.env ~equivocate:t.equivocate ~kind ~view ~parent wrap

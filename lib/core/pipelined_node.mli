@@ -39,8 +39,6 @@ val current_view : t -> int
 val lock : t -> Cert.t
 val timeout_view : t -> int
 val committed : t -> int
-val commit_log : t -> Bft_chain.Commit_log.t
-val store : t -> Bft_chain.Block_store.t
 
 (** First-class protocol modules for the harness. *)
 module Protocol : Bft_types.Protocol_intf.S with type msg = Message.t and type node = t

@@ -23,7 +23,5 @@ val handle : t -> src:int -> Message.t -> unit
 val current_view : t -> int
 val lock : t -> Cert.t
 val committed : t -> int
-val commit_log : t -> Bft_chain.Commit_log.t
-val store : t -> Bft_chain.Block_store.t
 
 module Protocol : Bft_types.Protocol_intf.S with type msg = Message.t and type node = t

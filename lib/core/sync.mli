@@ -36,7 +36,8 @@ val handle_request : 'msg t -> src:int -> Hash.t -> unit
 (** Ingest a response batch; completes deferred commits and re-{!poke}s. *)
 val handle_response : 'msg t -> Block.t list -> unit
 
-(** Number of sync requests sent (introspection for tests). *)
+(** Number of sync requests sent.  Test seam: test_node_core's sync
+    rate-limit cases count requests with it. *)
 val requests_sent : 'msg t -> int
 
 (** Canonical digest of the synchronizer's control state for model-checker

@@ -68,16 +68,6 @@ let add t key ~signer =
     else Array.unsafe_get t.added c
   end
 
-let count t key =
-  match Hashtbl.find t.table key with
-  | e -> e.count
-  | exception Not_found -> 0
-
-let is_complete t key =
-  match Hashtbl.find t.table key with
-  | e -> e.complete
-  | exception Not_found -> false
-
 let fold f t init =
   Hashtbl.fold
     (fun key e acc -> f key ~signers:e.signers ~complete:e.complete acc)

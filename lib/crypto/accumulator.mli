@@ -26,9 +26,6 @@ type outcome =
 (** [add t key ~signer] registers a contribution. *)
 val add : 'k t -> 'k -> signer:int -> outcome
 
-val count : 'k t -> 'k -> int
-val is_complete : 'k t -> 'k -> bool
-
 (** Fold over every key with at least one contribution.  [signers] is the
     live set for the key (do not mutate); entry iteration order is
     {e unspecified} (hashtable order), so callers building digests must

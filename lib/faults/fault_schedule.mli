@@ -43,10 +43,6 @@ val sorted : t -> t
     each window.  The liveness bound restarts from the latest of these. *)
 val heal_times : t -> float list
 
-(** Largest number of simultaneously-crashed nodes over the whole
-    timeline. *)
-val max_concurrent_crashed : t -> int
-
 (** Number of [Crash] events in the schedule. *)
 val crash_count : t -> int
 

@@ -50,11 +50,7 @@ let persist t =
           voted_main = t.last_voted_round >= t.cur_round;
         }
 
-let current_round t = t.cur_round
-let high_qc t = Node_core.high_cert t.core
 let committed t = Node_core.committed t.core
-let commit_log t = Node_core.log t.core
-let store t = Node_core.store t.core
 
 let send_proposal t ~round ~qc ~tc =
   Moonshot.Proposal_sender.send t.env ~equivocate:t.equivocate
@@ -357,7 +353,7 @@ module Protocol = struct
   let pp_msg = Jolteon_msg.pp
   let vote_slot = Jolteon_msg.vote_slot
   let state_hash = state_hash
-  let current_view = current_round
+  let current_view t = t.cur_round
   let lock_view t = (Node_core.high_cert t.core).Cert.view
   let wal_hash = Wal.digest
   let wal_consistent = wal_consistent

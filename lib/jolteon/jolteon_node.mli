@@ -27,11 +27,7 @@ val handle : t -> src:int -> Jolteon_msg.t -> unit
 
 (** {2 Introspection (tests, metrics)} *)
 
-val current_round : t -> int
-val high_qc : t -> Moonshot.Cert.t
 val committed : t -> int
-val commit_log : t -> Bft_chain.Commit_log.t
-val store : t -> Bft_chain.Block_store.t
 
 module Protocol :
   Bft_types.Protocol_intf.S with type msg = Jolteon_msg.t and type node = t

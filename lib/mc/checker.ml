@@ -4,20 +4,21 @@ module Trace = Bft_obs.Trace
 
 type config = {
   n : int;
-  delta : float;
   view_bound : int;
   max_depth : int;
   timer_budget : int;
   reorder_window : int;
   equivocators : int list;
   faults : Mc_schedule.step list;
-  payload_bytes : int;
   symmetry : bool;
 }
 
-let config ?(delta = 10.) ?(max_depth = 128) ?(timer_budget = 4)
-    ?(reorder_window = 1) ?(equivocators = []) ?(faults = [])
-    ?(payload_bytes = 0) ?(symmetry = false) ~n ~view_bound () =
+(* The logical [delta] of every world: only in-node time heuristics read
+   it, so one value serves every exploration.  Blocks carry no payload. *)
+let delta = 10.
+
+let config ?(max_depth = 128) ?(timer_budget = 4) ?(reorder_window = 1)
+    ?(equivocators = []) ?(faults = []) ?(symmetry = false) ~n ~view_bound () =
   if n < 1 then invalid_arg "Checker.config: n < 1";
   if view_bound < 1 then invalid_arg "Checker.config: view_bound < 1";
   if max_depth < 1 then invalid_arg "Checker.config: max_depth < 1";
@@ -27,18 +28,7 @@ let config ?(delta = 10.) ?(max_depth = 128) ?(timer_budget = 4)
     (fun i ->
       if i < 0 || i >= n then invalid_arg "Checker.config: equivocator out of range")
     equivocators;
-  {
-    n;
-    delta;
-    view_bound;
-    max_depth;
-    timer_budget;
-    reorder_window;
-    equivocators;
-    faults;
-    payload_bytes;
-    symmetry;
-  }
+  { n; view_bound; max_depth; timer_budget; reorder_window; equivocators; faults; symmetry }
 
 (* Nodes a schedule names are not interchangeable with anyone. *)
 let fault_fixed steps =
@@ -208,9 +198,9 @@ module Make (P : Protocol_intf.S) = struct
     H.create
       {
         Bft_net.Node_host.n;
-        delta = w.cfg.delta;
+        delta;
         leader_of = (fun view -> ((view - 1) mod n + n) mod n);
-        payload_bytes = w.cfg.payload_bytes;
+        payload_bytes = 0;
         ingest = None;
         trace = w.trace;
         faults = None;
@@ -234,8 +224,8 @@ module Make (P : Protocol_intf.S) = struct
   let make_world ?trace cfg =
     let network =
       Bft_sim.Network.make
-        ~latency:(Bft_sim.Latency.Uniform { base = cfg.delta /. 2.; jitter = 0. })
-        ~delta:cfg.delta ()
+        ~latency:(Bft_sim.Latency.Uniform { base = delta /. 2.; jitter = 0. })
+        ~delta ()
     in
     let engine = Engine.create ~n:cfg.n ~network ~seed:0 ~msg_size:P.msg_size () in
     let w =
@@ -383,17 +373,6 @@ module Make (P : Protocol_intf.S) = struct
         | None -> []
     in
     List.sort compare_action (List.rev_append msgs (tmrs @ faults))
-
-  let describe_action w = function
-    | A_msg e -> (
-        match Engine.inspect e.e_ev with
-        | Engine.Pending_message { msg; _ } ->
-            Format.asprintf "deliver %d->%d %a" e.e_src e.e_dst P.pp_msg msg
-        | _ -> Format.asprintf "deliver %d->%d" e.e_src e.e_dst)
-    | A_timer t -> Format.asprintf "timer node %d #%d" t.t_owner t.t_idx
-    | A_fault step ->
-        ignore w;
-        Format.asprintf "fault %a" Mc_schedule.pp_step step
 
   let apply_fault w step =
     let edge f =
@@ -712,7 +691,7 @@ module Make (P : Protocol_intf.S) = struct
 
   let sleep_keys sleep = List.map (fun (k, _, _) -> k) sleep
 
-  let check ?progress ?stop ?(jobs = 1) cfg =
+  let check ?stop ?(jobs = 1) cfg =
     let group = group_of_cfg cfg in
     let visited : (int64, (int64 * int * bool) list) Hashtbl.t =
       Hashtbl.create 4096
@@ -744,10 +723,6 @@ module Make (P : Protocol_intf.S) = struct
           frontier := []
       | _ -> ());
       max_depth_seen := max !max_depth_seen !depth;
-      (match progress with
-      | None -> ()
-      | Some f ->
-          f ~depth:!depth ~frontier:(List.length !frontier) ~states:!states_visited);
       let probes =
         Bft_parallel.Parallel.map ~jobs
           (fun e -> probe_path ~group cfg e.f_path)
@@ -1002,7 +977,6 @@ module Make (P : Protocol_intf.S) = struct
     | Mc_report.Ep_no_action -> 2
     | Mc_report.Ep_view_bound -> 3
     | Mc_report.Ep_depth -> 4
-    | Mc_report.Ep_sleep_blocked -> 5
 
   let swarm ?jobs ~walks ~depth ~seed cfg =
     let ws = run_walks ?jobs ~walks ~depth ~seed cfg in
@@ -1054,7 +1028,6 @@ module Make (P : Protocol_intf.S) = struct
           Ep_no_action;
           Ep_view_bound;
           Ep_depth;
-          Ep_sleep_blocked;
         ]
     in
     {
@@ -1133,21 +1106,6 @@ module Make (P : Protocol_intf.S) = struct
     let sink = Trace.create () in
     let (_ : world) = run_path ~trace:sink cfg path in
     sink
-
-  let describe cfg path =
-    let w = make_world cfg in
-    let buf = Buffer.create 256 in
-    List.iteri
-      (fun step idx ->
-        let acts = enabled w in
-        match List.nth_opt acts idx with
-        | None -> raise (Bad_path (Printf.sprintf "step %d: index %d out of range" step idx))
-        | Some a ->
-            Buffer.add_string buf
-              (Printf.sprintf "%2d. %s\n" (step + 1) (describe_action w a));
-            exec_action w a)
-      path;
-    Buffer.contents buf
 end
 
 (* {2 Protocol dispatch} *)
@@ -1191,11 +1149,3 @@ let replay kind cfg path =
   | Commit_moonshot -> Commit_mc.replay cfg path
   | Jolteon -> Jolteon_mc.replay cfg path
   | Hotstuff -> Hotstuff_mc.replay cfg path
-
-let describe kind cfg path =
-  match (kind : Kind.t) with
-  | Simple_moonshot -> Simple_mc.describe cfg path
-  | Pipelined_moonshot -> Pipelined_mc.describe cfg path
-  | Commit_moonshot -> Commit_mc.describe cfg path
-  | Jolteon -> Jolteon_mc.describe cfg path
-  | Hotstuff -> Hotstuff_mc.describe cfg path

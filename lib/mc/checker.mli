@@ -66,9 +66,10 @@
     ever makes progress (a genuine liveness bug).  A changed digest means
     the stall was an artifact of the finite [timer_budget]. *)
 
+(** Worlds run with a logical [delta] of 10 (it feeds only in-node time
+    heuristics) and empty payloads. *)
 type config = {
   n : int;
-  delta : float;  (** logical; only feeds in-node time heuristics *)
   view_bound : int;
       (** stop expanding once some live node's view exceeds this *)
   max_depth : int;  (** hard path-length cap; hitting it clears [exhausted] *)
@@ -88,23 +89,20 @@ type config = {
   equivocators : int list;
       (** created with [~equivocate:true] and exempt from double-vote checks *)
   faults : Mc_schedule.step list;
-  payload_bytes : int;
   symmetry : bool;
       (** canonicalize state digests under the validator-symmetry group;
           sound (see {!Symmetry}) and worthwhile once [n >= view_bound + 2] *)
 }
 
-(** Smart constructor with defaults ([delta]=10, [max_depth]=128,
-    [timer_budget]=4, [reorder_window]=1, no faults, no equivocators,
-    [symmetry]=false); validates ranges. *)
+(** Smart constructor with defaults ([max_depth]=128, [timer_budget]=4,
+    [reorder_window]=1, no faults, no equivocators, [symmetry]=false);
+    validates ranges. *)
 val config :
-  ?delta:float ->
   ?max_depth:int ->
   ?timer_budget:int ->
   ?reorder_window:int ->
   ?equivocators:int list ->
   ?faults:Mc_schedule.step list ->
-  ?payload_bytes:int ->
   ?symmetry:bool ->
   n:int ->
   view_bound:int ->
@@ -141,14 +139,11 @@ val search_config :
 module Make (P : Bft_types.Protocol_intf.S) : sig
   (** [check ~jobs cfg] explores the world exhaustively within bounds and
       returns the report.  Deterministic: state counts, violations and
-      witness paths are identical for every [jobs] value.  [progress], when
-      given, is called once per BFS layer (frontier size, distinct states
-      so far) — used by the bench driver for live output.  [stop], polled
+      witness paths are identical for every [jobs] value.  [stop], polled
       once per layer, aborts the search when it returns [true] (the report
       is flagged non-exhaustive); used for wall-clock budgets without
       linking this library against [unix]. *)
   val check :
-    ?progress:(depth:int -> frontier:int -> states:int -> unit) ->
     ?stop:(unit -> bool) ->
     ?jobs:int ->
     config ->
@@ -160,9 +155,9 @@ module Make (P : Bft_types.Protocol_intf.S) : sig
       (evolved exactly as in the exhaustive expansion, so a walk never
       spends steps on an interleaving a sibling branch covers).  Paths are
       indices into the full canonical enabled list, so any walk — in
-      particular a violation's or livelock's — replays through {!replay} /
-      {!describe}.  Per-walk RNGs are derived by {e hashing} (seed, walk
-      index), so walks never alias and reports are byte-identical for any
+      particular a violation's or livelock's — replays through {!replay}.
+      Per-walk RNGs are derived by {e hashing} (seed, walk index), so
+      walks never alias and reports are byte-identical for any
       [jobs] value; the report's [sw_fingerprint] pins every walk's full
       trajectory for determinism tests.  The estimated coverage is
       [sw_distinct / sw_walks] — distinct canonical state digests per
@@ -190,9 +185,6 @@ module Make (P : Bft_types.Protocol_intf.S) : sig
       full {!Bft_obs.Trace.t} — deliveries, node probe events, commits,
       fault milestones — for inspection or byte-stable JSONL export. *)
   val replay : config -> int list -> Bft_obs.Trace.t
-
-  (** Human-readable rendering of a path, one numbered action per line. *)
-  val describe : config -> int list -> string
 end
 
 (** {2 Protocol dispatch} — the five protocols of the experiment suite. *)
@@ -222,5 +214,3 @@ val schedule_search :
 
 val replay :
   Bft_runtime.Protocol_kind.t -> config -> int list -> Bft_obs.Trace.t
-
-val describe : Bft_runtime.Protocol_kind.t -> config -> int list -> string

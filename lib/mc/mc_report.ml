@@ -97,7 +97,6 @@ type endpoint =
   | Ep_no_action
   | Ep_view_bound
   | Ep_depth
-  | Ep_sleep_blocked
 
 let endpoint_name = function
   | Ep_violation -> "violation"
@@ -105,7 +104,6 @@ let endpoint_name = function
   | Ep_no_action -> "no-action"
   | Ep_view_bound -> "view-bound"
   | Ep_depth -> "depth-cap"
-  | Ep_sleep_blocked -> "sleep-blocked"
 
 type swarm = {
   sw_walks : int;

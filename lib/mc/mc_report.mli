@@ -69,7 +69,6 @@ val digest_prune_ratio : stats -> float
     [sleep_skips / (branches + sleep_skips)]. *)
 val sleep_prune_ratio : stats -> float
 
-val kind_name : violation_kind -> string
 val pp : Format.formatter -> t -> unit
 
 (** {2 Swarm mode} *)
@@ -80,16 +79,12 @@ type endpoint =
   | Ep_no_action  (** no enabled action (budget exhaustion or normal end) *)
   | Ep_view_bound
   | Ep_depth
-  | Ep_sleep_blocked
-      (** every enabled action was asleep — the sampled branch of the
-          reduced tree is empty here, exactly as exhaustive DPOR would
-          skip it *)
 
 type swarm = {
   sw_walks : int;
   sw_steps : int;  (** actions executed across all walks *)
   sw_distinct : int;  (** distinct canonical digests across all walks *)
-  sw_endpoints : (endpoint * int) list;  (** all six, fixed order *)
+  sw_endpoints : (endpoint * int) list;  (** all five, fixed order *)
   sw_max_committed : int;
   sw_commitless : int;  (** walks that never committed *)
   sw_max_tail : int;  (** longest commit-free step tail at a walk's end *)

@@ -4,20 +4,6 @@ type step =
   | Partition_on of int list list
   | Partition_off
 
-let pp_step ppf = function
-  | Crash n -> Format.fprintf ppf "crash(%d)" n
-  | Recover n -> Format.fprintf ppf "recover(%d)" n
-  | Partition_on groups ->
-      Format.fprintf ppf "partition(%a)"
-        (Format.pp_print_list
-           ~pp_sep:(fun ppf () -> Format.pp_print_char ppf '/')
-           (fun ppf g ->
-             Format.pp_print_list
-               ~pp_sep:(fun ppf () -> Format.pp_print_char ppf ',')
-               Format.pp_print_int ppf g))
-        groups
-  | Partition_off -> Format.fprintf ppf "heal"
-
 let compile ~n (sched : Bft_faults.Fault_schedule.t) =
   let module Fs = Bft_faults.Fault_schedule in
   (* Explode each event into its timed edges, then linearize by time.  The

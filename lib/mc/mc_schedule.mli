@@ -20,8 +20,6 @@ type step =
           at send time, matching) *)
   | Partition_off
 
-val pp_step : Format.formatter -> step -> unit
-
 (** [compile ~n sched] linearizes [sched] by event start time (partition
     windows contribute an opening and a closing edge).  Errors on loss /
     delay events, out-of-range nodes and overlapping partitions. *)

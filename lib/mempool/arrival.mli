@@ -1,8 +1,9 @@
 (** Allocation-free open-loop client arrival generator.
 
     A deterministic stream of command submissions: arrival [s] (its global
-    sequence number) is issued by client [client_of s] at the time
-    {!next_time_into} reports — Poisson interarrivals at the spec's
+    sequence number) is issued by a client that is a pure function of [s]
+    and the seed, at the time {!next_time_into} reports — Poisson
+    interarrivals at the spec's
     aggregate rate under the [Wall] clock, or a fixed [per_view] quota
     anchored to view numbers under [Views].  The stream is a pure function
     of the spec's seed, so two instances built from the same spec produce
@@ -25,9 +26,7 @@ val create : Spec.t -> t
     far. *)
 val seq : t -> int
 
-(** Issuer of arrival [s]; pure (independent of cursor position). *)
-val client_of : t -> int -> int
-
+(** Issuer of the next arrival, in [0, clients). *)
 val next_client : t -> int
 
 (** [next_time_into t times i] writes the next arrival's time to

@@ -18,7 +18,7 @@ type node_result = {
   id : int;
   commits : commit list;
   proposals : proposal list;
-  trace_lines : string list;
+  trace_events : Trace.event list;
   decode_errors : int;
   messages_sent : int;
   bytes_sent : int;
@@ -257,16 +257,14 @@ module Make (P : Protocol_intf.S) = struct
           H.emit (host t)
             (Trace.Link_report { peer; malformed = m; dropped = d }))
       t.malformed;
-    let trace_lines =
-      match t.trace with
-      | None -> []
-      | Some sink -> List.map Trace.event_to_json (Trace.events sink)
+    let trace_events =
+      match t.trace with None -> [] | Some sink -> Trace.events sink
     in
     ( {
         id = t.id;
         commits = List.rev t.commits;
         proposals = List.rev t.proposals;
-        trace_lines;
+        trace_events;
         decode_errors = Array.fold_left ( + ) 0 t.malformed;
         messages_sent = st.messages_sent;
         bytes_sent = st.bytes_sent;

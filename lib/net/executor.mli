@@ -36,7 +36,7 @@ type node_result = {
   id : int;
   commits : commit list;
   proposals : proposal list;
-  trace_lines : string list;
+  trace_events : Bft_obs.Trace.event list;
   decode_errors : int;
   messages_sent : int;
   bytes_sent : int;

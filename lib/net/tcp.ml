@@ -29,26 +29,6 @@ type config = {
   clients : Bft_mempool.Spec.t option;
 }
 
-let default ~n ~target_blocks =
-  {
-    n;
-    delta_ms = 1000.;
-    payload_bytes = 0;
-    target_blocks;
-    timeout_ms = 60_000.;
-    mode = Threads;
-    base_port = None;
-    leader_of = (fun view -> view mod n);
-    trace = false;
-    protocol_name = "";
-    faults = FS.empty;
-    fault_clock = Fault_plane.Wall_ms;
-    fault_seed = 17;
-    link_delay_ms = 0.;
-    wal_dir = None;
-    clients = None;
-  }
-
 type commit = Executor.commit = {
   c_height : int;
   c_view : int;
@@ -65,7 +45,7 @@ type node_result = Executor.node_result = {
   id : int;
   commits : commit list;
   proposals : proposal list;
-  trace_lines : string list;
+  trace_events : Bft_obs.Trace.event list;
   decode_errors : int;
   messages_sent : int;
   bytes_sent : int;
@@ -381,7 +361,7 @@ let merge_incarnations ~n ~id ~restarts rs =
     id;
     commits = List.concat_map (fun r -> r.commits) rs;
     proposals = List.concat_map (fun r -> r.proposals) rs;
-    trace_lines = List.concat_map (fun r -> r.trace_lines) rs;
+    trace_events = List.concat_map (fun r -> r.trace_events) rs;
     decode_errors = sum (fun r -> r.decode_errors);
     messages_sent = sum (fun r -> r.messages_sent);
     bytes_sent = sum (fun r -> r.bytes_sent);
@@ -701,7 +681,7 @@ let run (type m) (module P : Protocol_intf.S with type msg = m) cfg =
   let plane =
     Fault_plane.compile ~n:cfg.n ~clock:cfg.fault_clock ~seed:cfg.fault_seed
       ~link_delay_ms:cfg.link_delay_ms
-      ~heal_bound_ms:(Bft_obs.Liveness.default_k *. cfg.delta_ms)
+      ~heal_bound_ms:(Bft_obs.Liveness.k *. cfg.delta_ms)
       cfg.faults
   in
   let cfg =
@@ -783,52 +763,32 @@ let quorum_commits result ~quorum =
       else acc)
     tbl []
 
-let t_of_line line =
-  try Scanf.sscanf line "{\"t\":%f" (fun t -> t) with _ -> 0.
-
 let merged_trace result ~quorum =
-  let tagged =
-    Array.fold_left
-      (fun acc nr ->
-        List.fold_left
-          (fun acc line -> (t_of_line line, nr.id, line) :: acc)
-          acc nr.trace_lines)
-      [] result.nodes
+  let module T = Bft_obs.Trace in
+  let node_events =
+    List.concat_map (fun nr -> nr.trace_events) (Array.to_list result.nodes)
   in
-  let qlines =
+  let quorum_events =
     List.map
       (fun (qnode, qc) ->
-        ( qc.c_time_ms,
-          qnode,
-          Bft_obs.Trace.event_to_json
-            {
-              Bft_obs.Trace.time = qc.c_time_ms;
-              node = qnode;
-              kind =
-                Bft_obs.Trace.Quorum_commit
-                  { view = qc.c_view; height = qc.c_height };
-            } ))
+        {
+          T.time = qc.c_time_ms;
+          node = qnode;
+          kind = T.Quorum_commit { view = qc.c_view; height = qc.c_height };
+        })
       (quorum_commits result ~quorum)
   in
-  let flines =
+  let fault_events =
     List.map
-      (fun fe ->
-        ( fe.fe_time_ms,
-          fe.fe_node,
-          Bft_obs.Trace.event_to_json
-            {
-              Bft_obs.Trace.time = fe.fe_time_ms;
-              node = fe.fe_node;
-              kind = Bft_obs.Trace.Fault fe.fe_kind;
-            } ))
+      (fun fe -> { T.time = fe.fe_time_ms; node = fe.fe_node; kind = T.Fault fe.fe_kind })
       result.fault_events
   in
-  List.rev tagged @ qlines @ flines
-  |> List.stable_sort (fun (ta, na, _) (tb, nb, _) ->
-         match Float.compare ta tb with
-         | 0 -> Int.compare na nb
+  node_events @ quorum_events @ fault_events
+  |> List.stable_sort (fun (a : T.event) (b : T.event) ->
+         match Float.compare a.time b.time with
+         | 0 -> Int.compare a.node b.node
          | c -> c)
-  |> List.map (fun (_, _, line) -> line)
+  |> List.map T.event_to_json
 
 let quorum_latencies result ~quorum =
   let created : (int64, float) Hashtbl.t = Hashtbl.create 64 in

@@ -127,11 +127,6 @@ type config = {
           payload references in the commit records. *)
 }
 
-(** [default ~n ~target_blocks] — threads mode, ephemeral ports, empty
-    payload, [delta] 1 s, round-robin leaders, 60 s timeout, no trace,
-    no faults. *)
-val default : n:int -> target_blocks:int -> config
-
 (** One block commit as observed by one node, in local commit order. *)
 type commit = Executor.commit = {
   c_height : int;
@@ -159,9 +154,9 @@ type node_result = Executor.node_result = {
           process mode the crashed incarnation's list dies with the
           process and only the final incarnation's survives). *)
   proposals : proposal list;
-  trace_lines : string list;
-      (** {!Bft_obs.Trace.event_to_json} lines in emission order;
-          [[]] when untraced. *)
+  trace_events : Bft_obs.Trace.event list;
+      (** The node's trace events in emission order; [[]] when
+          untraced. *)
   decode_errors : int;
       (** Malformed frame bodies skipped (total), mismatched payload
           trailers included. *)
@@ -205,10 +200,10 @@ type result = {
     is not a valid logical schedule. *)
 val run : (module Protocol_intf.S with type msg = 'm) -> config -> result
 
-(** [merged_trace result ~quorum] interleaves every node's trace lines
-    into one time-sorted JSONL document and synthesizes the
+(** [merged_trace result ~quorum] is one JSONL document, sorted by
+    (time, node), of every node's trace events plus a synthesized
     [quorum_commit] event for each block committed by at least [quorum]
-    nodes plus a [fault] event per entry of [result.fault_events] — the
+    nodes and a [fault] event per entry of [result.fault_events] — the
     same event families a traced simulator run emits, so sim and socket
     traces feed the same latency and liveness tooling. *)
 val merged_trace : result -> quorum:int -> string list

@@ -129,9 +129,6 @@ module R : sig
   (** Rejects counts above [65536] (frames never carry more elements). *)
   val list : t -> (t -> 'a) -> 'a list
 
-  (** Bytes not yet consumed. *)
-  val remaining : t -> int
-
   (** Raises unless the input is fully consumed. *)
   val expect_end : t -> unit
 end

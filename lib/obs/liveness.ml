@@ -10,7 +10,7 @@ let fail fmt = Format.kasprintf (fun s -> raise (Violation s)) fmt
    recovering node.  Simple Moonshot's chain adds up to ~12 Delta with no
    slack at all; 20 Delta covers all four protocols with real margin while
    still failing fast on a genuine stall. *)
-let default_k = 20.
+let k = 20.
 
 type pending_recovery = {
   p_node : int;
@@ -23,7 +23,6 @@ type pending_recovery = {
 type t = {
   n : int;
   delta : float;
-  k : float;
   gst : float;
   exempt : bool array;
   up : bool array;
@@ -39,13 +38,12 @@ type t = {
   mutable min_slack : float;  (* nan = no check has passed yet *)
 }
 
-let create ?(k = default_k) ~n ~delta ~gst () =
+let create ~n ~delta ~gst =
   if n < 1 then invalid_arg "Liveness.create: n < 1";
-  if delta <= 0. || k <= 0. then invalid_arg "Liveness.create: bad bound";
+  if delta <= 0. then invalid_arg "Liveness.create: delta <= 0";
   {
     n;
     delta;
-    k;
     gst;
     exempt = Array.make n false;
     up = Array.make n true;
@@ -61,7 +59,7 @@ let create ?(k = default_k) ~n ~delta ~gst () =
     min_slack = Float.nan;
   }
 
-let bound t = t.k *. t.delta
+let bound t = k *. t.delta
 let set_exempt t i = t.exempt.(i) <- true
 
 let note_commit t ~node ~time ~height =
@@ -111,7 +109,7 @@ let check t ~since ~now =
     fail
       "liveness: no quorum commit in (%.0f, %.0f] ms (bound %.0f ms = %g \
        Delta)"
-      since now b t.k;
+      since now b k;
   (* Slack: by how much the tightest obligation cleared the window — the
      latest-committing obligated entity's last commit minus [since].  A
      slack of epsilon means one commit landed just inside the bound: a

@@ -20,12 +20,13 @@ exception Violation of string
 
 type t
 
-(** [create ~n ~delta ~gst ()] — [k] (default {!default_k}) scales the
-    liveness bound [k * delta]; it accommodates a worst-case view change
-    (leader timeout, TC formation, fallback proposal) plus commit depth. *)
-val create : ?k:float -> n:int -> delta:float -> gst:float -> unit -> t
+(** [create ~n ~delta ~gst] monitors an [n]-node run against the liveness
+    bound [k * delta]. *)
+val create : n:int -> delta:float -> gst:float -> t
 
-val default_k : float
+(** The bound's scale, 20: it accommodates a worst-case view change
+    (leader timeout, TC formation, fallback proposal) plus commit depth. *)
+val k : float
 
 (** The bound [k * delta], ms. *)
 val bound : t -> float

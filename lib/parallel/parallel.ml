@@ -1,5 +1,3 @@
-let cpu_count () = Domain.recommended_domain_count ()
-
 (* Simulation-friendly GC settings.  The simulator's steady state allocates
    small short-lived blocks (messages that escape the engine's pools, trace
    thunks, metrics conses): a 32 M-word minor heap promotes far less of that

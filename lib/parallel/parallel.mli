@@ -18,10 +18,6 @@
     [jobs <= 1] degrades to plain [List.map] with no domain spawned. *)
 val map : jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 
-(** Domains this machine can usefully run
-    ({!Domain.recommended_domain_count}). *)
-val cpu_count : unit -> int
-
 (** Apply simulation-friendly GC settings to the calling domain: a 32 M-word
     minor heap (the simulator's churn is small short-lived blocks, so a
     large nursery keeps promotion rare) and [space_overhead = 200].  {!map}

@@ -14,9 +14,7 @@ type t = {
   bandwidth_bps : float option;
   model_cpu : bool;
   duplicate_prob : float;
-  drop_prob : float;
   seed : int;
-  equivocators : int list;
   byzantine : (int * Byzantine.t) list;
   faults : Bft_faults.Fault_schedule.t;
   logical_faults : bool;
@@ -38,9 +36,7 @@ let default protocol ~n =
     bandwidth_bps = Some Bft_workload.Regions.bandwidth_bps;
     model_cpu = true;
     duplicate_prob = 0.;
-    drop_prob = 0.;
     seed = 1;
-    equivocators = [];
     byzantine = [];
     faults = Bft_faults.Fault_schedule.empty;
     logical_faults = false;
@@ -68,9 +64,7 @@ let validate t =
     invalid_arg "Config: negative gst/pre_gst_extra";
   if t.duplicate_prob < 0. || t.duplicate_prob > 1. then
     invalid_arg "Config: duplicate_prob outside [0, 1]";
-  if t.drop_prob < 0. || t.drop_prob > 1. then
-    invalid_arg "Config: drop_prob outside [0, 1]";
-  let faulty_ids = t.equivocators @ List.map fst t.byzantine in
+  let faulty_ids = List.map fst t.byzantine in
   List.iter
     (fun i ->
       if i < 0 || i >= t.n then invalid_arg "Config: faulty node out of range";

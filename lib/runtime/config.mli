@@ -23,13 +23,7 @@ type t = {
           network size, as on the paper's m5.large instances. *)
   duplicate_prob : float;
       (** Network-level duplication probability (robustness testing). *)
-  drop_prob : float;
-      (** Network-level per-message loss probability (robustness testing);
-          positive values suspend the post-GST delivery guarantee. *)
   seed : int;
-  equivocators : int list;
-      (** Node ids running the equivocating-proposer attack (tests);
-          shorthand for [(id, Byzantine.Equivocate)] entries. *)
   byzantine : (int * Byzantine.t) list;
       (** Per-node Byzantine behaviour assignments (see {!Byzantine}); must
           not overlap the silent set implied by [f_actual]. *)
@@ -68,9 +62,9 @@ val default : Protocol_kind.t -> n:int -> t
     infinite bandwidth. *)
 val local : Protocol_kind.t -> n:int -> t
 
-(** Raises [Invalid_argument] when inconsistent (f' too large, equivocators
-    out of range or overlapping the silent set, bad sizes, fault schedule
-    outside the joint crashed+Byzantine budget of f). *)
+(** Raises [Invalid_argument] when inconsistent (f' too large, Byzantine
+    nodes out of range or overlapping the silent set, bad sizes, fault
+    schedule outside the joint crashed+Byzantine budget of f). *)
 val validate : t -> unit
 
 val pp : Format.formatter -> t -> unit

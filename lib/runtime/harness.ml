@@ -61,7 +61,6 @@ let run_protocol (type m) ?(on_commit = fun ~node:_ _ -> ()) ?trace
       ?bandwidth_bps:cfg.Config.bandwidth_bps
       ~gst:cfg.Config.gst_ms ~pre_gst_extra:cfg.Config.pre_gst_extra_ms
       ~duplicate_prob:cfg.Config.duplicate_prob
-      ~drop_prob:cfg.Config.drop_prob
       ~latency:(latency_model cfg) ~delta:cfg.Config.delta_ms ()
   in
   (* Client-traffic ingestion: one shared coordinator per run.  The arrival
@@ -101,7 +100,7 @@ let run_protocol (type m) ?(on_commit = fun ~node:_ _ -> ()) ?trace
     if faulted then
       Some
         (Bft_obs.Liveness.create ~n:cfg.Config.n ~delta:cfg.Config.delta_ms
-           ~gst:cfg.Config.gst_ms ())
+           ~gst:cfg.Config.gst_ms)
     else None
   in
   let module H = Bft_net.Node_host.Make (P) in
@@ -174,7 +173,6 @@ let run_protocol (type m) ?(on_commit = fun ~node:_ _ -> ()) ?trace
   in
   let behaviour_of id =
     if silent id then Some Byzantine.Silent
-    else if List.mem id cfg.Config.equivocators then Some Byzantine.Equivocate
     else List.assoc_opt id cfg.Config.byzantine
   in
   (* Crash and recovery, whoever orders them: the wall-clock thunks below,

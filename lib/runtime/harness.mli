@@ -89,14 +89,15 @@ val run_seeds : Config.t -> seeds:int list -> run_result list
     summed across domains (the counter is atomic, so domain-parallel
     sweeps — {!Bft_parallel.Parallel}-driven benches — account correctly).
     Read it before and after a workload to get events/second alongside
-    wall-clock. *)
+    wall-clock.  Test seam: test_properties' whole-run budgets read it. *)
 val events_processed_total : unit -> int
 
 (** Heap bytes allocated inside the event loops of every run this process
     has completed (per-domain {!Bft_obs.Alloc.allocated_bytes} deltas,
     exact, summed across domains like {!events_processed_total}).  Dividing
     its delta by the event counter's delta gives bytes allocated per
-    event. *)
+    event.  Test seam: test_properties' whole-run allocation budgets (the
+    only whole-run allocation gate) read it. *)
 val bytes_allocated_total : unit -> int
 
 (** Averages across repeated runs. *)

@@ -32,8 +32,6 @@ let create ~n () =
 
 let set_on_quorum_commit t f = t.on_quorum_commit <- Some f
 
-let commit_quorum t = t.quorum
-
 let track t (block : Block.t) =
   let key = Hash.to_int block.Block.hash in
   match Hashtbl.find_opt t.blocks key with

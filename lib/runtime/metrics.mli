@@ -23,9 +23,6 @@ val create : n:int -> unit -> t
     substrates time commits against this one value. *)
 val latency_quorum : n:int -> int
 
-(** [latency_quorum] of the collector's [n]. *)
-val commit_quorum : t -> int
-
 val on_propose : t -> time:float -> Block.t -> unit
 val on_commit : t -> node:int -> time:float -> Block.t -> unit
 

@@ -2,11 +2,24 @@ let quorum ~n = Metrics.latency_quorum ~n
 
 let config kind ~n ~blocks =
   {
-    (Bft_net.Tcp.default ~n ~target_blocks:blocks) with
-    Bft_net.Tcp.leader_of =
+    Bft_net.Tcp.n;
+    delta_ms = 1000.;
+    payload_bytes = 0;
+    target_blocks = blocks;
+    timeout_ms = 60_000.;
+    mode = Bft_net.Tcp.Threads;
+    base_port = None;
+    leader_of =
       Bft_workload.Schedules.leader_of Bft_workload.Schedules.Round_robin ~n
         ~f':0;
+    trace = false;
     protocol_name = Protocol_kind.name kind;
+    faults = Bft_faults.Fault_schedule.empty;
+    fault_clock = Bft_net.Fault_plane.Wall_ms;
+    fault_seed = 17;
+    link_delay_ms = 0.;
+    wal_dir = None;
+    clients = None;
   }
 
 let run kind cfg =
@@ -88,7 +101,7 @@ let net_liveness (result : Bft_net.Tcp.result) ~delta =
     List.fold_left (fun a fe -> Float.max a fe.fe_time_ms) 0.
       result.fault_events
   in
-  let mon = Bft_obs.Liveness.create ~n ~delta ~gst () in
+  let mon = Bft_obs.Liveness.create ~n ~delta ~gst in
   (* Replay in wall-time order; same-time ties resolve fault edges before
      commits and quorum milestones after individual commits, matching the
      order the simulator harness generates them in. *)

@@ -16,9 +16,11 @@
 val quorum : n:int -> int
 
 (** [config kind ~n ~blocks] — a {!Bft_net.Tcp.config} wired for
-    [kind]: round-robin leader schedule, the protocol's canonical name in
-    the hello frame, [delta_ms] 1000 (no timeouts on localhost),
-    ephemeral ports.  Override fields as usual with record update. *)
+    [kind]: threads mode, round-robin leader schedule, the protocol's
+    canonical name in the hello frame, [delta_ms] 1000 (no timeouts on
+    localhost), ephemeral ports, empty payloads, a 60 s timeout, no trace,
+    no faults, no WAL and no clients.  Override fields as usual with
+    record update. *)
 val config : Protocol_kind.t -> n:int -> blocks:int -> Bft_net.Tcp.config
 
 (** Launch a cluster of the given protocol (see {!Bft_net.Tcp.run}). *)

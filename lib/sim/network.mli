@@ -47,18 +47,16 @@ val make :
   unit ->
   t
 
-(** Serialization time of [size] bytes on the egress link, ms. *)
-val serialization_ms : t -> size:int -> float
-
 (** [delivery_into t rng ~egress ~src ~dst ~size times i] hands one
     message of [size] bytes from [src] to the network at time [times.(i)]
     and replaces [times.(i)] with its arrival time at [dst].  [egress] is
     the per-node egress-busy-until array: the message waits for
-    [egress.(src)], occupies the link for {!serialization_ms}, and
-    [egress.(src)] is advanced to when the link frees.  Propagation is
-    drawn with {!Latency.add_sample}.  Times travel through array slots
-    because a float passed between modules is boxed; this is the engine's
-    per-message path and allocates nothing after GST. *)
+    [egress.(src)], occupies the link for [size] bytes' serialization
+    time at the egress bandwidth, and [egress.(src)] is advanced to when
+    the link frees.  Propagation is drawn with {!Latency.add_sample}.
+    Times travel through array slots because a float passed between
+    modules is boxed; this is the engine's per-message path and allocates
+    nothing after GST. *)
 val delivery_into :
   t ->
   Rng.t ->

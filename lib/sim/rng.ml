@@ -40,11 +40,6 @@ let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
   int_of_float (float t (float_of_int bound))
 
-let gaussian t ~mean ~std =
-  let u1 = Float.max 1e-12 (float t 1.0) in
-  let u2 = float t 1.0 in
-  mean +. (std *. sqrt (-2. *. log u1) *. cos (2. *. Float.pi *. u2))
-
 let exponential t ~mean =
   let u = Float.max 1e-12 (float t 1.0) in
   -.mean *. log u

@@ -26,8 +26,5 @@ val bits53 : t -> int
 (** Uniform in [\[0, bound)].  [bound] must be positive. *)
 val int : t -> int -> int
 
-(** Gaussian via Box-Muller. *)
-val gaussian : t -> mean:float -> std:float -> float
-
 (** Exponentially distributed with the given mean. *)
 val exponential : t -> mean:float -> float

@@ -5,11 +5,6 @@ let require_nonempty = function
 let sum xs = List.fold_left ( +. ) 0. (require_nonempty xs)
 let mean xs = sum xs /. float_of_int (List.length xs)
 
-let stddev xs =
-  let m = mean xs in
-  let sq = List.fold_left (fun acc x -> acc +. ((x -. m) ** 2.)) 0. xs in
-  sqrt (sq /. float_of_int (List.length xs))
-
 let percentile p xs =
   if p < 0. || p > 100. then invalid_arg "Descriptive.percentile: p not in [0,100]";
   let sorted = List.sort Float.compare (require_nonempty xs) in

@@ -3,7 +3,6 @@
 (** All of these raise [Invalid_argument] on an empty list. *)
 
 val mean : float list -> float
-val stddev : float list -> float  (** Population standard deviation. *)
 
 val median : float list -> float
 

@@ -1,4 +1,6 @@
-let iqr_filter_on ?(k = 1.5) ~value xs =
+let k = 1.5
+
+let iqr_filter_on ~value xs =
   match xs with
   | [] | [ _ ] | [ _; _ ] -> (xs, [])
   | _ ->
@@ -12,5 +14,3 @@ let iqr_filter_on ?(k = 1.5) ~value xs =
           let v = value x in
           v >= lo && v <= hi)
         xs
-
-let iqr_filter ?k xs = iqr_filter_on ?k ~value:(fun x -> x) xs

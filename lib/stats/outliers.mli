@@ -6,10 +6,7 @@
     elsewhere).  We reproduce the same treatment with a standard IQR fence
     over per-configuration ratios. *)
 
-(** [iqr_filter ?k xs] keeps samples within
-    [Q1 - k * IQR, Q3 + k * IQR] (Tukey's fences, default [k = 1.5]).
-    Returns [(kept, removed)]. *)
-val iqr_filter : ?k:float -> float list -> float list * float list
-
-(** [iqr_filter_on ?k ~value xs] — same, keying each element by [value]. *)
-val iqr_filter_on : ?k:float -> value:('a -> float) -> 'a list -> 'a list * 'a list
+(** [iqr_filter_on ~value xs] keeps the elements whose [value] lies within
+    [Q1 - 1.5 * IQR, Q3 + 1.5 * IQR] (Tukey's fences).  Returns
+    [(kept, removed)]. *)
+val iqr_filter_on : value:('a -> float) -> 'a list -> 'a list * 'a list

@@ -30,5 +30,3 @@ let cell v =
   if Float.abs v >= 1000. then Printf.sprintf "%.0f" v
   else if Float.abs v >= 10. then Printf.sprintf "%.1f" v
   else Printf.sprintf "%.2f" v
-
-let cell_int = string_of_int

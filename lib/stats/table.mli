@@ -13,5 +13,3 @@ val print : Format.formatter -> t -> unit
 
 (** Shorthand for formatting float cells. *)
 val cell : float -> string
-
-val cell_int : int -> string

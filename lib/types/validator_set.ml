@@ -6,5 +6,4 @@ let make n =
 
 let quorum t = t.n - t.f
 let weak_quorum t = t.f + 1
-let is_member t i = i >= 0 && i < t.n
 let pp ppf t = Format.fprintf ppf "validators(n=%d, f=%d)" t.n t.f

@@ -18,7 +18,4 @@ val quorum : t -> int
     member (used by Bracha-style timeout amplification). *)
 val weak_quorum : t -> int
 
-(** [is_member t i] is true when [0 <= i < n]. *)
-val is_member : t -> int -> bool
-
 val pp : Format.formatter -> t -> unit

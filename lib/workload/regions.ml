@@ -30,16 +30,6 @@ let table =
 
 let latency_ms ~src ~dst = table.(index src).(index dst)
 
-let of_index = function
-  | 0 -> Us_east_1
-  | 1 -> Us_west_1
-  | 2 -> Eu_north_1
-  | 3 -> Ap_northeast_1
-  | 4 -> Ap_southeast_2
-  | _ -> invalid_arg "Regions.of_index"
-
-let region_of_node i = of_index (i mod count)
-
 let latency_model () =
   Bft_sim.Latency.Matrix
     { table; region_of = (fun node -> node mod count) }

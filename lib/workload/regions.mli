@@ -18,16 +18,12 @@ val name : region -> string
 (** Row/column of the region in {!table}, [0 .. count - 1]. *)
 val index : region -> int
 
-(** [latency_ms ~src ~dst] is the Table II entry, in ms. *)
-val latency_ms : src:region -> dst:region -> float
-
 (** The raw 5x5 latency table, indexed by {!index}. *)
 val table : float array array
 
-(** Region of node [i] in an [n]-node network (round-robin assignment). *)
-val region_of_node : int -> region
-
-(** The {!Bft_sim.Latency.t} model for a WAN built from the table. *)
+(** The {!Bft_sim.Latency.t} model for a WAN built from the table: node
+    [i] sits in the region of index [i mod count] (round-robin
+    assignment). *)
 val latency_model : unit -> Bft_sim.Latency.t
 
 (** The paper's per-node egress bandwidth: 10 Gbit/s (m5.large burst). *)

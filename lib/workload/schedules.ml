@@ -20,10 +20,6 @@ let check ~n ~f' =
   if f' < 0 || f' > (n - 1) / 3 then
     invalid_arg "Schedules: f' must satisfy 0 <= f' <= (n - 1) / 3"
 
-let byzantine_ids ~n ~f' =
-  check ~n ~f';
-  List.init f' (fun i -> n - f' + i)
-
 let is_byzantine ~n ~f' i =
   check ~n ~f';
   i >= n - f'

@@ -28,16 +28,12 @@ val name : t -> string
 (** Inverse of {!name}; [None] on unknown names. *)
 val of_name : string -> t option
 
-(** The Byzantine node ids: [n - f' .. n - 1].
-    Raises [Invalid_argument] when [f' > (n - 1) / 3] or [f' < 0]. *)
-val byzantine_ids : n:int -> f':int -> int list
-
-(** [is_byzantine ~n ~f' i] — is node [i] in {!byzantine_ids}? *)
+(** [is_byzantine ~n ~f' i] — is node [i] one of the Byzantine ids
+    [n - f' .. n - 1]?  Raises [Invalid_argument] when [f' > (n - 1) / 3]
+    or [f' < 0]. *)
 val is_byzantine : n:int -> f':int -> int -> bool
 
-(** The length-[n] cyclic arrangement of leaders.
+(** [leader_of t ~n ~f'] maps a view (1-based) to its leader's node id,
+    walking the schedule's length-[n] cyclic arrangement of leaders.
     Raises [Invalid_argument] on inconsistent [n], [f']. *)
-val arrangement : t -> n:int -> f':int -> int array
-
-(** [leader_of t ~n ~f'] maps a view (1-based) to its leader's node id. *)
 val leader_of : t -> n:int -> f':int -> int -> int

@@ -1,19 +1,23 @@
 (* A hand-wired cluster of Pipelined/Commit Moonshot nodes on a raw engine,
    for scenario tests that need direct control over the network: partitions,
    healing, per-link drops.  (The Harness covers the standard experiment
-   shapes; this helper covers everything it deliberately does not expose.) *)
-
-open Bft_types
+   shapes; this helper covers everything it deliberately does not expose.)
+   Nodes are hosted like the Harness hosts them, through
+   [Node_host.engine_io], so a node's timers belong to it and a crash
+   quenches them. *)
 
 type t = {
   engine : Moonshot.Message.t Bft_sim.Engine.t;
-  nodes : Moonshot.Pipelined_node.t array;
-  wals : Moonshot.Wal.t array;
-  envs : Moonshot.Message.t Env.t array;
-  precommit : bool;
-  n : int;
+  nodes : Moonshot.Pipelined_node.t option array;  (* current incarnations *)
+  start_all : unit -> unit;
+  recover : int -> unit;
   mutable isolated : int list;
 }
+
+module type Pipelined =
+  Bft_types.Protocol_intf.S
+    with type msg = Moonshot.Message.t
+     and type node = Moonshot.Pipelined_node.t
 
 let create ?(precommit = false) ?(n = 4) ?(hop = 10.) ?(delta = 50.) () =
   let network =
@@ -24,64 +28,64 @@ let create ?(precommit = false) ?(n = 4) ?(hop = 10.) ?(delta = 50.) () =
   let engine =
     Bft_sim.Engine.create ~n ~network ~seed:1 ~msg_size:Moonshot.Message.size ()
   in
-  let validators = Validator_set.make n in
-  let env_of id =
+  let (module P : Pipelined) =
+    if precommit then (module Moonshot.Pipelined_node.Commit_protocol)
+    else (module Moonshot.Pipelined_node.Protocol)
+  in
+  let module H = Bft_net.Node_host.Make (P) in
+  let policy =
     {
-      Env.id;
-      validators;
+      Bft_net.Node_host.n;
       delta;
-      now = (fun () -> Bft_sim.Engine.now engine);
-      send = (fun dst msg -> Bft_sim.Engine.send engine ~src:id ~dst msg);
-      multicast = (fun msg -> Bft_sim.Engine.multicast engine ~src:id msg);
-      set_timer = (fun d f -> Bft_sim.Engine.set_timer engine d f);
       leader_of = (fun view -> (view - 1) mod n);
-      make_payload = (fun ~view ~parent:_ -> Payload.make ~id:view ~size_bytes:0);
-      on_commit = (fun _ -> ());
-      on_propose = (fun _ -> ());
-      probe = None;
+      payload_bytes = 0;
+      ingest = None;
+      trace = None;
+      faults = None;
     }
   in
-  let wals = Array.init n (fun _ -> Moonshot.Wal.create ()) in
-  let envs = Array.init n env_of in
-  let nodes =
+  let nodes = Array.make n None in
+  (* Every node keeps a WAL across incarnations: a restart resumes at the
+     recorded view with its vote slots intact. *)
+  let hosts =
     Array.init n (fun id ->
-        let node =
-          Moonshot.Pipelined_node.create ~precommit ~wal:wals.(id) envs.(id)
-        in
-        Bft_sim.Engine.set_handler engine id
-          (Moonshot.Pipelined_node.handle node);
-        node)
+        H.create policy ~wal:(P.wal_create ())
+          ~on_spawn:(fun node handler ->
+            nodes.(id) <- Some node;
+            Bft_sim.Engine.set_handler engine id handler)
+          ~id
+          (Bft_net.Node_host.engine_io engine id))
   in
-  let t = { engine; nodes; wals; envs; precommit; n; isolated = [] } in
+  Array.iter H.spawn hosts;
+  let t =
+    {
+      engine;
+      nodes;
+      start_all = (fun () -> Array.iter H.start hosts);
+      recover = (fun i -> H.recover hosts.(i));
+      isolated = [];
+    }
+  in
   Bft_sim.Engine.set_link_filter engine (fun ~src ~dst ->
       (not (List.mem src t.isolated)) && not (List.mem dst t.isolated));
   t
 
-let start t = Array.iter Moonshot.Pipelined_node.start t.nodes
+let start t = t.start_all ()
 let run t ~until = Bft_sim.Engine.run t.engine ~until
 
 (* Sever all links to and from the given nodes (both directions). *)
 let isolate t ids = t.isolated <- ids
 let heal t = t.isolated <- []
-let committed t i = Moonshot.Pipelined_node.committed t.nodes.(i)
-let current_view t i = Moonshot.Pipelined_node.current_view t.nodes.(i)
-let node t i = t.nodes.(i)
+let node t i = Option.get t.nodes.(i)
+let committed t i = Moonshot.Pipelined_node.committed (node t i)
+let current_view t i = Moonshot.Pipelined_node.current_view (node t i)
 
+(* Crash a node: the engine detaches its handler, suppresses its sends and
+   quenches its timers and the deliveries addressed to it. *)
+let crash t i = Bft_sim.Engine.crash t.engine i
 
-(* Crash a node: its handler drops everything and its timers go stale (the
-   old node object is unreachable, so stale timer callbacks touch only dead
-   state -- their sends still exist, modelling in-flight messages from just
-   before the crash). *)
-let crash t i =
-  Bft_sim.Engine.set_handler t.engine i (fun ~src:_ _ -> ())
-
-(* Restart from the write-ahead log: a fresh node object over the same env
-   and WAL resumes at the recorded view with its vote slots intact. *)
+(* Restart from the write-ahead log: the next incarnation resumes at the
+   recorded view with its vote slots intact. *)
 let restart t i =
-  let node =
-    Moonshot.Pipelined_node.create ~precommit:t.precommit ~wal:t.wals.(i)
-      t.envs.(i)
-  in
-  t.nodes.(i) <- node;
-  Bft_sim.Engine.set_handler t.engine i (Moonshot.Pipelined_node.handle node);
-  Moonshot.Pipelined_node.start node
+  Bft_sim.Engine.recover t.engine i;
+  t.recover i

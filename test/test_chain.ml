@@ -135,8 +135,8 @@ let test_log_extension () =
   ignore (Commit_log.commit log s (List.nth chain 1));
   let newly = Commit_log.commit log s (List.nth chain 3) in
   check_int "only the suffix commits" 2 (List.length newly);
-  check "at_height view" true
-    (Commit_log.at_height log 3 = Some (List.nth chain 2))
+  check "height 3 is the third block" true
+    (Block.equal (List.nth (Commit_log.to_list log) 3) (List.nth chain 2))
 
 let test_log_conflict_same_height () =
   let b1 = B.block ~view:1 ~parent:Block.genesis () in
@@ -192,14 +192,8 @@ let test_log_long_chain_growth () =
   check_int "all 300 commit" 300 (List.length newly);
   check_int "length" 300 (Commit_log.length log);
   check "tip right" true (Block.equal (Commit_log.last log) (List.nth chain 299));
-  check "random access works" true
-    (Commit_log.at_height log 150 = Some (List.nth chain 149))
-
-let test_log_at_height_bounds () =
-  let log = Commit_log.create () in
-  check "negative height" true (Commit_log.at_height log (-1) = None);
-  check "beyond frontier" true (Commit_log.at_height log 1 = None);
-  check "genesis at zero" true (Commit_log.at_height log 0 = Some Block.genesis)
+  check "height 150 is the 150th block" true
+    (Block.equal (List.nth (Commit_log.to_list log) 150) (List.nth chain 149))
 
 let () =
   Alcotest.run "chain"
@@ -226,6 +220,5 @@ let () =
           Alcotest.test_case "missing ancestor" `Quick test_log_missing_ancestor;
           Alcotest.test_case "to_list" `Quick test_log_to_list;
           Alcotest.test_case "long chain growth" `Quick test_log_long_chain_growth;
-          Alcotest.test_case "at_height bounds" `Quick test_log_at_height_bounds;
         ] );
     ]

@@ -69,17 +69,27 @@ let test_validate_budget () =
   check "recover before crash" true
     (rejected [ FS.Recover { node = 0; at = 10. } ])
 
+(* [validate]'s budget check is a sweep of the crash/recover timeline: a
+   schedule fits [f] exactly when its peak of simultaneous crashes does. *)
 let test_max_concurrent () =
-  check_int "sweep counts the overlap" 2
-    (FS.max_concurrent_crashed
-       [
-         FS.Crash { node = 0; at = 10. };
-         FS.Crash { node = 1; at = 15. };
-         FS.Recover { node = 0; at = 20. };
-         FS.Recover { node = 1; at = 25. };
-       ]);
-  check_int "no overlap after interleaved recovery" 1
-    (FS.max_concurrent_crashed
+  let fits ~f t =
+    try
+      FS.validate ~n:10 ~f ~byzantine:[] t;
+      true
+    with Invalid_argument _ -> false
+  in
+  let overlapping =
+    [
+      FS.Crash { node = 0; at = 10. };
+      FS.Crash { node = 1; at = 15. };
+      FS.Recover { node = 0; at = 20. };
+      FS.Recover { node = 1; at = 25. };
+    ]
+  in
+  check "sweep counts the overlap" true
+    (fits ~f:2 overlapping && not (fits ~f:1 overlapping));
+  check "no overlap after interleaved recovery" true
+    (fits ~f:1
        [
          FS.Crash { node = 0; at = 10. };
          FS.Recover { node = 0; at = 20. };

@@ -193,7 +193,11 @@ let test_equivocating_leader_is_safe () =
   List.iter
     (fun p ->
       let cfg =
-        { (base_config p ~n:4) with Config.equivocators = [ 0 ]; duration_ms = 4_000. }
+        {
+          (base_config p ~n:4) with
+          Config.byzantine = [ (0, Byzantine.Equivocate) ];
+          duration_ms = 4_000.;
+        }
       in
       (* Metrics raise Safety_violation if any two nodes commit conflicting
          blocks; reaching here means safety held. *)
@@ -210,7 +214,7 @@ let test_equivocating_leader_uncertified () =
   let cfg =
     {
       (base_config Protocol_kind.Pipelined_moonshot ~n:4) with
-      Config.equivocators = [ 0 ];
+      Config.byzantine = [ (0, Byzantine.Equivocate) ];
       duration_ms = 4_000.;
     }
   in
@@ -258,8 +262,8 @@ let test_mixed_adversary () =
     (fun p ->
       let cfg =
         { (base_config p ~n:7) with
-          Config.equivocators = [ 0 ];
-          byzantine = [ (1, Byzantine.Withhold_votes) ];
+          Config.byzantine =
+            [ (0, Byzantine.Equivocate); (1, Byzantine.Withhold_votes) ];
           duration_ms = 4_000. }
       in
       let r = run cfg in

@@ -82,7 +82,7 @@ let test_aggregator_forms_qc_and_proposes () =
   List.iter
     (fun src -> Jolteon_node.handle node ~src (Jolteon_msg.Vote { block = blk 1 }))
     [ 0; 2; 3 ];
-  check_int "advanced to round 2" 2 (Jolteon_node.current_round node);
+  check_int "advanced to round 2" 2 (Jolteon_node.Protocol.current_view node);
   match proposals mock with
   | [ (block, qc, None) ] ->
       check_int "round 2 block" 2 block.Block.view;
@@ -98,7 +98,7 @@ let test_nonaggregator_votes_dont_certify () =
   List.iter
     (fun src -> Jolteon_node.handle node ~src (Jolteon_msg.Vote { block = blk 1 }))
     [ 0; 3 ];
-  check_int "no QC from two votes" 1 (Jolteon_node.current_round node)
+  check_int "no QC from two votes" 1 (Jolteon_node.Protocol.current_view node)
 
 let test_commit_on_consecutive_qcs () =
   let mock, node = make ~id:2 () in
@@ -143,7 +143,7 @@ let test_tc_lets_new_leader_propose () =
       Jolteon_node.handle node ~src
         (Jolteon_msg.Timeout { round = 1; high_qc = Cert.genesis }))
     [ 0; 2; 3 ];
-  check_int "entered round 2" 2 (Jolteon_node.current_round node);
+  check_int "entered round 2" 2 (Jolteon_node.Protocol.current_view node);
   match proposals mock with
   | [ (block, qc, Some tc) ] ->
       check_int "round 2" 2 block.Block.view;

@@ -71,11 +71,7 @@ let test_double_vote_detected () =
   let v = List.hd r.Mc_report.violations in
   check "and classified as a double vote" true
     (v.Mc_report.kind = Mc_report.Double_vote);
-  check "with a short counterexample" true (List.length v.Mc_report.path <= 8);
-  let described = Broken_mc.describe cfg v.Mc_report.path in
-  check "describe renders every step" true
-    (List.length (String.split_on_char '\n' (String.trim described))
-    = List.length v.Mc_report.path)
+  check "with a short counterexample" true (List.length v.Mc_report.path <= 8)
 
 let test_counterexample_replay_is_byte_stable () =
   let cfg = small_cfg () in
@@ -380,8 +376,8 @@ let test_search_rediscovers_wedge () =
       in
       match cx with
       | Mc_report.Cx_violation v ->
-          Alcotest.failf "expected a livelock, found a %s violation"
-            (Mc_report.kind_name v.Mc_report.kind)
+          Alcotest.failf "expected a livelock, found a violation: %s"
+            v.Mc_report.detail
       | Mc_report.Cx_livelock path ->
           (* ...and the certified wedge replays byte-stably under it. *)
           let cfg' = wedge_world steps in
@@ -423,9 +419,7 @@ let test_schedule_compile () =
   ] ->
       ()
   | steps ->
-      Alcotest.failf "unexpected linearization: %a"
-        (Format.pp_print_list Mc_schedule.pp_step)
-        steps);
+      Alcotest.failf "unexpected linearization of %d steps" (List.length steps));
   check "link loss has no untimed meaning" true
     (rejected [ FS.Link_loss { prob = 0.3; from_ = 0.; until = 10. } ]);
   check "delay spikes have no untimed meaning" true

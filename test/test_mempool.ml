@@ -223,8 +223,9 @@ let test_arrival_client_range () =
   let spec = { Spec.default with Spec.clients = 77 } in
   let a = Arrival.create spec in
   for s = 0 to 10_000 do
-    let c = Arrival.client_of a s in
-    if c < 0 || c >= 77 then Alcotest.failf "client %d out of range at %d" c s
+    let c = Arrival.next_client a in
+    if c < 0 || c >= 77 then Alcotest.failf "client %d out of range at %d" c s;
+    Arrival.advance a
   done
 
 (* Generating arrivals allocates nothing: 100k wall-clock arrivals cost

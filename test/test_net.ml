@@ -1634,7 +1634,7 @@ let node ?(restarts = 0) id commits =
     Tcp.id;
     commits;
     proposals = [];
-    trace_lines = [];
+    trace_events = [];
     decode_errors = 0;
     messages_sent = 0;
     bytes_sent = 0;

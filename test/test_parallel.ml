@@ -26,9 +26,6 @@ let test_map_propagates_exception () =
   Alcotest.check_raises "lowest-index failure wins" (boom 2) (fun () ->
       ignore (Parallel.map ~jobs:4 f (List.init 8 Fun.id) : int list))
 
-let test_cpu_count_positive () =
-  check "cpu_count >= 1" true (Parallel.cpu_count () >= 1)
-
 (* --- Determinism of parallel experiment sweeps ----------------------------------- *)
 
 (* A miniature version of what bench/experiments.ml does: fan a grid of
@@ -76,7 +73,6 @@ let () =
           Alcotest.test_case "edge shapes" `Quick test_map_edge_shapes;
           Alcotest.test_case "exception propagation" `Quick
             test_map_propagates_exception;
-          Alcotest.test_case "cpu count" `Quick test_cpu_count_positive;
         ] );
       ( "determinism",
         [

@@ -38,9 +38,9 @@ let config_gen =
   let* base = QCheck.Gen.float_range 2. 30. in
   let* jitter = QCheck.Gen.float_range 0. 10. in
   let* equivocate = QCheck.Gen.bool in
-  let equivocators =
+  let byzantine =
     (* An equivocator on top of the silent set, while staying within f. *)
-    if equivocate && f' < f then [ 0 ] else []
+    if equivocate && f' < f then [ (0, Byzantine.Equivocate) ] else []
   in
   QCheck.Gen.return
     {
@@ -52,7 +52,7 @@ let config_gen =
       bandwidth_bps = None;
       delta_ms = (4. *. (base +. jitter)) +. 10.;
       duration_ms = 1_200.;
-      equivocators;
+      byzantine;
     }
 
 let config_arb =
@@ -71,7 +71,7 @@ let prop_liveness_failure_free =
   QCheck.Test.make ~count:25 ~name:"failure-free runs always commit"
     config_arb (fun cfg ->
       let cfg =
-        { cfg with Config.f_actual = 0; equivocators = [];
+        { cfg with Config.f_actual = 0; byzantine = [];
           schedule = Schedules.Round_robin }
       in
       let r = Harness.run cfg in
@@ -87,7 +87,7 @@ let prop_safety_under_asynchrony =
           pre_gst_extra_ms = 800.;
           duration_ms = 3_000.;
           f_actual = 0;
-          equivocators = [];
+          byzantine = [];
           schedule = Schedules.Round_robin;
         }
       in
@@ -243,8 +243,13 @@ let prop_accumulator_matches_model =
           | Bft_crypto.Accumulator.Threshold_reached s, `Threshold ->
               check (Bft_crypto.Signer_set.count s = threshold)
           | _ -> check false);
-          check (Bft_crypto.Accumulator.count acc key = !count);
-          check (Bft_crypto.Accumulator.is_complete acc key = !complete))
+          check
+            (Bft_crypto.Accumulator.fold
+               (fun k ~signers ~complete e ->
+                 if k = key then (Bft_crypto.Signer_set.count signers, complete)
+                 else e)
+               acc (0, false)
+            = (Hashtbl.length signers, !complete)))
         votes;
       !ok)
 
@@ -277,7 +282,7 @@ let prop_percentile_monotone =
 let prop_outliers_partition =
   QCheck.Test.make ~count:200 ~name:"outlier filter partitions the sample"
     nonempty_floats (fun xs ->
-      let kept, removed = Bft_stats.Outliers.iqr_filter xs in
+      let kept, removed = Bft_stats.Outliers.iqr_filter_on ~value:Fun.id xs in
       List.length kept + List.length removed = List.length xs
       && List.sort compare (kept @ removed) = List.sort compare xs)
 
@@ -290,8 +295,9 @@ let prop_schedules_are_fair =
       let f' = min f_raw ((n - 1) / 3) in
       List.for_all
         (fun s ->
-          let arr = Schedules.arrangement s ~n ~f' in
-          List.sort compare (Array.to_list arr) = List.init n (fun i -> i))
+          let leader = Schedules.leader_of s ~n ~f' in
+          List.sort compare (List.init n (fun v -> leader (v + 1)))
+          = List.init n (fun i -> i))
         Schedules.all)
 
 (* --- block store ------------------------------------------------------------------------------ *)

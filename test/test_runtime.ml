@@ -32,9 +32,11 @@ let test_config_rejects_bad () =
   check "f' too large" true (raises { base with Config.f_actual = 4 });
   check "negative payload" true (raises { base with Config.payload_bytes = -1 });
   check "zero duration" true (raises { base with Config.duration_ms = 0. });
-  check "equivocator out of range" true (raises { base with Config.equivocators = [ 10 ] });
+  let equivocator id = [ (id, Byzantine.Equivocate) ] in
+  check "equivocator out of range" true
+    (raises { base with Config.byzantine = equivocator 10 });
   check "equivocator in silent set" true
-    (raises { base with Config.f_actual = 3; equivocators = [ 9 ] })
+    (raises { base with Config.f_actual = 3; byzantine = equivocator 9 })
 
 (* --- Metrics ----------------------------------------------------------------------- *)
 
@@ -43,7 +45,6 @@ let blk v = List.nth chain (v - 1)
 
 let test_metrics_quorum_commit () =
   let m = Metrics.create ~n:4 () in
-  check_int "quorum is 3" 3 (Metrics.commit_quorum m);
   Metrics.on_propose m ~time:10. (blk 1);
   Metrics.on_commit m ~node:0 ~time:30. (blk 1);
   Metrics.on_commit m ~node:1 ~time:35. (blk 1);
@@ -61,7 +62,16 @@ let test_latency_quorum_shared () =
   List.iter
     (fun (n, q) ->
       let label = Printf.sprintf "n=%d" n in
-      check_int (label ^ " metrics") q (Metrics.commit_quorum (Metrics.create ~n ()));
+      (* The collector counts a block committed at exactly its q-th node. *)
+      let m = Metrics.create ~n () in
+      Metrics.on_propose m ~time:0. (blk 1);
+      let committed () = (Metrics.finish m ~duration_ms:1.).Metrics.committed_blocks in
+      for node = 0 to q - 2 do
+        Metrics.on_commit m ~node ~time:1. (blk 1)
+      done;
+      check_int (label ^ " metrics below quorum") 0 (committed ());
+      Metrics.on_commit m ~node:(q - 1) ~time:1. (blk 1);
+      check_int (label ^ " metrics at quorum") 1 (committed ());
       check_int (label ^ " sockets") q (Bft_runtime.Net_harness.quorum ~n))
     [ (4, 3); (5, 3); (6, 3); (7, 5) ]
 

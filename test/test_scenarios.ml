@@ -114,6 +114,20 @@ let test_crash_restart_many_times () =
   Cluster.run c ~until:3_500.;
   check "chain survives rolling restarts" true (Cluster.committed c 0 > 20)
 
+let test_crashed_node_is_silent () =
+  (* Messages a node sent before its crash may still land within a few
+     hops; after that a crashed node sends nothing, because its timers
+     died with it. *)
+  let c = Cluster.create ~n:4 () in
+  Cluster.start c;
+  Cluster.run c ~until:800.;
+  Cluster.crash c 2;
+  let late = ref 0 in
+  Bft_sim.Engine.set_delivery_tap c.Cluster.engine (fun ~time ~src ~dst:_ _ ->
+      if src = 2 && time >= 850. then incr late);
+  Cluster.run c ~until:1_600.;
+  check_int "nothing delivered from the crashed node" 0 !late
+
 let () =
   Alcotest.run "scenarios"
     [
@@ -130,5 +144,6 @@ let () =
         [
           Alcotest.test_case "rejoin after restart" `Quick test_crash_restart_rejoins;
           Alcotest.test_case "rolling restarts" `Quick test_crash_restart_many_times;
+          Alcotest.test_case "crashed node is silent" `Quick test_crashed_node_is_silent;
         ] );
     ]

@@ -206,13 +206,6 @@ let test_rng_ranges () =
   done;
   check "bounds respected" true !ok
 
-let test_rng_gaussian_moments () =
-  let r = Rng.create 11 in
-  let n = 20_000 in
-  let xs = List.init n (fun _ -> Rng.gaussian r ~mean:5. ~std:2.) in
-  let mean = List.fold_left ( +. ) 0. xs /. float_of_int n in
-  check "gaussian mean approx" true (Float.abs (mean -. 5.) < 0.1)
-
 let test_rng_exponential_positive () =
   let r = Rng.create 13 in
   let ok = ref true in
@@ -311,13 +304,6 @@ let test_network_delta_validated () =
            ~latency:(Latency.Uniform { base = 100.; jitter = 0. })
            ~delta:50. ()))
 
-let test_serialization_delay () =
-  let net = uniform_net ~bandwidth_bps:8e6 () in
-  (* 8 Mbit/s: 1000 bytes = 8000 bits = 1 ms. *)
-  check_float "1000B at 8Mbps is 1ms" 1. (Network.serialization_ms net ~size:1000);
-  let inf = uniform_net () in
-  check_float "infinite bandwidth" 0. (Network.serialization_ms inf ~size:1_000_000)
-
 (* One send through the engine's per-message function: [egress] is the
    per-node egress-busy-until array, updated in place; returns the arrival
    time. *)
@@ -325,6 +311,19 @@ let deliver net rng ~now ~egress ~src ~dst ~size =
   let slot = [| now |] in
   Network.delivery_into net rng ~egress ~src ~dst ~size slot 0;
   slot.(0)
+
+(* A send's serialization time is how long it holds its sender's link. *)
+let test_serialization_delay () =
+  let serialization net ~size =
+    let egress = [| 0.; 0. |] in
+    ignore (deliver net (Rng.create 1) ~now:0. ~egress ~src:0 ~dst:1 ~size);
+    egress.(0)
+  in
+  let net = uniform_net ~bandwidth_bps:8e6 () in
+  (* 8 Mbit/s: 1000 bytes = 8000 bits = 1 ms. *)
+  check_float "1000B at 8Mbps is 1ms" 1. (serialization net ~size:1000);
+  let inf = uniform_net () in
+  check_float "infinite bandwidth" 0. (serialization inf ~size:1_000_000)
 
 let test_egress_serializes () =
   let net = uniform_net ~bandwidth_bps:8e6 () in
@@ -958,7 +957,6 @@ let () =
           Alcotest.test_case "seeds differ" `Quick test_rng_seeds_differ;
           Alcotest.test_case "split independence" `Quick test_rng_split_independent;
           Alcotest.test_case "ranges" `Quick test_rng_ranges;
-          Alcotest.test_case "gaussian moments" `Quick test_rng_gaussian_moments;
           Alcotest.test_case "exponential sign" `Quick test_rng_exponential_positive;
           Alcotest.test_case "stream pinned" `Quick test_rng_stream_pinned;
           Alcotest.test_case "bits53 is float's draw" `Quick test_rng_bits53_is_float;

@@ -206,13 +206,6 @@ let test_quorum_intersection () =
         ((2 * q) - n >= vs.Validator_set.f + 1))
     [ 1; 2; 3; 4; 5; 7; 10; 13; 50; 100; 199; 200; 301 ]
 
-let test_membership () =
-  let vs = Validator_set.make 4 in
-  check "0 member" true (Validator_set.is_member vs 0);
-  check "3 member" true (Validator_set.is_member vs 3);
-  check "4 not member" false (Validator_set.is_member vs 4);
-  check "-1 not member" false (Validator_set.is_member vs (-1))
-
 (* --- Wire sizes ----------------------------------------------------------------- *)
 
 let test_wire_sizes () =
@@ -256,7 +249,6 @@ let () =
         [
           Alcotest.test_case "quorums" `Quick test_quorums;
           Alcotest.test_case "intersection" `Quick test_quorum_intersection;
-          Alcotest.test_case "membership" `Quick test_membership;
         ] );
       ("wire", [ Alcotest.test_case "sizes" `Quick test_wire_sizes ]);
     ]
