@@ -2,7 +2,7 @@
 
      dune exec bench/main.exe -- alloc
 
-   Three legs, each for Commit Moonshot and Jolteon, through [Make], a
+   Four legs, each for Commit Moonshot and Jolteon, through [Make], a
    [Protocol_intf.S] wrapper that brackets every message handler (by
    [P.classify]), [start], every timer callback, every [Env] callback the
    node makes, the wire codec and the WAL snapshot encoder with a
@@ -12,6 +12,10 @@
      (n = 100, [Config.default]: region latency matrix, egress and CPU
      models on, 1800-byte payloads, 25 s simulated, seed 1), which never
      calls the codec;
+   - the simulator on the [lan-longchain] workload's configuration (n = 4
+     on uniform 1 ms links, Δ = 50 ms, 3 s simulated for Commit Moonshot
+     and 5 s for Jolteon, seed 1), where a chain of thousands of blocks
+     puts the handlers and the chain layer in front;
    - the simulator on the [chaos-clients] workload's configuration at
      seed 1 (n = 7 on [Config.local], 30 s simulated, a crash and a
      no-quorum partition from [Fault_schedule.demo] under the link-window
@@ -241,6 +245,16 @@ let wan_config p =
     seed = 1;
   }
 
+(* [lan-longchain]'s configuration (benchmark/workload.ml). *)
+let lan_config p =
+  {
+    (Config.local p ~n:4) with
+    Config.latency = Config.Uniform { base = 1.; jitter = 0. };
+    delta_ms = 50.;
+    duration_ms = (if p = Kind.Commit_moonshot then 3_000. else 5_000.);
+    seed = 1;
+  }
+
 (* [chaos-clients]' configuration (benchmark/workload.ml) at seed 1: its
    [chaos_schedule] draws, in this order, the crashed node and the four
    edges over the first two thirds of the run. *)
@@ -376,5 +390,6 @@ let sim_legs ~workload config =
 
 let run () =
   sim_legs ~workload:"wan-n100" wan_config;
+  sim_legs ~workload:"lan-longchain" lan_config;
   sim_legs ~workload:"chaos-clients" chaos_config;
   sockets ~blocks:socket_blocks

@@ -1,5 +1,4 @@
-(** A node's local store of block headers, indexed by hash with a
-    parent-to-children index for descendant queries.
+(** A node's local store of block headers: one table, indexed by hash.
 
     The store always contains the genesis block.  Blocks arrive out of order
     (a vote can beat the proposal that carries the block), so ancestry
@@ -14,25 +13,21 @@ val create : unit -> t
 (** [insert t b] records [b]; idempotent.  Returns [true] when new. *)
 val insert : t -> Block.t -> bool
 
-val find : t -> Hash.t -> Block.t option
+(** [find t h] is the block with hash [h]; raises [Not_found].  No option:
+    walks look up a block per step and must not allocate per step. *)
+val find : t -> Hash.t -> Block.t
 
 (** [find_key t k] is the stored block whose hash has [Hash.to_int] equal
     to [k], the key the store is indexed by.  For tables that key blocks
     by that int (the vote accumulator) and need the block back. *)
 val find_key : t -> int -> Block.t option
 val mem : t -> Hash.t -> bool
-val parent : t -> Block.t -> Block.t option
-val children : t -> Hash.t -> Block.t list
 val size : t -> int
 
 (** [is_ancestor t ~ancestor ~of_] walks parent links from [of_].  A block is
     an ancestor of itself.  [`Unknown] when a parent link leaves the store
     before reaching [ancestor]'s height. *)
 val is_ancestor : t -> ancestor:Block.t -> of_:Block.t -> [ `Yes | `No | `Unknown ]
-
-(** Blocks in the store that descend from the block with hash [h]
-    (excluding the block itself). *)
-val descendants : t -> Hash.t -> Block.t list
 
 (** The chain from genesis to [b] inclusive, oldest first.  [None] when an
     ancestor is missing.  O(height of [b]) and allocating a list of that

@@ -28,18 +28,13 @@ let is_committed t hash =
   in
   scan (t.len - 1)
 
-let rec append t = function
-  | [] -> ()
-  | (blk : Block.t) :: rest ->
-      t.chain.(blk.Block.height) <- blk;
-      t.len <- blk.Block.height + 1;
-      t.on_commit blk;
-      append t rest
-
-(* The uncommitted suffix ending at [b], oldest first: [cur] walks down
-   from [b], [acc] holds what it passed.  Top-level rather than local to
-   [commit], as [connects] is: a local walk would be a closure per call. *)
-let rec suffix t store (b : Block.t) acc (cur : Block.t) =
+(* Commit the uncommitted suffix ending at [cur], oldest first: walk
+   down to the committed prefix, checking that the walk meets it at the
+   committed hash, then append while the walk unwinds, so a missing
+   ancestor or a fork raises before anything is appended.  Top-level
+   rather than local to [commit], as [connects] is: a local walk would be
+   a closure per call. *)
+let rec append_suffix t store (b : Block.t) (cur : Block.t) =
   let open Block in
   if cur.height < t.len then begin
     if not (Hash.equal t.chain.(cur.height).hash cur.hash) then
@@ -47,15 +42,19 @@ let rec suffix t store (b : Block.t) acc (cur : Block.t) =
         (Safety_violation
            (Format.asprintf "commit of %a forks from committed %a at height %d"
               Block.pp b Block.pp t.chain.(cur.height) cur.height));
-    acc
+    ensure_capacity t b.height
   end
-  else
-    match Block_store.find store cur.parent with
-    | None ->
+  else begin
+    (match Block_store.find store cur.parent with
+    | p -> append_suffix t store b p
+    | exception Not_found ->
         invalid_arg
           (Format.asprintf "Commit_log.commit: missing ancestor of %a" Block.pp
-             cur)
-    | Some p -> suffix t store b (cur :: acc) p
+             cur));
+    t.chain.(cur.height) <- cur;
+    t.len <- cur.height + 1;
+    t.on_commit cur
+  end
 
 let commit t store (b : Block.t) =
   let open Block in
@@ -65,15 +64,9 @@ let commit t store (b : Block.t) =
       raise
         (Safety_violation
            (Format.asprintf "conflicting commit at height %d: %a vs %a"
-              b.height Block.pp t.chain.(b.height) Block.pp b));
-    []
+              b.height Block.pp t.chain.(b.height) Block.pp b))
   end
-  else begin
-    let newly = suffix t store b [] b in
-    ensure_capacity t b.height;
-    append t newly;
-    newly
-  end
+  else append_suffix t store b b
 
 (* Walk parent links only down to the committed prefix.  Meeting it at the
    committed hash settles the question: every committed block's ancestors
@@ -87,7 +80,7 @@ let rec connects t store (cur : Block.t) =
     || Option.is_some (Block_store.chain_to store cur)
   else
     match Block_store.find store cur.Block.parent with
-    | None -> false
-    | Some p -> connects t store p
+    | p -> connects t store p
+    | exception Not_found -> false
 
 let to_list t = Array.to_list (Array.sub t.chain 0 t.len)

@@ -17,12 +17,14 @@ type t
 val create : ?on_commit:(Block.t -> unit) -> unit -> t
 
 (** [commit t store b] commits [b] and any uncommitted ancestors found in
-    [store], walking parent links only down to the committed prefix.
-    Returns the list of newly committed blocks in chain order (empty if
-    [b] was already committed).  Raises [Safety_violation] on a
-    conflicting commit and [Invalid_argument] when an ancestor is missing
-    from [store]. *)
-val commit : t -> Block_store.t -> Block.t -> Block.t list
+    [store], walking parent links only down to the committed prefix.  The
+    newly committed blocks reach [on_commit] in chain order; read the log
+    ({!length}, {!last}, {!to_list}) for them.  A block already committed
+    is a no-op.  Raises [Safety_violation] on a conflicting commit and
+    [Invalid_argument] when an ancestor is missing from [store], in both
+    cases before committing anything.  Allocates nothing but the log's
+    growth. *)
+val commit : t -> Block_store.t -> Block.t -> unit
 
 (** [connects t store b] is [Block_store.chain_to store b <> None] for a
     log that only ever committed through [store]: whether every ancestor of

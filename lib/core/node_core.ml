@@ -65,8 +65,9 @@ let add_vote t ~signer ~kind block =
       t.votes.(Vote_kind.to_tag kind)
       (Hash.to_int block.Block.hash) ~signer
   with
-  | Threshold_reached signers ->
-      let signers = Bft_crypto.Signer_set.count signers in
+  | Threshold_reached ->
+      (* The completing vote is the quorum-th. *)
+      let signers = Env.quorum t.env in
       (match t.env.Env.probe with
       | Some probe ->
           probe
@@ -98,52 +99,8 @@ let record_cert t (c : Cert.t) =
     true
   end
 
-(* The block at view [base] that [child] descends from through one
-   certificate at every view from [v] down to [base], if there is one.  A
-   named walk, not [List.find_opt] with a closure: every new certificate
-   runs it, and only a found chain allocates (its [Some]). *)
-let rec certified_base t ~base (child : Block.t) v =
-  if v < base then Some child else link_below t ~base child v (certs_at t v)
-
-and link_below t ~base child v = function
-  | [] -> None
-  | (link : Cert.t) :: rest ->
-      if Cert.certifies_parent_of link child then
-        certified_base t ~base link.Cert.block (v - 1)
-      else link_below t ~base child v rest
-
-let rec mem_block (b : Block.t) = function
-  | [] -> false
-  | (b' : Block.t) :: rest -> Block.equal b b' || mem_block b rest
-
-let rec window_bottoms t ~base ~top_view found = function
-  | [] -> found
-  | (top : Cert.t) :: rest ->
-      let found =
-        match certified_base t ~base top.Cert.block (top_view - 1) with
-        | Some bottom when not (mem_block bottom found) -> bottom :: found
-        | Some _ | None -> found
-      in
-      window_bottoms t ~base ~top_view found rest
-
-let chain_commits t ~depth (c : Cert.t) =
-  if depth < 2 then invalid_arg "Node_core.chain_commits: depth < 2";
-  (* For every window of [depth] consecutive views containing c's view, walk
-     parent links down from the window's top certificates; a fully certified
-     chain commits the block at the window's base view.  No closure
-     captures [found], so it stays a local variable. *)
-  let found = ref [] in
-  for base = Stdlib.max 0 (c.Cert.view - depth + 1) to c.Cert.view do
-    let top_view = base + depth - 1 in
-    found := window_bottoms t ~base ~top_view !found (certs_at t top_view)
-  done;
-  !found
-
-let two_chain_commits t c = chain_commits t ~depth:2 c
-
 let commit t b =
-  if Commit_log.connects t.log t.store b then
-    ignore (Commit_log.commit t.log t.store b)
+  if Commit_log.connects t.log t.store b then Commit_log.commit t.log t.store b
   else if
     not
       (List.exists
@@ -151,28 +108,78 @@ let commit t b =
          t.deferred_commits)
   then t.deferred_commits <- b :: t.deferred_commits
 
-let rec commit_all t = function
+(* The block at view [base] that [child] descends from through one
+   certificate at every view from [v] down to [base]; [Not_found] when
+   there is none.  Named walks rather than [List.find_opt] with a closure,
+   and an exception rather than an option: every new certificate runs
+   them. *)
+let rec certified_base t ~base (child : Block.t) v =
+  if v < base then child else link_below t ~base child v (certs_at t v)
+
+and link_below t ~base child v = function
+  | [] -> raise Not_found
+  | (link : Cert.t) :: rest ->
+      if Cert.certifies_parent_of link child then
+        certified_base t ~base link.Cert.block (v - 1)
+      else link_below t ~base child v rest
+
+(* Whether a top in [tops] before [here] (a newer one: certificate lists
+   are newest first) also reaches [bottom]. *)
+let rec newer_reaches t ~base ~top_view (bottom : Block.t) here tops =
+  tops != here
+  &&
+  match tops with
+  | [] -> false
+  | (top : Cert.t) :: rest ->
+      (match certified_base t ~base top.Cert.block (top_view - 1) with
+      | b -> Block.equal b bottom
+      | exception Not_found -> false)
+      || newer_reaches t ~base ~top_view bottom here rest
+
+(* Commit the window's bottoms oldest top first, each once, at the newest
+   top that reaches it. *)
+let rec commit_window t ~base ~top_view tops = function
   | [] -> ()
-  | b :: rest ->
-      commit t b;
-      commit_all t rest
+  | (top : Cert.t) :: older as here -> (
+      commit_window t ~base ~top_view tops older;
+      match certified_base t ~base top.Cert.block (top_view - 1) with
+      | bottom ->
+          if not (newer_reaches t ~base ~top_view bottom here tops) then
+            commit t bottom
+      | exception Not_found -> ())
+
+let commit_chains t ~depth (c : Cert.t) =
+  if depth < 2 then invalid_arg "Node_core.commit_chains: depth < 2";
+  (* For every window of [depth] consecutive views containing c's view, walk
+     parent links down from the window's top certificates; a fully certified
+     chain commits the block at the window's base view.  Windows run from
+     the highest base down; bottoms of different windows differ (each is
+     at its window's base view). *)
+  for base = c.Cert.view downto Stdlib.max 0 (c.Cert.view - depth + 1) do
+    let top_view = base + depth - 1 in
+    let tops = certs_at t top_view in
+    commit_window t ~base ~top_view tops tops
+  done
 
 let committed t = Commit_log.length t.log
 
-(* Runs after every handler (via [Sync.poke]); with nothing deferred it
-   returns before building the [probe] closure. *)
-let first_missing t =
-  match t.deferred_commits with
-  | [] -> None
-  | deferred ->
-      let rec probe (child : Block.t) =
-        if Block.is_genesis child then None
-        else
-          match Block_store.find t.store child.Block.parent with
-          | Some parent -> probe parent
-          | None -> Some (child.Block.parent, child.Block.proposer)
-      in
-      List.find_map probe deferred
+(* The lowest known block on [child]'s chain, or genesis when the chain is
+   whole. *)
+let rec above_gap t (child : Block.t) =
+  if Block.is_genesis child then child
+  else
+    match Block_store.find t.store child.Block.parent with
+    | parent -> above_gap t parent
+    | exception Not_found -> child
+
+let rec first_gap t = function
+  | [] -> raise Not_found
+  | (b : Block.t) :: rest ->
+      let child = above_gap t b in
+      if Block.is_genesis child then first_gap t rest else child
+
+(* Runs after every handler (via [Sync.poke]). *)
+let first_missing t = first_gap t t.deferred_commits
 
 (* Hashtable-backed pieces (store, vote accumulator, cert table) combine
    per-entry digests with addition so the result is independent of
@@ -210,10 +217,7 @@ let state_hash t =
                      :: Int64.of_int bkey
                       ::
                       (if complete then [ 1L ]
-                       else
-                         0L
-                         :: List.map Int64.of_int
-                              (Bft_crypto.Signer_set.to_list signers))))))
+                       else 0L :: List.map Int64.of_int signers)))))
             votes !acc)
       t.votes;
     !acc
@@ -239,16 +243,15 @@ let state_hash t =
       h (Cert.digest t.high_cert);
     ]
 
+let rec gather t acc count (b : Block.t) ~max =
+  let acc = b :: acc in
+  if count + 1 >= max || Block.is_genesis b then acc
+  else
+    match Block_store.find t.store b.Block.parent with
+    | parent -> gather t acc (count + 1) parent ~max
+    | exception Not_found -> acc
+
 let chain_segment t hash ~max =
   match Block_store.find t.store hash with
-  | None -> []
-  | Some b ->
-      let rec gather acc count (b : Block.t) =
-        let acc = b :: acc in
-        if count + 1 >= max || Block.is_genesis b then acc
-        else
-          match Block_store.find t.store b.Block.parent with
-          | Some parent -> gather acc (count + 1) parent
-          | None -> acc
-      in
-      gather [] 0 b
+  | b -> gather t [] 0 b ~max
+  | exception Not_found -> []

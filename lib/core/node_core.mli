@@ -24,25 +24,23 @@ val add_vote : 'msg t -> signer:int -> kind:Vote_kind.t -> Block.t -> Cert.t opt
 
 (** [record_cert t c] files a certificate in the per-view table.  Returns
     [false] when an identical certificate was already recorded.  Does not
-    run the commit rule — callers do that via {!two_chain_commits} so they
+    run the commit rule — callers do that via {!commit_chains} so they
     control ordering relative to their other rules. *)
 val record_cert : 'msg t -> Cert.t -> bool
 
 (** Highest-ranked certificate recorded so far (genesis initially). *)
 val high_cert : 'msg t -> Cert.t
 
-(** Direct-commit candidates unlocked by a newly recorded certificate
-    [c = C_v(B_k)]: [B_k]'s parent when some recorded [C_{v-1}] certifies it,
-    and [B_k] itself when some recorded [C_{v+1}] certifies a child of [B_k]
-    (Figure 1's Direct Commit, run from both sides). *)
-val two_chain_commits : 'msg t -> Cert.t -> Block.t list
-
 (** Generalized [depth]-chain commit rule: a window of [depth] consecutive
     views whose recorded certificates form a parent chain commits the block
     certified at the window's base.  [depth = 2] is the Moonshot/Jolteon
-    rule; [depth = 3] is chained HotStuff's.  Returns the committable blocks
-    unlocked by recording [c].  Raises [Invalid_argument] if [depth < 2]. *)
-val chain_commits : 'msg t -> depth:int -> Cert.t -> Block.t list
+    rule (Figure 1's Direct Commit, run from both sides of [c]: [B_k]'s
+    parent when some recorded [C_{v-1}] certifies it, and [B_k] itself when
+    some recorded [C_{v+1}] certifies a child of [B_k]); [depth = 3] is
+    chained HotStuff's.  {!commit}s every block unlocked by recording [c],
+    highest window first, allocating nothing beyond what the commits keep.
+    Raises [Invalid_argument] if [depth < 2]. *)
+val commit_chains : 'msg t -> depth:int -> Cert.t -> unit
 
 (** Commit a block (and its ancestors).  If an ancestor header has not
     arrived yet the commit is deferred and retried on the next
@@ -52,18 +50,16 @@ val chain_commits : 'msg t -> depth:int -> Cert.t -> Block.t list
     the suffix meets the committed prefix at a different hash (a fork). *)
 val commit : 'msg t -> Block.t -> unit
 
-(** [commit] each block in list order ([List.iter (commit t)] without its
-    closure). *)
-val commit_all : 'msg t -> Block.t list -> unit
-
 (** Number of blocks this node has committed (genesis excluded). *)
 val committed : 'msg t -> int
 
 (** {2 Hooks for the block synchronizer ({!Sync})} *)
 
-(** The first missing ancestor blocking a deferred commit, with the
-    proposer of its (known) child as a hint for who certainly had it. *)
-val first_missing : 'msg t -> (Hash.t * int) option
+(** The known block whose parent is the first missing ancestor blocking a
+    deferred commit; its proposer is a hint for who certainly had that
+    parent.  Raises [Not_found] when no deferred commit lacks an
+    ancestor. *)
+val first_missing : 'msg t -> Block.t
 
 (** [chain_segment t hash ~max] is the block with [hash] plus up to
     [max - 1] of its ancestors present in the store, oldest first; [[]]

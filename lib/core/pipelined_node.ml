@@ -20,8 +20,7 @@ type t = {
   (* Keyed by [Hash.to_int] of the block hash, as [Node_core]'s votes are;
      see [on_commit_vote]. *)
   commit_votes : int Bft_crypto.Accumulator.t;
-  pending : (int, pending list) Hashtbl.t;
-  mutable pending_floor : int;  (* no [pending] key is below it *)
+  pending : pending View_buffer.t;
   timeout_sent : (int, unit) Hashtbl.t;
   commit_voted : (int, Block.t) Hashtbl.t;  (* Hash.to_int -> block *)
   mutable cur_view : int;
@@ -71,7 +70,7 @@ let rec observe_cert t (c : Cert.t) =
       persist t
     end;
     (* Two-chain commit rule, run from both sides of the new certificate. *)
-    Node_core.commit_all t.core (Node_core.two_chain_commits t.core c);
+    Node_core.commit_chains t.core ~depth:2 c;
     if t.precommit then maybe_commit_vote t c;
     if c.Cert.view >= t.cur_view then
       advance_to t (c.Cert.view + 1) (Via_cert c)
@@ -164,17 +163,7 @@ and propose t view how =
       send_proposal t ~kind:Probe.Fallback ~view ~parent:t.lock.Cert.block
         (fun block -> Message.Fb_propose { block; cert = t.lock; tc })
 
-and process_pending t =
-  match Hashtbl.find t.pending t.cur_view with
-  | items -> try_oldest_first t items
-  | exception Not_found -> ()
-
-(* A view's buffer lists the newest proposal first. *)
-and try_oldest_first t = function
-  | [] -> ()
-  | p :: older ->
-      try_oldest_first t older;
-      try_pending t p
+and process_pending t = View_buffer.iter_view t.pending t.cur_view try_pending t
 
 and try_pending t = function
   | P_opt block -> try_opt_vote t block
@@ -312,8 +301,7 @@ let create ?(precommit = false) ?(equivocate = false) ?(lso = false) ?wal env =
     tmo = Timeout_agg.create env;
     commit_votes =
       Bft_crypto.Accumulator.create ~n:(Env.n env) ~threshold:(Env.quorum env);
-    pending = Hashtbl.create 16;
-    pending_floor = 0;
+    pending = View_buffer.create ~dummy:(P_opt Block.genesis);
     timeout_sent = Hashtbl.create 16;
     commit_voted = Hashtbl.create 64;
     cur_view = 0;
@@ -333,22 +321,8 @@ let create ?(precommit = false) ?(equivocate = false) ?(lso = false) ?wal env =
 
 let buffer t view p =
   if view >= t.cur_view then begin
-    let items =
-      match Hashtbl.find t.pending view with
-      | items -> items
-      | exception Not_found -> []
-    in
-    Hashtbl.replace t.pending view (p :: items);
-    (* Garbage-collect buffers for views we have left behind, in place and
-       once per view: every key added since the last sweep is at least the
-       view it was added in. *)
-    if t.pending_floor < t.cur_view then begin
-      let cur = t.cur_view in
-      Hashtbl.filter_map_inplace
-        (fun v items -> if v < cur then None else Some items)
-        t.pending;
-      t.pending_floor <- cur
-    end
+    View_buffer.add t.pending ~view p;
+    View_buffer.drop_below t.pending t.cur_view
   end
 
 let on_timeout t ~src view lock =
@@ -379,7 +353,7 @@ let on_commit_vote t ~src view (block : Block.t) =
         (Hash.to_int block.Block.hash)
         ~signer:src
     with
-    | Threshold_reached _ -> Node_core.commit t.core block
+    | Threshold_reached -> Node_core.commit t.core block
     | Added _ | Duplicate | Already_complete -> ()
 
 let handle t ~src msg =
@@ -471,15 +445,8 @@ let state_hash t =
                 (Int64.of_int view :: Int64.of_int bkey
                 ::
                 (if complete then [ 1L ]
-                 else
-                   0L
-                   :: List.map Int64.of_int
-                        (Bft_crypto.Signer_set.to_list signers))))))
+                 else 0L :: List.map Int64.of_int signers)))))
       t.commit_votes 0L
-  in
-  let pending_h =
-    table_h t.pending (fun view items ->
-        h (Hash.of_fields (Int64.of_int view :: List.map pending_digest items)))
   in
   let timeout_sent_h =
     table_h t.timeout_sent (fun view () -> Int64.of_int (view + 1))
@@ -495,7 +462,7 @@ let state_hash t =
       Timeout_agg.entries_digest t.tmo;
       commit_votes_h;
       Timeout_agg.tcs_digest t.tmo;
-      pending_h;
+      View_buffer.digest pending_digest t.pending;
       timeout_sent_h;
       commit_voted_h;
       Int64.of_int t.cur_view;

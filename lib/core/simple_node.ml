@@ -11,7 +11,7 @@ type t = {
   wal : Wal.t option;
   equivocate : bool;
   tmo : Timeout_agg.t;
-  pending : (int, pending list) Hashtbl.t;
+  pending : pending View_buffer.t;
   mutable cur_view : int;
   mutable entered_via : how_entered;
   mutable lock : Cert.t;
@@ -37,7 +37,7 @@ let create ?(equivocate = false) ?wal env =
     wal;
     equivocate;
     tmo = Timeout_agg.create env;
-    pending = Hashtbl.create 16;
+    pending = View_buffer.create ~dummy:(P_opt Block.genesis);
     cur_view = 0;
     entered_via = Via_start;
     lock = Cert.genesis;
@@ -76,7 +76,7 @@ let send_proposal t ~kind ~view ~parent wrap =
 
 let rec observe_cert t (c : Cert.t) =
   if Node_core.record_cert t.core c then begin
-    Node_core.commit_all t.core (Node_core.two_chain_commits t.core c);
+    Node_core.commit_chains t.core ~depth:2 c;
     if c.Cert.view >= t.cur_view then advance_to t (c.Cert.view + 1) (Via_cert c)
     else if
       (* Propose rule (i): the leader proposes upon receiving the previous
@@ -189,13 +189,8 @@ and local_timeout t =
   end
 
 and process_pending t =
-  (match Hashtbl.find_opt t.pending t.cur_view with
-  | None -> ()
-  | Some items -> List.iter (try_pending t) (List.rev items));
-  let cur = t.cur_view in
-  Hashtbl.filter_map_inplace
-    (fun v items -> if v < cur then None else Some items)
-    t.pending
+  View_buffer.iter_view t.pending t.cur_view try_pending t;
+  View_buffer.drop_below t.pending t.cur_view
 
 and try_pending t = function
   | P_opt block -> try_opt_vote t block
@@ -239,10 +234,7 @@ and cast_vote t (block : Block.t) =
 (* --- message handlers ----------------------------------------------------- *)
 
 let buffer t view p =
-  if view >= t.cur_view then begin
-    let items = Option.value ~default:[] (Hashtbl.find_opt t.pending view) in
-    Hashtbl.replace t.pending view (p :: items)
-  end
+  if view >= t.cur_view then View_buffer.add t.pending ~view p
 
 (* Simple Moonshot's timeouts prove no lock, so its TCs carry none. *)
 let on_timeout t ~src view =
@@ -323,20 +315,13 @@ let via_digest = function
    Timer state lives in the engine and is digested by the checker. *)
 let state_hash t =
   let h = Hash.to_int64 in
-  let pending_h =
-    Hashtbl.fold
-      (fun view items acc ->
-        Int64.add acc
-          (h (Hash.of_fields (Int64.of_int view :: List.map pending_digest items))))
-      t.pending 0L
-  in
   Hash.of_fields
     [
       h (Node_core.state_hash t.core);
       h (Sync.state_hash t.sync);
       Timeout_agg.entries_digest t.tmo;
       Timeout_agg.tcs_digest t.tmo;
-      pending_h;
+      View_buffer.digest pending_digest t.pending;
       Int64.of_int t.cur_view;
       via_digest t.entered_via;
       h (Cert.digest t.lock);

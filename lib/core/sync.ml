@@ -7,23 +7,16 @@ type 'msg t = {
   env : 'msg Env.t;
   make_request : Hash.t -> 'msg;
   make_response : Block.t list -> 'msg;
-  mutable last_request : (int * float) option;  (* hash key, send time *)
+  (* The last request: whether there is one, its hash key, and its send
+     time in slot 0 (a float array, so storing it boxes nothing). *)
+  mutable asked : bool;
+  mutable asked_key : int;
+  asked_at : float array;
   mutable attempt : int;
   mutable timer_alive : bool;
   mutable requests_sent : int;
+  mutable retry : unit -> unit;  (* the retry timer's callback, built once *)
 }
-
-let create ~core ~env ~make_request ~make_response =
-  {
-    core;
-    env;
-    make_request;
-    make_response;
-    last_request = None;
-    attempt = 0;
-    timer_alive = false;
-    requests_sent = 0;
-  }
 
 let requests_sent t = t.requests_sent
 
@@ -35,10 +28,9 @@ let requests_sent t = t.requests_sent
 let state_hash t =
   Hash.of_fields
     [
-      (match t.last_request with
-      | None -> 0L
-      | Some (k, _) ->
-          Hash.to_int64 (Hash.of_fields [ 1L; Int64.of_int k ]));
+      (if t.asked then
+         Hash.to_int64 (Hash.of_fields [ 1L; Int64.of_int t.asked_key ])
+       else 0L);
       Int64.of_int t.attempt;
       (if t.timer_alive then 1L else 0L);
     ]
@@ -53,39 +45,41 @@ let target t ~hint =
   in
   pick ((hint + t.attempt) mod n)
 
-let rec poke t =
+let poke t =
   match Node_core.first_missing t.core with
-  | None ->
-      t.last_request <- None;
+  | exception Not_found ->
+      t.asked <- false;
       t.attempt <- 0
-  | Some (missing, hint) ->
+  | (child : Block.t) ->
+      let missing = child.Block.parent in
       let now = t.env.Env.now () in
       let key = Hash.to_int missing in
-      let recently_asked =
-        match t.last_request with
-        | Some (k, at) -> k = key && now -. at < t.env.Env.delta
-        | None -> false
-      in
-      if not recently_asked then begin
-        (match t.last_request with
-        | Some (k, _) when k = key -> t.attempt <- t.attempt + 1
-        | Some _ | None -> t.attempt <- 0);
-        t.last_request <- Some (key, now);
+      let same = t.asked && t.asked_key = key in
+      if not (same && now -. t.asked_at.(0) < t.env.Env.delta) then begin
+        t.attempt <- (if same then t.attempt + 1 else 0);
+        t.asked <- true;
+        t.asked_key <- key;
+        t.asked_at.(0) <- now;
         t.requests_sent <- t.requests_sent + 1;
         (match t.env.Env.probe with
         | Some probe -> probe (Probe.Sync_request { attempt = t.attempt })
         | None -> ());
-        t.env.Env.send (target t ~hint) (t.make_request missing)
+        let dst = target t ~hint:child.Block.proposer in
+        t.env.Env.send dst (t.make_request missing)
       end;
       if not t.timer_alive then begin
         t.timer_alive <- true;
-        let (_cancel : unit -> unit) =
-          t.env.Env.set_timer t.env.Env.delta (fun () ->
-              t.timer_alive <- false;
-              poke t)
-        in
-        ()
+        ignore (t.env.Env.set_timer t.env.Env.delta t.retry : unit -> unit)
       end
+
+let create ~core ~env ~make_request ~make_response =
+  let t =
+    { core; env; make_request; make_response; asked = false; asked_key = 0;
+      asked_at = [| 0. |]; attempt = 0; timer_alive = false; requests_sent = 0;
+      retry = ignore }
+  in
+  t.retry <- (fun () -> t.timer_alive <- false; poke t);
+  t
 
 let handle_request t ~src hash =
   match Node_core.chain_segment t.core hash ~max:batch_size with

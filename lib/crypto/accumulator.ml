@@ -1,19 +1,12 @@
-(* [count] caches [Signer_set.count signers]: the per-vote path must not
-   pay a popcount sweep per contribution. *)
-type 'k entry = {
-  signers : Signer_set.t;
-  mutable count : int;
-  mutable complete : bool;
-}
-
-type outcome =
-  | Added of int
-  | Duplicate
-  | Threshold_reached of Signer_set.t
-  | Already_complete
+(* One int array per key: slot 0 counts contributions up to the threshold
+   (the key is complete once it reaches it; later signers are recorded but
+   not counted), slots 1.. hold the signer bits, 32 per word as in
+   {!Signer_set}.  One block per key, and the per-vote path reads the
+   cached count instead of a popcount sweep. *)
+type outcome = Added of int | Duplicate | Threshold_reached | Already_complete
 
 type 'k t = {
-  table : ('k, 'k entry) Hashtbl.t;
+  table : ('k, int array) Hashtbl.t;
   n : int;
   threshold : int;
   added : outcome array;
@@ -50,25 +43,38 @@ let entry t key =
   match Hashtbl.find t.table key with
   | e -> e
   | exception Not_found ->
-      let e = { signers = Signer_set.create ~n:t.n; count = 0; complete = false } in
+      let e = Array.make (1 + ((t.n + 31) lsr 5)) 0 in
       Hashtbl.add t.table key e;
       e
 
 let add t key ~signer =
   let e = entry t key in
-  if not (Signer_set.add e.signers signer) then Duplicate
-  else if e.complete then Already_complete
+  if signer < 0 || signer >= t.n then
+    invalid_arg "Signer_set: signer out of range";
+  let w = 1 + (signer lsr 5) and bit = 1 lsl (signer land 31) in
+  let old = Array.unsafe_get e w in
+  if old land bit <> 0 then Duplicate
   else begin
-    let c = e.count + 1 in
-    e.count <- c;
-    if c >= t.threshold then begin
-      e.complete <- true;
-      Threshold_reached e.signers
+    Array.unsafe_set e w (old lor bit);
+    let c = Array.unsafe_get e 0 in
+    if c >= t.threshold then Already_complete
+    else begin
+      Array.unsafe_set e 0 (c + 1);
+      if c + 1 >= t.threshold then Threshold_reached
+      else Array.unsafe_get t.added (c + 1)
     end
-    else Array.unsafe_get t.added c
   end
+
+(* High to low, so the prepends come out ascending. *)
+let signers t e =
+  let acc = ref [] in
+  for i = t.n - 1 downto 0 do
+    if e.(1 + (i lsr 5)) land (1 lsl (i land 31)) <> 0 then acc := i :: !acc
+  done;
+  !acc
 
 let fold f t init =
   Hashtbl.fold
-    (fun key e acc -> f key ~signers:e.signers ~complete:e.complete acc)
+    (fun key e acc ->
+      f key ~signers:(signers t e) ~complete:(e.(0) >= t.threshold) acc)
     t.table init

@@ -4,7 +4,8 @@
     block-hash)]) and reports exactly once when a key first reaches the
     threshold.  This is the machinery every node uses to assemble block
     certificates, timeout certificates and commit-vote quorums from
-    multicast messages. *)
+    multicast messages.  Each key costs one int array (its count and
+    signer bits) and its table cell; a contribution allocates nothing. *)
 
 type 'k t
 
@@ -15,23 +16,20 @@ val create : n:int -> threshold:int -> 'k t
 type outcome =
   | Added of int  (** New contribution; payload is the updated count. *)
   | Duplicate  (** This signer already contributed to this key. *)
-  | Threshold_reached of Signer_set.t
-      (** This contribution was the one that completed the quorum; carries
-          the accumulator's {e live} signer set for the key — read it (via
-          {!Signer_set.count}/[iter]) before adding further contributions
-          for the same key, and {!Signer_set.copy} it if retaining.  Fires
-          at most once per key. *)
+  | Threshold_reached
+      (** This contribution was the one that completed the quorum: the key
+          now has exactly [threshold] signers.  Fires at most once per
+          key. *)
   | Already_complete  (** Contribution past an already reached quorum. *)
 
 (** [add t key ~signer] registers a contribution. *)
 val add : 'k t -> 'k -> signer:int -> outcome
 
-(** Fold over every key with at least one contribution.  [signers] is the
-    live set for the key (do not mutate); entry iteration order is
-    {e unspecified} (hashtable order), so callers building digests must
-    combine entries with a commutative operation. *)
+(** Fold over every key with at least one contribution.  [signers] lists
+    every signer recorded for the key, those past a reached threshold
+    included, in ascending order (built per call: for digests, not for hot
+    paths).  Entry iteration order is {e unspecified} (hashtable order), so
+    callers building digests must combine entries with a commutative
+    operation. *)
 val fold :
-  ('k -> signers:Signer_set.t -> complete:bool -> 'acc -> 'acc) ->
-  'k t ->
-  'acc ->
-  'acc
+  ('k -> signers:int list -> complete:bool -> 'acc -> 'acc) -> 'k t -> 'acc -> 'acc

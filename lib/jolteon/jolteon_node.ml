@@ -4,6 +4,7 @@ module Tc = Moonshot.Tc
 module Node_core = Moonshot.Node_core
 module Wal = Moonshot.Wal
 module Timeout_agg = Moonshot.Timeout_agg
+module View_buffer = Moonshot.View_buffer
 
 type pending = P of Block.t * Cert.t * Tc.t option
 
@@ -17,7 +18,7 @@ type t = {
   equivocate : bool;
   commit_depth : int;
   tmo : Timeout_agg.t;
-  pending : (int, pending list) Hashtbl.t;
+  pending : pending View_buffer.t;
   timeout_sent : (int, unit) Hashtbl.t;
   mutable cur_round : int;
   mutable last_voted_round : int;
@@ -60,8 +61,7 @@ let send_proposal t ~round ~qc ~tc =
 
 let rec observe_qc t (qc : Cert.t) =
   if Node_core.record_cert t.core qc then begin
-    Node_core.commit_all t.core
-      (Node_core.chain_commits t.core ~depth:t.commit_depth qc);
+    Node_core.commit_chains t.core ~depth:t.commit_depth qc;
     if qc.Cert.view >= t.cur_round then
       advance_to t (qc.Cert.view + 1) (Via_qc qc)
   end
@@ -126,26 +126,12 @@ and advance_to t round how =
           send_proposal t ~round ~qc:(Node_core.high_cert t.core) ~tc:(Some tc)
     end;
     process_pending t;
-    (* Garbage-collect buffers for rounds we have left behind, in place:
-       [buffer] adds no round below [cur_round], so sweeping on entering a
-       round is enough. *)
-    let cur = t.cur_round in
-    Hashtbl.filter_map_inplace
-      (fun r items -> if r < cur then None else Some items)
-      t.pending
+    (* Drop buffers for rounds we have left behind: [buffer] adds no round
+       below [cur_round], so dropping on entering a round is enough. *)
+    View_buffer.drop_below t.pending t.cur_round
   end
 
-and process_pending t =
-  match Hashtbl.find t.pending t.cur_round with
-  | items -> try_oldest_first t items
-  | exception Not_found -> ()
-
-(* A round's buffer lists the newest proposal first. *)
-and try_oldest_first t = function
-  | [] -> ()
-  | p :: older ->
-      try_oldest_first t older;
-      try_vote t p
+and process_pending t = View_buffer.iter_view t.pending t.cur_round try_vote t
 
 and try_vote t (P (block, qc, tc)) =
   let round = block.Block.view in
@@ -190,7 +176,7 @@ let create ?(equivocate = false) ?(commit_depth = 2) ?wal env =
     equivocate;
     commit_depth;
     tmo = Timeout_agg.create env;
-    pending = Hashtbl.create 16;
+    pending = View_buffer.create ~dummy:(P (Block.genesis, Cert.genesis, None));
     timeout_sent = Hashtbl.create 16;
     cur_round = 0;
     last_voted_round = 0;
@@ -204,14 +190,7 @@ let create ?(equivocate = false) ?(commit_depth = 2) ?wal env =
   t
 
 let buffer t round p =
-  if round >= t.cur_round then begin
-    let items =
-      match Hashtbl.find t.pending round with
-      | items -> items
-      | exception Not_found -> []
-    in
-    Hashtbl.replace t.pending round (p :: items)
-  end
+  if round >= t.cur_round then View_buffer.add t.pending ~view:round p
 
 let on_timeout t ~src round high_qc =
   observe_qc t high_qc;
@@ -280,22 +259,16 @@ let state_hash t =
     Hashtbl.fold (fun k v acc -> Int64.add acc (per_entry k v)) tbl 0L
   in
   let pending_h =
-    table_h t.pending (fun round items ->
+    View_buffer.digest
+      (fun (P (b, qc, tc)) ->
         h
           (Hash.of_fields
-             (Int64.of_int round
-             :: List.map
-                  (fun (P (b, qc, tc)) ->
-                    h
-                      (Hash.of_fields
-                         [
-                           h b.Block.hash;
-                           h (Cert.digest qc);
-                           (match tc with
-                           | None -> 0L
-                           | Some tc' -> h (Tc.digest tc'));
-                         ]))
-                  items)))
+             [
+               h b.Block.hash;
+               h (Cert.digest qc);
+               (match tc with None -> 0L | Some tc' -> h (Tc.digest tc'));
+             ]))
+      t.pending
   in
   let timeout_sent_h =
     table_h t.timeout_sent (fun round () -> Int64.of_int (round + 1))

@@ -32,9 +32,18 @@
 #
 # On exit, pass or fail, the script prints each step's wall seconds.
 #
-# Performance is not gated here: BENCHMARK.json's `compare` (see
-# benchmark/README.md) is the perf reference, judged on medians of
-# repeated runs rather than a single wall-clock floor.
+# Allocation is gated in step 2, exactly (Bft_obs.Alloc counts a
+# deterministic run's words, so a pin fails on one extra allocation):
+#   - test_node_core's `alloc-pins` group: per-call costs of the codec, the
+#     WAL snapshot and the per-block chain path (new block, next-height
+#     commit, two-chain commit, first vote on a key, proposal buffers);
+#   - test_properties' `alloc` budgets: bytes per event or per committed
+#     block of whole simulator runs, each about twice its reading;
+#   - test_sim's `alloc` group (engine fan-out, link windows) and test_net's
+#     "send and release allocate nothing" (the socket sender).
+# Only wall-clock performance stays outside the gate: BENCHMARK.json's
+# `compare` (see benchmark/README.md) judges it on medians of repeated
+# runs rather than a single wall-clock floor.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."

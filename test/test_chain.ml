@@ -19,18 +19,18 @@ let test_store_insert_idempotent () =
   check "second insert not new" false (Block_store.insert s b);
   check_int "size 2" 2 (Block_store.size s)
 
-let test_store_parent_children () =
+let test_store_find () =
   let s = Block_store.create () in
   let b1 = B.block ~view:1 ~parent:Block.genesis () in
   let b2a = B.block ~view:2 ~parent:b1 () in
   let b2b = B.block ~view:3 ~parent:b1 () in
-  List.iter (fun b -> ignore (Block_store.insert s b)) [ b1; b2a; b2b ];
-  check "parent resolves" true (Block_store.parent s b2a = Some b1);
-  check "genesis has no parent" true (Block_store.parent s Block.genesis = None);
-  let kids = Block_store.children s b1.Block.hash in
-  check_int "two children" 2 (List.length kids);
-  check "children are the forks" true
-    (List.for_all (fun (c : Block.t) -> Block.equal c b2a || Block.equal c b2b) kids)
+  List.iter (fun b -> ignore (Block_store.insert s b)) [ b1; b2a ];
+  check "finds a stored block" true
+    (Block.equal (Block_store.find s b2a.Block.hash) b2a);
+  check "finds its parent" true
+    (Block.equal (Block_store.find s b2a.Block.parent) b1);
+  Alcotest.check_raises "raises on a missing block" Not_found (fun () ->
+      ignore (Block_store.find s b2b.Block.hash))
 
 let test_store_ancestry () =
   let s = Block_store.create () in
@@ -68,17 +68,6 @@ let test_store_unknown_gap () =
   check "chain_to fails on gap" true
     (Block_store.chain_to s (List.nth chain 2) = None)
 
-let test_store_descendants () =
-  let s = Block_store.create () in
-  let b1 = B.block ~view:1 ~parent:Block.genesis () in
-  let b2 = B.block ~view:2 ~parent:b1 () in
-  let b3 = B.block ~view:3 ~parent:b2 () in
-  List.iter (fun b -> ignore (Block_store.insert s b)) [ b1; b2; b3 ];
-  check_int "descendants of b1" 2 (List.length (Block_store.descendants s b1.Block.hash));
-  check_int "descendants of genesis" 3
-    (List.length (Block_store.descendants s Block.genesis.Block.hash));
-  check_int "tip has none" 0 (List.length (Block_store.descendants s b3.Block.hash))
-
 let test_store_chain_to () =
   let s = Block_store.create () in
   let chain = B.chain 4 in
@@ -112,8 +101,8 @@ let test_log_commit_chain_order () =
   let order = ref [] in
   let log = Commit_log.create ~on_commit:(fun b -> order := b :: !order) () in
   (* Committing the tip commits all ancestors first. *)
-  let newly = Commit_log.commit log s (List.nth chain 2) in
-  check_int "three new" 3 (List.length newly);
+  Commit_log.commit log s (List.nth chain 2);
+  check_int "three new" 3 (List.length !order);
   check "callback ran oldest-first" true
     (List.rev !order |> List.map (fun (b : Block.t) -> b.Block.height)
     = [ 1; 2; 3 ]);
@@ -122,19 +111,22 @@ let test_log_commit_chain_order () =
 let test_log_commit_idempotent () =
   let chain = B.chain 2 in
   let s = store_with chain in
-  let log = Commit_log.create () in
-  ignore (Commit_log.commit log s (List.nth chain 1));
-  check "recommit returns nothing" true
-    (Commit_log.commit log s (List.nth chain 0) = []);
+  let count = ref 0 in
+  let log = Commit_log.create ~on_commit:(fun _ -> incr count) () in
+  Commit_log.commit log s (List.nth chain 1);
+  Commit_log.commit log s (List.nth chain 0);
+  check_int "recommit commits nothing" 2 !count;
   check_int "length unchanged" 2 (Commit_log.length log)
 
 let test_log_extension () =
   let chain = B.chain 4 in
   let s = store_with chain in
-  let log = Commit_log.create () in
-  ignore (Commit_log.commit log s (List.nth chain 1));
-  let newly = Commit_log.commit log s (List.nth chain 3) in
-  check_int "only the suffix commits" 2 (List.length newly);
+  let count = ref 0 in
+  let log = Commit_log.create ~on_commit:(fun _ -> incr count) () in
+  Commit_log.commit log s (List.nth chain 1);
+  count := 0;
+  Commit_log.commit log s (List.nth chain 3);
+  check_int "only the suffix commits" 2 !count;
   check "height 3 is the third block" true
     (Block.equal (List.nth (Commit_log.to_list log) 3) (List.nth chain 2))
 
@@ -143,10 +135,10 @@ let test_log_conflict_same_height () =
   let b1' = B.block ~view:2 ~parent:Block.genesis () in
   let s = store_with [ b1; b1' ] in
   let log = Commit_log.create () in
-  ignore (Commit_log.commit log s b1);
+  Commit_log.commit log s b1;
   check "conflicting commit raises" true
     (try
-       ignore (Commit_log.commit log s b1');
+       Commit_log.commit log s b1';
        false
      with Commit_log.Safety_violation _ -> true)
 
@@ -157,12 +149,14 @@ let test_log_fork_below_frontier () =
   let b2' = B.block ~view:4 ~parent:b1' () in
   let s = store_with [ b1; b2; b1'; b2' ] in
   let log = Commit_log.create () in
-  ignore (Commit_log.commit log s b2);
+  Commit_log.commit log s b2;
   check "committing a forked descendant raises" true
     (try
-       ignore (Commit_log.commit log s b2');
+       Commit_log.commit log s b2';
        false
-     with Commit_log.Safety_violation _ -> true)
+     with Commit_log.Safety_violation _ -> true);
+  check "the fork's first block was not appended" true
+    (Block.equal (Commit_log.last log) b2)
 
 let test_log_missing_ancestor () =
   let chain = B.chain 3 in
@@ -170,15 +164,16 @@ let test_log_missing_ancestor () =
   let log = Commit_log.create () in
   check "missing ancestor is invalid-arg" true
     (try
-       ignore (Commit_log.commit log s (List.nth chain 2));
+       Commit_log.commit log s (List.nth chain 2);
        false
-     with Invalid_argument _ -> true)
+     with Invalid_argument _ -> true);
+  check_int "nothing committed" 0 (Commit_log.length log)
 
 let test_log_to_list () =
   let chain = B.chain 2 in
   let s = store_with chain in
   let log = Commit_log.create () in
-  ignore (Commit_log.commit log s (List.nth chain 1));
+  Commit_log.commit log s (List.nth chain 1);
   check_int "list includes genesis" 3 (List.length (Commit_log.to_list log))
 
 
@@ -188,9 +183,8 @@ let test_log_long_chain_growth () =
   let chain = B.chain 300 in
   let s = store_with chain in
   let log = Commit_log.create () in
-  let newly = Commit_log.commit log s (List.nth chain 299) in
-  check_int "all 300 commit" 300 (List.length newly);
-  check_int "length" 300 (Commit_log.length log);
+  Commit_log.commit log s (List.nth chain 299);
+  check_int "all 300 commit" 300 (Commit_log.length log);
   check "tip right" true (Block.equal (Commit_log.last log) (List.nth chain 299));
   check "height 150 is the 150th block" true
     (Block.equal (List.nth (Commit_log.to_list log) 150) (List.nth chain 149))
@@ -202,11 +196,10 @@ let () =
         [
           Alcotest.test_case "genesis present" `Quick test_store_has_genesis;
           Alcotest.test_case "insert idempotent" `Quick test_store_insert_idempotent;
-          Alcotest.test_case "parent/children" `Quick test_store_parent_children;
+          Alcotest.test_case "find" `Quick test_store_find;
           Alcotest.test_case "ancestry" `Quick test_store_ancestry;
           Alcotest.test_case "ancestry across forks" `Quick test_store_ancestry_fork;
           Alcotest.test_case "unknown on gaps" `Quick test_store_unknown_gap;
-          Alcotest.test_case "descendants" `Quick test_store_descendants;
           Alcotest.test_case "chain_to" `Quick test_store_chain_to;
         ] );
       ( "commit-log",

@@ -64,45 +64,44 @@ let test_same_view_different_kind_both_recorded () =
   check "each on file" true
     ((not (Node_core.record_cert core opt)) && not (Node_core.record_cert core normal))
 
+(* The committed chain's heights above genesis, oldest first. *)
+let log_heights core =
+  List.tl (Bft_chain.Commit_log.to_list (Node_core.log core))
+  |> List.map (fun (b : Block.t) -> b.Block.height)
+
 let test_chain_commits_depth2 () =
   let core = make () in
   ignore (Node_core.record_cert core (cert_of 1));
-  let commits = ref [] in
   ignore (Node_core.record_cert core (cert_of 2));
-  commits := Node_core.chain_commits core ~depth:2 (cert_of 2);
-  check "consecutive pair commits the parent" true
-    (match !commits with [ b ] -> Block.equal b (blk 1) | _ -> false)
+  Node_core.commit_chains core ~depth:2 (cert_of 2);
+  check "consecutive pair commits the parent" true (log_heights core = [ 1 ])
 
 let test_chain_commits_depth2_reverse_arrival () =
-  (* The older certificate arrives last: the rule still fires. *)
+  (* The older certificate arrives last: the rule still fires.  The (0,1)
+     window also reaches genesis, already committed: a no-op. *)
   let core = make () in
   ignore (Node_core.record_cert core (cert_of 2));
   ignore (Node_core.record_cert core (cert_of 1));
-  let commits = Node_core.chain_commits core ~depth:2 (cert_of 1) in
-  (* The (0,1) window also "commits" genesis — a no-op downstream. *)
-  check "works from the other side" true
-    (List.exists (Block.equal (blk 1)) commits)
+  Node_core.commit_chains core ~depth:2 (cert_of 1);
+  check "works from the other side" true (log_heights core = [ 1 ])
 
 let test_chain_commits_depth3 () =
   let core = make () in
   ignore (Node_core.record_cert core (cert_of 1));
   ignore (Node_core.record_cert core (cert_of 2));
+  Node_core.commit_chains core ~depth:3 (cert_of 2);
   check "two certs above genesis are not enough at depth 3" true
-    (not
-       (List.exists
-          (Block.equal (blk 1))
-          (Node_core.chain_commits core ~depth:3 (cert_of 2))));
+    (log_heights core = []);
   ignore (Node_core.record_cert core (cert_of 3));
-  let commits = Node_core.chain_commits core ~depth:3 (cert_of 3) in
-  check "three-chain commits the base" true
-    (List.exists (fun b -> Block.equal b (blk 1)) commits)
+  Node_core.commit_chains core ~depth:3 (cert_of 3);
+  check "three-chain commits the base" true (log_heights core = [ 1 ])
 
 let test_chain_commits_gap_blocks () =
   let core = make () in
   ignore (Node_core.record_cert core (cert_of 1));
   ignore (Node_core.record_cert core (cert_of 3));
-  check "view gap yields nothing" true
-    (Node_core.chain_commits core ~depth:2 (cert_of 3) = [])
+  Node_core.commit_chains core ~depth:2 (cert_of 3);
+  check "view gap commits nothing" true (log_heights core = [])
 
 let test_chain_commits_fork_blocks () =
   (* Consecutive views but no parent link: a fork off view 1's sibling. *)
@@ -110,34 +109,55 @@ let test_chain_commits_fork_blocks () =
   let fork2 = B.block ~view:2 ~payload_id:99 ~parent:Block.genesis () in
   ignore (Node_core.record_cert core (cert_of 1));
   ignore (Node_core.record_cert core (B.cert fork2));
-  check "parent link required" true
-    (Node_core.chain_commits core ~depth:2 (B.cert fork2) = [])
+  Node_core.commit_chains core ~depth:2 (B.cert fork2);
+  check "parent link required" true (log_heights core = [])
 
 let test_chain_commits_depth_validation () =
   let core = make () in
   check "depth 1 rejected" true
     (try
-       ignore (Node_core.chain_commits core ~depth:1 (cert_of 1));
+       Node_core.commit_chains core ~depth:1 (cert_of 1);
        false
      with Invalid_argument _ -> true)
 
 let test_depth3_implies_depth2 () =
   (* Everything the 3-chain rule ever commits, the 2-chain rule commits too
-     (3-chain is strictly more conservative), comparing the unions over all
-     recorded certificates. *)
-  let core = make () in
-  List.iter (fun v -> ignore (Node_core.record_cert core (cert_of v))) [ 1; 2; 3; 4 ];
-  let union depth =
-    List.concat_map
-      (fun v -> Node_core.chain_commits core ~depth (cert_of v))
-      [ 1; 2; 3; 4 ]
+     (3-chain is strictly more conservative): over the same certificates,
+     the 3-chain log is a prefix of the 2-chain one. *)
+  let run depth =
+    let core = make () in
+    List.iter
+      (fun v ->
+        ignore (Node_core.record_cert core (cert_of v));
+        Node_core.commit_chains core ~depth (cert_of v))
+      [ 1; 2; 3; 4 ];
+    log_heights core
   in
-  let two = union 2 in
+  let two = run 2 and three = run 3 in
+  check "2-chain commits through view 3" true (two = [ 1; 2; 3 ]);
+  check "3-chain log is a prefix of the 2-chain log" true
+    (three = List.filteri (fun i _ -> i < List.length three) two)
+
+(* Two certified blocks at view 2, each with a certified child at view 3,
+   plus a second (optimistic) certificate for [a]'s child, recorded last.
+   The window's tops, newest first, reach a, a' and a again: the rule
+   commits each bottom once, at its newest top, older tops first, so a'
+   commits and then a conflicts with it. *)
+let test_chain_commits_order () =
+  let core = make () in
+  let a = B.block ~view:2 ~payload_id:21 ~parent:(blk 1) () in
+  let a' = B.block ~view:2 ~payload_id:22 ~parent:(blk 1) () in
+  let ca = B.block ~view:3 ~payload_id:31 ~parent:a () in
+  let ca' = B.block ~view:3 ~payload_id:32 ~parent:a' () in
   List.iter
-    (fun b3 ->
-      check "3-chain commit is a 2-chain commit" true
-        (List.exists (Block.equal b3) two))
-    (union 3)
+    (fun c -> ignore (Node_core.record_cert core c))
+    [ B.cert (blk 1); B.cert a; B.cert a'; B.cert ca; B.cert ca';
+      B.cert ~kind:Vote_kind.Opt ca ];
+  (match Node_core.commit_chains core ~depth:2 (B.cert ca) with
+  | () -> Alcotest.fail "two conflicting bottoms must not both commit"
+  | exception Bft_chain.Commit_log.Safety_violation _ -> ());
+  check "a' committed first" true
+    (Block.equal (Bft_chain.Commit_log.last (Node_core.log core)) a')
 
 let test_deferred_commit_until_ancestors () =
   let mock, env = Mock.create ~n:4 ~id:0 () in
@@ -176,23 +196,29 @@ let test_chain_segment () =
   check "unknown hash yields nothing" true
     (Node_core.chain_segment core (Hash.of_string "nope") ~max:4 = [])
 
+(* The first missing ancestor and its known child's proposer, if any. *)
+let missing core =
+  match Node_core.first_missing core with
+  | (child : Block.t) -> Some (child.Block.parent, child.Block.proposer)
+  | exception Not_found -> None
+
 let test_first_missing () =
   let core = make () in
   check "nothing deferred, nothing missing" true
-    (Node_core.first_missing core = None);
+    (missing core = None);
   Node_core.note_block core (blk 3);
   Node_core.commit core (blk 3);
-  (match Node_core.first_missing core with
+  (match missing core with
   | Some (h, hint) ->
       check "missing hash is block 2's" true (Hash.equal h (blk 2).Block.hash);
       check_int "hint is the child's proposer" (blk 3).Block.proposer hint
   | None -> Alcotest.fail "expected a missing ancestor");
   Node_core.note_block core (blk 2);
-  (match Node_core.first_missing core with
+  (match missing core with
   | Some (h, _) -> check "walks deeper" true (Hash.equal h (blk 1).Block.hash)
   | None -> Alcotest.fail "block 1 still missing");
   Node_core.note_block core (blk 1);
-  check "resolved" true (Node_core.first_missing core = None)
+  check "resolved" true (missing core = None)
 
 
 (* --- Synchronizer policy -------------------------------------------------------- *)
@@ -266,7 +292,7 @@ let test_sync_truncated_helper_store () =
   check_int "asked once" 1 (Sync.requests_sent sync);
   Sync.handle_response sync [ blk 3; blk 4 ];
   check "partial batch leaves the commit deferred" true
-    (Node_core.first_missing core <> None);
+    (missing core <> None);
   check_int "re-asked immediately for the deeper gap" 2
     (Sync.requests_sent sync);
   check_int "nothing committed yet" 0 (Node_core.committed core)
@@ -281,7 +307,7 @@ let test_sync_duplicate_responses () =
   let batch = [ blk 1; blk 2; blk 3; blk 4 ] in
   Sync.handle_response sync batch;
   check_int "deferred commit completed" 5 (Node_core.committed core);
-  check "gap closed" true (Node_core.first_missing core = None);
+  check "gap closed" true (missing core = None);
   let asked = Sync.requests_sent sync in
   Sync.handle_response sync batch;
   Sync.handle_response sync [ blk 2; blk 3 ];
@@ -329,7 +355,7 @@ let test_fork_fallback () =
   let g4 = B.block ~view:10 ~payload_id:74 ~parent:g3 () in
   List.iter (Node_core.note_block core) [ g2; g3; g4 ];
   Node_core.commit core g4;
-  check "fork with a gap stays deferred" true (Node_core.first_missing core <> None);
+  check "fork with a gap stays deferred" true (missing core <> None);
   check_int "nothing more committed" 3 (Node_core.committed core);
   check "filling the gap raises Safety_violation" true
     (try
@@ -519,20 +545,120 @@ let test_below_quorum_votes_alloc () =
   Alcotest.(check (float 0.)) "no words for a below-quorum vote" 0.
     (minor_words (fun () -> Pipelined_node.handle node ~src:1 v))
 
-(* Buffering a proposal for a future view adds one list cell and its
-   constructor (40 B); stale views are swept in place once per view.
-   Copying the [pending] table to sweep it on every proposal made this
-   336 B. *)
+(* Buffering a proposal for a future view costs its constructor (16 B):
+   the shared view buffer stores it in an array slot.  Copying the
+   [pending] table to sweep it on every proposal made this 336 B, and a
+   table of lists 56 B. *)
 let test_future_proposal_buffer_alloc () =
   let node = commit_node () in
   let msg = Message.Opt_propose { block = blk 4 } in
-  let bytes =
-    Test_support.Alloc.minor_bytes (fun () ->
-        Pipelined_node.handle node ~src:3 msg)
+  Alcotest.(check (float 0.)) "the constructor's 16 B" 16.
+    (Test_support.Alloc.minor_bytes (fun () ->
+         Pipelined_node.handle node ~src:3 msg))
+
+(* An environment whose callbacks allocate nothing, so that a pin reads
+   the node's own words only. *)
+let quiet_env (type m) ~n ~id : m Env.t =
+  let cancel () = () in
+  let _, env = Mock.create ~n ~id () in
+  {
+    env with
+    Env.send = (fun _ _ -> ());
+    multicast = (fun _ -> ());
+    set_timer = (fun _ _ -> cancel);
+    on_commit = ignore;
+    on_propose = ignore;
+  }
+
+let quiet_core ?(n = 4) () = Node_core.create (quiet_env ~n ~id:0)
+
+(* A new block costs the store's table cell (32 B) and nothing else.  The
+   parent-to-children index that only tests read added a list cell and a
+   second table cell (88 B). *)
+let test_new_block_alloc () =
+  let core = quiet_core () in
+  let b = blk 1 in
+  Alcotest.(check (float 0.)) "one table cell" 4.
+    (minor_words (fun () -> Node_core.note_block core b))
+
+(* Committing the next height allocates nothing: the walk looks blocks up
+   without an option per step and appends while it unwinds.  It allocated
+   a [Some] per step and a list cell per new block. *)
+let test_commit_next_alloc () =
+  let core = quiet_core () in
+  for i = 1 to 65 do
+    Node_core.note_block core long_chain.(i)
+  done;
+  Node_core.commit core long_chain.(64);
+  Alcotest.(check (float 0.)) "no words" 0.
+    (minor_words (fun () -> Node_core.commit core long_chain.(65)));
+  check_int "committed" 65 (Node_core.committed core)
+
+(* A certificate that completes a two-chain commits its parent without list
+   or option garbage: each bottom is committed as the walk finds it.
+   Collecting them first cost a [Some] and a list cell per bottom. *)
+let test_two_chain_commit_alloc () =
+  let core = quiet_core () in
+  List.iter (fun v -> ignore (Node_core.record_cert core (cert_of v))) [ 1; 2; 3 ];
+  Node_core.commit_chains core ~depth:2 (cert_of 3);
+  let c = cert_of 4 in
+  ignore (Node_core.record_cert core c);
+  Alcotest.(check (float 0.)) "no words" 0.
+    (minor_words (fun () -> Node_core.commit_chains core ~depth:2 c));
+  check_int "committed through view 3" 3 (Node_core.committed core)
+
+(* The first vote on a key at n = 100 costs the key's int array (count and
+   four words of signer bits: 48 B) and its table cell (32 B).  An entry
+   record, a signer-set record and its words array cost 128 B. *)
+let test_first_vote_alloc () =
+  let core = quiet_core ~n:100 () in
+  let b = blk 1 in
+  Node_core.note_block core b;
+  Alcotest.(check (float 0.)) "the key's block and table cell" 10.
+    (minor_words (fun () ->
+         ignore (Node_core.add_vote core ~signer:5 ~kind:Vote_kind.Normal b)))
+
+(* Entering a view drops the proposals buffered for older views in place.
+   Pipelined Moonshot drops them when it next buffers: here, at view 3,
+   a proposal for view 4 drops views 1 and 2 and costs only its own
+   constructor (16 B).  Sweeping a table of lists cost a closure and a
+   [Some] per kept view. *)
+let test_pipelined_sweep_alloc () =
+  let node = Pipelined_node.create ~precommit:true (quiet_env ~n:4 ~id:3) in
+  Pipelined_node.start node;
+  let handle msg = Pipelined_node.handle node ~src:0 msg in
+  handle (Message.Opt_propose { block = blk 1 });
+  handle (Message.Opt_propose { block = blk 2 });
+  handle (Message.Cert_gossip (cert_of 1));
+  handle (Message.Cert_gossip (cert_of 2));
+  check_int "in view 3" 3 (Pipelined_node.current_view node);
+  handle (Message.Vote { kind = Vote_kind.Normal; block = blk 4 });
+  let msg = Message.Opt_propose { block = blk 4 } in
+  Alcotest.(check (float 0.)) "the constructor's 2 words" 2.
+    (minor_words (fun () -> handle msg))
+
+(* Jolteon drops them on entering a round.  Node 2 in round 2 has voted
+   for [blk 2]; the proposal of [blk 4] carries the QC for [blk 3] and
+   moves it to round 4, dropping round 2's buffer.  That costs the
+   message and its buffered constructor (4 words each), the QC's list cell
+   and table cell in the certificate table (7 words), the [Via_qc] that
+   enters the round and the vote it sends (2 words each): 19 words, none
+   for the drop.  Sweeping a table of lists added a closure and a [Some]
+   per kept round. *)
+let test_jolteon_sweep_alloc () =
+  let node = Jolteon.Jolteon_node.create (quiet_env ~n:4 ~id:2) in
+  Jolteon.Jolteon_node.start node;
+  let handle msg = Jolteon.Jolteon_node.handle node ~src:1 msg in
+  let propose v =
+    Jolteon.Jolteon_msg.Propose { block = blk v; qc = cert_of (v - 1); tc = None }
   in
-  if bytes > 64. then
-    Alcotest.failf "buffering a future-view proposal allocates %.0f B > 64 B"
-      bytes
+  handle (propose 2);
+  handle (Jolteon.Jolteon_msg.Vote { block = blk 3 });
+  handle (Jolteon.Jolteon_msg.Vote { block = blk 4 });
+  let block = blk 4 and qc = cert_of 3 in
+  Alcotest.(check (float 0.)) "19 words" 19.
+    (minor_words (fun () ->
+         handle (Jolteon.Jolteon_msg.Propose { block; qc; tc = None })))
 
 (* After a handler records, the executor encodes one fresh snapshot: the
    record's option, the cached string's option, the writer and the
@@ -733,6 +859,7 @@ let () =
           Alcotest.test_case "depth 3" `Quick test_chain_commits_depth3;
           Alcotest.test_case "gaps" `Quick test_chain_commits_gap_blocks;
           Alcotest.test_case "forks" `Quick test_chain_commits_fork_blocks;
+          Alcotest.test_case "commit order" `Quick test_chain_commits_order;
           Alcotest.test_case "depth validation" `Quick test_chain_commits_depth_validation;
           Alcotest.test_case "3-chain implies 2-chain" `Quick test_depth3_implies_depth2;
         ] );
@@ -793,5 +920,16 @@ let () =
             test_below_quorum_votes_alloc;
           Alcotest.test_case "future-view proposal" `Quick
             test_future_proposal_buffer_alloc;
+          Alcotest.test_case "new block" `Quick test_new_block_alloc;
+          Alcotest.test_case "commit the next height" `Quick
+            test_commit_next_alloc;
+          Alcotest.test_case "two-chain commit" `Quick
+            test_two_chain_commit_alloc;
+          Alcotest.test_case "first vote on a key at n = 100" `Quick
+            test_first_vote_alloc;
+          Alcotest.test_case "Pipelined view sweep" `Quick
+            test_pipelined_sweep_alloc;
+          Alcotest.test_case "Jolteon round sweep" `Quick
+            test_jolteon_sweep_alloc;
         ] );
     ]

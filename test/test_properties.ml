@@ -135,10 +135,14 @@ let prop_accumulator_order_independent =
       List.iter
         (fun signer ->
           match Bft_crypto.Accumulator.add acc () ~signer with
-          | Bft_crypto.Accumulator.Threshold_reached signers ->
+          | Bft_crypto.Accumulator.Threshold_reached ->
               incr fires;
-              if Bft_crypto.Signer_set.count signers <> threshold then
-                fires := 100
+              if
+                Bft_crypto.Accumulator.fold
+                  (fun () ~signers ~complete:_ _ -> List.length signers)
+                  acc 0
+                <> threshold
+              then fires := 100
           | _ -> ())
         arrivals;
       let distinct = List.sort_uniq compare arrivals in
@@ -240,14 +244,13 @@ let prop_accumulator_matches_model =
           | Bft_crypto.Accumulator.Duplicate, `Duplicate -> ()
           | Bft_crypto.Accumulator.Already_complete, `Already_complete -> ()
           | Bft_crypto.Accumulator.Added c, `Added c' -> check (c = c')
-          | Bft_crypto.Accumulator.Threshold_reached s, `Threshold ->
-              check (Bft_crypto.Signer_set.count s = threshold)
+          | Bft_crypto.Accumulator.Threshold_reached, `Threshold ->
+              check (Hashtbl.length signers = threshold)
           | _ -> check false);
           check
             (Bft_crypto.Accumulator.fold
                (fun k ~signers ~complete e ->
-                 if k = key then (Bft_crypto.Signer_set.count signers, complete)
-                 else e)
+                 if k = key then (List.length signers, complete) else e)
                acc (0, false)
             = (Hashtbl.length signers, !complete)))
         votes;
@@ -586,14 +589,15 @@ let prop_proposal_size_monotone_in_payload =
    budget below is a deterministic reading, and each keeps the headroom
    its comment states.
 
-   This config measures about 88 B/event — at n=4 the per-view costs
+   This config measures about 57 B/event — at n=4 the per-view costs
    (blocks, certificates, vote records, metrics conses) amortize over only
    3-wide fan-outs, so the figure is dominated by protocol allocations,
-   not engine ones.  The 900 ceiling leaves ~10x headroom while still
-   catching a per-delivery allocation regression, which multiplies the
-   figure.  A warm-up run keeps one-time module/table initialization out
-   of the measurement. *)
-let alloc_budget_ceiling = 900.
+   not engine ones.  The 120 ceiling is about twice that.  While the chain
+   layer kept a parent-to-children index, collected commits in lists and
+   swept proposal buffers with a closure, it measured about 88 B/event.  A
+   warm-up run keeps one-time module/table initialization out of the
+   measurement. *)
+let alloc_budget_ceiling = 120.
 
 let alloc_budget () =
   let cfg =
@@ -622,13 +626,15 @@ let alloc_budget () =
 (* Second tripwire: a Commit Moonshot run on 1 ms links commits a chain of
    thousands of blocks, so a commit whose cost grows with the chain height
    shows up as bytes per committed block.  This config commits about 2200
-   blocks and measures about 6,700 B/block; the 73,000 ceiling is ~11x
-   that.  A commit that rebuilt the chain from genesis (allocating an
-   (h+1)-element list per commit attempt) measured about 578,000 B/block
-   here (on a counter that undercounted the minor heap), 8x over the
-   ceiling.  No warm-up: one-time initialization amortizes over the 2200
-   blocks. *)
-let longchain_budget_ceiling = 73_000.
+   blocks and measures about 4,350 B/block; the 9,000 ceiling is about
+   twice that.  Per-block bookkeeping that nothing kept (a
+   parent-to-children index, commit lists and their options, a
+   signer-set record per vote key) made it about 6,700 B/block, and a
+   commit that rebuilt the chain from genesis (allocating an
+   (h+1)-element list per commit attempt) about 578,000 B/block (on a
+   counter that undercounted the minor heap).  No warm-up: one-time
+   initialization amortizes over the 2200 blocks. *)
+let longchain_budget_ceiling = 9_000.
 
 let alloc_budget_longchain () =
   let cfg =
@@ -662,18 +668,20 @@ let alloc_budget_longchain () =
    block about 2n (votes to the next leader), so no one per-event ceiling
    fits both.  Each ceiling is about twice what its protocol measures.
 
-   Commit Moonshot measures about 24,700 B/block (28 blocks, 1,900 events
-   each).  While times, Rng state, vote keys and accumulator outcomes were
-   still boxed per message, and while each commit vote allocated its
-   (view, hash) key and each buffered proposal copied the pending table,
-   it cost several times that.
+   Commit Moonshot measures about 16,400 B/block (28 blocks, 1,900 events
+   each); about 24,700 while each vote key cost an entry record and a
+   signer-set record besides its bits.  While times, Rng state, vote keys
+   and accumulator outcomes were still boxed per message, and while each
+   commit vote allocated its (view, hash) key and each buffered proposal
+   copied the pending table, it cost several times that.
 
-   Jolteon measures about 12,400 B/block (16 blocks, 80 events each).
-   While every call to [process_pending] copied the pending table it cost
-   about 3x more per event. *)
+   Jolteon measures about 7,700 B/block (16 blocks, 80 events each);
+   about 12,400 before the chain layer stopped allocating what it does
+   not keep.  While every call to [process_pending] copied the pending
+   table it cost about 3x more per event. *)
 let wan_budget_ceiling = function
-  | Protocol_kind.Commit_moonshot -> 50_000.
-  | _ -> 25_000.
+  | Protocol_kind.Commit_moonshot -> 33_000.
+  | _ -> 16_000.
 
 let alloc_budget_wan protocol () =
   let cfg =
@@ -698,11 +706,13 @@ let alloc_budget_wan protocol () =
    no-quorum partition, healed before the recovery) with 7k cmd/s of
    wall-clock clients, 10 s simulated: every send crosses the link-window
    overlay and every committed block replays its batch of commands.  It
-   measures about 14,000 B/block; the ceiling is about twice that.  While
-   the overlay's queries took the time as a float through closures, and
-   arrival, lane and histogram times were boxed per command, it measured
-   about 64,000 B/block. *)
-let faulted_clients_budget_ceiling = 28_000.
+   measures about 9,300 B/block; the ceiling is about twice that.  Before
+   the synchronizer kept its last request in mutable fields and built its
+   retry closure once, and the chain layer stopped allocating what it
+   does not keep, it measured about 14,000 B/block; while the overlay's
+   queries took the time as a float through closures, and arrival, lane
+   and histogram times were boxed per command, about 64,000. *)
+let faulted_clients_budget_ceiling = 19_000.
 
 let alloc_budget_faulted_clients () =
   let n = 7 in
