@@ -193,6 +193,30 @@ let setup_logs verbose =
     Logs.set_level (Some Logs.Info)
   end
 
+(* The paper's metrics, one block for both substrates (the cli-smoke rule
+   fails if [run] and [run-net] print different labels here). *)
+let print_metrics (m : Metrics.result) =
+  Format.printf "blocks committed: %d (%.2f blocks/s)@."
+    m.Metrics.committed_blocks m.Metrics.blocks_per_sec;
+  Format.printf "avg latency     : %.1f ms@." m.Metrics.avg_latency_ms;
+  if m.Metrics.latencies_ms <> [] then
+    Format.printf "latency p50/p95 : %.1f / %.1f ms@."
+      (Bft_stats.Descriptive.percentile 50. m.Metrics.latencies_ms)
+      (Bft_stats.Descriptive.percentile 95. m.Metrics.latencies_ms);
+  Format.printf "transfer rate   : %.3f MB/s@."
+    (m.Metrics.transfer_rate_bps /. 1e6);
+  (* The half-period queueing model of lib/app/client: needs two
+     committed blocks, so very short runs report n/a, not a crash. *)
+  let timeline =
+    List.map
+      (fun rec_ -> (rec_.Metrics.created_ms, rec_.Metrics.quorum_commit_ms))
+      m.Metrics.records
+  in
+  match Bft_app.Client.analyze timeline with
+  | stats -> Format.printf "client model    : %a@." Bft_app.Client.pp stats
+  | exception Invalid_argument _ ->
+      Format.printf "client model    : n/a (fewer than two committed blocks)@."
+
 let run_cmd =
   let run verbose protocol n payload duration delta faults schedule seed gst
       uniform_latency clients =
@@ -219,32 +243,10 @@ let run_cmd =
       }
     in
     let r = Harness.run cfg in
-    let m = r.Harness.metrics in
     Format.printf "config          : %a@." Config.pp cfg;
-    Format.printf "blocks committed: %d (%.2f blocks/s)@."
-      m.Metrics.committed_blocks m.Metrics.blocks_per_sec;
-    Format.printf "avg latency     : %.1f ms@." m.Metrics.avg_latency_ms;
-    if m.Metrics.latencies_ms <> [] then
-      Format.printf "latency p50/p95 : %.1f / %.1f ms@."
-        (Bft_stats.Descriptive.percentile 50. m.Metrics.latencies_ms)
-        (Bft_stats.Descriptive.percentile 95. m.Metrics.latencies_ms);
-    Format.printf "transfer rate   : %.3f MB/s@."
-      (m.Metrics.transfer_rate_bps /. 1e6);
+    print_metrics r.Harness.metrics;
     Format.printf "messages        : %d (%.1f MB)@." r.Harness.messages_sent
       (float_of_int r.Harness.bytes_sent /. 1e6);
-    (* The half-period queueing model of lib/app/client: needs two
-       committed blocks, so very short runs report n/a, not a crash. *)
-    (let timeline =
-       List.map
-         (fun rec_ ->
-           (rec_.Metrics.created_ms, rec_.Metrics.quorum_commit_ms))
-         m.Metrics.records
-     in
-     match Bft_app.Client.analyze timeline with
-     | stats -> Format.printf "client model    : %a@." Bft_app.Client.pp stats
-     | exception Invalid_argument _ ->
-         Format.printf
-           "client model    : n/a (fewer than two committed blocks)@.");
     (match r.Harness.client_summary with
     | None -> ()
     | Some s ->
@@ -436,7 +438,6 @@ let run_net_cmd =
       check faults fault_clock fault_seed link_delay wal_dir clients =
     setup_logs verbose;
     let module FS = Bft_faults.Fault_schedule in
-    let faulted = not (FS.is_empty faults) in
     let cfg =
       {
         (Net_harness.config protocol ~n ~blocks) with
@@ -455,7 +456,6 @@ let run_net_cmd =
       }
     in
     let r = Net_harness.run protocol cfg in
-    let quorum = Net_harness.quorum ~n in
     let open Bft_net.Tcp in
     Format.printf "protocol        : %a (%s mode, n=%d)@." Protocol_kind.pp
       protocol
@@ -513,27 +513,22 @@ let run_net_cmd =
           else Format.printf "  %8.1f ms  %s@." fe.fe_time_ms kind)
         r.fault_events
     end;
-    (if faulted then
-       match Net_harness.net_liveness r ~delta with
-       | report -> print_liveness ~width:16 "liveness" report
-       | exception Bft_obs.Liveness.Violation msg ->
-           Format.printf "liveness        : VIOLATION (%s)@." msg;
-           if check then exit 1);
-    (let lat = List.map snd (quorum_latencies r ~quorum) in
-     if lat <> [] then
-       Format.printf "quorum latency  : %.1f ms avg, %.1f ms p50 (%d blocks)@."
-         (List.fold_left ( +. ) 0. lat /. float_of_int (List.length lat))
-         (Bft_stats.Descriptive.percentile 50. lat)
-         (List.length lat));
-    (match clients with
-    | None -> ()
-    | Some spec ->
-        let s = Net_harness.client_stats r ~spec ~view_ms:delta in
-        Format.printf "client traffic  :@.%a@." Bft_mempool.Ingest.pp_summary s);
+    let a =
+      try Net_harness.account cfg r
+      with Bft_obs.Liveness.Violation msg ->
+        Format.printf "liveness        : VIOLATION (%s)@." msg;
+        if check then exit 1;
+        Net_harness.account { cfg with faults = FS.empty } r
+    in
+    Option.iter (print_liveness ~width:16 "liveness") a.Net_harness.liveness;
+    print_metrics a.Net_harness.metrics;
+    Option.iter
+      (Format.printf "client traffic  :@.%a@." Bft_mempool.Ingest.pp_summary)
+      a.Net_harness.client_summary;
     (match trace_file with
     | None -> ()
     | Some path ->
-        let lines = merged_trace r ~quorum in
+        let lines = a.Net_harness.merged_trace in
         let oc = open_out path in
         List.iter
           (fun l ->

@@ -21,7 +21,6 @@ let insert t (b : Block.t) =
     true
   end
 
-let size t = Hashtbl.length t
 
 (* Top-level rather than local to [is_ancestor]: a local walk would be a
    closure per call. *)

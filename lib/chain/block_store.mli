@@ -22,7 +22,6 @@ val find : t -> Hash.t -> Block.t
     by that int (the vote accumulator) and need the block back. *)
 val find_key : t -> int -> Block.t option
 val mem : t -> Hash.t -> bool
-val size : t -> int
 
 (** [is_ancestor t ~ancestor ~of_] walks parent links from [of_].  A block is
     an ancestor of itself.  [`Unknown] when a parent link leaves the store

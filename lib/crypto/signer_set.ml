@@ -1,13 +1,11 @@
 (* Packed bitset over an int word array, 32 bits per word: bit [i] of the
    set lives in word [i lsr 5] at position [i land 31].  Word granularity
    keeps every operation branch-light flat-array arithmetic — no byte
-   boxing, no per-bit range checks — and [count]/[iter]/[fold] walk whole
-   words, skipping empty ones outright.
+   boxing, no per-bit range checks — and [count] walks whole words.
 
-   The public [add]/[mem] validate the index once and then defer to the
-   unchecked word ops, so the certificate-accumulation hot path (one [add]
-   per vote, O(n^2) of them per view) pays a single bounds check per
-   contribution. *)
+   [add] validates the index once and then works on the word unchecked,
+   so the certificate-accumulation hot path (one [add] per vote, O(n^2)
+   of them per view) pays a single bounds check per contribution. *)
 
 type t = { words : int array; n : int }
 
@@ -26,13 +24,8 @@ let popcount32 x =
      so without the mask the product's upper bytes leak into the shift. *)
   ((x * 0x01010101) land 0xffffffff) lsr 24
 
-let check t i =
-  if i < 0 || i >= t.n then invalid_arg "Signer_set: signer out of range"
-
-let unsafe_mem t i =
-  Array.unsafe_get t.words (i lsr 5) land (1 lsl (i land 31)) <> 0
-
-let unsafe_add t i =
+let add t i =
+  if i < 0 || i >= t.n then invalid_arg "Signer_set: signer out of range";
   let w = i lsr 5 in
   let bit = 1 lsl (i land 31) in
   let old = Array.unsafe_get t.words w in
@@ -42,42 +35,12 @@ let unsafe_add t i =
     true
   end
 
-let mem t i =
-  check t i;
-  unsafe_mem t i
-
-let add t i =
-  check t i;
-  unsafe_add t i
-
 let count t =
   let c = ref 0 in
   for w = 0 to Array.length t.words - 1 do
     c := !c + popcount32 (Array.unsafe_get t.words w)
   done;
   !c
-
-let capacity t = t.n
-
-(* Ascending-order iteration, one trailing-zero extraction per set bit.
-   [bit] is a power of two, so popcount of [bit - 1] is its index. *)
-let iter f t =
-  for w = 0 to Array.length t.words - 1 do
-    let word = ref (Array.unsafe_get t.words w) in
-    if !word <> 0 then begin
-      let base = w lsl 5 in
-      while !word <> 0 do
-        let bit = !word land (- !word) in
-        f (base + popcount32 (bit - 1));
-        word := !word land (!word - 1)
-      done
-    end
-  done
-
-let fold f t init =
-  let acc = ref init in
-  iter (fun i -> acc := f i !acc) t;
-  !acc
 
 (* High-to-low walk so the prepends come out ascending. *)
 let to_list t =
@@ -92,5 +55,3 @@ let to_list t =
     end
   done;
   !acc
-
-let copy t = { words = Array.copy t.words; n = t.n }

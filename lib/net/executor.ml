@@ -3,16 +3,8 @@ module Trace = Bft_obs.Trace
 
 let log_src = Logs.Src.create "moonshot.executor" ~doc:"Socket node executor"
 
-type commit = {
-  c_height : int;
-  c_view : int;
-  c_hash : int64;
-  c_time_ms : float;
-  c_payload_id : int;
-  c_payload_bytes : int;
-}
-
-type proposal = { p_height : int; p_hash : int64; p_time_ms : float }
+type commit = { c_block : Block.t; c_height : int; c_time_ms : float }
+type proposal = { p_block : Block.t; p_height : int; p_time_ms : float }
 
 type node_result = {
   id : int;
@@ -126,14 +118,7 @@ module Make (P : Protocol_intf.S) = struct
         ~on_spawn:(fun _ _ -> ())
         ~on_commit:(fun b ->
           t.commits <-
-            {
-              c_height = b.Block.height;
-              c_view = b.Block.view;
-              c_hash = Hash.to_int64 b.Block.hash;
-              c_time_ms = now ();
-              c_payload_id = b.Block.payload.Payload.id;
-              c_payload_bytes = b.Block.payload.Payload.size_bytes;
-            }
+            { c_block = b; c_height = b.Block.height; c_time_ms = now () }
             :: t.commits;
           (* Height-based, not count-based: a recovered incarnation starts
              from an empty commit log and reaches the target by syncing,
@@ -145,11 +130,7 @@ module Make (P : Protocol_intf.S) = struct
           end)
         ~on_propose:(fun b ->
           t.proposals <-
-            {
-              p_height = b.Block.height;
-              p_hash = Hash.to_int64 b.Block.hash;
-              p_time_ms = now ();
-            }
+            { p_block = b; p_height = b.Block.height; p_time_ms = now () }
             :: t.proposals)
         ~on_verdict:(fun v ->
           if v.Node_host.crash then crash t;

@@ -21,16 +21,8 @@
 open Bft_types
 
 (** The records {!Tcp} re-exports and documents. *)
-type commit = {
-  c_height : int;
-  c_view : int;
-  c_hash : int64;
-  c_time_ms : float;
-  c_payload_id : int;
-  c_payload_bytes : int;
-}
-
-type proposal = { p_height : int; p_hash : int64; p_time_ms : float }
+type commit = { c_block : Block.t; c_height : int; c_time_ms : float }
+type proposal = { p_block : Block.t; p_height : int; p_time_ms : float }
 
 type node_result = {
   id : int;

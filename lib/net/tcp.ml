@@ -30,16 +30,16 @@ type config = {
 }
 
 type commit = Executor.commit = {
+  c_block : Block.t;
   c_height : int;
-  c_view : int;
-  c_hash : int64;
   c_time_ms : float;
-  c_payload_id : int;
-  c_payload_bytes : int;
 }
 
-type proposal = Executor.proposal =
-  { p_height : int; p_hash : int64; p_time_ms : float }
+type proposal = Executor.proposal = {
+  p_block : Block.t;
+  p_height : int;
+  p_time_ms : float;
+}
 
 type node_result = Executor.node_result = {
   id : int;
@@ -731,79 +731,46 @@ let run (type m) (module P : Protocol_intf.S with type msg = m) cfg =
     ~listeners:(Array.map (fun (fd, _) -> Some fd) bound)
     ~start ~collect
 
-(* --- post-hoc aggregation -------------------------------------------------- *)
+(* --- post-hoc replay ------------------------------------------------------- *)
 
-let quorum_commits result ~quorum =
-  (* Per block hash, each node's earliest commit of it: a recovered node
-     may re-commit a block it committed before crashing. *)
-  let tbl : (int64, (int * commit) list) Hashtbl.t = Hashtbl.create 64 in
-  Array.iter
-    (fun nr ->
-      List.iter
-        (fun c ->
-          let prev =
-            Option.value (Hashtbl.find_opt tbl c.c_hash) ~default:[]
-          in
-          match List.assoc_opt nr.id prev with
-          | Some c0 when c0.c_time_ms <= c.c_time_ms -> ()
-          | _ ->
-              Hashtbl.replace tbl c.c_hash
-                ((nr.id, c) :: List.remove_assoc nr.id prev))
-        nr.commits)
-    result.nodes;
-  Hashtbl.fold
-    (fun _hash entries acc ->
-      if List.length entries >= quorum then
-        let sorted =
-          List.sort
-            (fun (_, a) (_, b) -> Float.compare a.c_time_ms b.c_time_ms)
-            entries
-        in
-        List.nth sorted (quorum - 1) :: acc
-      else acc)
-    tbl []
+type step = Fault of fault_event | Proposal of proposal | Commit of int * commit
 
-let merged_trace result ~quorum =
-  let module T = Bft_obs.Trace in
-  let node_events =
-    List.concat_map (fun nr -> nr.trace_events) (Array.to_list result.nodes)
+let replay ?(fault = ignore) ?(commit = fun ~node:_ _ -> ()) result metrics =
+  let module M = Bft_obs.Metrics in
+  let time = function
+    | Fault fe -> fe.fe_time_ms
+    | Proposal p -> p.p_time_ms
+    | Commit (_, c) -> c.c_time_ms
   in
-  let quorum_events =
-    List.map
-      (fun (qnode, qc) ->
-        {
-          T.time = qc.c_time_ms;
-          node = qnode;
-          kind = T.Quorum_commit { view = qc.c_view; height = qc.c_height };
-        })
-      (quorum_commits result ~quorum)
-  in
-  let fault_events =
-    List.map
-      (fun fe -> { T.time = fe.fe_time_ms; node = fe.fe_node; kind = T.Fault fe.fe_kind })
-      result.fault_events
-  in
-  node_events @ quorum_events @ fault_events
-  |> List.stable_sort (fun (a : T.event) (b : T.event) ->
-         match Float.compare a.time b.time with
-         | 0 -> Int.compare a.node b.node
+  let rank = function Fault _ -> 0 | Proposal _ -> 1 | Commit _ -> 2 in
+  (* A stable sort: ties of one rank keep node order, then record order. *)
+  List.map (fun fe -> Fault fe) result.fault_events
+  @ List.concat_map
+      (fun nr ->
+        List.map (fun p -> Proposal p) nr.proposals
+        @ List.map (fun c -> Commit (nr.id, c)) nr.commits)
+      (Array.to_list result.nodes)
+  |> List.stable_sort (fun a b ->
+         match Float.compare (time a) (time b) with
+         | 0 -> Int.compare (rank a) (rank b)
          | c -> c)
-  |> List.map T.event_to_json
+  |> List.iter (function
+       | Fault fe -> fault fe
+       | Proposal p -> M.on_propose metrics ~time:p.p_time_ms p.p_block
+       | Commit (node, c) ->
+           commit ~node c;
+           M.on_commit metrics ~node ~time:c.c_time_ms c.c_block)
 
 let quorum_latencies result ~quorum =
-  let created : (int64, float) Hashtbl.t = Hashtbl.create 64 in
-  Array.iter
-    (fun nr ->
-      List.iter
-        (fun p ->
-          match Hashtbl.find_opt created p.p_hash with
-          | Some t when t <= p.p_time_ms -> ()
-          | _ -> Hashtbl.replace created p.p_hash p.p_time_ms)
-        nr.proposals)
-    result.nodes;
-  quorum_commits result ~quorum
-  |> List.filter_map (fun (_, qc) ->
+  let module M = Bft_obs.Metrics in
+  let n = Array.length result.nodes in
+  if quorum <> M.latency_quorum ~n then
+    invalid_arg "Tcp.quorum_latencies: quorum is not Metrics.latency_quorum";
+  let m = M.create ~n () in
+  replay result m;
+  (M.finish m ~duration_ms:result.wall_ms).M.records
+  |> List.filter_map (fun (r : M.record) ->
          Option.map
-           (fun t -> (qc.c_height, qc.c_time_ms -. t))
-           (Hashtbl.find_opt created qc.c_hash))
-  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+           (fun t -> (r.M.block.Block.height, t -. r.M.created_ms))
+           r.M.quorum_commit_ms)
+  |> List.stable_sort (fun (a, _) (b, _) -> Int.compare a b)

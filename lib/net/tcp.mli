@@ -123,27 +123,25 @@ type config = {
           the spec's [Views] ingest clock the cut is a pure function of
           the view number, making chains bit-identical to a simulator run
           of the same spec.  Client-perceived latency is recovered
-          post-hoc by the coordinator (see {!Net_harness}) from the
-          payload references in the commit records. *)
+          after the run by [Bft_runtime.Net_harness], which replays the
+          blocks in the commit records through the same ingest pipeline
+          the simulator drains at each quorum commit. *)
 }
 
 (** One block commit as observed by one node, in local commit order. *)
 type commit = Executor.commit = {
-  c_height : int;
-  c_view : int;
-  c_hash : int64;
+  c_block : Block.t;
+  c_height : int;  (** [c_block]'s height. *)
   c_time_ms : float;  (** Wall ms since cluster start. *)
-  c_payload_id : int;
-      (** {!Bft_types.Payload.id} of the committed block — for
-          client-traffic runs this is the packed batch reference that
-          lets the coordinator replay the mempool stream post-hoc. *)
-  c_payload_bytes : int;  (** {!Bft_types.Payload.size_bytes}. *)
 }
 
 (** One first-broadcast of a block by its proposer ({!Bft_types.Env.t}'s
     [on_propose]) — the creation timestamp of the latency metric. *)
-type proposal = Executor.proposal =
-  { p_height : int; p_hash : int64; p_time_ms : float }
+type proposal = Executor.proposal = {
+  p_block : Block.t;
+  p_height : int;  (** [p_block]'s height. *)
+  p_time_ms : float;
+}
 
 type node_result = Executor.node_result = {
   id : int;
@@ -200,24 +198,25 @@ type result = {
     is not a valid logical schedule. *)
 val run : (module Protocol_intf.S with type msg = 'm) -> config -> result
 
-(** [merged_trace result ~quorum] is one JSONL document, sorted by
-    (time, node), of every node's trace events plus a synthesized
-    [quorum_commit] event for each block committed by at least [quorum]
-    nodes and a [fault] event per entry of [result.fault_events] — the
-    same event families a traced simulator run emits, so sim and socket
-    traces feed the same latency and liveness tooling. *)
-val merged_trace : result -> quorum:int -> string list
+(** [replay result metrics] feeds [result]'s records to [metrics] in
+    time order, as the simulator feeds it during a run: each proposal to
+    {!Bft_obs.Metrics.on_propose}, each commit to [commit] and then
+    {!Bft_obs.Metrics.on_commit}, each fault event to [fault].  At equal
+    times faults come first, then proposals, then commits; ties within
+    one kind keep node order, then each node's record order.  This is
+    the one walk over a socket run's records: [Bft_runtime.Net_harness]
+    installs the simulator's quorum-commit observer on [metrics] first. *)
+val replay :
+  ?fault:(fault_event -> unit) ->
+  ?commit:(node:int -> commit -> unit) ->
+  result ->
+  Bft_obs.Metrics.t ->
+  unit
 
-(** The quorum commit of every block that [quorum] distinct nodes
-    committed, as [(node, commit)]: the commit, by [node], whose time is
-    the [quorum]-th smallest of the committing nodes' earliest commits of
-    that block.  A node that re-committed a block after a recovery counts
-    once, at its earliest commit.  Blocks are identified by hash; the
-    list is in no particular order. *)
-val quorum_commits : result -> quorum:int -> (int * commit) list
-
-(** Per-block quorum-commit latency samples [(height, latency_ms)]:
-    time from first proposal to the [quorum]-th node's commit, for
-    blocks that reached it.  A node counts at most once per block even
-    if it re-committed it after a recovery. *)
+(** Per-block quorum-commit latency samples [(height, latency_ms)], by
+    height: the {!Bft_obs.Metrics} records of a {!replay} of [result], for
+    blocks whose proposal was seen and that reached the commit quorum.
+    A node counts at most once per block even if it re-committed it after
+    a recovery.  [quorum] must be {!Bft_obs.Metrics.latency_quorum} of
+    the cluster size (raises [Invalid_argument] otherwise). *)
 val quorum_latencies : result -> quorum:int -> (int * float) list

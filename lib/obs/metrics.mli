@@ -1,4 +1,10 @@
-(** Run metrics, following the paper's definitions (Section VI):
+(** Run metrics, following the paper's definitions (Section VI), for both
+    substrates: the simulator harness feeds the collector online, and a
+    socket run's proposal and commit records are replayed into it in time
+    order after the run ([Bft_runtime.Net_harness]).  This is the one
+    place that decides when a block reaches its commit quorum.
+
+    The definitions:
 
     - {e throughput}: blocks committed by at least [2f + 1] nodes during the
       run;
@@ -28,8 +34,9 @@ val on_commit : t -> node:int -> time:float -> Block.t -> unit
 
 (** [set_on_quorum_commit t f] installs an observer invoked exactly once per
     block, at the moment the [(2f+1)]-th node commits it — the endpoint of
-    the paper's latency metric.  Used by the harness to stamp quorum-commit
-    events into a trace ({!Bft_obs.Trace}). *)
+    the paper's latency metric.  On both substrates it is
+    [Bft_runtime.Harness.observe_quorum_commits]'s: liveness, the trace's
+    quorum-commit events and the client-traffic replay. *)
 val set_on_quorum_commit : t -> (node:int -> time:float -> Block.t -> unit) -> unit
 
 (** Per-block record: when it was created (first proposed) and when the
@@ -42,7 +49,11 @@ type record = {
 
 type result = {
   committed_blocks : int;  (** Blocks committed by [>= 2f + 1] nodes. *)
-  latencies_ms : float list;  (** One sample per such block. *)
+  latencies_ms : float list;
+      (** One sample per such block whose proposal was seen; a block
+          committed without one (a socket run whose proposer crashed in
+          process mode) counts, with its payload bytes, but adds no
+          sample. *)
   avg_latency_ms : float;  (** 0 when nothing committed. *)
   payload_bytes_committed : float;
   transfer_rate_bps : float;

@@ -37,6 +37,58 @@ let latency_model (cfg : Config.t) =
   | Config.Wan -> Bft_workload.Regions.latency_model ()
   | Config.Uniform { base; jitter } -> Bft_sim.Latency.Uniform { base; jitter }
 
+(* Metrics has a single quorum-commit observer slot: compose the liveness
+   monitor, the trace emitter and the ingest replayer into it.  Installs
+   nothing when all three are absent. *)
+let observe_quorum_commits metrics ?monitor ?trace ?ingest () =
+  match (trace, monitor, ingest) with
+  | None, None, None -> ()
+  | _ ->
+      Metrics.set_on_quorum_commit metrics (fun ~node ~time block ->
+          (match monitor with
+          | Some mon ->
+              Bft_obs.Liveness.note_quorum_commit mon ~time
+                ~height:block.Block.height
+                ~hash:(Hash.to_int block.Block.hash)
+          | None -> ());
+          (match trace with
+          | Some sink ->
+              Bft_obs.Trace.emit sink
+                {
+                  Bft_obs.Trace.time;
+                  node;
+                  kind =
+                    Bft_obs.Trace.Quorum_commit
+                      { view = block.Block.view; height = block.Block.height };
+                }
+          | None -> ());
+          match ingest with
+          | Some ing ->
+              let drained =
+                Bft_mempool.Ingest.on_quorum_commit ing
+                  ~payload:block.Block.payload ~time
+              in
+              (match trace with
+              | Some sink ->
+                  let r = Bft_mempool.Ingest.batch_report ing ~count:drained in
+                  Bft_obs.Trace.emit sink
+                    {
+                      Bft_obs.Trace.time;
+                      node;
+                      kind =
+                        Bft_obs.Trace.Client_batch
+                          {
+                            view = block.Block.view;
+                            height = block.Block.height;
+                            count = r.Bft_mempool.Ingest.count;
+                            pending = r.Bft_mempool.Ingest.pool_pending;
+                            p50_ms = r.Bft_mempool.Ingest.cum_p50_ms;
+                            p99_ms = r.Bft_mempool.Ingest.cum_p99_ms;
+                          };
+                    }
+              | None -> ())
+          | None -> ())
+
 let run_protocol (type m) ?(on_commit = fun ~node:_ _ -> ()) ?trace
     ?on_client_command
     (module P : Bft_types.Protocol_intf.S with type msg = m)
@@ -105,55 +157,7 @@ let run_protocol (type m) ?(on_commit = fun ~node:_ _ -> ()) ?trace
   in
   let module H = Bft_net.Node_host.Make (P) in
   H.trace_deliveries trace engine;
-  (* Metrics has a single quorum-commit observer slot: compose the trace
-     emitter, the liveness monitor and the ingest replayer into it. *)
-  (match (trace, monitor, ingest) with
-  | None, None, None -> ()
-  | _ ->
-      Metrics.set_on_quorum_commit metrics (fun ~node ~time block ->
-          (match monitor with
-          | Some mon ->
-              Bft_obs.Liveness.note_quorum_commit mon ~time
-                ~height:block.Block.height
-                ~hash:(Hash.to_int block.Block.hash)
-          | None -> ());
-          (match trace with
-          | Some sink ->
-              Bft_obs.Trace.emit sink
-                {
-                  Bft_obs.Trace.time;
-                  node;
-                  kind =
-                    Bft_obs.Trace.Quorum_commit
-                      { view = block.Block.view; height = block.Block.height };
-                }
-          | None -> ());
-          match ingest with
-          | Some ing ->
-              let drained =
-                Bft_mempool.Ingest.on_quorum_commit ing
-                  ~payload:block.Block.payload ~time
-              in
-              (match trace with
-              | Some sink ->
-                  let r = Bft_mempool.Ingest.batch_report ing ~count:drained in
-                  Bft_obs.Trace.emit sink
-                    {
-                      Bft_obs.Trace.time;
-                      node;
-                      kind =
-                        Bft_obs.Trace.Client_batch
-                          {
-                            view = block.Block.view;
-                            height = block.Block.height;
-                            count = r.Bft_mempool.Ingest.count;
-                            pending = r.Bft_mempool.Ingest.pool_pending;
-                            p50_ms = r.Bft_mempool.Ingest.cum_p50_ms;
-                            p99_ms = r.Bft_mempool.Ingest.cum_p99_ms;
-                          };
-                    }
-              | None -> ())
-          | None -> ()));
+  observe_quorum_commits metrics ?monitor ?trace ?ingest ();
   let policy =
     {
       Bft_net.Node_host.n = cfg.Config.n;

@@ -72,6 +72,21 @@ val run_protocol :
   Config.t ->
   run_result
 
+(** [observe_quorum_commits metrics ?monitor ?trace ?ingest ()] installs
+    [metrics]' quorum-commit observer: at each block's quorum commit it
+    notes it in [monitor], traces a [Quorum_commit] event, drains the
+    block's commands from [ingest] and, traced, traces a [Client_batch]
+    event.  Installs nothing when all three are absent.  Simulator runs
+    install it online; {!Net_harness.account} on its replay of a socket
+    run. *)
+val observe_quorum_commits :
+  Metrics.t ->
+  ?monitor:Bft_obs.Liveness.t ->
+  ?trace:Bft_obs.Trace.t ->
+  ?ingest:Bft_mempool.Ingest.t ->
+  unit ->
+  unit
+
 (** Dispatch on [config.protocol]. *)
 val run :
   ?on_commit:(node:int -> Bft_types.Block.t -> unit) ->

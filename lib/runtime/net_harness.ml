@@ -26,6 +26,96 @@ let run kind cfg =
   let (Protocol_kind.Impl p) = Protocol_kind.impl kind in
   Bft_net.Tcp.run p cfg
 
+type accounting = {
+  metrics : Metrics.result;
+  liveness : Bft_obs.Liveness.report option;
+  client_summary : Bft_mempool.Ingest.summary option;
+  merged_trace : string list;
+}
+
+(* The accounting pass: the run's records, replayed in time order into one
+   collector that carries the simulator's quorum-commit observer. *)
+let pass ?delta ?clients ?(trace = false) (result : Bft_net.Tcp.result) =
+  let open Bft_net.Tcp in
+  let module L = Bft_obs.Liveness in
+  let n = Array.length result.nodes in
+  let metrics = Metrics.create ~n () in
+  (* The monitor's GST is the last disruption as it actually happened on
+     the wall clock: everything after it is the window the liveness bound
+     speaks about. *)
+  let gst =
+    List.fold_left (fun a fe -> Float.max a fe.fe_time_ms) 0.
+      result.fault_events
+  in
+  let monitor = Option.map (fun delta -> L.create ~n ~delta ~gst) delta in
+  let ingest =
+    Option.map
+      (fun (spec, view_ms) -> Bft_mempool.Ingest.create ~spec ~n ~view_ms ())
+      clients
+  in
+  let sink = if trace then Some (Bft_obs.Trace.create ()) else None in
+  Harness.observe_quorum_commits metrics ?monitor ?trace:sink ?ingest ();
+  replay result metrics
+    ~fault:(fun fe ->
+      Option.iter
+        (fun sink ->
+          Bft_obs.Trace.emit sink
+            {
+              time = fe.fe_time_ms;
+              node = fe.fe_node;
+              kind = Bft_obs.Trace.Fault fe.fe_kind;
+            })
+        sink;
+      Option.iter
+        (fun mon ->
+          match fe.fe_kind with
+          | Bft_obs.Trace.Crash ->
+              L.note_crash mon ~node:fe.fe_node ~time:fe.fe_time_ms
+          | Recover -> L.note_recover mon ~node:fe.fe_node ~time:fe.fe_time_ms
+          | _ -> ())
+        monitor)
+    ~commit:(fun ~node c ->
+      Option.iter
+        (fun mon -> L.note_commit mon ~node ~time:c.c_time_ms ~height:c.c_height)
+        monitor);
+  (* Enforce the bound once, from the last disruption, provided the run
+     actually covered that window. *)
+  let liveness =
+    Option.map
+      (fun mon ->
+        let bound = L.bound mon in
+        if result.wall_ms >= gst +. bound then
+          L.check mon ~since:gst ~now:(gst +. bound);
+        L.report mon)
+      monitor
+  in
+  let merged_trace =
+    match sink with
+    | None -> []
+    | Some sink ->
+        List.concat_map (fun nr -> nr.trace_events) (Array.to_list result.nodes)
+        @ Bft_obs.Trace.events sink
+        |> List.stable_sort (fun (a : Bft_obs.Trace.event) b ->
+               match Float.compare a.time b.time with
+               | 0 -> Int.compare a.node b.node
+               | c -> c)
+        |> List.map Bft_obs.Trace.event_to_json
+  in
+  {
+    metrics = Metrics.finish metrics ~duration_ms:result.wall_ms;
+    liveness;
+    client_summary = Option.map Bft_mempool.Ingest.summary ingest;
+    merged_trace;
+  }
+
+let account (cfg : Bft_net.Tcp.config) result =
+  pass
+    ?delta:
+      (if Bft_faults.Fault_schedule.is_empty cfg.faults then None
+       else Some cfg.delta_ms)
+    ?clients:(Option.map (fun spec -> (spec, cfg.delta_ms)) cfg.clients)
+    ~trace:cfg.trace result
+
 let crashed (result : Bft_net.Tcp.result) =
   List.exists
     (fun fe -> fe.Bft_net.Tcp.fe_kind = Bft_obs.Trace.Crash)
@@ -68,111 +158,19 @@ let check (result : Bft_net.Tcp.result) ~target =
                target)
         else None
     in
-    (* Agreement: no two nodes ever commit different hashes at one height. *)
-    let seen : (int, int * int64) Hashtbl.t = Hashtbl.create 64 in
-    let conflict nr c =
-      match Hashtbl.find_opt seen c.c_height with
-      | Some (id0, h0) when h0 <> c.c_hash ->
-          Some
-            (Printf.sprintf "nodes %d and %d disagree at height %d: %Lx vs %Lx"
-               id0 nr.id c.c_height h0 c.c_hash)
-      | Some _ -> None
-      | None ->
-          Hashtbl.add seen c.c_height (nr.id, c.c_hash);
-          None
-    in
-    let nodes = Array.to_list result.nodes in
-    match List.find_map progress nodes with
+    match List.find_map progress (Array.to_list result.nodes) with
     | Some p -> Error p
     | None -> (
-        match
-          List.find_map (fun nr -> List.find_map (conflict nr) nr.commits) nodes
-        with
-        | Some p -> Error p
-        | None -> Ok ())
+        (* Agreement: the accounting pass's collector raises on two
+           different blocks committed at one height. *)
+        match pass result with
+        | _ -> Ok ()
+        | exception Bft_chain.Commit_log.Safety_violation e -> Error e)
 
-let net_liveness (result : Bft_net.Tcp.result) ~delta =
-  let open Bft_net.Tcp in
-  let n = Array.length result.nodes in
-  (* The monitor's GST is the last scheduled disruption as it actually
-     happened on the wall clock: everything after it is the window the
-     liveness bound speaks about. *)
-  let gst =
-    List.fold_left (fun a fe -> Float.max a fe.fe_time_ms) 0.
-      result.fault_events
-  in
-  let mon = Bft_obs.Liveness.create ~n ~delta ~gst in
-  (* Replay in wall-time order; same-time ties resolve fault edges before
-     commits and quorum milestones after individual commits, matching the
-     order the simulator harness generates them in. *)
-  let events = ref [] in
-  let add t pri run = events := (t, pri, run) :: !events in
-  List.iter
-    (fun fe ->
-      match fe.fe_kind with
-      | Bft_obs.Trace.Crash ->
-          add fe.fe_time_ms 0 (fun () ->
-              Bft_obs.Liveness.note_crash mon ~node:fe.fe_node
-                ~time:fe.fe_time_ms)
-      | Bft_obs.Trace.Recover ->
-          add fe.fe_time_ms 0 (fun () ->
-              Bft_obs.Liveness.note_recover mon ~node:fe.fe_node
-                ~time:fe.fe_time_ms)
-      | _ -> ())
-    result.fault_events;
-  Array.iter
-    (fun nr ->
-      List.iter
-        (fun c ->
-          add c.c_time_ms 1 (fun () ->
-              Bft_obs.Liveness.note_commit mon ~node:nr.id ~time:c.c_time_ms
-                ~height:c.c_height))
-        nr.commits)
-    result.nodes;
-  List.iter
-    (fun (_, qc) ->
-      add qc.c_time_ms 2 (fun () ->
-          Bft_obs.Liveness.note_quorum_commit mon ~time:qc.c_time_ms
-            ~height:qc.c_height ~hash:(Int64.to_int qc.c_hash)))
-    (quorum_commits result ~quorum:(quorum ~n));
-  List.iter
-    (fun (_, _, run) -> run ())
-    (List.sort
-       (fun (t1, p1, _) (t2, p2, _) ->
-         match Float.compare t1 t2 with 0 -> compare p1 p2 | c -> c)
-       !events);
-  (* Enforce the bound once, from the last disruption — provided the run
-     actually covered that window. *)
-  let bound = Bft_obs.Liveness.bound mon in
-  if result.wall_ms >= gst +. bound then
-    Bft_obs.Liveness.check mon ~since:gst ~now:(gst +. bound);
-  Bft_obs.Liveness.report mon
+let net_liveness result ~delta = Option.get (pass ~delta result).liveness
 
-let client_stats (result : Bft_net.Tcp.result) ~spec ~view_ms =
-  let open Bft_net.Tcp in
-  let n = Array.length result.nodes in
-  let quorum_time : (int64, float) Hashtbl.t = Hashtbl.create 64 in
-  List.iter
-    (fun (_, qc) -> Hashtbl.replace quorum_time qc.c_hash qc.c_time_ms)
-    (quorum_commits result ~quorum:(quorum ~n));
-  (* Replay node 0's chain (commit order = chain order) through a fresh
-     ingestion site, each quorum-committed block once: the commit records
-     carry the packed batch references, which is all the replayer needs to
-     rebuild every command and its end-to-end latency. *)
-  let ing = Bft_mempool.Ingest.create ~spec ~n ~view_ms () in
-  List.iter
-    (fun c ->
-      match Hashtbl.find_opt quorum_time c.c_hash with
-      | None -> ()
-      | Some t ->
-          Hashtbl.remove quorum_time c.c_hash;
-          let payload =
-            Bft_types.Payload.make ~id:c.c_payload_id
-              ~size_bytes:c.c_payload_bytes
-          in
-          ignore (Bft_mempool.Ingest.on_quorum_commit ing ~payload ~time:t))
-    result.nodes.(0).commits;
-  Bft_mempool.Ingest.summary ing
+let client_stats result ~spec ~view_ms =
+  Option.get (pass ~clients:(spec, view_ms) result).client_summary
 
 type commit_id = { height : int; view : int; hash : int64 }
 
@@ -314,26 +312,22 @@ let crossval ?(n = 4) ~protocol ~blocks scenario =
     | Error e ->
         failwith
           (Printf.sprintf "crossval (%s): %s" (substrate_name substrate) e));
+    let a = account cfg result in
     {
       substrate;
       chain =
         prefix substrate
           (List.map
              (fun c ->
+               let b = c.Bft_net.Tcp.c_block in
                {
-                 height = c.Bft_net.Tcp.c_height;
-                 view = c.Bft_net.Tcp.c_view;
-                 hash = c.Bft_net.Tcp.c_hash;
+                 height = b.Bft_types.Block.height;
+                 view = b.Bft_types.Block.view;
+                 hash = Bft_types.Hash.to_int64 b.Bft_types.Block.hash;
                })
              result.Bft_net.Tcp.nodes.(0).Bft_net.Tcp.commits);
-      liveness =
-        (if FS.is_empty schedule then None
-         else Some (net_liveness result ~delta:cfg.Bft_net.Tcp.delta_ms));
-      client_summary =
-        Option.map
-          (fun spec ->
-            client_stats result ~spec ~view_ms:cfg.Bft_net.Tcp.delta_ms)
-          cfg.Bft_net.Tcp.clients;
+      liveness = a.liveness;
+      client_summary = a.client_summary;
     }
   in
   (* Process mode adds a real SIGKILL and a WAL-file rebuild, so it runs

@@ -10,9 +10,8 @@
     must produce the identical commit sequence, and {!crossval} asserts
     they do. *)
 
-(** The commit quorum [2f + 1] with [f = (n - 1) / 3] — the number of
-    nodes whose commit makes a block final for latency accounting, the
-    simulator's {!Metrics.latency_quorum}. *)
+(** The commit quorum [2f + 1] with [f = (n - 1) / 3]:
+    {!Metrics.latency_quorum}. *)
 val quorum : n:int -> int
 
 (** [config kind ~n ~blocks] — a {!Bft_net.Tcp.config} wired for
@@ -26,40 +25,70 @@ val config : Protocol_kind.t -> n:int -> blocks:int -> Bft_net.Tcp.config
 (** Launch a cluster of the given protocol (see {!Bft_net.Tcp.run}). *)
 val run : Protocol_kind.t -> Bft_net.Tcp.config -> Bft_net.Tcp.result
 
+(** What a socket run's records say once replayed
+    ({!Bft_net.Tcp.replay}) into one {!Metrics} collector: the simulator's quorum-commit
+    observer ({!Harness.observe_quorum_commits}) is installed on it, so
+    both substrates time commits, watch liveness, drain client batches and
+    trace quorum commits the same way. *)
+type accounting = {
+  metrics : Metrics.result;
+      (** The paper's metrics, with the run's [wall_ms] as its duration.
+          In process mode a crashed incarnation's proposal records die
+          with it: its blocks count as committed but add no latency
+          sample. *)
+  liveness : Bft_obs.Liveness.report option;
+      (** Under a fault schedule: the liveness audit (see
+          {!net_liveness}). *)
+  client_summary : Bft_mempool.Ingest.summary option;
+      (** With clients: the client-traffic accounting (see
+          {!client_stats}). *)
+  merged_trace : string list;
+      (** For a traced run: one JSONL document, sorted by (time, node), of
+          every node's trace events plus the pass's [quorum_commit] and
+          [client_batch] events and a [fault] event per fault event: the
+          event families a traced simulator run emits.  [[]] untraced. *)
+}
+
+(** [account config result] — the accounting pass of a run of [config]:
+    liveness with Δ = [config.delta_ms] when it has faults, clients with
+    [view_ms = config.delta_ms] when it has a spec, the trace when it is
+    traced.  Raises [Bft_chain.Commit_log.Safety_violation] when two
+    nodes committed different blocks at one height, and
+    {!Bft_obs.Liveness.Violation} as {!net_liveness} does. *)
+val account : Bft_net.Tcp.config -> Bft_net.Tcp.result -> accounting
+
 (** Post-run sanity assertions.  The run must have reached its target,
-    and no two nodes may commit different hashes at one height.  Without a
-    crash, every node must also have committed at least [target] blocks
-    at consecutive heights from 1.  When the result records a crash (a
-    [Crash] fault event, or a node with [restarts > 0]) a recovered node's
-    commit log is not dense — pre-crash commits die with the incarnation
-    in process mode, catch-up re-commits heights — so then only each
-    node's top committed height must reach [target].  Returns a
-    human-readable reason on failure. *)
+    and no two nodes may commit different blocks at one height (the
+    accounting pass's safety check).  Without a crash, every node must
+    also have committed at least [target] blocks at consecutive heights
+    from 1.  When the result records a crash (a [Crash] fault event, or a
+    node with [restarts > 0]) a recovered node's commit log is not dense
+    — pre-crash commits die with the incarnation in process mode, catch-up
+    re-commits heights — so then only each node's top committed height
+    must reach [target].  Returns a human-readable reason on failure. *)
 val check : Bft_net.Tcp.result -> target:int -> (unit, string) result
 
-(** Post-hoc liveness audit of a socket run: replays the run's fault
-    events, per-node commits and quorum commits
-    ({!Bft_net.Tcp.quorum_commits}) into a
-    {!Bft_obs.Liveness} monitor in wall-time order, with the monitor's
-    GST set to the last disruption.  If the run lasted past
-    [gst + bound], enforces one {!Bft_obs.Liveness.check} over that
-    window (raising [Violation] when commits stalled).  The returned
-    {!Bft_obs.Liveness.report}'s [max_quorum_gap_ms] is the bounded
-    commit-gap acceptance metric; [recoveries] carries per-crash
+(** The liveness audit of the accounting pass: fault events, per-node
+    commits and quorum commits feed a {!Bft_obs.Liveness} monitor in
+    replay order, with the monitor's GST set to the last disruption.  If the run
+    lasted past [gst + bound], enforces one {!Bft_obs.Liveness.check}
+    over that window (raising [Violation] when commits stalled).  The
+    returned {!Bft_obs.Liveness.report}'s [max_quorum_gap_ms] is the
+    bounded commit-gap acceptance metric; [recoveries] carries per-crash
     time-to-catch-up. *)
 val net_liveness :
   Bft_net.Tcp.result -> delta:float -> Bft_obs.Liveness.report
 
-(** Post-hoc client-traffic accounting for a socket run whose config
-    carried [clients = Some spec].  Rebuilds an ingestion site from the
-    spec and replays node 0's committed chain through it (the commit
-    records carry each block's packed batch reference), computing every
-    block's quorum-commit time with {!Bft_net.Tcp.quorum_commits}.  The returned summary is the socket-side
-    counterpart of {!Harness.run_result.client_summary}: admission and
-    backpressure counters, client-perceived end-to-end latency
-    percentiles, per-lane fairness and dissemination bytes.  [view_ms]
-    converts view-slot submit times to milliseconds under the [Views]
-    ingest clock — pass the run's [delta_ms]. *)
+(** The client-traffic accounting of the accounting pass, for a run whose
+    config carried [clients = Some spec]: an ingestion site rebuilt from
+    the spec drains each block's commands at its quorum commit, as in the
+    simulator (the committed blocks carry their packed batch
+    references).  The returned summary is the socket-side counterpart of
+    {!Harness.run_result.client_summary}: admission and backpressure
+    counters, client-perceived end-to-end latency percentiles, per-lane
+    fairness and dissemination bytes.  [view_ms] converts view-slot
+    submit times to milliseconds under the [Views] ingest clock — pass
+    the run's [delta_ms]. *)
 val client_stats :
   Bft_net.Tcp.result ->
   spec:Bft_mempool.Spec.t ->

@@ -517,16 +517,14 @@ let process t ~src ~dst ~epoch msg =
         end
 
 (* The network leg of one copy to another node: the link filter, the
-   windows (cut, then the loss draw), the drop draw and the network model,
-   in that order.  False when the copy is lost; otherwise its arrival time
+   windows (cut, then the loss draw) and the network model, in that
+   order.  False when the copy is lost; otherwise its arrival time
    is in [times.(time_slot)]. *)
 let[@inline] transmit t ~src ~dst ~size =
   ((not t.filter_installed) || t.filter ~src ~dst)
   && ((not t.windows_installed)
      || (not (Link_windows.cut t.windows ~src ~dst t.times clock_slot))
         && Link_windows.keep t.windows t.window_rng t.times clock_slot)
-  && (let drop = t.network.Network.drop_prob in
-      not (drop > 0. && Rng.float t.net_rng 1. < drop))
   &&
   let times = t.times in
   Array.unsafe_set times time_slot (clock t);
@@ -585,7 +583,6 @@ let fanout_run t ~src ~size msg =
          && (not t.filter_installed)
          && (not t.windows_installed)
          && net.Network.bandwidth_bps = None
-         && net.Network.drop_prob = 0.
          && net.Network.duplicate_prob = 0.
          && (fmax (clock t) (Array.unsafe_get t.egress_free src)
              >= net.Network.gst

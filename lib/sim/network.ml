@@ -5,11 +5,10 @@ type t = {
   delta : float;
   pre_gst_extra : float;
   duplicate_prob : float;
-  drop_prob : float;
 }
 
 let make ?bandwidth_bps ?(gst = 0.) ?(pre_gst_extra = 0.) ?(duplicate_prob = 0.)
-    ?(drop_prob = 0.) ~latency ~delta () =
+    ~latency ~delta () =
   if delta <= 0. then invalid_arg "Network.make: delta must be positive";
   if Latency.upper_bound latency > delta then
     invalid_arg "Network.make: delta below the latency model's upper bound";
@@ -17,10 +16,7 @@ let make ?bandwidth_bps ?(gst = 0.) ?(pre_gst_extra = 0.) ?(duplicate_prob = 0.)
     invalid_arg "Network.make: negative gst or pre_gst_extra";
   if duplicate_prob < 0. || duplicate_prob > 1. then
     invalid_arg "Network.make: duplicate_prob outside [0, 1]";
-  if drop_prob < 0. || drop_prob > 1. then
-    invalid_arg "Network.make: drop_prob outside [0, 1]";
-  { latency; bandwidth_bps; gst; delta; pre_gst_extra; duplicate_prob;
-    drop_prob }
+  { latency; bandwidth_bps; gst; delta; pre_gst_extra; duplicate_prob }
 
 let[@inline] serialization_ms t ~size =
   match t.bandwidth_bps with

@@ -25,12 +25,9 @@ type t = private {
   duplicate_prob : float;
       (** Probability that a delivered message is delivered a second time
           shortly after (network-level duplication; protocols must be
-          idempotent).  0 by default. *)
-  drop_prob : float;
-      (** Probability that a non-self message is silently lost in transit.
-          0 by default; a positive value suspends the post-GST delivery
-          guarantee, so protocols must tolerate loss (retransmission,
-          sync).  Used by fault injection. *)
+          idempotent).  0 by default.  Message loss is not modelled here:
+          fault schedules drop messages through the engine's link
+          windows. *)
 }
 
 (** Raises [Invalid_argument] when [delta] cannot bound the post-GST delays
@@ -41,7 +38,6 @@ val make :
   ?gst:float ->
   ?pre_gst_extra:float ->
   ?duplicate_prob:float ->
-  ?drop_prob:float ->
   latency:Latency.t ->
   delta:float ->
   unit ->

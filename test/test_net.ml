@@ -10,9 +10,10 @@
    merging, and the substrate cross-validation: the simulator and the
    socket clusters must commit identical chains.
 
-   Post-hoc readers: [Net_harness.check], [Tcp.quorum_commits],
-   [Net_harness.net_liveness] and [Net_harness.client_stats] on synthetic
-   socket results, no sockets involved.
+   Accounting pass: [Net_harness.check], [Net_harness.account],
+   [Net_harness.net_liveness], [Net_harness.client_stats] and
+   [Tcp.quorum_latencies] on synthetic socket results built from real
+   block chains, no sockets involved.
 
    Node host: the logical fault step both substrates run after each event,
    fed views by hand.
@@ -973,7 +974,7 @@ let traced_cluster () =
   in
   let r = Net_harness.run kind cfg in
   let quorum = Net_harness.quorum ~n:4 in
-  let lines = Tcp.merged_trace r ~quorum in
+  let lines = (Net_harness.account cfg r).Net_harness.merged_trace in
   Alcotest.(check bool) "trace non-empty" true (lines <> []);
   List.iter
     (fun l ->
@@ -1617,23 +1618,27 @@ let threads_crash_recover () =
 let process_crash_recover () =
   assert_recovered (wall_chaos_result Tcp.Processes) ~node:2
 
-(* --- post-hoc readers on synthetic results ---------------------------------- *)
+(* --- accounting pass on synthetic results ----------------------------------- *)
 
-let commit ?(payload = Payload.make ~id:0 ~size_bytes:0) ~t h hash =
-  {
-    Tcp.c_height = h;
-    c_view = h;
-    c_hash = hash;
-    c_time_ms = t;
-    c_payload_id = payload.Payload.id;
-    c_payload_bytes = payload.Payload.size_bytes;
-  }
+(* A chain of [k] blocks above genesis, block [h] proposed for view [h];
+   [chain.(h - 1)] is the block at height [h]. *)
+let chain_of ?(payload = fun _ -> Payload.make ~id:0 ~size_bytes:0) k =
+  let blocks = Array.make k Block.genesis in
+  for h = 1 to k do
+    let parent = if h = 1 then Block.genesis else blocks.(h - 2) in
+    blocks.(h - 1) <-
+      Block.create ~parent ~view:h ~proposer:(h mod 4) ~payload:(payload h)
+  done;
+  blocks
 
-let node ?(restarts = 0) id commits =
+let commit ~t b = { Tcp.c_block = b; c_height = b.Block.height; c_time_ms = t }
+let proposal ~t b = { Tcp.p_block = b; p_height = b.Block.height; p_time_ms = t }
+
+let node ?(restarts = 0) ?(proposals = []) id commits =
   {
     Tcp.id;
     commits;
-    proposals = [];
+    proposals;
     trace_events = [];
     decode_errors = 0;
     messages_sent = 0;
@@ -1657,24 +1662,28 @@ let result ?(fault_events = []) ?(wall_ms = 100.) nodes =
 let crash_event node =
   { Tcp.fe_time_ms = 1.; fe_node = node; fe_kind = Bft_obs.Trace.Crash }
 
-(* Four nodes committing heights 1-3 with hash [100 + h].  With [gap],
-   node 1 commits heights 1, 3, 4; with [conflict], node 2 commits hash
-   999 at height 2. *)
+(* Four nodes committing heights 1-3 of one chain.  With [gap], node 1
+   commits heights 1, 3, 4; with [conflict], node 2 commits a fork of
+   height 2. *)
 let synthetic ?(restarts = 0) ?fault_events ?(gap = false) ?(conflict = false)
     () =
-  let chain ?(bad = false) hs =
+  let blocks = chain_of 4 in
+  let fork =
+    Block.create ~parent:blocks.(0) ~view:9 ~proposer:2
+      ~payload:(Payload.make ~id:0 ~size_bytes:0)
+  in
+  let commits ?(bad = false) hs =
     List.map
       (fun h ->
-        commit ~t:(float_of_int h) h
-          (if bad && h = 2 then 999L else Int64.of_int (100 + h)))
+        commit ~t:(float_of_int h) (if bad && h = 2 then fork else blocks.(h - 1)))
       hs
   in
   result ?fault_events
     [
-      node 0 (chain [ 1; 2; 3 ]);
-      node ~restarts 1 (chain (if gap then [ 1; 3; 4 ] else [ 1; 2; 3 ]));
-      node 2 (chain ~bad:conflict [ 1; 2; 3 ]);
-      node 3 (chain [ 1; 2; 3 ]);
+      node 0 (commits [ 1; 2; 3 ]);
+      node ~restarts 1 (commits (if gap then [ 1; 3; 4 ] else [ 1; 2; 3 ]));
+      node 2 (commits ~bad:conflict [ 1; 2; 3 ]);
+      node 3 (commits [ 1; 2; 3 ]);
     ]
 
 let expect_check what want r =
@@ -1696,27 +1705,107 @@ let check_conflict () =
   expect_check "conflict after crash" false
     (synthetic ~conflict:true ~fault_events:[ crash_event 1 ] ())
 
+(* The accounting pass of a traced, fault-free, client-free n = 4 run. *)
+let account r =
+  Net_harness.account
+    {
+      (Net_harness.config Protocol_kind.Commit_moonshot ~n:4 ~blocks:3) with
+      Tcp.trace = true;
+    }
+    r
+
 (* Block A: earliest commits 5, 3, 4, 20 (node 2 re-commits at 9 after a
    recovery) -> the 3rd smallest is node 0's, at 5.  Block B: nodes 0 and
    2 only, node 2 twice -> two distinct nodes, no quorum. *)
 let quorum_commits_earliest () =
+  let blocks = chain_of 2 in
+  let a = blocks.(0) and b = blocks.(1) in
   let r =
     result
       [
-        node 0 [ commit ~t:5. 1 0xAL; commit ~t:6. 2 0xBL ];
-        node 1 [ commit ~t:3. 1 0xAL ];
-        node ~restarts:1 2
-          [ commit ~t:4. 1 0xAL; commit ~t:7. 2 0xBL; commit ~t:9. 1 0xAL;
-            commit ~t:10. 2 0xBL ];
-        node 3 [ commit ~t:20. 1 0xAL ];
+        node 0 [ commit ~t:5. a; commit ~t:6. b ];
+        node ~proposals:[ proposal ~t:1. a ] 1 [ commit ~t:3. a ];
+        node ~restarts:1 ~proposals:[ proposal ~t:2. b ] 2
+          [ commit ~t:4. a; commit ~t:7. b; commit ~t:9. a; commit ~t:10. b ];
+        node 3 [ commit ~t:20. a ];
       ]
   in
-  match Tcp.quorum_commits r ~quorum:3 with
-  | [ (id, c) ] ->
-      Alcotest.(check int) "quorum-th committer" 0 id;
-      Alcotest.(check int64) "block" 0xAL c.Tcp.c_hash;
-      Alcotest.(check (float 0.)) "quorum time" 5. c.Tcp.c_time_ms
-  | qs -> Alcotest.failf "expected one quorum commit, got %d" (List.length qs)
+  let acc = account r in
+  let m = acc.Net_harness.metrics in
+  Alcotest.(check int) "one block committed" 1 m.Bft_obs.Metrics.committed_blocks;
+  Alcotest.(check (list (pair int (option (float 0.)))))
+    "quorum times" [ (1, Some 5.); (2, None) ]
+    (List.map
+       (fun (x : Bft_obs.Metrics.record) ->
+         (x.block.Block.height, x.quorum_commit_ms))
+       m.Bft_obs.Metrics.records);
+  let quorum_events =
+    List.filter_map
+      (fun l ->
+        Scanf.sscanf_opt l "{\"t\":%f,\"node\":%d,\"ev\":\"quorum_commit\""
+          (fun t node -> (t, node)))
+      acc.Net_harness.merged_trace
+  in
+  Alcotest.(check (list (pair (float 0.) int)))
+    "one quorum commit, at 5 through node 0" [ (5., 0) ] quorum_events
+
+(* Process mode: block 2's proposer crashed and its proposal record died
+   with it.  Block 2 still counts, with its payload bytes, but gives no
+   latency sample; [Tcp.quorum_latencies] reads the same records. *)
+let commit_without_proposal () =
+  let blocks = chain_of ~payload:(fun h -> Payload.make ~id:h ~size_bytes:100) 2 in
+  let c h t = commit ~t blocks.(h - 1) in
+  let r =
+    result
+      [
+        node ~proposals:[ proposal ~t:1. blocks.(0) ] 0 [ c 1 10.; c 2 20. ];
+        node 1 [ c 1 11.; c 2 21. ];
+        node 2 [ c 1 12.; c 2 22. ];
+        node 3 [];
+      ]
+  in
+  let m = (account r).Net_harness.metrics in
+  Alcotest.(check int) "both committed" 2 m.Bft_obs.Metrics.committed_blocks;
+  Alcotest.(check (list (float 0.))) "one sample" [ 11. ] m.Bft_obs.Metrics.latencies_ms;
+  Alcotest.(check (float 0.))
+    "bytes of both" 200. m.Bft_obs.Metrics.payload_bytes_committed;
+  Alcotest.(check (list (pair int (float 0.))))
+    "quorum_latencies" [ (1, 11.) ]
+    (Tcp.quorum_latencies r ~quorum:3)
+
+(* [Tcp.quorum_latencies] is the accounting pass's records, by height:
+   pinned on a block proposed twice (created at the earlier proposal) and
+   one without a quorum. *)
+let quorum_latencies_from_pass () =
+  let blocks = chain_of 4 in
+  let c h t = commit ~t blocks.(h - 1) in
+  let p h t = proposal ~t blocks.(h - 1) in
+  let r =
+    result
+      [
+        node ~proposals:[ p 1 1.; p 3 5. ] 0 [ c 1 4.; c 2 9.; c 3 12.; c 4 30. ];
+        node ~proposals:[ p 2 3.; p 3 4. ] 1 [ c 1 6.; c 2 8.; c 3 11. ];
+        node ~proposals:[ p 4 13. ] 2 [ c 1 5.; c 2 10.; c 3 20. ];
+        node 3 [];
+      ]
+  in
+  let from_records =
+    List.filter_map
+      (fun (x : Bft_obs.Metrics.record) ->
+        Option.map
+          (fun q -> (x.block.Block.height, q -. x.created_ms))
+          x.quorum_commit_ms)
+      (account r).Net_harness.metrics.Bft_obs.Metrics.records
+    |> List.sort compare
+  in
+  Alcotest.(check (list (pair int (float 0.))))
+    "by hand" [ (1, 5.); (2, 7.); (3, 16.) ] from_records;
+  Alcotest.(check (list (pair int (float 0.))))
+    "quorum_latencies" from_records (Tcp.quorum_latencies r ~quorum:3);
+  Alcotest.check_raises "another quorum"
+    (Invalid_argument
+       "Tcp.quorum_latencies: quorum is not Metrics.latency_quorum")
+    (fun () -> ignore (Tcp.quorum_latencies r ~quorum:2))
 
 (* n = 4, quorum 3, Delta 10 (bound 200 ms).  Node 2 crashes at 15 and
    recovers at 50 (GST), then re-commits h1 and catches up.
@@ -1727,17 +1816,17 @@ let quorum_commits_earliest () =
    check runs. *)
 let net_liveness_by_hand () =
   let fe t kind = { Tcp.fe_time_ms = t; fe_node = 2; fe_kind = kind } in
+  let blocks = chain_of 3 in
+  let c h t = commit ~t blocks.(h - 1) in
   let r =
     result
       ~fault_events:
         [ fe 15. Bft_obs.Trace.Crash; fe 50. Bft_obs.Trace.Recover ]
       [
-        node 0 [ commit ~t:10. 1 1L; commit ~t:20. 2 2L; commit ~t:60. 3 3L ];
-        node 1 [ commit ~t:12. 1 1L; commit ~t:25. 2 2L; commit ~t:61. 3 3L ];
-        node ~restarts:1 2
-          [ commit ~t:11. 1 1L; commit ~t:65. 1 1L; commit ~t:66. 2 2L;
-            commit ~t:70. 3 3L ];
-        node 3 [ commit ~t:30. 1 1L; commit ~t:40. 2 2L; commit ~t:62. 3 3L ];
+        node 0 [ c 1 10.; c 2 20.; c 3 60. ];
+        node 1 [ c 1 12.; c 2 25.; c 3 61. ];
+        node ~restarts:1 2 [ c 1 11.; c 1 65.; c 2 66.; c 3 70. ];
+        node 3 [ c 1 30.; c 2 40.; c 3 62. ];
       ]
   in
   let rep = Net_harness.net_liveness r ~delta:10. in
@@ -1767,18 +1856,20 @@ let client_stats_by_hand () =
       lanes = 1;
     }
   in
-  let b1 = Payload.batch ~cursor:0 ~watermark:2 ~count:2 in
-  let b2 = Payload.batch ~cursor:2 ~watermark:4 ~count:2 in
-  let c ~t h =
-    commit ~payload:(if h = 1 then b1 else b2) ~t h (Int64.of_int h)
+  let blocks =
+    chain_of
+      ~payload:(fun h ->
+        Payload.batch ~cursor:(2 * (h - 1)) ~watermark:(2 * h) ~count:2)
+      2
   in
+  let c h t = commit ~t blocks.(h - 1) in
   let r =
     result
       [
-        node 0 [ c ~t:20. 1; c ~t:47. 2 ];
-        node 1 [ c ~t:25. 1; c ~t:45. 2 ];
-        node 2 [ c ~t:22. 1; c ~t:50. 2 ];
-        node 3 [ c ~t:40. 1; c ~t:46. 2 ];
+        node 0 [ c 1 20.; c 2 47. ];
+        node 1 [ c 1 25.; c 2 45. ];
+        node 2 [ c 1 22.; c 2 50. ];
+        node 3 [ c 1 40.; c 2 46. ];
       ]
   in
   let s = Net_harness.client_stats r ~spec ~view_ms:10. in
@@ -1993,6 +2084,10 @@ let () =
           Alcotest.test_case "check conflict" `Quick check_conflict;
           Alcotest.test_case "quorum_commits earliest" `Quick
             quorum_commits_earliest;
+          Alcotest.test_case "commit without proposal" `Quick
+            commit_without_proposal;
+          Alcotest.test_case "quorum_latencies from the pass" `Quick
+            quorum_latencies_from_pass;
           Alcotest.test_case "net_liveness by hand" `Quick net_liveness_by_hand;
           Alcotest.test_case "client_stats by hand" `Quick client_stats_by_hand;
         ] );

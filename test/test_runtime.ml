@@ -116,6 +116,22 @@ let test_metrics_transfer_rate () =
   check "bytes accounted" true (r.Metrics.payload_bytes_committed = 1000.);
   check "rate is bytes per second" true (r.Metrics.transfer_rate_bps = 500.)
 
+(* A block quorum-committed without a proposal (a socket run loses a
+   crashed process's proposal records) counts with its bytes but adds no
+   latency sample. *)
+let test_metrics_commit_without_proposal () =
+  let m = Metrics.create ~n:4 () in
+  let heavy =
+    Block.create ~parent:Block.genesis ~view:1 ~proposer:0
+      ~payload:(Payload.make ~id:1 ~size_bytes:1000)
+  in
+  List.iter (fun node -> Metrics.on_commit m ~node ~time:10. heavy) [ 0; 1; 2 ];
+  let r = Metrics.finish m ~duration_ms:1000. in
+  check_int "counted" 1 r.Metrics.committed_blocks;
+  check "no latency sample" true (r.Metrics.latencies_ms = []);
+  check "average of none" true (r.Metrics.avg_latency_ms = 0.);
+  check "bytes accounted" true (r.Metrics.payload_bytes_committed = 1000.)
+
 (* --- Harness --------------------------------------------------------------------------- *)
 
 let quick_cfg =
@@ -220,6 +236,8 @@ let () =
           Alcotest.test_case "creation dedup" `Quick test_metrics_creation_deduped;
           Alcotest.test_case "global safety" `Quick test_metrics_global_safety;
           Alcotest.test_case "transfer rate" `Quick test_metrics_transfer_rate;
+          Alcotest.test_case "commit without proposal" `Quick
+            test_metrics_commit_without_proposal;
           Alcotest.test_case "chain quality" `Quick test_chain_quality;
         ] );
       ( "harness",

@@ -534,39 +534,6 @@ let test_duplicate_prob_validated () =
        false
      with Invalid_argument _ -> true)
 
-let test_engine_drop () =
-  let net =
-    Network.make ~drop_prob:1.
-      ~latency:(Latency.Uniform { base = 10.; jitter = 0. })
-      ~delta:50. ()
-  in
-  let e =
-    Engine.create ~n:2 ~network:net ~seed:1 ~msg_size:(fun (_ : string) -> 10) ()
-  in
-  let count = ref 0 in
-  Engine.set_handler e 1 (fun ~src:_ _ -> incr count);
-  Engine.send e ~src:0 ~dst:1 "m";
-  Engine.run e ~until:100.;
-  check_int "probability 1 drops every message" 0 !count
-
-let test_drop_prob_validated () =
-  check "p > 1 rejected" true
-    (try
-       ignore
-         (Network.make ~drop_prob:1.5
-            ~latency:(Latency.Uniform { base = 1.; jitter = 0. })
-            ~delta:10. ());
-       false
-     with Invalid_argument _ -> true);
-  check "p < 0 rejected" true
-    (try
-       ignore
-         (Network.make ~drop_prob:(-0.1)
-            ~latency:(Latency.Uniform { base = 1.; jitter = 0. })
-            ~delta:10. ());
-       false
-     with Invalid_argument _ -> true)
-
 (* --- Link windows ---------------------------------------------------------------- *)
 
 (* The per-message formulas the window queries replaced, kept as the
@@ -778,11 +745,11 @@ let order_cases =
         order_digest ~n:16 ~cpu_cost:cpu
           (Network.make ~bandwidth_bps:1e8 ~latency
              ~delta:(Latency.upper_bound latency) ()) );
-    ( "jitter, duplicates, drops",
-      "b2e0fcfdd5d230bd8628460e93fb1039",
+    ( "jitter, duplicates",
+      "974ea7648f12266e02db53dc9f0fef1a",
       fun () ->
         order_digest ~n:10 ~cpu_cost:cpu
-          (Network.make ~duplicate_prob:0.2 ~drop_prob:0.1
+          (Network.make ~duplicate_prob:0.2
              ~latency:(Latency.Uniform { base = 10.; jitter = 5. })
              ~delta:20. ()) );
     ( "link windows",
@@ -996,9 +963,6 @@ let () =
           Alcotest.test_case "duplication" `Quick test_engine_duplication;
           Alcotest.test_case "duplicate prob validated" `Quick
             test_duplicate_prob_validated;
-          Alcotest.test_case "drop" `Quick test_engine_drop;
-          Alcotest.test_case "drop prob validated" `Quick
-            test_drop_prob_validated;
           Alcotest.test_case "link windows" `Quick test_engine_link_windows;
           QCheck_alcotest.to_alcotest prop_windows_match_reference;
         ] );
