@@ -35,7 +35,9 @@
    the output buffers and their writes, and WAL writes on sockets), the
    direct major-heap bytes, and the run's total, which is what the
    benchmark's [alloc_bytes_per_block] reads; a simulator leg adds the
-   most entries its event heap held at once.  Prints only.
+   most entries its event heap held at once, a socket leg the frame
+   bodies its nodes received and the share of them [codec.decode] ran
+   for (the executor decodes a repeated body once).  Prints only.
 
    The classes are charged minor-heap words only: a block of more than
    256 words goes straight to the major heap, and is counted only in the
@@ -317,8 +319,9 @@ let word_bytes = float_of_int (Sys.word_size / 8)
 
 (* Run [f], which returns its quorum-committed block count, and print the
    split under [title]; a simulator leg also prints the most entries its
-   event heap held ([peak], set by [f]). *)
-let report ?peak title f =
+   event heap held ([peak], set by [f]), a socket leg the frame bodies its
+   nodes received ([frames], set by [f]). *)
+let report ?peak ?frames title f =
   reset ();
   let w0 = Gc.minor_words () and b0 = Bft_obs.Alloc.allocated_bytes () in
   let blocks = f () in
@@ -345,6 +348,13 @@ let report ?peak title f =
   (match peak with
   | Some p -> Printf.printf "  %-18s %10d entries\n" "event heap peak" !p
   | None -> ());
+  (match frames with
+  | Some f ->
+      Printf.printf "  %-18s %10d frames, %.1f%% decoded\n" "frames received"
+        !f
+        (if !f > 0 then 100. *. float_of_int calls.(decode) /. float_of_int !f
+         else 0.)
+  | None -> ());
   print_newline ()
 
 let sim_leg ~workload config p
@@ -363,10 +373,13 @@ let socket_leg ~blocks p (m : (module Protocol_intf.S with type msg = 'm)) =
       (Filename.get_temp_dir_name ())
       (Printf.sprintf "moonshot-alloc-%d" (Unix.getpid ()))
   in
-  report
+  let frames = ref 0 in
+  report ~frames
     (Printf.sprintf "%s on net-wal (threads, %d blocks)" (Kind.name p) blocks)
     (fun () ->
       let r = Tcp.run m (net_config p ~blocks ~wal_dir) in
+      frames :=
+        Array.fold_left (fun a nr -> a + nr.Tcp.frames_received) 0 r.Tcp.nodes;
       if Sys.file_exists wal_dir then begin
         Array.iter
           (fun f -> Sys.remove (Filename.concat wal_dir f))

@@ -12,6 +12,7 @@ type node_result = {
   proposals : proposal list;
   trace_events : Trace.event list;
   decode_errors : int;
+  frames_received : int;
   messages_sent : int;
   bytes_sent : int;
   bytes_heal : int;
@@ -30,6 +31,9 @@ type sink = {
    {!Bft_sim.Engine}. *)
 type timer = { mutable cancelled : bool; action : unit -> unit }
 
+(* Slots of the body memo; a power of two, indexed by the body's hash. *)
+let memo_slots = 64
+
 module Make (P : Protocol_intf.S) = struct
   module H = Node_host.Make (P)
 
@@ -47,6 +51,12 @@ module Make (P : Protocol_intf.S) = struct
     timers : timer Bft_sim.Event_queue.t;
     slot : float array;  (* the earliest timer's deadline, unboxed *)
     malformed : int array;
+    (* The body memo, direct-mapped: [decoded.(i)] is what [bodies.(i)]
+       decodes to.  A multicast vote reaches a node as n - 1 identical
+       bodies, decoded once. *)
+    bodies : string array;
+    decoded : (P.msg, string) result array;
+    mutable frames : int;
     mutable commits : commit list;
     mutable proposals : proposal list;
     mutable target_met : bool;
@@ -104,6 +114,10 @@ module Make (P : Protocol_intf.S) = struct
         timers = Bft_sim.Event_queue.create ();
         slot = [| 0. |];
         malformed = Array.make policy.n 0;
+        (* Every slot holds a true pair from the start: the empty body's. *)
+        bodies = Array.make memo_slots "";
+        decoded = Array.make memo_slots (P.decode_msg "");
+        frames = 0;
         commits = [];
         proposals = [];
         target_met = false;
@@ -144,29 +158,43 @@ module Make (P : Protocol_intf.S) = struct
     H.handle (host t) ~src msg
 
   let rec drain_self t =
-    if not t.crashing then
-      match Queue.take_opt t.selfq with
-      | None -> ()
-      | Some msg ->
-          let bytes =
-            if Option.is_some t.trace then
-              Wire.frame_size ~payload:(P.payload_bytes msg)
-                (String.length (P.encode_msg msg))
-            else 0
-          in
-          deliver t ~src:t.id ~bytes msg;
-          drain_self t
+    if not (t.crashing || Queue.is_empty t.selfq) then begin
+      let msg = Queue.take t.selfq in
+      let bytes =
+        if Option.is_some t.trace then
+          Wire.frame_size ~payload:(P.payload_bytes msg)
+            (String.length (P.encode_msg msg))
+        else 0
+      in
+      deliver t ~src:t.id ~bytes msg;
+      drain_self t
+    end
 
   let malformed t ~src reason =
     t.malformed.(src) <- t.malformed.(src) + 1;
     Logs.debug ~src:log_src (fun m ->
         m "node %d: dropped frame from %d: %s" t.id src reason)
 
-  (* A frame whose trailer is not its message's payload is malformed: the
-     trailer stands for exactly those bytes. *)
+  (* A body decodes the same whatever its sender (docs/WIRE.md), so a hit
+     in the memo stands for a decode. *)
+  let decode t body =
+    let i = Hashtbl.hash body land (memo_slots - 1) in
+    if String.equal t.bodies.(i) body then t.decoded.(i)
+    else begin
+      let r = P.decode_msg body in
+      t.bodies.(i) <- body;
+      t.decoded.(i) <- r;
+      r
+    end
+
+  (* What depends on the frame stays per frame: its trailer, its sender's
+     malformed count and its byte count.  A frame whose trailer is not its
+     message's payload is malformed: the trailer stands for exactly those
+     bytes. *)
   let receive t ~src ~payload body =
-    if not t.crashing then
-      match P.decode_msg body with
+    if not t.crashing then begin
+      t.frames <- t.frames + 1;
+      match decode t body with
       | Ok msg when P.payload_bytes msg = payload ->
           deliver t ~src
             ~bytes:(Wire.frame_size ~payload (String.length body))
@@ -177,6 +205,7 @@ module Make (P : Protocol_intf.S) = struct
             (Printf.sprintf "%d-byte trailer for a %d-byte payload" payload
                (P.payload_bytes msg))
       | Error reason -> malformed t ~src reason
+    end
 
   (* Pops in deadline order, FIFO on ties; a timer set by a callback joins
      the batch when it is already due. *)
@@ -247,6 +276,7 @@ module Make (P : Protocol_intf.S) = struct
         proposals = List.rev t.proposals;
         trace_events;
         decode_errors = Array.fold_left ( + ) 0 t.malformed;
+        frames_received = t.frames;
         messages_sent = st.messages_sent;
         bytes_sent = st.bytes_sent;
         bytes_heal = st.bytes_heal;

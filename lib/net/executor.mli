@@ -30,6 +30,7 @@ type node_result = {
   proposals : proposal list;
   trace_events : Bft_obs.Trace.event list;
   decode_errors : int;
+  frames_received : int;
   messages_sent : int;
   bytes_sent : int;
   bytes_heal : int;
@@ -79,7 +80,14 @@ module Make (P : Protocol_intf.S) : sig
       [payload] bytes, deliver it, then drain the self-messages.  A body
       that does not decode, or whose message's [P.payload_bytes] is not
       [payload], counts as malformed and runs no handler.  Ignored after
-      a crash. *)
+      a crash.
+
+      Identical bodies decode once per incarnation, whoever sent them: a
+      memo of the last 64 distinct bodies (direct-mapped by hash) hands
+      the earlier result back, as a multicast vote reaches every node
+      from n - 1 senders byte for byte.  The trailer check, the
+      malformed count against [src] and the traced byte count stay per
+      frame. *)
   val receive : t -> src:int -> payload:int -> string -> unit
 
   (** Count (and log) a malformed frame from [src]. *)

@@ -47,6 +47,7 @@ type node_result = Executor.node_result = {
   proposals : proposal list;
   trace_events : Bft_obs.Trace.event list;
   decode_errors : int;
+  frames_received : int;
   messages_sent : int;
   bytes_sent : int;
   bytes_heal : int;
@@ -363,6 +364,7 @@ let merge_incarnations ~n ~id ~restarts rs =
     proposals = List.concat_map (fun r -> r.proposals) rs;
     trace_events = List.concat_map (fun r -> r.trace_events) rs;
     decode_errors = sum (fun r -> r.decode_errors);
+    frames_received = sum (fun r -> r.frames_received);
     messages_sent = sum (fun r -> r.messages_sent);
     bytes_sent = sum (fun r -> r.bytes_sent);
     bytes_heal = sum (fun r -> r.bytes_heal);

@@ -158,6 +158,9 @@ type node_result = Executor.node_result = {
   decode_errors : int;
       (** Malformed frame bodies skipped (total), mismatched payload
           trailers included. *)
+  frames_received : int;
+      (** Frame bodies handed to the executor while it ran, malformed
+          ones included; self-deliveries are not frames. *)
   messages_sent : int;  (** Frames written to peers (self excluded). *)
   bytes_sent : int;
       (** Wire bytes written: whole frames, length prefixes and payload

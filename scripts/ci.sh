@@ -40,7 +40,10 @@
 #   - test_properties' `alloc` budgets: bytes per event or per committed
 #     block of whole simulator runs, each about twice its reading;
 #   - test_sim's `alloc` group (engine fan-out, link windows) and test_net's
-#     "send and release allocate nothing" (the socket sender).
+#     "send and release allocate nothing" (the socket sender);
+#   - test_net's "identical bodies decode once" (the executor's body memo:
+#     a remembered vote body allocates at least 150 B less than a decoded
+#     one).
 # Only wall-clock performance stays outside the gate: BENCHMARK.json's
 # `compare` (see benchmark/README.md) judges it on medians of repeated
 # runs rather than a single wall-clock floor.
