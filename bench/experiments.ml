@@ -159,6 +159,14 @@ let find_cell cells protocol ~n ~payload =
     (fun c -> c.protocol = protocol && c.n = n && c.payload = payload)
     cells
 
+(* A table of formatted cells: [rows] under [headers].  The experiments
+   that write a bench file print theirs from the file's rows instead
+   ([Bench_file.print_columns]). *)
+let print_table headers rows =
+  let t = Table.create headers in
+  List.iter (Table.add_row t) rows;
+  Table.print Format.std_formatter t
+
 (* --- Table I ----------------------------------------------------------------- *)
 
 let table1 () =
@@ -173,11 +181,6 @@ let table1 () =
 let table1_empirical scale =
   Format.printf "@.== Table I, empirically: latency in exact message hops ==@.@.";
   let hop = 20. in
-  let t =
-    Table.create
-      [ "protocol"; "commit hops (theory)"; "commit hops (measured)";
-        "period hops (theory)"; "period hops (measured)" ]
-  in
   let theory_commit = function
     | Protocol_kind.Simple_moonshot | Protocol_kind.Pipelined_moonshot
     | Protocol_kind.Commit_moonshot ->
@@ -192,40 +195,35 @@ let table1_empirical scale =
     | Protocol_kind.Jolteon | Protocol_kind.Hotstuff ->
         Moonshot.Theory.jolteon_block_period_hops
   in
-  let runs =
-    Parallel.map ~jobs:scale.jobs
-      (fun protocol ->
-        let cfg =
-          {
-            (Config.default protocol ~n:7) with
-            Config.latency = Config.Uniform { base = hop; jitter = 0. };
-            bandwidth_bps = None;
-            model_cpu = false;
-            delta_ms = 100.;
-            duration_ms = 10_000.;
-          }
-        in
-        (protocol, Harness.run cfg))
-      Protocol_kind.all
-  in
-  List.iter
-    (fun (protocol, r) ->
-      let m = r.Harness.metrics in
-      let period_hops =
-        if m.Metrics.blocks_per_sec > 0. then
-          1000. /. m.Metrics.blocks_per_sec /. hop
-        else 0.
-      in
-      Table.add_row t
-        [
-          Protocol_kind.short_name protocol;
-          string_of_int (theory_commit protocol);
-          Printf.sprintf "%.2f" (m.Metrics.avg_latency_ms /. hop);
-          string_of_int (theory_period protocol);
-          Printf.sprintf "%.2f" period_hops;
-        ])
-    runs;
-  Table.print Format.std_formatter t
+  print_table
+    [ "protocol"; "commit hops (theory)"; "commit hops (measured)";
+      "period hops (theory)"; "period hops (measured)" ]
+    (Parallel.map ~jobs:scale.jobs
+       (fun protocol ->
+         let cfg =
+           {
+             (Config.default protocol ~n:7) with
+             Config.latency = Config.Uniform { base = hop; jitter = 0. };
+             bandwidth_bps = None;
+             model_cpu = false;
+             delta_ms = 100.;
+             duration_ms = 10_000.;
+           }
+         in
+         let m = (Harness.run cfg).Harness.metrics in
+         let period_hops =
+           if m.Metrics.blocks_per_sec > 0. then
+             1000. /. m.Metrics.blocks_per_sec /. hop
+           else 0.
+         in
+         [
+           Protocol_kind.short_name protocol;
+           string_of_int (theory_commit protocol);
+           Printf.sprintf "%.2f" (m.Metrics.avg_latency_ms /. hop);
+           string_of_int (theory_period protocol);
+           Printf.sprintf "%.2f" period_hops;
+         ])
+       Protocol_kind.all)
 
 (* --- Table II ---------------------------------------------------------------- *)
 
@@ -241,151 +239,112 @@ let table2 () =
 let table3 scale =
   Format.printf "@.== Table III: performance vs Jolteon (f'=0, outliers removed) ==@.@.";
   let cells = happy_grid scale in
-  let t =
-    Table.create
-      [ "protocol"; "throughput x (avg)"; "latency %% (avg)"; "outlier configs" ]
-  in
-  List.iter
-    (fun p ->
-      let ratios =
-        List.concat_map
-          (fun n ->
-            List.filter_map
-              (fun payload ->
-                let m = find_cell cells p ~n ~payload in
-                let j = find_cell cells Protocol_kind.Jolteon ~n ~payload in
-                if j.summary.Harness.blocks_committed = 0. then None
-                else
-                  Some
-                    ( m.summary.Harness.blocks_committed
-                      /. j.summary.Harness.blocks_committed,
-                      m.summary.Harness.avg_latency_ms
-                      /. j.summary.Harness.avg_latency_ms ))
-              scale.payloads)
-          scale.ns
-      in
-      let kept, removed = Bft_stats.Outliers.iqr_filter_on ~value:fst ratios in
-      let thr = Bft_stats.Descriptive.mean (List.map fst kept) in
-      let lat = Bft_stats.Descriptive.mean (List.map snd kept) in
-      Table.add_row t
-        [
-          Protocol_kind.short_name p;
-          Printf.sprintf "%.2fx" thr;
-          Printf.sprintf "%.0f%%" (lat *. 100.);
-          string_of_int (List.length removed);
-        ])
-    moonshots;
-  Table.print Format.std_formatter t;
+  print_table
+    [ "protocol"; "throughput x (avg)"; "latency %% (avg)"; "outlier configs" ]
+    (List.map
+       (fun p ->
+         let ratios =
+           List.concat_map
+             (fun n ->
+               List.filter_map
+                 (fun payload ->
+                   let m = find_cell cells p ~n ~payload in
+                   let j = find_cell cells Protocol_kind.Jolteon ~n ~payload in
+                   if j.summary.Harness.blocks_committed = 0. then None
+                   else
+                     Some
+                       ( m.summary.Harness.blocks_committed
+                         /. j.summary.Harness.blocks_committed,
+                         m.summary.Harness.avg_latency_ms
+                         /. j.summary.Harness.avg_latency_ms ))
+                 scale.payloads)
+             scale.ns
+         in
+         let kept, removed = Bft_stats.Outliers.iqr_filter_on ~value:fst ratios in
+         let thr = Bft_stats.Descriptive.mean (List.map fst kept) in
+         let lat = Bft_stats.Descriptive.mean (List.map snd kept) in
+         [
+           Protocol_kind.short_name p;
+           Printf.sprintf "%.2fx" thr;
+           Printf.sprintf "%.0f%%" (lat *. 100.);
+           string_of_int (List.length removed);
+         ])
+       moonshots);
   Format.printf
     "@.(paper: ~1.5x the blocks at 50-60%% of Jolteon's latency on average)@."
 
-(* --- Figure 6 -------------------------------------------------------------------- *)
+(* --- Figures 6 and 7 ------------------------------------------------------------- *)
+
+(* One row per (n, payload) configuration of the happy grid: [n], the
+   payload, then [cols ~n ~payload p] for each protocol [p] in [ps], under
+   the headers [p ^ h] for each [h] in [suffixes]. *)
+let grid_table scale ps suffixes cols =
+  print_table
+    ([ "n"; "payload" ]
+    @ List.concat_map
+        (fun p -> List.map (( ^ ) (Protocol_kind.short_name p)) suffixes)
+        ps)
+    (List.concat_map
+       (fun n ->
+         List.map
+           (fun payload ->
+             [ string_of_int n; Payload_profile.label payload ]
+             @ List.concat_map (cols ~n ~payload) ps)
+           scale.payloads)
+       scale.ns)
 
 let fig6 scale =
   Format.printf "@.== Figure 6: performance overview (f'=0, p <= 1.8MB) ==@.@.";
   let cells = happy_grid scale in
-  let t =
-    Table.create
-      ([ "n"; "payload" ]
-      @ List.concat_map
-          (fun p ->
-            [ Protocol_kind.short_name p ^ " blk/s";
-              Protocol_kind.short_name p ^ " lat(ms)" ])
-          protocols)
-  in
-  List.iter
-    (fun n ->
-      List.iter
-        (fun payload ->
-          let row =
-            List.concat_map
-              (fun p ->
-                let c = find_cell cells p ~n ~payload in
-                [
-                  Printf.sprintf "%.2f" c.summary.Harness.blocks_per_sec;
-                  Printf.sprintf "%.0f" c.summary.Harness.avg_latency_ms;
-                ])
-              protocols
-          in
-          Table.add_row t
-            ([ string_of_int n; Payload_profile.label payload ] @ row))
-        scale.payloads)
-    scale.ns;
-  Table.print Format.std_formatter t;
+  grid_table scale protocols [ " blk/s"; " lat(ms)" ] (fun ~n ~payload p ->
+      let c = find_cell cells p ~n ~payload in
+      [
+        Printf.sprintf "%.2f" c.summary.Harness.blocks_per_sec;
+        Printf.sprintf "%.0f" c.summary.Harness.avg_latency_ms;
+      ]);
   Format.printf
     "@.(paper trends: throughput halves / latency doubles per decade of p;@. \
      all protocols degrade with n; Moonshots beat Jolteon in both metrics;@. \
      CM's latency advantage grows with p)@."
 
-(* --- Figure 7 --------------------------------------------------------------------- *)
-
 let fig7 scale =
   Format.printf "@.== Figure 7: performance vs Jolteon, per configuration ==@.@.";
   let cells = happy_grid scale in
-  let t =
-    Table.create
-      ([ "n"; "payload" ]
-      @ List.concat_map
-          (fun p ->
-            [ Protocol_kind.short_name p ^ " thr x";
-              Protocol_kind.short_name p ^ " lat x" ])
-          moonshots)
-  in
-  List.iter
-    (fun n ->
-      List.iter
-        (fun payload ->
-          let j = find_cell cells Protocol_kind.Jolteon ~n ~payload in
-          let row =
-            List.concat_map
-              (fun p ->
-                let c = find_cell cells p ~n ~payload in
-                if j.summary.Harness.blocks_committed = 0. then [ "-"; "-" ]
-                else
-                  [
-                    Printf.sprintf "%.2f"
-                      (c.summary.Harness.blocks_committed
-                      /. j.summary.Harness.blocks_committed);
-                    Printf.sprintf "%.2f"
-                      (c.summary.Harness.avg_latency_ms
-                      /. j.summary.Harness.avg_latency_ms);
-                  ])
-              moonshots
-          in
-          Table.add_row t
-            ([ string_of_int n; Payload_profile.label payload ] @ row))
-        scale.payloads)
-    scale.ns;
-  Table.print Format.std_formatter t
+  grid_table scale moonshots [ " thr x"; " lat x" ] (fun ~n ~payload p ->
+      let j = find_cell cells Protocol_kind.Jolteon ~n ~payload in
+      let c = find_cell cells p ~n ~payload in
+      if j.summary.Harness.blocks_committed = 0. then [ "-"; "-" ]
+      else
+        [
+          Printf.sprintf "%.2f"
+            (c.summary.Harness.blocks_committed
+            /. j.summary.Harness.blocks_committed);
+          Printf.sprintf "%.2f"
+            (c.summary.Harness.avg_latency_ms
+            /. j.summary.Harness.avg_latency_ms);
+        ])
 
 (* --- Figure 8 ---------------------------------------------------------------------- *)
 
 let fig8 scale =
   let n = List.fold_left max 0 scale.ns in
   Format.printf "@.== Figure 8: throughput vs latency (n=%d, f'=0, p <= 9MB) ==@.@." n;
-  let t =
-    Table.create [ "protocol"; "payload"; "transfer MB/s"; "latency ms" ]
-  in
-  let cells =
-    Parallel.map ~jobs:scale.jobs
-      (fun (protocol, payload) -> run_cell scale protocol ~n ~payload)
-      (List.concat_map
-         (fun protocol ->
-           List.map (fun payload -> (protocol, payload))
-             scale.saturation_payloads)
-         protocols)
-  in
-  List.iter
-    (fun cell ->
-      Table.add_row t
-        [
-          Protocol_kind.short_name cell.protocol;
-          Payload_profile.label cell.payload;
-          Printf.sprintf "%.2f" (cell.summary.Harness.transfer_rate_bps /. 1e6);
-          Printf.sprintf "%.0f" cell.summary.Harness.avg_latency_ms;
-        ])
-    cells;
-  Table.print Format.std_formatter t;
+  print_table
+    [ "protocol"; "payload"; "transfer MB/s"; "latency ms" ]
+    (Parallel.map ~jobs:scale.jobs
+       (fun (protocol, payload) ->
+         let cell = run_cell scale protocol ~n ~payload in
+         [
+           Protocol_kind.short_name cell.protocol;
+           Payload_profile.label cell.payload;
+           Printf.sprintf "%.2f" (cell.summary.Harness.transfer_rate_bps /. 1e6);
+           Printf.sprintf "%.0f" cell.summary.Harness.avg_latency_ms;
+         ])
+       (List.concat_map
+          (fun protocol ->
+            List.map (fun payload -> (protocol, payload))
+              scale.saturation_payloads)
+          protocols));
   Format.printf
     "@.(paper: all Moonshots reach a higher max transfer rate at lower latency@. \
      than Jolteon, CM best)@."
@@ -396,42 +355,32 @@ let fig9 scale =
   Format.printf
     "@.== Figure 9: behaviour under failures (n=%d, f'=%d, p=0, Delta=%.0fms) ==@.@."
     scale.failure_n scale.failure_f' scale.failure_delta;
-  let t =
-    Table.create
-      [ "schedule"; "protocol"; "blocks"; "blk/s"; "latency ms" ]
-  in
-  let rows =
-    Parallel.map ~jobs:scale.jobs
-      (fun (schedule, protocol) ->
-        let cfg =
-          {
-            (Config.default protocol ~n:scale.failure_n) with
-            Config.f_actual = scale.failure_f';
-            schedule;
-            delta_ms = scale.failure_delta;
-            duration_ms = scale.failure_duration;
-            payload_bytes = 0;
-          }
-        in
-        let s = Harness.summarize (Harness.run_seeds cfg ~seeds:scale.seeds) in
-        (schedule, protocol, s))
-      (List.concat_map
-         (fun schedule -> List.map (fun p -> (schedule, p)) protocols)
-         [ Schedules.Best_case; Schedules.Worst_moonshot;
-           Schedules.Worst_jolteon ])
-  in
-  List.iter
-    (fun (schedule, protocol, s) ->
-      Table.add_row t
-        [
-          Schedules.name schedule;
-          Protocol_kind.short_name protocol;
-          Printf.sprintf "%.0f" s.Harness.blocks_committed;
-          Printf.sprintf "%.2f" s.Harness.blocks_per_sec;
-          Printf.sprintf "%.0f" s.Harness.avg_latency_ms;
-        ])
-    rows;
-  Table.print Format.std_formatter t;
+  print_table
+    [ "schedule"; "protocol"; "blocks"; "blk/s"; "latency ms" ]
+    (Parallel.map ~jobs:scale.jobs
+       (fun (schedule, protocol) ->
+         let cfg =
+           {
+             (Config.default protocol ~n:scale.failure_n) with
+             Config.f_actual = scale.failure_f';
+             schedule;
+             delta_ms = scale.failure_delta;
+             duration_ms = scale.failure_duration;
+             payload_bytes = 0;
+           }
+         in
+         let s = Harness.summarize (Harness.run_seeds cfg ~seeds:scale.seeds) in
+         [
+           Schedules.name schedule;
+           Protocol_kind.short_name protocol;
+           Printf.sprintf "%.0f" s.Harness.blocks_committed;
+           Printf.sprintf "%.2f" s.Harness.blocks_per_sec;
+           Printf.sprintf "%.0f" s.Harness.avg_latency_ms;
+         ])
+       (List.concat_map
+          (fun schedule -> List.map (fun p -> (schedule, p)) protocols)
+          [ Schedules.Best_case; Schedules.Worst_moonshot;
+            Schedules.Worst_jolteon ]));
   Format.printf
     "@.(paper: under WJ Jolteon collapses [~7x fewer blocks, ~50x latency vs \
      its B case];@. SM/PM commit every honest block under WM but with large \
@@ -445,39 +394,30 @@ let fig9 scale =
 let ablation_bandwidth scale =
   Format.printf "@.== Ablation: egress bandwidth model (beta vs rho split) ==@.@.";
   let payload = 1_800_000 in
-  let t =
-    Table.create [ "bandwidth"; "protocol"; "latency ms"; "blk/s" ]
-  in
-  let rows =
-    Parallel.map ~jobs:scale.jobs
-      (fun ((label, bw), protocol) ->
-        let cfg =
-          {
-            (happy_config scale protocol ~n:50 ~payload) with
-            Config.bandwidth_bps = bw;
-          }
-        in
-        let s = Harness.summarize (Harness.run_seeds cfg ~seeds:scale.seeds) in
-        (label, protocol, s))
-      (List.concat_map
-         (fun bw ->
-           List.map
-             (fun p -> (bw, p))
-             [ Protocol_kind.Pipelined_moonshot; Protocol_kind.Commit_moonshot ])
-         [ ("10 Gbps", Some Bft_workload.Regions.bandwidth_bps);
-           ("infinite", None) ])
-  in
-  List.iter
-    (fun (label, protocol, s) ->
-      Table.add_row t
-        [
-          label;
-          Protocol_kind.short_name protocol;
-          Printf.sprintf "%.0f" s.Harness.avg_latency_ms;
-          Printf.sprintf "%.2f" s.Harness.blocks_per_sec;
-        ])
-    rows;
-  Table.print Format.std_formatter t;
+  print_table
+    [ "bandwidth"; "protocol"; "latency ms"; "blk/s" ]
+    (Parallel.map ~jobs:scale.jobs
+       (fun ((label, bw), protocol) ->
+         let cfg =
+           {
+             (happy_config scale protocol ~n:50 ~payload) with
+             Config.bandwidth_bps = bw;
+           }
+         in
+         let s = Harness.summarize (Harness.run_seeds cfg ~seeds:scale.seeds) in
+         [
+           label;
+           Protocol_kind.short_name protocol;
+           Printf.sprintf "%.0f" s.Harness.avg_latency_ms;
+           Printf.sprintf "%.2f" s.Harness.blocks_per_sec;
+         ])
+       (List.concat_map
+          (fun bw ->
+            List.map
+              (fun p -> (bw, p))
+              [ Protocol_kind.Pipelined_moonshot; Protocol_kind.Commit_moonshot ])
+          [ ("10 Gbps", Some Bft_workload.Regions.bandwidth_bps);
+            ("infinite", None) ]));
   Format.printf
     "@.(with infinite bandwidth beta = rho and CM's edge over PM disappears)@."
 
@@ -491,47 +431,38 @@ let ablation_bandwidth scale =
 let fairness scale =
   Format.printf "@.== Fairness: committed blocks per proposer ==@.@.";
   let n = 12 and f' = 3 in
-  let t =
-    Table.create [ "protocol"; "schedule"; "min share"; "max share"; "honest proposers" ]
-  in
-  let rows =
-    Parallel.map ~jobs:scale.jobs
-      (fun (protocol, schedule) ->
-        let cfg =
-          {
-            (Config.default protocol ~n) with
-            Config.f_actual = f';
-            schedule;
-            duration_ms = scale.failure_duration;
-            delta_ms = scale.failure_delta;
-          }
-        in
-        let r = Harness.run cfg in
-        (protocol, schedule, Metrics.chain_quality r.Harness.metrics))
-      [
-        (Protocol_kind.Commit_moonshot, Schedules.Round_robin);
-        (Protocol_kind.Commit_moonshot, Schedules.Worst_jolteon);
-        (Protocol_kind.Jolteon, Schedules.Round_robin);
-        (Protocol_kind.Jolteon, Schedules.Worst_jolteon);
-      ]
-  in
-  List.iter
-    (fun (protocol, schedule, quality) ->
-      let honest = List.filter (fun (p, _) -> p < n - f') quality in
-      let total =
-        float_of_int (List.fold_left (fun a (_, c) -> a + c) 0 honest)
-      in
-      let shares = List.map (fun (_, c) -> float_of_int c /. total) honest in
-      Table.add_row t
-        [
-          Protocol_kind.short_name protocol;
-          Schedules.name schedule;
-          Printf.sprintf "%.1f%%" (100. *. Bft_stats.Descriptive.min shares);
-          Printf.sprintf "%.1f%%" (100. *. Bft_stats.Descriptive.max shares);
-          string_of_int (List.length honest);
-        ])
-    rows;
-  Table.print Format.std_formatter t;
+  print_table
+    [ "protocol"; "schedule"; "min share"; "max share"; "honest proposers" ]
+    (Parallel.map ~jobs:scale.jobs
+       (fun (protocol, schedule) ->
+         let cfg =
+           {
+             (Config.default protocol ~n) with
+             Config.f_actual = f';
+             schedule;
+             duration_ms = scale.failure_duration;
+             delta_ms = scale.failure_delta;
+           }
+         in
+         let quality = Metrics.chain_quality (Harness.run cfg).Harness.metrics in
+         let honest = List.filter (fun (p, _) -> p < n - f') quality in
+         let total =
+           float_of_int (List.fold_left (fun a (_, c) -> a + c) 0 honest)
+         in
+         let shares = List.map (fun (_, c) -> float_of_int c /. total) honest in
+         [
+           Protocol_kind.short_name protocol;
+           Schedules.name schedule;
+           Printf.sprintf "%.1f%%" (100. *. Bft_stats.Descriptive.min shares);
+           Printf.sprintf "%.1f%%" (100. *. Bft_stats.Descriptive.max shares);
+           string_of_int (List.length honest);
+         ])
+       [
+         (Protocol_kind.Commit_moonshot, Schedules.Round_robin);
+         (Protocol_kind.Commit_moonshot, Schedules.Worst_jolteon);
+         (Protocol_kind.Jolteon, Schedules.Round_robin);
+         (Protocol_kind.Jolteon, Schedules.Worst_jolteon);
+       ]);
   Format.printf
     "@.(reorg resilience keeps every honest proposer's share near 1/honest;@.      Jolteon under WJ starves the proposers scheduled before Byzantine@.      aggregators)@."
 
@@ -542,7 +473,6 @@ let fairness scale =
    block at all — measurable as lost throughput vs the LCO implementation. *)
 let ablation_lso scale =
   Format.printf "@.== Ablation: LCO vs LSO (reorg resilience) ==@.@.";
-  let t = Table.create [ "variant"; "blocks committed"; "avg latency ms" ] in
   let cfg =
     {
       (happy_config scale Protocol_kind.Pipelined_moonshot ~n:8 ~payload:0) with
@@ -550,32 +480,27 @@ let ablation_lso scale =
       duration_ms = 60_000.;
     }
   in
-  let rows =
-    Parallel.map ~jobs:scale.jobs
-      (fun (label, (module P : Bft_types.Protocol_intf.S
-                      with type msg = Moonshot.Message.t)) ->
-        let summaries =
-          List.map
-            (fun seed ->
-              Harness.run_protocol (module P) { cfg with Config.seed })
-            scale.seeds
-        in
-        (label, Harness.summarize summaries))
-      [
-        ("LCO (paper)", (module Moonshot.Pipelined_node.Protocol));
-        ("LSO", (module Moonshot.Pipelined_node.Lso_protocol));
-      ]
-  in
-  List.iter
-    (fun (label, s) ->
-      Table.add_row t
-        [
-          label;
-          Printf.sprintf "%.0f" s.Harness.blocks_committed;
-          Printf.sprintf "%.0f" s.Harness.avg_latency_ms;
-        ])
-    rows;
-  Table.print Format.std_formatter t;
+  print_table
+    [ "variant"; "blocks committed"; "avg latency ms" ]
+    (Parallel.map ~jobs:scale.jobs
+       (fun (label, (module P : Bft_types.Protocol_intf.S
+                       with type msg = Moonshot.Message.t)) ->
+         let s =
+           Harness.summarize
+             (List.map
+                (fun seed ->
+                  Harness.run_protocol (module P) { cfg with Config.seed })
+                scale.seeds)
+         in
+         [
+           label;
+           Printf.sprintf "%.0f" s.Harness.blocks_committed;
+           Printf.sprintf "%.0f" s.Harness.avg_latency_ms;
+         ])
+       [
+         ("LCO (paper)", (module Moonshot.Pipelined_node.Protocol));
+         ("LSO", (module Moonshot.Pipelined_node.Lso_protocol));
+       ]);
   Format.printf
     "@.(an equivocating proposer each cycle makes optimistic proposals fail;@.      the LCO leader corrects itself with a normal proposal, the LSO leader@.      cannot, losing its view as well)@."
 
@@ -584,26 +509,20 @@ let ablation_lso scale =
    for certification (omega = 2 delta). *)
 let ablation_block_period scale =
   Format.printf "@.== Ablation: block period (optimistic proposal) ==@.@.";
-  let t = Table.create [ "protocol"; "blocks/s"; "period ms (approx)" ] in
-  let rows =
-    Parallel.map ~jobs:scale.jobs
-      (fun protocol ->
-        let cfg = happy_config scale protocol ~n:50 ~payload:0 in
-        (protocol, Harness.summarize (Harness.run_seeds cfg ~seeds:scale.seeds)))
-      protocols
-  in
-  List.iter
-    (fun (protocol, s) ->
-      Table.add_row t
-        [
-          Protocol_kind.short_name protocol;
-          Printf.sprintf "%.2f" s.Harness.blocks_per_sec;
-          (if s.Harness.blocks_per_sec > 0. then
-             Printf.sprintf "%.0f" (1000. /. s.Harness.blocks_per_sec)
-           else "-");
-        ])
-    rows;
-  Table.print Format.std_formatter t;
+  print_table
+    [ "protocol"; "blocks/s"; "period ms (approx)" ]
+    (Parallel.map ~jobs:scale.jobs
+       (fun protocol ->
+         let cfg = happy_config scale protocol ~n:50 ~payload:0 in
+         let s = Harness.summarize (Harness.run_seeds cfg ~seeds:scale.seeds) in
+         [
+           Protocol_kind.short_name protocol;
+           Printf.sprintf "%.2f" s.Harness.blocks_per_sec;
+           (if s.Harness.blocks_per_sec > 0. then
+              Printf.sprintf "%.0f" (1000. /. s.Harness.blocks_per_sec)
+            else "-");
+         ])
+       protocols);
   Format.printf "@.(Moonshot periods sit near one WAN hop; Jolteon near two)@."
 
 (* --- chaos: randomized fault schedules ------------------------------------- *)
@@ -614,30 +533,74 @@ let ablation_block_period scale =
    A run that returns at all has passed every safety and liveness check;
    the table reports how fast recovered nodes caught up and how long the
    longest post-disruption commit gap was.  Results also land in
-   BENCH_faults.json (no wall-clock inside, so the file is deterministic). *)
+   BENCH_faults.json (no wall-clock inside [runs], so that array is
+   deterministic). *)
 
-type chaos_row = {
-  c_protocol : Protocol_kind.t;
-  c_seed : int;
-  c_schedule : Bft_faults.Fault_schedule.t;
-  c_result : Harness.run_result;
-}
+module Fault_schedule = Bft_faults.Fault_schedule
+module Json = Bft_stats.Json
+module Live = Bft_obs.Liveness
+
+let ms x = Json.Float (0, x)
+let ms_opt = function Some x -> ms x | None -> Json.Null
+
+(* Recovery to quorum height, if it came. *)
+let catch_up_ms (r : Live.recovery) =
+  Option.map (fun t -> t -. r.Live.recovered_at_ms) r.Live.caught_up_at_ms
+
+let chaos_run scale ~n ~f (protocol, seed) =
+  let faults =
+    Fault_schedule.random
+      ~rng:(Bft_sim.Rng.create (0x0c4a05 + seed))
+      ~n ~f ~duration:scale.chaos_duration ~delta:scale.chaos_delta
+  in
+  let r =
+    Harness.run
+      {
+        (Config.local protocol ~n) with
+        Config.delta_ms = scale.chaos_delta;
+        duration_ms = scale.chaos_duration;
+        seed;
+        faults;
+      }
+  in
+  let fs = Option.get r.Harness.fault_summary in
+  let live = fs.Harness.liveness in
+  let catch_ups = List.filter_map catch_up_ms live.Live.recoveries in
+  Json.
+    [
+      ("protocol", String (Protocol_kind.short_name protocol));
+      ("seed", Int seed);
+      ("schedule", String (Fault_schedule.to_string faults));
+      ("crashes", Int (Fault_schedule.crash_count faults));
+      ("blocks", Int r.Harness.metrics.Metrics.committed_blocks);
+      ("max_commit_gap_ms", ms live.Live.max_quorum_gap_ms);
+      ("messages_during_heal", Int fs.Harness.messages_during_heal);
+      ("liveness_checks", Int live.Live.checks_passed);
+      ( "catch_up_mean_ms",
+        if catch_ups = [] then Null
+        else ms (Bft_stats.Descriptive.mean catch_ups) );
+      ( "recoveries",
+        List
+          (List.map
+             (fun (rc : Live.recovery) ->
+               Obj
+                 [
+                   ("node", Int rc.Live.node);
+                   ("crash_ms", ms rc.Live.crashed_at_ms);
+                   ("recover_ms", ms rc.Live.recovered_at_ms);
+                   ("catch_up_ms", ms_opt (catch_up_ms rc));
+                 ])
+             live.Live.recoveries) );
+    ]
 
 (* One live-socket crash/recover run (threads mode, 4 nodes).  Unlike the
    simulator rows these are wall-clock measurements, so the [net] block
    of BENCH_faults.json varies run to run — it reports what real crash
    recovery costs on this machine, not a deterministic fixture. *)
-type chaos_net_row = {
-  cn_protocol : Protocol_kind.t;
-  cn_schedule : Bft_faults.Fault_schedule.t;
-  cn_result : Bft_net.Tcp.result;
-  cn_liveness : Bft_obs.Liveness.report;
-}
-
 let chaos_net_run protocol =
   let n = 4 and blocks = 30 in
   let faults =
-    match Bft_faults.Fault_schedule.of_string "crash@80:1;recover@260:1" with
+    match Fault_schedule.of_string "crash@80:1;recover@260:1" with
     | Ok f -> f
     | Error e -> failwith e
   in
@@ -650,189 +613,54 @@ let chaos_net_run protocol =
       timeout_ms = 20_000.;
     }
   in
-  let cn_result = Net_harness.run protocol cfg in
-  {
-    cn_protocol = protocol;
-    cn_schedule = faults;
-    cn_result;
-    cn_liveness = Net_harness.net_liveness cn_result ~delta:150.;
-  }
-
-let chaos_json rows net_rows ~path =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "{\n  \"schema\": \"bench_faults/v2\",\n  \"runs\": [\n";
-  List.iteri
-    (fun i { c_protocol; c_seed; c_schedule; c_result } ->
-      if i > 0 then Buffer.add_string b ",\n";
-      let fs = Option.get c_result.Harness.fault_summary in
-      let live = fs.Harness.liveness in
-      Printf.bprintf b
-        "    {\"protocol\": %S, \"seed\": %d, \"schedule\": %S,\n\
-        \     \"blocks\": %d, \"max_commit_gap_ms\": %.0f, \
-         \"messages_during_heal\": %d, \"liveness_checks\": %d,\n\
-        \     \"recoveries\": ["
-        (Protocol_kind.short_name c_protocol)
-        c_seed
-        (Bft_faults.Fault_schedule.to_string c_schedule)
-        c_result.Harness.metrics.Metrics.committed_blocks
-        live.Bft_obs.Liveness.max_quorum_gap_ms fs.Harness.messages_during_heal
-        live.Bft_obs.Liveness.checks_passed;
-      List.iteri
-        (fun j (r : Bft_obs.Liveness.recovery) ->
-          if j > 0 then Buffer.add_string b ", ";
-          Printf.bprintf b
-            "{\"node\": %d, \"crash_ms\": %.0f, \"recover_ms\": %.0f, \
-             \"catch_up_ms\": %s}"
-            r.Bft_obs.Liveness.node r.Bft_obs.Liveness.crashed_at_ms
-            r.Bft_obs.Liveness.recovered_at_ms
-            (match r.Bft_obs.Liveness.caught_up_at_ms with
-            | Some t ->
-                Printf.sprintf "%.0f" (t -. r.Bft_obs.Liveness.recovered_at_ms)
-            | None -> "null"))
-        live.Bft_obs.Liveness.recoveries;
-      Buffer.add_string b "]}")
-    rows;
-  Buffer.add_string b "\n  ],\n  \"net\": [\n";
-  List.iteri
-    (fun i { cn_protocol; cn_schedule; cn_result; cn_liveness } ->
-      if i > 0 then Buffer.add_string b ",\n";
-      let sum f =
-        Array.fold_left (fun acc nr -> acc + f nr) 0 cn_result.Bft_net.Tcp.nodes
-      in
-      let recovery_ms, catch_up_ms =
-        match cn_liveness.Bft_obs.Liveness.recoveries with
-        | r :: _ ->
-            ( Printf.sprintf "%.0f"
-                (r.Bft_obs.Liveness.recovered_at_ms
-                -. r.Bft_obs.Liveness.crashed_at_ms),
-              match r.Bft_obs.Liveness.caught_up_at_ms with
-              | Some t ->
-                  Printf.sprintf "%.0f"
-                    (t -. r.Bft_obs.Liveness.recovered_at_ms)
-              | None -> "null" )
-        | [] -> ("null", "null")
-      in
-      Printf.bprintf b
-        "    {\"protocol\": %S, \"schedule\": %S, \"mode\": \"threads\",\n\
-        \     \"wall_ms\": %.0f, \"recovery_ms\": %s, \"catch_up_ms\": %s,\n\
-        \     \"reconnect_attempts\": %d, \"restarts\": %d, \
-         \"healing_bytes\": %d}"
-        (Protocol_kind.short_name cn_protocol)
-        (Bft_faults.Fault_schedule.to_string cn_schedule)
-        cn_result.Bft_net.Tcp.wall_ms recovery_ms catch_up_ms
-        (sum (fun nr -> nr.Bft_net.Tcp.reconnects))
-        (sum (fun nr -> nr.Bft_net.Tcp.restarts))
-        (sum (fun nr -> nr.Bft_net.Tcp.bytes_heal)))
-    net_rows;
-  Buffer.add_string b "\n  ]\n}\n";
-  Out_channel.with_open_text path (fun oc ->
-      Out_channel.output_string oc (Buffer.contents b))
+  let r = Net_harness.run protocol cfg in
+  let live = Net_harness.net_liveness r ~delta:150. in
+  let sum f = Array.fold_left (fun acc nr -> acc + f nr) 0 r.Bft_net.Tcp.nodes in
+  let recovery_ms, catch_up =
+    match live.Live.recoveries with
+    | rc :: _ ->
+        ( ms (rc.Live.recovered_at_ms -. rc.Live.crashed_at_ms),
+          ms_opt (catch_up_ms rc) )
+    | [] -> (Json.Null, Json.Null)
+  in
+  Json.
+    [
+      ("protocol", String (Protocol_kind.short_name protocol));
+      ("schedule", String (Fault_schedule.to_string faults));
+      ("mode", String "threads");
+      ("wall_ms", ms r.Bft_net.Tcp.wall_ms);
+      ("recovery_ms", recovery_ms);
+      ("catch_up_ms", catch_up);
+      ("reconnect_attempts", Int (sum (fun nr -> nr.Bft_net.Tcp.reconnects)));
+      ("restarts", Int (sum (fun nr -> nr.Bft_net.Tcp.restarts)));
+      ("healing_bytes", Int (sum (fun nr -> nr.Bft_net.Tcp.bytes_heal)));
+    ]
 
 let chaos scale =
-  Format.printf "@.== Chaos: randomized fault schedules (n=%d, f=%d) ==@.@."
-    scale.chaos_n
-    ((scale.chaos_n - 1) / 3);
   let n = scale.chaos_n in
   let f = (n - 1) / 3 in
+  Format.printf "@.== Chaos: randomized fault schedules (n=%d, f=%d) ==@.@." n f;
   let tasks =
     List.concat_map
       (fun protocol -> List.map (fun seed -> (protocol, seed)) scale.chaos_seeds)
       protocols
   in
-  let rows =
-    Parallel.map ~jobs:scale.jobs
-      (fun (protocol, seed) ->
-        let faults =
-          Bft_faults.Fault_schedule.random
-            ~rng:(Bft_sim.Rng.create (0x0c4a05 + seed))
-            ~n ~f ~duration:scale.chaos_duration ~delta:scale.chaos_delta
-        in
-        let cfg =
-          {
-            (Config.local protocol ~n) with
-            Config.delta_ms = scale.chaos_delta;
-            duration_ms = scale.chaos_duration;
-            seed;
-            faults;
-          }
-        in
-        { c_protocol = protocol; c_seed = seed; c_schedule = faults;
-          c_result = Harness.run cfg })
-      tasks
-  in
-  let t =
-    Table.create
-      [ "protocol"; "seed"; "crashes"; "blocks"; "catch-up ms";
-        "max gap ms"; "heal msgs"; "checks" ]
-  in
-  List.iter
-    (fun { c_protocol; c_seed; c_schedule; c_result } ->
-      let fs = Option.get c_result.Harness.fault_summary in
-      let live = fs.Harness.liveness in
-      let catch_ups =
-        List.filter_map
-          (fun (r : Bft_obs.Liveness.recovery) ->
-            Option.map
-              (fun t -> t -. r.Bft_obs.Liveness.recovered_at_ms)
-              r.Bft_obs.Liveness.caught_up_at_ms)
-          live.Bft_obs.Liveness.recoveries
-      in
-      Table.add_row t
-        [
-          Protocol_kind.short_name c_protocol;
-          string_of_int c_seed;
-          string_of_int (Bft_faults.Fault_schedule.crash_count c_schedule);
-          string_of_int c_result.Harness.metrics.Metrics.committed_blocks;
-          (if catch_ups = [] then "-"
-           else Printf.sprintf "%.0f" (Bft_stats.Descriptive.mean catch_ups));
-          Printf.sprintf "%.0f" live.Bft_obs.Liveness.max_quorum_gap_ms;
-          string_of_int fs.Harness.messages_during_heal;
-          string_of_int live.Bft_obs.Liveness.checks_passed;
-        ])
-    rows;
-  Table.print Format.std_formatter t;
+  let runs = Parallel.map ~jobs:scale.jobs (chaos_run scale ~n ~f) tasks in
+  Bench_file.print_columns
+    [ "protocol"; "seed"; "crashes"; "blocks"; "catch_up_mean_ms";
+      "max_commit_gap_ms"; "messages_during_heal"; "liveness_checks" ]
+    runs;
   (* Socket leg: the same crash/recover story on real TCP connections,
      threads mode, one run per protocol.  Sequential on purpose — each
      run owns the process's signal handling and ephemeral ports. *)
   Format.printf "@.-- live sockets (threads mode, n=4, crash node 1) --@.@.";
-  let net_rows = List.map chaos_net_run protocols in
-  let tn =
-    Table.create
-      [ "protocol"; "wall ms"; "recovery ms"; "catch-up ms"; "reconnects";
-        "heal kB" ]
-  in
-  List.iter
-    (fun { cn_protocol; cn_result; cn_liveness; _ } ->
-      let sum f =
-        Array.fold_left (fun acc nr -> acc + f nr) 0 cn_result.Bft_net.Tcp.nodes
-      in
-      let recovery_ms, catch_up_ms =
-        match cn_liveness.Bft_obs.Liveness.recoveries with
-        | r :: _ ->
-            ( Printf.sprintf "%.0f"
-                (r.Bft_obs.Liveness.recovered_at_ms
-                -. r.Bft_obs.Liveness.crashed_at_ms),
-              match r.Bft_obs.Liveness.caught_up_at_ms with
-              | Some t ->
-                  Printf.sprintf "%.0f"
-                    (t -. r.Bft_obs.Liveness.recovered_at_ms)
-              | None -> "-" )
-        | [] -> ("-", "-")
-      in
-      Table.add_row tn
-        [
-          Protocol_kind.short_name cn_protocol;
-          Printf.sprintf "%.0f" cn_result.Bft_net.Tcp.wall_ms;
-          recovery_ms;
-          catch_up_ms;
-          string_of_int (sum (fun nr -> nr.Bft_net.Tcp.reconnects));
-          Printf.sprintf "%.1f"
-            (float_of_int (sum (fun nr -> nr.Bft_net.Tcp.bytes_heal))
-            /. 1024.);
-        ])
-    net_rows;
-  Table.print Format.std_formatter tn;
-  chaos_json rows net_rows ~path:"BENCH_faults.json";
+  let net = List.map chaos_net_run protocols in
+  Bench_file.print_columns
+    [ "protocol"; "wall_ms"; "recovery_ms"; "catch_up_ms";
+      "reconnect_attempts"; "healing_bytes" ]
+    net;
+  Bench_file.write "BENCH_faults.json" ~schema:"bench_faults/v3"
+    [ ("runs", Bench_file.array runs); ("net", Bench_file.array net) ];
   Format.printf
     "@.(every row survived its schedule: zero safety violations, every@.      liveness checkpoint met; catch-up = recovery to quorum height;@.      the net block reports wall-clock healing cost on real sockets;@.      details in BENCH_faults.json)@."
 
@@ -849,16 +677,6 @@ let chaos scale =
    the over-saturation rows show admission control holding the line:
    bounded queues, typed rejections, zero loss.  Everything here is
    simulated time, so BENCH_clients.json is a deterministic fixture. *)
-
-type clients_row = {
-  cl_protocol : Protocol_kind.t;
-  cl_multiplier : float;
-  cl_rate : float;  (** Offered load, commands/s. *)
-  cl_capacity : float;  (** Calibrated drain capacity, commands/s. *)
-  cl_blocks : int;
-  cl_duration_ms : float;
-  cl_summary : Bft_mempool.Ingest.summary;
-}
 
 let clients_config scale protocol ~n =
   {
@@ -882,41 +700,55 @@ let clients_spec ~rate =
     clock = Bft_mempool.Spec.Wall;
   }
 
-let lane_spread (s : Bft_mempool.Ingest.summary) =
-  let mn = Array.fold_left min max_int s.Bft_mempool.Ingest.per_lane_committed in
-  let mx = Array.fold_left max 0 s.Bft_mempool.Ingest.per_lane_committed in
-  (mn, mx)
-
-let clients_json rows ~path =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "{\n  \"schema\": \"bench_clients/v1\",\n";
-  Printf.bprintf b "  \"clients\": %d,\n  \"runs\": [\n" clients_population;
-  List.iteri
-    (fun i row ->
-      if i > 0 then Buffer.add_string b ",\n";
-      let s = row.cl_summary in
+(* One protocol's sweep, one row per load multiplier. *)
+let clients_runs scale ~n protocol =
+  (* Calibration: the same config with no client traffic measures block
+     throughput, which bounds the drain rate at [max_batch] commands per
+     block.  Deterministic, so the swept rates (and the committed JSON)
+     are too. *)
+  let cal = Harness.run (clients_config scale protocol ~n) in
+  let capacity =
+    cal.Harness.metrics.Metrics.blocks_per_sec *. float_of_int clients_max_batch
+  in
+  List.map
+    (fun m ->
+      let rate = capacity *. m in
+      let r =
+        Harness.run
+          {
+            (clients_config scale protocol ~n) with
+            Config.clients = Some (clients_spec ~rate);
+          }
+      in
+      let s = Option.get r.Harness.client_summary in
       let open Bft_mempool.Ingest in
-      let mn, mx = lane_spread s in
-      Printf.bprintf b
-        "    {\"protocol\": %S, \"multiplier\": %.2f, \"rate_per_s\": %.0f, \
-         \"capacity_per_s\": %.0f,\n\
-        \     \"blocks\": %d, \"submitted\": %d, \"admitted\": %d, \
-         \"deferred\": %d, \"rejected\": %d, \"committed\": %d,\n\
-        \     \"throughput_per_s\": %.0f, \"p50_ms\": %.1f, \"p90_ms\": \
-         %.1f, \"p99_ms\": %.1f, \"mean_ms\": %.1f, \"max_ms\": %.1f,\n\
-        \     \"lane_committed_min\": %d, \"lane_committed_max\": %d, \
-         \"dissemination_bytes\": %d}"
-        (Protocol_kind.short_name row.cl_protocol)
-        row.cl_multiplier row.cl_rate row.cl_capacity row.cl_blocks
-        s.submitted s.admitted s.deferred s.rejected s.committed
-        (float_of_int s.committed /. (row.cl_duration_ms /. 1000.))
-        s.lat.p50_ms s.lat.p90_ms s.lat.p99_ms s.lat.mean_ms s.lat.max_ms mn
-        mx s.dissemination_bytes)
-    rows;
-  Buffer.add_string b "\n  ]\n}\n";
-  let oc = open_out path in
-  Buffer.output_buffer oc b;
-  close_out oc
+      let lanes = s.per_lane_committed in
+      Json.
+        [
+          ("protocol", String (Protocol_kind.short_name protocol));
+          ("multiplier", Float (2, m));
+          ("rate_per_s", ms rate);
+          ("capacity_per_s", ms capacity);
+          ("blocks", Int r.Harness.metrics.Metrics.committed_blocks);
+          ("submitted", Int s.submitted);
+          ("admitted", Int s.admitted);
+          ("deferred", Int s.deferred);
+          ("rejected", Int s.rejected);
+          ("committed", Int s.committed);
+          ("pending", Int s.pending);
+          ("backlogged", Int s.backlogged);
+          ( "throughput_per_s",
+            ms (float_of_int s.committed /. (scale.clients_duration /. 1000.)) );
+          ("p50_ms", Float (1, s.lat.p50_ms));
+          ("p90_ms", Float (1, s.lat.p90_ms));
+          ("p99_ms", Float (1, s.lat.p99_ms));
+          ("mean_ms", Float (1, s.lat.mean_ms));
+          ("max_ms", Float (1, s.lat.max_ms));
+          ("lane_committed_min", Int (Array.fold_left min max_int lanes));
+          ("lane_committed_max", Int (Array.fold_left max 0 lanes));
+          ("dissemination_bytes", Int s.dissemination_bytes);
+        ])
+    clients_multipliers
 
 let clients scale =
   let n = scale.clients_n in
@@ -925,70 +757,17 @@ let clients scale =
     n clients_population clients_max_batch;
   (* All five protocols, not just the paper's four: the HotStuff baseline's
      longer commit path is exactly what the queueing comparison is about. *)
-  let rows =
-    Parallel.map ~jobs:scale.jobs
-      (fun protocol ->
-        (* Calibration: the same config with no client traffic measures
-           block throughput, which bounds the drain rate at [max_batch]
-           commands per block.  Deterministic, so the swept rates (and
-           the committed JSON) are too. *)
-        let cal = Harness.run (clients_config scale protocol ~n) in
-        let cl_capacity =
-          cal.Harness.metrics.Metrics.blocks_per_sec
-          *. float_of_int clients_max_batch
-        in
-        List.map
-          (fun m ->
-            let rate = cl_capacity *. m in
-            let cfg =
-              {
-                (clients_config scale protocol ~n) with
-                Config.clients = Some (clients_spec ~rate);
-              }
-            in
-            let r = Harness.run cfg in
-            {
-              cl_protocol = protocol;
-              cl_multiplier = m;
-              cl_rate = rate;
-              cl_capacity;
-              cl_blocks = r.Harness.metrics.Metrics.committed_blocks;
-              cl_duration_ms = scale.clients_duration;
-              cl_summary = Option.get r.Harness.client_summary;
-            })
-          clients_multipliers)
-      Protocol_kind.all
-    |> List.concat
+  let runs =
+    List.concat
+      (Parallel.map ~jobs:scale.jobs (clients_runs scale ~n) Protocol_kind.all)
   in
-  let t =
-    Table.create
-      [ "protocol"; "load"; "rate/s"; "submitted"; "committed"; "rejected";
-        "p50 ms"; "p99 ms"; "pending"; "lane min/max" ]
-  in
-  List.iter
-    (fun row ->
-      let s = row.cl_summary in
-      let open Bft_mempool.Ingest in
-      let mn, mx = lane_spread s in
-      Table.add_row t
-        [
-          Protocol_kind.short_name row.cl_protocol;
-          Printf.sprintf "%.1fx" row.cl_multiplier;
-          Printf.sprintf "%.0f" row.cl_rate;
-          string_of_int s.submitted;
-          string_of_int s.committed;
-          (if s.rejected = 0 then "0"
-           else
-             Printf.sprintf "%d (%.0f%%)" s.rejected
-               (100. *. float_of_int s.rejected /. float_of_int s.submitted));
-          Printf.sprintf "%.1f" s.lat.p50_ms;
-          Printf.sprintf "%.1f" s.lat.p99_ms;
-          string_of_int (s.pending + s.backlogged);
-          Printf.sprintf "%d/%d" mn mx;
-        ])
-    rows;
-  Table.print Format.std_formatter t;
-  clients_json rows ~path:"BENCH_clients.json";
+  Bench_file.print_columns
+    [ "protocol"; "multiplier"; "rate_per_s"; "submitted"; "committed";
+      "rejected"; "p50_ms"; "p99_ms"; "pending"; "backlogged";
+      "lane_committed_min"; "lane_committed_max" ]
+    runs;
+  Bench_file.write "BENCH_clients.json" ~schema:"bench_clients/v2"
+    [ ("clients", Int clients_population); ("runs", Bench_file.array runs) ];
   Format.printf
     "@.(open-loop arrivals; load is relative to each protocol's calibrated@.\
     \      drain capacity (blocks/s x max batch); latency is submit to@.\
@@ -1010,43 +789,29 @@ let scale_beyond scale =
     "@.== Beyond paper scale: protocol traffic up to n=1000 (p=0) ==@.@.";
   let ns = [ 200; 500; 1000 ] in
   let ps = [ Protocol_kind.Pipelined_moonshot; Protocol_kind.Jolteon ] in
-  let t =
-    Table.create
-      [ "n"; "protocol"; "blocks"; "blk/s"; "latency ms"; "events"; "msgs" ]
-  in
-  let rows =
-    Parallel.map ~jobs:scale.jobs
-      (fun (n, protocol) ->
-        let cfg =
-          {
-            (Config.default protocol ~n) with
-            Config.payload_bytes = 0;
-            duration_ms = 2_000.;
-          }
-        in
-        let results = Harness.run_seeds cfg ~seeds:scale.seeds in
-        let events =
-          List.fold_left (fun a r -> a + r.Harness.events_processed) 0 results
-        in
-        let msgs =
-          List.fold_left (fun a r -> a + r.Harness.messages_sent) 0 results
-        in
-        (n, protocol, Harness.summarize results, events, msgs))
-      (List.concat_map (fun n -> List.map (fun p -> (n, p)) ps) ns)
-  in
-  List.iter
-    (fun (n, protocol, s, events, msgs) ->
-      Table.add_row t
-        [
-          string_of_int n;
-          Protocol_kind.short_name protocol;
-          Printf.sprintf "%.0f" s.Harness.blocks_committed;
-          Printf.sprintf "%.2f" s.Harness.blocks_per_sec;
-          Printf.sprintf "%.0f" s.Harness.avg_latency_ms;
-          string_of_int events;
-          string_of_int msgs;
-        ])
-    rows;
-  Table.print Format.std_formatter t;
+  print_table
+    [ "n"; "protocol"; "blocks"; "blk/s"; "latency ms"; "events"; "msgs" ]
+    (Parallel.map ~jobs:scale.jobs
+       (fun (n, protocol) ->
+         let cfg =
+           {
+             (Config.default protocol ~n) with
+             Config.payload_bytes = 0;
+             duration_ms = 2_000.;
+           }
+         in
+         let results = Harness.run_seeds cfg ~seeds:scale.seeds in
+         let sum f = List.fold_left (fun a r -> a + f r) 0 results in
+         let s = Harness.summarize results in
+         [
+           string_of_int n;
+           Protocol_kind.short_name protocol;
+           Printf.sprintf "%.0f" s.Harness.blocks_committed;
+           Printf.sprintf "%.2f" s.Harness.blocks_per_sec;
+           Printf.sprintf "%.0f" s.Harness.avg_latency_ms;
+           string_of_int (sum (fun r -> r.Harness.events_processed));
+           string_of_int (sum (fun r -> r.Harness.messages_sent));
+         ])
+       (List.concat_map (fun n -> List.map (fun p -> (n, p)) ps) ns));
   Format.printf
     "@.(the paper's evaluation stops at n=200; same WAN model and protocol@.      stacks, 2 s simulated per run)@."

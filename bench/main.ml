@@ -11,8 +11,12 @@
    clients ablations micro alloc mc mc-smoke mc-swarm-smoke smoke n1000 all
 
    [alloc] prints the per-layer allocation split of the [wan-n100],
-   [chaos-clients] and [net-wal] benchmark workloads (see Alloc_split); it
-   writes no BENCH file.
+   [lan-longchain], [chaos-clients] and [net-wal] benchmark workloads (see
+   Alloc_split); it writes no BENCH file.
+
+   [mc], [chaos] and [clients] write BENCH_mc.json, BENCH_faults.json and
+   BENCH_clients.json through Bench_file: each file's rows are built once
+   and the printed table shows a subset of their fields.
 
    [mc] explores the model checker's exhaustive worlds and writes
    BENCH_mc.json (states/second, pruning ratio); [--full] uses the
@@ -111,10 +115,12 @@ let () =
         (* Sub-second chaos smoke: a randomized fault schedule through
            the real harness, fault interpreter and liveness monitor. *)
         Experiments.chaos scale;
-        (* Client-traffic smoke: the full ingestion path (arrival
-           generator, mempool, batch cuts, commit-order replay) under
-           sub- and over-saturation load on a tiny grid. *)
-        Experiments.clients scale;
+        (* The client-traffic sweep at default scale, a few seconds: the
+           full ingestion path under sub- and over-saturation load, and
+           the BENCH_clients.json that the runtest rule compares with
+           the committed fixture. *)
+        Experiments.clients
+          { Experiments.default_scale with Experiments.jobs = scale.jobs };
         (* Socket allocation-split smoke: the wrapped codec, WAL encoder
            and handlers on a 20-block threads-mode run. *)
         Alloc_split.sockets ~blocks:20

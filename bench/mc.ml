@@ -5,7 +5,7 @@
    and the reduction stack's pruning ratios, runs the n = 5 symmetry
    acceptance comparison (canonicalized run exhausts; baseline gets the
    same wall-clock budget and is cut off), samples a swarm block per
-   protocol, then writes BENCH_mc.json (schema bench_mc/v2) so successive
+   protocol, then writes BENCH_mc.json (schema bench_mc/v3) so successive
    PRs can diff checker performance.  [smoke] is the sub-second `dune runtest` tripwire: tiny
    worlds through the full checker stack, failing loudly on any violation,
    deadlock or non-exhaustion.  [swarm_smoke] is its sampling-mode twin:
@@ -14,6 +14,7 @@
 
 open Bft_mc
 module Kind = Bft_runtime.Protocol_kind
+module Json = Bft_stats.Json
 
 type row = {
   name : string;
@@ -45,18 +46,37 @@ let run_one ?stop ~jobs kind cfg =
   let report = Checker.check ?stop ~jobs kind cfg in
   { name = Kind.name kind; wall_s = Unix.gettimeofday () -. t0; report }
 
+(* One exhaustive world: the file's row, and the printed table's. *)
+let world_fields r =
+  let open Mc_report in
+  let s = r.report.stats in
+  Json.
+    [
+      ("name", String r.name);
+      ("states", Int s.states_visited);
+      ("matched", Int s.states_matched);
+      ("reexpanded", Int s.states_reexpanded);
+      ("transitions", Int s.transitions);
+      ("branches", Int s.branches);
+      ("sleep_skips", Int s.sleep_skips);
+      ("digest_prune_ratio", Float (4, digest_prune_ratio s));
+      ("sleep_prune_ratio", Float (4, sleep_prune_ratio s));
+      ("max_depth", Int s.max_depth_seen);
+      ("exhausted", Bool s.exhausted);
+      ("max_committed", Int r.report.max_committed);
+      ("violations", Int (List.length r.report.violations));
+      ("deadlocks", Int r.report.deadlocks);
+      ("livelocks", Int r.report.livelocks);
+      ("wall_clock_s", Float (3, r.wall_s));
+      ("states_per_sec", Float (0, states_per_sec r));
+    ]
+
 let print_table rows =
-  Format.printf "@.%-20s %10s %10s %8s %8s %9s %7s %6s@." "protocol" "states"
-    "states/s" "digest%" "sleep%" "depth<=" "commits" "wall";
-  List.iter
-    (fun r ->
-      let s = r.report.Mc_report.stats in
-      Format.printf "%-20s %10d %10.0f %7.0f%% %7.0f%% %9d %7d %5.1fs@." r.name
-        s.Mc_report.states_visited (states_per_sec r)
-        (100. *. Mc_report.digest_prune_ratio s)
-        (100. *. Mc_report.sleep_prune_ratio s)
-        s.Mc_report.max_depth_seen r.report.Mc_report.max_committed r.wall_s)
-    rows
+  Format.printf "@.";
+  Bench_file.print_columns
+    [ "name"; "states"; "states_per_sec"; "digest_prune_ratio";
+      "sleep_prune_ratio"; "max_depth"; "max_committed"; "wall_clock_s" ]
+    (List.map world_fields rows)
 
 let guard r =
   if r.report.Mc_report.violations <> [] then
@@ -95,18 +115,27 @@ let run_symmetry ~jobs =
   let base =
     run_one ~stop:(deadline sym.wall_s) ~jobs Kind.Jolteon base_cfg
   in
-  let pr tag r =
+  let fields r =
     let s = r.report.Mc_report.stats in
-    Format.printf "  %-10s states=%d transitions=%d exhausted=%b wall=%.1fs@."
-      tag s.Mc_report.states_visited s.Mc_report.transitions
-      s.Mc_report.exhausted r.wall_s
+    Json.
+      [
+        ("states", Int s.Mc_report.states_visited);
+        ("transitions", Int s.Mc_report.transitions);
+        ("exhausted", Bool s.Mc_report.exhausted);
+        ("wall_clock_s", Float (3, r.wall_s));
+        ("states_per_sec", Float (0, states_per_sec r));
+      ]
   in
-  pr "symmetry" sym;
-  pr "baseline" base;
+  let runs = [ ("symmetry", fields sym); ("baseline_same_budget", fields base) ] in
+  Bench_file.print_columns
+    [ "run"; "states"; "transitions"; "exhausted"; "wall_clock_s" ]
+    (List.map (fun (run, f) -> ("run", Json.String run) :: f) runs);
   if base.report.Mc_report.stats.Mc_report.exhausted then
     Format.printf
       "  note: baseline finished inside the symmetry budget on this host@.";
-  (sym, base)
+  Json.Obj
+    (("world", String "jolteon n=5 view<=3 timer-budget=2 reorder=2 crash@1")
+    :: List.map (fun (run, f) -> (run, Json.Obj f)) runs)
 
 (* {2 Swarm sampling block} *)
 
@@ -123,19 +152,25 @@ let run_swarm ~jobs ~walks ~depth kind =
   let sw = Checker.swarm ~jobs kind ~walks ~depth ~seed:1 swarm_world in
   { s_name = Kind.name kind; s_wall = Unix.gettimeofday () -. t0; s_sw = sw }
 
-let print_swarm rows =
-  Format.printf "@.%-20s %7s %8s %9s %9s %9s %6s@." "protocol" "walks"
-    "walks/s" "steps" "distinct" "coverage" "wall";
-  List.iter
-    (fun r ->
-      let sw = r.s_sw in
-      Format.printf "%-20s %7d %8.0f %9d %9d %9.1f %5.1fs@." r.s_name
-        sw.Mc_report.sw_walks
-        (if r.s_wall > 0. then float_of_int sw.Mc_report.sw_walks /. r.s_wall
-         else 0.)
-        sw.Mc_report.sw_steps sw.Mc_report.sw_distinct (Mc_report.coverage sw)
-        r.s_wall)
-    rows
+let swarm_fields r =
+  let open Mc_report in
+  let sw = r.s_sw in
+  let walks_per_sec =
+    if r.s_wall > 0. then float_of_int sw.sw_walks /. r.s_wall else 0.
+  in
+  Json.
+    [
+      ("name", String r.s_name);
+      ("walks", Int sw.sw_walks);
+      ("steps", Int sw.sw_steps);
+      ("distinct", Int sw.sw_distinct);
+      ("coverage", Float (2, coverage sw));
+      ("walks_per_sec", Float (0, walks_per_sec));
+      ("max_committed", Int sw.sw_max_committed);
+      ("commitless", Int sw.sw_commitless);
+      ("fingerprint", String (Printf.sprintf "%Lx" sw.sw_fingerprint));
+      ("wall_clock_s", Float (3, r.s_wall));
+    ]
 
 let swarm_guard r =
   if r.s_sw.Mc_report.sw_violations <> [] then
@@ -145,74 +180,6 @@ let swarm_guard r =
   if r.s_sw.Mc_report.sw_livelock_witness <> None then
     failwith (Printf.sprintf "mc bench: swarm %s found a livelock" r.s_name)
 
-(* {2 JSON} *)
-
-let write_json ~jobs ~path rows (sym, base) swarm_rows =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\n";
-  Printf.bprintf b "  \"schema\": \"bench_mc/v2\",\n";
-  Printf.bprintf b "  \"jobs\": %d,\n" jobs;
-  Buffer.add_string b "  \"worlds\": [\n";
-  List.iteri
-    (fun i r ->
-      if i > 0 then Buffer.add_string b ",\n";
-      let s = r.report.Mc_report.stats in
-      Printf.bprintf b
-        "    {\"name\": %S, \"states\": %d, \"matched\": %d, \
-         \"reexpanded\": %d, \"transitions\": %d, \"branches\": %d, \
-         \"sleep_skips\": %d, \"digest_prune_ratio\": %.4f, \
-         \"sleep_prune_ratio\": %.4f, \"max_depth\": %d, \"exhausted\": %b, \
-         \"max_committed\": %d, \"violations\": %d, \"deadlocks\": %d, \
-         \"livelocks\": %d, \"wall_clock_s\": %.3f, \"states_per_sec\": %.0f}"
-        r.name s.Mc_report.states_visited s.Mc_report.states_matched
-        s.Mc_report.states_reexpanded s.Mc_report.transitions
-        s.Mc_report.branches s.Mc_report.sleep_skips
-        (Mc_report.digest_prune_ratio s)
-        (Mc_report.sleep_prune_ratio s)
-        s.Mc_report.max_depth_seen s.Mc_report.exhausted
-        r.report.Mc_report.max_committed
-        (List.length r.report.Mc_report.violations)
-        r.report.Mc_report.deadlocks r.report.Mc_report.livelocks r.wall_s
-        (states_per_sec r))
-    rows;
-  Buffer.add_string b "\n  ],\n";
-  let sym_entry tag r =
-    let s = r.report.Mc_report.stats in
-    Printf.bprintf b
-      "    \"%s\": {\"states\": %d, \"transitions\": %d, \"exhausted\": %b, \
-       \"wall_clock_s\": %.3f, \"states_per_sec\": %.0f}"
-      tag s.Mc_report.states_visited s.Mc_report.transitions
-      s.Mc_report.exhausted r.wall_s (states_per_sec r)
-  in
-  Buffer.add_string b "  \"symmetry_n5\": {\n";
-  Printf.bprintf b
-    "    \"world\": \"jolteon n=5 view<=3 timer-budget=2 reorder=2 crash@1\",\n";
-  sym_entry "symmetry" sym;
-  Buffer.add_string b ",\n";
-  sym_entry "baseline_same_budget" base;
-  Buffer.add_string b "\n  },\n";
-  Buffer.add_string b "  \"swarm\": [\n";
-  List.iteri
-    (fun i r ->
-      if i > 0 then Buffer.add_string b ",\n";
-      let sw = r.s_sw in
-      Printf.bprintf b
-        "    {\"name\": %S, \"walks\": %d, \"steps\": %d, \"distinct\": %d, \
-         \"coverage\": %.2f, \"walks_per_sec\": %.0f, \"max_committed\": %d, \
-         \"commitless\": %d, \"fingerprint\": \"%Lx\", \"wall_clock_s\": %.3f}"
-        r.s_name sw.Mc_report.sw_walks sw.Mc_report.sw_steps
-        sw.Mc_report.sw_distinct (Mc_report.coverage sw)
-        (if r.s_wall > 0. then float_of_int sw.Mc_report.sw_walks /. r.s_wall
-         else 0.)
-        sw.Mc_report.sw_max_committed sw.Mc_report.sw_commitless
-        sw.Mc_report.sw_fingerprint r.s_wall)
-    swarm_rows;
-  Buffer.add_string b "\n  ]\n}\n";
-  Out_channel.with_open_text path (fun oc ->
-      Out_channel.output_string oc (Buffer.contents b));
-  Format.printf "@.wrote %s: %d worlds, symmetry block, %d swarm rows@." path
-    (List.length rows) (List.length swarm_rows)
-
 let run ~jobs ~full () =
   Format.printf "model checker: n=4 exhaustive worlds%s@."
     (if full then " (full scale, view bound 3)" else "");
@@ -221,11 +188,24 @@ let run ~jobs ~full () =
   in
   List.iter guard rows;
   print_table rows;
-  let sym_cmp = run_symmetry ~jobs in
+  let symmetry = run_symmetry ~jobs in
   let swarm_rows = List.map (run_swarm ~jobs ~walks:256 ~depth:48) Kind.all in
   List.iter swarm_guard swarm_rows;
-  print_swarm swarm_rows;
-  write_json ~jobs ~path:"BENCH_mc.json" rows sym_cmp swarm_rows
+  let swarm = List.map swarm_fields swarm_rows in
+  Format.printf "@.";
+  Bench_file.print_columns
+    [ "name"; "walks"; "walks_per_sec"; "steps"; "distinct"; "coverage";
+      "wall_clock_s" ]
+    swarm;
+  Bench_file.write "BENCH_mc.json" ~schema:"bench_mc/v3"
+    [
+      ("jobs", Int jobs);
+      ("worlds", Bench_file.array (List.map world_fields rows));
+      ("symmetry_n5", symmetry);
+      ("swarm", Bench_file.array swarm);
+    ];
+  Format.printf "@.wrote BENCH_mc.json: %d worlds, symmetry block, %d swarm rows@."
+    (List.length rows) (List.length swarm_rows)
 
 (* Sub-second: one Moonshot world at view 1 (reduction machinery, no
    commits reachable) and the two chained protocols at view 3 (commits,

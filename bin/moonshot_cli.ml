@@ -634,8 +634,14 @@ let crossval_cmd =
     List.iter
       (fun (leg : Net_harness.leg) ->
         Option.iter (print_liveness ~width:9 (name leg)) leg.liveness;
+        (* A socket leg's client latency sets wall-clock commit times
+           against view-slot submit times, so only its counts, taken over
+           the compared prefix, are printed. *)
         Option.iter
-          (Format.printf "%-8s :@.%a@." (name leg) Bft_mempool.Ingest.pp_summary)
+          (Format.printf "%-8s :@.%a@." (name leg)
+             (match leg.substrate with
+             | Net_harness.Sim -> Bft_mempool.Ingest.pp_summary
+             | Net_harness.Net _ -> Bft_mempool.Ingest.pp_counts))
           leg.client_summary)
       cv.legs;
     (* One row per height: the shared commit, or every leg's on mismatch. *)

@@ -191,17 +191,21 @@ let summary t =
     per_lane_committed = Mempool.committed_per_lane t.pool;
   }
 
-let pp_summary ppf s =
+let pp_counts ppf s =
   Format.fprintf ppf
     "@[<v>submitted        : %d@,\
      admitted         : %d (deferred %d, rejected %d)@,\
      committed        : %d (pending %d, backlogged %d, shortfall %d)@,\
      batches          : %d (watermark %d)@,\
-     dissemination    : %.2f MiB@,\
-     client latency   : p50 %.1f ms  p90 %.1f ms  p99 %.1f ms  max %.1f ms \
-     (mean %.1f, %d samples)@]"
+     dissemination    : %.2f MiB@]"
     s.submitted s.admitted s.deferred s.rejected s.committed s.pending
     s.backlogged s.shortfall s.batches s.watermark
     (float_of_int s.dissemination_bytes /. 1048576.)
-    s.lat.p50_ms s.lat.p90_ms s.lat.p99_ms s.lat.max_ms s.lat.mean_ms
-    s.lat.samples
+
+let pp_summary ppf s =
+  Format.fprintf ppf
+    "@[<v>%a@,\
+     client latency   : p50 %.1f ms  p90 %.1f ms  p99 %.1f ms  max %.1f ms \
+     (mean %.1f, %d samples)@]"
+    pp_counts s s.lat.p50_ms s.lat.p90_ms s.lat.p99_ms s.lat.max_ms
+    s.lat.mean_ms s.lat.samples

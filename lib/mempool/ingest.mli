@@ -92,3 +92,6 @@ val batch_report : t -> count:int -> batch_report
 
 val summary : t -> summary
 val pp_summary : Format.formatter -> summary -> unit
+
+(** {!pp_summary} without the client-latency line. *)
+val pp_counts : Format.formatter -> summary -> unit

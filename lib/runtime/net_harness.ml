@@ -313,6 +313,18 @@ let crossval ?(n = 4) ~protocol ~blocks scenario =
         failwith
           (Printf.sprintf "crossval (%s): %s" (substrate_name substrate) e));
     let a = account cfg result in
+    (* The client summary covers the compared prefix only: how far the
+       cluster overshoots [blocks] depends on the wall clock, not on the
+       chain. *)
+    let in_prefix nr =
+      {
+        nr with
+        Bft_net.Tcp.commits =
+          List.filter
+            (fun c -> c.Bft_net.Tcp.c_height <= blocks)
+            nr.Bft_net.Tcp.commits;
+      }
+    in
     {
       substrate;
       chain =
@@ -327,7 +339,13 @@ let crossval ?(n = 4) ~protocol ~blocks scenario =
                })
              result.Bft_net.Tcp.nodes.(0).Bft_net.Tcp.commits);
       liveness = a.liveness;
-      client_summary = a.client_summary;
+      client_summary =
+        Option.map
+          (fun spec ->
+            client_stats
+              { result with nodes = Array.map in_prefix result.nodes }
+              ~spec ~view_ms:cfg.delta_ms)
+          cfg.clients;
     }
   in
   (* Process mode adds a real SIGKILL and a WAL-file rebuild, so it runs

@@ -134,7 +134,9 @@ type leg = {
       (** {!net_liveness} of a socket leg under a fault schedule. *)
   client_summary : Bft_mempool.Ingest.summary option;
       (** Under {!Clients}: the simulator's own summary, or
-          {!client_stats} of a socket leg. *)
+          {!client_stats} of a socket leg's commits at heights up to the
+          compared prefix (so it does not depend on how far the cluster
+          overshot its target). *)
 }
 
 type crossval = {

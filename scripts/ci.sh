@@ -11,7 +11,10 @@
 #   0. bench files            -- no committed BENCH_*.json may record
 #                                "events": 0, "blocks": 0 or "states": 0
 #                                (a bench file written by a run that
-#                                measured nothing)
+#                                measured nothing), and each must hold a
+#                                "provenance" object (commit, OCaml
+#                                version, domains, command line: how it
+#                                was produced)
 #   1. dune build @all        -- every library, executable and example
 #   2. dune runtest           -- unit/property/integration suites plus the
 #                                smoke aliases (bench smoke, mc-smoke,
@@ -83,12 +86,19 @@ trap summary EXIT
 
 before=$(git status --porcelain)
 
-step "committed BENCH_*.json record work (no zero events, blocks or states)"
+step "committed BENCH_*.json record work (no zero events, blocks or states) and provenance"
 degenerate=$(git ls-files -z 'BENCH_*.json' \
   | xargs -0 -r grep -nE '"(events|blocks|states)" *: *0([^0-9.eE]|$)' || true)
 if [ -n "$degenerate" ]; then
   echo "error: degenerate bench file(s):" >&2
   echo "$degenerate" >&2
+  exit 1
+fi
+unproven=$(git ls-files -z 'BENCH_*.json' \
+  | xargs -0 -r grep -L '"provenance": *{' || true)
+if [ -n "$unproven" ]; then
+  echo "error: bench file(s) without a \"provenance\" object:" >&2
+  echo "$unproven" >&2
   exit 1
 fi
 

@@ -2102,7 +2102,12 @@ let crossval_run kind scenario () =
       | Net_harness.Clients _, Some s ->
           Alcotest.(check bool) "commands flowed" true (s.committed > 0);
           Alcotest.(check int) "conservation" s.submitted
-            (s.rejected + s.committed + s.pending + s.backlogged)
+            (s.rejected + s.committed + s.pending + s.backlogged);
+          (* A socket leg is accounted over the compared prefix only, one
+             batch per block, however far the cluster overshot. *)
+          if leg.substrate <> Net_harness.Sim then
+            Alcotest.(check int) "batches in the compared prefix" cv.blocks
+              s.batches
       | Net_harness.Clients _, None -> Alcotest.fail "leg without a client summary"
       | _ -> ())
     cv.legs

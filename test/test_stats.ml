@@ -73,6 +73,76 @@ let test_cells () =
   check "big floats no decimals" true (Table.cell 12345. = "12345");
   check "small floats 2 decimals" true (Table.cell 1.234 = "1.23")
 
+let check_string = Alcotest.(check string)
+
+let test_json_escapes () =
+  check_string "quote, backslash and control characters"
+    {|"a\"b\\c\u0001d\u000a"|}
+    (Json.to_string (Json.String "a\"b\\c\001d\n"))
+
+let test_json_scalars () =
+  Alcotest.(check (list string))
+    "fixed decimals, null, non-finite"
+    [ "0.5375"; "56.9"; "9461"; "null"; "null"; "-3"; "false" ]
+    (List.map Json.to_string
+       Json.
+         [
+           Float (4, 0.5375);
+           Float (1, 56.94);
+           Float (0, 9461.3);
+           Null;
+           Float (2, Float.nan);
+           Int (-3);
+           Bool false;
+         ])
+
+let test_json_layout () =
+  let v =
+    Json.(
+      Obj
+        [
+          ("schema", String "x/v1");
+          ("provenance", Obj [ ("commit", String "abc"); ("domains", Int 2) ]);
+          ( "runs",
+            List
+              [
+                Obj [ ("a", Int 1); ("r", List [ Obj [ ("n", Null) ] ]) ];
+                Obj [];
+              ] );
+          ("empty", List []);
+          ("ok", Bool true);
+        ])
+  in
+  check_string "outer two levels one item per line, deeper inline"
+    "{\n\
+    \  \"schema\": \"x/v1\",\n\
+    \  \"provenance\": {\n\
+    \    \"commit\": \"abc\",\n\
+    \    \"domains\": 2\n\
+    \  },\n\
+    \  \"runs\": [\n\
+    \    {\"a\": 1, \"r\": [{\"n\": null}]},\n\
+    \    {}\n\
+    \  ],\n\
+    \  \"empty\": [],\n\
+    \  \"ok\": true\n\
+     }"
+    (Json.to_string v)
+
+let test_json_table () =
+  let rows =
+    Json.
+      [
+        [ ("p", String "SM"); ("x", Null); ("y", Float (1, 2.34)) ];
+        [ ("p", String "J"); ("x", Int 7); ("y", Float (1, 10.)) ];
+      ]
+  in
+  check_string "a column subset; null as -, strings unquoted"
+    "p   y     x  \n--  ----  -  \nSM  2.3   -  \nJ   10.0  7  \n"
+    (Format.asprintf "%a" Table.print (Json.table [ "p"; "y"; "x" ] rows));
+  check "a missing column raises" true
+    (try ignore (Json.table [ "z" ] rows); false with Not_found -> true)
+
 let () =
   Alcotest.run "stats"
     [
@@ -95,5 +165,12 @@ let () =
           Alcotest.test_case "rendering" `Quick test_table_rendering;
           Alcotest.test_case "width enforced" `Quick test_table_mismatch_rejected;
           Alcotest.test_case "cell formats" `Quick test_cells;
+          Alcotest.test_case "from JSON rows" `Quick test_json_table;
+        ] );
+      ( "json",
+        [
+          Alcotest.test_case "string escapes" `Quick test_json_escapes;
+          Alcotest.test_case "scalars" `Quick test_json_scalars;
+          Alcotest.test_case "layout" `Quick test_json_layout;
         ] );
     ]
