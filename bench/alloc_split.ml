@@ -44,13 +44,14 @@
    run's direct major-heap row ({!Bft_obs.Alloc}), whoever allocated it
    (a reader's buffer growing to a large frame, an output buffer growing
    to a burst, a large body).  The wrapper allocates nothing on a
-   call except the closure it wraps a timer callback in, which is charged
-   to no one.  On sockets every validator is one thread of one domain,
-   and the domain has one minor-heap counter: each thread keeps its own
-   stack of open calls.  No bracketed call makes a blocking system call
-   ([send] only fills the FIFO that the loop releases between calls), so
-   only a tick switches threads inside one, and a tick (50 ms against
-   calls of microseconds) charges the other thread's words to it. *)
+   call except the closure it wraps a new timer callback in (once per node
+   and callback), which is charged to no one.  On sockets every validator
+   is one thread of one domain, and the domain has one minor-heap
+   counter: each thread keeps its own stack of open calls.  No bracketed
+   call makes a blocking system call ([send] only fills the FIFO that the
+   loop releases between calls), so only a tick switches threads inside
+   one, and a tick (50 ms against calls of microseconds) charges the
+   other thread's words to it. *)
 
 open Bft_types
 module Config = Bft_runtime.Config
@@ -158,6 +159,15 @@ module Make (P : Protocol_intf.S) :
 
   let timed_timer f () = bracket timer f ()
 
+  (* The wrapper made for [f] in [wraps], or [f] itself when there is
+     none: a search that allocates nothing. *)
+  let rec wrap_of f = function
+    | [] -> f
+    | (k, g) :: rest -> if k == f then g else wrap_of f rest
+
+  (* Wrappers kept per node; protocols arm at most three callbacks. *)
+  let wrap_slots = 4
+
   let wrap_env (env : msg Env.t) =
     {
       env with
@@ -172,15 +182,28 @@ module Make (P : Protocol_intf.S) :
           env.Env.multicast m;
           leave multicast);
       set_timer =
-        (fun delay f ->
-          (* The wrapper's own closure is hidden from the open call, inline:
-             a float passed to a function would be boxed. *)
-          let w0 = Gc.minor_words () in
-          let g = timed_timer f in
-          let st = stack () in
-          let d = st.depth - 1 in
-          if d >= 0 then
-            st.nested.(d) <- st.nested.(d) +. (Gc.minor_words () -. w0);
+        (let wraps = ref [] in
+         fun delay f ->
+          (* Each distinct callback is wrapped once, so the substrate sees
+             the same callback on every re-arm, as it would unwrapped, and
+             the [env.set_timer] row reads its own re-arm cost.  A new
+             wrapper is hidden from the open call, inline: a float passed
+             to a function would be boxed. *)
+          let g = wrap_of f !wraps in
+          let g =
+            if g != f then g
+            else begin
+              let w0 = Gc.minor_words () in
+              let g = timed_timer f in
+              wraps :=
+                (f, g) :: List.filteri (fun i _ -> i < wrap_slots - 1) !wraps;
+              let st = stack () in
+              let d = st.depth - 1 in
+              if d >= 0 then
+                st.nested.(d) <- st.nested.(d) +. (Gc.minor_words () -. w0);
+              g
+            end
+          in
           enter ();
           let cancel = env.Env.set_timer delay g in
           leave set_timer;

@@ -450,11 +450,16 @@ let fairness scale =
            float_of_int (List.fold_left (fun a (_, c) -> a + c) 0 honest)
          in
          let shares = List.map (fun (_, c) -> float_of_int c /. total) honest in
+         (* A run that commits no honest block has no shares. *)
+         let share stat =
+           if shares = [] then "-"
+           else Printf.sprintf "%.1f%%" (100. *. stat shares)
+         in
          [
            Protocol_kind.short_name protocol;
            Schedules.name schedule;
-           Printf.sprintf "%.1f%%" (100. *. Bft_stats.Descriptive.min shares);
-           Printf.sprintf "%.1f%%" (100. *. Bft_stats.Descriptive.max shares);
+           share Bft_stats.Descriptive.min;
+           share Bft_stats.Descriptive.max;
            string_of_int (List.length honest);
          ])
        [

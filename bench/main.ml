@@ -112,6 +112,9 @@ let () =
         in
         Experiments.table3 scale;
         Experiments.fig9 scale;
+        (* At this scale the fairness runs commit no honest block: the
+           table must still print. *)
+        Experiments.fairness scale;
         (* Sub-second chaos smoke: a randomized fault schedule through
            the real harness, fault interpreter and liveness monitor. *)
         Experiments.chaos scale;

@@ -114,8 +114,9 @@ let clients_spec =
             "Enable client-traffic mode: N open-loop clients submit \
              commands into a sharded mempool and leaders cut blocks from \
              lane batches instead of the parametric $(b,--payload).  The \
-             run then reports client-perceived end-to-end latency \
-             (submit to quorum commit) and backpressure counters.")
+             run then reports backpressure counters and, under the wall \
+             ingest clock, client-perceived end-to-end latency (submit to \
+             quorum commit).")
   in
   let rate =
     Arg.(
@@ -634,14 +635,11 @@ let crossval_cmd =
     List.iter
       (fun (leg : Net_harness.leg) ->
         Option.iter (print_liveness ~width:9 (name leg)) leg.liveness;
-        (* A socket leg's client latency sets wall-clock commit times
-           against view-slot submit times, so only its counts, taken over
-           the compared prefix, are printed. *)
+        (* Crossval runs the views clock, so each leg prints its counts
+           (a socket leg's over the compared prefix) and no latency. *)
         Option.iter
           (Format.printf "%-8s :@.%a@." (name leg)
-             (match leg.substrate with
-             | Net_harness.Sim -> Bft_mempool.Ingest.pp_summary
-             | Net_harness.Net _ -> Bft_mempool.Ingest.pp_counts))
+             Bft_mempool.Ingest.pp_summary)
           leg.client_summary)
       cv.legs;
     (* One row per height: the shared commit, or every leg's on mismatch. *)

@@ -20,12 +20,20 @@ type t = {
   mutable proposed : bool;  (* as leader of cur_view *)
   mutable cancel_view_timer : unit -> unit;
   mutable cancel_propose_timer : unit -> unit;
+  (* What the two timers are armed with, built once per node (the
+     callbacks in [create], below the flows they call): a float computed
+     per call would be boxed, and a [fun () -> ...] per view is a closure,
+     which would also defeat the substrate's per-callback timer record. *)
+  view_timeout : float;
+  propose_timeout : float;
+  mutable expire : unit -> unit;
+  mutable propose_wait : unit -> unit;
 }
 
 let view_timer_multiplier = 5.
 let propose_wait_multiplier = 2.
 
-let create ?(equivocate = false) ?wal env =
+let make ~equivocate ?wal env =
   let core = Node_core.create env in
   {
     core;
@@ -46,6 +54,10 @@ let create ?(equivocate = false) ?wal env =
     proposed = false;
     cancel_view_timer = (fun () -> ());
     cancel_propose_timer = (fun () -> ());
+    view_timeout = view_timer_multiplier *. env.Env.delta;
+    propose_timeout = propose_wait_multiplier *. env.Env.delta;
+    expire = (fun () -> ());
+    propose_wait = (fun () -> ());
   }
 
 (* Persist the safety-critical state; called BEFORE the message that makes
@@ -131,9 +143,7 @@ and advance_to t view how =
       if high.Cert.view = view - 1 then propose_with_cert t high
       else
         t.cancel_propose_timer <-
-          t.env.Env.set_timer
-            (propose_wait_multiplier *. t.env.Env.delta)
-            (fun () -> propose_fallback t)
+          t.env.Env.set_timer t.propose_timeout t.propose_wait
     end;
     process_pending t
   end
@@ -152,9 +162,7 @@ and propose_fallback t =
 and arm_view_timer t =
   t.cancel_view_timer ();
   t.cancel_view_timer <-
-    t.env.Env.set_timer
-      (view_timer_multiplier *. t.env.Env.delta)
-      (fun () -> on_view_timer_expiry t)
+    t.env.Env.set_timer t.view_timeout t.expire
 
 (* Rebroadcast while stuck, so view changes survive message loss.  The
    repeat broadcast re-multicasts the evidence that justified entering the
@@ -232,6 +240,12 @@ and cast_vote t (block : Block.t) =
         Message.Opt_propose { block = b })
 
 (* --- message handlers ----------------------------------------------------- *)
+
+let create ?(equivocate = false) ?wal env =
+  let t = make ~equivocate ?wal env in
+  t.expire <- (fun () -> on_view_timer_expiry t);
+  t.propose_wait <- (fun () -> propose_fallback t);
+  t
 
 let buffer t view p =
   if view >= t.cur_view then View_buffer.add t.pending ~view p

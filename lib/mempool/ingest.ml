@@ -22,6 +22,7 @@ type summary = {
   watermark : int;
   dissemination_bytes : int;
   lat : lat_summary;
+  clock : Spec.clock;
   per_lane_committed : int array;
 }
 
@@ -188,6 +189,7 @@ let summary t =
         p99_ms = Hist.quantile t.hist 0.99;
         max_ms = Hist.max_value t.hist;
       };
+    clock = t.spec.Spec.clock;
     per_lane_committed = Mempool.committed_per_lane t.pool;
   }
 
@@ -203,9 +205,17 @@ let pp_counts ppf s =
     (float_of_int s.dissemination_bytes /. 1048576.)
 
 let pp_summary ppf s =
-  Format.fprintf ppf
-    "@[<v>%a@,\
-     client latency   : p50 %.1f ms  p90 %.1f ms  p99 %.1f ms  max %.1f ms \
-     (mean %.1f, %d samples)@]"
-    pp_counts s s.lat.p50_ms s.lat.p90_ms s.lat.p99_ms s.lat.max_ms
-    s.lat.mean_ms s.lat.samples
+  match s.clock with
+  | Spec.Wall ->
+      Format.fprintf ppf
+        "@[<v>%a@,\
+         client latency   : p50 %.1f ms  p90 %.1f ms  p99 %.1f ms  max %.1f \
+         ms (mean %.1f, %d samples)@]"
+        pp_counts s s.lat.p50_ms s.lat.p90_ms s.lat.p99_ms s.lat.max_ms
+        s.lat.mean_ms s.lat.samples
+  | Spec.Views ->
+      Format.fprintf ppf
+        "@[<v>%a@,\
+         client latency   : unavailable (views clock: submit times are view \
+         slots, not ms)@]"
+        pp_counts s

@@ -43,7 +43,14 @@ type summary = {
   dissemination_bytes : int;
       (** client→validator payload bytes (count × item_size × n), the
           dissemination cost consensus no longer carries in-band *)
-  lat : lat_summary;  (** client-perceived end-to-end latency *)
+  lat : lat_summary;
+      (** client-perceived end-to-end latency; meaningful only under the
+          [Wall] clock (see [clock]) *)
+  clock : Spec.clock;
+      (** the spec's submit-time clock.  Under [Views] a submit time is a
+          view slot × Δ, which a substrate commit time in ms cannot be set
+          against, so [lat] is an artefact and {!pp_summary} prints it as
+          unavailable. *)
   per_lane_committed : int array;  (** fairness: commands drawn per lane *)
 }
 
@@ -91,7 +98,7 @@ val on_quorum_commit : t -> payload:Bft_types.Payload.t -> time:float -> int
 val batch_report : t -> count:int -> batch_report
 
 val summary : t -> summary
-val pp_summary : Format.formatter -> summary -> unit
 
-(** {!pp_summary} without the client-latency line. *)
-val pp_counts : Format.formatter -> summary -> unit
+(** The counts, then the client-latency line: its percentiles under the
+    [Wall] clock, [unavailable] under [Views]. *)
+val pp_summary : Format.formatter -> summary -> unit

@@ -27,12 +27,59 @@ type sink = {
   release : unit -> unit;
 }
 
-(* A cancelled timer stays on the heap and is skipped when popped, as in
-   {!Bft_sim.Engine}. *)
-type timer = { mutable cancelled : bool; action : unit -> unit }
+(* One callback's timer, armed again once idle (fired or cancelled), as in
+   {!Bft_sim.Engine}: the record and its cancel thunk are made once.  Each
+   arming takes a seq; a heap entry whose seq is not the record's current
+   one is an earlier arming, and a cancelled arming stays on the heap too:
+   both are skipped when popped. *)
+type timer = {
+  action : unit -> unit;
+  mutable seq : int;  (* the current arming's *)
+  mutable armed : bool;  (* neither fired nor cancelled *)
+  cancel : unit -> unit;
+}
+
+(* Whether a heap entry is its record's current, armed arming. *)
+let live tm seq = tm.armed && tm.seq = seq
+
+(* Timer records kept for reuse, overwritten round robin. *)
+let timer_slots = 4
+
+(* The timer heap's size below which dead entries wait to be popped: the
+   heap's initial capacity. *)
+let compact_floor = 64
+
+(* [clock] slots: the earliest deadline, the time a [step] fires against,
+   a new arming's deadline. *)
+let deadline_slot = 0
+let step_slot = 1
+let arm_slot = 2
 
 (* Slots of the body memo; a power of two, indexed by the body's hash. *)
 let memo_slots = 64
+
+(* The memo slot of [buf]'s [len] bytes from [off]: FNV-1a, its high bits
+   folded into the low ones. *)
+let memo_slot_of buf off len =
+  let h = ref 0x811c9dc5 in
+  for k = off to off + len - 1 do
+    h := (!h lxor Char.code (Bytes.unsafe_get buf k)) * 0x01000193
+  done;
+  let h = !h in
+  (h lxor (h lsr 29) lxor (h lsr 13)) land (memo_slots - 1)
+
+let memo_slot body =
+  memo_slot_of (Bytes.unsafe_of_string body) 0 (String.length body)
+
+(* Whether [s] is [buf]'s [len] bytes from [off]. *)
+let equal_slice s buf off len =
+  String.length s = len
+  &&
+  let k = ref 0 in
+  while !k < len && String.unsafe_get s !k = Bytes.unsafe_get buf (off + !k) do
+    incr k
+  done;
+  !k = len
 
 module Make (P : Protocol_intf.S) = struct
   module H = Node_host.Make (P)
@@ -41,6 +88,7 @@ module Make (P : Protocol_intf.S) = struct
     id : int;
     incarnation : int;
     trace : Trace.t option;
+    now_into : float array -> int -> unit;
     now : unit -> float;
     sink : sink;
     persist : (string -> unit) option;
@@ -49,7 +97,10 @@ module Make (P : Protocol_intf.S) = struct
     host : H.t Lazy.t;  (* lazy: its transport reads the node's view *)
     selfq : P.msg Queue.t;
     timers : timer Bft_sim.Event_queue.t;
-    slot : float array;  (* the earliest timer's deadline, unboxed *)
+    mutable timer_row : timer array;  (* [||] until the first timer *)
+    mutable timer_next : int;
+    mutable compact_at : int;  (* the heap size that drops dead entries *)
+    clock : float array;  (* times in slots, unboxed *)
     malformed : int array;
     (* The body memo, direct-mapped: [decoded.(i)] is what [bodies.(i)]
        decodes to.  A multicast vote reaches a node as n - 1 identical
@@ -78,10 +129,57 @@ module Make (P : Protocol_intf.S) = struct
       H.emit (host t) Trace.(Fault Crash)
     end
 
+  let fresh_timer action =
+    let rec tm =
+      { action; seq = -1; armed = false; cancel = (fun () -> tm.armed <- false) }
+    in
+    tm
+
+  (* The idle record for [action], or a fresh one put in the row. *)
+  let timer_for t action =
+    let row = t.timer_row in
+    let len = Array.length row in
+    let i = ref 0 in
+    while
+      !i < len
+      &&
+      let tm = Array.unsafe_get row !i in
+      tm.armed || tm.action != action
+    do
+      incr i
+    done;
+    if !i < len then Array.unsafe_get row !i
+    else begin
+      let tm = fresh_timer action in
+      if len = 0 then begin
+        t.timer_row <- Array.make timer_slots tm;
+        t.timer_next <- 1
+      end
+      else begin
+        Array.unsafe_set row t.timer_next tm;
+        t.timer_next <- (t.timer_next + 1) mod timer_slots
+      end;
+      tm
+    end
+
+  (* Cancelled and replaced armings stay on the heap until their deadline,
+     a view timeout after they were armed, which a run of short views
+     reaches only after hundreds of armings; once they fill the heap they
+     are dropped instead of growing it. *)
   let set_timer t delay action =
-    let tm = { cancelled = false; action } in
-    Bft_sim.Event_queue.push t.timers ~time:(t.now () +. delay) tm;
-    fun () -> tm.cancelled <- true
+    let q = t.timers in
+    if Bft_sim.Event_queue.size q >= t.compact_at then begin
+      Bft_sim.Event_queue.retain q live;
+      t.compact_at <- max compact_floor (2 * Bft_sim.Event_queue.size q)
+    end;
+    let tm = timer_for t action in
+    let seq = Bft_sim.Event_queue.take_seq q in
+    tm.seq <- seq;
+    tm.armed <- true;
+    t.now_into t.clock arm_slot;
+    t.clock.(arm_slot) <- t.clock.(arm_slot) +. delay;
+    Bft_sim.Event_queue.push_seq_from q t.clock arm_slot ~seq tm;
+    tm.cancel
 
   let send t dst msg =
     if dst = t.id then Queue.push msg t.selfq
@@ -98,12 +196,18 @@ module Make (P : Protocol_intf.S) = struct
     done
 
   let create (policy : Node_host.policy) ~id ~incarnation ~wal ~target_blocks
-      ~now sink ~persist ~on_target ~on_recover =
+      ~now_into sink ~persist ~on_target ~on_recover =
+    let reading = [| 0. |] in
+    let now () =
+      now_into reading 0;
+      reading.(0)
+    in
     let rec t =
       {
         id;
         incarnation;
         trace = policy.trace;
+        now_into;
         now;
         sink;
         persist;
@@ -112,7 +216,10 @@ module Make (P : Protocol_intf.S) = struct
         host = lazy (make_host ());
         selfq = Queue.create ();
         timers = Bft_sim.Event_queue.create ();
-        slot = [| 0. |];
+        timer_row = [||];
+        timer_next = 0;
+        compact_at = compact_floor;
+        clock = Array.make 3 0.;
         malformed = Array.make policy.n 0;
         (* Every slot holds a true pair from the start: the empty body's. *)
         bodies = Array.make memo_slots "";
@@ -128,7 +235,7 @@ module Make (P : Protocol_intf.S) = struct
     and make_host () =
       H.create policy ~incarnation ~wal:t.wal ~id
         { now; send = send t; multicast = multicast t policy.n;
-          set_timer = set_timer t }
+          set_timer = (fun delay f -> set_timer t delay f) }
         ~on_spawn:(fun _ _ -> ())
         ~on_commit:(fun b ->
           t.commits <-
@@ -176,11 +283,13 @@ module Make (P : Protocol_intf.S) = struct
         m "node %d: dropped frame from %d: %s" t.id src reason)
 
   (* A body decodes the same whatever its sender (docs/WIRE.md), so a hit
-     in the memo stands for a decode. *)
-  let decode t body =
-    let i = Hashtbl.hash body land (memo_slots - 1) in
-    if String.equal t.bodies.(i) body then t.decoded.(i)
+     in the memo stands for a decode, and only a miss copies the body out
+     of [buf]. *)
+  let decode t buf off len =
+    let i = memo_slot_of buf off len in
+    if equal_slice t.bodies.(i) buf off len then t.decoded.(i)
     else begin
+      let body = Bytes.sub_string buf off len in
       let r = P.decode_msg body in
       t.bodies.(i) <- body;
       t.decoded.(i) <- r;
@@ -191,14 +300,12 @@ module Make (P : Protocol_intf.S) = struct
      malformed count and its byte count.  A frame whose trailer is not its
      message's payload is malformed: the trailer stands for exactly those
      bytes. *)
-  let receive t ~src ~payload body =
+  let receive t ~src ~payload buf off len =
     if not t.crashing then begin
       t.frames <- t.frames + 1;
-      match decode t body with
+      match decode t buf off len with
       | Ok msg when P.payload_bytes msg = payload ->
-          deliver t ~src
-            ~bytes:(Wire.frame_size ~payload (String.length body))
-            msg;
+          deliver t ~src ~bytes:(Wire.frame_size ~payload len) msg;
           drain_self t
       | Ok msg ->
           malformed t ~src
@@ -207,19 +314,23 @@ module Make (P : Protocol_intf.S) = struct
       | Error reason -> malformed t ~src reason
     end
 
-  (* Pops in deadline order, FIFO on ties; a timer set by a callback joins
-     the batch when it is already due. *)
-  let rec fire_due t ~now =
+  (* Pops in deadline order, FIFO on ties, against the time in
+     [clock.(step_slot)]; a timer set by a callback joins the batch when it
+     is already due.  A record is disarmed before its callback runs, which
+     may arm it again. *)
+  let rec fire_due t =
     let q = t.timers in
     if (not t.crashing) && not (Bft_sim.Event_queue.is_empty q) then begin
-      Bft_sim.Event_queue.min_time_into q t.slot 0;
-      if t.slot.(0) <= now then begin
+      Bft_sim.Event_queue.min_time_into q t.clock deadline_slot;
+      if t.clock.(deadline_slot) <= t.clock.(step_slot) then begin
+        let seq = Bft_sim.Event_queue.top_seq q in
         let tm = Bft_sim.Event_queue.take q in
-        if not tm.cancelled then begin
+        if live tm seq then begin
+          tm.armed <- false;
           t.ran <- true;
           tm.action ()
         end;
-        fire_due t ~now
+        fire_due t
       end
     end
 
@@ -239,7 +350,8 @@ module Make (P : Protocol_intf.S) = struct
     t.sink.release ()
 
   let step t =
-    fire_due t ~now:(t.now ());
+    t.now_into t.clock step_slot;
+    fire_due t;
     drain_self t;
     end_iteration t
 
@@ -255,8 +367,10 @@ module Make (P : Protocol_intf.S) = struct
   let wait_s t =
     if Bft_sim.Event_queue.is_empty t.timers then -1.
     else begin
-      Bft_sim.Event_queue.min_time_into t.timers t.slot 0;
-      Float.max 0. ((t.slot.(0) -. t.now ()) /. 1000.)
+      Bft_sim.Event_queue.min_time_into t.timers t.clock deadline_slot;
+      t.now_into t.clock step_slot;
+      Float.max 0.
+        ((t.clock.(deadline_slot) -. t.clock.(step_slot)) /. 1000.)
     end
 
   let finish t (st : Conn_manager.stats) =

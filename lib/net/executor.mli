@@ -4,9 +4,18 @@
     {!Tcp}'s [select] shell accepts connections, hands the frame bodies
     it reads to {!Make.receive} and calls {!Make.step} once per loop
     iteration.  The executor owns the rest: the node's self-message queue,
-    its timers (a {!Bft_sim.Event_queue} heap read against the [now] clock
-    it is given), per-peer malformed counts, the commit and proposal
+    its timers (a {!Bft_sim.Event_queue} heap read against the clock it
+    is given), per-peer malformed counts, the commit and proposal
     records, and the output commit.
+
+    {2 Timers}
+
+    A timer is one record per callback (compared physically), kept for
+    reuse as in {!Bft_sim.Engine.set_timer}: once an arming has fired or
+    been cancelled, the next {!Make.set_timer} with the same callback arms
+    the same record and allocates nothing, cancel thunk and deadline
+    included.  A callback set again while still pending takes a fresh
+    record, and both fire.  An incarnation keeps at most four records.
 
     {2 Output commit}
 
@@ -51,12 +60,16 @@ type sink = {
   release : unit -> unit;
 }
 
+(** The memo slot, in [0, 64), that a frame body takes. *)
+val memo_slot : string -> int
+
 module Make (P : Protocol_intf.S) : sig
   type t
 
-  (** Host node [id], rebuilt from the WAL snapshot [wal] if any.  [now]
-      is the clock in ms; [persist] receives each changed WAL snapshot
-      ([None]: nothing is persisted).  [on_target] runs at the first
+  (** Host node [id], rebuilt from the WAL snapshot [wal] if any.
+      [now_into slot i] stores the clock, in ms, in [slot.(i)] (a slot,
+      not a result, so arming a timer boxes no float); [persist] receives
+      each changed WAL snapshot ([None]: nothing is persisted).  [on_target] runs at the first
       commit of height [target_blocks] or more; [on_recover] for every
       recovery the node's fault step orders. *)
   val create :
@@ -65,7 +78,7 @@ module Make (P : Protocol_intf.S) : sig
     incarnation:int ->
     wal:string option ->
     target_blocks:int ->
-    now:(unit -> float) ->
+    now_into:(float array -> int -> unit) ->
     sink ->
     persist:(string -> unit) option ->
     on_target:(unit -> unit) ->
@@ -77,18 +90,22 @@ module Make (P : Protocol_intf.S) : sig
   val start : t -> unit
 
   (** Decode the body of a frame from peer [src] whose trailer was
-      [payload] bytes, deliver it, then drain the self-messages.  A body
+      [payload] bytes, [buf]'s [len] bytes from [off] (neither modified
+      nor kept), deliver it, then drain the self-messages.  A body
       that does not decode, or whose message's [P.payload_bytes] is not
       [payload], counts as malformed and runs no handler.  Ignored after
       a crash.
 
       Identical bodies decode once per incarnation, whoever sent them: a
-      memo of the last 64 distinct bodies (direct-mapped by hash) hands
-      the earlier result back, as a multicast vote reaches every node
-      from n - 1 senders byte for byte.  The trailer check, the
-      malformed count against [src] and the traced byte count stay per
-      frame. *)
-  val receive : t -> src:int -> payload:int -> string -> unit
+      memo of the last 64 distinct bodies (direct-mapped by
+      {!memo_slot}) hands the earlier result back, as a multicast vote
+      reaches every node from n - 1 senders byte for byte.  Only a body
+      the memo does not hold is copied out of [buf], so a repeated vote
+      that {!Wire.Frame_reader} hands on in place allocates nothing here.
+      The trailer check, the malformed count against [src] and the traced
+      byte count stay per frame. *)
+  val receive :
+    t -> src:int -> payload:int -> Bytes.t -> int -> int -> unit
 
   (** Count (and log) a malformed frame from [src]. *)
   val malformed : t -> src:int -> string -> unit
@@ -103,8 +120,9 @@ module Make (P : Protocol_intf.S) : sig
   val wait_s : t -> float
 
   (** [set_timer t delay f] runs [f] in the first {!step} at least
-      [delay] ms from now unless cancelled by the returned function; the
-      node's own timers go here too. *)
+      [delay] ms from now unless cancelled by the returned function, which
+      cancels [f]'s current arming; the node's own timers go here too.
+      Re-arming an idle [f] allocates nothing (see Timers above). *)
   val set_timer : t -> float -> (unit -> unit) -> unit -> unit
 
   (** End the run after this iteration. *)

@@ -13,12 +13,14 @@ type 'msg transport = {
 }
 
 let engine_io engine id =
+  (* Built once: [~owner:id] would box a [Some] per timer. *)
+  let owner = Some id in
   {
     now = (fun () -> Bft_sim.Engine.now engine);
     send = (fun dst msg -> Bft_sim.Engine.send engine ~src:id ~dst msg);
     multicast = (fun msg -> Bft_sim.Engine.multicast engine ~src:id msg);
     set_timer =
-      (fun delay f -> Bft_sim.Engine.set_timer ~owner:id engine delay f);
+      (fun delay f -> Bft_sim.Engine.set_timer ?owner engine delay f);
   }
 
 type verdict = { crash : bool; recover : int list }
@@ -108,6 +110,37 @@ module Make (P : Protocol_intf.S) = struct
         let v = Fault_step.step s ~view:(view t) in
         if v.crash || v.recover <> [] then t.on_verdict v
 
+  (* [set_timer] with the fault step run after each callback.  Each distinct
+     callback (compared physically) is wrapped once, so a substrate that
+     keeps one timer record per callback sees the same callback on every
+     re-arm; the last [wrap_slots] wrappers are kept, overwritten round
+     robin. *)
+  let wrap_slots = 4
+
+  let with_fault_step t set_timer =
+    let keys = Array.make wrap_slots ignore
+    and wraps = Array.make wrap_slots ignore
+    and filled = ref 0
+    and next = ref 0 in
+    fun delay f ->
+      let i = ref 0 in
+      while !i < !filled && Array.unsafe_get keys !i != f do
+        incr i
+      done;
+      if !i < !filled then set_timer delay (Array.unsafe_get wraps !i)
+      else begin
+        let g () =
+          f ();
+          fault_step t
+        in
+        let k = !next in
+        keys.(k) <- f;
+        wraps.(k) <- g;
+        next := (k + 1) mod wrap_slots;
+        filled := max !filled (k + 1);
+        set_timer delay g
+      end
+
   let env t =
     let io = t.io and p = t.policy and id = t.id in
     {
@@ -120,11 +153,7 @@ module Make (P : Protocol_intf.S) = struct
       set_timer =
         (match p.faults with
         | None -> io.set_timer
-        | Some _ ->
-            fun delay f ->
-              io.set_timer delay (fun () ->
-                  f ();
-                  fault_step t));
+        | Some _ -> with_fault_step t io.set_timer);
       leader_of = p.leader_of;
       make_payload =
         (match p.ingest with

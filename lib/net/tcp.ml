@@ -136,7 +136,7 @@ let policy cfg plane =
 type conn = {
   mutable src : int;
   inbox : Wire.Frame_reader.t;
-  deliver : int -> string -> unit;
+  deliver : int -> Bytes.t -> int -> int -> unit;
 }
 
 exception Bad_hello
@@ -168,11 +168,10 @@ let node_main (type m) (module P : Protocol_intf.S with type msg = m)
     | Fault_plane.Views -> Float.max 25. (cfg.link_delay_ms *. 2.)
     | Fault_plane.Wall_ms -> 500.
   in
+  (* [now_ms t0] written in place: a float returned by a call is boxed. *)
+  let now_into slot i = slot.(i) <- (Unix.gettimeofday () -. t0) *. 1000. in
   let cm =
-    (* [now_ms t0] written in place: a float returned by a call is boxed. *)
-    Conn_manager.create ~backoff_cap_ms ~n:cfg.n ~id ~ports ~hello
-      ~now_into:(fun slot i ->
-        slot.(i) <- (Unix.gettimeofday () -. t0) *. 1000.)
+    Conn_manager.create ~backoff_cap_ms ~n:cfg.n ~id ~ports ~hello ~now_into
       ~plane ()
   in
   let persist =
@@ -187,7 +186,7 @@ let node_main (type m) (module P : Protocol_intf.S with type msg = m)
   in
   let ex =
     E.create (policy cfg plane) ~id ~incarnation ~wal:wal_blob
-      ~target_blocks:cfg.target_blocks ~now
+      ~target_blocks:cfg.target_blocks ~now_into
       { send = Conn_manager.send cm;
         release = (fun () -> Conn_manager.release cm) }
       ~persist
@@ -215,10 +214,10 @@ let node_main (type m) (module P : Protocol_intf.S with type msg = m)
   register_teardown close_inbound;
   (* A connection's first frame is its hello, naming the peer of every
      later one; a connector that sends none just idles in the watch list. *)
-  let on_frame c payload body =
-    if c.src >= 0 then E.receive ex ~src:c.src ~payload body
+  let on_frame c payload buf off len =
+    if c.src >= 0 then E.receive ex ~src:c.src ~payload buf off len
     else
-      match decode_hello body with
+      match decode_hello (Bytes.sub_string buf off len) with
       | Ok (src, n', proto)
         when payload = 0 && src >= 0 && src < cfg.n && src <> id && n' = cfg.n
              && String.equal proto cfg.protocol_name ->
@@ -235,7 +234,7 @@ let node_main (type m) (module P : Protocol_intf.S with type msg = m)
         let inbox = Wire.Frame_reader.create () in
         Wire.Frame_reader.set_limit inbox hello_limit;
         let rec c =
-          { src = -1; inbox; deliver = (fun p b -> on_frame c p b) }
+          { src = -1; inbox; deliver = (fun p b o l -> on_frame c p b o l) }
         in
         Hashtbl.replace conns fd c;
         rewatch ()

@@ -350,10 +350,11 @@ end
 
 (* Unconsumed input is [buf.[start .. stop - 1]].  Every length prefix
    among it has passed the range check against [limit], so growing the
-   buffer to fit the frame it announces is bounded by it.  The buffer
-   holds a frame's prefix, trailer length and body, never its trailer:
-   once the body is copied out, the trailer is skipped where it lands,
-   [trailer] bytes of it still to come. *)
+   buffer to fit the frame it announces is bounded by it.  A frame that is
+   all in, trailer included, is handed on in place; otherwise the buffer
+   holds its prefix, trailer length and body, never its trailer: once the
+   body is copied out, the trailer is skipped where it lands, [trailer]
+   bytes of it still to come. *)
 module Frame_reader = struct
   type t = {
     mutable buf : Bytes.t;
@@ -411,18 +412,25 @@ module Frame_reader = struct
           if v < 0 then Some bad_trailer
           else
             let n = len - v - t.payload in
+            let off = t.start + 4 + v in
             if v = 0 || avail < 4 + v + n then None
+            else if avail >= 4 + len then begin
+              (* Nothing writes the buffer until the next [read]. *)
+              t.start <- t.start + 4 + len;
+              deliver t.payload t.buf off n;
+              drain t deliver
+            end
             else begin
-              t.body <- Bytes.sub_string t.buf (t.start + 4 + v) n;
-              t.start <- t.start + 4 + v + n;
+              t.body <- Bytes.sub_string t.buf off n;
+              t.start <- off + n;
               t.trailer <- t.payload;
-              if t.trailer > 0 then drain t deliver else deliver_body t deliver
+              drain t deliver
             end
 
   and deliver_body t deliver =
     let body = t.body in
     t.body <- "";
-    deliver t.payload body;
+    deliver t.payload (Bytes.unsafe_of_string body) 0 (String.length body);
     drain t deliver
 
   (* Move the partial frame to the front, and grow the buffer when the

@@ -209,9 +209,11 @@ end
 (** The receiving side of a connection: a buffer that starts at 4 KiB and
     grows only to fit a frame's header and body once its length prefix
     has passed the range check, so a hostile prefix allocates nothing.
-    A trailer never grows it: once the body is copied out, the trailer
-    is consumed where each [read] puts it, over as many reads as it
-    takes. *)
+    A frame that one [read] brought in whole, trailer included, has its
+    body handed on in place, copying nothing.  A trailer never grows the
+    buffer: a frame whose trailer is not all in has its body copied out,
+    and the trailer is consumed where each [read] puts it, over as many
+    reads as it takes. *)
 module Frame_reader : sig
   type t
 
@@ -224,8 +226,11 @@ module Frame_reader : sig
   val capacity : t -> int
 
   (** [read t fd deliver] makes one [read] on [fd], then calls [deliver
-      payload body] for every frame whose last trailer byte is now in, in
-      order: a frame is handed on only once all of it has arrived.
+      payload buf off len] for every frame whose last trailer byte is now
+      in, in order: a frame is handed on only once all of it has arrived.
+      Its body is [buf]'s [len] bytes from [off], which may be the
+      reader's own buffer: [deliver] must neither modify them nor keep
+      them past its return.
       [`Open]: the connection is still good.  [`Closed]: EOF at a frame
       boundary.  [`Frame_error Truncated]: EOF inside a frame, trailer
       included.  [`Frame_error (Frame_too_large n)]: an out-of-range
@@ -238,6 +243,6 @@ module Frame_reader : sig
   val read :
     t ->
     Unix.file_descr ->
-    (int -> string -> unit) ->
+    (int -> Bytes.t -> int -> int -> unit) ->
     [ `Open | `Closed | `Frame_error of error ]
 end

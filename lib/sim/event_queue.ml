@@ -182,6 +182,10 @@ let top t =
   if t.size = 0 then invalid_arg "Event_queue.top: empty";
   Array.unsafe_get t.values 0
 
+let top_seq t =
+  if t.size = 0 then invalid_arg "Event_queue.top_seq: empty";
+  Array.unsafe_get t.seqs 0
+
 (* The root has no parent, so whatever its new key, a sift down restores
    the heap order. *)
 let replace_top_from t src j ~seq =
@@ -192,6 +196,24 @@ let replace_top_from t src j ~seq =
   Array.unsafe_set t.times 0 time;
   Array.unsafe_set t.seqs 0 seq;
   sift_down t 0
+
+(* Compact the kept entries to the front, then heapify bottom up. *)
+let retain t keep =
+  let times = t.times and seqs = t.seqs and values = t.values in
+  let j = ref 0 in
+  for i = 0 to t.size - 1 do
+    let seq = Array.unsafe_get seqs i and v = Array.unsafe_get values i in
+    if keep v seq then begin
+      Array.unsafe_set times !j (Array.unsafe_get times i);
+      Array.unsafe_set seqs !j seq;
+      Array.unsafe_set values !j v;
+      incr j
+    end
+  done;
+  t.size <- !j;
+  for i = (!j / 2) - 1 downto 0 do
+    sift_down t i
+  done
 
 let pop t =
   if t.size = 0 then None

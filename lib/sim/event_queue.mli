@@ -62,11 +62,23 @@ val take : 'a t -> 'a
     when empty. *)
 val top : 'a t -> 'a
 
+(** The earliest entry's sequence number: the one it was pushed or last
+    re-keyed with.  Raises [Invalid_argument] when empty.  An owner that
+    pushes one value under several keys tells the live key from stale ones
+    with it. *)
+val top_seq : 'a t -> int
+
 (** [replace_top_from t times i ~seq] re-keys the earliest entry to
     [(times.(i), seq)] and restores the heap order: an entry that stands
     for a sequence of events moves to its next event's key.  Raises
     [Invalid_argument] when empty or on a non-finite time. *)
 val replace_top_from : 'a t -> float array -> int -> seq:int -> unit
+
+(** [retain t keep] drops every entry for which [keep value seq] is false,
+    in place: what is left pops in the same order as before.  An owner
+    whose dead entries would otherwise wait for their time drops them with
+    it instead of growing the queue. *)
+val retain : 'a t -> ('a -> int -> bool) -> unit
 
 (** Whether the queue holds no events. *)
 val is_empty : 'a t -> bool

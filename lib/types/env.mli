@@ -15,8 +15,16 @@ type 'msg t = {
       (** Send to every node, self included (self-delivery is immediate). *)
   set_timer : float -> (unit -> unit) -> unit -> unit;
       (** [set_timer delay callback] schedules [callback] after [delay]
-          milliseconds and returns a cancel thunk.  Cancelling after the
-          timer fired is a no-op. *)
+          milliseconds and returns a cancel thunk, which cancels
+          [callback]'s current arming; cancelling one that has fired is a
+          no-op.  Once an arming has fired or been cancelled, a later
+          [set_timer] with the same callback (compared physically) may
+          reuse it: both substrates keep one timer record per node and
+          callback and re-arm it without allocating, so an earlier thunk
+          called after that cancels the new arming.  A node re-arms
+          allocation-free by building its callback once and keeping only
+          the latest thunk; a callback set again while still pending gets
+          a timer of its own, and both fire. *)
   leader_of : int -> int;  (** Leader election function [L(view)]. *)
   make_payload : view:int -> parent:Block.t -> Payload.t;
       (** The fixed payload [b_v] for a block proposed at [view] extending

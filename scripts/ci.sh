@@ -44,6 +44,9 @@
 #     block of whole simulator runs, each about twice its reading;
 #   - test_sim's `alloc` group (engine fan-out, link windows) and test_net's
 #     "send and release allocate nothing" (the socket sender);
+#   - test_sim's "timer re-arm allocates nothing" and test_net's executor
+#     "re-arming allocates nothing": re-arming a node's timer callback
+#     after it fired or was cancelled allocates 0 B on either substrate;
 #   - test_net's "identical bodies decode once" (the executor's body memo:
 #     a remembered vote body allocates at least 150 B less than a decoded
 #     one).

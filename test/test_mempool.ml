@@ -561,6 +561,41 @@ let test_replay_alloc () =
   let per_cmd = !words *. word_bytes /. float_of_int !drained in
   check (Printf.sprintf "%.3f B/command under 0.1" per_cmd) true (per_cmd < 0.1)
 
+(* Under the views clock a submit time is a view slot × Δ, which a commit
+   time in ms cannot be set against: the summary prints the counts and
+   calls the latency unavailable.  Before, a 10 ms-per-view run at Δ = 1 s
+   printed a p50 of 0 and a max of the first commit's time.  The wall
+   clock still prints its percentiles. *)
+let test_views_latency_unavailable () =
+  let summary clock =
+    let spec = { Spec.default with Spec.clock; rate_per_s = 5_000. } in
+    let ing = Ingest.create ~spec ~n:4 ~view_ms:1_000. () in
+    let parent = ref Block.genesis in
+    for view = 1 to 20 do
+      let now = float_of_int view *. 10. in
+      let payload = Ingest.cut ing ~view ~parent:!parent ~now in
+      let block = Block.create ~parent:!parent ~view ~proposer:0 ~payload in
+      ignore (Ingest.on_quorum_commit ing ~payload ~time:(now +. 5.) : int);
+      parent := block
+    done;
+    let s = Ingest.summary ing in
+    check "commands committed" true (s.Ingest.committed > 0);
+    Format.asprintf "%a" Ingest.pp_summary s
+  in
+  let contains s sub =
+    let n = String.length sub in
+    let rec go i =
+      i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+    in
+    go 0
+  in
+  let views = summary Spec.Views and wall = summary Spec.Wall in
+  check "views: latency unavailable" true
+    (contains views "client latency   : unavailable");
+  check "views: no percentile" false (contains views "p50");
+  check "views: counts printed" true (contains views "committed        :");
+  check "wall: percentiles printed" true (contains wall "client latency   : p50")
+
 (* --- end-to-end: harness runs ---------------------------------------------- *)
 
 let run_with_clients ?(faults = "") ~protocol ~seed () =
@@ -708,6 +743,8 @@ let () =
           Alcotest.test_case "deterministic" `Quick test_sim_run_deterministic;
           Alcotest.test_case "on_quorum_commit allocates nothing" `Quick
             test_replay_alloc;
+          Alcotest.test_case "views clock prints no latency" `Quick
+            test_views_latency_unavailable;
           qc test_replay_properties;
         ] );
     ]

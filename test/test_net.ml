@@ -364,7 +364,9 @@ let buffered_read stream chunks =
   Unix.set_nonblock rd;
   let r = Reader.create () and got = ref [] and status = ref `Open in
   let cap = ref (Reader.capacity r) in
-  let deliver payload body = got := (payload, body) :: !got in
+  let deliver payload buf off len =
+    got := (payload, Bytes.sub_string buf off len) :: !got
+  in
   let rec read_all () =
     match Reader.read r rd deliver with
     | `Open ->
@@ -432,6 +434,42 @@ let frame_error = function
 
 (* A length prefix out of range ends the stream without growing the
    buffer, whether it arrives alone or behind a good frame. *)
+(* A frame that one read brings in whole is handed on in place: reading
+   1,000 16-byte vote-sized frames from a file allocates nothing.  While
+   every body was copied out of the buffer, it cost 32 B per frame. *)
+let reader_in_place_alloc () =
+  let body = "\x02\x05\x03\x00\x01\x02\x03\x04\x05\x06\x07\x08\x09\x0a\x0b\x0c" in
+  let file = Filename.temp_file "moonshot-frames" "" in
+  Out_channel.with_open_bin file (fun oc ->
+      for _ = 1 to 1_000 do
+        Out_channel.output_string oc (Wire.frame body)
+      done);
+  let got = ref 0 and same = ref true in
+  let deliver _ buf off len =
+    incr got;
+    if len <> String.length body || Bytes.sub_string buf off len <> body then
+      same := false
+  in
+  let read_all deliver =
+    let fd = Unix.openfile file [ Unix.O_RDONLY ] 0 in
+    let r = Reader.create () and status = ref `Open in
+    let bytes =
+      Bft_obs.Alloc.measure (fun () ->
+          while !status = `Open do
+            status := Reader.read r fd deliver
+          done)
+    in
+    Unix.close fd;
+    Alcotest.(check string) "read to EOF" "closed" (frame_error !status);
+    bytes
+  in
+  ignore (read_all deliver : float);
+  Alcotest.(check int) "every frame delivered" 1_000 !got;
+  Alcotest.(check bool) "every body intact" true !same;
+  Alcotest.(check (float 0.)) "1,000 frames in place: 0 B" 0.
+    (read_all (fun _ _ _ _ -> incr got));
+  Sys.remove file
+
 let reader_rejects_bad_length () =
   List.iter
     (fun (len, behind) ->
@@ -444,7 +482,7 @@ let reader_rejects_bad_length () =
       let good = if behind then Wire.frame "\x02\x05\x03\x00" else "" in
       Wire.write_all wr (good ^ prefix ^ String.make 64 'x');
       let got = ref 0 in
-      let status = Reader.read r rd (fun _ _ -> incr got) in
+      let status = Reader.read r rd (fun _ _ _ _ -> incr got) in
       Alcotest.(check string)
         (Printf.sprintf "length %d rejected" len)
         (Wire.error_to_string (Wire.Frame_too_large len))
@@ -479,9 +517,9 @@ let reader_limit () =
       Wire.write_all wr (Wire.frame hello ^ Wire.frame ~payload big);
       Unix.close wr;
       let got = ref [] and status = ref `Open in
-      let deliver p body =
+      let deliver p buf off len =
         if lift then Reader.set_limit r Wire.max_frame_len;
-        got := (p, body) :: !got
+        got := (p, Bytes.sub_string buf off len) :: !got
       in
       while !status = `Open do
         status := Reader.read r rd deliver
@@ -521,7 +559,7 @@ let reader_eof () =
       Unix.close wr;
       let status = ref `Open and got = ref 0 in
       while !status = `Open do
-        status := Reader.read r rd (fun _ _ -> incr got)
+        status := Reader.read r rd (fun _ _ _ _ -> incr got)
       done;
       Unix.close rd;
       Alcotest.(check string) what want (frame_error !status);
@@ -556,7 +594,7 @@ let reader_bad_trailer () =
       Unix.close wr;
       let got = ref 0 and status = ref `Open in
       while !status = `Open do
-        status := Reader.read r rd (fun _ _ -> incr got)
+        status := Reader.read r rd (fun _ _ _ _ -> incr got)
       done;
       Unix.close rd;
       Alcotest.(check string) what "bad trailer length" (frame_error !status);
@@ -697,8 +735,8 @@ let stalled_peer () =
   Alcotest.(check bool) "output left for later" true (Cm.blocked cm <> []);
   let fd, _ = Unix.accept listener in
   let reader = Reader.create () and got = ref [] and frames = ref 0 in
-  let deliver _ body =
-    got := body :: !got;
+  let deliver _ buf off len =
+    got := Bytes.sub_string buf off len :: !got;
     incr frames
   in
   let status = ref `Open and deadline = Unix.gettimeofday () +. 10. in
@@ -1310,6 +1348,11 @@ end
 
 module Ex = Executor.Make (Counted)
 
+(* [Ex.receive] of a whole string. *)
+let receive ex ~src ~payload body =
+  Ex.receive ex ~src ~payload (Bytes.unsafe_of_string body) 0
+    (String.length body)
+
 (* What left an executor: a frame body for [dst] with its trailer length, a
    release, a snapshot. *)
 type outbound = Sent of int * int * string | Released | Persisted of string
@@ -1341,7 +1384,7 @@ let executor ?faults ?(payload_bytes = 0) ~id () =
   in
   let ex =
     Ex.create policy ~id ~incarnation:0 ~wal:None ~target_blocks:100
-      ~now:(fun () -> !clock)
+      ~now_into:(fun slot i -> slot.(i) <- !clock)
       sink
       ~persist:(Some (fun s -> record (Persisted s)))
       ~on_target:ignore ~on_recover:ignore
@@ -1413,7 +1456,7 @@ let executor_output_commit () =
   let payload, proposal = view1_proposal () in
   let ex, _, out = executor ~id:2 () in
   Ex.start ex;
-  Ex.receive ex ~src:1 ~payload proposal;
+  receive ex ~src:1 ~payload proposal;
   Ex.step ex;
   check_votes_persisted (out ())
 
@@ -1444,11 +1487,66 @@ let executor_cancel_in_batch () =
   Ex.step ex;
   Alcotest.(check bool) "cancelled by an earlier timer, not fired" false !fired
 
+(* A timer is one record per callback, so re-arming the same callback
+   after it fired or was cancelled allocates nothing: no record, no cancel
+   thunk, no boxed deadline, and no heap growth, since cancelled armings
+   that fill the heap are dropped.  While every arming made a record, a
+   cancel closure and a boxed deadline, and cancelled armings grew the
+   heap until their deadlines, it cost 136 B (plus growth) on sockets. *)
+let executor_rearm_alloc () =
+  let ex, clock, _ = executor ~id:2 () in
+  Ex.start ex;
+  let fired = ref 0 in
+  let f () = incr fired in
+  let cancel = ref (Ex.set_timer ex 10. f) in
+  let rearm () = cancel := Ex.set_timer ex 10. f in
+  let fire () =
+    clock := !clock +. 20.;
+    Ex.step ex
+  in
+  Alcotest.(check (float 0.)) "500 re-arms after a cancel" 0.
+    (Test_support.Alloc.bytes (fun () ->
+         for _ = 1 to 500 do
+           !cancel ();
+           rearm ()
+         done));
+  fire ();
+  Alcotest.(check int) "only the last arming fired" 1 !fired;
+  Alcotest.(check (float 0.)) "re-arm after a fire" 0.
+    (Bft_obs.Alloc.measure rearm);
+  fire ();
+  Alcotest.(check int) "fired again" 2 !fired;
+  (* Set again while pending: a second record, and both fire. *)
+  rearm ();
+  let (_ : unit -> unit) = Ex.set_timer ex 5. f in
+  let fired1 = !fired in
+  clock := !clock +. 20.;
+  Ex.step ex;
+  Alcotest.(check int) "a pending callback set again fires twice" (fired1 + 2)
+    !fired
+
+(* Cancelled at 10 and re-armed for 30 on the same record: the entry at
+   10 is an earlier arming and must not fire the live one early. *)
+let executor_stale_arming () =
+  let ex, clock, _ = executor ~id:2 () in
+  Ex.start ex;
+  let fired = ref [] in
+  let f () = fired := !clock :: !fired in
+  let cancel = Ex.set_timer ex 10. f in
+  cancel ();
+  let (_ : unit -> unit) = Ex.set_timer ex 30. f in
+  clock := 15.;
+  Ex.step ex;
+  Alcotest.(check (list (float 0.))) "not at the stale deadline" [] !fired;
+  clock := 35.;
+  Ex.step ex;
+  Alcotest.(check (list (float 0.))) "once, at the live one" [ 35. ] !fired
+
 let executor_malformed () =
   let ex, _, out = executor ~id:2 () in
   Ex.start ex;
   let handled = !Counted.handled and sent = List.length (out ()) in
-  Ex.receive ex ~src:3 ~payload:0 "\x02\x7f\xde\xad";
+  receive ex ~src:3 ~payload:0 "\x02\x7f\xde\xad";
   Ex.step ex;
   Alcotest.(check int) "no handler ran" handled !Counted.handled;
   Alcotest.(check bool) "nothing persisted" false
@@ -1478,8 +1576,8 @@ let executor_crash_verdict () =
   (* The proposal's handler runs; its fault step sees view 11 >= 5.  Its
      vote to itself, the second copy and the due timer must not run. *)
   Counted.view_offset := 10;
-  Ex.receive ex ~src:1 ~payload proposal;
-  Ex.receive ex ~src:1 ~payload proposal;
+  receive ex ~src:1 ~payload proposal;
+  receive ex ~src:1 ~payload proposal;
   Ex.step ex;
   Counted.view_offset := 0;
   Alcotest.(check int) "only the crashing handler ran" (handled + 1)
@@ -1492,7 +1590,8 @@ let executor_crash_verdict () =
 
 (* Frames from peer 1 as the select shell hands them on: read by a
    [Frame_reader], then received by [ex]. *)
-let to_executor ex payload body = Ex.receive ex ~src:1 ~payload body
+let to_executor ex payload buf off len =
+  Ex.receive ex ~src:1 ~payload buf off len
 
 (* A frame whose trailer is not its proposal's payload is a malformed
    body: counted against its sender, no handler runs, and the stream goes
@@ -1578,7 +1677,7 @@ let view1_vote () =
   let payload, proposal = view1_proposal () in
   let ex, _, out = executor ~id:2 () in
   Ex.start ex;
-  Ex.receive ex ~src:1 ~payload proposal;
+  receive ex ~src:1 ~payload proposal;
   match
     List.find_map
       (function
@@ -1600,10 +1699,9 @@ let vote_body v =
   in
   Pm.encode_msg (Message.Vote { kind = Vote_kind.Normal; block })
 
-(* A vote body other than [body] in [body]'s memo slot: the executor
-   indexes its 64 slots by [Hashtbl.hash body land 63]. *)
+(* A vote body other than [body] in [body]'s memo slot. *)
 let same_slot body =
-  let slot b = Hashtbl.hash b land 63 in
+  let slot = Executor.memo_slot in
   let rec find v =
     let b = vote_body v in
     if slot b = slot body && b <> body then b else find (v + 1)
@@ -1637,7 +1735,7 @@ let executor_decode_once () =
   Ex.start ex;
   let sent = List.length (out ()) in
   let decoded = !Counted.decoded and from = Array.copy Counted.handled_from in
-  List.iter (fun src -> Ex.receive ex ~src ~payload:0 vote) [ 1; 2; 3 ];
+  List.iter (fun src -> receive ex ~src ~payload:0 vote) [ 1; 2; 3 ];
   Alcotest.(check int) "one decode" (decoded + 1) !Counted.decoded;
   List.iter
     (fun src ->
@@ -1648,28 +1746,28 @@ let executor_decode_once () =
   Alcotest.(check bool) "the quorum's certificate is gossiped" true
     (sent_cert_gossip ~view:1 (List.filteri (fun i _ -> i >= sent) (out ())));
   let handled = !Counted.handled in
-  Ex.receive ex ~src:3 ~payload:5 vote;
+  receive ex ~src:3 ~payload:5 vote;
   Alcotest.(check int) "wrong trailer: no handler ran" handled
     !Counted.handled;
   let garbage = "\x02\x7f\xde\xad" in
-  Ex.receive ex ~src:1 ~payload:0 garbage;
-  Ex.receive ex ~src:1 ~payload:0 garbage;
+  receive ex ~src:1 ~payload:0 garbage;
+  receive ex ~src:1 ~payload:0 garbage;
   Alcotest.(check int) "the remembered vote and garbage decode once"
     (decoded + 2) !Counted.decoded;
   let other = same_slot vote in
   List.iter
     (fun body ->
-      Ex.receive ex ~src:2 ~payload:0 body;
+      receive ex ~src:2 ~payload:0 body;
       match (!Counted.last, Pm.decode_msg body) with
       | Some m, Ok expected ->
           Alcotest.(check bool) "a shared slot: each body its own message"
             true (m = expected)
       | _ -> Alcotest.fail "no message handled")
     [ other; vote; other; vote ];
-  let receive () = Ex.receive ex ~src:1 ~payload:0 vote in
-  Ex.receive ex ~src:1 ~payload:0 other;
-  let miss = Bft_obs.Alloc.measure receive in
-  let hit = Bft_obs.Alloc.measure receive in
+  let again () = receive ex ~src:1 ~payload:0 vote in
+  receive ex ~src:1 ~payload:0 other;
+  let miss = Bft_obs.Alloc.measure again in
+  let hit = Bft_obs.Alloc.measure again in
   Alcotest.(check bool)
     (Printf.sprintf "remembered: %.0f B against %.0f B" hit miss)
     true
@@ -2036,6 +2134,55 @@ let fault_step_run sched id inc views want () =
          (v.Bft_net.Node_host.crash, v.recover))
        views)
 
+(* Under logical faults the host runs its fault step after every timer
+   callback by wrapping it; each callback is wrapped once, so the
+   transport sees the same wrapper every time the node re-arms its view
+   timer, and a substrate can re-arm its record for it.  Fired by hand
+   here, the view timer re-arms itself twice. *)
+let host_wraps_timer_once () =
+  let module H = Bft_net.Node_host.Make (Pm) in
+  let faults =
+    match Bft_faults.Fault_schedule.of_string "crash@50:3" with
+    | Ok s -> Bft_faults.Logical.of_schedule_exn ~n:4 s
+    | Error e -> Alcotest.fail e
+  in
+  let policy =
+    {
+      Bft_net.Node_host.n = 4;
+      delta = 1000.;
+      leader_of = (fun v -> v mod 4);
+      payload_bytes = 0;
+      ingest = None;
+      trace = None;
+      faults = Some faults;
+    }
+  in
+  let armed = ref [] in
+  let io =
+    {
+      Bft_net.Node_host.now = (fun () -> 0.);
+      send = (fun _ _ -> ());
+      multicast = (fun _ -> ());
+      set_timer =
+        (fun _ f ->
+          armed := f :: !armed;
+          ignore);
+    }
+  in
+  let h = H.create policy ~on_spawn:(fun _ _ -> ()) ~id:2 io in
+  H.spawn h;
+  H.start h;
+  let fire () =
+    match !armed with f :: _ -> f () | [] -> Alcotest.fail "no timer armed"
+  in
+  fire ();
+  fire ();
+  match !armed with
+  | [ c; b; a ] ->
+      Alcotest.(check bool) "one wrapper for the view timer" true
+        (a == b && b == c)
+  | l -> Alcotest.failf "%d armings, expected 3" (List.length l)
+
 (* One table, one runner: each scenario runs on the simulator, a
    threads-mode cluster and — when the scenario crashes a node — a
    process-mode cluster, which must all commit the same (height, view,
@@ -2147,6 +2294,8 @@ let () =
             Alcotest.test_case "bad length prefix" `Quick
               reader_rejects_bad_length;
             Alcotest.test_case "EOF" `Quick reader_eof;
+            Alcotest.test_case "whole frames read in place" `Quick
+              reader_in_place_alloc;
             Alcotest.test_case "sender frames bodies" `Quick sender_frames;
             Alcotest.test_case "held frame stays unwritten" `Quick
               held_frame_unwritten;
@@ -2185,6 +2334,10 @@ let () =
             executor_timer_order;
           Alcotest.test_case "cancelled in the same batch" `Quick
             executor_cancel_in_batch;
+          Alcotest.test_case "re-arming allocates nothing" `Quick
+            executor_rearm_alloc;
+          Alcotest.test_case "stale arming skipped by seq" `Quick
+            executor_stale_arming;
           Alcotest.test_case "malformed body" `Quick executor_malformed;
           Alcotest.test_case "crash verdict ends the iteration" `Quick
             executor_crash_verdict;
@@ -2222,7 +2375,11 @@ let () =
           (fun (name, sched, id, inc, views, want) ->
             Alcotest.test_case name `Quick
               (fault_step_run sched id inc views want))
-          fault_step_table );
+          fault_step_table
+        @ [
+            Alcotest.test_case "fault wrapper built once per callback" `Quick
+              host_wraps_timer_once;
+          ] );
     ]
     @ List.map
         (fun (group, cases) ->

@@ -568,10 +568,12 @@ let prop_proposal_size_monotone_in_payload =
    budget below is a deterministic reading, and each keeps the headroom
    its comment states.
 
-   This config measures about 57 B/event — at n=4 the per-view costs
+   This config measures 49.4 B/event — at n=4 the per-view costs
    (blocks, certificates, vote records, metrics conses) amortize over only
    3-wide fan-outs, so the figure is dominated by protocol allocations,
-   not engine ones.  The 120 ceiling is about twice that.  While the chain
+   not engine ones.  The 120 ceiling is more than twice that.  While every
+   timer arming allocated a record, its event wrapper and a cancel thunk,
+   it measured 56.6 B/event.  While the chain
    layer kept a parent-to-children index, collected commits in lists and
    swept proposal buffers with a closure, it measured about 88 B/event.  A
    warm-up run keeps one-time module/table initialization out of the
@@ -604,9 +606,9 @@ let alloc_budget () =
 
 (* Second tripwire: a Commit Moonshot run on 1 ms links commits a chain of
    thousands of blocks, so a commit whose cost grows with the chain height
-   shows up as bytes per committed block.  This config commits about 2200
-   blocks and measures about 4,350 B/block; the 9,000 ceiling is about
-   twice that.  Per-block bookkeeping that nothing kept (a
+   shows up as bytes per committed block.  This config commits 2198
+   blocks and measures 3,928 B/block (4,344 while every timer arming
+   allocated); the 9,000 ceiling is about twice that.  Per-block bookkeeping that nothing kept (a
    parent-to-children index, commit lists and their options, a
    signer-set record per vote key) made it about 6,700 B/block, and a
    commit that rebuilt the chain from genesis (allocating an
@@ -647,20 +649,21 @@ let alloc_budget_longchain () =
    block about 2n (votes to the next leader), so no one per-event ceiling
    fits both.  Each ceiling is about twice what its protocol measures.
 
-   Commit Moonshot measures about 16,400 B/block (28 blocks, 1,900 events
-   each); about 24,700 while each vote key cost an entry record and a
-   signer-set record besides its bits.  While times, Rng state, vote keys
+   Commit Moonshot measures 14,806 B/block (28 blocks, 1,900 events
+   each); 16,406 while every timer arming allocated a record, its event
+   wrapper and a cancel thunk, and about 24,700 while each vote key cost
+   an entry record and a signer-set record besides its bits.  While times, Rng state, vote keys
    and accumulator outcomes were still boxed per message, and while each
    commit vote allocated its (view, hash) key and each buffered proposal
    copied the pending table, it cost several times that.
 
-   Jolteon measures about 7,700 B/block (16 blocks, 80 events each);
-   about 12,400 before the chain layer stopped allocating what it does
-   not keep.  While every call to [process_pending] copied the pending
+   Jolteon measures 6,076 B/block (16 blocks, 80 events each); 7,732
+   while every timer arming allocated, and about 12,400 before the chain
+   layer stopped allocating what it does not keep.  While every call to [process_pending] copied the pending
    table it cost about 3x more per event. *)
 let wan_budget_ceiling = function
-  | Protocol_kind.Commit_moonshot -> 33_000.
-  | _ -> 16_000.
+  | Protocol_kind.Commit_moonshot -> 30_000.
+  | _ -> 12_000.
 
 let alloc_budget_wan protocol () =
   let cfg =
@@ -685,7 +688,8 @@ let alloc_budget_wan protocol () =
    no-quorum partition, healed before the recovery) with 7k cmd/s of
    wall-clock clients, 10 s simulated: every send crosses the link-window
    overlay and every committed block replays its batch of commands.  It
-   measures about 9,300 B/block; the ceiling is about twice that.  Before
+   measures 8,538 B/block (9,274 while every timer arming allocated); the
+   ceiling is about twice that.  Before
    the synchronizer kept its last request in mutable fields and built its
    retry closure once, and the chain layer stopped allocating what it
    does not keep, it measured about 14,000 B/block; while the overlay's

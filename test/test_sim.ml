@@ -31,6 +31,17 @@ let test_queue_interleaved () =
   check "late-added earlier event pops first" true (Event_queue.pop q = Some (1., 1));
   check_int "size tracks" 1 (Event_queue.size q)
 
+(* [retain] drops entries in place and the rest pop in their old order;
+   [top_seq] names the earliest entry's key. *)
+let test_queue_retain () =
+  let q = Event_queue.create () in
+  List.iter (fun v -> Event_queue.push q ~time:(float_of_int (v mod 4)) v)
+    [ 7; 2; 5; 0; 3; 6; 1; 4; 9; 8 ];
+  check_int "earliest seq: value 0, the fourth push" 3 (Event_queue.top_seq q);
+  Event_queue.retain q (fun v _ -> v mod 2 = 1);
+  let vs = List.init (Event_queue.size q) (fun _ -> Event_queue.take q) in
+  check "odd values in (time, seq) order" true (vs = [ 5; 1; 9; 7; 3 ])
+
 let test_queue_grows () =
   let q = Event_queue.create () in
   for i = 999 downto 0 do
@@ -399,6 +410,68 @@ let test_engine_timer_and_cancel () =
   c2 ();
   Engine.run e ~until:100.;
   check "only uncancelled timer fired" true (!fired = [ 1 ])
+
+(* Owned timers: one record per (node, callback), re-armed in place. *)
+
+(* Owner 0, built once: [~owner:0] would box a [Some] in the test's own
+   call. *)
+let owner0 = Some 0
+
+let test_engine_timer_rearm_alloc () =
+  let e = make_engine () in
+  let fired = ref 0 in
+  let f () = incr fired in
+  let cancel = ref (Engine.set_timer ?owner:owner0 e 10. f) in
+  let rearm () = cancel := Engine.set_timer ?owner:owner0 e 10. f in
+  check_float "re-arm after a cancel: 0 B" 0.
+    (Test_support.Alloc.bytes (fun () ->
+         !cancel ();
+         rearm ()));
+  Engine.run e ~until:50.;
+  check_int "only the last arming fired" 1 !fired;
+  check_float "re-arm after a fire: 0 B" 0. (Bft_obs.Alloc.measure rearm);
+  Engine.run e ~until:100.;
+  check_int "fired again" 2 !fired;
+  (* Every arming stays one event: two cancelled, three fired or pending. *)
+  check_int "events" 4 (Engine.stats e).Engine.events_processed
+
+let test_engine_timer_pending_twice () =
+  let e = make_engine () in
+  let at = ref [] in
+  let f () = at := Engine.now e :: !at in
+  let (_ : unit -> unit) = Engine.set_timer ?owner:owner0 e 10. f in
+  let (_ : unit -> unit) = Engine.set_timer ?owner:owner0 e 20. f in
+  Engine.run e ~until:100.;
+  check "a pending callback set again fires twice" true (List.rev !at = [ 10.; 20. ])
+
+(* A cancelled record left in the row after a crash would carry the dead
+   incarnation's epoch, so re-arming it after the recovery would never
+   fire. *)
+let test_engine_timer_crash_drops () =
+  let e = make_engine () in
+  let fired = ref 0 in
+  let f () = incr fired in
+  let cancel = Engine.set_timer ?owner:owner0 e 10. f in
+  cancel ();
+  Engine.crash e 0;
+  Engine.recover e 0;
+  let (_ : unit -> unit) = Engine.set_timer ?owner:owner0 e 10. f in
+  Engine.run e ~until:100.;
+  check_int "the new incarnation's arming fires" 1 !fired
+
+(* Cancelled at 10 and re-armed for 30 on the same record: the entry at 10
+   is an earlier arming, popped and counted but dead. *)
+let test_engine_timer_stale_seq () =
+  let e = make_engine () in
+  let at = ref [] in
+  let f () = at := Engine.now e :: !at in
+  let cancel = Engine.set_timer ?owner:owner0 e 10. f in
+  cancel ();
+  let (_ : unit -> unit) = Engine.set_timer ?owner:owner0 e 30. f in
+  Engine.run e ~until:100.;
+  check "fired once, at the live arming's time" true (!at = [ 30. ]);
+  check_int "the stale entry counts as an event" 2
+    (Engine.stats e).Engine.events_processed
 
 let test_engine_until_stops () =
   let e = make_engine () in
@@ -913,6 +986,7 @@ let () =
           Alcotest.test_case "fifo ties" `Quick test_queue_fifo_on_ties;
           Alcotest.test_case "interleaved" `Quick test_queue_interleaved;
           Alcotest.test_case "growth" `Quick test_queue_grows;
+          Alcotest.test_case "retain and top seq" `Quick test_queue_retain;
           Alcotest.test_case "rejects nan" `Quick test_queue_rejects_nan;
           Alcotest.test_case "min_time/take" `Quick test_queue_take;
           QCheck_alcotest.to_alcotest prop_queue_matches_model;
@@ -948,6 +1022,14 @@ let () =
           Alcotest.test_case "self delivery immediate" `Quick
             test_engine_self_delivery_immediate;
           Alcotest.test_case "timers + cancel" `Quick test_engine_timer_and_cancel;
+          Alcotest.test_case "timer re-arm allocates nothing" `Quick
+            test_engine_timer_rearm_alloc;
+          Alcotest.test_case "pending timer set again fires twice" `Quick
+            test_engine_timer_pending_twice;
+          Alcotest.test_case "crash drops timer records" `Quick
+            test_engine_timer_crash_drops;
+          Alcotest.test_case "stale timer entry skipped by seq" `Quick
+            test_engine_timer_stale_seq;
           Alcotest.test_case "horizon" `Quick test_engine_until_stops;
           Alcotest.test_case "drained queue advances clock" `Quick
             test_engine_drained_queue_advances_clock;
