@@ -10,7 +10,13 @@ type 'msg t = {
      an int key costs no allocation per vote, where a (view, kind, hash)
      tuple would.  The block's view is implied by its hash. *)
   votes : int Bft_crypto.Accumulator.t array;
-  certs_by_view : (int, Cert.t list) Hashtbl.t;
+  (* [certs_by_view.(v)]: the certificates recorded at view [v], newest
+     first; a view past the end has none.  A certificate's view is one
+     that a quorum reached (certificates are trusted as formed: there are
+     no signatures to check), and views are reached one after another from
+     genesis, so the array is dense and doubles to the highest view
+     recorded, 8 B per view.  A new view costs its list cell. *)
+  mutable certs_by_view : Cert.t list array;
   mutable high_cert : Cert.t;
   mutable deferred_commits : Block.t list;
 }
@@ -25,13 +31,13 @@ let create env =
         Array.init Vote_kind.count (fun _ ->
             Bft_crypto.Accumulator.create ~n:(Env.n env)
               ~threshold:(Env.quorum env));
-      certs_by_view = Hashtbl.create 64;
+      certs_by_view = Array.make 64 [];
       high_cert = Cert.genesis;
       deferred_commits = [];
     }
   in
   (* The genesis certificate is common knowledge at protocol start. *)
-  Hashtbl.replace t.certs_by_view 0 [ Cert.genesis ];
+  t.certs_by_view.(0) <- [ Cert.genesis ];
   t
 
 let env t = t.env
@@ -77,14 +83,12 @@ let add_vote t ~signer ~kind block =
       Some (Cert.make ~kind ~view:block.Block.view ~block ~signers)
   | Added _ | Duplicate | Already_complete -> None
 
-(* [find] rather than [find_opt], and a named walk rather than
-   [List.exists (Cert.equal_id c)]: every gossiped certificate lands here,
-   and neither may allocate. *)
 let certs_at t view =
-  match Hashtbl.find t.certs_by_view view with
-  | certs -> certs
-  | exception Not_found -> []
+  let certs = t.certs_by_view in
+  if view < Array.length certs then certs.(view) else []
 
+(* A named walk rather than [List.exists (Cert.equal_id c)]: every
+   gossiped certificate lands here, and it may not allocate. *)
 let rec mem_id c = function
   | [] -> false
   | c' :: rest -> Cert.equal_id c c' || mem_id c rest
@@ -94,7 +98,14 @@ let record_cert t (c : Cert.t) =
   let existing = certs_at t c.Cert.view in
   if mem_id c existing then false
   else begin
-    Hashtbl.replace t.certs_by_view c.Cert.view (c :: existing);
+    let view = c.Cert.view and certs = t.certs_by_view in
+    let len = Array.length certs in
+    if view >= len then begin
+      let grown = Array.make (Stdlib.max (view + 1) (2 * len)) [] in
+      Array.blit certs 0 grown 0 len;
+      t.certs_by_view <- grown
+    end;
+    t.certs_by_view.(view) <- c :: existing;
     if Cert.rank_gt c t.high_cert then t.high_cert <- c;
     true
   end
@@ -181,7 +192,7 @@ let rec first_gap t = function
 (* Runs after every handler (via [Sync.poke]). *)
 let first_missing t = first_gap t t.deferred_commits
 
-(* Hashtable-backed pieces (store, vote accumulator, cert table) combine
+(* Unordered pieces (store, vote accumulator, cert table) combine
    per-entry digests with addition so the result is independent of
    iteration order; ordered pieces (commit log, per-view cert lists,
    deferred list) hash as sequences. *)
@@ -223,14 +234,18 @@ let state_hash t =
     !acc
   in
   let certs_h =
-    Hashtbl.fold
-      (fun view certs acc ->
-        Int64.add acc
-          (h
-             (Hash.of_fields
-                (Int64.of_int view
-                :: List.map (fun c -> h (Cert.digest c)) certs))))
-      t.certs_by_view 0L
+    let acc = ref 0L in
+    Array.iteri
+      (fun view certs ->
+        if certs <> [] then
+          acc :=
+            Int64.add !acc
+              (h
+                 (Hash.of_fields
+                    (Int64.of_int view
+                    :: List.map (fun c -> h (Cert.digest c)) certs))))
+      t.certs_by_view;
+    !acc
   in
   let deferred_h = Hash.of_fields (List.map bh t.deferred_commits) in
   Hash.of_fields

@@ -53,7 +53,6 @@ let persist t =
         }
 
 let current_view t = t.cur_view
-let lock t = t.lock
 let timeout_view t = t.timeout_view
 let committed t = Node_core.committed t.core
 

@@ -36,7 +36,9 @@ val handle : t -> src:int -> Message.t -> unit
 (** {2 Introspection (tests, metrics)} *)
 
 val current_view : t -> int
-val lock : t -> Cert.t
+
+(** The highest view this node timed out of; a seam for the tests that
+    check it survives a WAL restart. *)
 val timeout_view : t -> int
 val committed : t -> int
 

@@ -78,7 +78,6 @@ let persist t =
         }
 
 let current_view t = t.cur_view
-let lock t = t.lock
 let committed t = Node_core.committed t.core
 
 let send_proposal t ~kind ~view ~parent wrap =

@@ -21,7 +21,6 @@ val handle : t -> src:int -> Message.t -> unit
 (** {2 Introspection (tests, metrics)} *)
 
 val current_view : t -> int
-val lock : t -> Cert.t
 val committed : t -> int
 
 module Protocol : Bft_types.Protocol_intf.S with type msg = Message.t and type node = t

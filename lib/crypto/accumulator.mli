@@ -4,8 +4,17 @@
     block-hash)]) and reports exactly once when a key first reaches the
     threshold.  This is the machinery every node uses to assemble block
     certificates, timeout certificates and commit-vote quorums from
-    multicast messages.  Each key costs one int array (its count and
-    signer bits) and its table cell; a contribution allocates nothing. *)
+    multicast messages.
+
+    A new key costs its table cell and one int array (its count and
+    signer bits: [2 + (n + 31) / 32] words with the header); a
+    contribution allocates nothing.  Once all [n] signers have
+    contributed, the key is retired: its entry points to one read-only
+    full-signer array shared by every accumulator of that [n] (every later
+    {!add} is [Duplicate], and {!fold} lists [0 .. n-1]), and its own
+    array is kept for the next new key, which then costs only its table
+    cell.  A retired key's array goes onto a free stack that grows by
+    doubling. *)
 
 type 'k t
 

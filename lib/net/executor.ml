@@ -95,7 +95,12 @@ module Make (P : Protocol_intf.S) = struct
     wal : P.wal;
     mutable last : string;  (* the last snapshot handed to [persist] *)
     host : H.t Lazy.t;  (* lazy: its transport reads the node's view *)
-    selfq : P.msg Queue.t;
+    (* Messages to itself, a ring of [self_len] from [self_head] whose
+       capacity is zero or a power of two and doubles when full, like the
+       engine's lanes: a self-delivery takes a slot, not a cell. *)
+    mutable self_msgs : P.msg array;  (* [||] until the first *)
+    mutable self_head : int;
+    mutable self_len : int;
     timers : timer Bft_sim.Event_queue.t;
     mutable timer_row : timer array;  (* [||] until the first timer *)
     mutable timer_next : int;
@@ -181,8 +186,30 @@ module Make (P : Protocol_intf.S) = struct
     Bft_sim.Event_queue.push_seq_from q t.clock arm_slot ~seq tm;
     tm.cancel
 
+  (* Doubling unrolls the ring: its entries move to [0, self_len). *)
+  let push_self t msg =
+    let old = Array.length t.self_msgs and len = t.self_len in
+    if len = old then begin
+      let msgs = Array.make (if old = 0 then 8 else 2 * old) msg in
+      for k = 0 to len - 1 do
+        msgs.(k) <- t.self_msgs.((t.self_head + k) land (old - 1))
+      done;
+      t.self_msgs <- msgs;
+      t.self_head <- 0
+    end;
+    let mask = Array.length t.self_msgs - 1 in
+    t.self_msgs.((t.self_head + len) land mask) <- msg;
+    t.self_len <- len + 1
+
+  let take_self t =
+    let h = t.self_head in
+    let msg = t.self_msgs.(h) in
+    t.self_head <- (h + 1) land (Array.length t.self_msgs - 1);
+    t.self_len <- t.self_len - 1;
+    msg
+
   let send t dst msg =
-    if dst = t.id then Queue.push msg t.selfq
+    if dst = t.id then push_self t msg
     else
       t.sink.send ~dst ~src_view:(H.view (host t))
         ~payload:(P.payload_bytes msg) (P.encode_msg msg)
@@ -191,7 +218,7 @@ module Make (P : Protocol_intf.S) = struct
     let body = P.encode_msg msg in
     let src_view = H.view (host t) and payload = P.payload_bytes msg in
     for dst = 0 to n - 1 do
-      if dst = t.id then Queue.push msg t.selfq
+      if dst = t.id then push_self t msg
       else t.sink.send ~dst ~src_view ~payload body
     done
 
@@ -214,7 +241,9 @@ module Make (P : Protocol_intf.S) = struct
         wal = H.wal_of_snapshot ~id wal;
         last = Option.value wal ~default:"";
         host = lazy (make_host ());
-        selfq = Queue.create ();
+        self_msgs = [||];
+        self_head = 0;
+        self_len = 0;
         timers = Bft_sim.Event_queue.create ();
         timer_row = [||];
         timer_next = 0;
@@ -265,8 +294,8 @@ module Make (P : Protocol_intf.S) = struct
     H.handle (host t) ~src msg
 
   let rec drain_self t =
-    if not (t.crashing || Queue.is_empty t.selfq) then begin
-      let msg = Queue.take t.selfq in
+    if not (t.crashing || t.self_len = 0) then begin
+      let msg = take_self t in
       let bytes =
         if Option.is_some t.trace then
           Wire.frame_size ~payload:(P.payload_bytes msg)

@@ -3,7 +3,9 @@
 
     {!Tcp}'s [select] shell accepts connections, hands the frame bodies
     it reads to {!Make.receive} and calls {!Make.step} once per loop
-    iteration.  The executor owns the rest: the node's self-message queue,
+    iteration.  The executor owns the rest: the node's self-message ring
+    (a message the node sends itself takes a slot of a ring that doubles
+    when full, so once it has room a self-delivery allocates nothing),
     its timers (a {!Bft_sim.Event_queue} heap read against the clock it
     is given), per-peer malformed counts, the commit and proposal
     records, and the output commit.

@@ -32,11 +32,13 @@ let create ~n () =
 
 let set_on_quorum_commit t f = t.on_quorum_commit <- Some f
 
+(* [find]/[Not_found] rather than [find_opt]: every commit of every node
+   looks its block up, and a hit may not allocate. *)
 let track t (block : Block.t) =
   let key = Hash.to_int block.Block.hash in
-  match Hashtbl.find_opt t.blocks key with
-  | Some b -> b
-  | None ->
+  match Hashtbl.find t.blocks key with
+  | b -> b
+  | exception Not_found ->
       let b =
         {
           block;
@@ -48,17 +50,17 @@ let track t (block : Block.t) =
       Hashtbl.add t.blocks key b;
       b
 
-let on_propose t ~time block =
+let on_propose t ~now block =
   let b = track t block in
   if b.created_at = None then begin
-    b.created_at <- Some time;
+    b.created_at <- Some (now ());
     t.proposed <- t.proposed + 1
   end
 
 let check_global_safety t (block : Block.t) =
-  match Hashtbl.find_opt t.height_first block.Block.height with
-  | None -> Hashtbl.add t.height_first block.Block.height block
-  | Some first ->
+  match Hashtbl.find t.height_first block.Block.height with
+  | exception Not_found -> Hashtbl.add t.height_first block.Block.height block
+  | first ->
       if not (Block.equal first block) then
         raise
           (Bft_chain.Commit_log.Safety_violation
@@ -66,7 +68,8 @@ let check_global_safety t (block : Block.t) =
                 "nodes committed conflicting blocks at height %d: %a vs %a"
                 block.Block.height Block.pp first Block.pp block))
 
-let on_commit t ~node ~time block =
+(* The clock is read once, by the commit that completes the quorum. *)
+let on_commit t ~node ~now block =
   check_global_safety t block;
   t.per_node_committed.(node) <- t.per_node_committed.(node) + 1;
   let b = track t block in
@@ -75,6 +78,7 @@ let on_commit t ~node ~time block =
       Bft_crypto.Signer_set.count b.committers = t.quorum
       && b.quorum_commit_at = None
     then begin
+      let time = now () in
       b.quorum_commit_at <- Some time;
       match t.on_quorum_commit with
       | Some f -> f ~node ~time block

@@ -29,8 +29,16 @@ val create : n:int -> unit -> t
     substrates time commits against this one value. *)
 val latency_quorum : n:int -> int
 
-val on_propose : t -> time:float -> Block.t -> unit
-val on_commit : t -> node:int -> time:float -> Block.t -> unit
+(** [on_propose t ~now block] records a proposal of [block]; [now ()] is
+    read, as its creation time, only for the first one. *)
+val on_propose : t -> now:(unit -> float) -> Block.t -> unit
+
+(** [on_commit t ~node ~now block] records [node]'s commit of [block].
+    [now ()] is the time in ms; it is read only by the commit that
+    completes the block's quorum (the [(2f+1)]-th distinct node), so any
+    other commit allocates nothing.  A run passes one [now] to every
+    call. *)
+val on_commit : t -> node:int -> now:(unit -> float) -> Block.t -> unit
 
 (** [set_on_quorum_commit t f] installs an observer invoked exactly once per
     block, at the moment the [(2f+1)]-th node commits it — the endpoint of

@@ -146,6 +146,7 @@ let run_protocol (type m) ?(on_commit = fun ~node:_ _ -> ()) ?trace
       ~msg_size ?cpu_cost ()
   in
   let metrics = Metrics.create ~n:cfg.Config.n () in
+  let now () = Bft_sim.Engine.now engine in
   (* The online monitor only exists for fault runs; an unfaulted run keeps
      the exact callback/instruction profile it had without fault support. *)
   let monitor =
@@ -254,12 +255,10 @@ let run_protocol (type m) ?(on_commit = fun ~node:_ _ -> ()) ?trace
                   ~time:(Bft_sim.Engine.now engine)
                   ~height:block.Block.height
             | None -> ());
-            Metrics.on_commit metrics ~node:id
-              ~time:(Bft_sim.Engine.now engine)
-              block;
+            Metrics.on_commit metrics ~node:id ~now block;
             on_commit ~node:id block)
           ~on_propose:(fun block ->
-            Metrics.on_propose metrics ~time:(Bft_sim.Engine.now engine) block)
+            Metrics.on_propose metrics ~now block)
           ~on_verdict:(on_verdict id));
   let hosts = !hosts in
   Array.iteri (fun id h -> if not (silent id) then H.spawn h) hosts;

@@ -39,9 +39,14 @@
 # deterministic run's words, so a pin fails on one extra allocation):
 #   - test_node_core's `alloc-pins` group: per-call costs of the codec, the
 #     WAL snapshot and the per-block chain path (new block, next-height
-#     commit, two-chain commit, first vote on a key, proposal buffers);
+#     commit, two-chain commit, first vote on a key, proposal buffers) and
+#     of the per-quorum bookkeeping: a new key on a retired key's array at
+#     n = 100 (its table cell, 32 B), a vote on a retired key (0 B), a
+#     certificate for a new view (its list cell, 24 B) and a commit below
+#     its quorum in Metrics (0 B);
 #   - test_properties' `alloc` budgets: bytes per event or per committed
-#     block of whole simulator runs, each about twice its reading;
+#     block of whole simulator runs, each two to two and a half times its
+#     reading;
 #   - test_sim's `alloc` group (engine fan-out, link windows) and test_net's
 #     "send and release allocate nothing" (the socket sender);
 #   - test_sim's "timer re-arm allocates nothing" and test_net's executor
@@ -49,7 +54,8 @@
 #     after it fired or was cancelled allocates 0 B on either substrate;
 #   - test_net's "identical bodies decode once" (the executor's body memo:
 #     a remembered vote body allocates at least 150 B less than a decoded
-#     one).
+#     one) and "self-delivery allocates nothing" (the executor's ring of
+#     messages a node sends itself).
 # Only wall-clock performance stays outside the gate: BENCHMARK.json's
 # `compare` (see benchmark/README.md) judges it on medians of repeated
 # runs rather than a single wall-clock floor.

@@ -110,6 +110,33 @@ let test_accumulator_unreachable_threshold () =
   done;
   check "never complete" false (acc_complete acc ())
 
+(* A key all n signers filled is retired onto a shared full array and its
+   own array recycled: the key still reads complete with every signer, every
+   later contribution is a duplicate, and the next new key, which takes the
+   recycled array, starts from nothing.  n = 40 spans two signer words; the
+   threshold above n keeps a filled key incomplete. *)
+let test_accumulator_filled_key () =
+  List.iter
+    (fun (n, threshold) ->
+      let label = Printf.sprintf "n=%d threshold=%d: %s" n threshold in
+      let acc = Accumulator.create ~n ~threshold in
+      for signer = n - 1 downto 0 do
+        ignore (Accumulator.add acc "full" ~signer)
+      done;
+      check (label "lists every signer") true
+        (acc_signers acc "full" = List.init n Fun.id);
+      check (label "complete") (n >= threshold) (acc_complete acc "full");
+      for signer = 0 to n - 1 do
+        check (label "duplicate") true
+          (Accumulator.add acc "full" ~signer = Accumulator.Duplicate)
+      done;
+      check (label "a new key starts empty") true
+        (Accumulator.add acc "next" ~signer:1 = Accumulator.Added 1);
+      check (label "with its one signer") true (acc_signers acc "next" = [ 1 ]);
+      check (label "the filled key unchanged") true
+        (acc_signers acc "full" = List.init n Fun.id))
+    [ (4, 3); (40, 27); (4, 5) ]
+
 (* --- certificate quorum formation (property) --------------------------------- *)
 
 (* Random vote multisets with duplicate and conflicting signers folded into a
@@ -191,6 +218,7 @@ let () =
           Alcotest.test_case "quorum semantics" `Quick test_accumulator_quorum_semantics;
           Alcotest.test_case "unreachable threshold" `Quick
             test_accumulator_unreachable_threshold;
+          Alcotest.test_case "filled key" `Quick test_accumulator_filled_key;
         ] );
       ( "cert-quorum",
         [ QCheck_alcotest.to_alcotest prop_cert_quorum_formation ] );

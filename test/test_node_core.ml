@@ -69,6 +69,24 @@ let log_heights core =
   List.tl (Bft_chain.Commit_log.to_list (Node_core.log core))
   |> List.map (fun (b : Block.t) -> b.Block.height)
 
+(* The table doubles past its first 64 views and again past 128: every
+   certificate stays on file across each growth, and the two-chain rule
+   walks across the boundaries. *)
+let test_certs_across_growth () =
+  let core = make () in
+  let certs = List.map (fun b -> B.cert b) (B.chain 200) in
+  List.iter
+    (fun c ->
+      check "recorded" true (Node_core.record_cert core c);
+      check "on file" false (Node_core.record_cert core c);
+      Node_core.commit_chains core ~depth:2 c)
+    certs;
+  check "committed through view 199" true
+    (log_heights core = List.init 199 (fun i -> i + 1));
+  List.iter
+    (fun c -> check "still on file" false (Node_core.record_cert core c))
+    certs
+
 let test_chain_commits_depth2 () =
   let core = make () in
   ignore (Node_core.record_cert core (cert_of 1));
@@ -618,6 +636,72 @@ let test_first_vote_alloc () =
     (minor_words (fun () ->
          ignore (Node_core.add_vote core ~signer:5 ~kind:Vote_kind.Normal b)))
 
+(* Core [core] at n = 100 after all 100 signers voted for [blk 1]: the
+   key is retired and its array waits for the next new key. *)
+let retired_key_core () =
+  let core = quiet_core ~n:100 () in
+  let b = blk 1 in
+  for signer = 0 to 99 do
+    ignore (Node_core.add_vote core ~signer ~kind:Vote_kind.Normal b)
+  done;
+  core
+
+(* A new key that takes a retired key's array costs only its table cell
+   (32 B).  While every key made its own array, it cost 80 B. *)
+let test_recycled_key_alloc () =
+  let core = retired_key_core () in
+  let b = blk 2 in
+  Node_core.note_block core b;
+  Alcotest.(check (float 0.)) "the table cell" 4.
+    (minor_words (fun () ->
+         ignore (Node_core.add_vote core ~signer:5 ~kind:Vote_kind.Normal b)))
+
+(* A vote on a retired key reads the shared full array: a duplicate, and
+   nothing allocated. *)
+let test_retired_key_vote_alloc () =
+  let core = retired_key_core () in
+  let b = blk 1 in
+  let result = ref (Some Cert.genesis) in
+  Alcotest.(check (float 0.)) "no words" 0.
+    (minor_words (fun () ->
+         result := Node_core.add_vote core ~signer:5 ~kind:Vote_kind.Normal b));
+  check "no certificate" true (!result = None);
+  let acc = Bft_crypto.Accumulator.create ~n:100 ~threshold:67 in
+  for signer = 0 to 99 do
+    ignore (Bft_crypto.Accumulator.add acc 1 ~signer)
+  done;
+  let outcome = ref (Bft_crypto.Accumulator.Added 0) in
+  Alcotest.(check (float 0.)) "no words in the accumulator" 0.
+    (minor_words (fun () ->
+         outcome := Bft_crypto.Accumulator.add acc 1 ~signer:5));
+  check "duplicate" true (!outcome = Bft_crypto.Accumulator.Duplicate)
+
+(* A certificate for a new view costs its list cell (24 B): the table is
+   an array indexed by view.  A hash table cost a cell per view too
+   (56 B). *)
+let test_new_view_cert_alloc () =
+  let core = quiet_core () in
+  let c = cert_of 1 in
+  Node_core.note_block core c.Cert.block;
+  Alcotest.(check (float 0.)) "the list cell" 3.
+    (minor_words (fun () -> ignore (Node_core.record_cert core c)))
+
+(* A commit that does not complete its block's quorum allocates nothing:
+   the clock is read only by the one that does, and the lookups raise
+   instead of returning options.  Two [Some]s and a boxed time cost
+   48 B. *)
+let test_commit_below_quorum_alloc () =
+  let m = Bft_obs.Metrics.create ~n:4 () in
+  let b = blk 1 in
+  let clock = [| 0. |] in
+  let now () = clock.(0) in
+  Bft_obs.Metrics.on_propose m ~now b;
+  clock.(0) <- 10.;
+  Bft_obs.Metrics.on_commit m ~node:0 ~now b;
+  clock.(0) <- 11.;
+  Alcotest.(check (float 0.)) "no words" 0.
+    (minor_words (fun () -> Bft_obs.Metrics.on_commit m ~node:1 ~now b))
+
 (* Entering a view drops the proposals buffered for older views in place.
    Pipelined Moonshot drops them when it next buffers: here, at view 3,
    a proposal for view 4 drops views 1 and 2 and costs only its own
@@ -641,10 +725,10 @@ let test_pipelined_sweep_alloc () =
    for [blk 2]; the proposal of [blk 4] carries the QC for [blk 3] and
    moves it to round 4, dropping round 2's buffer.  That costs the
    message and its buffered constructor (4 words each), the QC's list cell
-   and table cell in the certificate table (7 words), the [Via_qc] that
-   enters the round and the vote it sends (2 words each): 19 words, none
-   for the drop.  Sweeping a table of lists added a closure and a [Some]
-   per kept round. *)
+   in the certificate table (3 words), the [Via_qc] that enters the round
+   and the vote it sends (2 words each): 15 words, none for the drop.  A
+   certificate table keyed by view added a table cell (19 words), and
+   sweeping a table of lists a closure and a [Some] per kept round. *)
 let test_jolteon_sweep_alloc () =
   let node = Jolteon.Jolteon_node.create (quiet_env ~n:4 ~id:2) in
   Jolteon.Jolteon_node.start node;
@@ -656,7 +740,7 @@ let test_jolteon_sweep_alloc () =
   handle (Jolteon.Jolteon_msg.Vote { block = blk 3 });
   handle (Jolteon.Jolteon_msg.Vote { block = blk 4 });
   let block = blk 4 and qc = cert_of 3 in
-  Alcotest.(check (float 0.)) "19 words" 19.
+  Alcotest.(check (float 0.)) "15 words" 15.
     (minor_words (fun () ->
          handle (Jolteon.Jolteon_msg.Propose { block; qc; tc = None })))
 
@@ -850,6 +934,8 @@ let () =
           Alcotest.test_case "record + high" `Quick test_record_cert_and_high;
           Alcotest.test_case "kinds coexist" `Quick
             test_same_view_different_kind_both_recorded;
+          Alcotest.test_case "table across growth" `Quick
+            test_certs_across_growth;
         ] );
       ( "chain-commits",
         [
@@ -927,6 +1013,14 @@ let () =
             test_two_chain_commit_alloc;
           Alcotest.test_case "first vote on a key at n = 100" `Quick
             test_first_vote_alloc;
+          Alcotest.test_case "new key on a retired array at n = 100" `Quick
+            test_recycled_key_alloc;
+          Alcotest.test_case "vote on a retired key" `Quick
+            test_retired_key_vote_alloc;
+          Alcotest.test_case "certificate for a new view" `Quick
+            test_new_view_cert_alloc;
+          Alcotest.test_case "commit below its quorum" `Quick
+            test_commit_below_quorum_alloc;
           Alcotest.test_case "Pipelined view sweep" `Quick
             test_pipelined_sweep_alloc;
           Alcotest.test_case "Jolteon round sweep" `Quick

@@ -128,7 +128,7 @@ let test_p_cert_advances_view_and_gossips () =
     (List.exists
        (function Message.Cert_gossip c -> c.Cert.view = 1 | _ -> false)
        (Mock.multicasts mock));
-  check_int "lock adopted" 1 (Pipelined_node.lock node).Cert.view
+  check_int "lock adopted" 1 (Pipelined_node.Protocol.lock_view node)
 
 let test_p_opt_vote_when_locked_on_parent () =
   let mock, node = make_pipelined ~id:3 () in
@@ -180,7 +180,7 @@ let test_p_forms_cert_from_votes () =
   let _mock, node = make_pipelined ~id:2 () in
   deliver_peer_votes node ~kind:Vote_kind.Normal ~skip:2 (blk 1);
   check_int "advanced on locally formed cert" 2 (Pipelined_node.current_view node);
-  check_int "locked the new cert" 1 (Pipelined_node.lock node).Cert.view
+  check_int "locked the new cert" 1 (Pipelined_node.Protocol.lock_view node)
 
 let test_p_opt_and_normal_certs_do_not_mix () =
   let _mock, node = make_pipelined ~id:2 () in
@@ -324,7 +324,7 @@ let test_p_view_jump_on_future_cert () =
   let far = List.nth far_chain 9 in
   Pipelined_node.handle node ~src:0 (Message.Cert_gossip (B.cert far));
   check_int "jumped to view 11" 11 (Pipelined_node.current_view node);
-  check_int "locked the future cert" 10 (Pipelined_node.lock node).Cert.view
+  check_int "locked the future cert" 10 (Pipelined_node.Protocol.lock_view node)
 
 let test_p_stale_proposal_ignored () =
   let mock, node = make_pipelined ~id:2 () in
@@ -341,7 +341,7 @@ let test_p_timeout_carries_lock_rule () =
   let _mock, node = make_pipelined ~id:2 () in
   Pipelined_node.handle node ~src:0
     (Message.Timeout { view = 3; lock = Some (cert_of 2) });
-  check_int "lock adopted from a timeout" 2 (Pipelined_node.lock node).Cert.view;
+  check_int "lock adopted from a timeout" 2 (Pipelined_node.Protocol.lock_view node);
   check_int "and the view advanced" 3 (Pipelined_node.current_view node)
 
 let test_p_late_cert_enables_normal_vote_after_tc () =
@@ -512,7 +512,7 @@ let test_wal_restores_lock_and_view () =
   Mock.attach mock2 (fun ~src msg -> Pipelined_node.handle node2 ~src msg);
   Pipelined_node.start node2;
   check_int "view restored" 3 (Pipelined_node.current_view node2);
-  check_int "lock restored" 2 (Pipelined_node.lock node2).Cert.view;
+  check_int "lock restored" 2 (Pipelined_node.Protocol.lock_view node2);
   check_int "wal was written" (Wal.writes wal) (Wal.writes wal);
   ignore mock2
 
@@ -641,15 +641,15 @@ let test_s_lock_only_updates_on_view_entry () =
     (fun src -> Simple_node.handle node ~src (Message.Timeout { view = 3; lock = None }))
     [ 0; 1; 2 ];
   check_int "in view 4" 4 (Simple_node.current_view node);
-  check_int "lock still genesis" 0 (Simple_node.lock node).Cert.view;
+  check_int "lock still genesis" 0 (Simple_node.Protocol.lock_view node);
   (* A stale certificate arriving mid-view must NOT move the lock... *)
   Simple_node.handle node ~src:0 (Message.Cert_gossip (cert_of 1));
-  check_int "lock unchanged mid-view" 0 (Simple_node.lock node).Cert.view;
+  check_int "lock unchanged mid-view" 0 (Simple_node.Protocol.lock_view node);
   (* ...but is adopted at the next view entry. *)
   List.iter
     (fun src -> Simple_node.handle node ~src (Message.Timeout { view = 4; lock = None }))
     [ 0; 1; 2 ];
-  check_int "lock updated on entering view 5" 1 (Simple_node.lock node).Cert.view
+  check_int "lock updated on entering view 5" 1 (Simple_node.Protocol.lock_view node)
 
 let test_s_status_sent_when_lock_stale () =
   let mock, node = make_simple ~id:3 () in

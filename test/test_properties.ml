@@ -568,17 +568,20 @@ let prop_proposal_size_monotone_in_payload =
    budget below is a deterministic reading, and each keeps the headroom
    its comment states.
 
-   This config measures 49.4 B/event — at n=4 the per-view costs
+   This config measures 41.65 B/event — at n=4 the per-view costs
    (blocks, certificates, vote records, metrics conses) amortize over only
    3-wide fan-outs, so the figure is dominated by protocol allocations,
-   not engine ones.  The 120 ceiling is more than twice that.  While every
+   not engine ones.  The 84 ceiling is about twice that.  While every vote
+   key made its own array, the certificate table took a cell per view and
+   every commit boxed its time and two options, it measured 49.4 B/event
+   (ceiling 120).  While every
    timer arming allocated a record, its event wrapper and a cancel thunk,
    it measured 56.6 B/event.  While the chain
    layer kept a parent-to-children index, collected commits in lists and
    swept proposal buffers with a closure, it measured about 88 B/event.  A
    warm-up run keeps one-time module/table initialization out of the
    measurement. *)
-let alloc_budget_ceiling = 120.
+let alloc_budget_ceiling = 84.
 
 let alloc_budget () =
   let cfg =
@@ -607,15 +610,17 @@ let alloc_budget () =
 (* Second tripwire: a Commit Moonshot run on 1 ms links commits a chain of
    thousands of blocks, so a commit whose cost grows with the chain height
    shows up as bytes per committed block.  This config commits 2198
-   blocks and measures 3,928 B/block (4,344 while every timer arming
-   allocated); the 9,000 ceiling is about twice that.  Per-block bookkeeping that nothing kept (a
+   blocks and measures 3,345 B/block; the 6,700 ceiling is about twice
+   that.  It measured 3,928 (ceiling 9,000) while vote keys, the
+   certificate table and the commit clock left per-block garbage, and
+   4,344 while every timer arming allocated.  Per-block bookkeeping that nothing kept (a
    parent-to-children index, commit lists and their options, a
    signer-set record per vote key) made it about 6,700 B/block, and a
    commit that rebuilt the chain from genesis (allocating an
    (h+1)-element list per commit attempt) about 578,000 B/block (on a
    counter that undercounted the minor heap).  No warm-up: one-time
    initialization amortizes over the 2200 blocks. *)
-let longchain_budget_ceiling = 9_000.
+let longchain_budget_ceiling = 6_700.
 
 let alloc_budget_longchain () =
   let cfg =
@@ -647,17 +652,22 @@ let alloc_budget_longchain () =
    handler.  The budget is per committed block, not per event: a Commit
    Moonshot block costs about n^2 events (all-to-all votes) and a Jolteon
    block about 2n (votes to the next leader), so no one per-event ceiling
-   fits both.  Each ceiling is about twice what its protocol measures.
+   fits both.  Each ceiling is between twice and two and a half times what
+   its protocol measures.
 
-   Commit Moonshot measures 14,806 B/block (28 blocks, 1,900 events
-   each); 16,406 while every timer arming allocated a record, its event
+   Commit Moonshot measures 12,866 B/block (28 blocks, 1,914 events
+   each); 14,806 while every vote key made its own array, the
+   certificate table took a cell per view and every commit boxed its time
+   and two options; 16,406 while every timer arming allocated a record, its event
    wrapper and a cancel thunk, and about 24,700 while each vote key cost
    an entry record and a signer-set record besides its bits.  While times, Rng state, vote keys
    and accumulator outcomes were still boxed per message, and while each
    commit vote allocated its (view, hash) key and each buffered proposal
    copied the pending table, it cost several times that.
 
-   Jolteon measures 6,076 B/block (16 blocks, 80 events each); 7,732
+   Jolteon measures 4,864 B/block (16 blocks, 80 events each); 6,076
+   before the certificate table and the commit clock stopped leaving
+   per-block garbage, 7,732
    while every timer arming allocated, and about 12,400 before the chain
    layer stopped allocating what it does not keep.  While every call to [process_pending] copied the pending
    table it cost about 3x more per event. *)
@@ -688,8 +698,10 @@ let alloc_budget_wan protocol () =
    no-quorum partition, healed before the recovery) with 7k cmd/s of
    wall-clock clients, 10 s simulated: every send crosses the link-window
    overlay and every committed block replays its batch of commands.  It
-   measures 8,538 B/block (9,274 while every timer arming allocated); the
-   ceiling is about twice that.  Before
+   measures 7,617 B/block (8,538 before vote keys, the certificate table
+   and the commit clock stopped leaving per-block garbage, 9,274 while
+   every timer arming allocated); the ceiling is about two and a half
+   times that.  Before
    the synchronizer kept its last request in mutable fields and built its
    retry closure once, and the chain layer stopped allocating what it
    does not keep, it measured about 14,000 B/block; while the overlay's

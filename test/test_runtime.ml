@@ -43,14 +43,17 @@ let test_config_rejects_bad () =
 let chain = B.chain 3
 let blk v = List.nth chain (v - 1)
 
+(* A clock stopped at [time] ms. *)
+let at time () = time
+
 let test_metrics_quorum_commit () =
   let m = Metrics.create ~n:4 () in
-  Metrics.on_propose m ~time:10. (blk 1);
-  Metrics.on_commit m ~node:0 ~time:30. (blk 1);
-  Metrics.on_commit m ~node:1 ~time:35. (blk 1);
+  Metrics.on_propose m ~now:(at 10.) (blk 1);
+  Metrics.on_commit m ~node:0 ~now:(at 30.) (blk 1);
+  Metrics.on_commit m ~node:1 ~now:(at 35.) (blk 1);
   let partial = Metrics.finish m ~duration_ms:1000. in
   check_int "two commits below quorum" 0 partial.Metrics.committed_blocks;
-  Metrics.on_commit m ~node:2 ~time:40. (blk 1);
+  Metrics.on_commit m ~node:2 ~now:(at 40.) (blk 1);
   let r = Metrics.finish m ~duration_ms:1000. in
   check_int "third node completes the quorum" 1 r.Metrics.committed_blocks;
   check "latency is third commit minus creation" true
@@ -64,31 +67,31 @@ let test_latency_quorum_shared () =
       let label = Printf.sprintf "n=%d" n in
       (* The collector counts a block committed at exactly its q-th node. *)
       let m = Metrics.create ~n () in
-      Metrics.on_propose m ~time:0. (blk 1);
+      Metrics.on_propose m ~now:(at 0.) (blk 1);
       let committed () = (Metrics.finish m ~duration_ms:1.).Metrics.committed_blocks in
       for node = 0 to q - 2 do
-        Metrics.on_commit m ~node ~time:1. (blk 1)
+        Metrics.on_commit m ~node ~now:(at 1.) (blk 1)
       done;
       check_int (label ^ " metrics below quorum") 0 (committed ());
-      Metrics.on_commit m ~node:(q - 1) ~time:1. (blk 1);
+      Metrics.on_commit m ~node:(q - 1) ~now:(at 1.) (blk 1);
       check_int (label ^ " metrics at quorum") 1 (committed ());
       check_int (label ^ " sockets") q (Bft_runtime.Net_harness.quorum ~n))
     [ (4, 3); (5, 3); (6, 3); (7, 5) ]
 
 let test_metrics_dedup_per_node () =
   let m = Metrics.create ~n:4 () in
-  Metrics.on_propose m ~time:0. (blk 1);
-  Metrics.on_commit m ~node:0 ~time:10. (blk 1);
-  Metrics.on_commit m ~node:0 ~time:11. (blk 1);
-  Metrics.on_commit m ~node:0 ~time:12. (blk 1);
+  Metrics.on_propose m ~now:(at 0.) (blk 1);
+  Metrics.on_commit m ~node:0 ~now:(at 10.) (blk 1);
+  Metrics.on_commit m ~node:0 ~now:(at 11.) (blk 1);
+  Metrics.on_commit m ~node:0 ~now:(at 12.) (blk 1);
   let r = Metrics.finish m ~duration_ms:1000. in
   check_int "same node re-commits do not reach quorum" 0 r.Metrics.committed_blocks
 
 let test_metrics_creation_deduped () =
   let m = Metrics.create ~n:4 () in
-  Metrics.on_propose m ~time:5. (blk 1);
-  Metrics.on_propose m ~time:50. (blk 1);
-  List.iter (fun node -> Metrics.on_commit m ~node ~time:60. (blk 1)) [ 0; 1; 2 ];
+  Metrics.on_propose m ~now:(at 5.) (blk 1);
+  Metrics.on_propose m ~now:(at 50.) (blk 1);
+  List.iter (fun node -> Metrics.on_commit m ~node ~now:(at 60.) (blk 1)) [ 0; 1; 2 ];
   let r = Metrics.finish m ~duration_ms:1000. in
   check "first proposal timestamps creation" true (r.Metrics.latencies_ms = [ 55. ]);
   check_int "one proposed block" 1 r.Metrics.proposed_blocks
@@ -97,10 +100,10 @@ let test_metrics_global_safety () =
   let m = Metrics.create ~n:4 () in
   let a = blk 1 in
   let b = B.block ~view:2 ~parent:Block.genesis () in
-  Metrics.on_commit m ~node:0 ~time:1. a;
+  Metrics.on_commit m ~node:0 ~now:(at 1.) a;
   check "conflicting commit detected across nodes" true
     (try
-       Metrics.on_commit m ~node:1 ~time:2. b;
+       Metrics.on_commit m ~node:1 ~now:(at 2.) b;
        false
      with Bft_chain.Commit_log.Safety_violation _ -> true)
 
@@ -110,8 +113,8 @@ let test_metrics_transfer_rate () =
     Block.create ~parent:Block.genesis ~view:1 ~proposer:0
       ~payload:(Payload.make ~id:1 ~size_bytes:1000)
   in
-  Metrics.on_propose m ~time:0. heavy;
-  List.iter (fun node -> Metrics.on_commit m ~node ~time:10. heavy) [ 0; 1; 2 ];
+  Metrics.on_propose m ~now:(at 0.) heavy;
+  List.iter (fun node -> Metrics.on_commit m ~node ~now:(at 10.) heavy) [ 0; 1; 2 ];
   let r = Metrics.finish m ~duration_ms:2000. in
   check "bytes accounted" true (r.Metrics.payload_bytes_committed = 1000.);
   check "rate is bytes per second" true (r.Metrics.transfer_rate_bps = 500.)
@@ -125,7 +128,7 @@ let test_metrics_commit_without_proposal () =
     Block.create ~parent:Block.genesis ~view:1 ~proposer:0
       ~payload:(Payload.make ~id:1 ~size_bytes:1000)
   in
-  List.iter (fun node -> Metrics.on_commit m ~node ~time:10. heavy) [ 0; 1; 2 ];
+  List.iter (fun node -> Metrics.on_commit m ~node ~now:(at 10.) heavy) [ 0; 1; 2 ];
   let r = Metrics.finish m ~duration_ms:1000. in
   check_int "counted" 1 r.Metrics.committed_blocks;
   check "no latency sample" true (r.Metrics.latencies_ms = []);
@@ -175,11 +178,11 @@ let test_chain_quality () =
      the third reaches too few nodes to count. *)
   let chain4 = B.chain 4 in
   let b1 = List.nth chain4 0 and b2 = List.nth chain4 1 and b3 = List.nth chain4 2 in
-  List.iter (fun b -> Metrics.on_propose m ~time:0. b) [ b1; b2; b3 ];
-  List.iter (fun node -> Metrics.on_commit m ~node ~time:10. b1) [ 0; 1; 2 ];
-  List.iter (fun node -> Metrics.on_commit m ~node ~time:20. b2) [ 0; 1; 2 ];
+  List.iter (fun b -> Metrics.on_propose m ~now:(at 0.) b) [ b1; b2; b3 ];
+  List.iter (fun node -> Metrics.on_commit m ~node ~now:(at 10.) b1) [ 0; 1; 2 ];
+  List.iter (fun node -> Metrics.on_commit m ~node ~now:(at 20.) b2) [ 0; 1; 2 ];
   (* b3 committed by too few nodes. *)
-  Metrics.on_commit m ~node:0 ~time:30. b3;
+  Metrics.on_commit m ~node:0 ~now:(at 30.) b3;
   let r = Metrics.finish m ~duration_ms:1000. in
   let q = Metrics.chain_quality r in
   (* Proposers come from the round-robin builder: view v block by (v-1) mod 4. *)
