@@ -159,15 +159,6 @@ module Make (P : Protocol_intf.S) :
 
   let timed_timer f () = bracket timer f ()
 
-  (* The wrapper made for [f] in [wraps], or [f] itself when there is
-     none: a search that allocates nothing. *)
-  let rec wrap_of f = function
-    | [] -> f
-    | (k, g) :: rest -> if k == f then g else wrap_of f rest
-
-  (* Wrappers kept per node; protocols arm at most three callbacks. *)
-  let wrap_slots = 4
-
   let wrap_env (env : msg Env.t) =
     {
       env with
@@ -182,28 +173,19 @@ module Make (P : Protocol_intf.S) :
           env.Env.multicast m;
           leave multicast);
       set_timer =
-        (let wraps = ref [] in
+        (let wrap = Bft_sim.Timer_row.wrap_once timed_timer in
          fun delay f ->
           (* Each distinct callback is wrapped once, so the substrate sees
              the same callback on every re-arm, as it would unwrapped, and
              the [env.set_timer] row reads its own re-arm cost.  A new
              wrapper is hidden from the open call, inline: a float passed
              to a function would be boxed. *)
-          let g = wrap_of f !wraps in
-          let g =
-            if g != f then g
-            else begin
-              let w0 = Gc.minor_words () in
-              let g = timed_timer f in
-              wraps :=
-                (f, g) :: List.filteri (fun i _ -> i < wrap_slots - 1) !wraps;
-              let st = stack () in
-              let d = st.depth - 1 in
-              if d >= 0 then
-                st.nested.(d) <- st.nested.(d) +. (Gc.minor_words () -. w0);
-              g
-            end
-          in
+          let w0 = Gc.minor_words () in
+          let g = wrap f in
+          let st = stack () in
+          let d = st.depth - 1 in
+          if d >= 0 then
+            st.nested.(d) <- st.nested.(d) +. (Gc.minor_words () -. w0);
           enter ();
           let cancel = env.Env.set_timer delay g in
           leave set_timer;

@@ -15,11 +15,6 @@ let sum_slot = 0
 let max_slot = 1
 let create () = { counts = Array.make buckets 0; total = 0; acc = [| 0.; 0. |] }
 
-let clear t =
-  Array.fill t.counts 0 buckets 0;
-  t.total <- 0;
-  Array.fill t.acc 0 2 0.
-
 (* Inlined into [add_from], so [v] is never boxed. *)
 let[@inline] index_of v =
   if v <= base_v then 0
@@ -63,12 +58,3 @@ let quantile t q =
     let b = bounds.(!found) in
     if b > t.acc.(max_slot) then t.acc.(max_slot) else b
   end
-
-let merge ~into t =
-  for i = 0 to buckets - 1 do
-    into.counts.(i) <- into.counts.(i) + t.counts.(i)
-  done;
-  into.total <- into.total + t.total;
-  into.acc.(sum_slot) <- into.acc.(sum_slot) +. t.acc.(sum_slot);
-  if t.acc.(max_slot) > into.acc.(max_slot) then
-    into.acc.(max_slot) <- t.acc.(max_slot)

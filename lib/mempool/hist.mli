@@ -10,7 +10,6 @@
 type t
 
 val create : unit -> t
-val clear : t -> unit
 
 (** [add_from t times i] records the sample [times.(i)] (negative values
     clamp to zero).  The sample comes in a slot because a float passed
@@ -23,6 +22,3 @@ val max_value : t -> float
 
 (** [quantile t q] for [q] in [0, 1]; 0 when empty. *)
 val quantile : t -> float -> float
-
-(** Fold [t]'s samples into [into]. *)
-val merge : into:t -> t -> unit

@@ -27,23 +27,7 @@ type sink = {
   release : unit -> unit;
 }
 
-(* One callback's timer, armed again once idle (fired or cancelled), as in
-   {!Bft_sim.Engine}: the record and its cancel thunk are made once.  Each
-   arming takes a seq; a heap entry whose seq is not the record's current
-   one is an earlier arming, and a cancelled arming stays on the heap too:
-   both are skipped when popped. *)
-type timer = {
-  action : unit -> unit;
-  mutable seq : int;  (* the current arming's *)
-  mutable armed : bool;  (* neither fired nor cancelled *)
-  cancel : unit -> unit;
-}
-
-(* Whether a heap entry is its record's current, armed arming. *)
-let live tm seq = tm.armed && tm.seq = seq
-
-(* Timer records kept for reuse, overwritten round robin. *)
-let timer_slots = 4
+module Timer_row = Bft_sim.Timer_row
 
 (* The timer heap's size below which dead entries wait to be popped: the
    heap's initial capacity. *)
@@ -101,9 +85,10 @@ module Make (P : Protocol_intf.S) = struct
     mutable self_msgs : P.msg array;  (* [||] until the first *)
     mutable self_head : int;
     mutable self_len : int;
-    timers : timer Bft_sim.Event_queue.t;
-    mutable timer_row : timer array;  (* [||] until the first timer *)
-    mutable timer_next : int;
+    (* The heap holds the timer records themselves, so their handles are
+       unused. *)
+    timers : unit Timer_row.t Bft_sim.Event_queue.t;
+    timer_row : unit Timer_row.rows;  (* one row: this node's *)
     mutable compact_at : int;  (* the heap size that drops dead entries *)
     clock : float array;  (* times in slots, unboxed *)
     malformed : int array;
@@ -134,39 +119,6 @@ module Make (P : Protocol_intf.S) = struct
       H.emit (host t) Trace.(Fault Crash)
     end
 
-  let fresh_timer action =
-    let rec tm =
-      { action; seq = -1; armed = false; cancel = (fun () -> tm.armed <- false) }
-    in
-    tm
-
-  (* The idle record for [action], or a fresh one put in the row. *)
-  let timer_for t action =
-    let row = t.timer_row in
-    let len = Array.length row in
-    let i = ref 0 in
-    while
-      !i < len
-      &&
-      let tm = Array.unsafe_get row !i in
-      tm.armed || tm.action != action
-    do
-      incr i
-    done;
-    if !i < len then Array.unsafe_get row !i
-    else begin
-      let tm = fresh_timer action in
-      if len = 0 then begin
-        t.timer_row <- Array.make timer_slots tm;
-        t.timer_next <- 1
-      end
-      else begin
-        Array.unsafe_set row t.timer_next tm;
-        t.timer_next <- (t.timer_next + 1) mod timer_slots
-      end;
-      tm
-    end
-
   (* Cancelled and replaced armings stay on the heap until their deadline,
      a view timeout after they were armed, which a run of short views
      reaches only after hundreds of armings; once they fill the heap they
@@ -174,17 +126,14 @@ module Make (P : Protocol_intf.S) = struct
   let set_timer t delay action =
     let q = t.timers in
     if Bft_sim.Event_queue.size q >= t.compact_at then begin
-      Bft_sim.Event_queue.retain q live;
+      Bft_sim.Event_queue.retain q Timer_row.live;
       t.compact_at <- max compact_floor (2 * Bft_sim.Event_queue.size q)
     end;
-    let tm = timer_for t action in
-    let seq = Bft_sim.Event_queue.take_seq q in
-    tm.seq <- seq;
-    tm.armed <- true;
+    let tm = Timer_row.claim t.timer_row 0 action () in
     t.now_into t.clock arm_slot;
     t.clock.(arm_slot) <- t.clock.(arm_slot) +. delay;
-    Bft_sim.Event_queue.push_seq_from q t.clock arm_slot ~seq tm;
-    tm.cancel
+    Timer_row.arm tm q t.clock arm_slot tm;
+    Timer_row.cancel tm
 
   (* Doubling unrolls the ring: its entries move to [0, self_len). *)
   let push_self t msg =
@@ -245,8 +194,7 @@ module Make (P : Protocol_intf.S) = struct
         self_head = 0;
         self_len = 0;
         timers = Bft_sim.Event_queue.create ();
-        timer_row = [||];
-        timer_next = 0;
+        timer_row = Timer_row.rows 1;
         compact_at = compact_floor;
         clock = Array.make 3 0.;
         malformed = Array.make policy.n 0;
@@ -345,8 +293,7 @@ module Make (P : Protocol_intf.S) = struct
 
   (* Pops in deadline order, FIFO on ties, against the time in
      [clock.(step_slot)]; a timer set by a callback joins the batch when it
-     is already due.  A record is disarmed before its callback runs, which
-     may arm it again. *)
+     is already due. *)
   let rec fire_due t =
     let q = t.timers in
     if (not t.crashing) && not (Bft_sim.Event_queue.is_empty q) then begin
@@ -354,10 +301,9 @@ module Make (P : Protocol_intf.S) = struct
       if t.clock.(deadline_slot) <= t.clock.(step_slot) then begin
         let seq = Bft_sim.Event_queue.top_seq q in
         let tm = Bft_sim.Event_queue.take q in
-        if live tm seq then begin
-          tm.armed <- false;
+        if Timer_row.live tm seq then begin
           t.ran <- true;
-          tm.action ()
+          Timer_row.fire tm
         end;
         fire_due t
       end

@@ -12,12 +12,9 @@
 
     {2 Timers}
 
-    A timer is one record per callback (compared physically), kept for
-    reuse as in {!Bft_sim.Engine.set_timer}: once an arming has fired or
-    been cancelled, the next {!Make.set_timer} with the same callback arms
-    the same record and allocates nothing, cancel thunk and deadline
-    included.  A callback set again while still pending takes a fresh
-    record, and both fire.  An incarnation keeps at most four records.
+    Timers follow {!Bft_sim.Timer_row}'s re-arm contract, one row per
+    incarnation, as on the engine.  The deadline goes to the heap from a
+    float slot, so re-arming an idle callback boxes nothing either.
 
     {2 Output commit}
 

@@ -110,36 +110,15 @@ module Make (P : Protocol_intf.S) = struct
         let v = Fault_step.step s ~view:(view t) in
         if v.crash || v.recover <> [] then t.on_verdict v
 
-  (* [set_timer] with the fault step run after each callback.  Each distinct
-     callback (compared physically) is wrapped once, so a substrate that
-     keeps one timer record per callback sees the same callback on every
-     re-arm; the last [wrap_slots] wrappers are kept, overwritten round
-     robin. *)
-  let wrap_slots = 4
-
+  (* [set_timer] with the fault step run after each callback, each
+     callback wrapped once so a substrate can re-arm its record. *)
   let with_fault_step t set_timer =
-    let keys = Array.make wrap_slots ignore
-    and wraps = Array.make wrap_slots ignore
-    and filled = ref 0
-    and next = ref 0 in
-    fun delay f ->
-      let i = ref 0 in
-      while !i < !filled && Array.unsafe_get keys !i != f do
-        incr i
-      done;
-      if !i < !filled then set_timer delay (Array.unsafe_get wraps !i)
-      else begin
-        let g () =
+    let wrap =
+      Bft_sim.Timer_row.wrap_once (fun f () ->
           f ();
-          fault_step t
-        in
-        let k = !next in
-        keys.(k) <- f;
-        wraps.(k) <- g;
-        next := (k + 1) mod wrap_slots;
-        filled := max !filled (k + 1);
-        set_timer delay g
-      end
+          fault_step t)
+    in
+    fun delay f -> set_timer delay (wrap f)
 
   let env t =
     let io = t.io and p = t.policy and id = t.id in

@@ -35,8 +35,9 @@ type stats = {
    stacks and the next send claims them back.  Each cell and run is
    allocated together with its own event wrapper (tied by [c_ev] /
    [r_ev]), so re-enqueueing costs zero allocations.  A node's timer is
-   likewise one record per callback, re-armed in place (see [timer]
-   below); one-off scheduled actions keep a closure.
+   likewise one {!Timer_row} record per callback, re-armed in place, its
+   [Timer] wrapper made once with it; one-off scheduled actions keep a
+   closure.
 
    Message entries additionally carry the destination's incarnation epoch
    at send time: crashing a node bumps its epoch, so in-flight events
@@ -46,7 +47,11 @@ type 'msg event =
   | Msg of 'msg cell
   | Run of 'msg run
   | Lane of 'msg lane
-  | Timer of 'msg timer
+  | Timer of {
+      owner : int;  (* -1 = unowned; survives crashes *)
+      epoch : int;
+      tm : 'msg event Timer_row.t;  (* its handle is this wrapper *)
+    }
   | Thunk of (unit -> unit)
 
 and 'msg cell = {
@@ -89,28 +94,6 @@ and 'msg lane = {
   mutable l_len : int;
   l_ev : 'msg event;
 }
-
-(* One callback's timer.  Outside a capture hook, an owned record stays in
-   its owner's row ([timer_rows]) and is armed again once idle (fired or
-   cancelled), so a node that re-arms the same callback every view
-   allocates nothing: the record, its [Timer] wrapper and its cancel thunk
-   are made once.  Each arming takes the seq a fresh push would have
-   taken, and a heap entry whose seq is not the record's current one is an
-   earlier arming: popped and counted as before, but dead.  A row is
-   dropped when its node crashes, so a row's records always carry the
-   owner's current epoch. *)
-and 'msg timer = {
-  owner : int;  (* -1 = unowned; survives crashes *)
-  epoch : int;
-  action : unit -> unit;
-  mutable seq : int;  (* the current arming's; unused under capture *)
-  mutable armed : bool;  (* neither fired nor cancelled *)
-  tm_ev : 'msg event;  (* this record's own [Timer] wrapper *)
-  cancel : unit -> unit;  (* disarms the current arming *)
-}
-
-(* Records kept per node: every protocol re-arms at most three callbacks. *)
-let timer_slots = 4
 
 (* Node index width inside a run or lane slot; the epoch occupies the bits
    above.  Bounds n at 2^21 nodes, far past any simulated world. *)
@@ -155,11 +138,9 @@ type 'msg t = {
   mutable cell_pool_len : int;
   mutable run_pool : 'msg run array;
   mutable run_pool_len : int;
-  (* [timer_rows.(i)]: node [i]'s timer records, at most [timer_slots]
-     ([||] until its first timer and after a crash); a miss overwrites slot
-     [timer_next.(i)], round robin. *)
-  timer_rows : 'msg timer array array;
-  timer_next : int array;
+  (* Node [i]'s owned timer records, dropped when it crashes, so a row's
+     records always carry the owner's current epoch. *)
+  timer_rows : 'msg event Timer_row.rows;
   (* The filter, link windows and tap default to no-ops; the [_installed]
      flags let the per-message path skip them entirely in the common
      uninstrumented, unpartitioned run.  The windows read the time from
@@ -230,8 +211,7 @@ let create ~n ~network ~seed ~msg_size ?cpu_cost () =
     cell_pool_len = 0;
     run_pool = [||];
     run_pool_len = 0;
-    timer_rows = Array.make n [||];
-    timer_next = Array.make n 0;
+    timer_rows = Timer_row.rows n;
     filter = (fun ~src:_ ~dst:_ -> true);
     filter_installed = false;
     windows = Link_windows.empty;
@@ -466,7 +446,7 @@ let inspect = function
       (* Runs and lanes are never created under a capture hook, and only
          captured events are inspectable. *)
       assert false
-  | Timer tm -> Pending_timer { owner = tm.owner }
+  | Timer { owner; _ } -> Pending_timer { owner }
   | Thunk _ -> Pending_task
 
 let set_link_filter t f =
@@ -502,7 +482,7 @@ let crash t i =
     t.epochs.(i) <- t.epochs.(i) + 1;
     t.handlers.(i) <- (fun ~src:_ _ -> ());
     t.cpu_free.(i) <- 0.;
-    t.timer_rows.(i) <- [||]
+    Timer_row.drop t.timer_rows i
   end
 
 (* Recovery only clears the down flag; the caller installs a fresh handler
@@ -668,86 +648,46 @@ let multicast t ~src msg =
       else fanout_run t ~src ~size msg
   end
 
-let fresh_timer ~owner ~epoch f =
-  let rec tm =
-    {
-      owner;
-      epoch;
-      action = f;
-      seq = -1;
-      armed = false;
-      tm_ev = Timer tm;
-      cancel = (fun () -> tm.armed <- false);
-    }
-  in
-  tm
-
-(* [owner]'s idle record for [f], or a fresh one put in the row. *)
-let owned_timer t owner f =
-  let row = t.timer_rows.(owner) in
-  let len = Array.length row in
-  let i = ref 0 in
-  while
-    !i < len
-    &&
-    let tm = Array.unsafe_get row !i in
-    tm.armed || tm.action != f
-  do
-    incr i
-  done;
-  if !i < len then Array.unsafe_get row !i
-  else begin
-    let tm = fresh_timer ~owner ~epoch:t.epochs.(owner) f in
-    if len = 0 then begin
-      t.timer_rows.(owner) <- Array.make timer_slots tm;
-      t.timer_next.(owner) <- 1
-    end
-    else begin
-      let k = t.timer_next.(owner) in
-      Array.unsafe_set row k tm;
-      t.timer_next.(owner) <- (k + 1) mod timer_slots
-    end;
-    tm
-  end
+(* The handle of a record whose [Timer] wrapper is not made yet: static,
+   so a fresh record allocates no placeholder. *)
+let untied = Thunk ignore
 
 let set_timer ?(owner = -1) t delay f =
   if delay < 0. then invalid_arg "Engine.set_timer: negative delay";
-  let epoch = if owner >= 0 then t.epochs.(owner) else 0 in
-  match t.capture with
+  (* Under a capture hook, whose owner may hold the event, every arming
+     takes a record of its own. *)
+  let tm =
+    if owner < 0 || t.capture_installed then Timer_row.create untied f
+    else Timer_row.claim t.timer_rows owner f untied
+  in
+  if Timer_row.handle tm == untied then begin
+    let epoch = if owner >= 0 then t.epochs.(owner) else 0 in
+    Timer_row.set_handle tm (Timer { owner; epoch; tm })
+  end;
+  (match t.capture with
   | Some hook ->
-      (* The hook's owner may hold the event: a record of its own. *)
-      let tm = fresh_timer ~owner ~epoch f in
-      tm.armed <- true;
-      hook tm.tm_ev;
-      tm.cancel
+      Timer_row.hold tm;
+      hook (Timer_row.handle tm)
   | None ->
-      let tm =
-        if owner >= 0 then owned_timer t owner f
-        else fresh_timer ~owner ~epoch f
-      in
-      let seq = Event_queue.take_seq t.queue in
-      tm.seq <- seq;
-      tm.armed <- true;
       Array.unsafe_set t.times time_slot (clock t +. delay);
-      Event_queue.push_seq_from t.queue t.times time_slot ~seq tm.tm_ev;
-      note_size t;
-      tm.cancel
+      Timer_row.arm tm t.queue t.times time_slot (Timer_row.handle tm);
+      note_size t);
+  Timer_row.cancel tm
 
 let schedule_at t time f =
   if time < clock t then invalid_arg "Engine.schedule_at: time in the past";
   enqueue t ~time (Thunk f)
 
-let timer_live t tm =
-  tm.armed
-  && (tm.owner < 0
-     || ((not t.down.(tm.owner)) && t.epochs.(tm.owner) = tm.epoch))
+(* Whether a timer's owner is still the incarnation that armed it. *)
+let owner_live t ~owner ~epoch =
+  owner < 0 || ((not t.down.(owner)) && t.epochs.(owner) = epoch)
 
-(* Disarmed before the callback runs, which may arm the record again. *)
-let fire t tm =
-  if timer_live t tm then begin
-    tm.armed <- false;
-    tm.action ()
-  end
+let pending_live t = function
+  | Msg c -> (not t.down.(c.c_dst)) && t.epochs.(c.c_dst) = c.c_epoch
+  | Run _ | Lane _ -> assert false (* never captured; see [inspect] *)
+  | Timer { owner; epoch; tm } ->
+      Timer_row.armed tm && owner_live t ~owner ~epoch
+  | Thunk _ -> true
 
 let exec t = function
   | Msg c ->
@@ -761,15 +701,9 @@ let exec t = function
       release_cell t c;
       if is_deliver then deliver t ~src ~dst ~epoch msg
       else process t ~src ~dst ~epoch msg
-  | Timer tm -> fire t tm
+  | Timer { tm; _ } as ev -> if pending_live t ev then Timer_row.fire tm
   | Thunk f -> f ()
   | Run _ | Lane _ -> assert false (* consumed in place by [run] *)
-
-let pending_live t = function
-  | Msg c -> (not t.down.(c.c_dst)) && t.epochs.(c.c_dst) = c.c_epoch
-  | Run _ | Lane _ -> assert false (* never captured; see [inspect] *)
-  | Timer tm -> timer_live t tm
-  | Thunk _ -> true
 
 let dispatch t ev =
   t.stats.events_processed <- t.stats.events_processed + 1;
@@ -851,11 +785,12 @@ let run t ~until =
         match Event_queue.top q with
         | Run r -> step_run t r
         | Lane l -> step_lane t l
-        | Timer tm ->
+        | Timer { owner; epoch; tm } ->
             let seq = Event_queue.top_seq q in
             ignore (Event_queue.take q : _ event);
             t.stats.events_processed <- t.stats.events_processed + 1;
-            if seq = tm.seq then fire t tm
+            if Timer_row.live tm seq && owner_live t ~owner ~epoch then
+              Timer_row.fire tm
         | (Msg _ | Thunk _) as ev ->
             ignore (Event_queue.take q : _ event);
             dispatch t ev

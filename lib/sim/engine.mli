@@ -113,17 +113,12 @@ val multicast : 'msg t -> src:int -> 'msg -> unit
     timer is quenched (also after a later recovery).  Unowned timers (the
     default) always fire.
 
-    An owned timer is one record per (owner, callback [f], compared
-    physically), kept for reuse: once an arming has fired or been
-    cancelled, the next [set_timer] with the same [f] arms the same
-    record again, and allocates nothing, thunk included.  Setting [f]
-    again while it is still pending takes a fresh record, so both
-    armings fire.  An arming takes the same (time, seq) key a fresh event
-    would, and an arming that was replaced stays in the heap until popped,
-    counted in [events_processed] as a cancelled timer is, so event order
-    and counts are those of one record per arming.  Each node keeps at
-    most four records; a crash drops them.  Under a capture hook every
-    arming takes a fresh record, since the hook's owner holds events. *)
+    An owned timer follows {!Timer_row}'s re-arm contract, in the owner's
+    row; a crash drops the row.  A stale arming popped from the heap
+    counts in [events_processed] as a cancelled timer does, so event
+    order and counts are those of one record per arming.  An unowned
+    timer, and under a capture hook every timer, takes a fresh record,
+    since the hook's owner holds events. *)
 val set_timer : ?owner:int -> 'msg t -> float -> (unit -> unit) -> unit -> unit
 
 (** [schedule_at t time f] runs [f] at absolute [time] (>= now). *)

@@ -43,7 +43,9 @@ val take_seqs : 'a t -> int -> int
     two entries with the same key pop in an unspecified order. *)
 val push_seq_from : 'a t -> float array -> int -> seq:int -> 'a -> unit
 
-(** Earliest event, or [None] when empty. *)
+(** Earliest event, or [None] when empty.  Test seam: the reference drain
+    test_sim's queue-model checks compare {!min_time_into} and {!take}
+    against. *)
 val pop : 'a t -> (float * 'a) option
 
 (** [min_time_into t times i] stores the time of the earliest event in

@@ -12,4 +12,3 @@ val percentile : float -> float list -> float
 
 val min : float list -> float
 val max : float list -> float
-val sum : float list -> float

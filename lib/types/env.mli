@@ -17,14 +17,12 @@ type 'msg t = {
       (** [set_timer delay callback] schedules [callback] after [delay]
           milliseconds and returns a cancel thunk, which cancels
           [callback]'s current arming; cancelling one that has fired is a
-          no-op.  Once an arming has fired or been cancelled, a later
-          [set_timer] with the same callback (compared physically) may
-          reuse it: both substrates keep one timer record per node and
-          callback and re-arm it without allocating, so an earlier thunk
-          called after that cancels the new arming.  A node re-arms
-          allocation-free by building its callback once and keeping only
-          the latest thunk; a callback set again while still pending gets
-          a timer of its own, and both fire. *)
+          no-op.  A later [set_timer] with the same callback (compared
+          physically) may reuse the timer, so a node keeps only the latest
+          thunk: an earlier one may cancel the new arming.  A node that
+          builds its callback once re-arms it without allocating; a
+          callback set again while still pending fires twice.  Both
+          substrates implement this through [Bft_sim.Timer_row]. *)
   leader_of : int -> int;  (** Leader election function [L(view)]. *)
   make_payload : view:int -> parent:Block.t -> Payload.t;
       (** The fixed payload [b_v] for a block proposed at [view] extending

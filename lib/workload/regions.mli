@@ -4,21 +4,12 @@
     Nodes are distributed evenly across the regions round-robin, exactly as
     in the evaluation setting. *)
 
-type region = Us_east_1 | Us_west_1 | Eu_north_1 | Ap_northeast_1 | Ap_southeast_2
-
-(** The five regions, in Table II order. *)
-val all : region list
-
-(** [List.length all], i.e. 5. *)
+(** The number of regions, 5. *)
 val count : int
 
-(** The AWS region name, e.g. ["us-east-1"]. *)
-val name : region -> string
-
-(** Row/column of the region in {!table}, [0 .. count - 1]. *)
-val index : region -> int
-
-(** The raw 5x5 latency table, indexed by {!index}. *)
+(** The raw 5x5 latency table, source rows and destination columns in
+    Table II order: us-east-1, us-west-1, eu-north-1, ap-northeast-1,
+    ap-southeast-2. *)
 val table : float array array
 
 (** The {!Bft_sim.Latency.t} model for a WAN built from the table: node

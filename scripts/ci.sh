@@ -33,7 +33,8 @@
 #                                the gate on a work-in-progress tree only
 #                                flags dirt the build itself introduced
 #
-# On exit, pass or fail, the script prints each step's wall seconds.
+# On exit, pass or fail, the script prints each step's wall seconds and
+# the line counts of the .ml/.mli files in lib/, bin/, bench/ and test/.
 #
 # Allocation is gated in step 2, exactly (Bft_obs.Alloc counts a
 # deterministic run's words, so a pin fails on one extra allocation):
@@ -52,6 +53,10 @@
 #   - test_sim's "timer re-arm allocates nothing" and test_net's executor
 #     "re-arming allocates nothing": re-arming a node's timer callback
 #     after it fired or was cancelled allocates 0 B on either substrate;
+#     both substrates arm through lib/sim's Timer_row, whose own group in
+#     test_sim (`timer-row`) pins a claimed idle record and a memoized
+#     wrapper at 0 B, and checks the row's overflow, the armed flag and
+#     the seq test that the substrates' pins rely on;
 #   - test_net's "identical bodies decode once" (the executor's body memo:
 #     a remembered vote body allocates at least 150 B less than a decoded
 #     one) and "self-delivery allocates nothing" (the executor's ring of
@@ -88,6 +93,11 @@ summary() {
   printf '\n==> step wall seconds\n'
   for i in "${!step_names[@]}"; do
     printf '%6d s  %s\n' "${step_secs[$i]}" "${step_names[$i]}"
+  done
+  printf '\n==> lines of .ml/.mli\n'
+  for dir in lib bin bench test; do
+    printf '%8d  %s\n' \
+      "$(find "$dir" -name '*.ml' -o -name '*.mli' | xargs cat | wc -l)" "$dir"
   done
   return $status
 }

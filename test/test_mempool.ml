@@ -93,16 +93,6 @@ let test_hist_quantiles () =
   check "p100 capped at max" true (Hist.quantile h 1.0 = 1000.);
   check "mean exact" true (Float.abs (Hist.mean h -. 500.5) < 1e-6)
 
-let test_hist_merge_and_clear () =
-  let a = Hist.create () and b = Hist.create () in
-  hist_add a 1.;
-  hist_add b 100.;
-  Hist.merge ~into:a b;
-  check_int "merged count" 2 (Hist.count a);
-  check "merged max" true (Hist.max_value a = 100.);
-  Hist.clear a;
-  check_int "cleared" 0 (Hist.count a)
-
 (* The histogram as it was while the sum and the maximum were mutable
    float fields, kept as the reference for the slot-based one. *)
 module Ref_hist = struct
@@ -704,7 +694,6 @@ let () =
       ( "hist",
         [
           Alcotest.test_case "quantiles" `Quick test_hist_quantiles;
-          Alcotest.test_case "merge/clear" `Quick test_hist_merge_and_clear;
           qc test_hist_matches_reference;
         ] );
       ( "arrival",

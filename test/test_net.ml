@@ -1549,6 +1549,34 @@ let executor_stale_arming () =
   Ex.step ex;
   Alcotest.(check (list (float 0.))) "once, at the live one" [ 35. ] !fired
 
+(* Five distinct callbacks overflow the row of [Timer_row.slots] (with
+   the node's own view timer, six): each still fires once, at its own
+   deadline, and the callback whose record was overwritten still fires
+   when armed again. *)
+let executor_row_overflow () =
+  let ex, clock, _ = executor ~id:2 () in
+  Ex.start ex;
+  let fired = ref [] in
+  let fs = Array.init 5 (fun i () -> fired := (i, !clock) :: !fired) in
+  Array.iteri
+    (fun i f ->
+      let (_ : unit -> unit) = Ex.set_timer ex (float_of_int (10 * (i + 1))) f in
+      ())
+    fs;
+  for k = 1 to 5 do
+    clock := float_of_int (10 * k);
+    Ex.step ex
+  done;
+  Alcotest.(check (list (pair int (float 0.))))
+    "each once, at its deadline"
+    [ (0, 10.); (1, 20.); (2, 30.); (3, 40.); (4, 50.) ]
+    (List.rev !fired);
+  let (_ : unit -> unit) = Ex.set_timer ex 10. fs.(0) in
+  clock := 60.;
+  Ex.step ex;
+  Alcotest.(check (pair int (float 0.)))
+    "the overwritten callback fires again" (0, 60.) (List.hd !fired)
+
 let executor_malformed () =
   let ex, _, out = executor ~id:2 () in
   Ex.start ex;
@@ -2221,6 +2249,35 @@ let host_wraps_timer_once () =
         (a == b && b == c)
   | l -> Alcotest.failf "%d armings, expected 3" (List.length l)
 
+(* Five distinct callbacks, besides the node's own view timer, overflow
+   the host's wrapper memo: the fifth is still wrapped, so its fault step
+   runs after it and crashes the node at its anchor. *)
+let host_wraps_fifth_callback () =
+  let faults =
+    match Bft_faults.Fault_schedule.of_string "crash@5:2" with
+    | Ok s -> Bft_faults.Logical.of_schedule_exn ~n:4 s
+    | Error e -> Alcotest.fail e
+  in
+  let ex, clock, _ = executor ~faults ~id:2 () in
+  Ex.start ex;
+  let env = Option.get !Counted.env in
+  let fired = Array.make 5 0 in
+  Array.iteri
+    (fun i f ->
+      let (_ : unit -> unit) = env.Env.set_timer (float_of_int (10 * (i + 1))) f in
+      ())
+    (Array.init 5 (fun i () -> fired.(i) <- fired.(i) + 1));
+  clock := 45.;
+  Ex.step ex;
+  Alcotest.(check bool) "running below the anchor" true (Ex.running ex);
+  Counted.view_offset := 10;
+  clock := 55.;
+  Ex.step ex;
+  Counted.view_offset := 0;
+  Alcotest.(check (array int)) "each fired once" [| 1; 1; 1; 1; 1 |] fired;
+  Alcotest.(check bool) "the fifth's fault step crashed the node" true
+    (Ex.crashed ex)
+
 (* One table, one runner: each scenario runs on the simulator, a
    threads-mode cluster and — when the scenario crashes a node — a
    process-mode cluster, which must all commit the same (height, view,
@@ -2376,6 +2433,7 @@ let () =
             executor_rearm_alloc;
           Alcotest.test_case "stale arming skipped by seq" `Quick
             executor_stale_arming;
+          Alcotest.test_case "timer row overflow" `Quick executor_row_overflow;
           Alcotest.test_case "malformed body" `Quick executor_malformed;
           Alcotest.test_case "crash verdict ends the iteration" `Quick
             executor_crash_verdict;
@@ -2419,6 +2477,8 @@ let () =
         @ [
             Alcotest.test_case "fault wrapper built once per callback" `Quick
               host_wraps_timer_once;
+            Alcotest.test_case "fifth callback still wrapped" `Quick
+              host_wraps_fifth_callback;
           ] );
     ]
     @ List.map

@@ -222,10 +222,68 @@ let test_lso_protocol_happy_path () =
   check "LSO sends fewer proposal bytes" true
     (lso.Harness.bytes_sent < lco.Harness.bytes_sent)
 
+(* --- Timer callbacks per node --------------------------------------------------- *)
+
+(* [P] with the physically distinct callbacks each node hands
+   [Env.set_timer] counted, and its nodes kept to read their views. *)
+module Count_timers (P : Protocol_intf.S) = struct
+  include P
+
+  let callbacks = Array.make 4 []
+  let nodes = ref []
+
+  let create ?equivocate ?wal (env : msg Env.t) =
+    let id = env.Env.id in
+    let set_timer delay f =
+      if not (List.memq f callbacks.(id)) then
+        callbacks.(id) <- f :: callbacks.(id);
+      env.Env.set_timer delay f
+    in
+    let nd = P.create ?equivocate ?wal { env with Env.set_timer } in
+    nodes := nd :: !nodes;
+    nd
+end
+
+(* A node's timer row holds [Timer_row.slots] records; a protocol that
+   re-armed more distinct callbacks would overwrite its own records and
+   allocate on every arming.  With one silent node, a quarter of the views
+   time out, so the timeout path arms its callbacks too. *)
+let test_timer_callbacks_fit_row () =
+  List.iter
+    (fun kind ->
+      match Protocol_kind.impl kind with
+      | Protocol_kind.Impl (module P) ->
+          let module C = Count_timers (P) in
+          let cfg =
+            { (Config.local kind ~n:4) with f_actual = 1; duration_ms = 40_000. }
+          in
+          let (_ : Harness.run_result) = Harness.run_protocol (module C) cfg in
+          let name = Protocol_kind.name kind in
+          let views =
+            List.fold_left (fun m nd -> max m (C.current_view nd)) 0 !C.nodes
+          in
+          check (Printf.sprintf "%s: %d views, at least 200" name views) true
+            (views >= 200);
+          Array.iteri
+            (fun id fs ->
+              let k = List.length fs in
+              check
+                (Printf.sprintf "%s node %d: %d callbacks within %d slots" name
+                   id k Bft_sim.Timer_row.slots)
+                true
+                (k <= Bft_sim.Timer_row.slots))
+            C.callbacks)
+    Protocol_kind.all
+
 let () =
   Alcotest.run "runtime"
     [
       ("protocol-kind", [ Alcotest.test_case "names" `Quick test_kind_names_roundtrip ]);
+      ( "timers",
+        [
+          Alcotest.test_case "callbacks per node fit the row" `Quick
+            test_timer_callbacks_fit_row;
+        ] );
       ( "config",
         [
           Alcotest.test_case "defaults valid" `Quick test_config_defaults_valid;

@@ -184,6 +184,98 @@ let prop_runs_match_single_events =
       done;
       !from_runs = !from_single)
 
+(* --- Timer rows ------------------------------------------------------------------ *)
+
+let noop_timer i () = ignore (Sys.opaque_identity i)
+
+(* An idle record is claimed again; an armed one is not, so a callback set
+   again while pending gets a second record. *)
+let test_row_claims_idle () =
+  let rows = Timer_row.rows 1 and q = Event_queue.create () in
+  let f = noop_timer 0 and times = [| 5. |] in
+  let tm = Timer_row.claim rows 0 f () in
+  check "idle: the same record" true (Timer_row.claim rows 0 f () == tm);
+  Timer_row.arm tm q times 0 tm;
+  let tm2 = Timer_row.claim rows 0 f () in
+  check "armed: a fresh record" true (tm2 != tm);
+  Timer_row.arm tm2 q times 0 tm2;
+  Timer_row.cancel tm ();
+  check "cancelled: idle again" true (Timer_row.claim rows 0 f () == tm);
+  Timer_row.drop rows 0;
+  check "dropped: a fresh record" true (Timer_row.claim rows 0 f () != tm)
+
+(* The row keeps the newest [slots] records: a fifth callback overwrites
+   the first one's, and the other four are still claimed again. *)
+let test_row_overwrites_oldest () =
+  let rows = Timer_row.rows 1 in
+  let fs = Array.init (Timer_row.slots + 1) noop_timer in
+  let tms = Array.map (fun f -> Timer_row.claim rows 0 f ()) fs in
+  for i = 1 to Timer_row.slots do
+    check (Printf.sprintf "callback %d kept" i) true
+      (Timer_row.claim rows 0 fs.(i) () == tms.(i))
+  done;
+  check "the oldest overwritten" true (Timer_row.claim rows 0 fs.(0) () != tms.(0))
+
+(* Only the latest arming's entry is live, and only while armed; firing
+   disarms before the callback runs. *)
+let test_row_live_by_seq () =
+  let q = Event_queue.create () and times = [| 1. |] in
+  let armed_in_callback = ref true and self = ref None in
+  let tm =
+    Timer_row.create () (fun () ->
+        armed_in_callback := Timer_row.armed (Option.get !self))
+  in
+  self := Some tm;
+  Timer_row.arm tm q times 0 tm;
+  let first = Event_queue.top_seq q in
+  Timer_row.arm tm q times 0 tm;
+  check "the earlier arming is stale" false (Timer_row.live tm first);
+  check "the later one is live" true (Timer_row.live tm (first + 1));
+  Timer_row.fire tm;
+  check "disarmed before its callback" false !armed_in_callback;
+  check "fired: not live" false (Timer_row.live tm (first + 1))
+
+(* One wrapper per callback, also past [slots] callbacks: an overwritten
+   callback is wrapped anew, and every wrapper runs its own callback. *)
+let test_wrap_once () =
+  let ran = ref [] and made = ref 0 in
+  let wrap =
+    Timer_row.wrap_once (fun f ->
+        incr made;
+        fun () ->
+          f ();
+          ran := "wrapped" :: !ran)
+  in
+  let fs = Array.init (Timer_row.slots + 1) (fun i () -> ran := string_of_int i :: !ran) in
+  let gs = Array.map wrap fs in
+  check_int "one wrapper each" (Timer_row.slots + 1) !made;
+  for i = 1 to Timer_row.slots do
+    check (Printf.sprintf "callback %d: the same wrapper" i) true (wrap fs.(i) == gs.(i))
+  done;
+  check_int "no new wrapper" (Timer_row.slots + 1) !made;
+  gs.(Timer_row.slots) ();
+  check "the fifth runs wrapped" true (!ran = [ "wrapped"; string_of_int Timer_row.slots ]);
+  let g0 = wrap fs.(0) in
+  check "the overwritten one wrapped anew" true (g0 != gs.(0) && g0 != fs.(0));
+  ran := [];
+  g0 ();
+  check "and still runs it" true (!ran = [ "wrapped"; "0" ])
+
+(* Claiming an idle record and wrapping a wrapped callback allocate
+   nothing. *)
+let test_row_hits_alloc () =
+  let rows = Timer_row.rows 1 and f = noop_timer 0 in
+  let wrap = Timer_row.wrap_once (fun f () -> f ()) in
+  let (_ : unit Timer_row.t) = Timer_row.claim rows 0 f () in
+  let (_ : unit -> unit) = wrap f in
+  check_float "claim hit: 0 B" 0.
+    (Test_support.Alloc.bytes (fun () ->
+         ignore (Sys.opaque_identity (Timer_row.claim rows 0 f ()))));
+  check_float "wrap hit: 0 B" 0.
+    (Test_support.Alloc.bytes (fun () ->
+         let (_ : unit -> unit) = Sys.opaque_identity (wrap f) in
+         ()))
+
 (* --- RNG ------------------------------------------------------------------------ *)
 
 let test_rng_deterministic () =
@@ -472,6 +564,28 @@ let test_engine_timer_stale_seq () =
   check "fired once, at the live arming's time" true (!at = [ 30. ]);
   check_int "the stale entry counts as an event" 2
     (Engine.stats e).Engine.events_processed
+
+(* Five distinct callbacks on one node overflow its row of
+   [Timer_row.slots]: each still fires once, at its own deadline, and the
+   callback whose record was overwritten still fires when armed again. *)
+let test_engine_timer_row_overflow () =
+  let e = make_engine () in
+  let fired = ref [] in
+  let fs = Array.init 5 (fun i () -> fired := (i, Engine.now e) :: !fired) in
+  Array.iteri
+    (fun i f ->
+      let (_ : unit -> unit) =
+        Engine.set_timer ?owner:owner0 e (float_of_int (10 * (i + 1))) f
+      in
+      ())
+    fs;
+  Engine.run e ~until:100.;
+  check "each once, at its deadline" true
+    (List.rev !fired = [ (0, 10.); (1, 20.); (2, 30.); (3, 40.); (4, 50.) ]);
+  let (_ : unit -> unit) = Engine.set_timer ?owner:owner0 e 10. fs.(0) in
+  Engine.run e ~until:200.;
+  check "the overwritten callback fires again" true
+    (List.hd !fired = (0, 110.))
 
 let test_engine_until_stops () =
   let e = make_engine () in
@@ -992,6 +1106,15 @@ let () =
           QCheck_alcotest.to_alcotest prop_queue_matches_model;
           QCheck_alcotest.to_alcotest prop_runs_match_single_events;
         ] );
+      ( "timer-row",
+        [
+          Alcotest.test_case "claims an idle record" `Quick test_row_claims_idle;
+          Alcotest.test_case "overwrites the oldest" `Quick
+            test_row_overwrites_oldest;
+          Alcotest.test_case "live by seq" `Quick test_row_live_by_seq;
+          Alcotest.test_case "wrap once" `Quick test_wrap_once;
+          Alcotest.test_case "hits allocate nothing" `Quick test_row_hits_alloc;
+        ] );
       ( "rng",
         [
           Alcotest.test_case "deterministic" `Quick test_rng_deterministic;
@@ -1030,6 +1153,8 @@ let () =
             test_engine_timer_crash_drops;
           Alcotest.test_case "stale timer entry skipped by seq" `Quick
             test_engine_timer_stale_seq;
+          Alcotest.test_case "timer row overflow" `Quick
+            test_engine_timer_row_overflow;
           Alcotest.test_case "horizon" `Quick test_engine_until_stops;
           Alcotest.test_case "drained queue advances clock" `Quick
             test_engine_drained_queue_advances_clock;
