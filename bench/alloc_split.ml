@@ -1,6 +1,7 @@
 (* Where a run's heap bytes go, per protocol layer entry point.
 
-     dune exec bench/main.exe -- alloc
+     dune exec bench/main.exe -- alloc            # all four workloads
+     dune exec bench/main.exe -- alloc wan-n100   # one workload's two legs
 
    Four legs, each for Commit Moonshot and Jolteon, through [Make], a
    [Protocol_intf.S] wrapper that brackets every message handler (by
@@ -406,8 +407,19 @@ let sim_legs ~workload config =
   sim_leg ~workload config Kind.Commit_moonshot (module Split_cm);
   sim_leg ~workload config Kind.Jolteon (module Split_j)
 
-let run () =
-  sim_legs ~workload:"wan-n100" wan_config;
-  sim_legs ~workload:"lan-longchain" lan_config;
-  sim_legs ~workload:"chaos-clients" chaos_config;
-  sockets ~blocks:socket_blocks
+let by_workload =
+  [
+    ("wan-n100", fun () -> sim_legs ~workload:"wan-n100" wan_config);
+    ("lan-longchain", fun () -> sim_legs ~workload:"lan-longchain" lan_config);
+    ("chaos-clients", fun () -> sim_legs ~workload:"chaos-clients" chaos_config);
+    ("net-wal", fun () -> sockets ~blocks:socket_blocks);
+  ]
+
+let workloads = List.map fst by_workload
+
+(* [workload], when given, is one of [workloads]. *)
+let run ?workload () =
+  List.iter
+    (fun (name, legs) ->
+      if Option.fold ~none:true ~some:(String.equal name) workload then legs ())
+    by_workload

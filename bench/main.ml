@@ -12,7 +12,8 @@
 
    [alloc] prints the per-layer allocation split of the [wan-n100],
    [lan-longchain], [chaos-clients] and [net-wal] benchmark workloads (see
-   Alloc_split); it writes no BENCH file.
+   Alloc_split); it writes no BENCH file.  [alloc WORKLOAD] (one of those
+   four names) runs only that workload's two legs.
 
    [mc], [chaos] and [clients] write BENCH_mc.json, BENCH_faults.json and
    BENCH_clients.json through Bench_file: each file's rows are built once
@@ -32,7 +33,9 @@ let usage () =
   print_endline
     "usage: main.exe \
      [table1|table2|table3|fig6|fig7|fig8|fig9|fairness|chaos|clients|ablations|micro|alloc|mc|mc-smoke|mc-swarm-smoke|smoke|n1000|all] \
-     [--full] [--jobs N]";
+     [--full] [--jobs N]\n\
+     \       main.exe alloc \
+     [wan-n100|lan-longchain|chaos-clients|net-wal]";
   exit 1
 
 let parse_args args =
@@ -76,7 +79,7 @@ let () =
     in
     { base with Experiments.jobs }
   in
-  let dispatch target =
+  let dispatch (target, workload) =
     match target with
     | "table1" ->
         Experiments.table1 ();
@@ -95,7 +98,7 @@ let () =
         Experiments.ablation_block_period scale;
         Experiments.ablation_lso scale
     | "micro" -> Micro.run ()
-    | "alloc" -> Alloc_split.run ()
+    | "alloc" -> Alloc_split.run ?workload ()
     | "n1000" -> Experiments.scale_beyond scale
     | "mc" -> Mc.run ~jobs ~full ()
     | "mc-smoke" -> Mc.smoke ()
@@ -131,13 +134,19 @@ let () =
         Format.printf "unknown experiment %S@." other;
         usage ()
   in
-  let expanded =
-    List.concat_map
-      (function
-        | "all" ->
-            [ "table1"; "table2"; "table3"; "fig6"; "fig7"; "fig8"; "fig9";
-              "fairness"; "chaos"; "clients"; "ablations"; "micro" ]
-        | t -> [ t ])
-      targets
+  (* A target with no workload of its own, or [alloc] and the workload
+     name after it. *)
+  let rec expand = function
+    | [] -> []
+    | "all" :: rest ->
+        List.map
+          (fun t -> (t, None))
+          [ "table1"; "table2"; "table3"; "fig6"; "fig7"; "fig8"; "fig9";
+            "fairness"; "chaos"; "clients"; "ablations"; "micro" ]
+        @ expand rest
+    | "alloc" :: w :: rest when List.mem w Alloc_split.workloads ->
+        ("alloc", Some w) :: expand rest
+    | t :: rest -> (t, None) :: expand rest
   in
+  let expanded = expand targets in
   List.iter dispatch expanded

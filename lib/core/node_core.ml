@@ -9,14 +9,23 @@ type 'msg t = {
      by [Hash.to_int] of the block hash, the block's identity in the store:
      an int key costs no allocation per vote, where a (view, kind, hash)
      tuple would.  The block's view is implied by its hash. *)
-  votes : int Bft_crypto.Accumulator.t array;
+  votes : Bft_crypto.Accumulator.t array;
+  (* The sum of the digests of every key that reached its quorum: the
+     accumulators forget completed keys, [state_hash] must not.  A late
+     vote's inert tally (see [Accumulator]) is digested as open. *)
+  completed : Hash.Sum.t;
   (* [certs_by_view.(v)]: the certificates recorded at view [v], newest
      first; a view past the end has none.  A certificate's view is one
      that a quorum reached (certificates are trusted as formed: there are
      no signatures to check), and views are reached one after another from
      genesis, so the array is dense and doubles to the highest view
-     recorded, 8 B per view.  A new view costs its list cell. *)
+     recorded, 8 B per view.  A new view costs its list cell.  A view
+     past the array's reach (see [reach_margin]), which a peer can name
+     but no run reaches, goes to [far] instead; a later growth that
+     covers it moves it into the array. *)
   mutable certs_by_view : Cert.t list array;
+  mutable recorded : int;  (* views holding a certificate *)
+  mutable far : (int, Cert.t list) Hashtbl.t option;
   mutable high_cert : Cert.t;
   mutable deferred_commits : Block.t list;
 }
@@ -31,7 +40,10 @@ let create env =
         Array.init Vote_kind.count (fun _ ->
             Bft_crypto.Accumulator.create ~n:(Env.n env)
               ~threshold:(Env.quorum env));
+      completed = Hash.Sum.create ();
       certs_by_view = Array.make 64 [];
+      recorded = 1;
+      far = None;
       high_cert = Cert.genesis;
       deferred_commits = [];
     }
@@ -64,48 +76,97 @@ let try_deferred t =
 let note_block t b =
   if Block_store.insert t.store b then try_deferred t
 
+let far_at t view =
+  match t.far with
+  | None -> []
+  | Some far -> (
+      match Hashtbl.find far view with l -> l | exception Not_found -> [])
+
+let certs_at t view =
+  let certs = t.certs_by_view in
+  if view < Array.length certs then certs.(view) else far_at t view
+
+(* Whether [certs], one view's, hold a [kind] certificate for [block]
+   ([Cert.equal_id] within a view), so that a certificate need not be
+   built to be looked up.  A named walk rather than [List.exists] with a
+   closure: every vote quorum and gossiped certificate lands here, and it
+   may not allocate. *)
+let rec holds ~kind (block : Block.t) = function
+  | [] -> false
+  | (c : Cert.t) :: rest ->
+      (Vote_kind.equal c.Cert.kind kind && Block.equal c.Cert.block block)
+      || holds ~kind block rest
+
 let add_vote t ~signer ~kind block =
   note_block t block;
-  match
-    Bft_crypto.Accumulator.add
-      t.votes.(Vote_kind.to_tag kind)
-      (Hash.to_int block.Block.hash) ~signer
-  with
+  let tag = Vote_kind.to_tag kind and key = Hash.to_int block.Block.hash in
+  match Bft_crypto.Accumulator.add t.votes.(tag) key ~signer with
   | Threshold_reached ->
+      let view = block.Block.view in
+      Hash.Sum.add4 t.completed view tag key 1;
       (* The completing vote is the quorum-th. *)
       let signers = Env.quorum t.env in
       (match t.env.Env.probe with
       | Some probe ->
           probe
             (Probe.Cert_formed
-               { view = block.Block.view; height = block.Block.height; signers })
+               { view; height = block.Block.height; signers })
       | None -> ());
-      Some (Cert.make ~kind ~view:block.Block.view ~block ~signers)
+      (* Every caller files a formed certificate with [record_cert], which
+         refuses one it holds. *)
+      if holds ~kind block (certs_at t view) then None
+      else Some (Cert.make ~kind ~view ~block ~signers)
   | Added _ | Duplicate | Already_complete -> None
 
-let certs_at t view =
-  let certs = t.certs_by_view in
-  if view < Array.length certs then certs.(view) else []
+(* How far past the views holding a certificate the array may grow: a
+   peer can name any view, and each certificate it files can then extend
+   the array by a bounded amount only, at most [4 * recorded + 2 *
+   reach_margin] slots in all.  A node that catches up on more than this
+   many views files the first of them in [far]. *)
+let reach_margin = 1024
 
-(* A named walk rather than [List.exists (Cert.equal_id c)]: every
-   gossiped certificate lands here, and it may not allocate. *)
-let rec mem_id c = function
-  | [] -> false
-  | c' :: rest -> Cert.equal_id c c' || mem_id c rest
+let grow t view =
+  let certs = t.certs_by_view in
+  let len = Array.length certs in
+  let grown = Array.make (Stdlib.max (view + 1) (2 * len)) [] in
+  Array.blit certs 0 grown 0 len;
+  t.certs_by_view <- grown;
+  match t.far with
+  | None -> ()
+  | Some far ->
+      Hashtbl.filter_map_inplace
+        (fun v l ->
+          if v < Array.length grown then begin
+            grown.(v) <- l;
+            None
+          end
+          else Some l)
+        far
 
 let record_cert t (c : Cert.t) =
   note_block t c.Cert.block;
-  let existing = certs_at t c.Cert.view in
-  if mem_id c existing then false
+  let view = c.Cert.view in
+  let existing = certs_at t view in
+  if holds ~kind:c.Cert.kind c.Cert.block existing then false
   else begin
-    let view = c.Cert.view and certs = t.certs_by_view in
-    let len = Array.length certs in
-    if view >= len then begin
-      let grown = Array.make (Stdlib.max (view + 1) (2 * len)) [] in
-      Array.blit certs 0 grown 0 len;
-      t.certs_by_view <- grown
+    (match existing with [] -> t.recorded <- t.recorded + 1 | _ :: _ -> ());
+    if view < Array.length t.certs_by_view then
+      t.certs_by_view.(view) <- c :: existing
+    else if view < (2 * t.recorded) + reach_margin then begin
+      grow t view;
+      t.certs_by_view.(view) <- c :: existing
+    end
+    else begin
+      let far =
+        match t.far with
+        | Some far -> far
+        | None ->
+            let far = Hashtbl.create 8 in
+            t.far <- Some far;
+            far
+      in
+      Hashtbl.replace far view (c :: existing)
     end;
-    t.certs_by_view.(view) <- c :: existing;
     if Cert.rank_gt c t.high_cert then t.high_cert <- c;
     true
   end
@@ -204,47 +265,50 @@ let state_hash t =
   in
   let log_h = Hash.of_fields (List.map bh (Commit_log.to_list t.log)) in
   let votes_h =
-    let acc = ref 0L in
+    let acc = ref (Hash.to_int64 (Hash.Sum.value t.completed)) in
     Array.iteri
       (fun tag votes ->
         acc :=
           Bft_crypto.Accumulator.fold
             (fun bkey ~signers ~complete acc ->
-              (* A vote's block is noted before the vote counts, so the
-                 store holds it. *)
-              let view =
-                match Block_store.find_key t.store bkey with
-                | Some b -> b.Block.view
-                | None -> assert false
-              in
-              (* Once complete, extra signers are behaviorally inert (the
-                 certificate is already out; late votes only feed dedup), so
-                 they are excluded — post-quorum vote-arrival orders
-                 collapse. *)
-              Int64.add acc
-                (h
-                   (Hash.of_fields
-                      (Int64.of_int view :: Int64.of_int tag
-                     :: Int64.of_int bkey
-                      ::
-                      (if complete then [ 1L ]
-                       else 0L :: List.map Int64.of_int signers)))))
+              if complete then acc
+              else
+                (* A vote's block is noted before the vote counts, so the
+                   store holds it. *)
+                let view =
+                  match Block_store.find_key t.store bkey with
+                  | Some b -> b.Block.view
+                  | None -> assert false
+                in
+                (* Once complete, extra signers are behaviorally inert (the
+                   certificate is already out; late votes only feed dedup),
+                   so a completed key's digest, in [completed], names no
+                   signers: post-quorum vote-arrival orders collapse. *)
+                Int64.add acc
+                  (h
+                     (Hash.of_fields
+                        (Int64.of_int view :: Int64.of_int tag
+                       :: Int64.of_int bkey :: 0L
+                        :: List.map Int64.of_int signers))))
             votes !acc)
       t.votes;
     !acc
   in
   let certs_h =
+    let view_h view certs =
+      h
+        (Hash.of_fields
+           (Int64.of_int view :: List.map (fun c -> h (Cert.digest c)) certs))
+    in
     let acc = ref 0L in
     Array.iteri
       (fun view certs ->
-        if certs <> [] then
-          acc :=
-            Int64.add !acc
-              (h
-                 (Hash.of_fields
-                    (Int64.of_int view
-                    :: List.map (fun c -> h (Cert.digest c)) certs))))
+        if certs <> [] then acc := Int64.add !acc (view_h view certs))
       t.certs_by_view;
+    Option.iter
+      (Hashtbl.iter (fun view certs ->
+           acc := Int64.add !acc (view_h view certs)))
+      t.far;
     !acc
   in
   let deferred_h = Hash.of_fields (List.map bh t.deferred_commits) in

@@ -18,12 +18,21 @@ val note_block : 'msg t -> Block.t -> unit
 
 (** [add_vote t ~signer ~kind block] accumulates a vote.  Returns the
     freshly completed certificate when this vote was the one that reached a
-    quorum (at most once per (view, kind, block)), and reports it as a
-    {!Bft_types.Probe.Cert_formed} event in traced runs. *)
+    quorum (at most once per (view, kind, block)), and reports the quorum
+    as a {!Bft_types.Probe.Cert_formed} event in traced runs.  Returns
+    [None] at the quorum too when the node already holds a [kind]
+    certificate for [block] (from gossip or a proposal): {!record_cert}
+    would refuse it, so none is built.  A vote on a key completed
+    long ago (see [Bft_crypto.Accumulator]'s late votes) forms none for
+    the same reason. *)
 val add_vote : 'msg t -> signer:int -> kind:Vote_kind.t -> Block.t -> Cert.t option
 
 (** [record_cert t c] files a certificate in the per-view table.  Returns
-    [false] when an identical certificate was already recorded.  Does not
+    [false] when an identical certificate was already recorded.  The table
+    is an array indexed by view up to a reach of twice the views holding
+    a certificate plus 1,024; a view past it (a peer can name any view)
+    goes to a sparse table instead, so no certificate grows memory by
+    more than a bounded amount.  Does not
     run the commit rule — callers do that via {!commit_chains} so they
     control ordering relative to their other rules. *)
 val record_cert : 'msg t -> Cert.t -> bool

@@ -19,7 +19,8 @@ type t = {
   tmo : Timeout_agg.t;
   (* Keyed by [Hash.to_int] of the block hash, as [Node_core]'s votes are;
      see [on_commit_vote]. *)
-  commit_votes : int Bft_crypto.Accumulator.t;
+  commit_votes : Bft_crypto.Accumulator.t;
+  commit_completed : Hash.Sum.t;  (* as [Node_core]'s [completed] *)
   pending : pending View_buffer.t;
   timeout_sent : (int, unit) Hashtbl.t;
   commit_voted : (int, Block.t) Hashtbl.t;  (* Hash.to_int -> block *)
@@ -300,6 +301,7 @@ let create ?(precommit = false) ?(equivocate = false) ?(lso = false) ?wal env =
     tmo = Timeout_agg.create env;
     commit_votes =
       Bft_crypto.Accumulator.create ~n:(Env.n env) ~threshold:(Env.quorum env);
+    commit_completed = Hash.Sum.create ();
     pending = View_buffer.create ~dummy:(P_opt Block.genesis);
     timeout_sent = Hashtbl.create 16;
     commit_voted = Hashtbl.create 64;
@@ -347,12 +349,11 @@ let on_timeout t ~src view lock =
 let on_commit_vote t ~src view (block : Block.t) =
   Node_core.note_block t.core block;
   if view = block.Block.view then
-    match
-      Bft_crypto.Accumulator.add t.commit_votes
-        (Hash.to_int block.Block.hash)
-        ~signer:src
-    with
-    | Threshold_reached -> Node_core.commit t.core block
+    let key = Hash.to_int block.Block.hash in
+    match Bft_crypto.Accumulator.add t.commit_votes key ~signer:src with
+    | Threshold_reached ->
+        Hash.Sum.add3 t.commit_completed view key 1;
+        Node_core.commit t.core block
     | Added _ | Duplicate | Already_complete -> ()
 
 let handle t ~src msg =
@@ -431,21 +432,24 @@ let state_hash t =
   let commit_votes_h =
     Bft_crypto.Accumulator.fold
       (fun bkey ~signers ~complete acc ->
-        (* A commit vote's block is noted before the vote counts, and only
-           a vote at the block's view counts. *)
-        let view =
-          match Bft_chain.Block_store.find_key (Node_core.store t.core) bkey with
-          | Some b -> b.Block.view
-          | None -> assert false
-        in
-        Int64.add acc
-          (h
-             (Hash.of_fields
-                (Int64.of_int view :: Int64.of_int bkey
-                ::
-                (if complete then [ 1L ]
-                 else 0L :: List.map Int64.of_int signers)))))
-      t.commit_votes 0L
+        if complete then acc
+        else
+          (* A commit vote's block is noted before the vote counts, and
+             only a vote at the block's view counts. *)
+          let view =
+            match
+              Bft_chain.Block_store.find_key (Node_core.store t.core) bkey
+            with
+            | Some b -> b.Block.view
+            | None -> assert false
+          in
+          Int64.add acc
+            (h
+               (Hash.of_fields
+                  (Int64.of_int view :: Int64.of_int bkey :: 0L
+                  :: List.map Int64.of_int signers))))
+      t.commit_votes
+      (h (Hash.Sum.value t.commit_completed))
   in
   let timeout_sent_h =
     table_h t.timeout_sent (fun view () -> Int64.of_int (view + 1))

@@ -1,21 +1,27 @@
-(* One int array per key: slot 0 counts its contributions (the key is
-   complete once the count reaches the threshold), slots 1.. hold the
-   signer bits, 32 per word as in {!Signer_set}.  One block per key, and
-   the per-vote path reads the cached count instead of a popcount sweep.
-   A key all [n] signers filled is retired: its entry becomes the shared
-   full array of [n] (count [n], every bit set, never written, since every
-   later contribution is a duplicate) and its own array goes onto the
-   free stack for the next new key. *)
+(* A tally is one int array: slot 0 counts its contributions, slots 1..
+   hold the signer bits, 32 per word as in {!Signer_set}.  The open
+   tallies live in an open-addressed table of parallel arrays ([keys.(i)]
+   names [tallies.(i)]; a vacant slot holds [vacant]), probed linearly and
+   kept at most half full; a removal shifts the following run back instead
+   of leaving a tombstone.  A tally that reaches the threshold leaves the
+   table at once: its array goes onto the free stack and its key into the
+   ring of recent completions, [ring.(c mod ring_size)] for the [c]-th. *)
 type outcome = Added of int | Duplicate | Threshold_reached | Already_complete
 
-type 'k t = {
-  table : ('k, int array) Hashtbl.t;
+let ring_size = 8
+let vacant : int array = [||]
+
+type t = {
   n : int;
   threshold : int;
   added : outcome array;
-  full : int array;
+  mutable keys : int array;  (* [[||]] until the first contribution *)
+  mutable tallies : int array array;
+  mutable size : int;  (* open tallies *)
   mutable free : int array array;  (* [free.(0 .. free_len - 1)] *)
   mutable free_len : int;
+  mutable ring : int array;  (* [[||]] until the first completion *)
+  mutable completed : int;
 }
 
 (* [added.(c)] is [Added c], built once and shared by every accumulator
@@ -36,45 +42,80 @@ let rec added_upto threshold =
     if Atomic.compare_and_set shared_added a b then b else added_upto threshold
   end
 
-let words n = 1 + ((n + 31) lsr 5)
-
-(* The full arrays, one per [n], shared the same way: an accumulator's
-   set-up looks its [n] up and builds nothing once a node of that size
-   exists. *)
-let shared_full = Atomic.make []
-
-let rec full_of n =
-  let l = Atomic.get shared_full in
-  match List.assoc n l with
-  | e -> e
-  | exception Not_found ->
-      let e = Array.make (words n) 0 in
-      e.(0) <- n;
-      for i = 0 to n - 1 do
-        let w = 1 + (i lsr 5) in
-        e.(w) <- e.(w) lor (1 lsl (i land 31))
-      done;
-      if Atomic.compare_and_set shared_full l ((n, e) :: l) then e
-      else full_of n
-
-(* 16 initial buckets: a node holds one accumulator per vote kind, and
-   their combined set-up allocation stays below the single 64-bucket table
-   they replaced.  The table grows with the number of keys. *)
 let create ~n ~threshold =
   if threshold < 1 then invalid_arg "Accumulator.create: threshold < 1";
   {
-    table = Hashtbl.create 16;
     n;
     threshold;
     added = added_upto threshold;
-    full = full_of n;
+    keys = [||];
+    tallies = [||];
+    size = 0;
     free = [||];
     free_len = 0;
+    ring = [||];
+    completed = 0;
   }
 
-(* A retired key's array, zeroed, or a fresh one. *)
+(* The home slot: block-hash keys are already well mixed, but small keys
+   in a row would otherwise fill one run. *)
+let home mask key =
+  let h = key * 0x1E3779B97F4A7C15 in
+  (h lxor (h lsr 32)) land mask
+
+(* The slot holding [key], or the vacant slot where it would go. *)
+let rec probe keys tallies mask (key : int) i =
+  if
+    Array.unsafe_get tallies i == vacant || Array.unsafe_get keys i = key
+  then i
+  else probe keys tallies mask key ((i + 1) land mask)
+
+let place t key e =
+  let mask = Array.length t.keys - 1 in
+  let i = probe t.keys t.tallies mask key (home mask key) in
+  Array.unsafe_set t.keys i key;
+  Array.unsafe_set t.tallies i e
+
+let resize t capacity =
+  let keys = t.keys and tallies = t.tallies in
+  t.keys <- Array.make capacity 0;
+  t.tallies <- Array.make capacity vacant;
+  for i = 0 to Array.length tallies - 1 do
+    let e = Array.unsafe_get tallies i in
+    if e != vacant then place t (Array.unsafe_get keys i) e
+  done
+
+(* Empty slot [i], then move back every entry of the run after it whose
+   home is not cyclically in [(i, j]], so that no probe stops early. *)
+let remove t i =
+  let keys = t.keys and tallies = t.tallies in
+  let mask = Array.length keys - 1 in
+  let hole = ref i and j = ref ((i + 1) land mask) in
+  while Array.unsafe_get tallies !j != vacant do
+    let h = home mask (Array.unsafe_get keys !j) in
+    let i = !hole and j' = !j in
+    if (if i <= j' then h <= i || h > j' else h <= i && h > j') then begin
+      Array.unsafe_set keys i (Array.unsafe_get keys j');
+      Array.unsafe_set tallies i (Array.unsafe_get tallies j');
+      hole := j'
+    end;
+    j := (j' + 1) land mask
+  done;
+  Array.unsafe_set tallies !hole vacant;
+  t.size <- t.size - 1
+
+let in_ring t key =
+  let ring = t.ring in
+  let len = Stdlib.min t.completed ring_size in
+  let k = ref 0 in
+  while !k < len && Array.unsafe_get ring !k <> key do
+    incr k
+  done;
+  !k < len
+
+(* A closed tally's array, zeroed, or a fresh one. *)
 let fresh t =
-  if t.free_len = 0 then Array.make (words t.n) 0
+  if t.free_len = 0 then Array.make (1 + ((t.n + 31) lsr 5)) 0
   else begin
     let i = t.free_len - 1 in
     t.free_len <- i;
@@ -83,33 +124,21 @@ let fresh t =
     e
   end
 
-(* [find]/[Not_found] instead of [find_opt]: the hit path is one lookup per
-   received vote and [find_opt] allocates a [Some] per hit. *)
-let entry t key =
-  match Hashtbl.find t.table key with
-  | e -> e
-  | exception Not_found ->
-      let e = fresh t in
-      Hashtbl.add t.table key e;
-      e
-
-(* [replace] overwrites the key's cell in place.  The free stack holds the
-   retired arrays no new key has taken yet, and doubles when full. *)
-let retire t key e =
-  Hashtbl.replace t.table key t.full;
+let close t i e =
+  if Array.length t.ring = 0 then t.ring <- Array.make ring_size 0;
+  Array.unsafe_set t.ring (t.completed mod ring_size) (Array.unsafe_get t.keys i);
+  t.completed <- t.completed + 1;
+  remove t i;
   let len = t.free_len in
   if len = Array.length t.free then begin
-    let free = Array.make (max 8 (2 * len)) e in
+    let free = Array.make (Stdlib.max 8 (2 * len)) e in
     Array.blit t.free 0 free 0 len;
     t.free <- free
   end;
   Array.unsafe_set t.free len e;
   t.free_len <- len + 1
 
-let add t key ~signer =
-  let e = entry t key in
-  if signer < 0 || signer >= t.n then
-    invalid_arg "Signer_set: signer out of range";
+let count t i e signer =
   let w = 1 + (signer lsr 5) and bit = 1 lsl (signer land 31) in
   let old = Array.unsafe_get e w in
   if old land bit <> 0 then Duplicate
@@ -117,10 +146,30 @@ let add t key ~signer =
     Array.unsafe_set e w (old lor bit);
     let c = Array.unsafe_get e 0 + 1 in
     Array.unsafe_set e 0 c;
-    if c = t.n then retire t key e;
-    if c > t.threshold then Already_complete
-    else if c = t.threshold then Threshold_reached
+    if c = t.threshold then begin
+      close t i e;
+      Threshold_reached
+    end
     else Array.unsafe_get t.added c
+  end
+
+let add t key ~signer =
+  if signer < 0 || signer >= t.n then
+    invalid_arg "Signer_set: signer out of range";
+  if Array.length t.keys = 0 then resize t 8;
+  let mask = Array.length t.keys - 1 in
+  let i = probe t.keys t.tallies mask key (home mask key) in
+  let e = Array.unsafe_get t.tallies i in
+  if e != vacant then count t i e signer
+  else if in_ring t key then Already_complete
+  else begin
+    let e = fresh t in
+    Array.unsafe_set t.keys i key;
+    Array.unsafe_set t.tallies i e;
+    t.size <- t.size + 1;
+    let outcome = count t i e signer in
+    if 2 * t.size > Array.length t.keys then resize t (2 * Array.length t.keys);
+    outcome
   end
 
 (* High to low, so the prepends come out ascending. *)
@@ -132,7 +181,13 @@ let signers t e =
   !acc
 
 let fold f t init =
-  Hashtbl.fold
-    (fun key e acc ->
-      f key ~signers:(signers t e) ~complete:(e.(0) >= t.threshold) acc)
-    t.table init
+  let acc = ref init in
+  Array.iteri
+    (fun i e ->
+      if e != vacant then
+        acc := f t.keys.(i) ~signers:(signers t e) ~complete:false !acc)
+    t.tallies;
+  for k = 0 to Stdlib.min t.completed ring_size - 1 do
+    acc := f t.ring.(k) ~signers:[] ~complete:true !acc
+  done;
+  !acc

@@ -42,6 +42,30 @@ let of_ints6 a b c d e f =
   done;
   !acc
 
+module Sum = struct
+  (* Eight bytes rather than a mutable [int64] field, which would box
+     every update. *)
+  type t = Bytes.t
+
+  let create () = Bytes.make 8 '\000'
+  let value s = Bytes.get_int64_ne s 0
+
+  (* [of_ints6]'s loop over the first [len] of four fields. *)
+  let add s len a b c d =
+    let acc = ref fnv_offset in
+    for k = 0 to len - 1 do
+      let v = match k with 0 -> a | 1 -> b | 2 -> c | _ -> d in
+      for i = 0 to 7 do
+        let byte = (v asr (8 * i)) land 0xff in
+        acc := Int64.mul (Int64.logxor !acc (Int64.of_int byte)) fnv_prime
+      done
+    done;
+    Bytes.set_int64_ne s 0 (Int64.add (Bytes.get_int64_ne s 0) !acc)
+
+  let add3 s a b c = add s 3 a b c 0
+  let add4 s a b c d = add s 4 a b c d
+end
+
 let of_string s =
   let acc = ref fnv_offset in
   for i = 0 to String.length s - 1 do

@@ -20,6 +20,25 @@ val of_fields : int64 list -> t
     fields: only the result is allocated.  Block hashing's entry point. *)
 val of_ints6 : int -> int -> int -> int -> int -> int -> t
 
+(** A running sum (modulo 2{^64}) of digests, for order-independent state
+    digests kept up to date as entries arrive.  Adding allocates
+    nothing. *)
+module Sum : sig
+  type digest := t
+  type t
+
+  val create : unit -> t
+
+  (** [add3 s a b c] adds [of_fields] of [a], [b] and [c], each
+      sign-extended to 64 bits as in {!of_ints6}. *)
+  val add3 : t -> int -> int -> int -> unit
+
+  (** [add4 s a b c d]: the same for four fields. *)
+  val add4 : t -> int -> int -> int -> int -> unit
+
+  val value : t -> digest
+end
+
 (** [of_string s] digests the bytes of [s]. *)
 val of_string : string -> t
 

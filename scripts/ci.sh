@@ -41,13 +41,14 @@
 #   - test_node_core's `alloc-pins` group: per-call costs of the codec, the
 #     WAL snapshot and the per-block chain path (new block, next-height
 #     commit, two-chain commit, first vote on a key, proposal buffers) and
-#     of the per-quorum bookkeeping: a new key on a retired key's array at
-#     n = 100 (its table cell, 32 B), a vote on a retired key (0 B), a
+#     of the per-quorum bookkeeping at n = 100: a new key on a closed
+#     tally's array and on a warm accumulator (0 B), a vote on a key in the
+#     ring of completed keys (0 B), the quorum-completing vote for a
+#     certificate the node holds (0 B, no certificate built), a
 #     certificate for a new view (its list cell, 24 B) and a commit below
 #     its quorum in Metrics (0 B);
 #   - test_properties' `alloc` budgets: bytes per event or per committed
-#     block of whole simulator runs, each two to two and a half times its
-#     reading;
+#     block of whole simulator runs, each two to three times its reading;
 #   - test_sim's `alloc` group (engine fan-out, link windows) and test_net's
 #     "send and release allocate nothing" (the socket sender);
 #   - test_sim's "timer re-arm allocates nothing" and test_net's executor
@@ -55,7 +56,7 @@
 #     after it fired or was cancelled allocates 0 B on either substrate;
 #     both substrates arm through lib/sim's Timer_row, whose own group in
 #     test_sim (`timer-row`) pins a claimed idle record and a memoized
-#     wrapper at 0 B, and checks the row's overflow, the armed flag and
+#     wrapper at 0 B and a fresh record at 10 words, and checks the row's overflow, the armed flag and
 #     the seq test that the substrates' pins rely on;
 #   - test_net's "identical bodies decode once" (the executor's body memo:
 #     a remembered vote body allocates at least 150 B less than a decoded

@@ -3,7 +3,8 @@ open Bft_crypto
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
-(* A key's signers and completeness, read through [Accumulator.fold]. *)
+(* A key's listed signers and completeness, read through
+   [Accumulator.fold]. *)
 let acc_entry acc key =
   Accumulator.fold
     (fun k ~signers ~complete e -> if k = key then (signers, complete) else e)
@@ -44,42 +45,45 @@ let test_signer_set_full_and_list () =
 
 (* --- Accumulator ---------------------------------------------------------------- *)
 
+(* After the threshold, the key is complete and lists no signers, and
+   every later contribution, a repeated signer's included, is
+   [Already_complete]. *)
 let test_accumulator_threshold_fires_once () =
   let acc = Accumulator.create ~n:4 ~threshold:3 in
-  let key = "k" in
+  let key = 7 in
   check "1st added" true (Accumulator.add acc key ~signer:0 = Accumulator.Added 1);
   check "2nd added" true (Accumulator.add acc key ~signer:1 = Accumulator.Added 2);
   check "3rd reaches the threshold" true
     (Accumulator.add acc key ~signer:2 = Accumulator.Threshold_reached);
-  check "the three signers" true (acc_signers acc key = [ 0; 1; 2 ]);
+  check "complete, no signers listed" true
+    (acc_entry acc key = ([], true));
   check "4th is past quorum" true
     (Accumulator.add acc key ~signer:3 = Accumulator.Already_complete);
-  check "4th still recorded" true (acc_signers acc key = [ 0; 1; 2; 3 ]);
-  check "later duplicate" true
-    (Accumulator.add acc key ~signer:3 = Accumulator.Duplicate);
-  check "complete" true (acc_complete acc key)
+  check "a repeated signer too" true
+    (Accumulator.add acc key ~signer:0 = Accumulator.Already_complete);
+  check "still complete" true (acc_complete acc key)
 
 let test_accumulator_dedup () =
   let acc = Accumulator.create ~n:4 ~threshold:3 in
-  ignore (Accumulator.add acc "k" ~signer:0);
+  ignore (Accumulator.add acc 1 ~signer:0);
   check "same signer is duplicate" true
-    (Accumulator.add acc "k" ~signer:0 = Accumulator.Duplicate);
-  check_int "count unchanged" 1 (acc_count acc "k")
+    (Accumulator.add acc 1 ~signer:0 = Accumulator.Duplicate);
+  check_int "count unchanged" 1 (acc_count acc 1)
 
 let test_accumulator_keys_independent () =
   let acc = Accumulator.create ~n:4 ~threshold:2 in
-  ignore (Accumulator.add acc "a" ~signer:0);
-  ignore (Accumulator.add acc "b" ~signer:1);
-  check_int "a has one" 1 (acc_count acc "a");
-  check_int "b has one" 1 (acc_count acc "b");
+  ignore (Accumulator.add acc 1 ~signer:0);
+  ignore (Accumulator.add acc 2 ~signer:1);
+  check_int "1 has one" 1 (acc_count acc 1);
+  check_int "2 has one" 1 (acc_count acc 2);
   check "neither complete" true
-    ((not (acc_complete acc "a")) && not (acc_complete acc "b"))
+    ((not (acc_complete acc 1)) && not (acc_complete acc 2))
 
 let test_accumulator_threshold_one () =
   let acc = Accumulator.create ~n:4 ~threshold:1 in
   check "single-signer threshold fires immediately" true
     (Accumulator.add acc 42 ~signer:2 = Accumulator.Threshold_reached
-    && acc_signers acc 42 = [ 2 ]);
+    && acc_complete acc 42);
   check "bad threshold rejected" true
     (try
        ignore (Accumulator.create ~n:4 ~threshold:0);
@@ -93,49 +97,77 @@ let test_accumulator_quorum_semantics () =
   let f = 3 in
   let acc = Accumulator.create ~n ~threshold:((2 * f) + 1) in
   for i = 0 to (2 * f) - 1 do
-    match Accumulator.add acc () ~signer:i with
+    match Accumulator.add acc 0 ~signer:i with
     | Accumulator.Added _ -> ()
     | _ -> Alcotest.fail "should still be accumulating"
   done;
-  check "one short of quorum" false (acc_complete acc ())
+  check "one short of quorum" false (acc_complete acc 0)
 
 
 let test_accumulator_unreachable_threshold () =
   (* Threshold above n can never fire, no matter how many contribute. *)
   let acc = Accumulator.create ~n:4 ~threshold:5 in
   for signer = 0 to 3 do
-    (match Accumulator.add acc () ~signer with
+    (match Accumulator.add acc 0 ~signer with
     | Accumulator.Threshold_reached -> Alcotest.fail "fired impossibly"
     | _ -> ())
   done;
-  check "never complete" false (acc_complete acc ())
+  check "never complete" false (acc_complete acc 0)
 
-(* A key all n signers filled is retired onto a shared full array and its
-   own array recycled: the key still reads complete with every signer, every
-   later contribution is a duplicate, and the next new key, which takes the
-   recycled array, starts from nothing.  n = 40 spans two signer words; the
-   threshold above n keeps a filled key incomplete. *)
+(* Every signer contributes to one key.  A key that reaches its threshold
+   closes its tally: it reads complete without signers, every later
+   contribution is [Already_complete], and the next new key, which takes
+   the closed tally's array, starts from nothing.  With the threshold above
+   n the filled key stays open, lists every signer and answers [Duplicate].
+   n = 40 spans two signer words. *)
 let test_accumulator_filled_key () =
   List.iter
     (fun (n, threshold) ->
       let label = Printf.sprintf "n=%d threshold=%d: %s" n threshold in
       let acc = Accumulator.create ~n ~threshold in
+      let full = 1 and next = 2 in
       for signer = n - 1 downto 0 do
-        ignore (Accumulator.add acc "full" ~signer)
+        ignore (Accumulator.add acc full ~signer)
       done;
-      check (label "lists every signer") true
-        (acc_signers acc "full" = List.init n Fun.id);
-      check (label "complete") (n >= threshold) (acc_complete acc "full");
+      let complete = n >= threshold in
+      let listed = if complete then [] else List.init n Fun.id in
+      check (label "complete") complete (acc_complete acc full);
+      check (label "its listed signers") true (acc_signers acc full = listed);
+      let later =
+        if complete then Accumulator.Already_complete else Accumulator.Duplicate
+      in
       for signer = 0 to n - 1 do
-        check (label "duplicate") true
-          (Accumulator.add acc "full" ~signer = Accumulator.Duplicate)
+        check (label "later contribution") true
+          (Accumulator.add acc full ~signer = later)
       done;
       check (label "a new key starts empty") true
-        (Accumulator.add acc "next" ~signer:1 = Accumulator.Added 1);
-      check (label "with its one signer") true (acc_signers acc "next" = [ 1 ]);
+        (Accumulator.add acc next ~signer:1 = Accumulator.Added 1);
+      check (label "with its one signer") true (acc_signers acc next = [ 1 ]);
       check (label "the filled key unchanged") true
-        (acc_signers acc "full" = List.init n Fun.id))
+        (acc_signers acc full = listed))
     [ (4, 3); (40, 27); (4, 5) ]
+
+(* The ring remembers the last [ring_size] completions: a key pushed out
+   of it opens a fresh tally (the late-vote case [accumulator.mli]
+   argues is inert), one still in it answers [Already_complete]. *)
+let test_accumulator_ring () =
+  let acc = Accumulator.create ~n:4 ~threshold:3 in
+  let complete key =
+    for signer = 0 to 2 do
+      ignore (Accumulator.add acc key ~signer)
+    done
+  in
+  for key = 0 to Accumulator.ring_size do
+    complete key
+  done;
+  check "the newest ring key" true
+    (Accumulator.add acc Accumulator.ring_size ~signer:3
+    = Accumulator.Already_complete);
+  check "the oldest ring key" true
+    (Accumulator.add acc 1 ~signer:3 = Accumulator.Already_complete);
+  check "the evicted key opens a fresh tally" true
+    (Accumulator.add acc 0 ~signer:3 = Accumulator.Added 1);
+  check "listed open" true (acc_entry acc 0 = ([ 3 ], false))
 
 (* --- certificate quorum formation (property) --------------------------------- *)
 
@@ -219,6 +251,8 @@ let () =
           Alcotest.test_case "unreachable threshold" `Quick
             test_accumulator_unreachable_threshold;
           Alcotest.test_case "filled key" `Quick test_accumulator_filled_key;
+          Alcotest.test_case "ring of completed keys" `Quick
+            test_accumulator_ring;
         ] );
       ( "cert-quorum",
         [ QCheck_alcotest.to_alcotest prop_cert_quorum_formation ] );

@@ -625,19 +625,21 @@ let test_two_chain_commit_alloc () =
     (minor_words (fun () -> Node_core.commit_chains core ~depth:2 c));
   check_int "committed through view 3" 3 (Node_core.committed core)
 
-(* The first vote on a key at n = 100 costs the key's int array (count and
-   four words of signer bits: 48 B) and its table cell (32 B).  An entry
-   record, a signer-set record and its words array cost 128 B. *)
+(* The first vote on a cold accumulator at n = 100 allocates its table
+   of eight slots (keys and tallies, 9 words each) and the key's tally
+   (count and four words of signer bits: 6 words).  While keys lived in a
+   hash table, every key cost its tally and a table cell (10 words). *)
 let test_first_vote_alloc () =
   let core = quiet_core ~n:100 () in
   let b = blk 1 in
   Node_core.note_block core b;
-  Alcotest.(check (float 0.)) "the key's block and table cell" 10.
+  Alcotest.(check (float 0.)) "the table and the key's tally" 24.
     (minor_words (fun () ->
          ignore (Node_core.add_vote core ~signer:5 ~kind:Vote_kind.Normal b)))
 
-(* Core [core] at n = 100 after all 100 signers voted for [blk 1]: the
-   key is retired and its array waits for the next new key. *)
+(* Core [core] at n = 100 after all 100 signers voted for [blk 1]: the key
+   completed at the 67th vote, its tally waits for the next new key, and
+   the key is in the ring of completed keys. *)
 let retired_key_core () =
   let core = quiet_core ~n:100 () in
   let b = blk 1 in
@@ -646,18 +648,20 @@ let retired_key_core () =
   done;
   core
 
-(* A new key that takes a retired key's array costs only its table cell
-   (32 B).  While every key made its own array, it cost 80 B. *)
+(* A new key that takes a closed tally's array costs nothing.  While keys
+   stayed in a hash table it cost the table cell (32 B), and while every
+   key made its own array 80 B. *)
 let test_recycled_key_alloc () =
   let core = retired_key_core () in
   let b = blk 2 in
   Node_core.note_block core b;
-  Alcotest.(check (float 0.)) "the table cell" 4.
+  Alcotest.(check (float 0.)) "no words" 0.
     (minor_words (fun () ->
          ignore (Node_core.add_vote core ~signer:5 ~kind:Vote_kind.Normal b)))
 
-(* A vote on a retired key reads the shared full array: a duplicate, and
-   nothing allocated. *)
+(* A vote on a key in the ring answers without a tally: no certificate,
+   nothing allocated, and [Already_complete] for every signer, one that
+   counted included. *)
 let test_retired_key_vote_alloc () =
   let core = retired_key_core () in
   let b = blk 1 in
@@ -674,7 +678,148 @@ let test_retired_key_vote_alloc () =
   Alcotest.(check (float 0.)) "no words in the accumulator" 0.
     (minor_words (fun () ->
          outcome := Bft_crypto.Accumulator.add acc 1 ~signer:5));
-  check "duplicate" true (!outcome = Bft_crypto.Accumulator.Duplicate)
+  check "already complete" true
+    (!outcome = Bft_crypto.Accumulator.Already_complete)
+
+(* Blocks for keys of their own: views 1 .. 40. *)
+let many_blocks = Array.of_list (B.chain 40)
+
+(* Twenty keys completed one after another at n = 100, so the ring is full
+   and has pushed keys out: the next new key still costs nothing, its
+   tally off the free stack and its slot in the table. *)
+let test_warm_new_key_alloc () =
+  let core = quiet_core ~n:100 () in
+  for i = 0 to 19 do
+    for signer = 0 to 66 do
+      ignore
+        (Node_core.add_vote core ~signer ~kind:Vote_kind.Normal many_blocks.(i))
+    done
+  done;
+  let b = many_blocks.(20) in
+  Node_core.note_block core b;
+  Alcotest.(check (float 0.)) "no words" 0.
+    (minor_words (fun () ->
+         ignore (Node_core.add_vote core ~signer:5 ~kind:Vote_kind.Normal b)))
+
+(* The vote that completes a quorum for a certificate the node already
+   holds (here by gossip, before its own tally filled) makes none: every
+   caller would hand it to [record_cert], which refuses it.  Building it
+   cost 7 words.  [retired_key_core] has completed a key, so the ring and
+   the free stack exist. *)
+let test_held_cert_vote_alloc () =
+  let core = retired_key_core () in
+  let b = blk 2 in
+  check "gossiped certificate recorded" true
+    (Node_core.record_cert core (B.cert ~signers:67 b));
+  for signer = 0 to 65 do
+    ignore (Node_core.add_vote core ~signer ~kind:Vote_kind.Normal b)
+  done;
+  let result = ref (Some Cert.genesis) in
+  Alcotest.(check (float 0.)) "no words" 0.
+    (minor_words (fun () ->
+         result := Node_core.add_vote core ~signer:66 ~kind:Vote_kind.Normal b));
+  check "no certificate" true (!result = None);
+  check "an Opt quorum still forms its own" true
+    (let made = ref None in
+     for signer = 0 to 66 do
+       match Node_core.add_vote core ~signer ~kind:Vote_kind.Opt b with
+       | Some c -> made := Some c
+       | None -> ()
+     done;
+     match !made with
+     | Some c -> Vote_kind.equal c.Cert.kind Vote_kind.Opt
+     | None -> false)
+
+(* Late votes on a key pushed out of the ring open an inert tally: the
+   n - quorum signers that missed the quorum plus f Byzantine replays of
+   signers in it are 2f, short of the quorum n - f.  At n = 100 (quorum
+   67) and at n = 5 (quorum 4) they form no certificate, and as commit
+   votes they commit nothing. *)
+let test_late_votes_after_eviction () =
+  List.iter
+    (fun n ->
+      let label = Printf.sprintf "n=%d: %s" n in
+      let f = (n - 1) / 3 in
+      let quorum = n - f in
+      let late_votes vote =
+        for signer = quorum to n - 1 do
+          vote ~signer many_blocks.(0)
+        done;
+        for signer = 0 to f - 1 do
+          vote ~signer many_blocks.(0)
+        done
+      in
+      let fill vote =
+        for i = 0 to Bft_crypto.Accumulator.ring_size do
+          for signer = 0 to quorum - 1 do
+            vote ~signer many_blocks.(i)
+          done
+        done
+      in
+      let core = quiet_core ~n () in
+      let formed = ref 0 in
+      let vote ~signer b =
+        match Node_core.add_vote core ~signer ~kind:Vote_kind.Normal b with
+        | Some c ->
+            incr formed;
+            ignore (Node_core.record_cert core c)
+        | None -> ()
+      in
+      fill vote;
+      check_int (label "one certificate per key")
+        (Bft_crypto.Accumulator.ring_size + 1)
+        !formed;
+      late_votes vote;
+      check_int (label "no certificate from late votes")
+        (Bft_crypto.Accumulator.ring_size + 1)
+        !formed;
+      let commits = ref 0 in
+      let env =
+        { (quiet_env ~n ~id:0) with Env.on_commit = (fun _ -> incr commits) }
+      in
+      let node = Pipelined_node.create ~precommit:true env in
+      Pipelined_node.start node;
+      let vote ~signer (b : Block.t) =
+        Pipelined_node.handle node ~src:signer
+          (commit_vote ~view:b.Block.view b)
+      in
+      fill vote;
+      let before = !commits in
+      check_int (label "every filled key committed")
+        (Bft_crypto.Accumulator.ring_size + 1)
+        before;
+      late_votes vote;
+      check_int (label "late commit votes commit nothing") before !commits)
+    [ 100; 5 ]
+
+(* A certificate gossiped for a view far past any reached, 2^40, files in
+   the sparse overflow instead of growing the view-indexed array to 8 TB
+   ([Out_of_memory]): a Pipelined node handles it within 1 KB (584 B: the
+   sparse table, its entry and entering the next view) and still reads
+   the certificate's view as its high one, and views a run reaches stay
+   in the array. *)
+let test_far_future_cert () =
+  let far = 1 lsl 40 in
+  let b = B.block ~view:far ~parent:(blk 1) () in
+  let node = Pipelined_node.create ~precommit:true (quiet_env ~n:4 ~id:0) in
+  Pipelined_node.start node;
+  let bytes =
+    Bft_obs.Alloc.measure (fun () ->
+        Pipelined_node.handle node ~src:1 (Message.Cert_gossip (B.cert b)))
+  in
+  if bytes > 1024. then
+    Alcotest.failf "a far-future certificate allocates %.0f B > 1024 B" bytes;
+  check_int "entered the view after it" (far + 1)
+    (Pipelined_node.current_view node);
+  let core = quiet_core () in
+  check "recorded" true (Node_core.record_cert core (B.cert b));
+  check "on file" false (Node_core.record_cert core (B.cert b));
+  check_int "the high certificate" far (Node_core.high_cert core).Cert.view;
+  List.iter
+    (fun v -> check "a reached view" true (Node_core.record_cert core (cert_of v)))
+    [ 1; 2; 3 ];
+  Node_core.commit_chains core ~depth:2 (cert_of 3);
+  check_int "the reached views still commit" 2 (Node_core.committed core)
 
 (* A certificate for a new view costs its list cell (24 B): the table is
    an array indexed by view.  A hash table cost a cell per view too
@@ -936,6 +1081,9 @@ let () =
             test_same_view_different_kind_both_recorded;
           Alcotest.test_case "table across growth" `Quick
             test_certs_across_growth;
+          Alcotest.test_case "far-future view" `Quick test_far_future_cert;
+          Alcotest.test_case "late votes after the ring" `Quick
+            test_late_votes_after_eviction;
         ] );
       ( "chain-commits",
         [
@@ -1017,6 +1165,10 @@ let () =
             test_recycled_key_alloc;
           Alcotest.test_case "vote on a retired key" `Quick
             test_retired_key_vote_alloc;
+          Alcotest.test_case "new key on a warm accumulator at n = 100" `Quick
+            test_warm_new_key_alloc;
+          Alcotest.test_case "quorum for a held certificate at n = 100" `Quick
+            test_held_cert_vote_alloc;
           Alcotest.test_case "certificate for a new view" `Quick
             test_new_view_cert_alloc;
           Alcotest.test_case "commit below its quorum" `Quick

@@ -263,6 +263,15 @@ let test_wrap_once () =
 
 (* Claiming an idle record and wrapping a wrapped callback allocate
    nothing. *)
+(* A fresh record costs 10 words: the record and its cancel thunk.
+   Unowned engine timers and timers under the model checker's capture hook
+   pay it on every arming; built with [let rec] it cost 16. *)
+let test_row_fresh_record_alloc () =
+  let f = noop_timer 0 in
+  check_float "a fresh record: 10 words" 10.
+    (Test_support.Alloc.minor_words (fun () ->
+         ignore (Sys.opaque_identity (Timer_row.create () f))))
+
 let test_row_hits_alloc () =
   let rows = Timer_row.rows 1 and f = noop_timer 0 in
   let wrap = Timer_row.wrap_once (fun f () -> f ()) in
@@ -1114,6 +1123,8 @@ let () =
           Alcotest.test_case "live by seq" `Quick test_row_live_by_seq;
           Alcotest.test_case "wrap once" `Quick test_wrap_once;
           Alcotest.test_case "hits allocate nothing" `Quick test_row_hits_alloc;
+          Alcotest.test_case "a fresh record: 10 words" `Quick
+            test_row_fresh_record_alloc;
         ] );
       ( "rng",
         [
