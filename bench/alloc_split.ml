@@ -5,9 +5,9 @@
 
    Four legs, each for Commit Moonshot and Jolteon, through [Make], a
    [Protocol_intf.S] wrapper that brackets every message handler (by
-   [P.classify]), [start], every timer callback, every [Env] callback the
-   node makes, the wire codec and the WAL snapshot encoder with a
-   minor-heap reading:
+   [P.classify]), [create], [start], every timer callback, every [Env]
+   callback the node makes, the wire codec, the WAL snapshot encoder and
+   [cpu_cost] with a minor-heap reading:
 
    - the simulator on the [wan-n100] benchmark workload's configuration
      (n = 100, [Config.default]: region latency matrix, egress and CPU
@@ -32,23 +32,28 @@
    the encoding of what it sends.  Prints one row per class: calls, own
    bytes per call and own bytes per quorum-committed block; then the
    attributed sum, the substrate's share of the minor heap (the rest: the
-   engine, network and CPU models in the simulator; frame reads, [select],
-   the output buffers and their writes, and WAL writes on sockets), the
-   direct major-heap bytes, and the run's total, which is what the
-   benchmark's [alloc_bytes_per_block] reads; a simulator leg adds the
-   most entries its event heap held at once, a socket leg the frame
-   bodies its nodes received and the share of them [codec.decode] ran
-   for (the executor decodes a repeated body once).  Prints only.
+   engine and the network model in the simulator, the harness, and the
+   set-up outside [create]; frame reads, [select], the output buffers and
+   their writes, and WAL writes on sockets), the direct major-heap bytes,
+   the run's total, which is what the benchmark's [alloc_bytes_per_block]
+   reads, and the wrapper's own bytes, which that total leaves out; a
+   simulator leg adds the most entries its event heap held at once, a
+   socket leg the frame bodies its nodes received and the share of them
+   [codec.decode] ran for (the executor decodes a repeated body once).
+   Prints only.
 
    The classes are charged minor-heap words only: a block of more than
    256 words goes straight to the major heap, and is counted only in the
    run's direct major-heap row ({!Bft_obs.Alloc}), whoever allocated it
    (a reader's buffer growing to a large frame, an output buffer growing
-   to a burst, a large body).  The wrapper allocates nothing on a
-   call except the closure it wraps a new timer callback in (once per node
-   and callback), which is charged to no one.  On sockets every validator
-   is one thread of one domain, and the domain has one minor-heap
-   counter: each thread keeps its own stack of open calls.  No bracketed
+   to a burst, a large body).  The wrapper allocates nothing on a call
+   except each node's wrapped [Env.t] and timer-callback memo (at
+   [create]) and the closure it wraps a new timer callback in (once per
+   node and callback): those words are charged to no class, counted in the
+   [bench wrapper] row and left out of the substrate and the whole run, so
+   the whole run moves only when the program does.  On sockets every
+   validator is one thread of one domain, and the domain has one
+   minor-heap counter: each thread keeps its own stack of open calls.  No bracketed
    call makes a blocking system call ([send] only fills the FIFO that the
    loop releases between calls), so only a tick switches threads inside
    one, and a tick (50 ms against calls of microseconds) charges the
@@ -64,32 +69,39 @@ module Tcp = Bft_net.Tcp
 let names =
   [|
     "handle.proposal"; "handle.vote"; "handle.timeout"; "handle.other";
-    "start"; "timer"; "env.send"; "env.multicast"; "env.set_timer";
+    "create"; "start"; "timer"; "env.send"; "env.multicast"; "env.set_timer";
     "env.make_payload"; "env.on_commit"; "env.on_propose"; "codec.encode";
-    "codec.decode"; "wal.encode";
+    "codec.decode"; "wal.encode"; "cpu_cost";
   |]
 
 let proposal = 0
 let vote = 1
 let timeout = 2
 let other = 3
-let start_k = 4
-let timer = 5
-let send = 6
-let multicast = 7
-let set_timer = 8
-let make_payload = 9
-let on_commit = 10
-let on_propose = 11
-let encode = 12
-let decode = 13
-let wal_encode = 14
+let create_k = 4
+let start_k = 5
+let timer = 6
+let send = 7
+let multicast = 8
+let set_timer = 9
+let make_payload = 10
+let on_commit = 11
+let on_propose = 12
+let encode = 13
+let decode = 14
+let wal_encode = 15
+let cpu_cost_k = 16
 
 (* Per-class call counts and own words; per thread, a stack of open calls,
    each with the minor-words reading at entry and the words of its
    finished nested calls.  Float arrays, so no reading is boxed. *)
 let calls = Array.make (Array.length names) 0
 let own = Array.make (Array.length names) 0.
+
+(* The wrapper's own words: each node's wrapped [Env.t] and timer-callback
+   memo, and the callback wrappers it makes.  Charged to no class and left
+   out of the whole run. *)
+let wrapper = [| 0. |]
 let max_depth = 256
 
 type stack = { entry : float array; nested : float array; mutable depth : int }
@@ -109,6 +121,7 @@ let stack () = stacks.(Thread.id (Thread.self ()) land 63)
 let reset () =
   Array.fill calls 0 (Array.length calls) 0;
   Array.fill own 0 (Array.length own) 0.;
+  wrapper.(0) <- 0.;
   Array.iter (fun st -> st.depth <- 0) stacks
 
 let enter () =
@@ -128,6 +141,18 @@ let leave k =
   calls.(k) <- calls.(k) + 1;
   if d > 0 then st.nested.(d - 1) <- st.nested.(d - 1) +. total
 
+(* [f x] as the wrapper's own work: its words go to [wrapper] and are
+   hidden from the open call, as if they were a nested call's. *)
+let hide f x =
+  let w0 = Gc.minor_words () in
+  let v = f x in
+  let w = Gc.minor_words () -. w0 in
+  wrapper.(0) <- wrapper.(0) +. w;
+  let st = stack () in
+  let d = st.depth - 1 in
+  if d >= 0 then st.nested.(d) <- st.nested.(d) +. w;
+  v
+
 (* [f x] as a bracketed call of class [k]. *)
 let bracket k f x =
   enter ();
@@ -144,7 +169,12 @@ module Make (P : Protocol_intf.S) :
   type msg = P.msg
 
   let msg_size = P.msg_size
-  let cpu_cost = P.cpu_cost
+
+  let cpu_cost m a i =
+    enter ();
+    P.cpu_cost m a i;
+    leave cpu_cost_k
+
   let classify = P.classify
   let payload_bytes = P.payload_bytes
   let view_of = P.view_of
@@ -178,15 +208,8 @@ module Make (P : Protocol_intf.S) :
          fun delay f ->
           (* Each distinct callback is wrapped once, so the substrate sees
              the same callback on every re-arm, as it would unwrapped, and
-             the [env.set_timer] row reads its own re-arm cost.  A new
-             wrapper is hidden from the open call, inline: a float passed
-             to a function would be boxed. *)
-          let w0 = Gc.minor_words () in
-          let g = wrap f in
-          let st = stack () in
-          let d = st.depth - 1 in
-          if d >= 0 then
-            st.nested.(d) <- st.nested.(d) +. (Gc.minor_words () -. w0);
+             the [env.set_timer] row reads its own re-arm cost. *)
+          let g = hide wrap f in
           enter ();
           let cancel = env.Env.set_timer delay g in
           leave set_timer;
@@ -209,7 +232,12 @@ module Make (P : Protocol_intf.S) :
           leave on_propose);
     }
 
-  let create ?equivocate ?wal env = P.create ?equivocate ?wal (wrap_env env)
+  let create ?equivocate ?wal env =
+    let env = hide wrap_env env in
+    enter ();
+    let nd = P.create ?equivocate ?wal env in
+    leave create_k;
+    nd
 
   let start nd =
     enter ();
@@ -347,10 +375,12 @@ let report ?peak ?frames title f =
           (per_block bytes))
     names;
   let row name x = Printf.printf "  %-18s %10s %12s %12.0f\n" name "" "" x in
+  let own_bytes = wrapper.(0) *. word_bytes in
   row "attributed" (per_block !attributed);
-  row "substrate" (per_block (minor -. !attributed));
+  row "substrate" (per_block (minor -. !attributed -. own_bytes));
   row "direct major" (per_block (total -. minor));
-  row "whole run" (per_block total);
+  row "whole run" (per_block (total -. own_bytes));
+  row "bench wrapper" (per_block own_bytes);
   (match peak with
   | Some p -> Printf.printf "  %-18s %10d entries\n" "event heap peak" !p
   | None -> ());

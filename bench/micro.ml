@@ -70,7 +70,7 @@ let engine_wan_fanout () =
   let e =
     Bft_sim.Engine.create ~n ~network:net ~seed:1
       ~msg_size:(fun (_ : int) -> 200)
-      ~cpu_cost:(fun _ -> Cpu_model.sig_verify_ms)
+      ~cpu_cost:(fun _ a i -> a.(i) <- Cpu_model.sig_verify_ms)
       ()
   in
   let round () =

@@ -52,36 +52,42 @@ let size = function
           0 blocks
 
 (* Constant CPU costs likewise precomputed — one cross-module call at init
-   instead of one (with a boxed-float return) per send/receive. *)
+   instead of one per delivery. *)
 let vote_cost = Cpu_model.verify_signatures 1
 let timeout_cost = Cpu_model.(verify_signatures 1 +. cache_check_ms)
 let gossip_cost = Cpu_model.cache_check_ms
 
-let cpu_cost =
-  let open Cpu_model in
-  function
-  | Opt_propose { block } ->
-      vote_cost +. hash_payload block.Block.payload.Payload.size_bytes
+(* [Cpu_model.verify_signatures] and [Cpu_model.hash_payload], operation
+   for operation, inlined so that no float crosses a module boundary. *)
+let[@inline] sigs k = float_of_int k *. Cpu_model.sig_verify_ms
+
+let[@inline] hash (b : Block.t) =
+  float_of_int b.Block.payload.Payload.size_bytes *. Cpu_model.hash_ms_per_byte
+
+(* Adds each block's hash and cache check to [a.(i)], oldest first. *)
+let rec blocks_cost a i = function
+  | [] -> ()
+  | b :: rest ->
+      a.(i) <- a.(i) +. hash b +. Cpu_model.cache_check_ms;
+      blocks_cost a i rest
+
+let cpu_cost m a i =
+  match m with
+  | Opt_propose { block } -> a.(i) <- vote_cost +. hash block
   | Propose { block; cert = _ } ->
       (* The embedded certificate was almost always assembled locally from
          verified votes already; charge the cache check. *)
-      timeout_cost +. hash_payload block.Block.payload.Payload.size_bytes
+      a.(i) <- timeout_cost +. hash block
   | Fb_propose { block; cert; tc } ->
       (* Fallback proposals are rare and their TC is fresh: verify it. *)
-      verify_signatures (1 + cert.Cert.signers + tc.Tc.signers)
-      +. hash_payload block.Block.payload.Payload.size_bytes
-  | Vote _ -> vote_cost
-  | Timeout _ -> timeout_cost
-  | Cert_gossip _ -> gossip_cost
-  | Tc_gossip tc -> verify_signatures tc.Tc.signers
-  | Status _ -> timeout_cost
-  | Commit_vote _ -> vote_cost
-  | Block_request _ -> gossip_cost
+      a.(i) <- sigs (1 + cert.Cert.signers + tc.Tc.signers) +. hash block
+  | Vote _ | Commit_vote _ -> a.(i) <- vote_cost
+  | Timeout _ | Status _ -> a.(i) <- timeout_cost
+  | Cert_gossip _ | Block_request _ -> a.(i) <- gossip_cost
+  | Tc_gossip tc -> a.(i) <- sigs tc.Tc.signers
   | Blocks_response { blocks } ->
-      List.fold_left
-        (fun acc (b : Block.t) ->
-          acc +. hash_payload b.Block.payload.Payload.size_bytes +. cache_check_ms)
-        0. blocks
+      a.(i) <- 0.;
+      blocks_cost a i blocks
 
 (* Payload bytes carried in-band: the block body of a proposal or sync
    response.  Votes embed a block in memory but only its header travels

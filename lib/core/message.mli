@@ -37,8 +37,10 @@ val size : t -> int
 (** Receiver-side processing cost (ms): fresh signatures are verified,
     already-known certificates only cost a cache lookup (a node that
     assembled a certificate from multicast votes verified each vote as it
-    arrived, so gossiped copies are duplicates).  See {!Bft_types.Cpu_model}. *)
-val cpu_cost : t -> float
+    arrived, so gossiped copies are duplicates).  See {!Bft_types.Cpu_model}.
+    [cpu_cost m a i] writes the cost into [a.(i)] and allocates nothing
+    ({!Bft_types.Protocol_intf.S.cpu_cost}). *)
+val cpu_cost : t -> float array -> int -> unit
 
 (** Coarse class for Byzantine behaviours and trace statistics. *)
 val classify : t -> [ `Proposal | `Vote | `Timeout | `Other ]

@@ -33,21 +33,31 @@ let size = function
 let vote_cost = Bft_types.Cpu_model.verify_signatures 1
 let timeout_cost = Bft_types.Cpu_model.(verify_signatures 1 +. cache_check_ms)
 
-let cpu_cost =
-  let open Bft_types.Cpu_model in
-  function
+(* [Cpu_model.verify_signatures] and [Cpu_model.hash_payload], operation
+   for operation, inlined so that no float crosses a module boundary. *)
+let[@inline] sigs k = float_of_int k *. Cpu_model.sig_verify_ms
+
+let[@inline] hash (b : Block.t) =
+  float_of_int b.Block.payload.Payload.size_bytes *. Cpu_model.hash_ms_per_byte
+
+(* Adds each block's hash and cache check to [a.(i)], oldest first. *)
+let rec blocks_cost a i = function
+  | [] -> ()
+  | b :: rest ->
+      a.(i) <- a.(i) +. hash b +. Cpu_model.cache_check_ms;
+      blocks_cost a i rest
+
+let cpu_cost m a i =
+  match m with
   | Propose { block; qc; tc } ->
       let tc_sigs = match tc with None -> 0 | Some t -> t.Moonshot.Tc.signers in
-      verify_signatures (1 + qc.Moonshot.Cert.signers + tc_sigs)
-      +. hash_payload block.Block.payload.Payload.size_bytes
-  | Vote _ -> vote_cost
-  | Timeout _ -> timeout_cost
-  | Block_request _ -> cache_check_ms
+      a.(i) <- sigs (1 + qc.Moonshot.Cert.signers + tc_sigs) +. hash block
+  | Vote _ -> a.(i) <- vote_cost
+  | Timeout _ -> a.(i) <- timeout_cost
+  | Block_request _ -> a.(i) <- Cpu_model.cache_check_ms
   | Blocks_response { blocks } ->
-      List.fold_left
-        (fun acc (b : Block.t) ->
-          acc +. hash_payload b.Block.payload.Payload.size_bytes +. cache_check_ms)
-        0. blocks
+      a.(i) <- 0.;
+      blocks_cost a i blocks
 
 (* Payload bytes carried in-band; votes ship only the block header. *)
 let payload_bytes = function

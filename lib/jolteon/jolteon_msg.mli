@@ -29,8 +29,9 @@ val size : t -> int
     went to the aggregator), so it verifies the full quorum of signatures
     there; symmetrically, only the aggregator pays for vote verification —
     the per-node imbalance the paper points out for aggregator-based
-    protocols. *)
-val cpu_cost : t -> float
+    protocols.  [cpu_cost m a i] writes the cost into [a.(i)] and allocates
+    nothing ({!Bft_types.Protocol_intf.S.cpu_cost}). *)
+val cpu_cost : t -> float array -> int -> unit
 
 (** Coarse class for Byzantine behaviours and trace statistics. *)
 val classify : t -> [ `Proposal | `Vote | `Timeout | `Other ]

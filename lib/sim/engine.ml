@@ -13,11 +13,13 @@ type stats = {
    - A [Run] is one multicast fan-out.  Its copies' arrivals are drawn in
      destination order, exactly as n - 1 separate sends would draw them
      (duplicates included), and each takes the seq its own push would
-     have taken ([Event_queue.take_seq]).  They are kept sorted by (time,
-     seq) in flat arrays, and the run sits in the heap once, keyed by its
-     head.  Consuming the head re-keys the entry ([replace_top_from]); a
-     stretch of equal times with consecutive seqs (a uniform-latency
-     fan-out is all one stretch) is consumed without touching the heap.
+     have taken ([Event_queue.take_seq]).  Those seqs are consecutive, so
+     the run keeps the first and each copy its transmission index.  They
+     are kept sorted by (time, seq) in flat arrays, and the run sits in
+     the heap once, keyed by its head.  Consuming the head re-keys the
+     entry ([replace_top_from]); a stretch of equal times with
+     consecutive seqs (a uniform-latency fan-out is all one stretch) is
+     consumed without touching the heap.
    - A [Lane] is one node's CPU queue: messages that have arrived and wait
      for the node's serial CPU.  Finish times never decrease and seqs
      increase, so the lane is a FIFO ring, again one heap entry keyed by
@@ -62,23 +64,25 @@ and 'msg cell = {
      [false]: network arrival — run through [dst]'s serial CPU queue. *)
   mutable c_deliver : bool;
   mutable c_msg : 'msg;
-  c_ev : 'msg event;  (* this cell's own [Msg] wrapper, allocated once *)
+  mutable c_ev : 'msg event;  (* this cell's own [Msg] wrapper, made once *)
 }
 
-(* Entries [r_head, r_len) are pending, sorted by (time, seq).  The arrays
-   start at n - 1 slots (one fan-out) and double when duplicates overflow
-   them.  A flat run's entries all arrive at [r_times.(0)] with seqs
-   consecutive from [r_seqs.(0)], so only its slots are filled in. *)
+(* Entries [r_head, r_len) are pending, sorted by (time, seq).  The copy
+   transmitted [k]-th took seq [r_base + k]; its slot packs [k] with its
+   destination and the destination's epoch ([run_slot]).  The arrays start
+   at n - 1 slots (one fan-out) and double when duplicates overflow them.
+   A flat run's entries all arrive at [r_times.(0)] in transmission order,
+   so only its slots are filled in. *)
 and 'msg run = {
   mutable r_src : int;
   mutable r_msg : 'msg;
   mutable r_flat : bool;
+  mutable r_base : int;
   mutable r_times : float array;
-  mutable r_seqs : int array;
-  mutable r_slots : int array;  (* [(epoch lsl slot_bits) lor dst] *)
+  mutable r_slots : int array;
   mutable r_head : int;
   mutable r_len : int;
-  r_ev : 'msg event;
+  mutable r_ev : 'msg event;  (* this run's own [Run] wrapper, made once *)
 }
 
 (* A ring of [l_len] entries from [l_head]; the capacity is zero or a power
@@ -95,10 +99,25 @@ and 'msg lane = {
   l_ev : 'msg event;
 }
 
-(* Node index width inside a run or lane slot; the epoch occupies the bits
-   above.  Bounds n at 2^21 nodes, far past any simulated world. *)
+(* Node index width inside a run or lane slot; a lane's epoch occupies the
+   bits above.  Bounds n at 2^21 nodes, far past any simulated world. *)
 let slot_bits = 21
 let slot_mask = (1 lsl slot_bits) - 1
+
+(* A run slot is [(epoch lsl epoch_shift) lor (k lsl slot_bits) lor dst]
+   for the copy transmitted [k]-th.  A run holds at most 2 (n - 1) copies
+   (each may be duplicated once), under 2^22, and the epoch keeps the top
+   [Sys.int_size - epoch_shift] = 20 bits, read back with [lsr]: a node
+   may crash [max_crashes] times. *)
+let index_bits = slot_bits + 1
+let index_mask = (1 lsl index_bits) - 1
+let epoch_shift = slot_bits + index_bits
+let max_crashes = (1 lsl (Sys.int_size - epoch_shift)) - 1
+
+let[@inline] run_slot ~epoch ~index dst =
+  (epoch lsl epoch_shift) lor (index lsl slot_bits) lor dst
+
+let[@inline] run_index slot = (slot lsr slot_bits) land index_mask
 
 type 'msg pending = 'msg event
 
@@ -117,10 +136,11 @@ type 'msg t = {
   cpu_free : float array;
   lanes : 'msg lane array;  (* [lanes.(i)] is node [i]'s CPU queue *)
   msg_size : 'msg -> int;
-  cpu_cost : ('msg -> float) option;
+  cpu_cost : ('msg -> float array -> int -> unit) option;
   (* [times.(clock_slot)] is the simulated time; [times.(time_slot)] carries
-     one event time to or from {!Network} and {!Event_queue}.  A mutable
-     float field of this mixed record would be stored boxed (one
+     one event time to or from {!Network} and {!Event_queue};
+     [times.(cost_slot)] receives a delivery's CPU cost from [cpu_cost].  A
+     mutable float field of this mixed record would be stored boxed (one
      allocation per clock tick), and a float passed between modules is
      boxed too, so times live in this unboxed array instead. *)
   times : float array;
@@ -164,6 +184,7 @@ type 'msg t = {
 
 let clock_slot = 0
 let time_slot = 1
+let cost_slot = 2
 let[@inline] clock t = Array.unsafe_get t.times clock_slot
 let[@inline] set_clock t time = Array.unsafe_set t.times clock_slot time
 
@@ -204,7 +225,7 @@ let create ~n ~network ~seed ~msg_size ?cpu_cost () =
     lanes = Array.init n lane;
     msg_size;
     cpu_cost;
-    times = [| 0.; 0. |];
+    times = [| 0.; 0.; 0. |];
     down = Array.make n false;
     epochs = Array.make n 0;
     cell_pool = [||];
@@ -233,19 +254,25 @@ let create ~n ~network ~seed ~msg_size ?cpu_cost () =
 
 let set_handler t i h = t.handlers.(i) <- h
 
+(* The wrapper of a record, cell or run whose own wrapper is not made
+   yet: static, so a fresh one allocates no placeholder.  Tying the knot
+   with [let rec] instead would allocate the record twice. *)
+let untied = Thunk ignore
+
 (* {2 Pools} *)
 
 let fresh_cell ~src ~dst ~epoch ~deliver msg =
-  let rec c =
+  let c =
     {
       c_src = src;
       c_dst = dst;
       c_epoch = epoch;
       c_deliver = deliver;
       c_msg = msg;
-      c_ev = Msg c;
+      c_ev = untied;
     }
   in
+  c.c_ev <- Msg c;
   c.c_ev
 
 let acquire_cell t ~src ~dst ~epoch ~deliver msg =
@@ -290,19 +317,20 @@ let acquire_run t ~src msg =
   end
   else
     let cap = max 1 (t.n - 1) in
-    let rec r =
+    let r =
       {
         r_src = src;
         r_msg = msg;
         r_flat = false;
+        r_base = 0;
         r_times = Array.make cap 0.;
-        r_seqs = Array.make cap 0;
         r_slots = Array.make cap 0;
         r_head = 0;
         r_len = 0;
-        r_ev = Run r;
+        r_ev = untied;
       }
     in
+    r.r_ev <- Run r;
     r
 
 let release_run t r =
@@ -320,9 +348,6 @@ let grow_run r =
   let times = Array.make cap 0. in
   Array.blit r.r_times 0 times 0 len;
   r.r_times <- times;
-  let seqs = Array.make cap 0 in
-  Array.blit r.r_seqs 0 seqs 0 len;
-  r.r_seqs <- seqs;
   let slots = Array.make cap 0 in
   Array.blit r.r_slots 0 slots 0 len;
   r.r_slots <- slots
@@ -383,28 +408,30 @@ let enqueue_msg t ~src ~dst ~epoch ~deliver msg =
 
 (* Append the arrival at [times.(time_slot)] for [dst] to the run being
    built, keeping it sorted by (time, seq).  The new seq is the largest
-   so far, so the copy goes after every entry of equal or earlier time:
-   an insertion from the tail, which moves nothing for an in-order copy.
+   so far (the run's first takes its base), so the copy goes after every
+   entry of equal or earlier time: an insertion from the tail, which moves
+   nothing for an in-order copy.
    At n = 100 over the region matrix (whose round-robin regions put the
    copies far out of order) this measured as fast as a bottom-up merge
    sort of the finished run. *)
 let run_add t r ~dst =
   let len = r.r_len in
   if len = Array.length r.r_times then grow_run r;
-  let times = r.r_times and seqs = r.r_seqs and slots = r.r_slots in
+  let times = r.r_times and slots = r.r_slots in
   let time = Array.unsafe_get t.times time_slot in
   let i = ref len in
   while !i > 0 && time < Array.unsafe_get times (!i - 1) do
     let j = !i - 1 in
     Array.unsafe_set times !i (Array.unsafe_get times j);
-    Array.unsafe_set seqs !i (Array.unsafe_get seqs j);
     Array.unsafe_set slots !i (Array.unsafe_get slots j);
     i := j
   done;
+  let seq = Event_queue.take_seq t.queue in
+  if len = 0 then r.r_base <- seq;
   Array.unsafe_set times !i time;
-  Array.unsafe_set seqs !i (Event_queue.take_seq t.queue);
   Array.unsafe_set slots !i
-    ((Array.unsafe_get t.epochs dst lsl slot_bits) lor dst);
+    (run_slot ~epoch:(Array.unsafe_get t.epochs dst) ~index:(seq - r.r_base)
+       dst);
   r.r_len <- len + 1
 
 (* Queue a message that finishes on [dst]'s CPU at [times.(time_slot)]. *)
@@ -478,6 +505,8 @@ let is_down t i =
 let crash t i =
   check_node t "crash" i;
   if not t.down.(i) then begin
+    if t.epochs.(i) >= max_crashes then
+      invalid_arg "Engine.crash: node crashed too often for a run slot's epoch";
     t.down.(i) <- true;
     t.epochs.(i) <- t.epochs.(i) + 1;
     t.handlers.(i) <- (fun ~src:_ _ -> ());
@@ -510,7 +539,8 @@ let process t ~src ~dst ~epoch msg =
     | Some cost ->
         let now = clock t in
         let start = fmax now (Array.unsafe_get t.cpu_free dst) in
-        let finish = start +. cost msg in
+        cost msg t.times cost_slot;
+        let finish = start +. Array.unsafe_get t.times cost_slot in
         Array.unsafe_set t.cpu_free dst finish;
         if finish <= now then deliver t ~src ~dst ~epoch msg
         else begin
@@ -599,14 +629,13 @@ let fanout_run t ~src ~size msg =
       let start = fmax (clock t) (Array.unsafe_get t.egress_free src) in
       Array.unsafe_set t.egress_free src start;
       Array.unsafe_set r.r_times 0 (start +. base);
-      Array.unsafe_set r.r_seqs 0
-        (Event_queue.take_seqs t.queue (t.n - 1));
+      r.r_base <- Event_queue.take_seqs t.queue (t.n - 1);
       let slots = r.r_slots and epochs = t.epochs in
       let k = ref 0 in
       for dst = 0 to t.n - 1 do
         if dst <> src then begin
           Array.unsafe_set slots !k
-            ((Array.unsafe_get epochs dst lsl slot_bits) lor dst);
+            (run_slot ~epoch:(Array.unsafe_get epochs dst) ~index:!k dst);
           incr k
         end
       done;
@@ -622,7 +651,8 @@ let fanout_run t ~src ~size msg =
   if r.r_len = 0 then release_run t r
   else begin
     Event_queue.push_seq_from t.queue r.r_times 0
-      ~seq:(Array.unsafe_get r.r_seqs 0) r.r_ev;
+      ~seq:(r.r_base + run_index (Array.unsafe_get r.r_slots 0))
+      r.r_ev;
     note_size t
   end
 
@@ -647,10 +677,6 @@ let multicast t ~src msg =
         done
       else fanout_run t ~src ~size msg
   end
-
-(* The handle of a record whose [Timer] wrapper is not made yet: static,
-   so a fresh record allocates no placeholder. *)
-let untied = Thunk ignore
 
 let set_timer ?(owner = -1) t delay f =
   if delay < 0. then invalid_arg "Engine.set_timer: negative delay";
@@ -720,13 +746,14 @@ let advance_clock t time =
    drained run returns to the pool only afterwards, because its arrays
    are still being read. *)
 let step_run t r =
-  let times = r.r_times and seqs = r.r_seqs and slots = r.r_slots in
+  let times = r.r_times and slots = r.r_slots in
   let len = r.r_len and k = r.r_head in
   let j = ref (if r.r_flat then len else k + 1) in
   while
     !j < len
     && Array.unsafe_get times !j = Array.unsafe_get times k
-    && Array.unsafe_get seqs !j = Array.unsafe_get seqs (!j - 1) + 1
+    && run_index (Array.unsafe_get slots !j)
+       = run_index (Array.unsafe_get slots (!j - 1)) + 1
   do
     incr j
   done;
@@ -734,13 +761,15 @@ let step_run t r =
   if j = len then ignore (Event_queue.take t.queue : _ event)
   else begin
     r.r_head <- j;
-    Event_queue.replace_top_from t.queue times j ~seq:(Array.unsafe_get seqs j)
+    Event_queue.replace_top_from t.queue times j
+      ~seq:(r.r_base + run_index (Array.unsafe_get slots j))
   end;
   let src = r.r_src and msg = r.r_msg in
   for i = k to j - 1 do
     let slot = Array.unsafe_get slots i in
     t.stats.events_processed <- t.stats.events_processed + 1;
-    process t ~src ~dst:(slot land slot_mask) ~epoch:(slot lsr slot_bits) msg
+    process t ~src ~dst:(slot land slot_mask) ~epoch:(slot lsr epoch_shift)
+      msg
   done;
   if j = len then release_run t r
 

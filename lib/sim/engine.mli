@@ -11,7 +11,12 @@
     FIFO {e lane}.  Runs and lanes are consumed from the top of the heap in
     place, so events still run in exactly the order a heap with one entry
     per message would give, and the heap holds about one entry per fan-out
-    in flight and per busy node instead of one per message in flight.
+    in flight and per busy node instead of one per message in flight.  A
+    run's copies take consecutive sequence numbers in transmission order,
+    so it stores the first one and packs each copy's transmission index
+    into one int with its destination and that destination's incarnation:
+    a run costs two words per copy (arrival time and that int), which
+    bounds a node's crashes at {!max_crashes}.
 
     Statistics on message and byte counts are kept per run so experiments can
     report communication complexity alongside throughput and latency. *)
@@ -32,16 +37,20 @@ type stats = {
 
 (** [create ~n ~network ~seed ~msg_size ()] builds an engine for [n] nodes.
     [msg_size msg] is the wire size in bytes used for serialization delay and
-    byte accounting.  [cpu_cost msg], when given, is the receiver-side
-    processing time in ms: each node's handler invocations are serialized on
-    a per-node CPU queue, so processing backlogs delay later messages
-    (self-deliveries are free — the sender already did that work). *)
+    byte accounting.  [cpu_cost], when given, prices each network arrival:
+    [cpu_cost msg a i] writes the receiver-side processing time of [msg] in
+    ms into [a.(i)], a slot of the engine's own float array, so that no
+    cost is returned as a boxed float (see
+    {!Bft_types.Protocol_intf.S.cpu_cost}).  Each node's handler
+    invocations are then serialized on a per-node CPU queue, so processing
+    backlogs delay later messages (self-deliveries are free — the sender
+    already did that work). *)
 val create :
   n:int ->
   network:Network.t ->
   seed:int ->
   msg_size:('msg -> int) ->
-  ?cpu_cost:('msg -> float) ->
+  ?cpu_cost:('msg -> float array -> int -> unit) ->
   unit ->
   'msg t
 
@@ -76,8 +85,14 @@ val set_link_windows : 'msg t -> Link_windows.t -> rng:Rng.t -> unit
     suppressed, and all in-flight deliveries, CPU backlog and pending owned
     timers addressed to this incarnation are quenched (they never fire, even
     after recovery).  Idempotent.  Durable state the protocol keeps outside
-    the engine (a WAL) is untouched. *)
+    the engine (a WAL) is untouched.  Raises [Invalid_argument], changing
+    nothing, when node [i] has already crashed {!max_crashes} times. *)
 val crash : 'msg t -> int -> unit
+
+(** How many times one node may crash in one engine: 2^20 - 1.  Each crash
+    starts an incarnation, and a fan-out run packs the destination's
+    incarnation into the 20 bits its slot has left (see above). *)
+val max_crashes : int
 
 (** [recover t i] clears the down flag.  The caller is expected to install a
     fresh handler (a node rebuilt from durable state) and start it; timers

@@ -13,10 +13,17 @@ module type S = sig
       network model. *)
   val msg_size : msg -> int
 
-  (** Receiver-side processing cost in milliseconds (signature verification,
-      payload hashing — see {!Cpu_model}), used when the experiment enables
-      CPU modelling.  Costs are amortized assuming certificate caching. *)
-  val cpu_cost : msg -> float
+  (** [cpu_cost msg a i] writes into [a.(i)] the receiver-side processing
+      cost of [msg] in milliseconds (signature verification, payload
+      hashing — see {!Cpu_model}), used when the experiment enables CPU
+      modelling.  Costs are amortized assuming certificate caching.
+
+      The simulator calls it once per delivered message, so it allocates
+      nothing: it computes every float itself from {!Cpu_model}'s
+      constants, with no float passed to or returned from another module
+      (the dev profile's [-opaque] boxes those), and writes the result to
+      the slot instead of returning it. *)
+  val cpu_cost : msg -> float array -> int -> unit
 
   (** Coarse message class, used by Byzantine behaviours (e.g. vote
       withholding) and trace statistics. *)

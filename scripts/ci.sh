@@ -46,11 +46,17 @@
 #     ring of completed keys (0 B), the quorum-completing vote for a
 #     certificate the node holds (0 B, no certificate built), a
 #     certificate for a new view (its list cell, 24 B) and a commit below
-#     its quorum in Metrics (0 B);
+#     its quorum in Metrics (0 B); and writing each protocol's CPU cost
+#     into its float slot (opt, normal and fallback proposals, votes,
+#     commit votes, a Jolteon proposal, a sync response: 0 B);
 #   - test_properties' `alloc` budgets: bytes per event or per committed
 #     block of whole simulator runs, each two to three times its reading;
-#   - test_sim's `alloc` group (engine fan-out, link windows) and test_net's
-#     "send and release allocate nothing" (the socket sender);
+#   - test_sim's `alloc` group (engine fan-out, link windows, a warm
+#     Table II fan-out with computed CPU costs at exactly 0 B, a fresh
+#     fan-out run at exactly 212 words) and test_net's "send and release
+#     allocate nothing" (the socket sender); test_sim's engine case
+#     "crashes past the epoch width" probes, at its exact boundary, the
+#     crash bound that packing a run's seqs into its slots sets;
 #   - test_sim's "timer re-arm allocates nothing" and test_net's executor
 #     "re-arming allocates nothing": re-arming a node's timer callback
 #     after it fired or was cancelled allocates 0 B on either substrate;

@@ -271,6 +271,11 @@ let test_valid_proposal_block () =
 
 let test_cpu_costs () =
   let open Message in
+  let cpu_cost m =
+    let a = [| Float.nan |] in
+    Message.cpu_cost m a 0;
+    a.(0)
+  in
   let vote = Vote { kind = Vote_kind.Normal; block = blk 1 } in
   check "vote costs one verification" true
     (cpu_cost vote = Bft_types.Cpu_model.sig_verify_ms);

@@ -889,6 +889,39 @@ let test_jolteon_sweep_alloc () =
     (minor_words (fun () ->
          handle (Jolteon.Jolteon_msg.Propose { block; qc; tc = None })))
 
+(* The simulator prices every delivered message with its protocol's
+   [cpu_cost], which writes the cost into a float slot and allocates
+   nothing, also where the cost is computed (a proposal hashes its payload,
+   a fallback proposal verifies its certificate's and TC's signatures, a
+   sync response folds over its blocks).  While [cpu_cost] returned the
+   cost, the boxed result cost an opt proposal 4 words and a Jolteon
+   proposal 6. *)
+let cost_slot = [| 0. |]
+
+let test_cpu_cost_alloc () =
+  let b =
+    Block.create ~parent:(blk 1) ~view:2 ~proposer:1
+      ~payload:(Payload.make ~id:7 ~size_bytes:1800)
+  in
+  let cert = cert_of 1 and tc = B.tc ~signers:3 2 in
+  let pin name cpu_cost m =
+    Alcotest.(check (float 0.)) (name ^ ": 0 words") 0.
+      (minor_words (fun () -> cpu_cost m cost_slot 0));
+    check (name ^ ": a positive cost") true (cost_slot.(0) > 0.)
+  in
+  pin "opt proposal" Message.cpu_cost (Message.Opt_propose { block = b });
+  pin "normal proposal" Message.cpu_cost (Message.Propose { block = b; cert });
+  pin "fallback proposal" Message.cpu_cost
+    (Message.Fb_propose { block = b; cert; tc });
+  pin "vote" Message.cpu_cost
+    (Message.Vote { kind = Vote_kind.Normal; block = b });
+  pin "commit vote" Message.cpu_cost
+    (Message.Commit_vote { view = 2; block = b });
+  pin "Jolteon proposal" Jolteon.Jolteon_msg.cpu_cost
+    (Jolteon.Jolteon_msg.Propose { block = b; qc = cert; tc = Some tc });
+  pin "two-block sync response" Message.cpu_cost
+    (Message.Blocks_response { blocks = [ blk 1; b ] })
+
 (* After a handler records, the executor encodes one fresh snapshot: the
    record's option, the cached string's option, the writer and the
    string (104 B).  With a [Buffer] writer and a closure per varint this
@@ -1177,5 +1210,6 @@ let () =
             test_pipelined_sweep_alloc;
           Alcotest.test_case "Jolteon round sweep" `Quick
             test_jolteon_sweep_alloc;
+          Alcotest.test_case "CPU cost writers" `Quick test_cpu_cost_alloc;
         ] );
     ]

@@ -526,24 +526,112 @@ let message_gen =
   let* payload_size = int_range 0 2_000_000 in
   let* signers = int_range 1 134 in
   let b = block payload_size in
+  let* tc_signers = int_range 1 134 in
+  let* other_size = int_range 0 2_000_000 in
   let cert = Moonshot.Cert.make ~kind:Moonshot.Vote_kind.Normal ~view:1 ~block:b ~signers in
+  let tc = Moonshot.Tc.make ~view:1 ~high_cert:(Some cert) ~signers:tc_signers in
   oneofl
     [
       Moonshot.Message.Opt_propose { block = b };
       Moonshot.Message.Propose { block = b; cert };
+      Moonshot.Message.Fb_propose { block = b; cert; tc };
       Moonshot.Message.Vote { kind = Moonshot.Vote_kind.Opt; block = b };
       Moonshot.Message.Timeout { view = 1; lock = Some cert };
+      Moonshot.Message.Timeout { view = 1; lock = None };
       Moonshot.Message.Cert_gossip cert;
+      Moonshot.Message.Tc_gossip tc;
+      Moonshot.Message.Status { view = 1; lock = cert };
       Moonshot.Message.Commit_vote { view = 1; block = b };
       Moonshot.Message.Blocks_response { blocks = [ b; b ] };
+      Moonshot.Message.Blocks_response { blocks = [ b; block other_size; b ] };
+      Moonshot.Message.Blocks_response { blocks = [] };
       Moonshot.Message.Block_request { hash = b.Bft_types.Block.hash };
     ]
+
+let jolteon_message_gen =
+  let open QCheck.Gen in
+  let block payload_size =
+    Bft_types.Block.create ~parent:Bft_types.Block.genesis ~view:2 ~proposer:1
+      ~payload:(Bft_types.Payload.make ~id:2 ~size_bytes:payload_size)
+  in
+  let* payload_size = int_range 0 2_000_000 in
+  let* other_size = int_range 0 2_000_000 in
+  let* signers = int_range 1 134 in
+  let* tc_signers = int_range 1 134 in
+  let b = block payload_size in
+  let qc = Moonshot.Cert.make ~kind:Moonshot.Vote_kind.Normal ~view:2 ~block:b ~signers in
+  let tc = Moonshot.Tc.make ~view:2 ~high_cert:(Some qc) ~signers:tc_signers in
+  oneofl
+    [
+      Jolteon.Jolteon_msg.Propose { block = b; qc; tc = None };
+      Jolteon.Jolteon_msg.Propose { block = b; qc; tc = Some tc };
+      Jolteon.Jolteon_msg.Vote { block = b };
+      Jolteon.Jolteon_msg.Timeout { round = 1; high_qc = qc };
+      Jolteon.Jolteon_msg.Block_request { hash = b.Bft_types.Block.hash };
+      Jolteon.Jolteon_msg.Blocks_response { blocks = [ b; block other_size ] };
+      Jolteon.Jolteon_msg.Blocks_response { blocks = [ b ] };
+    ]
+
+(* A cost writer's result, read back from its one slot. *)
+let slot_cost cpu_cost msg =
+  let a = [| Float.nan |] in
+  cpu_cost msg a 0;
+  a.(0)
+
+let moonshot_cost = slot_cost Moonshot.Message.cpu_cost
+
+(* The float-returning cost formulas the slot writers replaced, in
+   [Cpu_model]'s terms and their order of operations. *)
+let moonshot_formula =
+  let open Bft_types.Cpu_model in
+  let hash (b : Bft_types.Block.t) =
+    hash_payload b.Bft_types.Block.payload.Bft_types.Payload.size_bytes
+  in
+  function
+  | Moonshot.Message.Opt_propose { block } -> verify_signatures 1 +. hash block
+  | Propose { block; _ } -> verify_signatures 1 +. cache_check_ms +. hash block
+  | Fb_propose { block; cert; tc } ->
+      verify_signatures (1 + cert.Moonshot.Cert.signers + tc.Moonshot.Tc.signers)
+      +. hash block
+  | Vote _ | Commit_vote _ -> verify_signatures 1
+  | Timeout _ | Status _ -> verify_signatures 1 +. cache_check_ms
+  | Cert_gossip _ | Block_request _ -> cache_check_ms
+  | Tc_gossip tc -> verify_signatures tc.Moonshot.Tc.signers
+  | Blocks_response { blocks } ->
+      List.fold_left (fun acc b -> acc +. hash b +. cache_check_ms) 0. blocks
+
+let jolteon_formula =
+  let open Bft_types.Cpu_model in
+  let hash (b : Bft_types.Block.t) =
+    hash_payload b.Bft_types.Block.payload.Bft_types.Payload.size_bytes
+  in
+  function
+  | Jolteon.Jolteon_msg.Propose { block; qc; tc } ->
+      let tc_sigs = match tc with None -> 0 | Some t -> t.Moonshot.Tc.signers in
+      verify_signatures (1 + qc.Moonshot.Cert.signers + tc_sigs) +. hash block
+  | Vote _ -> verify_signatures 1
+  | Timeout _ -> verify_signatures 1 +. cache_check_ms
+  | Block_request _ -> cache_check_ms
+  | Blocks_response { blocks } ->
+      List.fold_left (fun acc b -> acc +. hash b +. cache_check_ms) 0. blocks
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let prop_moonshot_cost_exact =
+  QCheck.Test.make ~count:500 ~name:"Moonshot slot costs equal the float formulas bit for bit"
+    (QCheck.make message_gen) (fun msg ->
+      same_bits (moonshot_cost msg) (moonshot_formula msg))
+
+let prop_jolteon_cost_exact =
+  QCheck.Test.make ~count:500 ~name:"Jolteon slot costs equal the float formulas bit for bit"
+    (QCheck.make jolteon_message_gen) (fun msg ->
+      same_bits (slot_cost Jolteon.Jolteon_msg.cpu_cost msg) (jolteon_formula msg))
 
 let prop_cost_models_sane =
   QCheck.Test.make ~count:200 ~name:"wire sizes and cpu costs are positive and finite"
     (QCheck.make message_gen) (fun msg ->
       let size = Moonshot.Message.size msg in
-      let cpu = Moonshot.Message.cpu_cost msg in
+      let cpu = moonshot_cost msg in
       size > 0 && cpu >= 0. && Float.is_finite cpu)
 
 let prop_proposal_size_monotone_in_payload =
@@ -571,7 +659,8 @@ let prop_proposal_size_monotone_in_payload =
    budget below is a deterministic reading, and each keeps the headroom
    its comment states.
 
-   This config measures 37 B/event — at n=4 the per-view costs
+   This config measures 37 B/event (also while [cpu_cost] returned a
+   boxed float) — at n=4 the per-view costs
    (blocks, certificates, vote records, metrics conses) amortize over only
    3-wide fan-outs, so the figure is dominated by protocol allocations,
    not engine ones.  The 84 ceiling is about two and a quarter times that.
@@ -615,8 +704,9 @@ let alloc_budget () =
 (* Second tripwire: a Commit Moonshot run on 1 ms links commits a chain of
    thousands of blocks, so a commit whose cost grows with the chain height
    shows up as bytes per committed block.  This config commits 2198
-   blocks and measures 2,556 B/block; the 6,700 ceiling is about two and
-   a half times that.  It measured 3,345 while every vote key kept a
+   blocks and measures 2,553 B/block; the 6,700 ceiling is about two and
+   a half times that.  It measured 2,556 while each fan-out run kept a
+   seq per copy, 3,345 while every vote key kept a
    table cell for the whole run, 3,928 (ceiling 9,000) while vote keys, the
    certificate table and the commit clock left per-block garbage, and
    4,344 while every timer arming allocated.  Per-block bookkeeping that nothing kept (a
@@ -660,8 +750,9 @@ let alloc_budget_longchain () =
    block about 2n (votes to the next leader), so no one per-event ceiling
    fits both.  Each ceiling is about twice what its protocol measures.
 
-   Commit Moonshot measures 11,483 B/block (28 blocks, 1,914 events
-   each); 12,857 while every vote key kept a table cell for the whole run
+   Commit Moonshot measures 9,384 B/block (28 blocks, 1,914 events
+   each); 11,483 while [cpu_cost] returned a boxed float and each fan-out
+   run kept a seq per copy; 12,857 while every vote key kept a table cell for the whole run
    and every node built every certificate at its quorum; 14,806 while
    every vote key made its own array, the
    certificate table took a cell per view and every commit boxed its time
@@ -672,7 +763,9 @@ let alloc_budget_longchain () =
    commit vote allocated its (view, hash) key and each buffered proposal
    copied the pending table, it cost several times that.
 
-   Jolteon measures 4,980 B/block (16 blocks, 80 events each), 4,848
+   Jolteon measures 4,096 B/block (16 blocks, 80 events each), 4,980
+   while [cpu_cost] returned a boxed float and each fan-out run kept a seq
+   per copy, 4,848
    while each accumulator's table was allocated when its node was built,
    before the run starts counting (its leaders now allocate it at their
    first vote); 6,076 before the certificate table and the commit clock stopped leaving
@@ -681,8 +774,8 @@ let alloc_budget_longchain () =
    layer stopped allocating what it does not keep.  While every call to [process_pending] copied the pending
    table it cost about 3x more per event. *)
 let wan_budget_ceiling = function
-  | Protocol_kind.Commit_moonshot -> 23_000.
-  | _ -> 10_000.
+  | Protocol_kind.Commit_moonshot -> 19_000.
+  | _ -> 8_200.
 
 let alloc_budget_wan protocol () =
   let cfg =
@@ -707,7 +800,8 @@ let alloc_budget_wan protocol () =
    no-quorum partition, healed before the recovery) with 7k cmd/s of
    wall-clock clients, 10 s simulated: every send crosses the link-window
    overlay and every committed block replays its batch of commands.  It
-   measures 6,505 B/block (7,617 while every vote key kept a table cell
+   measures 6,489 B/block (6,505 while each fan-out run kept a seq per
+   copy, 7,617 while every vote key kept a table cell
    for the whole run, 8,538 before vote keys, the certificate table
    and the commit clock stopped leaving per-block garbage, 9,274 while
    every timer arming allocated); the ceiling is about three times that.
@@ -783,7 +877,13 @@ let () =
       );
       ("rules", q [ prop_no_normal_vote_for_equivocation ]);
       ( "cost-models",
-        q [ prop_cost_models_sane; prop_proposal_size_monotone_in_payload ] );
+        q
+          [
+            prop_cost_models_sane;
+            prop_proposal_size_monotone_in_payload;
+            prop_moonshot_cost_exact;
+            prop_jolteon_cost_exact;
+          ] );
       ( "fuzz",
         q
           [

@@ -477,6 +477,10 @@ let make_engine ?(n = 3) () =
     ~msg_size:(fun (_ : string) -> 100)
     ()
 
+(* A CPU cost function in the engine's form, which writes the cost into a
+   float slot. *)
+let slot cost m a i = a.(i) <- cost m
+
 let test_engine_delivers () =
   let e = make_engine () in
   let got = ref [] in
@@ -659,7 +663,7 @@ let test_engine_cpu_queue_serializes () =
   let e =
     Engine.create ~n:3 ~network:net ~seed:1
       ~msg_size:(fun (_ : string) -> 10)
-      ~cpu_cost:(fun _ -> 5.)
+      ~cpu_cost:(slot (fun _ -> 5.))
       ()
   in
   let times = ref [] in
@@ -675,7 +679,7 @@ let test_engine_cpu_self_delivery_free () =
   let e =
     Engine.create ~n:2 ~network:net ~seed:1
       ~msg_size:(fun (_ : string) -> 10)
-      ~cpu_cost:(fun _ -> 50.)
+      ~cpu_cost:(slot (fun _ -> 50.))
       ()
   in
   let at = ref (-1.) in
@@ -931,20 +935,20 @@ let order_cases =
     ( "uniform latency, CPU cost",
       "a39ffced8c22aa20a8ea784c1e664069",
       fun () ->
-        order_digest ~n:12 ~cpu_cost:cpu
+        order_digest ~n:12 ~cpu_cost:(slot cpu)
           (Network.make ~latency:(Latency.Uniform { base = 10.; jitter = 0. })
              ~delta:50. ()) );
     ( "WAN matrix, egress, CPU cost",
       "814c3c4dcd93fef546deea0811512e84",
       fun () ->
         let latency = Bft_workload.Regions.latency_model () in
-        order_digest ~n:16 ~cpu_cost:cpu
+        order_digest ~n:16 ~cpu_cost:(slot cpu)
           (Network.make ~bandwidth_bps:1e8 ~latency
              ~delta:(Latency.upper_bound latency) ()) );
     ( "jitter, duplicates",
       "974ea7648f12266e02db53dc9f0fef1a",
       fun () ->
-        order_digest ~n:10 ~cpu_cost:cpu
+        order_digest ~n:10 ~cpu_cost:(slot cpu)
           (Network.make ~duplicate_prob:0.2
              ~latency:(Latency.Uniform { base = 10.; jitter = 5. })
              ~delta:20. ()) );
@@ -957,7 +961,7 @@ let order_cases =
             ~losses:[ (0., 80., 0.25) ]
             ~delays:[ (10., 50., 12.5); (30., 90., 4.) ]
         in
-        order_digest ~n:8 ~cpu_cost:cpu
+        order_digest ~n:8 ~cpu_cost:(slot cpu)
           ~setup:(fun (e, _) -> Engine.set_link_windows e w ~rng:(Rng.create 5))
           (Network.make ~bandwidth_bps:1e8
              ~latency:(Latency.Uniform { base = 10.; jitter = 5. })
@@ -965,7 +969,7 @@ let order_cases =
     ( "pre-GST extra delay",
       "24854ab860ffd15c2391389d16e0134d",
       fun () ->
-        order_digest ~n:9 ~cpu_cost:cpu
+        order_digest ~n:9 ~cpu_cost:(slot cpu)
           (Network.make ~gst:60. ~pre_gst_extra:25.
              ~latency:(Latency.Uniform { base = 10.; jitter = 0. })
              ~delta:50. ()) );
@@ -977,7 +981,7 @@ let order_cases =
     ( "crash and recover with a CPU backlog",
       "edd761b38eaff8a9e92b24572fd134ad",
       fun () ->
-        order_digest ~n:8 ~cpu_cost:(fun _ -> 5.)
+        order_digest ~n:8 ~cpu_cost:(slot (fun _ -> 5.))
           ~setup:(fun (e, install) ->
             Engine.schedule_at e 22. (fun () -> Engine.crash e 3);
             Engine.schedule_at e 25. (fun () ->
@@ -1018,7 +1022,7 @@ let test_engine_alloc latency () =
   let e =
     Engine.create ~n ~network ~seed:1
       ~msg_size:(fun (_ : int) -> 200)
-      ~cpu_cost:(fun _ -> 0.06)
+      ~cpu_cost:(slot (fun _ -> 0.06))
       ()
   in
   let delivered = ref 0 in
@@ -1048,6 +1052,97 @@ let test_engine_alloc latency () =
      entry per message held every copy in flight (about n^2). *)
   let peak = (Engine.stats e).Engine.peak_pending in
   check (Printf.sprintf "heap peak %d within 2n" peak) true (peak <= 2 * n)
+
+(* The paper's WAN delivery path exactly: after warm-up rounds, all-to-all
+   multicast rounds at n = 100 over the Table II matrix with its egress
+   bandwidth and a cost computed per message allocate nothing at all.  The
+   horizons are boxed before the measurement, so the rounds pass no fresh
+   float to [run].  While [cpu_cost] returned its cost, every computed
+   cost was a boxed float. *)
+let test_engine_computed_cost_alloc () =
+  let n = 100 in
+  let latency = Bft_workload.Regions.latency_model () in
+  let network =
+    Network.make ~bandwidth_bps:Bft_workload.Regions.bandwidth_bps ~latency
+      ~delta:(Latency.upper_bound latency) ()
+  in
+  let e =
+    Engine.create ~n ~network ~seed:1
+      ~msg_size:(fun (_ : int) -> 200 + n)
+      ~cpu_cost:(fun m a i -> a.(i) <- 0.05 +. (0.001 *. float_of_int (m mod 7)))
+      ()
+  in
+  let delivered = ref 0 in
+  for i = 0 to n - 1 do
+    Engine.set_handler e i (fun ~src:_ _ -> incr delivered)
+  done;
+  let round until =
+    for src = 0 to n - 1 do
+      Engine.multicast e ~src src
+    done;
+    Engine.run e ~until
+  in
+  (* Lanes and pools reach their size in the third round. *)
+  List.iter round [ 1000.; 2000.; 3000. ];
+  let horizons = List.init 5 (fun k -> float_of_int (k + 4) *. 1000.) in
+  let events0 = (Engine.stats e).Engine.events_processed in
+  let bytes = Bft_obs.Alloc.measure (fun () -> List.iter round horizons) in
+  let events = (Engine.stats e).Engine.events_processed - events0 in
+  check_int "every copy delivered" (8 * n * n) !delivered;
+  check (Printf.sprintf "%d events" events) true (events >= 5 * n * n);
+  check_float "0 B" 0. bytes
+
+(* A fresh fan-out run at n = 100 is 212 words: its record and [Run]
+   wrapper (12), and 99 arrival times and 99 slots (100 words each).  A
+   run that also kept one seq per copy, tied to its wrapper with
+   [let rec] (which allocates the record twice), cost 322.  The first multicast
+   takes the pooled run, so the second builds one; both self hand-offs take
+   pooled cells. *)
+let test_fresh_run_words () =
+  let n = 100 in
+  let e =
+    Engine.create ~n ~network:(uniform_net ()) ~seed:1
+      ~msg_size:(fun (_ : int) -> 100)
+      ()
+  in
+  Engine.send e ~src:0 ~dst:0 0;
+  Engine.send e ~src:1 ~dst:1 0;
+  Engine.multicast e ~src:2 0;
+  Engine.run e ~until:100.;
+  Engine.multicast e ~src:0 1;
+  check_float "a fresh run: 212 words" 212.
+    (Test_support.Alloc.minor_words (fun () -> Engine.multicast e ~src:1 1));
+  let delivered = ref 0 in
+  for i = 0 to n - 1 do
+    Engine.set_handler e i (fun ~src:_ _ -> incr delivered)
+  done;
+  Engine.run e ~until:200.;
+  check_int "both fan-outs delivered" (2 * n) !delivered
+
+(* A run slot keeps 20 bits for the destination's incarnation, so a node
+   may crash [max_crashes] = 2^20 - 1 times and no more.  At the last
+   incarnation a multicast still reaches the node (its epoch reads back
+   from the slot intact); one more crash raises and leaves the node up. *)
+let test_crash_bound () =
+  let e = make_engine () in
+  check_int "2^20 - 1 crashes" ((1 lsl 20) - 1) Engine.max_crashes;
+  for _ = 1 to Engine.max_crashes do
+    Engine.crash e 1;
+    Engine.recover e 1
+  done;
+  let got = ref 0 in
+  Engine.set_handler e 1 (fun ~src:_ _ -> incr got);
+  Engine.multicast e ~src:0 "last incarnation";
+  Engine.run e ~until:100.;
+  check_int "the last incarnation receives" 1 !got;
+  Alcotest.check_raises "one crash more"
+    (Invalid_argument
+       "Engine.crash: node crashed too often for a run slot's epoch")
+    (fun () -> Engine.crash e 1);
+  check "still up" false (Engine.is_down e 1);
+  Engine.multicast e ~src:0 "after the refused crash";
+  Engine.run e ~until:200.;
+  check_int "and still receives" 2 !got
 
 let word_bytes = float_of_int (Sys.word_size / 8)
 
@@ -1162,6 +1257,8 @@ let () =
             test_engine_timer_pending_twice;
           Alcotest.test_case "crash drops timer records" `Quick
             test_engine_timer_crash_drops;
+          Alcotest.test_case "crashes past the epoch width" `Quick
+            test_crash_bound;
           Alcotest.test_case "stale timer entry skipped by seq" `Quick
             test_engine_timer_stale_seq;
           Alcotest.test_case "timer row overflow" `Quick
@@ -1197,5 +1294,9 @@ let () =
             (test_engine_alloc (Latency.Uniform { base = 10.; jitter = 5. }));
           Alcotest.test_case "windows allocate nothing" `Quick
             test_windows_alloc;
+          Alcotest.test_case "Table II fan-out with computed costs: 0 B" `Quick
+            test_engine_computed_cost_alloc;
+          Alcotest.test_case "a fresh run: 212 words" `Quick
+            test_fresh_run_words;
         ] );
     ]
